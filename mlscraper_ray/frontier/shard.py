@@ -15,10 +15,11 @@ and holds, per the north-star design:
   total-order tiebreaker). The key is intrinsic to the row, never
   arrival-order, so parallel submission cannot change the crawl order.
 
-The class is deliberately plain Python: the distributed crawler wraps
-it in ``ray.remote`` (one actor per shard), while tests can drive it
-in-process. All state round-trips through ``state_bytes``/``restore``
-— the per-round checkpoint unit.
+The class is deliberately plain Python: the distributed crawler hosts
+several shards per actor process through :class:`FrontierShardGroup`,
+while tests can drive either class in-process. All state round-trips
+through ``state_bytes``/``restore`` — the per-round checkpoint unit,
+one file per logical shard whatever process hosts it.
 
 The reference has no counterpart to any of this (mlscraper never
 fetches or schedules; the only fetch in its repo is ``requests.get``
@@ -28,6 +29,7 @@ by this engine and pinned by the single-process oracle crawler.
 from __future__ import annotations
 
 import heapq
+import os
 import pickle
 from collections import Counter
 
@@ -266,7 +268,9 @@ class FrontierShard:
                 "seen": self.seen.to_bytes(),
                 "expiry_ring": self.expiry_ring,
                 "round_counter": self.round_counter,
-                "round_buffer": self.round_buffer,
+                # sorted: the buffer's insertion order is submit arrival
+                # order, which must not leak into the checkpoint bytes
+                "round_buffer": dict(sorted(self.round_buffer.items())),
                 "heaps": self.heaps,
                 "robots": {h: r.disallow_prefixes for h, r in self.robots.items()},
                 "counters": dict(self.counters),
@@ -305,11 +309,67 @@ class FrontierShard:
         tmp = path + ".tmp"
         with open(tmp, "wb") as f:
             f.write(data)
-        import os
-
         os.replace(tmp, path)
         return len(data)
 
     def restore_from(self, path: str) -> None:
         with open(path, "rb") as f:
             self.restore(f.read())
+
+
+def group_of(shard_id: int, n_groups: int) -> int:
+    """The group (host process) of a logical shard: shards are dealt
+    round-robin."""
+    return shard_id % n_groups
+
+
+def group_members(n_shards: int, n_groups: int) -> list[list[int]]:
+    """The shard ids of each group, ascending."""
+    return [[i for i in range(n_shards) if group_of(i, n_groups) == g] for g in range(n_groups)]
+
+
+class FrontierShardGroup:
+    """Several logical frontier shards in one process.
+
+    The crawler runs at most one group actor per CPU instead of one
+    actor per shard: each member keeps its own seen set, heaps, robots cache and
+    counters, and every call is forwarded to it by shard id, so a
+    shard's outputs do not depend on which process hosts it. Each
+    method is one round trip for all members, which is what lets the
+    crawler make one call per actor per BSP phase."""
+
+    def __init__(self, shard_ids: list[int], config: dict | CrawlConfig, corpus_dir: str,
+                 shard_cls: type):
+        self.shards = {i: shard_cls(i, config, corpus_dir) for i in shard_ids}
+
+    def submit(self, by_shard: dict) -> dict:
+        """``by_shard`` maps shard id -> (urls, depths, warc_ts_us)."""
+        total: Counter = Counter()
+        for sid, (urls, depths, ts_list) in by_shard.items():
+            total.update(self.shards[sid].submit(urls, depths, ts_list))
+        return dict(total)
+
+    def admit_parts(self, n_parts: int) -> tuple:
+        """Every member's ``admit_parts(n_parts)`` in ``shard_ids`` order,
+        flattened, followed by the members' total admitted count (call
+        it with ``num_returns = len(members) * n_parts + 1``)."""
+        out: list = []
+        for shard in self.shards.values():
+            parts = shard.admit_parts(n_parts)
+            out.extend([parts] if n_parts == 1 else parts)
+        out.append(sum(s.last_admitted() for s in self.shards.values()))
+        return tuple(out)
+
+    def checkpoint_to(self, ckpt_dir: str) -> dict[int, dict]:
+        """Write ``shard-{i}.bin`` per member; returns counters by shard id."""
+        for sid, shard in self.shards.items():
+            shard.checkpoint_to(os.path.join(ckpt_dir, f"shard-{sid}.bin"))
+        return {sid: shard.get_counters() for sid, shard in self.shards.items()}
+
+    def restore_from(self, ckpt_dir: str) -> None:
+        for sid, shard in self.shards.items():
+            shard.restore_from(os.path.join(ckpt_dir, f"shard-{sid}.bin"))
+
+    def final_stats(self) -> dict[int, tuple[int, dict]]:
+        """(seen count, counters) by shard id."""
+        return {sid: (s.seen_count(), s.get_counters()) for sid, s in self.shards.items()}

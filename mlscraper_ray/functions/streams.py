@@ -1108,9 +1108,11 @@ def events_user_lifetime_stats(sf_dir: str) -> pa.Table:
         .to_pandas()
         .sort_values("user_id", ignore_index=True)
     )
-    out["span_hours"] = (
-        (out["last_ts"] - out["first_ts"]).dt.total_seconds() // 3600
-    ).astype("int64")
+    # whole microseconds // 1h, exactly as EVENTS_USER_LIFETIME_SQL:
+    # flooring date_diff('second') there would count second-boundary
+    # crossings, not the span (3599.2 s across an hour mark -> 1 h)
+    span_us = (out["last_ts"] - out["first_ts"]).astype("timedelta64[us]").astype("int64")
+    out["span_hours"] = (span_us // 3_600_000_000).astype("int64")
     for c in ("n_active_days", "n_events", "sum_value_milli"):
         out[c] = out[c].astype("int64")
     out["first_ts"] = out["first_ts"].astype("datetime64[us]")
@@ -1131,7 +1133,7 @@ EVENTS_USER_LIFETIME_SQL = """
 SELECT user_id,
        MIN(ts) AS first_ts,
        MAX(ts) AS last_ts,
-       CAST(FLOOR(date_diff('second', MIN(ts), MAX(ts)) / 3600.0) AS BIGINT)
+       CAST(date_diff('microsecond', MIN(ts), MAX(ts)) // 3600000000 AS BIGINT)
            AS span_hours,
        CAST(COUNT(DISTINCT date_trunc('day', ts)) AS BIGINT) AS n_active_days,
        COUNT(*) AS n_events,

@@ -1,9 +1,11 @@
 """Ray Data stages for the crawl pipeline.
 
-``FetchParseExtract`` is the hot path: an actor-pool ``map_batches``
-class (state — corpus bucket cache, compiled scraper plan — built once
-per actor in ``__init__``; reference extraction semantics per row in
-``__call__``). Batches are Arrow in / Arrow out.
+``FetchParseExtract`` is the hot path (reference extraction semantics
+per row in ``__call__``). The BSP round loop runs it as the stateless
+``map_batches`` task :func:`fetch_parse_extract_task`; its state —
+corpus bucket cache, compiled scraper plan — is built once per Ray
+worker process and cached there (``get_fetch_stage``). Batches are
+Arrow in / Arrow out.
 
 Throughput notes for the 100 TB design point:
 - html bytes enter existence only inside this stage (the frontier
@@ -11,7 +13,7 @@ Throughput notes for the 100 TB design point:
   returns (outputs carry extracted values + links, never html);
 - per-document parsing is inherently row-wise Python, but everything
   around it is columnar; batch size is tuned for ~1-4 MB of html per
-  batch so actor heap stays bounded;
+  batch so worker heap stays bounded;
 - the admitted frontier arrives as bucket-aligned parts from
   ``FrontierShard.admit_parts`` (each block touches only a slice of
   the corpus bucket files); hosts hot enough to dominate a part are
@@ -159,6 +161,30 @@ def get_fetch_stage(corpus_dir: str, n_buckets: int, plan: dict) -> FetchParseEx
     return stage
 
 
+def submit_to_shards(
+    shard_actors: list, n_shards: int, urls: list, depths: list, ts_list: list | None = None
+) -> list:
+    """Route candidate rows to their owning logical shard
+    (``crc32(host) % n_shards``) and send ONE ``submit`` per actor
+    hosting any of them (``frontier.shard.group_of``), carrying one
+    (urls, depths, warc_ts_us) list per shard. Returns the submit refs."""
+    import zlib
+
+    from mlscraper_ray.frontier.shard import group_of
+
+    n_actors = len(shard_actors)
+    if ts_list is None:
+        ts_list = [0] * len(urls)
+    by_actor: dict[int, dict[int, tuple[list, list, list]]] = {}
+    for url, depth, ts in zip(urls, depths, ts_list):
+        sid = zlib.crc32(url_host(url).encode()) % n_shards
+        lists = by_actor.setdefault(group_of(sid, n_actors), {}).setdefault(sid, ([], [], []))
+        lists[0].append(url)
+        lists[1].append(depth)
+        lists[2].append(ts)
+    return [shard_actors[a].submit.remote(by_shard) for a, by_shard in by_actor.items()]
+
+
 def fetch_parse_extract_task(
     batch: pa.Table,
     *,
@@ -166,28 +192,28 @@ def fetch_parse_extract_task(
     n_buckets: int,
     plan: dict,
     round_k: int,
-    shard_handles: list | None = None,
+    shard_actors: list | None = None,
     n_shards: int = 0,
 ) -> pa.Table:
     """Stateless-task flavor of :class:`FetchParseExtract` for the BSP
     round loop (state cached per worker process); appends the round
     constant so the driver doesn't need an extra stage.
 
-    When ``shard_handles`` is given, discovered links are submitted to
-    their owning shard actors from INSIDE the stage — the next round's
-    candidates never round-trip through parquet + a second Dataset
-    execution. Safe under task retries: the shard round buffer takes a
-    commutative min per url and the seen-set dedups across rounds, so
-    double-submission is idempotent."""
-    import zlib
-
+    When ``shard_actors`` is given, discovered links are submitted to
+    the actors hosting their owning shards from INSIDE the stage — the
+    next round's candidates never round-trip through parquet + a
+    second Dataset execution. Safe under task retries: the shard round
+    buffer takes a commutative min per url and the seen-set dedups
+    across rounds, so double-submission is idempotent."""
     import ray
 
     out = get_fetch_stage(corpus_dir, n_buckets, plan)(batch)
-    if shard_handles is not None:
+    if shard_actors is not None:
         import pyarrow.compute as pc
 
-        by_shard: dict[int, tuple[list, list, list]] = {}
+        urls: list = []
+        depths: list = []
+        ts_list: list = []
         ts_micros = pc.cast(out["warc_ts"], pa.int64()).to_pylist()  # tz-free epoch us
         for depth, ts_val, links in zip(
             out["depth"].to_pylist(), ts_micros, out["links"].to_pylist()
@@ -195,43 +221,29 @@ def fetch_parse_extract_task(
             # links inherit the discovering page's capture time — the
             # warc_ts component of the frontier priority key
             ts_us = ts_val if ts_val is not None else 0
-            for link in links:
-                sid = zlib.crc32(url_host(link).encode()) % n_shards
-                bucket = by_shard.setdefault(sid, ([], [], []))
-                bucket[0].append(link)
-                bucket[1].append(depth + 1)
-                bucket[2].append(ts_us)
-        refs = [
-            shard_handles[sid].submit.remote(us, ds, ts)
-            for sid, (us, ds, ts) in by_shard.items()
-        ]
-        ray.get(refs)  # barrier: stage completion implies links submitted
+            urls.extend(links)
+            depths.extend([depth + 1] * len(links))
+            ts_list.extend([ts_us] * len(links))
+        # barrier: stage completion implies links submitted
+        ray.get(submit_to_shards(shard_actors, n_shards, urls, depths, ts_list))
     return out.append_column("round", pa.array([round_k] * out.num_rows, pa.int32()))
 
 
-def make_submit_fn(shard_handles: list, n_shards: int):
+def make_submit_fn(shard_actors: list, n_shards: int):
     """Returns a map_batches fn that routes candidate (url, depth) rows
-    to their owning shard actors and emits per-batch counters.
+    to the actors hosting their owning shards and emits per-batch
+    counters.
 
     The actor round-trip is awaited inside the task (the submit stage's
     output is only counters, so there is nothing downstream to
-    pipeline); candidates for different shards fan out in parallel.
+    pipeline); candidates for different actors fan out in parallel.
     """
     import ray
-    import zlib
 
     def submit_batch(batch: pa.Table) -> pa.Table:
-        urls = batch["url"].to_pylist()
-        depths = batch["depth"].to_pylist()
-        by_shard: dict[int, tuple[list, list]] = {}
-        for u, d in zip(urls, depths):
-            sid = zlib.crc32(url_host(u).encode()) % n_shards
-            bucket = by_shard.setdefault(sid, ([], []))
-            bucket[0].append(u)
-            bucket[1].append(d)
-        refs = [
-            shard_handles[sid].submit.remote(us, ds) for sid, (us, ds) in by_shard.items()
-        ]
+        refs = submit_to_shards(
+            shard_actors, n_shards, batch["url"].to_pylist(), batch["depth"].to_pylist()
+        )
         total = {"submitted": 0}
         for res in ray.get(refs):
             for k, v in res.items():

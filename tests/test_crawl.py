@@ -3,6 +3,7 @@ checkpoint/resume equivalence, golden extraction.
 
 These use a small corpus so the full BSP loop runs in seconds.
 """
+import contextlib
 import glob
 import json
 import shutil
@@ -215,6 +216,96 @@ def test_manifest_records_per_partition_lineage(crawl_run):
                 assert hashlib.sha256(f.read()).hexdigest() == entry["sha256"]
             checked += 1
     assert checked > 0
+
+
+def _shard_files(out_dir):
+    """Every checkpoint shard file's bytes, keyed by its path under out_dir."""
+    paths = sorted(glob.glob(f"{out_dir}/checkpoint/round=*/shard-*.bin"))
+    return {p[len(out_dir):]: open(p, "rb").read() for p in paths}
+
+
+@contextlib.contextmanager
+def _as_cluster(cpus):
+    """Make RayCrawler see a cluster of ``cpus`` CPUs while it sizes its
+    shard actors (use around construction and resume only: Ray Data
+    reads the same call)."""
+    from mlscraper_ray.frontier import crawler
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(crawler.ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+        yield
+
+
+@pytest.fixture(scope="module")
+def grouped_runs(ray_session, small_corpus, learned_plan, tmp_path_factory):
+    """The crawl_run config with its 4 logical shards hosted by 1 actor
+    (as on a 1-CPU cluster) and by 2 actors of 2 shards each."""
+    from mlscraper_ray.frontier.crawler import RayCrawler
+
+    corpus, _ = small_corpus
+    runs = {}
+    for cpus in (1, 2):
+        out = str(tmp_path_factory.mktemp(f"grouped{cpus}"))
+        with _as_cluster(cpus):
+            crawler = RayCrawler(corpus, out, _config(learned_plan))
+        runs[cpus] = (out, crawler.members, crawler.run())
+    return runs
+
+
+class TestShardGrouping:
+    def test_members_dealt_round_robin(self, grouped_runs, crawl_run):
+        assert grouped_runs[1][1] == [[0, 1, 2, 3]]
+        assert grouped_runs[2][1] == [[0, 2], [1, 3]]
+        with open(f"{crawl_run[1]}/metrics.json") as f:
+            unpatched = json.load(f)
+        assert unpatched["shard_actors"] == 4  # ray_session has 4 CPUs
+        for cpus, (out, members, stats) in grouped_runs.items():
+            with open(f"{out}/metrics.json") as f:
+                metrics = json.load(f)
+            assert metrics["shard_actors"] == stats["shard_actors"] == cpus
+            assert metrics["sec_seed_submit"] > 0
+            assert set(unpatched) == set(metrics)
+
+    def test_order_seen_counters_match_ungrouped_and_oracle(self, grouped_runs, crawl_run):
+        from mlscraper_ray.frontier.crawler import crawl_order
+
+        corpus, out, cfg, stats = crawl_run
+        fetches, seen, _, counters = oracle_crawl(corpus, cfg)
+        want = crawl_order(out).to_pylist()
+        for g_out, _, g_stats in grouped_runs.values():
+            got = crawl_order(g_out)
+            assert got.to_pylist() == want
+            assert list(zip(*[got[c].to_pylist() for c in ("round", "depth", "host", "url")])) == fetches
+            assert g_stats["seen"] == stats["seen"] == len(seen)
+            assert g_stats["counters"] == stats["counters"]
+            for key in ("admitted", "enqueued", "dropped_seen", "dropped_robots", "dropped_depth"):
+                assert g_stats["counters"].get(key, 0) == counters.get(key, 0), key
+
+    def test_checkpoint_shard_files_byte_identical(self, grouped_runs, crawl_run):
+        want = _shard_files(crawl_run[1])
+        assert len(want) > 4 and all(k.endswith(".bin") for k in want)
+        for g_out, _, _ in grouped_runs.values():
+            assert _shard_files(g_out) == want
+
+    def test_resume_under_another_grouping(self, grouped_runs, crawl_run, small_corpus, tmp_path):
+        """A checkpoint written by 1 actor resumes under 2 actors (and
+        one written by 2 actors under 4) to the same crawl order."""
+        from mlscraper_ray.frontier.crawler import RayCrawler, crawl_order
+
+        corpus, _ = small_corpus
+        want = crawl_order(crawl_run[1]).to_pylist()
+        for written_by, resume_on in ((1, 2), (2, 4)):
+            out = str(tmp_path / f"from{written_by}")
+            shutil.copytree(grouped_runs[written_by][0], out)
+            for d in glob.glob(f"{out}/rounds/round=*") + glob.glob(f"{out}/checkpoint/round=*"):
+                if int(d.rsplit("=", 1)[1]) > 1:
+                    shutil.rmtree(d)
+            with _as_cluster(resume_on):
+                crawler, next_round = RayCrawler.resume(corpus, out)
+            assert next_round == 2
+            assert len(crawler.actors) == resume_on
+            crawler.run(start_round=next_round)
+            assert crawl_order(out).to_pylist() == want
 
 
 class TestHotHostSalting:

@@ -813,6 +813,48 @@ class TestLshTopkCrafted:
         )
 
 
+class TestEventsUserLifetimeCrafted:
+    def test_span_hours_on_sub_second_spans_across_hour_marks(self, ray_session, tmp_path):
+        """span_hours floors the exact span on both sides. Counting
+        second-boundary crossings instead would give 1 h for a 3599.2 s
+        span that straddles an hour mark."""
+        import datetime as dt
+
+        import duckdb
+        from oracle_compare import value_hash
+
+        from mlscraper_ray.functions.streams import (
+            EVENTS_USER_LIFETIME_SQL,
+            events_user_lifetime_stats,
+        )
+
+        t0 = dt.datetime(2024, 3, 1)
+        us = dt.timedelta(microseconds=1)
+        rows = [  # (user_id, ts)
+            (1, t0 + 900_000 * us), (1, t0 + dt.timedelta(hours=1) + 100_000 * us),  # 3599.2 s
+            (2, t0 + dt.timedelta(seconds=3599.5)), (2, t0 + dt.timedelta(hours=2)),  # 3600.5 s
+            (3, t0 + us), (3, t0 + dt.timedelta(hours=2)),  # 7199.999999 s
+            (4, t0 + dt.timedelta(hours=5, seconds=0.25)),  # one event
+        ]
+        t = pa.table(
+            {
+                "event_id": pa.array(range(len(rows)), pa.int64()),
+                "ts": pa.array([ts for _, ts in rows], pa.timestamp("us")),
+                "user_id": pa.array([u for u, _ in rows], pa.int64()),
+                "event_type": pa.array(["view"] * len(rows)),
+                "value": pa.array([0.5] * len(rows), pa.float64()),
+                "props": pa.array(["{}"] * len(rows)),
+            }
+        )
+        pq.write_table(t, str(tmp_path / "events.parquet"))
+        out = events_user_lifetime_stats(str(tmp_path)).to_pandas()
+        assert dict(zip(out["user_id"], out["span_hours"])) == {1: 0, 2: 1, 3: 1, 4: 0}
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM '{tmp_path}/events.parquet'")
+        oracle = con.execute(EVENTS_USER_LIFETIME_SQL).fetchdf()
+        assert value_hash(out) == value_hash(oracle)
+
+
 class TestEmbeddingNearDupCrafted:
     def test_planted_neardups_found(self, ray_session, tmp_path):
         from mlscraper_ray.functions.similarity import embedding_neardup_pairs

@@ -241,6 +241,80 @@ class TestFrontierShard:
         assert shard.get_counters()["salted_rows"] == 8
 
 
+class TestFrontierShardGroup:
+    """The group actor only forwards by shard id: hosting shards
+    {0..3} in one group must behave exactly like four standalone
+    shards given the same calls."""
+
+    def test_group_matches_standalone_shards(self, tmp_path):
+        import zlib
+
+        from mlscraper_ray.frontier.shard import FrontierShard, FrontierShardGroup, group_members
+        from mlscraper_ray.sources.corpusgen import CorpusSpec, generate_corpus, url_host
+
+        corpus = str(tmp_path / "corpus")
+        generate_corpus(corpus, CorpusSpec(n_hosts=6, pages_per_host=3, skew_factors=()))
+        cfg = CrawlConfig(n_shards=4, tokens_per_round=2, max_depth=3)
+        group = FrontierShardGroup([0, 1, 2, 3], cfg.to_dict(), corpus, FrontierShard)
+        alone = [FrontierShard(i, cfg, corpus) for i in range(4)]
+
+        def by_shard(urls, depth):
+            out: dict = {}
+            for i, u in enumerate(urls):
+                lists = out.setdefault(zlib.crc32(url_host(u).encode()) % 4, ([], [], []))
+                lists[0].append(u)
+                lists[1].append(depth + i % 3)
+                lists[2].append(1000 * i)
+            return out
+
+        waves = [
+            [f"http://h{h:04d}.example/p/{i}" for h in range(6) for i in range(3)],
+            [f"http://h{h:04d}.example/private/{i}" for h in range(6) for i in range(2)]
+            + [f"http://h{h:04d}.example/p/{i}" for h in range(6) for i in range(5)],
+        ]
+        for urls in waves:
+            calls = by_shard(urls, 1)
+            assert group.submit(calls) == {"submitted": len(urls)}
+            for sid, (us, ds, ts) in calls.items():
+                alone[sid].submit(us, ds, ts)
+            for n_parts in (1, 3):
+                got = group.admit_parts(n_parts)
+                assert len(got) == 4 * n_parts + 1
+                want, admitted = [], 0
+                for shard in alone:
+                    parts = shard.admit_parts(n_parts)
+                    want.extend([parts] if n_parts == 1 else parts)
+                    admitted += shard.last_admitted()
+                assert [t.to_pydict() for t in got[:-1]] == [t.to_pydict() for t in want]
+                assert got[-1] == admitted
+        for sid, shard in group.shards.items():
+            assert shard.state_bytes() == alone[sid].state_bytes()
+        stats = group.final_stats()
+        assert stats == {i: (s.seen_count(), s.get_counters()) for i, s in enumerate(alone)}
+        assert sum(seen for seen, _ in stats.values()) > 0
+
+        ckpt = tmp_path / "ckpt"
+        ckpt.mkdir()
+        counters = group.checkpoint_to(str(ckpt))
+        assert counters == {i: s.get_counters() for i, s in enumerate(alone)}
+        for i, s in enumerate(alone):
+            assert (ckpt / f"shard-{i}.bin").read_bytes() == s.state_bytes()
+        # restore into a different grouping of the same logical shards
+        for ids in group_members(4, 2):
+            regroup = FrontierShardGroup(ids, cfg.to_dict(), corpus, FrontierShard)
+            regroup.restore_from(str(ckpt))
+            for sid in ids:
+                assert regroup.shards[sid].state_bytes() == alone[sid].state_bytes()
+
+    def test_group_members_deal_round_robin(self):
+        from mlscraper_ray.frontier.shard import group_members
+
+        assert group_members(4, 1) == [[0, 1, 2, 3]]
+        assert group_members(4, 2) == [[0, 2], [1, 3]]
+        assert group_members(8, 3) == [[0, 3, 6], [1, 4, 7], [2, 5]]
+        assert group_members(4, 4) == [[0], [1], [2], [3]]
+
+
 class TestRetryIdempotence:
     """fetch_parse_extract_task claims double link-submission is safe
     under Ray task retries (crawl_stages.py docstring): the round
