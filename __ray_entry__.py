@@ -6,7 +6,7 @@ Ray is initialised by the driver BEFORE this module is imported; no
 ``queries()`` covers SURVEY.md §2 (the reference's learn/apply surface
 re-expressed Ray-Data-first + the crawl engine the north_rule adds)
 plus the large-scale training-data operators (dedup, similarity
-search, text analysis, stream windows, multimodal plumbing).
+search, text analysis, stream windows).
 ``oracle_sql()`` provides DuckDB equivalents for every
 SQL-expressible query — including the LSH dedup pipelines and IVF ANN
 (exhaustive-join oracles that verify recall itself), the
@@ -37,12 +37,6 @@ def entry() -> Any:
     return crawl_order_query("/root/testdata/sf0.001").to_pandas()
 
 
-def _mm_ncpus() -> int:
-    import ray
-
-    return int(ray.cluster_resources().get("CPU", 8))
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
     from mlscraper_ray.functions import (
         aggregates,
@@ -69,92 +63,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         wet,
     )
     from mlscraper_ray.pipelines import crawl_pipeline
-
-    def _payload_ds(sf_dir: str):
-        # documents' text bytes stand in for an opaque media column;
-        # schema/batch plumbing is identical to a real binary payload
-        import os
-
-        import pyarrow as pa
-        import ray.data
-
-        docs = ray.data.read_parquet(
-            os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-        )
-
-        def to_payload(t):
-            return pa.table(
-                {
-                    "doc_id": t["doc_id"],
-                    "payload": pa.array([s.encode() for s in t["text"].to_pylist()], pa.binary()),
-                }
-            )
-
-        return docs.map_batches(to_payload, batch_format="pyarrow")
-
-    def _mm_stage(sf_dir: str, cls, **kwargs):
-        import pyarrow as pa
-
-        staged = _payload_ds(sf_dir).map_batches(
-            cls, fn_constructor_kwargs={"payload_col": "payload", **kwargs},
-            batch_format="pyarrow", batch_size=128, concurrency=(1, _mm_ncpus()),
-        )
-        # production-shaped ordering: the sort is a Dataset operation
-        # (distributed range sort); only the sorted result is pulled
-        # for the driver's table compare
-        out = staged.sort("doc_id").to_pandas()
-        return pa.Table.from_pandas(out, preserve_index=False)
-
-    def multimodal_decode(sf_dir: str):
-        from mlscraper_ray.stages.multimodal import DecodeStub
-
-        return _mm_stage(sf_dir, DecodeStub)
-
-    def embed_features(sf_dir: str):
-        import pyarrow as pa
-
-        from mlscraper_ray.stages.multimodal import FeatureExtractStub
-
-        feats = _payload_ds(sf_dir).map_batches(
-            FeatureExtractStub, fn_constructor_kwargs={"payload_col": "payload"},
-            batch_format="pyarrow", batch_size=128, concurrency=(1, _mm_ncpus()),
-        )
-        out = feats.sort("doc_id").to_pandas()
-        # explode to one scalar column per component: list cells don't
-        # hash-compare across pandas/duckdb string forms
-        for i in range(16):
-            out[f"f{i:02d}"] = out["features"].map(lambda v, i=i: float(v[i]))
-        return pa.Table.from_pandas(
-            out[["doc_id"] + [f"f{i:02d}" for i in range(16)]], preserve_index=False
-        )
-
-    def multimodal_resize(sf_dir: str):
-        import pyarrow as pa
-
-        from mlscraper_ray.stages.multimodal import ResizeStub
-
-        out = _mm_stage(sf_dir, ResizeStub, target_w=128, target_h=96).to_pandas()
-        # payload bytes are stub-deterministic; hash-compare via length
-        out["payload_len"] = out["payload"].map(len)
-        return pa.Table.from_pandas(
-            out[["doc_id", "width", "height", "payload_len"]], preserve_index=False
-        )
-
-    def multimodal_frames(sf_dir: str):
-        import pyarrow as pa
-
-        from mlscraper_ray.stages.multimodal import FrameSampleStub
-
-        staged = _payload_ds(sf_dir).map_batches(
-            FrameSampleStub, fn_constructor_kwargs={"payload_col": "payload", "k": 4},
-            batch_format="pyarrow", batch_size=128, concurrency=(1, _mm_ncpus()),
-        )
-        out = staged.sort("doc_id").to_pandas()
-        out["n_frames"] = out["frames"].map(len)
-        out["frame_bytes"] = out["frames"].map(lambda fs: sum(len(f) for f in fs))
-        return pa.Table.from_pandas(
-            out[["doc_id", "n_frames", "frame_bytes"]], preserve_index=False
-        )
 
     # ORDER MATTERS: the driver's correctness check compares the FIRST
     # 50 keys only. Tier 1 = operators that have never received a
@@ -420,11 +328,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # composed scale path: k-means-TRAINED IVF, the whole
         # train-then-search pipeline integer-exact and SQL-oracled
         "ann_ivf_trained_topk": similarity.ivf_trained_topk,
-        # multimodal plumbing (stubbed codecs)
-        "multimodal_decode": multimodal_decode,
-        "multimodal_features": embed_features,
-        "multimodal_resize": multimodal_resize,
-        "multimodal_frames": multimodal_frames,
         # ---- tier 4: r4-green heavy composites (fill to 50) ------
         "dedup_minhash": dedup.minhash_dedup,
         # connected components over the verified pair graph (iterative
@@ -944,34 +847,7 @@ def oracle_sql() -> dict[str, str]:
         "events_markov_transitions": streams.EVENTS_MARKOV_TRANSITIONS_SQL,
         "events_user_lifetime": streams.EVENTS_USER_LIFETIME_SQL,
         "sliding_window_counts": streams.sliding_window_counts_sql(),
-        # multimodal decode stub is md5-derived, so even the stubbed
-        # codec path is value-checked against SQL
-        "multimodal_decode": """
-SELECT doc_id,
-       CASE WHEN length(text) = 0 THEN 0
-            ELSE 64 + (md5_number_upper(text) & 65535) % 1024 END AS width,
-       CASE WHEN length(text) = 0 THEN 0
-            ELSE 64 + ((md5_number_upper(text) >> 16) & 65535) % 1024 END AS height,
-       CASE WHEN length(text) = 0 THEN 0 ELSE 3 END AS n_channels,
-       length(text) > 0 AS decode_ok
-FROM documents
-ORDER BY doc_id
-""",
-        "multimodal_resize": """
-SELECT doc_id, CAST(128 AS INTEGER) AS width, CAST(96 AS INTEGER) AS height,
-       CAST(greatest(16, (128 * 96) // 64) AS BIGINT) AS payload_len
-FROM documents
-ORDER BY doc_id
-""",
-        "multimodal_frames": """
-SELECT doc_id, CAST(4 AS BIGINT) AS n_frames,
-       (SELECT CAST(SUM(greatest(0, least(length(text) - k * greatest(1, length(text) // 4), 16))) AS BIGINT)
-        FROM UNNEST(generate_series(0, 3)) t(k)) AS frame_bytes
-FROM documents
-ORDER BY doc_id
-""",
         "top_event_per_user": streams.TOP_EVENT_PER_USER_SQL,
-        "multimodal_features": _feature_stub_sql(),
         # constant-table oracles from INDEPENDENT ground truth (the
         # corpus generator's synthesis-time records and the
         # single-process oracle crawler), built for the driver's fixed
@@ -1031,12 +907,6 @@ def _truth_oracle_entries() -> dict[str, str]:
                 stacklevel=2,
             )
     return out
-
-
-def _feature_stub_sql() -> str:
-    from mlscraper_ray.stages.multimodal import feature_stub_sql
-
-    return feature_stub_sql()
 
 
 def _curate_sql() -> str:

@@ -25,6 +25,8 @@ from __future__ import annotations
 import pyarrow as pa
 import ray.data
 
+from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
+
 
 def pick_densest_block(blocks: list[tuple[str, str, int, int]]) -> int:
     """Index of the densest (tag, first_class, text_chars, n_desc)
@@ -139,32 +141,10 @@ def page_profile(sf_dir: str) -> pa.Table:
     return pa.Table.from_pandas(out, preserve_index=False)
 
 
-def page_profile_to_parquet(
-    sf_dir: str, out_dir: str, n_shards: int = 16, window: int = 4
-) -> dict:
+def page_profile_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> dict:
     """Production sink twin of :func:`page_profile`, RESUMABLE
-    (marker-last shard protocol, functions/sinks.py): the fused
-    single-parse pass runs ONCE into a materialized profile dataset;
-    shards partition on crc32(url) so output is stable under any
-    worker count, and a re-invoked run skips finished shards."""
-    import zlib
-
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
+    (functions/sinks.py): shards partition on crc32(url), so output is
+    stable under any worker count."""
+    if all_shards_done(out_dir, n_shards):  # a cold facet cache parses eagerly
         return {"written": 0, "skipped": n_shards}
-
-    prof = page_profile_ds(sf_dir).materialize()
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        part = prof.map_batches(
-            lambda df, s=s: df[
-                [zlib.crc32(u.encode()) % n_shards == s for u in df["url"]]
-            ].sort_values("url", ignore_index=True),
-            batch_format="pandas",
-        )
-        part.write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)
+    return write_resumable(page_profile_ds(sf_dir), crc32_shard("url", n_shards), out_dir, n_shards)

@@ -29,6 +29,7 @@ import ray.data
 from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
+from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 from mlscraper_ray.functions.textstats import _LANGID, _QUALITY, _sql_stopword_list
 
 
@@ -54,34 +55,25 @@ def _feat_filter_fn(min_quality_x10: int):
     return feat_filter
 
 
+_SURVIVOR_COLS = ("doc_id", "n_tokens", "quality_x10", "n_dups")
+
+
 def _sample_fn(sample_pct: int):
     """Deterministic md5(doc_id)-mod downsample kernel —
-    worker-count-stable, the same rows survive on any cluster."""
+    worker-count-stable, the same rows survive on any cluster. Keeps
+    the survivor columns plus any ``__`` routing column."""
 
     def sample(df: pd.DataFrame) -> pd.DataFrame:
         if len(df) == 0 or "doc_id" not in df.columns:
             # empty blocks can arrive schema-less through the shuffle
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n_tokens": pd.Series([], dtype="int64"),
-                    "quality_x10": pd.Series([], dtype="int64"),
-                    "n_dups": pd.Series([], dtype="int64"),
-                }
-            )
+            return pd.DataFrame({c: pd.Series([], dtype="int64") for c in _SURVIVOR_COLS})
         mask = [
             int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little") % 100 < sample_pct
             for d in df["doc_id"]
         ]
         out = df[pd.Series(mask, index=df.index)]
-        return pd.DataFrame(
-            {
-                "doc_id": out["doc_id"].astype("int64"),
-                "n_tokens": out["n_tokens"].astype("int64"),
-                "quality_x10": out["quality_x10"].astype("int64"),
-                "n_dups": out["n_dups"].astype("int64"),
-            }
-        )
+        keep = [*_SURVIVOR_COLS, *(c for c in out.columns if c.startswith("__"))]
+        return out[keep].astype(dict.fromkeys(_SURVIVOR_COLS, "int64"))
 
     return sample
 
@@ -126,46 +118,24 @@ def curate_corpus_to_parquet(
     sf_dir: str,
     out_dir: str,
     n_shards: int = 16,
-    window: int = 4,
     min_quality_x10: int = 500,
     sample_pct: int = 50,
 ) -> dict:
     """Production sink twin of :func:`curate_corpus`, RESUMABLE
-    (marker-last shard protocol, see ``functions/sinks.py``). The
-    expensive pass (text read + langid + quality + md5) runs ONCE
-    into a materialized SLIM dataset sharded by content hash — same
-    hash -> same shard, so every dedup group is shard-local and the
-    per-shard aggregate+sample is exact. Shard union == the
-    oracle-checked contract table (tested)."""
-    import zlib
-
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
-        return {"written": 0, "skipped": n_shards}
-
+    (functions/sinks.py): the dedup aggregate and the sample run once
+    over the corpus and each survivor lands in the crc32 shard of its
+    content hash ``h`` (carried as the unwritten ``__h`` routing
+    column). Shard union == the oracle-checked contract table
+    (tested)."""
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
-    feat = _feat_filter_fn(min_quality_x10)
-
-    def feat_shard(batch: pd.DataFrame) -> pd.DataFrame:
-        out = feat(batch)
-        out = out.copy()
-        out["shard"] = [zlib.crc32(h.encode()) % n_shards for h in out["h"]]
-        return out
-
-    slim = ds.map_batches(feat_shard, batch_format="pandas").materialize()
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        part = slim.map_batches(
-            lambda df, s=s: df[df["shard"] == s].drop(columns=["shard"]),
-            batch_format="pandas",
-        )
-        deduped = bucketed_aggregate(part, ["h"], _CURATE_AGGS)
-        deduped.map_batches(_sample_fn(sample_pct), batch_format="pandas").write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)
+    survivors = ds.map_batches(_feat_filter_fn(min_quality_x10), batch_format="pandas")
+    deduped = bucketed_aggregate(survivors, ["h"], {**_CURATE_AGGS, "__h": ("h", "min")})
+    return write_resumable(
+        deduped.map_batches(_sample_fn(sample_pct), batch_format="pandas"),
+        crc32_shard("__h", n_shards),
+        out_dir,
+        n_shards,
+    )
 
 
 def curate_corpus_sql(min_quality_x10: int = 500, sample_pct: int = 50) -> str:
@@ -394,61 +364,23 @@ def decontaminate_to_parquet(
     sf_dir: str,
     out_dir: str,
     n_shards: int = 16,
-    window: int = 4,
     holdout_mod: int = 97,
     n: int = 3,
     broadcast_limit: int = 2_000_000,
 ) -> dict:
     """Production sink twin of :func:`decontaminate`, RESUMABLE
-    (marker-last shard protocol, see ``functions/sinks.py``). The
-    expensive screening pass runs ONCE into a materialized SLIM
-    (doc_id, n_grams) survivor dataset; shards partition on a doc_id
-    hash so output is stable under any worker count."""
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
+    (functions/sinks.py): the (doc_id, n_grams) survivors sharded by
+    crc32(doc_id), so output is stable under any worker count."""
+    if all_shards_done(out_dir, n_shards):  # the holdout pass runs eagerly
         return {"written": 0, "skipped": n_shards}
-
-    survivors = decontaminate_survivors(
-        sf_dir, holdout_mod=holdout_mod, n=n, broadcast_limit=broadcast_limit
+    return write_resumable(
+        decontaminate_survivors(
+            sf_dir, holdout_mod=holdout_mod, n=n, broadcast_limit=broadcast_limit
+        ),
+        crc32_shard("doc_id", n_shards),
+        out_dir,
+        n_shards,
     )
-
-    def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "doc_id" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "n_grams": pd.Series([], dtype="int64"),
-                    "shard": pd.Series([], dtype="int64"),
-                }
-            )
-        df = df.copy()
-        # crc32 like every other resumable sink — hash_pandas_object
-        # is stable only within one pandas version, so a resume after
-        # an upgrade could re-shard survivors away from already-
-        # committed shards (duplicating or dropping rows)
-        import zlib
-
-        df["shard"] = (
-            df["doc_id"]
-            .astype("int64")
-            .map(lambda d: zlib.crc32(str(d).encode()) % n_shards)
-            .astype("int64")
-        )
-        return df
-
-    slim = survivors.map_batches(add_shard, batch_format="pandas").materialize()
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        part = slim.map_batches(
-            lambda df, s=s: df[df["shard"] == s].drop(columns=["shard"]),
-            batch_format="pandas",
-        )
-        part.write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)
 
 
 DECONTAMINATE_SQL = """

@@ -32,27 +32,33 @@ import ray.data
 from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
+from mlscraper_ray.functions.sinks import crc32_shard, shard_files, write_resumable
 
 # -- exact dedup ---------------------------------------------------------
 
 
-def exact_dedup(sf_dir: str) -> pa.Table:
-    """Exact duplicate groups by md5(text): one row per distinct text
-    with the surviving (minimum) doc_id and the duplicate count."""
+def exact_dedup_ds(sf_dir: str) -> ray.data.Dataset:
+    """Streaming core of :func:`exact_dedup`: (h, doc_id, n_dups) per
+    distinct md5(text), through the coarse-bucket aggregate (the
+    distinct-hash cardinality scales with the corpus, see
+    functions/bucketed.py)."""
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
 
     def add_hash(batch: pa.Table) -> pa.Table:
         hashes = [hashlib.md5(t.encode()).hexdigest() for t in batch["text"].to_pylist()]
         return pa.table({"h": pa.array(hashes, pa.string()), "doc_id": batch["doc_id"]})
 
-    hashed = ds.map_batches(add_hash, batch_format="pyarrow")
-    # distinct-hash cardinality scales with the corpus -> coarse-bucket
-    # aggregate (see functions/bucketed.py), never a native groupby
-    out = (
-        bucketed_aggregate(hashed, ["h"], {"doc_id": ("doc_id", "min"), "n_dups": ("doc_id", "count")})
-        .to_pandas()
-        .sort_values("h", ignore_index=True)
+    return bucketed_aggregate(
+        ds.map_batches(add_hash, batch_format="pyarrow"),
+        ["h"],
+        {"doc_id": ("doc_id", "min"), "n_dups": ("doc_id", "count")},
     )
+
+
+def exact_dedup(sf_dir: str) -> pa.Table:
+    """Exact duplicate groups by md5(text): one row per distinct text
+    with the surviving (minimum) doc_id and the duplicate count."""
+    out = exact_dedup_ds(sf_dir).to_pandas().sort_values("h", ignore_index=True)
     out["n_dups"] = out["n_dups"].astype("int64")
     return pa.Table.from_pandas(out, preserve_index=False)
 
@@ -65,55 +71,13 @@ ORDER BY h
 """
 
 
-def exact_dedup_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16, window: int = 4) -> dict:
-    """Production sink twin of :func:`exact_dedup`, RESUMABLE: the
-    manifest is partitioned by a content-hash shard (same hash ->
-    same shard, so every dedup group is shard-local) and each shard
-    directory commits with a ``_SUCCESS`` marker written AFTER its
-    parquet — the marker-last protocol shared with
-    ``extract_all_to_parquet`` and the crawl checkpoints. A failed or
-    killed run re-invoked with the same ``out_dir`` skips finished
-    shards and rewrites only incomplete ones; never one giant file.
-
-    Cost shape: the expensive pass (text read + md5) runs ONCE,
-    streaming, into a materialized SLIM (h, doc_id, shard) dataset —
-    text itself is never materialized; per-shard aggregation + write
-    then run as ``window`` concurrent Dataset executions over those
-    slim rows. On resume the slim pass re-runs (it is the cheap part)
-    and finished shards are skipped. Returns {"written": n,
-    "skipped": n}."""
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
-        return {"written": 0, "skipped": n_shards}
-
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
-
-    def add_hash_shard(batch: pa.Table) -> pa.Table:
-        hashes = [hashlib.md5(t.encode()).hexdigest() for t in batch["text"].to_pylist()]
-        shards = [zlib.crc32(h.encode()) % n_shards for h in hashes]
-        return pa.table(
-            {
-                "h": pa.array(hashes, pa.string()),
-                "doc_id": batch["doc_id"],
-                "shard": pa.array(shards, pa.int32()),
-            }
-        )
-
-    slim = ds.map_batches(add_hash_shard, batch_format="pyarrow").materialize()
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        part = slim.map_batches(
-            lambda t, s=s: t.filter(pc.equal(t["shard"], s)).drop_columns(["shard"]),
-            batch_format="pyarrow",
-        )
-        bucketed_aggregate(
-            part, ["h"], {"doc_id": ("doc_id", "min"), "n_dups": ("doc_id", "count")}
-        ).write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)
+def exact_dedup_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> dict:
+    """Production sink twin of :func:`exact_dedup`, RESUMABLE
+    (functions/sinks.py): the manifest is sharded by crc32(h), so
+    every dedup group sits in one shard. A failed or killed run
+    re-invoked with the same ``out_dir`` rewrites only unfinished
+    shards. Returns {"written": n, "skipped": n}."""
+    return write_resumable(exact_dedup_ds(sf_dir), crc32_shard("h", n_shards), out_dir, n_shards)
 
 
 # -- minhash + LSH -------------------------------------------------------
@@ -1798,33 +1762,25 @@ def lsh_index_to_parquet(
     sf_dir: str,
     out_dir: str,
     n_shards: int = 16,
-    window: int = 4,
     num_perm: int = 128,
     bands: int = 32,
     shingle_n: int = 3,
     seed: int = 42,
 ) -> dict:
     """Build a PERSISTED MinHash-LSH bucket index: postings rows
-    (band, bucket, doc_id) partitioned by crc32(band:bucket) into the
-    repo's resumable marker-last shard layout (the bm25/positional
-    index protocol), each shard's parquet SORTED by (band, bucket) so
-    a bucket probe row-group-prunes. LSH params land in ``_meta.json``
-    (written last) so a query with mismatched params fails loud
-    instead of probing garbage buckets."""
+    (band, bucket, doc_id) sharded by crc32(band:bucket) through the
+    resumable sink (functions/sinks.py), each file SORTED by (band,
+    bucket, doc_id) so a bucket probe row-group-prunes. LSH params
+    land in ``_meta.json`` (written after the shards) so a query with
+    mismatched params fails loud instead of probing garbage
+    buckets."""
     import json
-    import zlib
-
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
 
     meta_path = os.path.join(out_dir, "_meta.json")
-    if all_shards_done(out_dir, n_shards) and os.path.exists(meta_path):
-        return {"written": 0, "skipped": n_shards}
-
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
     )
-    sigs = ds.map_batches(
+    postings = ds.map_batches(
         minhash_stage_task,
         fn_kwargs={
             "num_perm": num_perm,
@@ -1833,42 +1789,32 @@ def lsh_index_to_parquet(
             "seed": seed,
         },
         batch_format="pyarrow",
+    ).map_batches(
+        lambda t: t.select(["band", "bucket", "doc_id"]).sort_by(
+            [("band", "ascending"), ("bucket", "ascending"), ("doc_id", "ascending")]
+        ),
+        batch_format="pyarrow",
     )
 
-    def add_shard(t: pa.Table) -> pd.DataFrame:
-        df = t.to_pandas()
-        df["shard"] = [
+    def shard_of(t: pa.Table) -> list[int]:
+        return [
             zlib.crc32(f"{b}:{v}".encode()) % n_shards
-            for b, v in zip(df["band"], df["bucket"])
+            for b, v in zip(t["band"].to_pylist(), t["bucket"].to_pylist())
         ]
-        return df[["band", "bucket", "doc_id", "shard"]]
 
-    slim = sigs.map_batches(add_shard, batch_format="pyarrow").materialize()
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        part = slim.map_batches(
-            lambda df, s=s: (
-                df[df["shard"] == s]
-                .drop(columns=["shard"])
-                .sort_values(["band", "bucket", "doc_id"], ignore_index=True)
-            ),
-            batch_format="pandas",
-        )
-        part.write_parquet(dest)
-
-    res = run_resumable_shards(out_dir, n_shards, window, write_shard)
-    with open(meta_path, "w") as fh:
-        json.dump(
-            {
-                "num_perm": num_perm,
-                "bands": bands,
-                "shingle_n": shingle_n,
-                "seed": seed,
-                "n_shards": n_shards,
-            },
-            fh,
-        )
+    res = write_resumable(postings, shard_of, out_dir, n_shards)
+    if res["written"] or not os.path.exists(meta_path):
+        with open(meta_path, "w") as fh:
+            json.dump(
+                {
+                    "num_perm": num_perm,
+                    "bands": bands,
+                    "shingle_n": shingle_n,
+                    "seed": seed,
+                    "n_shards": n_shards,
+                },
+                fh,
+            )
     return res
 
 
@@ -1937,11 +1883,9 @@ def query_similar_indexed(
         term = (pc_.field("band") == b) & (pc_.field("bucket") == v)
         flt = term if flt is None else (flt | term)
     cands: set[int] = set()
-    for s in probe_shards:
-        shard_dir = os.path.join(index_dir, f"shard={s:04d}")
-        post = pads.dataset(shard_dir, format="parquet").to_table(
-            columns=["doc_id"], filter=flt
-        )
+    files = shard_files(index_dir, probe_shards)
+    if files:
+        post = pads.dataset(files, format="parquet").to_table(columns=["doc_id"], filter=flt)
         cands.update(post["doc_id"].to_pylist())
     cands.discard(query_doc_id)
     if not cands:
@@ -2175,40 +2119,16 @@ def doc_winnow_fingerprints(
     return pa.Table.from_pandas(out.astype("int64"), preserve_index=False)
 
 
-def winnow_to_parquet(
-    sf_dir: str, out_dir: str, n_shards: int = 16, window: int = 4, **kwargs
-) -> dict:
+def winnow_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16, **kwargs) -> dict:
     """Production sink twin of :func:`doc_winnow_fingerprints`,
-    RESUMABLE (marker-last shard protocol, functions/sinks.py): the
-    per-doc fingerprint manifest materializes once as slim rows
-    sharded by crc32(doc_id); each shard commits independently and a
-    re-run skips finished shards. Shard union == the oracle-checked
-    contract table (tested)."""
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
-        return {"written": 0, "skipped": n_shards}
-
-    def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["shard"] = [zlib.crc32(str(d).encode()) % n_shards for d in df["doc_id"]]
-        return df
-
-    rows = (
-        winnow_fingerprints_ds(sf_dir, **kwargs)
-        .map_batches(add_shard, batch_format="pandas")
-        .materialize()
+    RESUMABLE (functions/sinks.py), sharded by crc32(doc_id). Shard
+    union == the oracle-checked contract table (tested)."""
+    return write_resumable(
+        winnow_fingerprints_ds(sf_dir, **kwargs),
+        crc32_shard("doc_id", n_shards),
+        out_dir,
+        n_shards,
     )
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        rows.map_batches(
-            lambda df, s=s: df[df["shard"] == s].drop(columns=["shard"]),
-            batch_format="pandas",
-        ).write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)
 
 
 def winnow_neardup_pairs_ds(

@@ -47,6 +47,7 @@ import ray.data
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, coalesce_blocks
 from mlscraper_ray.functions.joins import cogroup_join
+from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 
 
 def bfs_reference(
@@ -154,29 +155,18 @@ def link_distance_to_parquet(
     sf_dir: str,
     out_dir: str,
     n_shards: int = 16,
-    window: int = 4,
     broadcast_limit: int = 2_000_000,
     max_rounds: int = 64,
 ) -> dict:
     """Production sink twin of :func:`link_distance_from_seeds`,
-    RESUMABLE: the (url, dist) manifest is partitioned by crc32(url)
-    shard, each shard directory committed by the marker-last
-    ``_SUCCESS`` protocol shared with ``page_rank_to_parquet``. The
-    BFS runs ONCE into a materialized slim distance dataset; per-shard
-    filter + write then run as ``window`` concurrent Dataset
-    executions. Returns {"written": n, "skipped": n}."""
+    RESUMABLE (functions/sinks.py): the (url, dist) manifest is
+    sharded by crc32(url). Returns {"written": n, "skipped": n}."""
     import os as _os
-    import zlib
 
     from mlscraper_ray.functions.pagerank import corpus_link_graph
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import (
-        _pin_fsspec_http_stub,
-        corpus_for_sf,
-        sf_of_dir,
-    )
+    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf, sf_of_dir
 
-    if all_shards_done(out_dir, n_shards):
+    if all_shards_done(out_dir, n_shards):  # the BFS runs eagerly
         return {"written": 0, "skipped": n_shards}
 
     corpus_dir, _spec = corpus_for_sf(sf_of_dir(sf_dir))
@@ -191,21 +181,8 @@ def link_distance_to_parquet(
     _nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
     dist = link_distance_ds(
         edges, seeds, broadcast_limit=broadcast_limit, max_rounds=max_rounds
-    ).materialize()
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        part = dist.map_batches(
-            lambda df, s=s: (
-                df[[zlib.crc32(u.encode()) % n_shards == s for u in df["url"]]]
-                .astype({"dist": "int64"})
-                .sort_values("url", ignore_index=True)
-            ),
-            batch_format="pandas",
-        )
-        part.write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)
+    )
+    return write_resumable(dist, crc32_shard("url", n_shards), out_dir, n_shards)
 
 
 def link_distance_from_seeds(

@@ -930,7 +930,7 @@ def q3_shipping_priority(
         from mlscraper_ray.functions.broadcast import cached_object
 
         ks = cached_object(keys_ref)
-        m = (df["o_orderdate"] < cut) & df["o_custkey"].map(lambda c: int(c) in ks)
+        m = (df["o_orderdate"] < cut) & df["o_custkey"].isin(ks)
         out = df.loc[m, ["o_orderkey", "o_orderdate", "o_orderpriority"]].copy()
         out["o_orderkey"] = out["o_orderkey"].astype("int64")
         return out

@@ -35,6 +35,7 @@ import ray.data
 
 from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, coalesce_blocks
+from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 
 _OUT_COLS = ("doc_id", "term", "tf", "score")
 
@@ -195,42 +196,21 @@ def tfidf_to_parquet(
     sf_dir: str,
     out_dir: str,
     n_shards: int = 16,
-    window: int = 4,
     k: int = 5,
     broadcast_limit: int = 2_000_000,
 ) -> dict:
     """Production sink twin of :func:`doc_tfidf_top_terms`, RESUMABLE
-    (marker-last shard protocol, functions/sinks.py): the scored
-    top-k rows materialize ONCE sharded by doc hash (a doc's k rows
-    share a shard), each shard commits independently. Shard union ==
-    the oracle-checked contract table (tested)."""
-    import zlib
-
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
+    (functions/sinks.py), sharded by crc32(doc_id) so a doc's k rows
+    share a shard. Shard union == the oracle-checked contract table
+    (tested)."""
+    if all_shards_done(out_dir, n_shards):  # the idf pass runs eagerly
         return {"written": 0, "skipped": n_shards}
-
-    def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["shard"] = [zlib.crc32(str(d).encode()) % n_shards for d in df["doc_id"]]
-        return df
-
-    rows = (
-        tfidf_topk_ds(sf_dir, k=k, broadcast_limit=broadcast_limit)
-        .map_batches(add_shard, batch_format="pandas")
-        .materialize()
+    return write_resumable(
+        tfidf_topk_ds(sf_dir, k=k, broadcast_limit=broadcast_limit),
+        crc32_shard("doc_id", n_shards),
+        out_dir,
+        n_shards,
     )
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        rows.map_batches(
-            lambda df, s=s: df[df["shard"] == s].drop(columns=["shard"]),
-            batch_format="pandas",
-        ).write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)
 
 
 def doc_tfidf_top_terms_sql(k: int = 5) -> str:

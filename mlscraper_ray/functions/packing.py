@@ -40,15 +40,25 @@ import ray
 import ray.data
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
+from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
+
+
+def _rank_key(doc_id) -> str:
+    return hashlib.md5(str(doc_id).encode()).hexdigest()
+
+
+def _rank_bucket(rk: str, n_rank_buckets: int) -> int:
+    # RANGE partition on rk's first two bytes: rb order == rk order,
+    # so per-bucket prefixes compose globally
+    return int(rk[:4], 16) * n_rank_buckets // 65536
 
 
 def _add_rank(batch: pd.DataFrame) -> pd.DataFrame:
-    rk = [hashlib.md5(str(d).encode()).hexdigest() for d in batch["doc_id"]]
     return pd.DataFrame(
         {
             "doc_id": batch["doc_id"].astype("int64"),
             "n_tokens": batch["n_tokens"].astype("int64"),
-            "rk": rk,
+            "rk": [_rank_key(d) for d in batch["doc_id"]],
         }
     )
 
@@ -56,10 +66,8 @@ def _add_rank(batch: pd.DataFrame) -> pd.DataFrame:
 def _add_rb_fn(n_rank_buckets: int):
     def add_rb(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()
-        # RANGE partition on rk's first two bytes: rb order == rk
-        # order, so per-bucket prefixes compose globally
         batch["rb"] = pd.Series(
-            [int(h[:4], 16) * n_rank_buckets // 65536 for h in batch["rk"]],
+            [_rank_bucket(h, n_rank_buckets) for h in batch["rk"]],
             index=batch.index,
             dtype="int32",
         )
@@ -252,33 +260,24 @@ def pack_sequences_to_parquet(
     out_dir: str,
     seq_len: int = 512,
     n_shards: int = 16,
-    window: int = 4,
     n_rank_buckets: int | None = None,
 ) -> dict:
     """Production sink twin of :func:`pack_sequences`, RESUMABLE
-    (marker-last shard protocol, functions/sinks.py). The prefix-sum
-    head (rank + bucket + base offsets) runs ONCE into a materialized
-    slim dataset; shard s owns the rank buckets with rb % n_shards ==
-    s, so every bucket's cumsum is shard-local and the shard union ==
-    the contract table (base offsets are data-derived, hence identical
-    on resume)."""
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
+    (functions/sinks.py): every rank bucket is packed once and shard s
+    holds the rank buckets with rb % n_shards == s (base offsets are
+    data-derived, hence identical on resume), so the shard union ==
+    the contract table."""
+    if all_shards_done(out_dir, n_shards):  # the prefix-sum head runs eagerly
         return {"written": 0, "skipped": n_shards}
+    bucketed, base_ref, nb = _rank_and_base(_doc_token_rows(sf_dir), n_rank_buckets)
+    packed = bucketed.groupby("rb").map_groups(
+        _pack_bucket_fn(base_ref, seq_len), batch_format="pandas"
+    )
 
-    bucketed, base_ref, _ = _rank_and_base(_doc_token_rows(sf_dir), n_rank_buckets)
-    pack = _pack_bucket_fn(base_ref, seq_len)
-    _pin_fsspec_http_stub()
+    def shard_of(t: pa.Table) -> list[int]:
+        return [_rank_bucket(_rank_key(d), nb) % n_shards for d in t["doc_id"].to_pylist()]
 
-    def write_shard(s: int, dest: str) -> None:
-        part = bucketed.map_batches(
-            lambda df, s=s: df[df["rb"] % n_shards == s], batch_format="pandas"
-        )
-        part.groupby("rb").map_groups(pack, batch_format="pandas").write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)
+    return write_resumable(packed, shard_of, out_dir, n_shards)
 
 
 def source_top_terms(sf_dir: str, k: int = 10) -> pa.Table:
@@ -431,43 +430,19 @@ def chunks_to_parquet(
     sf_dir: str,
     out_dir: str,
     n_shards: int = 16,
-    window_shards: int = 4,
     window: int = CHUNK_WINDOW,
     stride: int = CHUNK_STRIDE,
 ) -> dict:
     """Production sink twin of :func:`doc_chunk_windows`, RESUMABLE
-    (marker-last shard protocol, functions/sinks.py): the chunk rows
-    materialize once sharded by crc32(doc_id) (a doc's chunks share a
-    shard, so downstream per-doc reads stay single-shard), each shard
-    commits independently. Shard union == the oracle-checked contract
-    table (tested)."""
-    import zlib
-
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
-        return {"written": 0, "skipped": n_shards}
-
-    def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["shard"] = [zlib.crc32(str(d).encode()) % n_shards for d in df["doc_id"]]
-        return df
-
-    rows = (
-        doc_chunk_windows_ds(sf_dir, window=window, stride=stride)
-        .map_batches(add_shard, batch_format="pandas")
-        .materialize()
+    (functions/sinks.py): sharded by crc32(doc_id), so a doc's chunks
+    share a shard and downstream per-doc reads stay single-shard.
+    Shard union == the oracle-checked contract table (tested)."""
+    return write_resumable(
+        doc_chunk_windows_ds(sf_dir, window=window, stride=stride),
+        crc32_shard("doc_id", n_shards),
+        out_dir,
+        n_shards,
     )
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        rows.map_batches(
-            lambda df, s=s: df[df["shard"] == s].drop(columns=["shard"]),
-            batch_format="pandas",
-        ).write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window_shards, write_shard)
 
 
 def doc_chunk_windows_sql(

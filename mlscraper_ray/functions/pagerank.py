@@ -54,6 +54,7 @@ import ray.data
 from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, coalesce_blocks
 from mlscraper_ray.functions.joins import adaptive_n_buckets
+from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 
 SCALE = 10**12
 
@@ -667,7 +668,6 @@ def page_rank_to_parquet(
     sf_dir: str,
     out_dir: str,
     n_shards: int = 16,
-    window: int = 4,
     n_iters: int = 4,
     damping_pct: int = 85,
     broadcast_limit: int = 2_000_000,
@@ -675,36 +675,16 @@ def page_rank_to_parquet(
 ) -> dict:
     """Production sink twin of :func:`page_rank` (same kwargs routing:
     ``broadcast_limit`` to the graph builder, the rest — e.g.
-    ``driver_limit`` — to :func:`pagerank_ds`), RESUMABLE: the
-    (url, rank) manifest is partitioned by crc32(url) shard, each
-    shard directory committed by the marker-last ``_SUCCESS``
-    protocol shared with ``extract_all_to_parquet`` /
-    ``exact_dedup_to_parquet``. The expensive part (graph build +
-    iterations) runs ONCE into a materialized slim rank dataset;
-    per-shard filter + write then run as ``window`` concurrent
-    Dataset executions. Returns {"written": n, "skipped": n}."""
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
+    ``driver_limit`` — to :func:`pagerank_ds`), RESUMABLE
+    (functions/sinks.py): the (url, rank) manifest is sharded by
+    crc32(url). Returns {"written": n, "skipped": n}."""
+    if all_shards_done(out_dir, n_shards):  # graph build + iterations run eagerly
         return {"written": 0, "skipped": n_shards}
-
     nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
-    ranks = pagerank_ds(nodes, edges, n_iters, damping_pct, **kwargs).materialize()
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        part = ranks.map_batches(
-            lambda df, s=s: (
-                df[[zlib.crc32(u.encode()) % n_shards == s for u in df["node"]]]
-                .rename(columns={"node": "url"})
-                .sort_values("url", ignore_index=True)
-            ),
-            batch_format="pandas",
-        )
-        part.write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)
+    ranks = pagerank_ds(nodes, edges, n_iters, damping_pct, **kwargs).map_batches(
+        lambda df: df.rename(columns={"node": "url"}), batch_format="pandas"
+    )
+    return write_resumable(ranks, crc32_shard("url", n_shards), out_dir, n_shards)
 
 
 def _distinct_host_pairs(edges: ray.data.Dataset) -> ray.data.Dataset:

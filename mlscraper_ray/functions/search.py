@@ -32,6 +32,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, shard_files, write_resumable
+
 # present in every sf tier of the synthetic corpus vocabulary
 DEFAULT_TERMS = ("scan", "column", "window", "sort")
 
@@ -177,22 +179,16 @@ LIMIT {k}
 # -- persisted inverted index --------------------------------------------
 
 
-def bm25_index_to_parquet(
-    sf_dir: str, out_dir: str, n_shards: int = 16, window: int = 4
-) -> dict:
+def bm25_index_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> dict:
     """Build a PERSISTED term-sharded inverted index: postings rows
     (term, doc_id, tf, n_tokens — doc length denormalized onto the
-    posting, the classic serving trick) partitioned by crc32(term)
-    into the repo's resumable marker-last shard layout, each shard's
-    parquet SORTED by (term, doc_id) so a term probe row-group-prunes.
-    Corpus stats land in ``_meta.json`` (written last, after every
-    shard committed). One tokenize pass feeds a materialized slim
-    postings dataset; shards then filter+write concurrently."""
+    posting, the classic serving trick) sharded by crc32(term) through
+    the resumable sink (functions/sinks.py), each file SORTED by
+    (term, doc_id) so a term probe row-group-prunes. Corpus stats land
+    in ``_meta.json`` (written last, after every shard committed); the
+    one tokenize pass is materialized because the stats fold over it
+    before the write."""
     import json
-    import zlib
-
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
 
     meta_path = os.path.join(out_dir, "_meta.json")
     if all_shards_done(out_dir, n_shards) and os.path.exists(meta_path):
@@ -203,7 +199,7 @@ def bm25_index_to_parquet(
     )
 
     def postings(batch: pd.DataFrame) -> pd.DataFrame:
-        rows_t, rows_d, rows_tf, rows_n, rows_s = [], [], [], [], []
+        rows_t, rows_d, rows_tf, rows_n = [], [], [], []
         for doc_id, text in zip(batch["doc_id"], batch["text"]):
             toks = re.findall(_TOKEN_RE, (text or "").lower())
             n = len(toks)
@@ -215,14 +211,12 @@ def bm25_index_to_parquet(
                 rows_d.append(doc_id)
                 rows_tf.append(tf)
                 rows_n.append(n)
-                rows_s.append(zlib.crc32(t.encode()) % n_shards)
         return pd.DataFrame(
             {
                 "term": pd.Series(rows_t, dtype=str),
                 "doc_id": pd.Series(rows_d, dtype="int64"),
                 "tf": pd.Series(rows_tf, dtype="int64"),
                 "n_tokens": pd.Series(rows_n, dtype="int64"),
-                "shard": pd.Series(rows_s, dtype="int32"),
             }
         )
 
@@ -260,40 +254,13 @@ def bm25_index_to_parquet(
         ).sum("e")
         or 0
     )
-    _pin_fsspec_http_stub()
 
-    def write_shard(s: int, dest: str) -> None:
-        import pyarrow.compute as pc
-
-        # arrow-side filter: zero-copy, and empty slices keep their
-        # schema (the pandas path also trips Ray's object-column size
-        # estimator on empty batches)
-        part = slim.map_batches(
-            lambda t, s=s: t.filter(pc.equal(t["shard"], s)).drop_columns(["shard"]),
-            batch_format="pyarrow",
-        )
-        sp = part.to_pandas()
-        schema = pa.schema(
-            [
-                ("term", pa.string()),
-                ("doc_id", pa.int64()),
-                ("tf", pa.int64()),
-                ("n_tokens", pa.int64()),
-            ]
-        )
-        if len(sp) == 0:
-            # empty-Dataset to_pandas() drops columns (repo-known
-            # hazard) — write a TYPED empty shard instead
-            tbl = schema.empty_table()
-        else:
-            sp = sp.sort_values(["term", "doc_id"], ignore_index=True)
-            tbl = pa.Table.from_pandas(sp, preserve_index=False).cast(schema)
-        os.makedirs(dest, exist_ok=True)
-        import pyarrow.parquet as pq
-
-        pq.write_table(tbl, os.path.join(dest, "postings.parquet"), row_group_size=4096)
-
-    res = run_resumable_shards(out_dir, n_shards, window, write_shard)
+    res = write_resumable(
+        slim.map_batches(_sort_postings, batch_format="pyarrow"),
+        crc32_shard("term", n_shards),
+        out_dir,
+        n_shards,
+    )
     with open(meta_path + ".tmp", "w") as f:
         json.dump(
             {
@@ -305,6 +272,27 @@ def bm25_index_to_parquet(
         )
     os.replace(meta_path + ".tmp", meta_path)
     return res
+
+
+def _sort_postings(t: pa.Table) -> pa.Table:
+    """Index files are key-sorted so a term probe row-group-prunes."""
+    return t.sort_by([("term", "ascending"), ("doc_id", "ascending")])
+
+
+def _probed_postings(index_dir: str, n_shards: int, terms, columns: list[str]):
+    """Postings of ``terms`` from a persisted index: only the shard
+    directories the terms hash to are read, with the term filter
+    pushed into the scan. None when those shards hold no rows."""
+    import zlib
+
+    import pyarrow.compute as pc
+
+    paths = shard_files(index_dir, sorted({zlib.crc32(t.encode()) % n_shards for t in terms}))
+    if not paths:
+        return None
+    return ray.data.read_parquet(
+        paths, columns=columns, filter=pc.field("term").isin(list(set(terms)))
+    ).materialize()
 
 
 def bm25_query_index(
@@ -320,25 +308,17 @@ def bm25_query_index(
     materializes). df comes exact from the probed postings; N and
     total token count from the index metadata."""
     import json
-    import zlib
 
     import numpy as np
-    import pyarrow.compute as pc
 
     with open(os.path.join(index_dir, "_meta.json")) as f:
         meta = json.load(f)
     n_docs, total = meta["n_docs"], max(1, meta["total_tokens"])
-    shard_ids = sorted({zlib.crc32(t.encode()) % meta["n_shards"] for t in terms})
-    paths = [
-        os.path.join(index_dir, f"shard={s:04d}", "postings.parquet") for s in shard_ids
-    ]
-    post = ray.data.read_parquet(
-        paths,
-        columns=["term", "doc_id", "tf", "n_tokens"],
-        filter=pc.field("term").isin(list(terms)),
-    ).materialize()
+    post = _probed_postings(
+        index_dir, meta["n_shards"], terms, ["term", "doc_id", "tf", "n_tokens"]
+    )
 
-    if post.count() == 0:
+    if post is None or post.count() == 0:
         # no probed term exists in the corpus: empty-Dataset
         # to_pandas() drops columns (repo-documented hazard), so
         # return a TYPED empty result instead of falling through
@@ -550,31 +530,23 @@ LIMIT {k}
 # -- persisted POSITIONAL index (phrase serving) --------------------------
 
 
-def phrase_index_to_parquet(
-    sf_dir: str, out_dir: str, n_shards: int = 16, window: int = 4
-) -> dict:
+def phrase_index_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> dict:
     """Build a PERSISTED positional inverted index: postings rows
-    (term, doc_id, positions list<int64>, n_tokens), crc32(term)-
-    sharded into the resumable marker-last layout, each shard sorted
-    by (term, doc_id) so a term probe row-group-prunes. The positional
-    payload is what upgrades the bag-of-words index to phrase / NEAR
-    queries. ``_meta.json`` (shard count) commits last."""
+    (term, doc_id, positions list<int64>, n_tokens) sharded by
+    crc32(term) through the resumable sink (functions/sinks.py), each
+    file sorted by (term, doc_id) so a term probe row-group-prunes.
+    The positional payload is what upgrades the bag-of-words index to
+    phrase / NEAR queries. ``_meta.json`` (shard count) commits
+    last."""
     import json
-    import zlib
-
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
 
     meta_path = os.path.join(out_dir, "_meta.json")
-    if all_shards_done(out_dir, n_shards) and os.path.exists(meta_path):
-        return {"written": 0, "skipped": n_shards}
-
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
     )
 
-    def postings(batch: pd.DataFrame) -> pd.DataFrame:
-        rows_t, rows_d, rows_p, rows_n, rows_s = [], [], [], [], []
+    def postings(batch: pd.DataFrame) -> pa.Table:
+        rows_t, rows_d, rows_p, rows_n = [], [], [], []
         for doc_id, text in zip(batch["doc_id"], batch["text"]):
             toks = re.findall(_TOKEN_RE, (text or "").lower())
             n = len(toks)
@@ -586,48 +558,27 @@ def phrase_index_to_parquet(
                 rows_d.append(doc_id)
                 rows_p.append(ps)
                 rows_n.append(n)
-                rows_s.append(zlib.crc32(t.encode()) % n_shards)
-        return pd.DataFrame(
-            {
-                "term": pd.Series(rows_t, dtype=str),
-                "doc_id": pd.Series(rows_d, dtype="int64"),
-                "positions": pd.Series(rows_p, dtype=object),
-                "n_tokens": pd.Series(rows_n, dtype="int64"),
-                "shard": pd.Series(rows_s, dtype="int32"),
-            }
+        return _sort_postings(
+            pa.table(
+                {
+                    "term": pa.array(rows_t, pa.string()),
+                    "doc_id": pa.array(rows_d, pa.int64()),
+                    "positions": pa.array(rows_p, pa.list_(pa.int64())),
+                    "n_tokens": pa.array(rows_n, pa.int64()),
+                }
+            )
         )
 
-    slim = ds.map_batches(postings, batch_format="pandas").materialize()
-    _pin_fsspec_http_stub()
-
-    schema = pa.schema(
-        [
-            ("term", pa.string()),
-            ("doc_id", pa.int64()),
-            ("positions", pa.list_(pa.int64())),
-            ("n_tokens", pa.int64()),
-        ]
+    res = write_resumable(
+        ds.map_batches(postings, batch_format="pandas"),
+        crc32_shard("term", n_shards),
+        out_dir,
+        n_shards,
     )
-
-    def write_shard(s: int, dest: str) -> None:
-        sp = slim.map_batches(
-            lambda df, s=s: df[df["shard"] == s].drop(columns=["shard"]),
-            batch_format="pandas",
-        ).to_pandas()
-        if len(sp) == 0:
-            tbl = schema.empty_table()
-        else:
-            sp = sp.sort_values(["term", "doc_id"], ignore_index=True)
-            tbl = pa.Table.from_pandas(sp, preserve_index=False).cast(schema)
-        os.makedirs(dest, exist_ok=True)
-        import pyarrow.parquet as pq
-
-        pq.write_table(tbl, os.path.join(dest, "postings.parquet"), row_group_size=4096)
-
-    res = run_resumable_shards(out_dir, n_shards, window, write_shard)
-    with open(meta_path + ".tmp", "w") as f:
-        json.dump({"n_shards": n_shards}, f)
-    os.replace(meta_path + ".tmp", meta_path)
+    if res["written"] or not os.path.exists(meta_path):
+        with open(meta_path + ".tmp", "w") as f:
+            json.dump({"n_shards": n_shards}, f)
+        os.replace(meta_path + ".tmp", meta_path)
     return res
 
 
@@ -644,24 +595,16 @@ def phrase_query_index(
     import json
     import zlib
 
-    import pyarrow.compute as pc
-
     with open(os.path.join(index_dir, "_meta.json")) as f:
         meta = json.load(f)
-    shard_ids = sorted({zlib.crc32(t.encode()) % meta["n_shards"] for t in phrase})
-    paths = [
-        os.path.join(index_dir, f"shard={s:04d}", "postings.parquet") for s in shard_ids
-    ]
-    post = ray.data.read_parquet(
-        paths,
-        columns=["term", "doc_id", "positions", "n_tokens"],
-        filter=pc.field("term").isin(list(set(phrase))),
-    ).materialize()
+    post = _probed_postings(
+        index_dir, meta["n_shards"], phrase, ["term", "doc_id", "positions", "n_tokens"]
+    )
 
     empty = pa.table(
         {c: pa.array([], pa.int64()) for c in ("doc_id", "n_hits", "n_tokens")}
     )
-    if post.count() == 0:
+    if post is None or post.count() == 0:
         return empty
 
     n_buckets = 64
@@ -837,27 +780,19 @@ def near_indexed_topk(
     import json
     import zlib
 
-    import pyarrow.compute as pc
-
     index_dir = _index_cache_dir(sf_dir, prefix="phrase_index")
     phrase_index_to_parquet(sf_dir, index_dir)
     with open(os.path.join(index_dir, "_meta.json")) as f:
         meta = json.load(f)
     ta, tb = terms
-    shard_ids = sorted({zlib.crc32(t.encode()) % meta["n_shards"] for t in terms})
-    paths = [
-        os.path.join(index_dir, f"shard={s:04d}", "postings.parquet") for s in shard_ids
-    ]
-    post = ray.data.read_parquet(
-        paths,
-        columns=["term", "doc_id", "positions", "n_tokens"],
-        filter=pc.field("term").isin(list(terms)),
-    ).materialize()
+    post = _probed_postings(
+        index_dir, meta["n_shards"], terms, ["term", "doc_id", "positions", "n_tokens"]
+    )
 
     empty = pa.table(
         {c: pa.array([], pa.int64()) for c in ("doc_id", "n_near", "min_dist", "n_tokens")}
     )
-    if post.count() == 0:
+    if post is None or post.count() == 0:
         return empty
 
     n_buckets = 64

@@ -27,6 +27,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from mlscraper_ray.functions.sinks import crc32_shard, write_resumable
+
 
 def _batch_matrix(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     ids = batch["vec_id"].to_numpy(zero_copy_only=False)
@@ -2589,52 +2591,19 @@ def knn_graph_to_parquet(
     sf_dir: str,
     out_dir: str,
     n_shards: int = 16,
-    window: int = 4,
     k: int = 5,
     n_buckets: int = 4,
 ) -> dict:
     """Production sink twin of :func:`embed_knn_graph`, RESUMABLE
-    (marker-last shard protocol, functions/sinks.py): the merged
-    per-src top-k rows materialize ONCE sharded by crc32(src) (a
-    vector's k edges share a shard, so downstream per-node reads are
-    one-shard probes), each shard commits independently. Shard union
-    == the oracle-checked contract table (tested)."""
-    import zlib
-
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
-        return {"written": 0, "skipped": n_shards}
-
-    def add_shard(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "src" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "src": pd.Series(dtype="int64"),
-                    "dst": pd.Series(dtype="int64"),
-                    "score_x10k": pd.Series(dtype="int64"),
-                    "shard": pd.Series(dtype="int64"),
-                }
-            )
-        df = df.copy()
-        df["shard"] = [zlib.crc32(str(s).encode()) % n_shards for s in df["src"]]
-        return df
-
-    rows = (
-        embed_knn_graph_ds(sf_dir, k=k, n_buckets=n_buckets)
-        .map_batches(add_shard, batch_format="pandas")
-        .materialize()
+    (functions/sinks.py): sharded by crc32(src), so a vector's k edges
+    share a shard and downstream per-node reads are one-shard probes.
+    Shard union == the oracle-checked contract table (tested)."""
+    return write_resumable(
+        embed_knn_graph_ds(sf_dir, k=k, n_buckets=n_buckets),
+        crc32_shard("src", n_shards),
+        out_dir,
+        n_shards,
     )
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        rows.map_batches(
-            lambda df, s=s: df[df["shard"] == s].drop(columns=["shard"]),
-            batch_format="pandas",
-        ).write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)
 
 
 def embed_top_component(sf_dir: str, n_iters: int = 8) -> pa.Table:

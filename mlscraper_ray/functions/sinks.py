@@ -1,61 +1,110 @@
-"""Shared scaffolding for RESUMABLE partitioned parquet sinks.
+"""The resumable partitioned parquet sink every ``*_to_parquet`` twin
+writes through.
 
-The repo's sink protocol (established by
-``pipelines/crawl_pipeline.py:extract_all_to_parquet`` and shared by
-every corpus-manifest twin): output is partitioned into
-``shard=NNNN/`` directories, each committed by a ``_SUCCESS`` marker
-written AFTER its parquet (marker-last). A re-invoked run skips
-finished shards, wipes and rewrites incomplete ones — so a failed
-100 TB job resumes at shard granularity instead of restarting, and
-output is never one giant file.
+Output is partitioned into ``shard=NNNN/`` directories, each committed
+by a ``_SUCCESS`` marker written after its parquet (marker-last). A
+run makes ONE pass over its lazy Dataset:
+
+1. shards that already carry a marker are finished and skipped; every
+   other shard directory is wiped (partial output of a crashed run);
+2. the pass tags each row with its zero-padded shard from the sink's
+   row-to-shard rule, drops rows of finished shards and writes the
+   rest with Ray's hive-partitioned parquet write (``shard`` becomes
+   the directory, it is not stored in the files). A column named
+   ``__*`` is a routing key the rule may read; it is not written
+   either;
+3. each pending shard directory is created (the partitioned write
+   makes none for a shard without rows) and its marker written last.
+
+A run killed anywhere before step 3 completes leaves the unwritten
+shards unmarked, so the next run with the same ``out_dir`` rewrites
+exactly those — a failed 100 TB job resumes at shard granularity
+instead of restarting, and output is never one giant file. The
+row-to-shard rule must not change between runs: a shard committed by
+one run is never rewritten by the next.
 """
 from __future__ import annotations
 
 import os
 import shutil
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
+import zlib
+from collections.abc import Callable, Sequence
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+import ray.data
+
+ShardRule = Callable[[pa.Table], Sequence[int]]
+
+
+def _shard_dir(out_dir: str, s: int) -> str:
+    return os.path.join(out_dir, f"shard={s:04d}")
+
+
+def _marker(out_dir: str, s: int) -> str:
+    return os.path.join(_shard_dir(out_dir, s), "_SUCCESS")
 
 
 def all_shards_done(out_dir: str, n_shards: int) -> bool:
-    """True when every shard's ``_SUCCESS`` marker exists — callers
-    check this BEFORE building the (possibly expensive) slim input
-    pass so a fully-finished resume costs nothing."""
-    return all(
-        os.path.exists(os.path.join(out_dir, f"shard={s:04d}", "_SUCCESS"))
-        for s in range(n_shards)
-    )
+    """True when every shard's ``_SUCCESS`` marker exists — for sinks
+    that do eager work before the write (a fully finished resume must
+    cost nothing)."""
+    return all(os.path.exists(_marker(out_dir, s)) for s in range(n_shards))
 
 
-def run_resumable_shards(
-    out_dir: str,
-    n_shards: int,
-    window: int,
-    write_shard: Callable[[int, str], None],
+def crc32_shard(col: str, n_shards: int) -> ShardRule:
+    """Shard rule of the sinks keyed on one column:
+    ``crc32(str(key)) % n_shards`` — stable across processes, worker
+    counts and library versions, and equal rows of ``col`` always
+    share a shard."""
+
+    def shard_of(t: pa.Table) -> list[int]:
+        return [zlib.crc32(str(v).encode()) % n_shards for v in t[col].to_pylist()]
+
+    return shard_of
+
+
+def write_resumable(
+    ds: ray.data.Dataset, shard_of: ShardRule, out_dir: str, n_shards: int
 ) -> dict:
-    """Run ``write_shard(shard_id, dest_dir)`` for every shard whose
-    ``_SUCCESS`` marker is missing, ``window`` at a time (each call is
-    expected to launch its own Dataset execution — the thread pool
-    overlaps those executions). Partial output of a crashed run is
-    wiped before rewrite; the marker commits last. Returns
-    ``{"written": n, "skipped": n}``."""
-    todo, skipped = [], 0
-    for s in range(n_shards):
-        dest = os.path.join(out_dir, f"shard={s:04d}")
-        if os.path.exists(os.path.join(dest, "_SUCCESS")):
-            skipped += 1
-        else:
-            todo.append((s, dest))
-    if not todo:
-        return {"written": 0, "skipped": skipped}
+    """Write ``ds`` into ``out_dir/shard=NNNN/`` by the per-row shard
+    ids ``shard_of(batch)`` returns, skipping finished shards (see the
+    module docstring). ``ds`` is executed only when a shard is
+    pending. Returns ``{"written": n, "skipped": n}``."""
+    pending = [s for s in range(n_shards) if not os.path.exists(_marker(out_dir, s))]
+    if pending:
+        for s in pending:
+            shutil.rmtree(_shard_dir(out_dir, s), ignore_errors=True)
+        wanted = np.zeros(n_shards, dtype=bool)
+        wanted[pending] = True
 
-    def run_one(job: tuple[int, str]) -> None:
-        s, dest = job
-        shutil.rmtree(dest, ignore_errors=True)
-        write_shard(s, dest)
-        with open(os.path.join(dest, "_SUCCESS"), "w") as f:
-            f.write("")
+        def tag(t: pa.Table) -> pa.Table:
+            if t.num_rows == 0:
+                return t
+            shards = np.asarray(shard_of(t), dtype=np.int64)
+            keep = wanted[shards]
+            names = pc.utf8_lpad(pa.array(shards[keep]).cast(pa.string()), 4, "0")
+            t = t.filter(keep)
+            routing = [c for c in t.column_names if c.startswith("__")]
+            return t.drop_columns(routing).append_column("shard", names)
 
-    with ThreadPoolExecutor(max_workers=max(1, window)) as pool:
-        list(pool.map(run_one, todo))
-    return {"written": len(todo), "skipped": skipped}
+        ds.map_batches(tag, batch_format="pyarrow").write_parquet(
+            out_dir, partition_cols=["shard"], row_group_size=4096
+        )
+        for s in pending:
+            os.makedirs(_shard_dir(out_dir, s), exist_ok=True)
+            with open(_marker(out_dir, s), "w") as f:
+                f.write("")
+    return {"written": len(pending), "skipped": n_shards - len(pending)}
+
+
+def shard_files(out_dir: str, shard_ids: Sequence[int]) -> list[str]:
+    """The parquet files of the given shards, in shard then name order
+    (a shard without rows has none) — for readers that probe only the
+    shards their keys hash to."""
+    out = []
+    for s in shard_ids:
+        d = _shard_dir(out_dir, s)
+        out += sorted(os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet"))
+    return out

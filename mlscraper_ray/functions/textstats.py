@@ -3587,8 +3587,9 @@ ORDER BY d.doc_id
 
 def sample_weighted_k(sf_dir: str, k: int = 100) -> pa.Table:
     """Deterministic WEIGHTED fixed-size sample: k docs chosen with
-    probability increasing in weight (= ``n_chars``), via the
-    integer priority ``md5_64(doc_id) // weight`` — heavier docs
+    probability increasing in weight (= ``n_chars``, clamped to 1 so
+    an empty document weighs as a one-char one), via the integer
+    priority ``md5_64(doc_id) // weight`` — heavier docs
     draw proportionally smaller priorities, the k smallest
     (priority, doc_id) win. Seedless and cluster-stable like
     :func:`sample_fixed_k`, same k-bounded distributed top-k fold
@@ -3604,7 +3605,7 @@ def sample_weighted_k(sf_dir: str, k: int = 100) -> pa.Table:
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
         pri = [
             (
-                int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little") // int(w),
+                int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little") // max(int(w), 1),
                 int(d),
             )
             for d, w in zip(df["doc_id"], df["n_chars"])
@@ -3630,7 +3631,7 @@ def sample_weighted_k_sql(k: int = 100) -> str:
 SELECT doc_id, source, n_chars
 FROM (SELECT doc_id, source, n_chars
       FROM documents
-      ORDER BY md5_number_lower(CAST(doc_id AS VARCHAR)) // n_chars, doc_id
+      ORDER BY md5_number_lower(CAST(doc_id AS VARCHAR)) // greatest(n_chars, 1), doc_id
       LIMIT {k})
 ORDER BY doc_id
 """

@@ -96,7 +96,7 @@ def corpus_validate(sf_dir: str) -> pa.Table:
         from mlscraper_ray.functions.broadcast import cached_object
 
         ks = cached_object(ck_ref)
-        bad = int((~df["o_custkey"].map(lambda c: int(c) in ks)).sum())
+        bad = int((~df["o_custkey"].isin(ks)).sum())
         return pd.DataFrame({"bad": [bad]})
 
     oo = (

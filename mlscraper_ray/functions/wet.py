@@ -27,6 +27,7 @@ import pyarrow as pa
 import ray.data
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
+from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 
 
 def wet_rows_ds(sf_dir: str, min_tokens: int = 20) -> ray.data.Dataset:
@@ -102,53 +103,14 @@ def wet_curate_to_parquet(
     sf_dir: str,
     out_dir: str,
     n_shards: int = 16,
-    window: int = 4,
     min_tokens: int = 20,
 ) -> dict:
-    """Production sink twin of :func:`wet_curate`, RESUMABLE: the
-    kept-page manifest is partitioned by crc32(content-hash) shard
-    (same hash -> same shard, so every dedup group is shard-local)
-    with the marker-last ``_SUCCESS`` protocol shared by the other
-    corpus-manifest sinks. The expensive pass (parse + extract +
-    gate) runs ONCE into a materialized slim dataset; per-shard dedup
-    + write run as ``window`` concurrent Dataset executions. Returns
-    {"written": n, "skipped": n}."""
-    import zlib
-
-    import pyarrow.compute as pc
-
-    from mlscraper_ray.functions.sinks import all_shards_done, run_resumable_shards
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    if all_shards_done(out_dir, n_shards):
+    """Production sink twin of :func:`wet_curate`, RESUMABLE
+    (functions/sinks.py): the kept-page manifest is sharded by
+    crc32(content hash), so every dedup group sits in one shard.
+    Returns {"written": n, "skipped": n}."""
+    if all_shards_done(out_dir, n_shards):  # a cold facet cache parses eagerly
         return {"written": 0, "skipped": n_shards}
-
-    def add_shard(t: pa.Table) -> pa.Table:
-        shards = [zlib.crc32(h.encode()) % n_shards for h in t["h"].to_pylist()]
-        return t.append_column("shard", pa.array(shards, pa.int32()))
-
-    slim = (
-        wet_rows_ds(sf_dir, min_tokens)
-        .map_batches(add_shard, batch_format="pyarrow")
-        .materialize()
+    return write_resumable(
+        wet_curate_ds(sf_dir, min_tokens), crc32_shard("h", n_shards), out_dir, n_shards
     )
-    _pin_fsspec_http_stub()
-
-    def write_shard(s: int, dest: str) -> None:
-        part = slim.map_batches(
-            lambda t, s=s: t.filter(pc.equal(t["shard"], s)).drop_columns(["shard"]),
-            batch_format="pyarrow",
-        )
-        bucketed_aggregate(
-            part,
-            ["h"],
-            {
-                "url": ("url", "min"),
-                "lang": ("lang", "min"),
-                "n_tokens": ("n_tokens", "min"),
-                "text_sha256": ("text_sha256", "min"),
-                "n_dups": ("h", "count"),
-            },
-        ).write_parquet(dest)
-
-    return run_resumable_shards(out_dir, n_shards, window, write_shard)

@@ -187,7 +187,6 @@ def _oracle_names():
         "embed_pq_codes",
         "embed_random_projection",
         "embed_neardup_pairs",
-        "multimodal_features",
         "sessionize",
         "events_decayed_value",
         "events_funnel",
@@ -202,9 +201,6 @@ def _oracle_names():
         "events_markov_transitions",
         "events_user_lifetime",
         "sliding_window_counts",
-        "multimodal_decode",
-        "multimodal_resize",
-        "multimodal_frames",
         "top_event_per_user",
     ]
 
@@ -362,7 +358,7 @@ class TestNearDupCrafted:
         )
 
         index_dir = str(tmp_path / "bm25_index")
-        r1 = bm25_index_to_parquet(SF_DIR, index_dir, n_shards=8, window=2)
+        r1 = bm25_index_to_parquet(SF_DIR, index_dir, n_shards=8)
         assert r1 == {"written": 8, "skipped": 0}
         got = bm25_query_index(index_dir).to_pandas()
 
@@ -370,7 +366,7 @@ class TestNearDupCrafted:
         want = full[full["score_m"] > 0].reset_index(drop=True)
         pd.testing.assert_frame_equal(got.head(len(want)), want)
 
-        r2 = bm25_index_to_parquet(SF_DIR, index_dir, n_shards=8, window=2)
+        r2 = bm25_index_to_parquet(SF_DIR, index_dir, n_shards=8)
         assert r2 == {"written": 0, "skipped": 8}
 
         # probing only absent terms must return a TYPED empty result,
@@ -729,33 +725,6 @@ class TestSimilarityCrafted:
         assert len(exact & approx) >= 5
 
 
-class TestMultimodalPlumbing:
-    def test_decode_stub_schema_and_determinism(self, ray_session):
-        import ray.data
-
-        from mlscraper_ray.stages.multimodal import DecodeStub
-
-        payloads = pa.table(
-            {
-                "item_id": pa.array([1, 2, 3], pa.int64()),
-                "payload": pa.array([b"img-bytes-1", b"img-bytes-2", b""], pa.binary()),
-            }
-        )
-        ds = ray.data.from_arrow(payloads)
-        out1 = ds.map_batches(DecodeStub, batch_format="pyarrow", concurrency=1).to_pandas()
-        out2 = ds.map_batches(DecodeStub, batch_format="pyarrow", concurrency=1).to_pandas()
-        assert list(out1.columns) == ["item_id", "width", "height", "n_channels", "decode_ok"]
-        assert out1.equals(out2)
-        assert not out1[out1["item_id"] == 3]["decode_ok"].iloc[0]
-
-    def test_real_codecs_flag_raises(self):
-        from mlscraper_ray.stages.multimodal import DecodeStub
-
-        t = pa.table({"payload": pa.array([b"x"], pa.binary())})
-        with pytest.raises(NotImplementedError):
-            DecodeStub(real_codecs=True)(t)
-
-
 class TestLshTopkCrafted:
     def test_planted_neardup_is_top1(self, ray_session, tmp_path):
         """The actual LSH use case: a near-identical vector hams to
@@ -811,6 +780,38 @@ class TestLshTopkCrafted:
         pd.testing.assert_frame_equal(
             out.reset_index(drop=True), oracle.astype(out.dtypes.to_dict()).reset_index(drop=True)
         )
+
+
+class TestSampleWeightedKCrafted:
+    def test_zero_length_documents_weigh_one(self, ray_session, tmp_path):
+        """A document with ``n_chars = 0`` is sampled with weight 1 on
+        both sides instead of dividing by zero."""
+        import hashlib
+
+        import duckdb
+        from oracle_compare import value_hash
+
+        from mlscraper_ray.functions.textstats import sample_weighted_k, sample_weighted_k_sql
+
+        n_chars = [0, 5, 0, 120, 1, 0, 40, 7]
+        t = pa.table(
+            {
+                "doc_id": pa.array(range(len(n_chars)), pa.int64()),
+                "source": pa.array(["s"] * len(n_chars)),
+                "n_chars": pa.array(n_chars, pa.int64()),
+            }
+        )
+        pq.write_table(t, str(tmp_path / "documents.parquet"))
+        out = sample_weighted_k(str(tmp_path), k=6).to_pandas()
+
+        def pri(d: int) -> int:
+            low64 = int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little")
+            return low64 // max(n_chars[d], 1)
+
+        assert out["doc_id"].tolist() == sorted(sorted(range(len(n_chars)), key=lambda d: (pri(d), d))[:6])
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW documents AS SELECT * FROM '{tmp_path}/documents.parquet'")
+        assert value_hash(out) == value_hash(con.execute(sample_weighted_k_sql(k=6)).fetchdf())
 
 
 class TestEventsUserLifetimeCrafted:
@@ -981,26 +982,6 @@ class TestAntiJoinPaths:
         bucketed = customers_without_orders(str(tmp_path), broadcast_limit=0).to_pandas()
         assert broadcast["c_custkey"].tolist() == expected
         assert broadcast.equals(bucketed)
-
-
-def test_feature_stub_matches_sql_oracle(ray_session):
-    """The md5-derived feature stub is bit-identical to its DuckDB
-    oracle (exact fixed-point components)."""
-    import sys
-
-    import duckdb
-
-    sys.path.insert(0, "/root/repo")
-    import __ray_entry__ as E
-
-    sf = "/root/testdata/sf0.001"
-    out = E.queries()["multimodal_features"](sf).to_pandas()
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW documents AS SELECT * FROM '{sf}/documents.parquet'")
-    oracle = con.execute(E.oracle_sql()["multimodal_features"]).fetchdf()
-    assert out["doc_id"].tolist() == oracle["doc_id"].tolist()
-    for c in (f"f{i:02d}" for i in range(16)):
-        assert out[c].tolist() == oracle[c].tolist(), c
 
 
 def test_ngram_df_cap_prunes_hot_grams(ray_session, tmp_path):
@@ -1870,7 +1851,7 @@ class TestPhraseSearch:
         )
         pq.write_table(t, str(tmp_path / "documents.parquet"))
         idx = str(tmp_path / "pidx")
-        r1 = phrase_index_to_parquet(str(tmp_path), idx, n_shards=4, window=2)
+        r1 = phrase_index_to_parquet(str(tmp_path), idx, n_shards=4)
         assert r1["written"] == 4
         for phrase in (("part", "filter"), ("part", "filter", "scan")):
             a = phrase_topk(str(tmp_path), phrase=phrase, k=10).to_pandas()
@@ -1879,7 +1860,7 @@ class TestPhraseSearch:
         miss = phrase_query_index(idx, phrase=("part", "nosuchword"), k=10)
         assert miss.num_rows == 0
         assert miss.column_names == ["doc_id", "n_hits", "n_tokens"]
-        r2 = phrase_index_to_parquet(str(tmp_path), idx, n_shards=4, window=2)
+        r2 = phrase_index_to_parquet(str(tmp_path), idx, n_shards=4)
         assert r2 == {"written": 0, "skipped": 4}
 
     def test_no_cross_document_matches(self, ray_session, tmp_path):
@@ -1922,30 +1903,6 @@ class TestWinnowing:
         out = winnow_neardup_pairs(str(tmp_path), min_shared=2).to_pandas()
         assert [(a, b) for a, b in zip(out["doc_a"], out["doc_b"])] == [(0, 1)]
         assert int(out["shared"].iloc[0]) >= 2
-
-    def test_resumable_sink_matches_contract_table(self, ray_session, tmp_path):
-        """Shard union == the oracle-checked table; a second run with
-        the same out_dir skips every finished shard."""
-        import ray.data
-
-        from mlscraper_ray.functions.dedup import (
-            doc_winnow_fingerprints,
-            winnow_to_parquet,
-        )
-
-        out_dir = str(tmp_path / "winnow")
-        r1 = winnow_to_parquet(SF_DIR, out_dir, n_shards=4, window=2)
-        assert r1["written"] == 4
-        got = (
-            ray.data.read_parquet(out_dir)
-            .to_pandas()
-            .sort_values("doc_id", ignore_index=True)
-            .astype("int64")
-        )
-        want = doc_winnow_fingerprints(SF_DIR).to_pandas()
-        pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
-        r2 = winnow_to_parquet(SF_DIR, out_dir, n_shards=4, window=2)
-        assert r2 == {"written": 0, "skipped": 4}
 
     def test_shared_run_guarantee(self, ray_session, tmp_path):
         """Winnowing's contract: two docs sharing a token run of
@@ -2391,36 +2348,90 @@ class TestSemDeDup:
         pd.testing.assert_frame_equal(chunked, guarded)
 
 
-class TestExactDedupSink:
-    def test_sink_matches_contract_table_and_resumes(self, ray_session, tmp_path):
-        """Resumable parquet twin: shard union == the oracle-checked
-        contract table; a second run skips every finished shard; a
-        shard with its marker removed is rewritten alone."""
+def _curate_hash_key(df: pd.DataFrame) -> list[str]:
+    """The curate sink routes each survivor by md5(text) of its doc,
+    which is not a stored column; recompute it from the corpus."""
+    import hashlib
+
+    docs = pq.read_table(os.path.join(SF_DIR, "documents.parquet")).to_pandas()
+    text = dict(zip(docs["doc_id"], docs["text"]))
+    return [hashlib.md5(text[d].encode()).hexdigest() for d in df["doc_id"]]
+
+
+# (sink module, sink, contract table, kwargs of both, n_shards, crc32
+# shard key: a stored column, a function of the shard's rows, or None
+# for a sink not keyed by crc32)
+_SINK_CASES = {
+    "exact_dedup": ("dedup", "exact_dedup_to_parquet", "exact_dedup", {}, 8, "h"),
+    "curate_corpus": ("curate", "curate_corpus_to_parquet", "curate_corpus", {}, 8, _curate_hash_key),
+    "tfidf": ("keywords", "tfidf_to_parquet", "doc_tfidf_top_terms", {}, 8, "doc_id"),
+    "knn_graph": ("similarity", "knn_graph_to_parquet", "embed_knn_graph", {"k": 3}, 8, "src"),
+    "decontaminate": ("curate", "decontaminate_to_parquet", "decontaminate", {}, 8, "doc_id"),
+    "chunks": ("packing", "chunks_to_parquet", "doc_chunk_windows", {}, 8, "doc_id"),
+    "winnow": ("dedup", "winnow_to_parquet", "doc_winnow_fingerprints", {}, 4, "doc_id"),
+    "page_rank": ("pagerank", "page_rank_to_parquet", "page_rank", {}, 8, "url"),
+    "page_profile": ("content", "page_profile_to_parquet", "page_profile", {}, 8, "url"),
+    "pack_sequences": ("packing", "pack_sequences_to_parquet", "pack_sequences", {}, 4, None),
+}
+
+
+class TestSinkContract:
+    """Every resumable ``*_to_parquet`` twin keeps the sink contract of
+    functions/sinks.py: the shard union is the oracle-checked contract
+    table, a re-run skips every finished shard without touching its
+    files, an unmarked shard is wiped (stray files included) and
+    rewritten alone, and every row sits in the shard its rule names."""
+
+    @staticmethod
+    def _union(out_dir: str, want: pd.DataFrame) -> pd.DataFrame:
         import glob
 
-        from mlscraper_ray.functions.dedup import exact_dedup, exact_dedup_to_parquet
+        files = glob.glob(os.path.join(out_dir, "shard=*", "*.parquet"))
+        got = pd.concat([pq.read_table(f).to_pandas() for f in files], ignore_index=True)
+        cols = list(want.columns)
+        got = got[cols].astype(want.dtypes.to_dict())
+        return got.sort_values(cols, ignore_index=True, kind="mergesort")
 
-        out_dir = str(tmp_path / "dedup_out")
-        r1 = exact_dedup_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r1 == {"written": 8, "skipped": 0}
-        frames = [
-            pq.read_table(f).to_pandas()
-            for f in glob.glob(os.path.join(out_dir, "shard=*", "*.parquet"))
-        ]
-        got = (
-            pd.concat(frames, ignore_index=True)[["h", "doc_id", "n_dups"]]
-            .astype({"doc_id": "int64", "n_dups": "int64"})
-            .sort_values("h", ignore_index=True)
-        )
-        want = exact_dedup(SF_DIR).to_pandas().astype({"doc_id": "int64", "n_dups": "int64"})
-        pd.testing.assert_frame_equal(got, want)
+    @pytest.mark.parametrize("case", list(_SINK_CASES))
+    def test_union_resume_and_placement(self, ray_session, tmp_path, case):
+        import glob
+        import importlib
+        import shutil
+        import zlib
 
-        r2 = exact_dedup_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r2 == {"written": 0, "skipped": 8}
+        mod_name, sink_name, table_name, kwargs, n, key = _SINK_CASES[case]
+        mod = importlib.import_module(f"mlscraper_ray.functions.{mod_name}")
+        sink, table = getattr(mod, sink_name), getattr(mod, table_name)
+        want = table(SF_DIR, **kwargs).to_pandas()
+        want = want.sort_values(list(want.columns), ignore_index=True, kind="mergesort")
+        out_dir = str(tmp_path / case)
 
-        os.remove(os.path.join(out_dir, "shard=0003", "_SUCCESS"))
-        r3 = exact_dedup_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r3 == {"written": 1, "skipped": 7}
+        assert sink(SF_DIR, out_dir, n_shards=n, **kwargs) == {"written": n, "skipped": 0}
+        pd.testing.assert_frame_equal(self._union(out_dir, want), want)
+
+        # full resume: no shard rewritten, files untouched
+        files = sorted(glob.glob(os.path.join(out_dir, "shard=*", "*.parquet")))
+        mtimes = {f: os.path.getmtime(f) for f in files}
+        assert sink(SF_DIR, out_dir, n_shards=n, **kwargs) == {"written": 0, "skipped": n}
+        assert {f: os.path.getmtime(f) for f in files} == mtimes
+
+        # partial resume: the unmarked shard is wiped — a stray copy of
+        # real rows left there by a crashed run must not survive — and
+        # rewritten alone
+        shard = os.path.join(out_dir, "shard=0003")
+        os.remove(os.path.join(shard, "_SUCCESS"))
+        shutil.copy(files[0], os.path.join(shard, "stray.parquet"))
+        assert sink(SF_DIR, out_dir, n_shards=n, **kwargs) == {"written": 1, "skipped": n - 1}
+        assert not os.path.exists(os.path.join(shard, "stray.parquet"))
+        pd.testing.assert_frame_equal(self._union(out_dir, want), want)
+
+        if key is None:
+            return
+        for s in range(n):
+            for f in glob.glob(os.path.join(out_dir, f"shard={s:04d}", "*.parquet")):
+                rows = pq.read_table(f).to_pandas()
+                keys = key(rows) if callable(key) else rows[key]
+                assert all(zlib.crc32(str(v).encode()) % n == s for v in keys), (case, f)
 
 
 class TestConnectedComponents:
@@ -2497,112 +2508,6 @@ class TestConnectedComponents:
         b = corpus_dedup_canonical(SF_DIR, broadcast_limit=0).to_pandas()
         pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
         assert len(a) > 0
-
-
-class TestCurateAndDecontaminateSinks:
-    def test_curate_sink_matches_contract_table_and_resumes(self, ray_session, tmp_path):
-        import glob
-
-        from mlscraper_ray.functions.curate import curate_corpus, curate_corpus_to_parquet
-
-        out_dir = str(tmp_path / "curate_out")
-        r1 = curate_corpus_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r1 == {"written": 8, "skipped": 0}
-        frames = [
-            pq.read_table(f).to_pandas()
-            for f in glob.glob(os.path.join(out_dir, "shard=*", "*.parquet"))
-        ]
-        cols = ["doc_id", "n_tokens", "quality_x10", "n_dups"]
-        got = (
-            pd.concat(frames, ignore_index=True)[cols]
-            .astype("int64")
-            .sort_values("doc_id", ignore_index=True)
-        )
-        want = curate_corpus(SF_DIR).to_pandas().astype("int64")
-        pd.testing.assert_frame_equal(got, want)
-
-        r2 = curate_corpus_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r2 == {"written": 0, "skipped": 8}
-        os.remove(os.path.join(out_dir, "shard=0005", "_SUCCESS"))
-        r3 = curate_corpus_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r3 == {"written": 1, "skipped": 7}
-
-    def test_tfidf_sink_matches_contract_table_and_resumes(self, ray_session, tmp_path):
-        import glob
-
-        from mlscraper_ray.functions.keywords import doc_tfidf_top_terms, tfidf_to_parquet
-
-        out_dir = str(tmp_path / "tfidf_out")
-        r1 = tfidf_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r1 == {"written": 8, "skipped": 0}
-        frames = [
-            pq.read_table(f).to_pandas()
-            for f in glob.glob(os.path.join(out_dir, "shard=*", "*.parquet"))
-        ]
-        got = (
-            pd.concat(frames, ignore_index=True)
-            .sort_values(["doc_id", "score", "term"], ascending=[True, False, True], ignore_index=True, kind="mergesort")
-        )
-        want = doc_tfidf_top_terms(SF_DIR).to_pandas()
-        pd.testing.assert_frame_equal(got[list(want.columns)], want)
-
-        r2 = tfidf_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r2 == {"written": 0, "skipped": 8}
-        os.remove(os.path.join(out_dir, "shard=0003", "_SUCCESS"))
-        r3 = tfidf_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r3 == {"written": 1, "skipped": 7}
-
-    def test_knn_graph_sink_matches_contract_table_and_resumes(self, ray_session, tmp_path):
-        import glob
-
-        from mlscraper_ray.functions.similarity import embed_knn_graph, knn_graph_to_parquet
-
-        out_dir = str(tmp_path / "knn_out")
-        r1 = knn_graph_to_parquet(SF_DIR, out_dir, n_shards=8, window=2, k=3)
-        assert r1 == {"written": 8, "skipped": 0}
-        frames = [
-            pq.read_table(f).to_pandas()
-            for f in glob.glob(os.path.join(out_dir, "shard=*", "*.parquet"))
-        ]
-        got = (
-            pd.concat(frames, ignore_index=True)
-            .sort_values(["src", "score_x10k", "dst"], ascending=[True, False, True], ignore_index=True)
-            .astype("int64")
-        )
-        want = embed_knn_graph(SF_DIR, k=3).to_pandas()
-        pd.testing.assert_frame_equal(got[list(want.columns)], want)
-
-        r2 = knn_graph_to_parquet(SF_DIR, out_dir, n_shards=8, window=2, k=3)
-        assert r2 == {"written": 0, "skipped": 8}
-        os.remove(os.path.join(out_dir, "shard=0002", "_SUCCESS"))
-        r3 = knn_graph_to_parquet(SF_DIR, out_dir, n_shards=8, window=2, k=3)
-        assert r3 == {"written": 1, "skipped": 7}
-
-    def test_decontaminate_sink_matches_contract_table_and_resumes(self, ray_session, tmp_path):
-        import glob
-
-        from mlscraper_ray.functions.curate import decontaminate, decontaminate_to_parquet
-
-        out_dir = str(tmp_path / "decon_out")
-        r1 = decontaminate_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r1 == {"written": 8, "skipped": 0}
-        frames = [
-            pq.read_table(f).to_pandas()
-            for f in glob.glob(os.path.join(out_dir, "shard=*", "*.parquet"))
-        ]
-        got = (
-            pd.concat(frames, ignore_index=True)[["doc_id", "n_grams"]]
-            .astype("int64")
-            .sort_values("doc_id", ignore_index=True)
-        )
-        want = decontaminate(SF_DIR).to_pandas().astype("int64")
-        pd.testing.assert_frame_equal(got, want)
-
-        r2 = decontaminate_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r2 == {"written": 0, "skipped": 8}
-        os.remove(os.path.join(out_dir, "shard=0002", "_SUCCESS"))
-        r3 = decontaminate_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-        assert r3 == {"written": 1, "skipped": 7}
 
 
 class TestSourceTokenQuota:
@@ -3038,12 +2943,12 @@ class TestQuerySimilarIndexed:
         assert miss.column_names == ["doc_id", "jaccard_pct", "n_inter"]
 
         out_dir = str(tmp_path / "lsh")
-        r1 = lsh_index_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
+        r1 = lsh_index_to_parquet(SF_DIR, out_dir, n_shards=8)
         assert r1 == {"written": 8, "skipped": 0}
-        r2 = lsh_index_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
+        r2 = lsh_index_to_parquet(SF_DIR, out_dir, n_shards=8)
         assert r2 == {"written": 0, "skipped": 8}
         os.remove(os.path.join(out_dir, "shard=0002", "_SUCCESS"))
-        r3 = lsh_index_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
+        r3 = lsh_index_to_parquet(SF_DIR, out_dir, n_shards=8)
         assert r3 == {"written": 1, "skipped": 7}
 
     def test_matches_full_scan_at_threshold(self, ray_session):
@@ -3478,32 +3383,6 @@ class TestRateAnomaly:
         assert a.loc[4, "prev_max3"] == 2
         b = out[out["event_type"] == "b"]
         assert b["is_spike"].sum() == 0
-
-
-class TestChunkSink:
-    def test_chunk_sink_matches_contract_table_and_resumes(self, ray_session, tmp_path):
-        import glob
-
-        from mlscraper_ray.functions.packing import chunks_to_parquet, doc_chunk_windows
-
-        out_dir = str(tmp_path / "chunks_out")
-        r1 = chunks_to_parquet(SF_DIR, out_dir, n_shards=8, window_shards=2)
-        assert r1 == {"written": 8, "skipped": 0}
-        frames = [
-            pq.read_table(f).to_pandas()
-            for f in glob.glob(os.path.join(out_dir, "shard=*", "*.parquet"))
-        ]
-        got = pd.concat(frames, ignore_index=True).sort_values(
-            ["doc_id", "chunk_id"], ignore_index=True
-        )
-        want = doc_chunk_windows(SF_DIR).to_pandas()
-        pd.testing.assert_frame_equal(got[list(want.columns)], want)
-
-        r2 = chunks_to_parquet(SF_DIR, out_dir, n_shards=8, window_shards=2)
-        assert r2 == {"written": 0, "skipped": 8}
-        os.remove(os.path.join(out_dir, "shard=0003", "_SUCCESS"))
-        r3 = chunks_to_parquet(SF_DIR, out_dir, n_shards=8, window_shards=2)
-        assert r3 == {"written": 1, "skipped": 7}
 
 
 class TestBpeProperty:

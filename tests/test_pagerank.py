@@ -216,72 +216,6 @@ def test_page_rank_bucketed_existence_matches_broadcast(ray_session):
     assert a.equals(b)
 
 
-def test_page_rank_sink_matches_table_and_resumes(ray_session, tmp_path):
-    import glob
-
-    import pyarrow.parquet as pq
-
-    from mlscraper_ray.functions.pagerank import page_rank_to_parquet
-
-    out_dir = str(tmp_path / "pr")
-    r1 = page_rank_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-    assert r1 == {"written": 8, "skipped": 0}
-    files = sorted(glob.glob(out_dir + "/shard=*/*.parquet"))
-    got = (
-        pd.concat([pq.read_table(f).to_pandas() for f in files], ignore_index=True)
-        .sort_values("url", ignore_index=True)
-    )
-    want = page_rank(SF_DIR).to_pandas()
-    pd.testing.assert_frame_equal(got[["url", "rank"]], want)
-    # full resume: no shard rewritten, bytes untouched
-    import os
-
-    mtimes = {f: os.path.getmtime(f) for f in files}
-    r2 = page_rank_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-    assert r2 == {"written": 0, "skipped": 8}
-    assert {f: os.path.getmtime(f) for f in files} == mtimes
-    # partial resume: one incomplete shard is wiped + rewritten
-    os.remove(os.path.join(out_dir, "shard=0003", "_SUCCESS"))
-    r3 = page_rank_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-    assert r3 == {"written": 1, "skipped": 7}
-    files2 = sorted(glob.glob(out_dir + "/shard=*/*.parquet"))
-    got2 = (
-        pd.concat([pq.read_table(f).to_pandas() for f in files2], ignore_index=True)
-        .sort_values("url", ignore_index=True)
-    )
-    pd.testing.assert_frame_equal(got2[["url", "rank"]], want)
-
-
-def test_page_profile_sink_matches_table_and_resumes(ray_session, tmp_path):
-    import glob
-    import os
-
-    import pyarrow.parquet as pq
-
-    from mlscraper_ray.functions.content import page_profile, page_profile_to_parquet
-
-    out_dir = str(tmp_path / "profile")
-    r1 = page_profile_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-    assert r1 == {"written": 8, "skipped": 0}
-    files = sorted(glob.glob(out_dir + "/shard=*/*.parquet"))
-    got = pd.concat(
-        [pq.read_table(f).to_pandas() for f in files], ignore_index=True
-    ).sort_values("url", ignore_index=True)
-    want = page_profile(SF_DIR).to_pandas()
-    pd.testing.assert_frame_equal(got[want.columns.tolist()], want)
-    # full resume skips every shard; a wiped marker rewrites one
-    r2 = page_profile_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-    assert r2 == {"written": 0, "skipped": 8}
-    os.remove(os.path.join(out_dir, "shard=0002", "_SUCCESS"))
-    r3 = page_profile_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
-    assert r3 == {"written": 1, "skipped": 7}
-    files2 = sorted(glob.glob(out_dir + "/shard=*/*.parquet"))
-    got2 = pd.concat(
-        [pq.read_table(f).to_pandas() for f in files2], ignore_index=True
-    ).sort_values("url", ignore_index=True)
-    pd.testing.assert_frame_equal(got2[want.columns.tolist()], want)
-
-
 class TestHostRank:
     def test_conserves_page_level_totals(self, ray_session):
         from mlscraper_ray.functions.pagerank import host_rank
@@ -543,7 +477,7 @@ class TestWetCurate:
         from mlscraper_ray.functions.wet import wet_curate, wet_curate_to_parquet
 
         out_dir = str(tmp_path / "wet")
-        r1 = wet_curate_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
+        r1 = wet_curate_to_parquet(SF_DIR, out_dir, n_shards=8)
         assert r1 == {"written": 8, "skipped": 0}
         files = sorted(glob.glob(out_dir + "/shard=*/*.parquet"))
         got = (
@@ -554,10 +488,10 @@ class TestWetCurate:
         want = wet_curate(SF_DIR).to_pandas()
         cols = ["url", "lang", "n_tokens", "n_dups", "text_sha256"]
         pd.testing.assert_frame_equal(got[cols], want[cols])
-        r2 = wet_curate_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
+        r2 = wet_curate_to_parquet(SF_DIR, out_dir, n_shards=8)
         assert r2 == {"written": 0, "skipped": 8}
         os.remove(os.path.join(out_dir, "shard=0005", "_SUCCESS"))
-        r3 = wet_curate_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
+        r3 = wet_curate_to_parquet(SF_DIR, out_dir, n_shards=8)
         assert r3 == {"written": 1, "skipped": 7}
 
 
@@ -614,7 +548,7 @@ class TestLinkDistance:
         )
 
         out_dir = str(tmp_path / "linkdist")
-        r1 = link_distance_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
+        r1 = link_distance_to_parquet(SF_DIR, out_dir, n_shards=8)
         assert r1 == {"written": 8, "skipped": 0}
         files = sorted(glob.glob(out_dir + "/shard=*/*.parquet"))
         got = (
@@ -624,10 +558,10 @@ class TestLinkDistance:
         )
         want = link_distance_from_seeds(SF_DIR).to_pandas()
         pd.testing.assert_frame_equal(got[["url", "dist"]], want[["url", "dist"]])
-        r2 = link_distance_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
+        r2 = link_distance_to_parquet(SF_DIR, out_dir, n_shards=8)
         assert r2 == {"written": 0, "skipped": 8}
         os.remove(os.path.join(out_dir, "shard=0003", "_SUCCESS"))
-        r3 = link_distance_to_parquet(SF_DIR, out_dir, n_shards=8, window=2)
+        r3 = link_distance_to_parquet(SF_DIR, out_dir, n_shards=8)
         assert r3 == {"written": 1, "skipped": 7}
 
 

@@ -222,38 +222,6 @@ class TestCorpusToTraining:
         assert by_off["begin_off"].iloc[0] == 0
 
 
-class TestPackSink:
-    def test_sink_matches_contract_table_and_resumes(self, ray_session, tmp_path):
-        from oracle_compare import to_pandas, value_hash
-
-        import pyarrow.dataset as pads
-
-        from mlscraper_ray.functions.packing import (
-            pack_sequences,
-            pack_sequences_to_parquet,
-        )
-
-        out = str(tmp_path / "packed")
-        r1 = pack_sequences_to_parquet(SF_DIR, out, n_shards=4, window=2)
-        assert r1 == {"written": 4, "skipped": 0}
-        got = pads.dataset(out, format="parquet").to_table().to_pandas()
-        want = to_pandas(pack_sequences(SF_DIR))
-        assert value_hash(got) == value_hash(want)
-        # resume: everything committed -> nothing rewritten
-        assert pack_sequences_to_parquet(SF_DIR, out, n_shards=4, window=2) == {
-            "written": 0,
-            "skipped": 4,
-        }
-        # crash recovery: a shard missing its marker is wiped + rewritten
-        os.remove(os.path.join(out, "shard=0002", "_SUCCESS"))
-        assert pack_sequences_to_parquet(SF_DIR, out, n_shards=4, window=2) == {
-            "written": 1,
-            "skipped": 3,
-        }
-        got2 = pads.dataset(out, format="parquet").to_table().to_pandas()
-        assert value_hash(got2) == value_hash(want)
-
-
 class TestSourceTopTerms:
     def test_counts_and_tiebreaks(self, ray_session, tmp_path):
         from mlscraper_ray.functions.packing import source_top_terms
