@@ -1,29 +1,84 @@
-"""Coarse-bucketed groupby-aggregate.
+"""Key co-partitioning: the one place a shuffle bucket is computed.
 
-Ray Data's native ``groupby(...).aggregate(...)`` (2.49, sort-based)
-has per-distinct-group overhead that makes high-cardinality aggregates
-unusable: a 1.3M-row / 1M-group Count did not finish in 5 minutes on
-32 cpus (measured in this repo), while the same data through this
-helper takes ~2s. The pattern:
+:func:`co_partition` is the engine's only hash shuffle. It tags every
+row with a private bucket column, ``hash(keys) mod n_buckets``; runs
+ONE Ray ``groupby`` over that column (a tiny key domain, so the sort
+shuffle is cheap and every group gets substantial work); and calls
+``fn`` once per bucket on a pandas frame of the input columns. Every
+row with a given key value lands in the same bucket, so ``fn`` does
+the real per-key work (merge, windowing, aggregation) vectorized in
+pandas. Same all-to-all data movement as a native groupby, without
+Ray's per-distinct-group overhead: a 1.3M-row / 1M-group native
+``groupby(...).aggregate(...)`` (Ray 2.49, sort-based) did not finish
+in 5 minutes on 32 cpus (measured in this repo); through this pattern
+it takes ~2s. :func:`bucketed_aggregate` and ``joins.cogroup_join``
+are thin wrappers over it.
 
-1. assign every row a coarse ``__bucket`` = content-hash(keys) mod B
-   (B ~ hundreds; ``pd.util.hash_pandas_object`` — deterministic,
-   process-independent, vectorized);
-2. ONE Ray groupby over the B buckets (tiny key domain, so the sort
-   shuffle is cheap and every map_groups call gets substantial work);
-3. the real per-key aggregation runs vectorized in pandas inside each
-   bucket.
-
-Same all-to-all data movement as a native groupby (each row crosses
-the wire once, co-partitioned by key), but the group-resolution cost
-is pandas-vectorized instead of per-group scheduler overhead. This is
-the repo-wide idiom for any aggregate whose distinct-key count scales
-with the data (doc ids, url hashes, (a, b) pair keys, time windows).
+Bucket rule: the bucket is a function of the key VALUES only. Numeric
+keys (any int or float width, nullable or not) are hashed as float64
+(``pd.util.hash_pandas_object``, deterministic and
+process-independent), so 5 lands in the same bucket whether its
+column is int32 or int64 and whether or not its block holds a null
+(Ray turns a null-holding int column into float64 when it converts
+an Arrow block to pandas). Nulls hash as NaN: one bucket, one group,
+as in SQL ``GROUP BY``. Integers above 2**53 may share a float; that
+only puts distinct keys in one bucket, never one key in two.
 """
 from __future__ import annotations
 
+from typing import Callable
+
+import numpy as np
 import pandas as pd
+import pyarrow as pa
 import ray.data
+
+_BUCKET = "__co_bucket"
+
+
+def _bucket_ids(frame: pd.DataFrame, keys: list[str], n_buckets: int) -> np.ndarray:
+    """Per-row bucket of ``keys`` under the module's bucket rule."""
+    cols = {
+        k: frame[k].astype("float64") if pd.api.types.is_numeric_dtype(frame[k]) else frame[k]
+        for k in keys
+    }
+    hashes = pd.util.hash_pandas_object(pd.DataFrame(cols), index=False).to_numpy()
+    return (hashes % n_buckets).astype(np.int32)
+
+
+def co_partition(
+    ds: ray.data.Dataset | list[ray.data.Dataset],
+    keys: list[str],
+    fn: Callable[[pd.DataFrame], pd.DataFrame],
+    n_buckets: int,
+) -> ray.data.Dataset:
+    """Hash-partition ``ds`` on ``keys`` into ``n_buckets`` buckets and
+    return the union of ``fn(bucket)`` over all buckets. ``fn`` sees a
+    pandas frame holding every row of its bucket with ``ds``'s columns
+    (rows of one key value are never split across calls).
+
+    ``ds`` may be a list of Datasets with the same columns and block
+    format (the sides of a join; Ray's sort shuffle asserts a single
+    block type): each is tagged before the union. The tagging map
+    fuses into each input's last map; after a union it would be a
+    stage of its own."""
+
+    def tag(block: pa.Table | pd.DataFrame) -> pa.Table | pd.DataFrame:
+        # blocks keep their format (empty ones may carry no columns)
+        if isinstance(block, pa.Table):
+            ids = _bucket_ids(block.select(keys).to_pandas(), keys, n_buckets) if block.num_rows else []
+            return block.append_column(_BUCKET, pa.array(ids, pa.int32()))
+        ids = _bucket_ids(block, keys, n_buckets) if len(block) else np.zeros(0, np.int32)
+        return block.assign(**{_BUCKET: ids})
+
+    def run(g: pd.DataFrame):
+        if _BUCKET in g.columns:
+            del g[_BUCKET]
+        return fn(g)
+
+    tagged = [d.map_batches(tag, batch_format=None) for d in (ds if isinstance(ds, list) else [ds])]
+    unioned = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
+    return unioned.groupby(_BUCKET).map_groups(run, batch_format="pandas")
 
 
 def bucketed_aggregate(
@@ -33,31 +88,19 @@ def bucketed_aggregate(
     n_buckets: int = 241,
 ) -> ray.data.Dataset:
     """Group ``ds`` by ``keys`` computing ``aggs`` (out_col -> (in_col,
-    op), op in {sum, min, max, count}) via the coarse-bucket pattern.
-    Returns a Dataset with columns keys + aggs; 'count' counts rows."""
+    op), op in {sum, min, max, count}); 'count' counts rows. Returns a
+    Dataset with columns keys + aggs; null keys form one group."""
     named = {
         out: pd.NamedAgg(column=col, aggfunc=("size" if op == "count" else op))
         for out, (col, op) in aggs.items()
     }
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = (
-            pd.util.hash_pandas_object(df[keys], index=False) % n_buckets
-        ).astype("int32")
-        return df
-
-    def agg_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.groupby(keys, sort=False)
-            .agg(**named)
-            .reset_index()
-        )
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(agg_bucket, batch_format="pandas")
+    # pandas blocks before the shuffle: one conversion per block instead
+    # of one per bucket in map_groups (there are hundreds of buckets)
+    return co_partition(
+        ds.map_batches(lambda df: df, batch_format="pandas"),
+        keys,
+        lambda g: g.groupby(keys, sort=False, dropna=False).agg(**named).reset_index(),
+        n_buckets,
     )
 
 

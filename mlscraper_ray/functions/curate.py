@@ -28,7 +28,7 @@ import ray.data
 
 from mlscraper_ray.functions.broadcast import cached_object
 
-from mlscraper_ray.functions.bucketed import bucketed_aggregate
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 from mlscraper_ray.functions.textstats import _LANGID, _QUALITY, _sql_stopword_list
 
@@ -259,15 +259,11 @@ def decontaminate_survivors(
 
         survivors = ds.map_batches(screen, batch_format="pyarrow")
     else:
-        import zlib
-
-        from mlscraper_ray.functions.bucketed import bucketed_aggregate
-
         if n_buckets is None:
             n_buckets = adaptive_n_buckets(ds.count())  # metadata count
 
         def explode_training(batch: pa.Table) -> pa.Table:
-            grams, ids, ngrams, buckets = [], [], [], []
+            grams, ids, ngrams = [], [], []
             for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
                 if doc_id % holdout_mod == 0:
                     continue
@@ -280,13 +276,11 @@ def decontaminate_survivors(
                 grams.extend(gset)
                 ids.extend([doc_id] * len(gset))
                 ngrams.extend([len(gset) if gset != {""} else 0] * len(gset))
-                buckets.extend(zlib.crc32(g.encode()) % n_buckets for g in gset)
             return pa.table(
                 {
                     "gram": pa.array(grams, pa.string()),
                     "doc_id": pa.array(ids, pa.int64()),
                     "n_grams": pa.array(ngrams, pa.int64()),
-                    "bucket": pa.array(buckets, pa.int32()),
                     "side": pa.array(["t"] * len(grams), pa.string()),
                 }
             )
@@ -298,17 +292,14 @@ def decontaminate_survivors(
                     "gram": batch["gram"],
                     "doc_id": pa.array([-1] * nrows, pa.int64()),
                     "n_grams": pa.array([0] * nrows, pa.int64()),
-                    "bucket": pa.array(
-                        [zlib.crc32(g.encode()) % n_buckets for g in batch["gram"].to_pylist()],
-                        pa.int32(),
-                    ),
                     "side": pa.array(["h"] * nrows, pa.string()),
                 }
             )
 
-        unioned = ds.map_batches(explode_training, batch_format="pyarrow").union(
-            ho_rows.map_batches(tag_holdout, batch_format="pyarrow")
-        )
+        sides = [
+            ds.map_batches(explode_training, batch_format="pyarrow"),
+            ho_rows.map_batches(tag_holdout, batch_format="pyarrow"),
+        ]
 
         def flag_bucket(g: pd.DataFrame) -> pd.DataFrame:
             hset = set(g.loc[g["side"] == "h", "gram"])
@@ -330,7 +321,7 @@ def decontaminate_survivors(
             )
             return part
 
-        flags = unioned.groupby("bucket").map_groups(flag_bucket, batch_format="pandas")
+        flags = co_partition(sides, ["gram"], flag_bucket, n_buckets)
         combined = bucketed_aggregate(
             flags, ["doc_id"], {"contam": ("contam", "max"), "n_grams": ("n_grams", "max")}
         )

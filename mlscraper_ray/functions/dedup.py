@@ -31,7 +31,7 @@ import ray.data
 
 from mlscraper_ray.functions.broadcast import cached_object
 
-from mlscraper_ray.functions.bucketed import bucketed_aggregate
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.sinks import crc32_shard, shard_files, write_resumable
 
 # -- exact dedup ---------------------------------------------------------
@@ -768,15 +768,14 @@ def _ngram_pair_counts(
     distinct-gram counts.
 
     Distributed plan (no driver-side pair loop):
-      1. map_batches: explode each doc to DISTINCT (gram, doc_id) rows
-         tagged with a coarse gram-hash bucket;
-      2. groupby(gram_bucket).map_groups: per-gram candidate pairs
-         emitted vectorized inside each bucket — complete, since any
-         gram overlap implies a shared gram — pre-counted per batch
-         with the pair packed into one int64 key;
-      3. groupby(pair_bucket).map_groups: sum |A ∩ B| per pair inside
-         coarse buckets (see functions/bucketed.py for why native
-         high-cardinality aggregates are avoided).
+      1. map_batches: explode each doc to DISTINCT (gram, doc_id) rows;
+      2. co_partition on gram: per-gram candidate pairs emitted
+         vectorized inside each bucket — complete, since any gram
+         overlap implies a shared gram — pre-counted per bucket with
+         the pair packed into one int64 key;
+      3. co_partition on pair_key: sum |A ∩ B| per pair (see
+         functions/bucketed.py for why native high-cardinality
+         aggregates are avoided).
 
     |A| (a doc's distinct-gram count) is known LOCALLY at explode time
     — it's len(gram_set) of that one doc — so it rides along on every
@@ -793,7 +792,7 @@ def _ngram_pair_counts(
     """
 
     def explode(batch: pa.Table) -> pa.Table:
-        grams, ids, buckets, ngrams = [], [], [], []
+        grams, ids, ngrams = [], [], []
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             words = text.split()
             if len(words) < n:
@@ -804,15 +803,11 @@ def _ngram_pair_counts(
                 continue
             grams.extend(gset)
             ids.extend([doc_id] * len(gset))
-            buckets.extend(zlib.crc32(g.encode()) % 256 for g in gset)
             ngrams.extend([len(gset)] * len(gset))
         return pa.table(
             {
                 "gram": pa.array(grams, pa.string()),
                 "doc_id": pa.array(ids, pa.int64()),
-                # coarse groupby key: per-gram work happens vectorized
-                # inside ~256 groups instead of one map call per gram
-                "gram_bucket": pa.array(buckets, pa.int32()),
                 # the doc's own distinct-gram count, known locally here
                 "n_grams": pa.array(ngrams, pa.int64()),
             }
@@ -826,17 +821,15 @@ def _ngram_pair_counts(
             g = g[freq <= df_cap]
         p = _emit_pairs_by_key(g, "gram")
         # pre-aggregate within the bucket and pack the pair into ONE
-        # int64 key + a coarse bucket. A raw groupby(["doc_a","doc_b"])
-        # here is pathological in Ray Data (sort-based aggregate over
-        # ~10^6 distinct 2-col groups); the coarse-bucket + in-group
-        # pandas pattern keeps the shuffle key tiny and the combine
-        # vectorized.
+        # int64 key. A raw groupby(["doc_a","doc_b"]) here is
+        # pathological in Ray Data (sort-based aggregate over ~10^6
+        # distinct 2-col groups); co-partitioning on the packed key
+        # keeps the shuffle key tiny and the combine vectorized.
         key = _pack_pairs_pd(p["doc_a"], p["doc_b"])
         part = key.value_counts().rename_axis("pair_key").reset_index(name="inter")
         nmap = dict(zip(g["doc_id"], g["n_grams"]))  # per-bucket, worker-local
         part["na"] = (part["pair_key"] // _PAIR_BASE).map(nmap).astype("int64")
         part["nb"] = (part["pair_key"] % _PAIR_BASE).map(nmap).astype("int64")
-        part["pair_bucket"] = (part["pair_key"] % 241).astype("int32")
         return part
 
     def combine_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -847,12 +840,8 @@ def _ngram_pair_counts(
         s["doc_b"] = (s["pair_key"] % _PAIR_BASE).astype("int64")
         return s[["doc_a", "doc_b", "inter", "na", "nb"]]
 
-    return (
-        exploded.groupby("gram_bucket")
-        .map_groups(pairs_in_bucket, batch_format="pandas")
-        .groupby("pair_bucket")
-        .map_groups(combine_bucket, batch_format="pandas")
-    )
+    counted = co_partition(exploded, ["gram"], pairs_in_bucket, 256)
+    return co_partition(counted, ["pair_key"], combine_bucket, 241)
 
 
 def ngram_jaccard_pairs(sf_dir: str, n: int = 3, threshold_pct: int = 70, df_cap: int | None = None) -> pa.Table:
@@ -1219,9 +1208,8 @@ def doc_dup_span_stats(sf_dir: str, n: int = 3) -> pa.Table:
 
     Distributed plan (two shuffles of slim rows, no pair emission):
       1. map_batches: explode each doc to DISTINCT (gram, doc_id)
-         rows tagged with a coarse gram-hash bucket (the
-         ngram_jaccard explode shape — |A| rides along locally);
-      2. groupby(gram_bucket).map_groups: per-gram document frequency
+         rows (the ngram_jaccard explode shape);
+      2. co_partition on gram: per-gram document frequency
          is the group-local row count (grams are distinct per doc), so
          each row's dup flag is one vectorized transform — no df
          table, no join;
@@ -1235,19 +1223,12 @@ def doc_dup_span_stats(sf_dir: str, n: int = 3) -> pa.Table:
     docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
-        grams, ids, buckets = [], [], []
+        grams, ids = [], []
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             gset = word_gram_set(text, n)
             grams.extend(gset)
             ids.extend([doc_id] * len(gset))
-            buckets.extend(zlib.crc32(g.encode()) % 256 for g in gset)
-        return pa.table(
-            {
-                "gram": pa.array(grams, pa.string()),
-                "doc_id": pa.array(ids, pa.int64()),
-                "gram_bucket": pa.array(buckets, pa.int32()),
-            }
-        )
+        return pa.table({"gram": pa.array(grams, pa.string()), "doc_id": pa.array(ids, pa.int64())})
 
     def flag_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if len(g) == 0 or "gram" not in g.columns:
@@ -1262,11 +1243,7 @@ def doc_dup_span_stats(sf_dir: str, n: int = 3) -> pa.Table:
             }
         )
 
-    flags = (
-        docs.map_batches(explode, batch_format="pyarrow")
-        .groupby("gram_bucket")
-        .map_groups(flag_bucket, batch_format="pandas")
-    )
+    flags = co_partition(docs.map_batches(explode, batch_format="pyarrow"), ["gram"], flag_bucket, 256)
     stats = bucketed_aggregate(
         flags, ["doc_id"], {"n_dup_grams": ("dup", "sum"), "n_grams": ("dup", "count")}
     )
@@ -1448,7 +1425,6 @@ def corpus_snapshot_diff(
     status label is then a pure vectorized map. No broadcast, no
     driver structure, exactly one shuffle of slim int rows. Returns
     (doc_id, status) over the union of both id spaces, sorted."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     mask = (1 << 62) - 1  # fit the unsigned md5 word into int64
     ds = ray.data.read_parquet(
@@ -1593,7 +1569,6 @@ def bloom_screen(
     size; the probe pass is one streaming map over a broadcast
     frozenset. One tiny shuffle, no all-to-all of document data."""
     from mlscraper_ray.functions.broadcast import cached_object
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -2149,12 +2124,11 @@ def winnow_neardup_pairs_ds(
     Distributed plan: the inverted-index pair plan of the n-gram
     joins, with the selected-fp table (~2/(w+1) the gram mass — the
     winnowing saving carries straight into the join): distinct
-    (fp, doc_id) rows bucket by fp % 256; per-fp pairs emit vectorized
+    (fp, doc_id) rows co-partition on fp; per-fp pairs emit vectorized
     inside buckets with packed int64 keys; shared counts fold through
     the coarse-bucket aggregate. ``df_cap`` drops fps held by more
     docs than the cap (the boilerplate guard at 100 TB); None keeps
     the join exact and oracle-matching."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     def explode(batch: pd.DataFrame) -> pd.DataFrame:
         ids, fps = [], []
@@ -2165,14 +2139,12 @@ def winnow_neardup_pairs_ds(
             vals = np.unique(h[sel])
             ids.extend([int(doc_id)] * len(vals))
             fps.extend(int(v) for v in vals)
-        df = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "fp": pd.Series(fps, dtype="int64"),
                 "doc_id": pd.Series(ids, dtype="int64"),
             }
         )
-        df["fp_bucket"] = (df["fp"] % 256).astype("int32")
-        return df
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -2188,7 +2160,7 @@ def winnow_neardup_pairs_ds(
         return key.value_counts().rename_axis("pair_key").reset_index(name="shared")
 
     counted = bucketed_aggregate(
-        exploded.groupby("fp_bucket").map_groups(pairs_in_bucket, batch_format="pandas"),
+        co_partition(exploded, ["fp"], pairs_in_bucket, 256),
         ["pair_key"],
         {"shared": ("shared", "sum")},
     )
@@ -2265,7 +2237,6 @@ def source_neardup_report(
     Scale shape: the pair Dataset reduces to slim distinct doc_id
     rows; one cogroup join attaches each doc's source; two tiny
     aggregates roll up per source."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
     from mlscraper_ray.functions.joins import cogroup_join
 
     pairs = minhash_verified_pairs(
@@ -2400,7 +2371,6 @@ def source_pair_matrix(
     (doc_id, source) projection (two one-key shuffles — doc->source
     is corpus-sized, never broadcast), then the matrix folds in a
     coarse-bucket aggregate bounded by sources^2."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
     from mlscraper_ray.functions.joins import cogroup_join
 
     pairs = minhash_verified_pairs(
@@ -2535,7 +2505,6 @@ def doc_gram_novelty(sf_dir: str, n: int = 3) -> pa.Table:
     pre-aggregates per winner; a final coarse-bucket aggregate sums
     credits and joins them back to the totals on one key. No pair
     emission anywhere."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -2549,8 +2518,9 @@ def doc_gram_novelty(sf_dir: str, n: int = 3) -> pa.Table:
             grams.extend(gset)
             ids.extend([doc_id] * len(gset))
             buckets.extend(zlib.crc32(g.encode()) % 256 for g in gset)
-            tot_ids.append(doc_id)
-            tot_ns.append(len(gset))
+            if gset:  # a blank doc has no grams, so no totals row (as in SQL)
+                tot_ids.append(doc_id)
+                tot_ns.append(len(gset))
         # totals ride as gram='' rows (never a real gram) in bucket -1
         grams.extend([""] * len(tot_ids))
         ids.extend(tot_ids)
@@ -2647,9 +2617,8 @@ def simhash_pair_histogram(sf_dir: str) -> pa.Table:
 
     Scale shape: each doc collapses to ONE slim (pair, side, simhash)
     int64 row at the map (the text never leaves the batch), pairs meet
-    in crc32-hashed buckets, per-bucket popcount is a vectorized
+    co-partitioned on the pair id, per-bucket popcount is a vectorized
     byte-LUT fold, and only the <=65-row histogram leaves."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     n_buckets = 64
     lut = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
@@ -2660,13 +2629,7 @@ def simhash_pair_histogram(sf_dir: str) -> pa.Table:
         signed = np.array(
             [s - (1 << 64) if s >= (1 << 63) else s for s in sims], dtype=np.int64
         )
-        pair = ids // 2
-        pb = np.array(
-            [zlib.crc32(str(p).encode()) % n_buckets for p in pair], dtype=np.int32
-        )
-        return pd.DataFrame(
-            {"pair": pair, "side": ids % 2, "simhash": signed, "__pb": pb}
-        )
+        return pd.DataFrame({"pair": ids // 2, "side": ids % 2, "simhash": signed})
 
     def hamming_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty or "pair" not in g.columns:
@@ -2697,9 +2660,9 @@ def simhash_pair_histogram(sf_dir: str) -> pa.Table:
     )
     out = (
         bucketed_aggregate(
-            ds.map_batches(to_sides, batch_format="pyarrow")
-            .groupby("__pb")
-            .map_groups(hamming_bucket, batch_format="pandas"),
+            co_partition(
+                ds.map_batches(to_sides, batch_format="pyarrow"), ["pair"], hamming_bucket, n_buckets
+            ),
             ["hamming"],
             {"n_pairs": ("n_pairs", "sum")},
         )
@@ -2734,7 +2697,6 @@ def dedup_prefix_groups(sf_dir: str, prefix_len: int = 64) -> pa.Table:
     min_doc) partial at the map (the text never leaves the batch, the
     prefix never ships raw), folded through the coarse-bucket
     aggregate; only >1 groups leave."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]

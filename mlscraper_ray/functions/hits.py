@@ -42,9 +42,9 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from mlscraper_ray.functions.bucketed import bucketed_aggregate, coalesce_blocks
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 from mlscraper_ray.functions.joins import adaptive_n_buckets
-from mlscraper_ray.functions.pagerank import _bucket_of, corpus_link_graph
+from mlscraper_ray.functions.pagerank import corpus_link_graph
 
 SCALE = 10**5
 
@@ -87,7 +87,6 @@ def _propagate(
     rows whose ``key_col`` endpoint carries the score, grouped by the
     ``emit_col`` endpoint. Zero-seed rows keep every node in the
     output. Returns (node, raw)."""
-    B = n_buckets
 
     def score_side(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -95,7 +94,6 @@ def _propagate(
                 "key": df["node"].astype(str),
                 "other": "",
                 "val": df[score_col].astype("int64"),
-                "bucket": pd.Series(_bucket_of(df["node"], B), index=df.index, dtype="int32"),
                 "side": "r",
             }
         )
@@ -106,7 +104,6 @@ def _propagate(
                 "key": df[key_col].astype(str),
                 "other": df[emit_col].astype(str),
                 "val": pd.Series([0] * len(df), index=df.index, dtype="int64"),
-                "bucket": pd.Series(_bucket_of(df[key_col], B), index=df.index, dtype="int32"),
                 "side": "e",
             }
         )
@@ -130,11 +127,14 @@ def _propagate(
         ),
         batch_format="pandas",
     )
-    flow = (
-        scores.map_batches(score_side, batch_format="pandas")
-        .union(edges.map_batches(edge_side, batch_format="pandas"))
-        .groupby("bucket")
-        .map_groups(contribs, batch_format="pandas")
+    flow = co_partition(
+        [
+            scores.map_batches(score_side, batch_format="pandas"),
+            edges.map_batches(edge_side, batch_format="pandas"),
+        ],
+        ["key"],
+        contribs,
+        n_buckets,
     )
     return (
         bucketed_aggregate(flow.union(seeds), ["node"], {"raw": ("c", "sum")})

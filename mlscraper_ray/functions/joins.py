@@ -6,12 +6,15 @@ Two shapes, matching the scale playbook:
   ``ray.put``, looked up inside ``map_batches`` (no shuffle). Used by
   aggregates.revenue_by_nation.
 - :func:`cogroup_join` — both sides large: tag each side, union the
-  datasets on aligned schemas, hash-partition by key via
-  ``groupby(key)`` and join inside ``map_groups``. One shuffle total
-  (the union shuffles once on the key), no driver materialization.
+  datasets on aligned schemas, co-partition the union on
+  ``(key, __salt)`` (``bucketed.co_partition``) and merge inside each
+  bucket. One shuffle total, no driver materialization.
   Skew: pass ``salt_hot_keys=True`` — hot keys are detected by a slim
-  pre-aggregate, hot left rows salted across ``n_salt`` sub-partitions
-  and hot right rows replicated once per salt (inner/left joins).
+  pre-aggregate, hot left rows get salts 0..``n_salt``-1 and hot right
+  rows are replicated once per salt (inner/left joins). Every other
+  row has salt 0. The salt is part of the partition key, so a hot
+  key's replicas hash to up to ``n_salt`` different buckets while
+  cold rows spread exactly as their key does.
 """
 from __future__ import annotations
 
@@ -24,6 +27,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
+
 
 def broadcast_join_map(ds: ray.data.Dataset, key: str, mapping_ref, out_col: str):
     """Adds ``out_col`` by looking ``key`` up in a broadcast dict."""
@@ -34,36 +39,6 @@ def broadcast_join_map(ds: ray.data.Dataset, key: str, mapping_ref, out_col: str
         return batch.append_column(out_col, pa.array(vals))
 
     return ds.map_batches(add, batch_format="pyarrow")
-
-
-def bucket_of(arr: pa.ChunkedArray | pa.Array, n_buckets: int) -> pa.Array:
-    """Deterministic bucket id per key value (int: modulo; str: crc32)."""
-    import zlib
-
-    import numpy as np
-
-    if pa.types.is_integer(arr.type):
-        vals = (
-            arr.combine_chunks().to_numpy(zero_copy_only=False)
-            if isinstance(arr, pa.ChunkedArray)
-            else arr.to_numpy(zero_copy_only=False)
-        )
-        return pa.array(np.abs(vals.astype(np.int64)) % n_buckets, pa.int64())
-    vals = arr.to_pylist()
-    return pa.array([zlib.crc32(str(v).encode()) % n_buckets for v in vals], pa.int64())
-
-
-def _salted_bucket(kb: np.ndarray, salt: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Shuffle bucket for the salted cogroup join: ADD the salt to the
-    (already mod-reduced) key bucket. The earlier `kb * n_salt + salt`
-    form collapsed every salt-0 row into n_buckets/gcd(n_salt,
-    n_buckets) buckets (gcd 16 with the 16/64 defaults -> 4 of 64
-    buckets), destroying join parallelism whenever salting was on even
-    with zero hot keys — invisible to result-equality tests because
-    the in-bucket merge is still on the exact key. (kb + salt) keeps
-    non-hot rows uniformly spread and fans each hot key's replicas
-    over n_salt consecutive buckets."""
-    return (kb + salt) % n_buckets
 
 
 def adaptive_n_buckets(
@@ -109,8 +84,8 @@ def cogroup_join(
     n_salt: int = 16,
 ) -> ray.data.Dataset:
     """Partitioned hash join of two Datasets on ``key`` (non-key column
-    sets must be disjoint): tag sides, union on aligned schemas, hash
-    into ``n_buckets`` fixed partitions, pandas-merge inside each
+    sets must be disjoint): tag sides, union on aligned schemas,
+    co-partition into ``n_buckets`` buckets, pandas-merge inside each
     bucket. One shuffle; per-bucket work is one vectorized merge (never
     one Python call per key, which melts at 10^5+ keys).
 
@@ -143,7 +118,6 @@ def cogroup_join(
     hot_ref = None
     if salt_hot_keys:
         assert how in ("inner", "left"), "salting replicates the right side: inner/left joins only"
-        from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
         def kcount(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
@@ -166,68 +140,45 @@ def cogroup_join(
         def fn(batch: pa.Table) -> pa.Table:
             import pyarrow.compute as pc
 
-            batch = batch.append_column("__side", pa.array([side] * batch.num_rows))
-            if salt_hot_keys:
-                hot = ray.get(hot_ref)
-                n = batch.num_rows
-                if hot:
-                    mask = pc.is_in(
-                        batch[key], value_set=pa.array(hot, batch.column(key).type)
-                    ).to_numpy(zero_copy_only=False)
-                else:
-                    mask = np.zeros(n, dtype=bool)
-                if side == "l":
-                    salt = np.where(mask, np.arange(n, dtype=np.int64) % n_salt, 0)
-                    batch = batch.append_column("__salt", pa.array(salt, pa.int64()))
-                else:
-                    base = batch.append_column(
-                        "__salt", pa.array(np.zeros(n, dtype=np.int64), pa.int64())
-                    )
-                    if mask.any():
-                        # hot right rows exist once per salt (salt 0 is
-                        # already in `base`)
-                        hot_rows = batch.filter(pa.array(mask))
-                        reps = [base]
-                        for s in range(1, n_salt):
-                            reps.append(
-                                hot_rows.append_column(
-                                    "__salt",
-                                    pa.array(
-                                        np.full(hot_rows.num_rows, s, dtype=np.int64), pa.int64()
-                                    ),
-                                )
-                            )
-                        batch = pa.concat_tables(reps)
-                    else:
-                        batch = base
-                kb = bucket_of(batch[key], n_buckets)
-                salt_np = batch["__salt"].to_numpy(zero_copy_only=False)
-                bucket = _salted_bucket(
-                    kb.to_numpy(zero_copy_only=False), salt_np, n_buckets
-                )
-                batch = batch.append_column("__bucket", pa.array(bucket, pa.int64()))
+            n = batch.num_rows
+            batch = batch.append_column("__side", pa.array([side] * n))
+            hot = ray.get(hot_ref) if salt_hot_keys else []
+            if hot:
+                mask = pc.is_in(
+                    batch[key], value_set=pa.array(hot, batch.column(key).type)
+                ).to_numpy(zero_copy_only=False)
             else:
-                batch = batch.append_column(
-                    "__salt", pa.array(np.zeros(batch.num_rows, dtype=np.int64), pa.int64())
-                )
-                batch = batch.append_column("__bucket", bucket_of(batch[key], n_buckets))
+                mask = np.zeros(n, dtype=bool)
+            if side == "l":
+                salt = np.where(mask, np.arange(n, dtype=np.int64) % n_salt, 0)
+                batch = batch.append_column("__salt", pa.array(salt, pa.int64()))
+            else:
+                reps = [batch.append_column("__salt", pa.array(np.zeros(n, dtype=np.int64)))]
+                if mask.any():
+                    # hot right rows exist once per salt (salt 0 is reps[0])
+                    hot_rows = batch.filter(pa.array(mask))
+                    reps += [
+                        hot_rows.append_column(
+                            "__salt", pa.array(np.full(hot_rows.num_rows, s, dtype=np.int64))
+                        )
+                        for s in range(1, n_salt)
+                    ]
+                batch = pa.concat_tables(reps)
             for c in other_cols:
                 batch = batch.append_column(c, pa.nulls(batch.num_rows))
             return batch
 
         return fn
 
-    all_cols = [key, "__side", "__salt", "__bucket"] + l_cols + r_cols
+    all_cols = [key, "__side", "__salt"] + l_cols + r_cols
     lt = left.map_batches(tag("l", r_cols), batch_format="pyarrow").select_columns(all_cols)
     rt = right.map_batches(tag("r", l_cols), batch_format="pyarrow").select_columns(all_cols)
-    unioned = lt.union(rt)
 
     # original dtypes: the null-padded union coerces int columns to
-    # float64 in pandas, which silently breaks downstream joins keyed
-    # on them (bucket hash of "1.0" != 1). Restore via pandas NULLABLE
-    # Int64 unconditionally — a per-bucket conditional cast (skip when
-    # that bucket happens to contain a NaN) would give the same
-    # logical column different dtypes in different blocks
+    # float64 in pandas. Restore via pandas NULLABLE Int64
+    # unconditionally — a per-bucket conditional cast (skip when that
+    # bucket happens to contain a NaN) would give the same logical
+    # column different dtypes in different blocks
     int_cols = {
         name
         for side in (left.schema(), right.schema())
@@ -248,7 +199,7 @@ def cogroup_join(
                 out[col] = out[col].astype("Int64")
         return out
 
-    return unioned.groupby("__bucket").map_groups(join_bucket, batch_format="pandas")
+    return co_partition([lt, rt], [key, "__salt"], join_bucket, n_buckets)
 
 
 def order_lineitem_revenue(sf_dir: str) -> pa.Table:
@@ -442,7 +393,6 @@ def asof_join_events(
 
     def slim(batch: pa.Table) -> pa.Table:
         t = batch.filter(pc.is_in(batch["event_type"], value_set=type_set))
-        uid = t["user_id"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "event_id": t["event_id"],
@@ -450,7 +400,6 @@ def asof_join_events(
                 # explicit int64 us — all downstream arithmetic on ints
                 "ts_us": pc.cast(t["ts"], pa.int64()),
                 "event_type": t["event_type"],
-                "bucket": pa.array(np.mod(uid, n_buckets).astype(np.int32)),
             }
         )
 
@@ -482,9 +431,7 @@ def asof_join_events(
         )
 
     out = (
-        ds.map_batches(slim, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(join_bucket, batch_format="pandas")
+        co_partition(ds.map_batches(slim, batch_format="pyarrow"), ["user_id"], join_bucket, n_buckets)
         .to_pandas()
         .sort_values("purchase_id", ignore_index=True)
     )
@@ -599,7 +546,6 @@ def range_join_events(
             }
         )
 
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     partials = (
         ds.map_batches(assign, batch_format="pyarrow")
@@ -672,7 +618,6 @@ def part_brand_revenue(sf_dir: str, broadcast_limit: int = 50_000_000) -> pa.Tab
     (brand, type) map broadcasts via ray.put and the join is one
     streaming pass over lineitem; above it the cogroup join takes
     over (same output, tested-equal path choice as everywhere else)."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     parts = ray.data.read_parquet(
         os.path.join(sf_dir, "part.parquet"),
@@ -783,7 +728,6 @@ def supplier_nation_summary(sf_dir: str) -> pa.Table:
     lexicographically smallest name). nation and region are tiny
     dimensions: both broadcast; one streaming pass + one tiny
     aggregate."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     nat = pd.read_parquet(os.path.join(sf_dir, "nation.parquet"))
     reg = pd.read_parquet(os.path.join(sf_dir, "region.parquet"))
@@ -904,7 +848,6 @@ def q3_shipping_priority(
     materializes the aggregate: each output block keeps its local
     (revenue desc, date, key) top-k and the driver folds ~k x
     n_blocks rows. Money is the integer-cents chain throughout."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     cut = pd.Timestamp(cutoff)
 
@@ -1038,7 +981,6 @@ def q5_local_supplier_volume(
        the merge output and a 25-group fold finishes on nation name.
     """
     from mlscraper_ray.functions.broadcast import cached_object
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     lo, hi = pd.Timestamp(date_from), pd.Timestamp(date_to)
 
@@ -1216,7 +1158,6 @@ def q18_large_orders(
     ``broadcast_limit`` rows, cogroup above it (paths tested equal).
     The final top-k folds blockwise local heads — the aggregate is
     never materialized whole. Quantities ride as exact int64 units."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"), columns=["l_orderkey", "l_quantity"]
@@ -1319,7 +1260,6 @@ def orders_with_returns_by_priority(sf_dir: str) -> pa.Table:
     shuffle) — the fact-fact semi-join pattern that works when the
     matching-key set is itself fact-sized and can never broadcast.
     Priority counts then fold partial-first into a 5-row table."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"),
@@ -1380,7 +1320,6 @@ def top_customers_by_nation(sf_dir: str, k: int = 3) -> pa.Table:
     No stage holds more than (nations x k) rows after its local
     top-k; the customer fold and the join both move slim one-row-per-
     customer partials."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     nat = pd.read_parquet(os.path.join(sf_dir, "nation.parquet"))
     nmap = {int(x): str(n) for x, n in zip(nat["n_nationkey"], nat["n_name"])}
@@ -1479,7 +1418,6 @@ def q10_returned_revenue(
     under ``broadcast_limit`` rows, cogroup above it (paths tested
     equal); only the 25-row nation map is unconditionally driver-side.
     Top-k folds blockwise local heads, integer cents."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     lo, hi = pd.Timestamp(date_from), pd.Timestamp(date_to)
 
@@ -1624,7 +1562,6 @@ def part_supplier_diversity(
     catalog-sized rows — and merge on the brand x type driver table
     (hundreds of rows)."""
     from mlscraper_ray.functions.broadcast import cached_object
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     li = ray.data.read_parquet(
         os.path.join(sf_dir, "lineitem.parquet"), columns=["l_partkey", "l_suppkey"]

@@ -34,7 +34,7 @@ import pyarrow as pa
 import ray.data
 
 from mlscraper_ray.functions.broadcast import cached_object
-from mlscraper_ray.functions.bucketed import bucketed_aggregate, coalesce_blocks
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 
 _OUT_COLS = ("doc_id", "term", "tf", "score")
@@ -149,8 +149,8 @@ def tfidf_topk_ds(
 
     # scale path: tf rows meet the df table through the shared
     # partitioned hash join (one shuffle, vectorized per-bucket
-    # merge — see joins.cogroup_join), then the top-k cut runs in
-    # doc-hash groups
+    # merge — see joins.cogroup_join), then the top-k cut runs
+    # co-partitioned on doc_id
     from mlscraper_ray.functions.joins import cogroup_join
 
     total_rows = tf_rows.count()
@@ -165,15 +165,12 @@ def tfidf_topk_ds(
                 "term": df["word"].astype(str),
                 "tf": tf,
                 "score": (tf * idf).astype("int64"),
-                "doc_bucket": (df["doc_id"].astype("int64") % 1024).astype("int32"),
             }
         )
 
     scored = joined.map_batches(score_rows, batch_format="pandas")
-    return (
-        coalesce_blocks(scored, total_rows)
-        .groupby("doc_bucket")
-        .map_groups(lambda g: _topk_cut(g, k)[list(_OUT_COLS)], batch_format="pandas")
+    return co_partition(
+        coalesce_blocks(scored, total_rows), ["doc_id"], lambda g: _topk_cut(g, k)[list(_OUT_COLS)], 1024
     )
 
 

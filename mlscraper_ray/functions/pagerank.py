@@ -22,7 +22,7 @@ edges only):
 
 Distributed plan (components.py's iterative idiom):
 - edges extracted once (parse + extract_links per batch), existence-
-  filtered against the node set in crc32(url) buckets, out-degree
+  filtered against the node set (co-partitioned on url), out-degree
   attached by one more bucket join — all ONE-TIME costs, materialized
   slim (src, dst, out) rows;
 - each iteration = one bucket-cogroup (ranks meet edges on src) + one
@@ -43,7 +43,6 @@ bit-identical (tested with the guard forced off).
 from __future__ import annotations
 
 import os
-import zlib
 from collections import defaultdict
 
 import pandas as pd
@@ -52,7 +51,7 @@ import ray
 import ray.data
 
 from mlscraper_ray.functions.broadcast import cached_object
-from mlscraper_ray.functions.bucketed import bucketed_aggregate, coalesce_blocks
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 from mlscraper_ray.functions.joins import adaptive_n_buckets
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 
@@ -92,10 +91,6 @@ def pagerank_reference(
             for u in nodes
         }
     return rank
-
-
-def _bucket_of(keys, n_buckets: int) -> list[int]:
-    return [zlib.crc32(k.encode()) % n_buckets for k in keys]
 
 
 def pagerank_ds(
@@ -167,7 +162,6 @@ def pagerank_ds(
                 "key": df["src"].astype(str),
                 "dst": df["dst"].astype(str),
                 "val": pd.Series([0] * len(df), index=df.index, dtype="int64"),
-                "bucket": pd.Series(_bucket_of(df["src"], B), index=df.index, dtype="int32"),
                 "side": "e",
             }
         )
@@ -178,7 +172,6 @@ def pagerank_ds(
                 "key": df["src"].astype(str),
                 "dst": "",
                 "val": df["out"].astype("int64"),
-                "bucket": pd.Series(_bucket_of(df["src"], B), index=df.index, dtype="int32"),
                 "side": "o",
             }
         )
@@ -199,17 +192,17 @@ def pagerank_ds(
             {"src": m["key"], "dst": m["dst"], "out": m["out"].fillna(0).astype("int64")}
         )
 
-    edges_out = (
+    edges_out = co_partition(
         coalesce_blocks(
             edges.map_batches(edge_side, batch_format="pandas").union(
                 outdeg.map_batches(out_side, batch_format="pandas")
             ),
             n_edges,
-        )
-        .groupby("bucket")
-        .map_groups(attach_out, batch_format="pandas")
-        .materialize()
-    )
+        ),
+        ["key"],
+        attach_out,
+        B,
+    ).materialize()
 
     # ranks: (node, rank, out); nodes absent from outdeg are dangling
     def node_seed(df: pd.DataFrame) -> pd.DataFrame:
@@ -252,7 +245,6 @@ def pagerank_ds(
                 "dst": "",
                 "val": df["rank"].astype("int64"),
                 "out2": df["out"].astype("int64"),
-                "bucket": pd.Series(_bucket_of(df["node"], B), index=df.index, dtype="int32"),
                 "side": "r",
             }
         )
@@ -264,7 +256,6 @@ def pagerank_ds(
                 "dst": df["dst"].astype(str),
                 "val": pd.Series([0] * len(df), index=df.index, dtype="int64"),
                 "out2": df["out"].astype("int64"),
-                "bucket": pd.Series(_bucket_of(df["src"], B), index=df.index, dtype="int32"),
                 "side": "e",
             }
         )
@@ -295,11 +286,14 @@ def pagerank_ds(
             ),
             batch_format="pandas",
         )
-        flow = (
-            ranks.map_batches(rank_side, batch_format="pandas")
-            .union(edges_out.map_batches(edge_side2, batch_format="pandas"))
-            .groupby("bucket")
-            .map_groups(contribs, batch_format="pandas")
+        flow = co_partition(
+            [
+                ranks.map_batches(rank_side, batch_format="pandas"),
+                edges_out.map_batches(edge_side2, batch_format="pandas"),
+            ],
+            ["key"],
+            contribs,
+            B,
         )
         # exact pre-multiply bound: the update wraps iff
         # damping_pct * (inflow + dshare) exceeds int64 — check the
@@ -367,7 +361,7 @@ def corpus_link_graph(
     ``<= broadcast_limit`` urls are pulled once (driver pull bounded
     by the constant) and ``ray.put`` broadcast as a set — the filter
     is then a pure streaming map_batches, zero shuffle rounds; above
-    the cap the edges meet the node list in crc32(dst) buckets
+    the cap the edges meet the node list co-partitioned on dst
     (nothing driver-sized), with the union coalesced first (see
     :func:`~mlscraper_ray.functions.bucketed.coalesce_blocks`).
 
@@ -438,19 +432,17 @@ def corpus_link_graph(
             return nodes, edges_out
         return _write_graph_cache(nodes, edges_out, cache, npath, epath, marker)
 
-    # scale path: edges meet the node list in crc32(dst) buckets
+    # scale path: edges meet the node list co-partitioned on dst
     B = adaptive_n_buckets(n_nodes)
 
     def edge_keyed(df: pd.DataFrame) -> pd.DataFrame:
         out = {c: df[c].astype(str) for c in ecols}
-        out["bucket"] = pd.Series(_bucket_of(df["dst"], B), index=df.index, dtype="int32")
         out["side"] = "e"
         return pd.DataFrame(out)
 
     def node_keyed(df: pd.DataFrame) -> pd.DataFrame:
         out = {c: "" for c in ecols}
         out["dst"] = df["node"].astype(str)
-        out["bucket"] = pd.Series(_bucket_of(df["node"], B), index=df.index, dtype="int32")
         out["side"] = "n"
         return pd.DataFrame(out, index=df.index)
 
@@ -462,15 +454,16 @@ def corpus_link_graph(
             return pd.DataFrame({c: pd.Series(dtype=str) for c in ecols})
         return out
 
-    edges = (
+    edges = co_partition(
         coalesce_blocks(
             raw.map_batches(edge_keyed, batch_format="pandas").union(
                 nodes.map_batches(node_keyed, batch_format="pandas")
             ),
             n_nodes * 5,
-        )
-        .groupby("bucket")
-        .map_groups(keep_existing, batch_format="pandas")
+        ),
+        ["dst"],
+        keep_existing,
+        B,
     )
     if not use_cache:
         return nodes, edges
@@ -552,7 +545,7 @@ def corpus_link_stats(
     Composes :func:`corpus_link_graph` (with anchors; the broadcast /
     bucketed existence-filter choice lives there) with one streaming
     map to additive in-rows + out-rows and a single stats shuffle in
-    crc32(url) buckets. Html never leaves the parse stage; anchors
+    url co-partition. Html never leaves the parse stage; anchors
     are the only strings that shuffle."""
     nodes, edges = corpus_link_graph(
         sf_dir, broadcast_limit=broadcast_limit, with_anchors=True
@@ -560,7 +553,7 @@ def corpus_link_stats(
     n_nodes = nodes.count()
     B = n_buckets if n_buckets is not None else adaptive_n_buckets(n_nodes)
     flows = edges.map_batches(_in_out_from, batch_format="pandas")
-    return _link_stats_aggregate(flows, nodes, B, n_nodes, _bucket_of)
+    return _link_stats_aggregate(flows, nodes, B, n_nodes)
 
 
 def _in_out_from(e: pd.DataFrame) -> pd.DataFrame:
@@ -598,11 +591,10 @@ def _link_stats_aggregate(
     nodes: ray.data.Dataset,
     B: int,
     n_nodes: int,
-    bucket_of,
 ) -> ray.data.Dataset:
     """Round 2 of :func:`corpus_link_stats` — the single stats shuffle
     shared by the broadcast and bucketed round-1 paths: in/out rows
-    plus zero-seed node rows meet in crc32(url) buckets; one
+    plus zero-seed node rows meet co-partitioned on url; one
     vectorized pandas pass per bucket computes all four stats."""
 
     def seed_rows(df: pd.DataFrame) -> pd.DataFrame:
@@ -615,11 +607,6 @@ def _link_stats_aggregate(
                 "outl": pd.Series([0] * len(df), index=df.index, dtype="int64"),
             }
         )
-
-    def rebucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["bucket"] = pd.Series(bucket_of(df["url"], B), index=df.index, dtype="int32")
-        return df
 
     def stats(g: pd.DataFrame) -> pd.DataFrame:
         agg = g.groupby("url", sort=False).agg(
@@ -643,14 +630,14 @@ def _link_stats_aggregate(
             out["top_anchor"] = ""
         return out.astype({"in_links": "int64", "out_links": "int64"})
 
-    return (
+    return co_partition(
         coalesce_blocks(
             flows.union(nodes.map_batches(seed_rows, batch_format="pandas")),
             n_nodes * 8,
-        )
-        .map_batches(rebucket, batch_format="pandas")
-        .groupby("bucket")
-        .map_groups(stats, batch_format="pandas")
+        ),
+        ["url"],
+        stats,
+        B,
     )
 
 
@@ -899,7 +886,7 @@ def host_triangles_ds(
     3. orient edges by (degree, host); per center, emit its sorted
        out-neighbor PAIRS as wedge rows (the only superlinear step,
        bounded by the orientation);
-    4. wedges meet the edge table in crc32(lo, hi) buckets — each
+    4. wedges meet the edge table co-partitioned on (lo, hi) — each
        closed wedge is one triangle, credited to ALL THREE corners;
     5. per-host triangle totals fold in the coarse-bucket aggregate.
 
@@ -1056,28 +1043,6 @@ def host_triangles_ds(
 
     edge_rows = und.map_batches(_edge_carrier, batch_format="pandas")
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "lo" not in df.columns:  # empty group block
-            return pd.DataFrame(
-                {
-                    "lo": pd.Series(dtype=str),
-                    "hi": pd.Series(dtype=str),
-                    "center": pd.Series(dtype=str),
-                    "side": pd.Series(dtype=str),
-                    "bucket": pd.Series(dtype="int64"),
-                }
-            )
-        df = df.copy()
-        df["bucket"] = [
-            zlib.crc32((l + "\x1f" + h).encode()) % nb
-            for l, h in zip(df["lo"], df["hi"])
-        ]
-        return df
-
-    both = (
-        wedge_rows.union(edge_rows)
-        .map_batches(add_bucket, batch_format="pandas")
-    )
 
     def close(grp: pd.DataFrame) -> pd.DataFrame:
         if grp.empty or "lo" not in grp.columns:  # empty group block
@@ -1098,10 +1063,8 @@ def host_triangles_ds(
         )
         return pd.DataFrame({"host": hosts.astype(str)})
 
-    tri_rows = (
-        coalesce_blocks(both, n_edges_und * 4)
-        .groupby("bucket")
-        .map_groups(close, batch_format="pandas")
+    tri_rows = co_partition(
+        coalesce_blocks(wedge_rows.union(edge_rows), n_edges_und * 4), ["lo", "hi"], close, nb
     )
 
     tri = bucketed_aggregate(
@@ -1471,22 +1434,6 @@ def host_communities_ds(
             {"cnt": ("host", "count")},
         )
 
-        def add_host_bucket(df: pd.DataFrame, n_buckets: int = 241) -> pd.DataFrame:
-            if df.empty or "host" not in df.columns:
-                return pd.DataFrame(
-                    {
-                        "host": pd.Series(dtype=str),
-                        "label": pd.Series(dtype=str),
-                        "cnt": pd.Series(dtype="int64"),
-                        "__hb": pd.Series(dtype="int32"),
-                    }
-                )
-            df = df[["host", "label", "cnt"]].copy()
-            df["__hb"] = (
-                pd.util.hash_pandas_object(df["host"], index=False) % n_buckets
-            ).astype("int32")
-            return df
-
         def pick(g: pd.DataFrame) -> pd.DataFrame:
             if g.empty or "host" not in g.columns:
                 return pd.DataFrame(
@@ -1497,12 +1444,7 @@ def host_communities_ds(
             ).drop_duplicates("host")
             return best[["host", "label"]]
 
-        labels = coalesce_blocks(
-            votes.map_batches(add_host_bucket, batch_format="pandas")
-            .groupby("__hb")
-            .map_groups(pick, batch_format="pandas"),
-            max(n_und, 1),
-        ).materialize()
+        labels = coalesce_blocks(co_partition(votes, ["host"], pick, 241), max(n_und, 1)).materialize()
 
     def to_out(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "host" not in df.columns:

@@ -19,10 +19,10 @@ curate.decontaminate_survivors):
 3. path choice by the duplicated-segment COUNT (the repo's
    count-based idiom): small -> ``ray.put`` the set once and rewrite
    every doc in one broadcast streaming pass (text never shuffles);
-   large -> bucketed join-back: segments ride crc32 buckets with the
+   large -> bucketed join-back: segments are co-partitioned with the
    dup set, per-bucket ``isin`` flags them, and documents reassemble
-   in a doc-bucket groupby (text crosses the wire once per shuffle,
-   co-partitioned — never driver-sized).
+   co-partitioned on doc_id (text crosses the wire once per shuffle,
+   never driver-sized).
 
 All arithmetic is integer and the segment/token rules are reproduced
 term-for-term by DEDUP_SEGMENTS_SQL / COLLAPSE_REPEATS_SQL, so both
@@ -31,7 +31,6 @@ operators are DuckDB hash-checked end to end.
 from __future__ import annotations
 
 import os
-import zlib
 
 import numpy as np
 import pandas as pd
@@ -41,7 +40,7 @@ import ray.data
 
 from mlscraper_ray.functions.broadcast import cached_object
 
-from mlscraper_ray.functions.bucketed import bucketed_aggregate
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.joins import adaptive_n_buckets
 
 
@@ -107,13 +106,13 @@ def dedup_segments_ds(
         return docs.map_batches(rewrite, batch_format="pyarrow")
 
     # join-back path: nothing driver-sized. Segments (with their doc
-    # slot) and the dup set meet in crc32(seg) buckets; flagged rows
-    # then reassemble per doc in a doc-hash bucket groupby.
+    # slot) and the dup set meet co-partitioned on seg; flagged rows
+    # then reassemble per doc co-partitioned on doc_id.
     if n_buckets is None:
         n_buckets = adaptive_n_buckets(docs.count())
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids, idxs, segs, buckets = [], [], [], []
+        ids, idxs, segs = [], [], []
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             doc_segs = _segments(text, seg_words)
             if not doc_segs:
@@ -123,19 +122,16 @@ def dedup_segments_ds(
                 ids.append(doc_id)
                 idxs.append(-1)
                 segs.append("")
-                buckets.append(zlib.crc32(b"") % n_buckets)
                 continue
             for i, s in enumerate(doc_segs):
                 ids.append(doc_id)
                 idxs.append(i)
                 segs.append(s)
-                buckets.append(zlib.crc32(s.encode()) % n_buckets)
         return pa.table(
             {
                 "doc_id": pa.array(ids, pa.int64()),
                 "seg_idx": pa.array(idxs, pa.int64()),
                 "seg": pa.array(segs, pa.string()),
-                "bucket": pa.array(buckets, pa.int32()),
                 "side": pa.array(["t"] * len(ids), pa.string()),
             }
         )
@@ -147,17 +143,14 @@ def dedup_segments_ds(
                 "doc_id": pa.array([-1] * n, pa.int64()),
                 "seg_idx": pa.array([-1] * n, pa.int64()),
                 "seg": batch["seg"],
-                "bucket": pa.array(
-                    [zlib.crc32(s.encode()) % n_buckets for s in batch["seg"].to_pylist()],
-                    pa.int32(),
-                ),
                 "side": pa.array(["d"] * n, pa.string()),
             }
         )
 
-    unioned = docs.map_batches(explode, batch_format="pyarrow").union(
-        dup_rows.map_batches(tag_dup, batch_format="pyarrow")
-    )
+    sides = [
+        docs.map_batches(explode, batch_format="pyarrow"),
+        dup_rows.map_batches(tag_dup, batch_format="pyarrow"),
+    ]
 
     def flag_bucket(g: pd.DataFrame) -> pd.DataFrame:
         dup = set(g.loc[g["side"] == "d", "seg"])
@@ -169,10 +162,9 @@ def dedup_segments_ds(
                     "seg_idx": pd.Series(dtype="int64"),
                     "seg": pd.Series(dtype=str),
                     "keep": pd.Series(dtype="bool"),
-                    "doc_bucket": pd.Series(dtype="int32"),
                 }
             )
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "doc_id": t["doc_id"].astype("int64"),
                 "seg_idx": t["seg_idx"].astype("int64"),
@@ -180,10 +172,8 @@ def dedup_segments_ds(
                 "keep": ~t["seg"].isin(dup),
             }
         )
-        out["doc_bucket"] = (out["doc_id"] % n_buckets).astype("int32")
-        return out
 
-    flagged = unioned.groupby("bucket").map_groups(flag_bucket, batch_format="pandas")
+    flagged = co_partition(sides, ["seg"], flag_bucket, n_buckets)
 
     def reassemble(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty or "doc_id" not in g.columns:
@@ -202,7 +192,7 @@ def dedup_segments_ds(
             rows.append((int(doc_id), " ".join(kept), int((~real["keep"]).sum())))
         return pd.DataFrame(rows, columns=["doc_id", "clean_text", "n_segs_removed"])
 
-    return flagged.groupby("doc_bucket").map_groups(reassemble, batch_format="pandas")
+    return co_partition(flagged, ["doc_id"], reassemble, n_buckets)
 
 
 def _grams_overlapping(words: list[str], g: int) -> list[str]:
@@ -263,8 +253,8 @@ def scrub_dup_runs_ds(
     coarse-bucket aggregate, dup set = df > 1 (distinct-doc df, same
     rule as dedup_segments); path by dup COUNT — broadcast set +
     one streaming rewrite under the cap, else grams meet the dup set
-    in crc32(gram) buckets and the flagged (doc_id, pos) rows rejoin
-    each doc's TEXT in a doc-hash bucket groupby (text crosses the
+    co-partitioned on gram and the flagged (doc_id, pos) rows rejoin
+    each doc's TEXT co-partitioned on doc_id (text crosses the
     wire once, co-partitioned, never driver-sized)."""
     import hashlib
 
@@ -325,25 +315,23 @@ def scrub_dup_runs_ds(
         return docs.map_batches(rewrite, batch_format="pyarrow")
 
     # join-back path: overlapping gram rows (one per position) meet
-    # the dup set in crc32(gram) buckets; flagged positions rejoin the
-    # doc text in a doc-hash bucket groupby
+    # the dup set co-partitioned on gram; flagged positions rejoin the
+    # doc text co-partitioned on doc_id
     if n_buckets is None:
         n_buckets = adaptive_n_buckets(docs.count())
 
     def explode(batch: pa.Table) -> pa.Table:
-        ids, poss, grams, buckets = [], [], [], []
+        ids, poss, grams = [], [], []
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             for i, gr in enumerate(_grams_overlapping(text.split(), g)):
                 ids.append(doc_id)
                 poss.append(i)
                 grams.append(gr)
-                buckets.append(zlib.crc32(gr.encode()) % n_buckets)
         return pa.table(
             {
                 "doc_id": pa.array(ids, pa.int64()),
                 "pos": pa.array(poss, pa.int64()),
                 "gram": pa.array(grams, pa.string()),
-                "bucket": pa.array(buckets, pa.int32()),
                 "side": pa.array(["t"] * len(ids), pa.string()),
             }
         )
@@ -355,17 +343,14 @@ def scrub_dup_runs_ds(
                 "doc_id": pa.array([-1] * n, pa.int64()),
                 "pos": pa.array([-1] * n, pa.int64()),
                 "gram": batch["gram"],
-                "bucket": pa.array(
-                    [zlib.crc32(s.encode()) % n_buckets for s in batch["gram"].to_pylist()],
-                    pa.int32(),
-                ),
                 "side": pa.array(["d"] * n, pa.string()),
             }
         )
 
-    unioned = docs.map_batches(explode, batch_format="pyarrow").union(
-        dup_rows.map_batches(tag_dup, batch_format="pyarrow")
-    )
+    sides = [
+        docs.map_batches(explode, batch_format="pyarrow"),
+        dup_rows.map_batches(tag_dup, batch_format="pyarrow"),
+    ]
 
     def flag_bucket(grp: pd.DataFrame) -> pd.DataFrame:
         dup = set(grp.loc[grp["side"] == "d", "gram"])
@@ -376,11 +361,10 @@ def scrub_dup_runs_ds(
                 "doc_id": t["doc_id"].astype("int64"),
                 "pos": t["pos"].astype("int64"),
                 "payload": pd.Series([""] * len(t), index=t.index, dtype=str),
-                "doc_bucket": (t["doc_id"] % n_buckets).astype("int32"),
             }
         )
 
-    flagged = unioned.groupby("bucket").map_groups(flag_bucket, batch_format="pandas")
+    flagged = co_partition(sides, ["gram"], flag_bucket, n_buckets)
 
     def doc_carrier(df: pd.DataFrame) -> pd.DataFrame:
         # pandas block like flag_bucket's output: a mixed-block union
@@ -390,11 +374,10 @@ def scrub_dup_runs_ds(
                 "doc_id": df["doc_id"].astype("int64"),
                 "pos": pd.Series([-1] * len(df), index=df.index, dtype="int64"),
                 "payload": df["text"].astype(str),
-                "doc_bucket": (df["doc_id"] % n_buckets).astype("int32"),
             }
         )
 
-    both = flagged.union(docs.map_batches(doc_carrier, batch_format="pandas"))
+    carriers = docs.map_batches(doc_carrier, batch_format="pandas")
 
     def reassemble(grp: pd.DataFrame) -> pd.DataFrame:
         if grp.empty or "doc_id" not in grp.columns:
@@ -422,7 +405,7 @@ def scrub_dup_runs_ds(
             rows, columns=["doc_id", "n_runs_removed", "n_tokens_removed", "clean_md5"]
         )
 
-    return both.groupby("doc_bucket").map_groups(reassemble, batch_format="pandas")
+    return co_partition([flagged, carriers], ["doc_id"], reassemble, n_buckets)
 
 
 def scrub_dup_runs(sf_dir: str, g: int = 8, min_run: int = 16, **kwargs) -> pa.Table:
@@ -667,8 +650,8 @@ def strip_boilerplate_ds(
     coarse-bucket aggregate; per-source doc totals are a tiny
     broadcast; path by chrome-gram COUNT — broadcast set + one
     streaming rewrite under the cap, else gram-position rows meet the
-    chrome set in crc32(source,gram) buckets and flagged positions
-    rejoin each doc's text in a doc-hash bucket groupby (text crosses
+    chrome set co-partitioned on (source, gram) and flagged positions
+    rejoin each doc's text co-partitioned on doc_id (text crosses
     the wire once, co-partitioned, never driver-sized)."""
     import hashlib
 
@@ -788,15 +771,13 @@ def strip_boilerplate_ds(
         return docs.map_batches(rewrite, batch_format="pyarrow")
 
     # join-back path: (source, gram) position rows meet the chrome set
-    # in crc32 buckets; flagged positions rejoin doc text by doc hash
+    # co-partitioned on (source, gram); flagged positions rejoin doc
+    # text co-partitioned on doc_id
     if n_buckets is None:
         n_buckets = adaptive_n_buckets(docs.count())
 
-    def skey(source: str, gr: str) -> int:
-        return zlib.crc32((source + "\x1f" + gr).encode()) % n_buckets
-
     def explode(batch: pa.Table) -> pa.Table:
-        ids, srcs, poss, grams, buckets = [], [], [], [], []
+        ids, srcs, poss, grams = [], [], [], []
         for doc_id, source, text in zip(
             batch["doc_id"].to_pylist(),
             batch["source"].to_pylist(),
@@ -809,14 +790,12 @@ def strip_boilerplate_ds(
                 srcs.append(source)
                 poss.append(i)
                 grams.append(gr)
-                buckets.append(skey(source, gr))
         return pa.table(
             {
                 "doc_id": pa.array(ids, pa.int64()),
                 "source": pa.array(srcs, pa.string()),
                 "pos": pa.array(poss, pa.int64()),
                 "gram": pa.array(grams, pa.string()),
-                "bucket": pa.array(buckets, pa.int32()),
                 "side": pa.array(["t"] * len(ids), pa.string()),
             }
         )
@@ -829,22 +808,14 @@ def strip_boilerplate_ds(
                 "source": batch["source"],
                 "pos": pa.array([-1] * n, pa.int64()),
                 "gram": batch["gram"],
-                "bucket": pa.array(
-                    [
-                        skey(s, gr)
-                        for s, gr in zip(
-                            batch["source"].to_pylist(), batch["gram"].to_pylist()
-                        )
-                    ],
-                    pa.int32(),
-                ),
                 "side": pa.array(["d"] * n, pa.string()),
             }
         )
 
-    unioned = docs.map_batches(explode, batch_format="pyarrow").union(
-        chrome_rows.map_batches(tag_chrome, batch_format="pyarrow")
-    )
+    sides = [
+        docs.map_batches(explode, batch_format="pyarrow"),
+        chrome_rows.map_batches(tag_chrome, batch_format="pyarrow"),
+    ]
 
     def flag_bucket(grp: pd.DataFrame) -> pd.DataFrame:
         d = grp[grp["side"] == "d"]
@@ -864,11 +835,10 @@ def strip_boilerplate_ds(
                 "pos": hit["pos"].astype("int64"),
                 "payload": pd.Series([""] * len(hit), index=hit.index, dtype=str),
                 "src": hit["source"].astype(str),
-                "doc_bucket": (hit["doc_id"] % n_buckets).astype("int32"),
             }
         )
 
-    flagged = unioned.groupby("bucket").map_groups(flag_bucket, batch_format="pandas")
+    flagged = co_partition(sides, ["source", "gram"], flag_bucket, n_buckets)
 
     def doc_carrier(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -877,11 +847,10 @@ def strip_boilerplate_ds(
                 "pos": pd.Series([-1] * len(df), index=df.index, dtype="int64"),
                 "payload": df["text"].astype(str),
                 "src": df["source"].astype(str),
-                "doc_bucket": (df["doc_id"] % n_buckets).astype("int32"),
             }
         )
 
-    both = flagged.union(docs.map_batches(doc_carrier, batch_format="pandas"))
+    carriers = docs.map_batches(doc_carrier, batch_format="pandas")
 
     def reassemble(grp: pd.DataFrame) -> pd.DataFrame:
         cols = ["doc_id", "source", "n_before", "n_after", "clean_md5"]
@@ -910,7 +879,7 @@ def strip_boilerplate_ds(
             rows.append(finish_doc(int(doc_id), source, words, flags))
         return pd.DataFrame(rows, columns=cols)
 
-    return both.groupby("doc_bucket").map_groups(reassemble, batch_format="pandas")
+    return co_partition([flagged, carriers], ["doc_id"], reassemble, n_buckets)
 
 
 def strip_boilerplate(sf_dir: str, g: int = 6, min_doc_pct: int = 30, **kwargs) -> pa.Table:

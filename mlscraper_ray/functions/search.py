@@ -32,6 +32,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from mlscraper_ray.functions.bucketed import co_partition
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, shard_files, write_resumable
 
 # present in every sf tier of the synthetic corpus vocabulary
@@ -588,12 +589,11 @@ def phrase_query_index(
     """Serve a phrase query FROM THE PERSISTED POSITIONAL INDEX: read
     only the probed terms' shards (filter pushed into the scan), then
     co-locate each candidate doc's per-term position lists in one
-    crc32(doc_id)-bucket round and count consecutive runs by
+    doc_id co-partition round and count consecutive runs by
     successive position-set intersection — docs missing ANY phrase
     term never join. Equal to the full-scan :func:`phrase_topk`
     (which already emits matches only; tested)."""
     import json
-    import zlib
 
     with open(os.path.join(index_dir, "_meta.json")) as f:
         meta = json.load(f)
@@ -608,11 +608,6 @@ def phrase_query_index(
         return empty
 
     n_buckets = 64
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = [zlib.crc32(str(d).encode()) % n_buckets for d in df["doc_id"]]
-        return df
 
     terms = list(phrase)
 
@@ -635,9 +630,7 @@ def phrase_query_index(
         return df.iloc[order]
 
     parts = (
-        post.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(count_hits, batch_format="pandas")
+        co_partition(post, ["doc_id"], count_hits, n_buckets)
         .to_pandas()
     )
     if len(parts) == 0:
@@ -774,11 +767,10 @@ def near_indexed_topk(
     cached by :func:`phrase_index_to_parquet` — one index serves
     phrase AND proximity): read only the two probed terms' shards
     with the term filter pushed into the scan, co-locate each
-    candidate doc's two position lists in one crc32(doc_id) bucket
+    candidate doc's two position lists in one doc_id co-partition
     round, then the same searchsorted window count as the full-scan
     :func:`near_topk` (tested equal)."""
     import json
-    import zlib
 
     index_dir = _index_cache_dir(sf_dir, prefix="phrase_index")
     phrase_index_to_parquet(sf_dir, index_dir)
@@ -797,11 +789,6 @@ def near_indexed_topk(
 
     n_buckets = 64
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__bucket"] = [zlib.crc32(str(d).encode()) % n_buckets for d in df["doc_id"]]
-        return df
-
     def count_near(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
         for doc_id, r in g.groupby("doc_id", sort=False):
@@ -816,9 +803,7 @@ def near_indexed_topk(
         return df.iloc[order]
 
     parts = (
-        post.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(count_near, batch_format="pandas")
+        co_partition(post, ["doc_id"], count_near, n_buckets)
         .to_pandas()
     )
     if len(parts) == 0:

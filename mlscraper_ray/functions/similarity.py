@@ -27,6 +27,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.sinks import crc32_shard, write_resumable
 
 
@@ -519,19 +520,9 @@ def embedding_neardup_pairs(
             )
         return pd.concat(frames, ignore_index=True)
 
-    def add_coarse(batch: pa.Table) -> pa.Table:
-        # all 16 signature bits feed the coarse key (modulo the
-        # adaptive group count), not a fixed low-byte mask
-        coarse = (batch["bucket"].to_numpy(zero_copy_only=False) % n_groups).astype(np.int32)
-        return batch.append_column("coarse", pa.array(coarse))
-
-    res = (
-        ds.map_batches(bucketize, batch_format="pyarrow")
-        .map_batches(add_coarse, batch_format="pyarrow")
-        .groupby("coarse")
-        .map_groups(pairs_in_coarse, batch_format="pandas")
-        .to_pandas()
-    )
+    res = co_partition(
+        ds.map_batches(bucketize, batch_format="pyarrow"), ["bucket"], pairs_in_coarse, n_groups
+    ).to_pandas()
     if len(res) == 0:
         return pa.table(
             {"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64()), "score_x10k": pa.array([], pa.int64())}
@@ -1899,7 +1890,6 @@ def embed_label_centroids(sf_dir: str, dim: int = 64) -> pa.Table:
     folds them (labels x dim rows, corpus-size independent).
 
     Returns (label, dim, n_vecs, centroid_q) ordered."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "embeddings.parquet"), columns=["label", "embedding"]
@@ -2094,10 +2084,9 @@ def embed_pair_distance_histogram(sf_dir: str) -> pa.Table:
     so +1.0 lands in bucket 19).
 
     Scale shape: one slim shuffle — each vector ships once as a
-    (pair_id, side, v) row into a pair-hashed bucket (the cogroup
-    idiom); per-bucket work is a vectorized dot per pair; only the
+    (pair_id, side, v) row, co-partitioned on the pair id;
+    per-bucket work is a vectorized dot per pair; only the
     20-row histogram leaves."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     n_buckets = 64
 
@@ -2106,17 +2095,11 @@ def embed_pair_distance_histogram(sf_dir: str) -> pa.Table:
         keep = np.ones(len(ids), dtype=bool)
         pair = ids // 2
         side = (ids % 2).astype(np.int64)
-        import zlib
-
-        pb = np.array(
-            [zlib.crc32(str(p).encode()) % n_buckets for p in pair], dtype=np.int32
-        )
         return pd.DataFrame(
             {
                 "pair": pair[keep],
                 "side": side[keep],
                 "v": [row.tolist() for row in mat[keep]],
-                "__pb": pb[keep],
             }
         )
 
@@ -2155,9 +2138,9 @@ def embed_pair_distance_histogram(sf_dir: str) -> pa.Table:
     )
     out = (
         bucketed_aggregate(
-            ds.map_batches(to_sides, batch_format="pyarrow")
-            .groupby("__pb")
-            .map_groups(score_bucket, batch_format="pandas"),
+            co_partition(
+                ds.map_batches(to_sides, batch_format="pyarrow"), ["pair"], score_bucket, n_buckets
+            ),
             ["bucket"],
             {"n_pairs": ("n_pairs", "sum")},
         )
@@ -2272,18 +2255,6 @@ def embed_knn_graph_ds(sf_dir: str, k: int = 5, n_buckets: int = 4) -> ray.data.
         .map_groups(per_group, batch_format="pandas")
     )
 
-    def add_src_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "src" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "src": pd.Series(dtype="int64"),
-                    "dst": pd.Series(dtype="int64"),
-                    "score_x10k": pd.Series(dtype="int64"),
-                    "__sb": pd.Series(dtype="int64"),
-                }
-            )
-        return df.assign(__sb=df["src"].abs() % 64)
-
     def merge_topk(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "src" not in df.columns:
             return pd.DataFrame(
@@ -2300,11 +2271,7 @@ def embed_knn_graph_ds(sf_dir: str, k: int = 5, n_buckets: int = 4) -> ray.data.
         )
         return out[["src", "dst", "score_x10k"]]
 
-    return (
-        partials.map_batches(add_src_bucket, batch_format="pandas")
-        .groupby("__sb")
-        .map_groups(merge_topk, batch_format="pandas")
-    )
+    return co_partition(partials, ["src"], merge_topk, 64)
 
 
 def embed_knn_graph(sf_dir: str, k: int = 5, n_buckets: int = 4) -> pa.Table:
@@ -2352,7 +2319,6 @@ def embed_mutual_knn_clusters(sf_dir: str, k: int = 2, n_buckets: int = 4) -> pa
     distributed propagation) -> a final min fold unions the
     singleton self-labels. Nothing driver-sized anywhere before the
     contract pull."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
     from mlscraper_ray.functions.components import connected_components
 
     g = embed_knn_graph_ds(sf_dir, k=k, n_buckets=n_buckets)
@@ -2795,7 +2761,6 @@ def embed_norm_histogram(sf_dir: str) -> pa.Table:
     incompatible embedding versions were mixed).
 
     One streaming pass, <= 64-row partials per batch, tiny fold."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "embeddings.parquet"), columns=["embedding"]

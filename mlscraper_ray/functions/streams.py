@@ -2,9 +2,10 @@
 
 Ray Data has no event-time windows; the engine's contract (documented
 per the guide) is: events are an ordered, key-partitioned log —
-windows are computed inside ``groupby(key).map_groups`` over the
-ts-sorted group. All outputs are exact-integer so they hash-compare
-against DuckDB window-function oracles.
+the log is co-partitioned on its key (``bucketed.co_partition``,
+usually on ``user_id``) and windows are computed per bucket over the
+ts-sorted rows of each key. All outputs are exact-integer so they
+hash-compare against DuckDB window-function oracles.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from mlscraper_ray.functions.bucketed import bucketed_aggregate
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 
 
 def sessionize(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
@@ -27,11 +28,6 @@ def sessionize(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"])
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized windowing over ALL users in the bucket at once
@@ -49,9 +45,7 @@ def sessionize(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
         return agg
 
     out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+        co_partition(ds, ["user_id"], per_bucket, n_buckets)
         .to_pandas()
         .sort_values("user_id", ignore_index=True)
     )
@@ -131,16 +125,11 @@ ORDER BY event_type, window_start
 
 def top_event_per_user(sf_dir: str) -> pa.Table:
     """Each user's highest-value event (value desc, event_id asc
-    tiebreak): groupby(user).map_groups top-1."""
+    tiebreak): co-partitioned on user_id, top-1 per user."""
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "events.parquet"), columns=["user_id", "event_id", "value"]
     )
     n_buckets = 64
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
 
     def top1_per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["value", "event_id"], ascending=[False, True])
@@ -154,9 +143,7 @@ def top_event_per_user(sf_dir: str) -> pa.Table:
         )
 
     out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(top1_per_bucket, batch_format="pandas")
+        co_partition(ds, ["user_id"], top1_per_bucket, n_buckets)
         .to_pandas()
         .sort_values("user_id", ignore_index=True)
     )
@@ -325,11 +312,8 @@ def events_funnel(
     n_buckets = 64
     step_set = list(steps)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        batch = batch.filter(pc.is_in(batch["event_type"], value_set=pa.array(step_set)))
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
+    def step_events(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.is_in(batch["event_type"], value_set=pa.array(step_set)))
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
@@ -350,10 +334,9 @@ def events_funnel(
         return pd.DataFrame(rows, columns=["step", "event_type", "n_users"])
 
     partials = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
+        co_partition(
+            ds.map_batches(step_events, batch_format="pyarrow"), ["user_id"], per_bucket, n_buckets
+        ).to_pandas()
     )
     # every step row exists even on an empty/step-free corpus (the SQL
     # mirror's COUNT(*) CTEs emit 0-count rows unconditionally)
@@ -413,12 +396,9 @@ def events_retention(sf_dir: str) -> pa.Table:
     n_buckets = 64
     us_per_day = 86_400_000_000
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
+    def add_day(batch: pa.Table) -> pa.Table:
         day = pc.divide(pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64()), us_per_day)
-        t = pa.table({"user_id": batch["user_id"], "day": day})
-        return t.append_column("__bucket", bucket_of(t["user_id"], n_buckets))
+        return pa.table({"user_id": batch["user_id"], "day": day})
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         d0 = g.groupby("user_id")["day"].min().rename("d0")
@@ -438,10 +418,8 @@ def events_retention(sf_dir: str) -> pa.Table:
             }
         )
 
-    partials = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    partials = co_partition(
+        ds.map_batches(add_day, batch_format="pyarrow"), ["user_id"], per_bucket, n_buckets
     )
     out = (
         bucketed_aggregate(
@@ -506,11 +484,6 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, depth: int = 3) -> pa.Tabl
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty or "user_id" not in g.columns:  # empty group block
             return pd.DataFrame(
@@ -529,9 +502,7 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, depth: int = 3) -> pa.Tabl
         )
 
     local = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+        co_partition(ds, ["user_id"], per_bucket, n_buckets)
     )
     out = bucketed_aggregate(local, ["path"], {"n_sessions": ("n", "sum")}).to_pandas()
     if out.empty:
@@ -612,22 +583,6 @@ def events_rate_anomaly(sf_dir: str, min_count: int = SPIKE_MIN_COUNT) -> pa.Tab
 
     n_buckets = 64
 
-    def add_tbucket(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "event_type" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "event_type": pd.Series(dtype=str),
-                    "h": pd.Series(dtype="datetime64[us]"),
-                    "cnt": pd.Series(dtype="int64"),
-                    "__tb": pd.Series(dtype="int32"),
-                }
-            )
-        df = df.copy()
-        df["__tb"] = (
-            pd.util.hash_pandas_object(df["event_type"], index=False) % n_buckets
-        ).astype("int32")
-        return df
-
     def detect(g: pd.DataFrame) -> pd.DataFrame:
         out_cols = {
             "event_type": pd.Series(dtype=str),
@@ -673,9 +628,7 @@ def events_rate_anomaly(sf_dir: str, min_count: int = SPIKE_MIN_COUNT) -> pa.Tab
         return pd.concat(frames, ignore_index=True)
 
     out = (
-        counts.map_batches(add_tbucket, batch_format="pandas")
-        .groupby("__tb")
-        .map_groups(detect, batch_format="pandas")
+        co_partition(counts, ["event_type"], detect, n_buckets)
         .to_pandas()
         .sort_values(["event_type", "window_start"], ignore_index=True)
     )
@@ -739,11 +692,6 @@ def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
         from itertools import combinations
@@ -774,9 +722,7 @@ def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
 
     out = (
         bucketed_aggregate(
-            ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(per_bucket, batch_format="pandas"),
+            co_partition(ds, ["user_id"], per_bucket, n_buckets),
             ["t1", "t2"],
             {"n_sessions": ("n_sessions", "sum")},
         )
@@ -942,11 +888,6 @@ def events_markov_transitions(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty or "user_id" not in g.columns:
             return pd.DataFrame(
@@ -984,9 +925,7 @@ def events_markov_transitions(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
 
     out = (
         bucketed_aggregate(
-            ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(per_bucket, batch_format="pandas"),
+            co_partition(ds, ["user_id"], per_bucket, n_buckets),
             ["t_from", "t_to"],
             {"n_transitions": ("n_transitions", "sum")},
         )
@@ -1278,11 +1217,6 @@ def events_attribution(sf_dir: str) -> pa.Table:
     )
     n_buckets = 64
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
         non = g["event_type"] != "purchase"
@@ -1309,9 +1243,7 @@ def events_attribution(sf_dir: str) -> pa.Table:
         )
 
     out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+        co_partition(ds, ["user_id"], per_bucket, n_buckets)
         .to_pandas()
         .sort_values("event_id", ignore_index=True)
     )
@@ -1429,11 +1361,6 @@ def events_type_lift(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
         from itertools import combinations
@@ -1467,9 +1394,7 @@ def events_type_lift(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
         return pd.DataFrame(rows, columns=["t1", "t2", "n"]).astype({"n": "int64"})
 
     parts = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+        co_partition(ds, ["user_id"], per_bucket, n_buckets)
         .to_pandas()
     )
     agg = parts.groupby(["t1", "t2"], as_index=False)["n"].sum()
@@ -1529,12 +1454,19 @@ ORDER BY type_a, type_b
 """
 
 
+def _signed_log2_band(t: int) -> int:
+    """Band id monotone in ``t``: ``bit_length`` for t >= 0, its
+    negation for t < 0 (an unsigned band would rank -5000 above +100)."""
+    return t.bit_length() if t >= 0 else -(-t).bit_length()
+
+
 def events_user_value_rank(sf_dir: str) -> pa.Table:
     """EXACT global rank of every user by lifetime event value (the
     whale-detection table) — a distributed rank WITHOUT a global
     sort: per-user totals fold in one user-bucket shuffle; each total
-    lands in its floor-log2 value band (bands partition the value
-    axis, so cross-band order is total order); the per-band user
+    lands in its signed floor-log2 value band (bands partition the
+    value axis and are monotone in the total, so cross-band order is
+    total order); the per-band user
     counts make a tiny driver prefix table; and within a band the
     local strictly-smaller count is one searchsorted over the band's
     sorted totals. rank = band prefix + local count + 1 — the SQL
@@ -1565,7 +1497,7 @@ def events_user_value_rank(sf_dir: str) -> pa.Table:
         ["user_id"],
         {"total_milli": ("total_milli", "sum"), "n_events": ("n_events", "sum")},
     ).map_batches(
-        lambda df: df.assign(band=[int(t).bit_length() for t in df["total_milli"]]),
+        lambda df: df.assign(band=[_signed_log2_band(int(t)) for t in df["total_milli"]]),
         batch_format="pandas",
     ).materialize()
 
@@ -1647,11 +1579,6 @@ def events_signup_to_purchase(sf_dir: str) -> pa.Table:
     )
     n_buckets = 64
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
             {
@@ -1691,9 +1618,7 @@ def events_signup_to_purchase(sf_dir: str) -> pa.Table:
         )
 
     out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+        co_partition(ds, ["user_id"], per_bucket, n_buckets)
         .to_pandas()
         .sort_values("user_id", ignore_index=True)
     )
@@ -1731,11 +1656,6 @@ def events_interarrival(sf_dir: str) -> pa.Table:
     )
     n_buckets = 64
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
             {
@@ -1761,9 +1681,7 @@ def events_interarrival(sf_dir: str) -> pa.Table:
         return agg[["user_id", "n_gaps", "mean_gap_us", "max_gap_us"]].astype("int64")
 
     out = (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+        co_partition(ds, ["user_id"], per_bucket, n_buckets)
         .to_pandas()
         .sort_values("user_id", ignore_index=True)
     )
@@ -1917,11 +1835,6 @@ def events_peak_concurrency(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
-
     def sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"])
         prev = g.groupby("user_id")["ts"].shift()
@@ -1948,9 +1861,7 @@ def events_peak_concurrency(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     deltas = bucketed_aggregate(
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(sessions, batch_format="pandas"),
+        co_partition(ds, ["user_id"], sessions, n_buckets),
         ["ts"],
         {"d": ("d", "sum"), "starts": ("starts", "sum")},
     )
@@ -2133,11 +2044,6 @@ def session_duration_percentiles(sf_dir: str, gap_minutes: int = 30) -> pa.Table
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], n_buckets))
-
     def durations(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"])
         prev = g.groupby("user_id")["ts"].shift()
@@ -2156,9 +2062,7 @@ def session_duration_percentiles(sf_dir: str, gap_minutes: int = 30) -> pa.Table
 
     hist = (
         bucketed_aggregate(
-            ds.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("__bucket")
-            .map_groups(durations, batch_format="pandas"),
+            co_partition(ds, ["user_id"], durations, n_buckets),
             ["dur_sec"],
             {"n": ("n", "sum")},
         )
@@ -2258,11 +2162,6 @@ def events_burst_users(sf_dir: str, min_burst: int = 2) -> pa.Table:
         lambda df: df[df["n"] >= min_burst], batch_format="pandas"
     )
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        from mlscraper_ray.functions.joins import bucket_of
-
-        return batch.append_column("__bucket", bucket_of(batch["user_id"], 64))
-
     def per_user(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "n", "minute"], ascending=[True, False, True])
         top = g.groupby("user_id", sort=False).head(1)
@@ -2275,9 +2174,7 @@ def events_burst_users(sf_dir: str, min_burst: int = 2) -> pa.Table:
         )
 
     out = (
-        per_min.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(per_user, batch_format="pandas")
+        co_partition(per_min, ["user_id"], per_user, 64)
         .to_pandas()
         .sort_values("user_id", ignore_index=True)
     )

@@ -13,6 +13,7 @@ import ray
 import ray.data
 
 from mlscraper_ray.functions.broadcast import cached_object
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -540,7 +541,6 @@ def source_token_quota(sf_dir: str, budget_tokens: int = 1000, n_rank_buckets: i
     tested)."""
     import ray
 
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source", "text"])
 
@@ -685,7 +685,6 @@ def source_distinct_tokens_hll(sf_dir: str) -> pa.Table:
     externally."""
     import hashlib
 
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"])
 
@@ -818,13 +817,9 @@ def _unigram_scored_ds(
     ``<= broadcast_limit`` distinct words pull once into a
     word->surprisal dict broadcast via ``ray.put`` — scoring is then a
     single streaming pass; above the cap, per-doc (word, occ) partials
-    meet the count table in crc32(word) buckets and doc scores fold
+    meet the count table co-partitioned on word and doc scores fold
     through the coarse-bucket aggregate (nothing driver-sized). Paths
     bit-identical (tested)."""
-    import zlib
-
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
-
     docs_path = os.path.join(sf_dir, "documents.parquet")
     st_ = os.stat(docs_path)
     memo_key = (os.path.abspath(docs_path), st_.st_size, st_.st_mtime_ns, broadcast_limit)
@@ -893,8 +888,8 @@ def _unigram_scored_ds(
 
         return _memo(docs.map_batches(score, batch_format="pandas"))
 
-    # scale path: per-doc (word, occ) partials meet the count table in
-    # crc32(word) buckets; doc scores fold through the coarse bucket
+    # scale path: per-doc (word, occ) partials meet the count table
+    # co-partitioned on word; doc scores fold through the coarse bucket
     from mlscraper_ray.functions.joins import adaptive_n_buckets
 
     B = adaptive_n_buckets(vocab)
@@ -910,11 +905,6 @@ def _unigram_scored_ds(
                 "word": g["word"].astype(str),
                 "doc_id": g["doc_id"].astype("int64"),
                 "occ": g["occ"].astype("int64"),
-                "bucket": pd.Series(
-                    [zlib.crc32(w.encode()) % B for w in g["word"]],
-                    index=g.index,
-                    dtype="int32",
-                ),
                 "side": "d",
             }
         )
@@ -925,11 +915,6 @@ def _unigram_scored_ds(
                 "word": df["word"].astype(str),
                 "doc_id": pd.Series([0] * len(df), index=df.index, dtype="int64"),
                 "occ": df["cnt"].astype("int64"),
-                "bucket": pd.Series(
-                    [zlib.crc32(w.encode()) % B for w in df["word"]],
-                    index=df.index,
-                    dtype="int32",
-                ),
                 "side": "c",
             }
         )
@@ -955,17 +940,16 @@ def _unigram_scored_ds(
             }
         )
 
-    from mlscraper_ray.functions.bucketed import coalesce_blocks
-
-    flags = (
+    flags = co_partition(
         coalesce_blocks(
             docs.map_batches(doc_word_occ, batch_format="pandas").union(
                 counts.map_batches(count_side, batch_format="pandas")
             ),
             total // 4 + 1,
-        )
-        .groupby("bucket")
-        .map_groups(join_score, batch_format="pandas")
+        ),
+        ["word"],
+        join_score,
+        B,
     )
     return _memo(
         bucketed_aggregate(
@@ -1021,13 +1005,10 @@ def doc_bigram_surprisal(
     join-back is chosen by combined distinct-count (the decontaminate
     idiom) — under the cap both tables broadcast as dicts for a single
     streaming scoring pass; above it, per-doc (prev, cur, occ)
-    partials meet BOTH count tables in crc32(prev) buckets (unigram
+    partials meet BOTH count tables co-partitioned on prev (unigram
     keyed by prev and bigram by the pair land in the same bucket, so
     one shuffle round serves both joins) and doc scores fold through
     the coarse-bucket aggregate. Paths bit-identical (tested)."""
-    import zlib
-
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate, coalesce_blocks
     from mlscraper_ray.functions.joins import adaptive_n_buckets
 
     docs = ray.data.read_parquet(
@@ -1114,11 +1095,8 @@ def doc_bigram_surprisal(
 
         return fold(docs.map_batches(score, batch_format="pandas"))
 
-    # scale path: one crc32(prev) bucket round serves BOTH joins
+    # scale path: one co-partition round on prev serves BOTH joins
     B = adaptive_n_buckets(n_distinct)
-
-    def bkt(words) -> list[int]:
-        return [zlib.crc32(w.encode()) % B for w in words]
 
     def doc_pairs(batch: pd.DataFrame) -> pd.DataFrame:
         ids, w1s, w2s = [], [], []
@@ -1135,7 +1113,6 @@ def doc_bigram_surprisal(
                 "w2": g["w2"].astype(str),
                 "doc_id": g["doc_id"].astype("int64"),
                 "occ": g["occ"].astype("int64"),
-                "bucket": pd.Series(bkt(g["w1"]), index=g.index, dtype="int32"),
                 "side": "d",
             }
         )
@@ -1147,7 +1124,6 @@ def doc_bigram_surprisal(
                 "w2": "",
                 "doc_id": pd.Series([0] * len(df), index=df.index, dtype="int64"),
                 "occ": df["cnt"].astype("int64"),
-                "bucket": pd.Series(bkt(df["word"]), index=df.index, dtype="int32"),
                 "side": "u",
             }
         )
@@ -1159,7 +1135,6 @@ def doc_bigram_surprisal(
                 "w2": df["w2"].astype(str),
                 "doc_id": pd.Series([0] * len(df), index=df.index, dtype="int64"),
                 "occ": df["cnt"].astype("int64"),
-                "bucket": pd.Series(bkt(df["w1"]), index=df.index, dtype="int32"),
                 "side": "b",
             }
         )
@@ -1186,15 +1161,16 @@ def doc_bigram_surprisal(
             }
         )
 
-    flags = (
+    flags = co_partition(
         coalesce_blocks(
             docs.map_batches(doc_pairs, batch_format="pandas")
             .union(uni.map_batches(uni_side, batch_format="pandas"))
             .union(bi.map_batches(bi_side, batch_format="pandas")),
             n_distinct * 2,
-        )
-        .groupby("bucket")
-        .map_groups(join_score, batch_format="pandas")
+        ),
+        ["w1"],
+        join_score,
+        B,
     )
     scored = bucketed_aggregate(
         flags, ["doc_id"], {"surprisal_sum": ("s", "sum"), "n_bigrams": ("n", "sum")}
@@ -1568,7 +1544,6 @@ def source_token_cms(sf_dir: str, n_probe: int = 5) -> pa.Table:
     sketch."""
     import hashlib as _hl
 
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
@@ -1730,10 +1705,10 @@ def source_overlap(sf_dir: str, n: int = 3) -> pa.Table:
     Distributed shape (no driver-side pair loop, no high-cardinality
     native groupby — functions/bucketed.py rationale):
       1. ``map_batches``: explode each doc into DISTINCT (gram, source)
-         rows with a crc32 coarse bucket; short docs (< n words)
-         contribute their whole text as one gram, empty docs nothing
-         (exactly the per-doc explode's rule);
-      2. ``groupby(bucket).map_groups``: distinct (gram, source) within
+         rows; short docs (< n words) contribute their whole text as
+         one gram, empty docs nothing (exactly the per-doc explode's
+         rule);
+      2. ``co_partition`` on gram: distinct (gram, source) within
          the bucket — COMPLETE distinctness, a gram lives in exactly
          one bucket — then per-gram source pairs and per-source
          distinct-gram partial counts, both pre-aggregated;
@@ -1742,14 +1717,12 @@ def source_overlap(sf_dir: str, n: int = 3) -> pa.Table:
 
     Only pairs with ``inter >= 1`` appear (the oracle's inner join
     drops disjoint pairs too). Output sorted by (src_a, src_b)."""
-    import zlib
-
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
     )
 
     def explode(batch: pa.Table) -> pa.Table:
-        grams, srcs, buckets = [], [], []
+        grams, srcs = [], []
         per_src: dict[str, set] = {}
         for src, text in zip(batch["source"].to_pylist(), batch["text"].to_pylist()):
             words = (text or "").split()
@@ -1761,14 +1734,7 @@ def source_overlap(sf_dir: str, n: int = 3) -> pa.Table:
         for src, gset in per_src.items():
             grams.extend(gset)
             srcs.extend([src] * len(gset))
-            buckets.extend(zlib.crc32(g.encode()) % 256 for g in gset)
-        return pa.table(
-            {
-                "gram": pa.array(grams, pa.string()),
-                "source": pa.array(srcs, pa.string()),
-                "bucket": pa.array(buckets, pa.int32()),
-            }
-        )
+        return pa.table({"gram": pa.array(grams, pa.string()), "source": pa.array(srcs, pa.string())})
 
     def fold_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates(["gram", "source"])
@@ -1785,12 +1751,9 @@ def source_overlap(sf_dir: str, n: int = 3) -> pa.Table:
         )
         return pd.concat([ncnt[["src_a", "src_b", "cnt"]], pairs], ignore_index=True)
 
-    parts = (
-        docs.map_batches(explode, batch_format="pyarrow")
-        .groupby("bucket")
-        .map_groups(fold_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    parts = co_partition(
+        docs.map_batches(explode, batch_format="pyarrow"), ["gram"], fold_bucket, 256
+    ).to_pandas()
     if len(parts) == 0:
         return pa.table(
             {
@@ -1878,7 +1841,6 @@ def doc_perplexity_buckets(
     one streaming pass over broadcast dicts — the same
     histogram+boundary shape as ``event_value_percentiles`` and
     ``source_token_quota``."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     def mm(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -2165,7 +2127,6 @@ def doc_length_outliers(sf_dir: str, k: int = 3) -> pa.Table:
     Returns (doc_id, source, n_tokens, med, mad, is_outlier) ordered
     by doc_id, is_outlier as int64 0/1.
     """
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
@@ -2446,7 +2407,6 @@ def doc_oov_rate(sf_dir: str, vocab_size: int = 256) -> pa.Table:
     ``ray.put`` and scoring is one streaming pass — no further
     shuffle, nothing driver-sided beyond the V-row merge.
     """
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -2557,11 +2517,10 @@ def bigram_dice_top(
     (the global top-k is a subset of the union of local top-ks since
     each bigram lives in exactly one block after the keyed
     aggregate); above it the bigram table meets the unigram table in
-    TWO partitioned hash-join rounds (crc32(w1) then crc32(w2) — see
+    TWO partitioned hash-join rounds (on w1, then on w2 — see
     joins.cogroup_join) before the same local cut. Driver work is
     bounded by k x n_blocks tiny rows either way.
     """
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["text"]
@@ -2740,7 +2699,6 @@ def source_quality_gate(sf_dir: str, q_pct: int = 25) -> pa.Table:
     Returns (doc_id, source, quality_x10, cut, keep) ordered by
     doc_id, keep as int64 0/1.
     """
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
@@ -2862,7 +2820,6 @@ def source_dedup_report(sf_dir: str) -> pa.Table:
     group's keeper, a second tiny aggregate rolls up per source —
     text never leaves the tasks.
     """
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
@@ -3073,7 +3030,6 @@ def source_length_histogram(sf_dir: str) -> pa.Table:
     floor(log2)+1, computed INTEGER-exactly on both sides: Python
     int.bit_length vs SQL length(bin(n)) — no float log2 boundary
     hazard). One tiny (source, bucket) count shuffle."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
@@ -3152,7 +3108,6 @@ def source_token_drift(
 
     Returns (source, n_vocab, n_cur_tokens, n_prior_tokens,
     drift_milli) where the token totals count vocab terms only."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"),
@@ -3335,7 +3290,6 @@ def source_char_class_profile(sf_dir: str) -> pa.Table:
     one tiny (source) aggregate; fractions divide once at the end.
     ASCII classes ([a-zA-Z], [0-9], [\\t\\n\\f\\r ]) so the Python and
     SQL sides count identically with no unicode-category drift."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
@@ -3814,7 +3768,6 @@ def window_cooc_lift(
     arbitrary-precision Python ints — N_tok^2 * c_ab overflows int64
     at web scale, and the SQL mirror uses HUGEINT for the same
     reason."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["text"]
@@ -4009,7 +3962,6 @@ def source_lang_mix(sf_dir: str) -> pa.Table:
     mislabeled upstream). One streaming partial-count pass folds
     through the coarse-bucket aggregate; the resolved table is
     sources x langs (data-card-sized), so shares compute driver-side."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["source", "lang"]
@@ -4058,7 +4010,6 @@ def source_length_percentiles(sf_dir: str) -> pa.Table:
     length-domain-bounded, never doc-sized), then per-source quantile
     selection reads cumulative counts with DuckDB's quantile_disc
     index rule."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["source", "n_chars"]
@@ -4134,7 +4085,6 @@ def vocab_growth_curve(sf_dir: str, n_bins: int = 10) -> pa.Table:
     ``n_bins`` rows reach the driver, where the cumulative sum is a
     10-element scan. The doc-id span comes from one metadata-cheap
     column max."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
@@ -4216,7 +4166,6 @@ def token_length_histogram(sf_dir: str) -> pa.Table:
     instances fold directly (length domain is tiny), distinct words
     fold through the coarse-bucket word aggregate first and then
     count per length — exactly one shuffle of word rows."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["text"]
@@ -4280,7 +4229,6 @@ def source_ttr(sf_dir: str) -> pa.Table:
     distinct and instance totals then fold as source-sized partials —
     exactly one shuffle of word rows, nothing driver-sized beyond the
     source table."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     docs = ray.data.read_parquet(
         os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]

@@ -75,6 +75,17 @@ def crawl_config_for(spec: CorpusSpec, plan: dict, tokens_per_round: int = 8, ma
     )
 
 
+def _crawl_dir(sf: float, cfg: CrawlConfig) -> str:
+    """Output directory of a plain crawl, keyed by scale AND a digest
+    of the full config: runs under different configs (the bench's
+    128-token crawl, the registry's 8-token one) never overwrite each
+    other's artifacts."""
+    import hashlib
+
+    digest = hashlib.sha1(json.dumps(cfg.to_dict(), sort_keys=True).encode()).hexdigest()[:12]
+    return os.path.join(DATA_ROOT, f"crawl_sf{sf}_{digest}")
+
+
 def run_crawl(sf_dir: str, fresh: bool = True, tokens_per_round: int = 8, max_rounds: int = 40):
     """Full crawl pipeline at the scale implied by sf_dir. Returns
     (out_dir, stats, config)."""
@@ -84,7 +95,7 @@ def run_crawl(sf_dir: str, fresh: bool = True, tokens_per_round: int = 8, max_ro
     corpus_dir, spec = corpus_for_sf(sf)
     plan = learn_plan(corpus_dir, spec)
     cfg = crawl_config_for(spec, plan, tokens_per_round, max_rounds)
-    out_dir = os.path.join(DATA_ROOT, f"crawl_sf{sf}")
+    out_dir = _crawl_dir(sf, cfg)
     if fresh and os.path.exists(out_dir):
         shutil.rmtree(out_dir)
     stats = RayCrawler(corpus_dir, out_dir, cfg).run()
@@ -334,30 +345,21 @@ def crawl_order_tiered_recrawl_query(sf_dir: str) -> pa.Table:
 
 def _plain_crawl_artifacts(sf_dir: str) -> str:
     """``out_dir`` of a COMPLETED plain crawl under the standard
-    config, REUSING crawl_order_query's output when the recorded
-    manifest config matches — the metrics queries only read the run's
-    artifacts, and re-crawling for each of them cost ~3x the crawl
-    per registry pass. Any config mismatch (e.g. the bench's
-    128-token runs share the directory) falls through to a fresh
-    run."""
-    import json as _json
-
-    from mlscraper_ray.frontier.crawler import RayCrawler, _ckpt_dir
+    config, REUSING crawl_order_query's output — the metrics queries
+    only read the run's artifacts, and re-crawling for each of them
+    cost ~3x the crawl per registry pass. The directory is keyed by
+    the config digest, so a complete run there is a run of this
+    config; anything else falls through to a fresh run."""
+    from mlscraper_ray.frontier.crawler import RayCrawler
 
     sf = sf_of_dir(sf_dir)
     corpus_dir, spec = corpus_for_sf(sf)
-    plan = learn_plan(corpus_dir, spec)
-    cfg = crawl_config_for(spec, plan)
-    out_dir = os.path.join(DATA_ROOT, f"crawl_sf{sf}")
-    if os.path.exists(os.path.join(out_dir, "metrics.json")):
-        k = RayCrawler.latest_complete_round(out_dir)
-        if k is not None:
-            try:
-                with open(os.path.join(_ckpt_dir(out_dir, k), "MANIFEST.json")) as f:
-                    if _json.load(f)["config"] == cfg.to_dict():
-                        return out_dir
-            except (OSError, KeyError, ValueError):
-                pass
+    out_dir = _crawl_dir(sf, crawl_config_for(spec, learn_plan(corpus_dir, spec)))
+    if (
+        os.path.exists(os.path.join(out_dir, "metrics.json"))
+        and RayCrawler.latest_complete_round(out_dir) is not None
+    ):
+        return out_dir
     out_dir, _, _ = run_crawl(sf_dir)
     return out_dir
 

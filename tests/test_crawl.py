@@ -695,3 +695,25 @@ def test_extract_all_dataset_twin_matches_contract_table(ray_session, tmp_path):
     os.remove(os.path.join(dest, victim, "_SUCCESS"))
     third = extract_all_to_parquet(sf_dir, dest)
     assert third == {"written": 1, "skipped": first["written"] - 1}
+
+
+def test_plain_crawl_reused_after_other_config_run(ray_session, tmp_path, monkeypatch):
+    """Crawl directories are keyed by config: a 128-token crawl (the
+    bench's shape) no longer overwrites the plain crawl, so the
+    metrics queries reuse it instead of crawling again."""
+    from mlscraper_ray.frontier.crawler import RayCrawler
+    from mlscraper_ray.pipelines import crawl_pipeline as cp
+
+    sf_dir = str(tmp_path / "sf0.001")  # only the scale in the name is read
+    plain, _, _ = cp.run_crawl(sf_dir)
+    other, _, _ = cp.run_crawl(sf_dir, tokens_per_round=128, max_rounds=60)
+    runs = []
+    real_run = RayCrawler.run
+
+    def counting_run(self, *args, **kwargs):
+        runs.append(1)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(RayCrawler, "run", counting_run)
+    assert cp._plain_crawl_artifacts(sf_dir) == plain != other
+    assert runs == []

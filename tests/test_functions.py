@@ -856,6 +856,65 @@ class TestEventsUserLifetimeCrafted:
         assert value_hash(out) == value_hash(oracle)
 
 
+class TestEventsUserValueRankCrafted:
+    def test_negative_totals_rank_below_positive_ones(self, ray_session, tmp_path):
+        """Value bands are signed: a lifetime total of -5.0 ranks below
+        +0.1 (an unsigned bit-length band put -5000 above +100)."""
+        import datetime as dt
+
+        import duckdb
+        from oracle_compare import value_hash
+
+        from mlscraper_ray.functions.streams import (
+            EVENTS_USER_VALUE_RANK_SQL,
+            events_user_value_rank,
+        )
+
+        values = {1: [-5.0], 2: [0.1], 3: [-0.3, 0.2], 4: [2.5, 1.0], 5: [0.0], 6: [-5.0], 7: [-1.0, -0.001]}
+        rows = [(u, v) for u, vs in values.items() for v in vs]
+        t = pa.table(
+            {
+                "event_id": pa.array(range(len(rows)), pa.int64()),
+                "ts": pa.array([dt.datetime(2024, 3, 1)] * len(rows), pa.timestamp("us")),
+                "user_id": pa.array([u for u, _ in rows], pa.int64()),
+                "event_type": pa.array(["purchase"] * len(rows)),
+                "value": pa.array([v for _, v in rows], pa.float64()),
+                "props": pa.array(["{}"] * len(rows)),
+            }
+        )
+        pq.write_table(t, str(tmp_path / "events.parquet"))
+        out = events_user_value_rank(str(tmp_path)).to_pandas()
+        assert dict(zip(out["user_id"], out["rnk"])) == {1: 1, 6: 1, 7: 3, 3: 4, 5: 5, 2: 6, 4: 7}
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM '{tmp_path}/events.parquet'")
+        assert value_hash(out) == value_hash(con.execute(EVENTS_USER_VALUE_RANK_SQL).fetchdf())
+
+
+class TestDocGramNoveltyCrafted:
+    def test_blank_documents_have_no_row(self, ray_session, tmp_path):
+        """Empty and whitespace-only documents hold no grams, so they
+        get no (n_grams = 0) row — the SQL oracle drops them too."""
+        import duckdb
+        from oracle_compare import value_hash
+
+        from mlscraper_ray.functions.dedup import DOC_GRAM_NOVELTY_SQL, doc_gram_novelty
+
+        texts = ["a b c d", "", "   ", "a b c e", "\t\n", "solo", "x y"]
+        t = pa.table(
+            {
+                "doc_id": pa.array(range(len(texts)), pa.int64()),
+                "source": pa.array(["s"] * len(texts)),
+                "text": pa.array(texts),
+            }
+        )
+        pq.write_table(t, str(tmp_path / "documents.parquet"))
+        out = doc_gram_novelty(str(tmp_path)).to_pandas()
+        assert out["doc_id"].tolist() == [0, 3, 5, 6]
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW documents AS SELECT * FROM '{tmp_path}/documents.parquet'")
+        assert value_hash(out) == value_hash(con.execute(DOC_GRAM_NOVELTY_SQL).fetchdf())
+
+
 class TestEmbeddingNearDupCrafted:
     def test_planted_neardups_found(self, ray_session, tmp_path):
         from mlscraper_ray.functions.similarity import embedding_neardup_pairs
@@ -1324,23 +1383,71 @@ class TestJoinScaleGuards:
         assert (plain["k"] == hot).sum() > n // 3  # the skew is real
 
     def test_salted_bucket_spread(self):
-        """Result equality can't see parallelism: assert the salted
-        bucket formula keeps non-hot (salt=0) rows spread over ~all
-        buckets even when gcd(n_salt, n_buckets) > 1 (the old
-        `kb * n_salt + salt` form collapsed them into
-        n_buckets/gcd = 4 of 64)."""
-        from mlscraper_ray.functions.joins import _salted_bucket
+        """Result equality can't see parallelism: under the
+        co_partition bucket rule the salted join's non-hot (salt 0)
+        rows still reach every bucket, and one hot key's replicas fan
+        out over most of them (a uniform hash expects 14.3 distinct
+        buckets of 64 for 16 salts)."""
+        from mlscraper_ray.functions.bucketed import _bucket_ids
 
-        n_buckets = 64
-        kb = np.arange(10_000, dtype=np.int64) % n_buckets
-        salt0 = np.zeros_like(kb)
-        spread = len(np.unique(_salted_bucket(kb, salt0, n_buckets)))
-        assert spread == n_buckets
-        # hot-key replicas (same kb, salts 0..n_salt-1) fan out
-        n_salt = 16
-        kb_hot = np.full(n_salt, 7, dtype=np.int64)
-        salts = np.arange(n_salt, dtype=np.int64)
-        assert len(np.unique(_salted_bucket(kb_hot, salts, n_buckets))) == n_salt
+        n_buckets, n_salt = 64, 16
+        keys = np.arange(10_000, dtype=np.int64)
+        cold = pd.DataFrame({"k": keys, "__salt": np.zeros_like(keys)})
+        assert len(np.unique(_bucket_ids(cold, ["k", "__salt"], n_buckets))) == n_buckets
+        hot = pd.DataFrame(
+            {"k": np.full(n_salt, 7, dtype=np.int64), "__salt": np.arange(n_salt, dtype=np.int64)}
+        )
+        assert len(np.unique(_bucket_ids(hot, ["k", "__salt"], n_buckets))) >= 12
+
+
+class TestCoPartition:
+    def test_buckets_are_dtype_stable_and_nulls_group(self, ray_session):
+        """One key value, one group: key 5 in an int64 block that holds
+        a null (pandas sees it as float64) and in an int32 block lands
+        in one bucket, and the null keys form one group — DuckDB's
+        GROUP BY answer."""
+        import duckdb
+        import ray.data
+
+        from mlscraper_ray.functions.bucketed import bucketed_aggregate
+
+        b1 = pa.table({"k": pa.array([5, None], pa.int64()), "v": pa.array([1, 10], pa.int64())})
+        b2 = pa.table({"k": pa.array([5, 7], pa.int32()), "v": pa.array([100, 1000], pa.int64())})
+        out = bucketed_aggregate(ray.data.from_arrow([b1, b2]), ["k"], {"s": ("v", "sum")})
+        con = duckdb.connect()
+        con.register("t", pa.concat_tables([b1, b2.cast(b1.schema)]))
+        oracle = con.execute("SELECT k, SUM(v) AS s FROM t GROUP BY k").fetchdf()
+
+        def rows(df: pd.DataFrame) -> list:  # null key -> -1 (keys are >= 0)
+            return sorted((-1 if pd.isna(k) else int(k), int(s)) for k, s in zip(df["k"], df["s"]))
+
+        assert rows(out.to_pandas()) == rows(oracle) == [(-1, 10), (5, 101), (7, 1000)]
+
+    def test_per_key_fn_invariant_to_bucket_count(self, ray_session):
+        """A per-key fn sees every row of its key in one call, so the
+        result does not depend on the bucket count."""
+        import ray.data
+
+        from mlscraper_ray.functions.bucketed import co_partition
+
+        ds = ray.data.read_parquet(
+            os.path.join(SF_DIR, "events.parquet"), columns=["user_id", "ts", "value"]
+        )
+
+        def per_user(g: pd.DataFrame) -> pd.DataFrame:
+            return g.groupby("user_id", as_index=False).agg(
+                n=("ts", "size"), first=("ts", "min"), vmax=("value", "max")
+            )
+
+        runs = [
+            co_partition(ds, ["user_id"], per_user, n)
+            .to_pandas()
+            .sort_values("user_id", ignore_index=True)
+            for n in (1, 7, 64)
+        ]
+        assert runs[0]["user_id"].is_unique and len(runs[0]) > 1
+        for other in runs[1:]:
+            pd.testing.assert_frame_equal(runs[0], other)
 
 
 class TestIncrementalMinhash:
