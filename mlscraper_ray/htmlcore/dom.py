@@ -5,7 +5,7 @@ This replaces the reference's BeautifulSoup/lxml layer
 with a dependency-free tree built on :mod:`html.parser`. The tree is
 built once per document (inside ``map_batches`` UDFs or driver-side
 training) and never mutated, so every derived property (text, depth,
-ancestors) may be cached.
+ancestors, the learner's find index) may be cached.
 
 Semantics intentionally mirrored from bs4-on-lxml because the golden
 tests pin them:
@@ -181,8 +181,12 @@ class Element:
     def has_ancestor(self, node) -> bool:
         if isinstance(node, Document):
             return node is self.doc
-        if isinstance(node, Element) and node.doc is not self.doc:
-            return False
+        if isinstance(node, Element):
+            if node.doc is not self.doc:
+                return False
+            if self.doc is not None:
+                # a subtree is a contiguous preorder span (_finalize)
+                return node._pre_start < self._pre_start < node._pre_end
         p = self.parent
         while p is not None:
             if p is node:
@@ -234,20 +238,57 @@ class Element:
         return f"<Element {self.tag} id={self.id!r} classes={self.classes!r}>"
 
 
+class FindIndex:
+    """Value lookups over one document, built once from its tree.
+
+    - ``text_nodes``: every text node in document order;
+    - ``by_text``: stripped text -> the text nodes with that stripped
+      data, in document order;
+    - ``by_attr_value``: attribute value -> ``(element, attr)`` pairs in
+      document order (element preorder, then attribute order). Only
+      ``str`` values are keys: multi-valued attributes are lists and
+      never equal a string.
+    """
+
+    __slots__ = ("text_nodes", "by_text", "by_attr_value")
+
+    def __init__(self, doc: "Document"):
+        self.text_nodes = list(doc.iter_text_nodes())
+        self.by_text: dict[str, list[TextNode]] = {}
+        for t in self.text_nodes:
+            self.by_text.setdefault(t.data.strip(), []).append(t)
+        self.by_attr_value: dict[str, list[tuple[Element, str]]] = {}
+        for elem in doc.iter_elements():
+            for attr, value in elem.attrs.items():
+                if isinstance(value, str):
+                    self.by_attr_value.setdefault(value, []).append((elem, attr))
+
+
 class Document:
     """One HTML document (the reference's ``Page``, ``html.py:182-211``).
 
     Acts as the root "node": ``parent`` is None, ``depth`` 0, and the
     root ``html`` element's parent chain ends here.
+
+    ``find_index`` (a :class:`FindIndex`) is built on first use, so
+    only documents the learner searches pay for it; the crawl and
+    apply paths never touch it.
     """
 
-    __slots__ = ("children", "_text", "url", "_preorder")
+    __slots__ = ("children", "_text", "url", "_preorder", "_find_index")
 
     def __init__(self, children: list):
         self.children = children
         self._text: Optional[str] = None
         self.url: Optional[str] = None
         self._preorder: Optional[list] = None  # set by _finalize
+        self._find_index: Optional[FindIndex] = None
+
+    @property
+    def find_index(self) -> FindIndex:
+        if self._find_index is None:
+            self._find_index = FindIndex(self)
+        return self._find_index
 
     # -- Node-protocol parity ------------------------------------------
     parent = None

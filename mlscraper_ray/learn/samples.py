@@ -13,8 +13,8 @@ from mlscraper_ray.learn.matches import (
     DictMatch,
     ListMatch,
     generate_all_value_matches,
+    has_overlapping_pair,
     is_dimensions_match,
-    is_disjoint_match_combination,
 )
 
 
@@ -59,7 +59,7 @@ class Sample:
             return [
                 ListMatch(tuple(combi))
                 for combi in product(*matches_by_value)
-                if is_disjoint_match_combination(combi)
+                if not has_overlapping_pair(combi)
             ]
 
         if isinstance(self.value, dict):
@@ -69,7 +69,7 @@ class Sample:
             return [
                 DictMatch(dict(zip(matches_by_key.keys(), mc)))
                 for mc in product(*matches_by_key.values())
-                if is_disjoint_match_combination(mc)
+                if not has_overlapping_pair(mc)
             ]
 
         raise RuntimeError(f"unsupported value: {self.value}")

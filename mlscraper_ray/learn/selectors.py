@@ -13,7 +13,8 @@ Node (``selectors.py:128,196``) and an ``lru_cache(10000)`` for
 uniqueness checks (``selectors.py:59``). Here the caches live in a
 :class:`SelectorContext` owned by one training run — no cross-worker
 shared state, which is what makes training safe to ship into a Ray
-task.
+task. They are keyed by the nodes themselves, which the run keeps
+alive, so a freed node's id can never hit a stale entry.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import re
 import typing
 from itertools import chain, combinations
 
+from mlscraper_ray.htmlcore.css import compile_selector
 from mlscraper_ray.htmlcore.dom import Document, Element
 from mlscraper_ray.scrape.model import CssRuleSelector
 
@@ -49,22 +51,28 @@ def make_selector_for_classes(class_combination: typing.Collection[str]) -> str:
 
 
 class SelectorContext:
-    """Per-training-run caches for selector generation + uniqueness."""
+    """Per-training-run caches for selector generation + uniqueness:
+
+    - node selectors: node -> tuple sorted by ``(len, str)``;
+    - path selectors: ``(node, max_length)`` -> frozenset (callers
+      only union and intersect them; the one ordered consumer,
+      :func:`generate_selectors_for_nodes`, sorts its result);
+    - uniqueness: ``(rule, root, nodes)`` -> bool.
+    """
 
     def __init__(self):
-        self._node_selectors: dict[int, tuple] = {}
-        self._path_selectors: dict[tuple, tuple] = {}
+        self._node_selectors: dict[Element, tuple] = {}
+        self._path_selectors: dict[tuple, frozenset] = {}
         self._unique_cache: dict[tuple, bool] = {}
 
     # -- node-level selectors ------------------------------------------
     def get_node_selectors(self, node: Element) -> tuple:
-        key = id(node)
-        cached = self._node_selectors.get(key)
+        cached = self._node_selectors.get(node)
         if cached is None:
             cached = tuple(
                 sorted(set(self._generate_node_selectors(node)), key=lambda s: (len(s), s))
             )
-            self._node_selectors[key] = cached
+            self._node_selectors[node] = cached
         return cached
 
     def _generate_node_selectors(self, node: Element):
@@ -84,21 +92,15 @@ class SelectorContext:
         if parent is not None:
             for css_selector in selectors:
                 if not css_selector.startswith("#"):
-                    hits = parent.select(css_selector)
-                    nth = next(i for i, h in enumerate(hits) if h is node) + 1
+                    nth = _select_rank(parent, node, css_selector)
                     yield f"{css_selector}:nth-child({nth})"
 
     # -- path selectors ------------------------------------------------
-    def get_path_selectors(self, node: Element, max_length: int) -> tuple:
-        key = (id(node), max_length)
+    def get_path_selectors(self, node: Element, max_length: int) -> frozenset:
+        key = (node, max_length)
         cached = self._path_selectors.get(key)
         if cached is None:
-            cached = tuple(
-                sorted(
-                    set(self._generate_path_selectors(node, max_length)),
-                    key=lambda s: (len(s), s),
-                )
-            )
+            cached = frozenset(self._generate_path_selectors(node, max_length))
             self._path_selectors[key] = cached
         return cached
 
@@ -127,7 +129,7 @@ class SelectorContext:
     def uniquely_selects(self, css_rule: str, root, nodes: tuple) -> bool:
         """Ordered exact-list equality of ``root.select(rule, limit=k+1)``
         against ``nodes`` (reference ``selectors.py:52-75``)."""
-        key = (css_rule, id(root), tuple(id(n) for n in nodes))
+        key = (css_rule, root, nodes)
         cached = self._unique_cache.get(key)
         if cached is None:
             sel = root.select(css_rule, limit=len(nodes) + 1)
@@ -136,6 +138,24 @@ class SelectorContext:
             )
             self._unique_cache[key] = cached
         return cached
+
+
+def _select_rank(parent, node: Element, css_selector: str) -> int:
+    """1-based position of ``node`` in ``parent.select(css_selector)``.
+
+    ``select`` returns the matching elements of the parent's preorder
+    span, so the position is one more than the matches between the
+    parent and the node in the document's preorder list; this scans
+    only that stretch instead of running the whole ``select``. A node
+    its own selector does not match (a class such as ``a.b`` parses as
+    two classes) has no position; the reference's ``next`` over the
+    hits fails there, and so does this."""
+    sel = compile_selector(css_selector)
+    if not sel.matches(node):
+        raise StopIteration  # reference quirk: no rank (ROADMAP)
+    start = parent._pre_start + 1 if isinstance(parent, Element) else 0
+    matches = sel.matches
+    return 1 + sum(1 for e in node.doc._preorder[start : node._pre_start] if matches(e))
 
 
 def _generate_regular_node_selectors(node: Element):
@@ -166,8 +186,9 @@ def generate_selectors_for_nodes(
     assert nodes, "no nodes given"
     assert roots, "no roots given"
     assert len(nodes) == len(roots)
-    selector_sets = [set(ctx.get_path_selectors(n, complexity)) for n in nodes]
-    common = set.intersection(*selector_sets)
+    common = frozenset.intersection(
+        *(ctx.get_path_selectors(n, complexity) for n in nodes)
+    )
     for rule in sorted(common, key=lambda s: (len(s), s)):
         yield CssRuleSelector(rule)
 

@@ -9,9 +9,15 @@ from __future__ import annotations
 
 import logging
 from itertools import combinations, product
-from statistics import mean
 
-from mlscraper_ray.learn.matches import DictMatch, ListMatch, ValueMatch
+from mlscraper_ray.learn.matches import (
+    DictMatch,
+    ListMatch,
+    NodeSimilarity,
+    ValueMatch,
+    has_overlapping_pair,
+    mean,
+)
 from mlscraper_ray.learn.samples import TrainingSet
 from mlscraper_ray.learn.selectors import (
     SelectorContext,
@@ -35,12 +41,15 @@ class NoScraperFoundException(TrainingException):
     pass
 
 
-def get_match_combination_priority(matches) -> float:
+def get_match_combination_priority(matches, similarity) -> float:
     """1 for singletons, else mean pairwise similarity
-    (reference ``training.py:28-33``)."""
+    (reference ``training.py:28-33``). ``similarity`` is the node
+    similarity to use (see ``Match.get_similarity_to``)."""
     if len(matches) == 1:
         return 1
-    return mean(m1.get_similarity_to(m2) for m1, m2 in combinations(matches, 2))
+    return mean(
+        m1.get_similarity_to(m2, similarity) for m1, m2 in combinations(matches, 2)
+    )
 
 
 def prioritized_combinations(training_set: TrainingSet) -> list:
@@ -54,7 +63,12 @@ def prioritized_combinations(training_set: TrainingSet) -> list:
         for s in training_set.item.samples
     ]
     match_combinations = list(product(*sample_matches))
-    return sorted(match_combinations, key=get_match_combination_priority, reverse=True)
+    similarity = NodeSimilarity()
+    return sorted(
+        match_combinations,
+        key=lambda c: get_match_combination_priority(c, similarity),
+        reverse=True,
+    )
 
 
 def train_scraper(training_set: TrainingSet, complexity: int = 100):
@@ -85,7 +99,7 @@ def train_scraper_for_matches(ctx: SelectorContext, matches, roots, complexity: 
     roots = list(roots)
     assert len(matches) == len(roots), "got uneven inputs"
 
-    if any(m1.has_overlap(m2) for m1, m2 in combinations(matches, 2)):
+    if has_overlapping_pair(matches):
         raise NoScraperFoundException("a pair of matches overlaps, most likely invalid")
 
     if found_type is ValueMatch:
