@@ -55,6 +55,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         search,
         similarity,
         streams,
+        templates,
         textstats,
         tokenizer,
         topics,
@@ -86,7 +87,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # DOM-template clustering: preorder structure fingerprint per
         # page, one cluster per template (the learn-one-scraper-per-
         # cluster amortization unit)
-        "page_template_clusters": _template_clusters,
+        "page_template_clusters": templates.page_template_clusters,
         # FUSED single-parse page profile: main-content facts + token/
         # lang stats + distinct link count in one per-record map
         "page_profile": content.page_profile,
@@ -587,12 +588,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
     }
 
 
-def _template_clusters(sf_dir: str):
-    from mlscraper_ray.functions.templates import page_template_clusters
-
-    return page_template_clusters(sf_dir)
-
-
 def _warc_roundtrip(sf_dir: str):
     """Pages -> sharded .warc.gz -> Dataset; returns per-url html
     sha256 + byte count, so the round-trip is CONTENT-pinned (any
@@ -602,6 +597,7 @@ def _warc_roundtrip(sf_dir: str):
 
     import pyarrow as pa
 
+    from mlscraper_ray.functions.tables import finish
     from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf, sf_of_dir
     from mlscraper_ray.sources.warc import read_warc, write_warc_from_pages
 
@@ -625,43 +621,36 @@ def _warc_roundtrip(sf_dir: str):
                 }
             )
 
-        out = (
-            read_warc(warc_dir)
-            .map_batches(digests, batch_format="pyarrow")
-            .to_pandas()
-            .sort_values("url", ignore_index=True)
-        )
-    return pa.Table.from_pandas(out, preserve_index=False)
+        out = read_warc(warc_dir).map_batches(digests, batch_format="pyarrow").to_pandas()
+    return finish(out, "url")
 
 
 def _simhash_pairs(sf_dir: str):
-    import os
-
-    import ray.data
-
     from mlscraper_ray.functions.dedup import simhash_neardup_pairs
+    from mlscraper_ray.functions.tables import read_table
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    return simhash_neardup_pairs(docs)
+    return simhash_neardup_pairs(read_table(sf_dir, "documents", ["doc_id", "text"]))
 
 
 def oracle_sql() -> dict[str, str]:
     from mlscraper_ray.functions import (
         aggregates,
+        classifier,
         components,
         curate,
         dedup,
         joins,
+        keywords,
         packing,
         scrub,
         search,
         similarity,
         streams,
         textstats,
+        tokenizer,
+        topics,
+        urls,
         validate,
-        wet,
     )
 
     return {
@@ -690,13 +679,13 @@ def oracle_sql() -> dict[str, str]:
         "customers_without_orders": joins.CUSTOMERS_WITHOUT_ORDERS_SQL,
         "events_asof_join": joins.ASOF_JOIN_EVENTS_SQL,
         "events_range_join": joins.RANGE_JOIN_EVENTS_SQL,
-        "dedup_exact": dedup_exact_sql(),
-        "dedup_incremental": _dedup_incremental_sql(),
-        "dedup_bloom_screen": _bloom_screen_sql(),
-        "dedup_minhash_incremental": _minhash_incremental_sql(),
-        "dedup_ngram_jaccard": _ngram_jaccard_sql(),
-        "dedup_containment": _ngram_containment_sql(),
-        "doc_dup_span_stats": _dup_span_sql(),
+        "dedup_exact": dedup.EXACT_DEDUP_SQL,
+        "dedup_incremental": dedup.incremental_dedup_sql(),
+        "dedup_bloom_screen": dedup.bloom_screen_sql(),
+        "dedup_minhash_incremental": dedup.incremental_minhash_dedup_sql(),
+        "dedup_ngram_jaccard": dedup.NGRAM_JACCARD_SQL,
+        "dedup_containment": dedup.NGRAM_CONTAINMENT_SQL,
+        "doc_dup_span_stats": dedup.DOC_DUP_SPAN_STATS_SQL,
         "dedup_segments": scrub.DEDUP_SEGMENTS_SQL,
         "doc_scrub_dup_runs": scrub.scrub_dup_runs_sql(),
         "doc_collapse_repeats": scrub.COLLAPSE_REPEATS_SQL,
@@ -706,11 +695,11 @@ def oracle_sql() -> dict[str, str]:
         "doc_strip_boilerplate": scrub.strip_boilerplate_sql(),
         "pack_sequences": packing.PACK_SEQUENCES_SQL,
         "doc_chunk_windows": packing.DOC_CHUNK_WINDOWS_SQL,
-        "url_pattern_stats": _url_pattern_sql(),
+        "url_pattern_stats": urls.URL_PATTERN_STATS_SQL,
         "source_top_terms": packing.SOURCE_TOP_TERMS_SQL,
         "corpus_to_training": packing.corpus_to_training_sql(),
-        "dedup_simhash_pairs": _simhash_pairs_sql(),
-        "doc_simhash": _simhash_table_sql(),
+        "dedup_simhash_pairs": dedup.SIMHASH_PAIRS_SQL,
+        "doc_simhash": dedup.SIMHASH_TABLE_SQL,
         "dedup_simhash_clusters": components.simhash_clusters_sql(),
         "source_pair_matrix": dedup.source_pair_matrix_sql(),
         "doc_gram_novelty": dedup.DOC_GRAM_NOVELTY_SQL,
@@ -718,11 +707,11 @@ def oracle_sql() -> dict[str, str]:
         "dedup_prefix_groups": dedup.DEDUP_PREFIX_GROUPS_SQL,
         # exhaustive similarity joins verify the LSH pipelines' recall
         # guarantees themselves (see MINHASH_DEDUP_SQL docs)
-        "dedup_minhash": _minhash_dedup_sql(),
+        "dedup_minhash": dedup.MINHASH_DEDUP_SQL,
         # recursive-CTE transitive closure over the same exhaustive
         # pair join — re-verifies LSH recall plus the component labels
-        "neardup_clusters": _components_sql("clusters"),
-        "corpus_dedup_canonical": _components_sql("canonical"),
+        "neardup_clusters": components.NEARDUP_CLUSTERS_SQL,
+        "corpus_dedup_canonical": components.CORPUS_DEDUP_CANONICAL_SQL,
         "embed_neardup_pairs": similarity.embedding_neardup_sql(),
         "ann_ivf_topk": similarity.ivf_topk_sql(),
         "embed_knn_graph": similarity.embed_knn_graph_sql(),
@@ -743,15 +732,15 @@ def oracle_sql() -> dict[str, str]:
         "source_token_drift": textstats.SOURCE_TOKEN_DRIFT_SQL,
         "source_char_classes": textstats.SOURCE_CHAR_CLASS_SQL,
         "source_dedup_report": textstats.SOURCE_DEDUP_REPORT_SQL,
-        "source_neardup_report": _source_neardup_sql(),
+        "source_neardup_report": dedup.source_neardup_report_sql(),
         "doc_unigram_surprisal": textstats.DOC_UNIGRAM_SURPRISAL_SQL,
         "doc_perplexity_buckets": textstats.DOC_PERPLEXITY_BUCKETS_SQL,
         "doc_bigram_surprisal": textstats.DOC_BIGRAM_SURPRISAL_SQL,
         "doc_bpe_token_stats": textstats.BPE_TOKEN_STATS_SQL,
-        "tokenizer_bpe_train": _tokenizer_sql("train"),
-        "tokenizer_bpe_vocab": _tokenizer_sql("vocab"),
-        "doc_bpe_encode": _tokenizer_sql("encode"),
-        "doc_tfidf_top_terms": _tfidf_sql(),
+        "tokenizer_bpe_train": tokenizer.tokenizer_bpe_train_sql(),
+        "tokenizer_bpe_vocab": tokenizer.tokenizer_bpe_vocab_sql(),
+        "doc_bpe_encode": tokenizer.doc_bpe_encode_sql(),
+        "doc_tfidf_top_terms": keywords.DOC_TFIDF_TOP_TERMS_SQL,
         "source_token_totals": textstats.SOURCE_TOKEN_TOTALS_SQL,
         "source_datacard": textstats.SOURCE_DATACARD_SQL,
         "source_temperature_mix": textstats.source_temperature_mix_sql(),
@@ -760,7 +749,7 @@ def oracle_sql() -> dict[str, str]:
         "source_distinct_hll": textstats.SOURCE_DISTINCT_TOKENS_HLL_SQL,
         "source_token_cms": textstats.SOURCE_TOKEN_CMS_SQL,
         "doc_quality": textstats.QUALITY_SCORES_SQL,
-        "doc_quality_classifier": _quality_classifier_sql(),
+        "doc_quality_classifier": classifier.QUALITY_CLASSIFIER_SQL,
         "doc_gopher_rules": textstats.GOPHER_RULES_SQL,
         "doc_repetition_stats": textstats.DOC_REPETITION_STATS_SQL,
         "doc_oov_rate": textstats.DOC_OOV_RATE_SQL,
@@ -784,8 +773,8 @@ def oracle_sql() -> dict[str, str]:
         "source_ttr": textstats.SOURCE_TTR_SQL,
         "corpus_split": textstats.corpus_split_sql(),
         "doc_fingerprints": textstats.FINGERPRINTS_SQL,
-        "corpus_curate": _curate_sql(),
-        "corpus_decontaminate": _decontaminate_sql(),
+        "corpus_curate": curate.CURATE_CORPUS_SQL,
+        "corpus_decontaminate": curate.DECONTAMINATE_SQL,
         "text_search_bm25": search.bm25_topk_sql(),
         "text_search_bm25_indexed": search.bm25_indexed_topk_sql(),
         "text_search_phrase": search.phrase_topk_sql(),
@@ -795,21 +784,21 @@ def oracle_sql() -> dict[str, str]:
         "text_search_near": search.near_topk_sql(),
         "text_search_regex": search.TEXT_SEARCH_REGEX_SQL,
         "text_search_near_indexed": search.near_topk_sql(),
-        "url_canonical_dedup": _url_dedup_sql(),
-        "frontier_url_filter": _frontier_filter_sql(),
-        "url_redirect_resolve": _redirect_sql(),
+        "url_canonical_dedup": urls.URL_CANONICAL_DEDUP_SQL,
+        "frontier_url_filter": urls.FRONTIER_URL_FILTER_SQL,
+        "url_redirect_resolve": urls.url_redirect_resolve_sql(),
         "ann_cosine_topk": similarity.cosine_topk_sql(),
         "ann_cosine_filtered_topk": similarity.cosine_filtered_topk_sql(),
         "ann_cosine_range": similarity.cosine_range_sql(),
-        "dedup_query_similar": _query_similar_sql(),
-        "doc_winnow_fingerprints": _winnow_sql(),
-        "dedup_winnow_pairs": _winnow_pairs_sql(),
-        "dedup_winnow_clusters": _winnow_clusters_sql(),
+        "dedup_query_similar": dedup.query_similar_docs_sql(),
+        "doc_winnow_fingerprints": dedup.doc_winnow_fingerprints_sql(),
+        "dedup_winnow_pairs": dedup.winnow_neardup_pairs_sql(),
+        "dedup_winnow_clusters": components.winnow_clusters_sql(),
         "ann_cosine_multi_topk": similarity.cosine_multi_topk_sql(),
         "embed_label_centroids": similarity.embed_label_centroids_sql(),
         "embed_outliers": similarity.embed_outliers_sql(),
-        "doc_topic_clusters": _topics_sql(),
-        "corpus_cluster_sample": _topics_sample_sql(),
+        "doc_topic_clusters": topics.doc_topic_clusters_sql(),
+        "corpus_cluster_sample": topics.corpus_cluster_sample_sql(),
         "embed_knn_label_eval": similarity.embed_knn_label_eval_sql(),
         "embed_pair_histogram": similarity.embed_pair_distance_histogram_sql(),
         "embed_kmeans_int": similarity.embed_kmeans_int_sql(),
@@ -907,177 +896,3 @@ def _truth_oracle_entries() -> dict[str, str]:
                 stacklevel=2,
             )
     return out
-
-
-def _curate_sql() -> str:
-    from mlscraper_ray.functions.curate import CURATE_CORPUS_SQL
-
-    return CURATE_CORPUS_SQL
-
-
-def _decontaminate_sql() -> str:
-    from mlscraper_ray.functions.curate import DECONTAMINATE_SQL
-
-    return DECONTAMINATE_SQL
-
-
-def _dedup_incremental_sql() -> str:
-    from mlscraper_ray.functions.dedup import incremental_dedup_sql
-
-    return incremental_dedup_sql()
-
-
-def _bloom_screen_sql() -> str:
-    from mlscraper_ray.functions.dedup import bloom_screen_sql
-
-    return bloom_screen_sql()
-
-
-def _query_similar_sql() -> str:
-    from mlscraper_ray.functions.dedup import query_similar_docs_sql
-
-    return query_similar_docs_sql()
-
-
-def _winnow_sql() -> str:
-    from mlscraper_ray.functions.dedup import doc_winnow_fingerprints_sql
-
-    return doc_winnow_fingerprints_sql()
-
-
-def _winnow_pairs_sql() -> str:
-    from mlscraper_ray.functions.dedup import winnow_neardup_pairs_sql
-
-    return winnow_neardup_pairs_sql()
-
-
-def _winnow_clusters_sql() -> str:
-    from mlscraper_ray.functions.components import winnow_clusters_sql
-
-    return winnow_clusters_sql()
-
-
-def _source_neardup_sql() -> str:
-    from mlscraper_ray.functions.dedup import source_neardup_report_sql
-
-    return source_neardup_report_sql()
-
-
-def _minhash_incremental_sql() -> str:
-    from mlscraper_ray.functions.dedup import incremental_minhash_dedup_sql
-
-    return incremental_minhash_dedup_sql()
-
-
-def dedup_exact_sql() -> str:
-    from mlscraper_ray.functions.dedup import EXACT_DEDUP_SQL
-
-    return EXACT_DEDUP_SQL
-
-
-def _ngram_jaccard_sql() -> str:
-    from mlscraper_ray.functions.dedup import NGRAM_JACCARD_SQL
-
-    return NGRAM_JACCARD_SQL
-
-
-def _url_dedup_sql() -> str:
-    from mlscraper_ray.functions.urls import URL_CANONICAL_DEDUP_SQL
-
-    return URL_CANONICAL_DEDUP_SQL
-
-
-def _frontier_filter_sql() -> str:
-    from mlscraper_ray.functions.urls import FRONTIER_URL_FILTER_SQL
-
-    return FRONTIER_URL_FILTER_SQL
-
-
-def _redirect_sql() -> str:
-    from mlscraper_ray.functions.urls import url_redirect_resolve_sql
-
-    return url_redirect_resolve_sql()
-
-
-def _url_pattern_sql() -> str:
-    from mlscraper_ray.functions.urls import URL_PATTERN_STATS_SQL
-
-    return URL_PATTERN_STATS_SQL
-
-
-def _topics_sql() -> str:
-    from mlscraper_ray.functions.topics import doc_topic_clusters_sql
-
-    return doc_topic_clusters_sql()
-
-
-def _topics_sample_sql() -> str:
-    from mlscraper_ray.functions.topics import corpus_cluster_sample_sql
-
-    return corpus_cluster_sample_sql()
-
-
-def _tokenizer_sql(which: str) -> str:
-    from mlscraper_ray.functions.tokenizer import (
-        doc_bpe_encode_sql,
-        tokenizer_bpe_train_sql,
-    )
-
-    if which == "train":
-        return tokenizer_bpe_train_sql()
-    if which == "vocab":
-        from mlscraper_ray.functions.tokenizer import tokenizer_bpe_vocab_sql
-
-        return tokenizer_bpe_vocab_sql()
-    return doc_bpe_encode_sql()
-
-
-def _tfidf_sql() -> str:
-    from mlscraper_ray.functions.keywords import DOC_TFIDF_TOP_TERMS_SQL
-
-    return DOC_TFIDF_TOP_TERMS_SQL
-
-
-def _quality_classifier_sql() -> str:
-    from mlscraper_ray.functions.classifier import QUALITY_CLASSIFIER_SQL
-
-    return QUALITY_CLASSIFIER_SQL
-
-
-def _ngram_containment_sql() -> str:
-    from mlscraper_ray.functions.dedup import NGRAM_CONTAINMENT_SQL
-
-    return NGRAM_CONTAINMENT_SQL
-
-
-def _simhash_pairs_sql() -> str:
-    from mlscraper_ray.functions.dedup import SIMHASH_PAIRS_SQL
-
-    return SIMHASH_PAIRS_SQL
-
-
-def _simhash_table_sql() -> str:
-    from mlscraper_ray.functions.dedup import SIMHASH_TABLE_SQL
-
-    return SIMHASH_TABLE_SQL
-
-
-def _minhash_dedup_sql() -> str:
-    from mlscraper_ray.functions.dedup import MINHASH_DEDUP_SQL
-
-    return MINHASH_DEDUP_SQL
-
-
-def _dup_span_sql() -> str:
-    from mlscraper_ray.functions.dedup import DOC_DUP_SPAN_STATS_SQL
-
-    return DOC_DUP_SPAN_STATS_SQL
-
-
-def _components_sql(which: str) -> str:
-    from mlscraper_ray.functions.components import (
-        CORPUS_DEDUP_CANONICAL_SQL,
-        NEARDUP_CLUSTERS_SQL,
-    )
-
-    return NEARDUP_CLUSTERS_SQL if which == "clusters" else CORPUS_DEDUP_CANONICAL_SQL

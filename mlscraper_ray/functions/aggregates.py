@@ -25,9 +25,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-
-def _read(sf_dir: str, table: str, columns: list[str]) -> ray.data.Dataset:
-    return ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=columns)
+from mlscraper_ray.functions.tables import finish, read_table
 
 
 def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -44,10 +42,8 @@ def q1_lineitem(sf_dir: str) -> pa.Table:
     """TPC-H-Q1-flavored pricing summary: per (returnflag, linestatus)
     over lineitems shipped before 1996-09-01. Partial-agg + tiny final
     groupby; output is exact-integer."""
-    ds = _read(
-        sf_dir,
-        "lineitem",
-        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_shipdate"],
+    ds = read_table(
+        sf_dir, "lineitem", ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice", "l_shipdate"]
     )
     cutoff = pa.scalar(np.datetime64("1996-09-01", "us"))
 
@@ -82,14 +78,16 @@ def q1_lineitem(sf_dir: str) -> pa.Table:
         .sum(["sum_qty", "sum_base_cents", "count_order"])
         .to_pandas()
     )
-    out = out.rename(
-        columns={
-            "sum(sum_qty)": "sum_qty",
-            "sum(sum_base_cents)": "sum_base_cents",
-            "sum(count_order)": "count_order",
-        }
-    ).sort_values(["l_returnflag", "l_linestatus"], ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(
+        out.rename(
+            columns={
+                "sum(sum_qty)": "sum_qty",
+                "sum(sum_base_cents)": "sum_base_cents",
+                "sum(count_order)": "count_order",
+            }
+        ),
+        ["l_returnflag", "l_linestatus"],
+    )
 
 
 Q1_SQL = """
@@ -125,10 +123,10 @@ def revenue_by_nation(sf_dir: str) -> pa.Table:
             {"custkey": g["custkey"], "revenue_cents": g["revenue_cents_sum"], "n_orders": g["custkey_count"]}
         )
 
-    orders_read = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    orders_read = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
     n_orders = orders_read.count()  # parquet metadata, no read
     orders = orders_read.map_batches(order_partial, batch_format="pyarrow")
-    customer = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
+    customer = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
         lambda t: pa.table({"custkey": t["c_custkey"], "nationkey": t["c_nationkey"]}),
         batch_format="pyarrow",
     )
@@ -152,8 +150,7 @@ def revenue_by_nation(sf_dir: str) -> pa.Table:
         .rename(columns={"sum(revenue_cents)": "revenue_cents", "sum(n_orders)": "n_orders"})
     )
     out["n_name"] = out["nationkey"].map(nation_by_key)
-    out = out[["n_name", "revenue_cents", "n_orders"]].sort_values("n_name", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "n_name", columns=["n_name", "revenue_cents", "n_orders"])
 
 
 REVENUE_BY_NATION_SQL = """
@@ -169,7 +166,7 @@ ORDER BY n_name
 
 def events_by_type(sf_dir: str) -> pa.Table:
     """Per-event-type counts + milli-exact value sums + first/last ts."""
-    ds = _read(sf_dir, "events", ["event_type", "value", "ts"])
+    ds = read_table(sf_dir, "events", ["event_type", "value", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -203,8 +200,7 @@ def events_by_type(sf_dir: str) -> pa.Table:
         )
         .to_pandas()
     )
-    out = out.sort_values("event_type", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "event_type")
 
 
 EVENTS_BY_TYPE_SQL = """
@@ -225,7 +221,7 @@ def top_users_by_value(sf_dir: str, k: int = 25) -> pa.Table:
     first, then ``Dataset.sort`` on the (small) aggregated keyspace and
     a driver-side limit — the all-to-all moves one row per user, and
     the sort ranks those partials, never raw events."""
-    ds = _read(sf_dir, "events", ["user_id", "value"])
+    ds = read_table(sf_dir, "events", ["user_id", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -255,9 +251,11 @@ def top_users_by_value(sf_dir: str, k: int = 25) -> pa.Table:
         .limit(k)
         .to_pandas()
     )
-    agg["total_value_milli"] = agg["total_value_milli"].astype("int64")
-    agg["n_events"] = agg["n_events"].astype("int64")
-    return pa.Table.from_pandas(agg[["user_id", "total_value_milli", "n_events"]], preserve_index=False)
+    return finish(
+        agg,
+        columns=["user_id", "total_value_milli", "n_events"],
+        dtypes={"total_value_milli": "int64", "n_events": "int64"},
+    )
 
 
 TOP_USERS_BY_VALUE_SQL = """
@@ -290,7 +288,7 @@ def event_value_percentiles(sf_dir: str) -> pa.Table:
 
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
-    ds = _read(sf_dir, "events", ["event_type", "value"])
+    ds = read_table(sf_dir, "events", ["event_type", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -337,13 +335,10 @@ def event_value_percentiles(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        hist.groupby("event_type")
-        .map_groups(pctl_from_hist, batch_format="pandas")
-        .to_pandas()
-        .sort_values("event_type", ignore_index=True)
+    return finish(
+        hist.groupby("event_type").map_groups(pctl_from_hist, batch_format="pandas").to_pandas(),
+        "event_type",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def event_value_quantile_sketch(sf_dir: str, k: int = 256) -> pa.Table:
@@ -366,7 +361,7 @@ def event_value_quantile_sketch(sf_dir: str, k: int = 256) -> pa.Table:
 
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_id", "event_type", "value"])
+    ds = read_table(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def md5_low(ids: np.ndarray) -> np.ndarray:
         return np.array(
@@ -424,14 +419,11 @@ def event_value_quantile_sketch(sf_dir: str, k: int = 256) -> pa.Table:
             }
         )
 
-    out = (
+    return finish(
         ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("event_type")
-        .map_groups(finalize, batch_format="pandas")
-        .to_pandas()
-        .sort_values("event_type", ignore_index=True)
+        .groupby("event_type").map_groups(finalize, batch_format="pandas").to_pandas(),
+        "event_type",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def event_value_quantile_sketch_sql(k: int = 256) -> str:
@@ -494,10 +486,8 @@ def q6_discount_revenue(sf_dir: str) -> pa.Table:
     summation order.  At 100 TB this is the canonical
     "predicate-pushdown + partial aggregate" probe: bytes leaving
     storage are 4 columns, bytes leaving each task are 16."""
-    ds = _read(
-        sf_dir,
-        "lineitem",
-        ["l_quantity", "l_extendedprice", "l_discount", "l_shipdate"],
+    ds = read_table(
+        sf_dir, "lineitem", ["l_quantity", "l_extendedprice", "l_discount", "l_shipdate"]
     )
     lo = pa.scalar(np.datetime64("1996-01-01", "us"))
     hi = pa.scalar(np.datetime64("1997-01-01", "us"))
@@ -559,7 +549,7 @@ def customer_rfm_segments(sf_dir: str) -> pa.Table:
     snapshots (and SQL-mirrorable without ntile drift)."""
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
-    ds = _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = pd.DataFrame(
@@ -593,17 +583,15 @@ def customer_rfm_segments(sf_dir: str) -> pa.Table:
         )
         return g.reset_index()
 
-    out = (
+    return finish(
         bucketed_aggregate(
             per_cust.map_batches(to_segment, batch_format="pandas"),
             ["recency_year", "freq_band"],
             {"n_customers": ("n_customers", "sum"), "monetary_cents": ("monetary_cents", "sum")},
-        )
-        .to_pandas()
-        .sort_values(["recency_year", "freq_band"], ignore_index=True)
+        ).to_pandas(),
+        ["recency_year", "freq_band"],
+        dtypes={"recency_year": "int64", "n_customers": "int64", "monetary_cents": "int64"},
     )
-    out = out.astype({"recency_year": "int64", "n_customers": "int64", "monetary_cents": "int64"})
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 CUSTOMER_RFM_SEGMENTS_SQL = """
@@ -635,7 +623,7 @@ def orders_monthly_revenue(sf_dir: str) -> pa.Table:
     window."""
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
-    ds = _read(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
+    ds = read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         d = pd.to_datetime(df["o_orderdate"])
@@ -664,12 +652,10 @@ def orders_monthly_revenue(sf_dir: str) -> pa.Table:
     series["delta_cents"] = (
         (series["revenue_cents"] - prev).fillna(0).astype("int64")
     )
-    series = series.astype(
-        {"year": "int64", "month": "int64", "revenue_cents": "int64", "n_orders": "int64"}
-    )
-    return pa.Table.from_pandas(
-        series[["year", "month", "n_orders", "revenue_cents", "delta_cents"]],
-        preserve_index=False,
+    return finish(
+        series,
+        columns=["year", "month", "n_orders", "revenue_cents", "delta_cents"],
+        dtypes={"year": "int64", "month": "int64", "revenue_cents": "int64", "n_orders": "int64"},
     )
 
 
@@ -713,7 +699,7 @@ def revenue_rollup(sf_dir: str) -> pa.Table:
     }
     m_ref = ray.put(nmap)
 
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def per_cust(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -730,7 +716,7 @@ def revenue_rollup(sf_dir: str) -> pa.Table:
         ["c_custkey"],
         {"revenue_cents": ("revenue_cents", "sum"), "n_orders": ("n_orders", "sum")},
     )
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     n_cust = pq.read_metadata(os.path.join(sf_dir, "customer.parquet")).num_rows
     joined = cogroup_join(totals, cust, "c_custkey", approx_rows=n_cust)
 
@@ -778,13 +764,11 @@ def revenue_rollup(sf_dir: str) -> pa.Table:
             "revenue_cents": [base["revenue_cents"].sum()],
         }
     )
-    out = (
-        pd.concat([base, region_rows, total_row], ignore_index=True)
-        .sort_values(["region", "nation"], ignore_index=True)
-        .astype({"n_orders": "int64", "revenue_cents": "int64"})
-    )
-    return pa.Table.from_pandas(
-        out[["region", "nation", "n_orders", "revenue_cents"]], preserve_index=False
+    return finish(
+        pd.concat([base, region_rows, total_row], ignore_index=True),
+        ["region", "nation"],
+        columns=["region", "nation", "n_orders", "revenue_cents"],
+        dtypes={"n_orders": "int64", "revenue_cents": "int64"},
     )
 
 
@@ -816,9 +800,7 @@ def orders_repeat_rate(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Tabl
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
     from mlscraper_ray.functions.joins import cogroup_join
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey"]
-    ).map_batches(
+    orders = read_table(sf_dir, "orders", ["o_custkey"]).map_batches(
         lambda df: df.groupby("o_custkey", sort=False)
         .size()
         .rename("n_orders")
@@ -831,9 +813,7 @@ def orders_repeat_rate(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Tabl
         orders, ["c_custkey"], {"n_orders": ("n_orders", "sum")}
     )
 
-    cust_read = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_mktsegment"]
-    )
+    cust_read = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     n_cust = cust_read.count()  # parquet metadata, no scan
     if n_cust <= broadcast_limit:
         cdf = cust_read.to_pandas()
@@ -871,10 +851,7 @@ def orders_repeat_rate(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Tabl
         .astype({"n_customers": "int64", "n_repeat": "int64"})
     )
     out["repeat_milli"] = (1000 * out["n_repeat"]) // out["n_customers"]
-    return pa.Table.from_pandas(
-        out[["c_mktsegment", "n_customers", "n_repeat", "repeat_milli"]],
-        preserve_index=False,
-    )
+    return finish(out, columns=["c_mktsegment", "n_customers", "n_repeat", "repeat_milli"])
 
 
 ORDERS_REPEAT_RATE_SQL = """
@@ -902,10 +879,7 @@ def lineitem_discount_bands(sf_dir: str) -> pa.Table:
     chain."""
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_discount", "l_quantity", "l_extendedprice"],
-    )
+    ds = read_table(sf_dir, "lineitem", ["l_discount", "l_quantity", "l_extendedprice"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         dpct = (df["l_discount"] * 100).round().astype("int64")
@@ -924,7 +898,7 @@ def lineitem_discount_bands(sf_dir: str) -> pa.Table:
         )
         return out.reset_index().astype("int64")
 
-    out = (
+    return finish(
         bucketed_aggregate(
             ds.map_batches(partial, batch_format="pandas"),
             ["discount_pct"],
@@ -934,12 +908,10 @@ def lineitem_discount_bands(sf_dir: str) -> pa.Table:
                 "revenue_cents": ("revenue_cents", "sum"),
             },
             n_buckets=11,
-        )
-        .to_pandas()
-        .sort_values("discount_pct", ignore_index=True)
-        .astype("int64")
+        ).to_pandas(),
+        "discount_pct",
+        dtypes="int64",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 LINEITEM_DISCOUNT_BANDS_SQL = """

@@ -27,12 +27,13 @@ words-CTE whitespace split shared by the surprisal/token-stats family.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
+
+from mlscraper_ray.functions.tables import finish, read_table
 
 N_BUCKETS = 4096
 
@@ -112,12 +113,9 @@ def quality_classifier_ds(docs: ray.data.Dataset, concurrency=(1, 8)) -> ray.dat
 def quality_classifier(sf_dir: str) -> pa.Table:
     """Driver-table wrapper for the compare contract; production
     consumers use :func:`quality_classifier_ds` and keep streaming."""
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     out = quality_classifier_ds(docs).to_pandas()
-    out = out.sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "doc_id")
 
 
 QUALITY_CLASSIFIER_SQL = f"""

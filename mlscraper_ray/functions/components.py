@@ -31,7 +31,6 @@ functions/similarity.py.
 """
 from __future__ import annotations
 
-import os
 
 import numpy as np
 import pandas as pd
@@ -45,6 +44,7 @@ from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
 from mlscraper_ray.functions.dedup import MINHASH_DEDUP_SQL, minhash_verified_pairs
 from mlscraper_ray.functions.joins import adaptive_n_buckets, cogroup_join
+from mlscraper_ray.functions.tables import finish, read_table
 
 
 def connected_components(
@@ -229,8 +229,7 @@ def neardup_clusters(sf_dir: str, threshold_pct: int = 70) -> pa.Table:
         )
     labels = connected_components(edges, approx_edges=n_edges)
     out = labels.to_pandas().rename(columns={"node": "doc_id", "label": "cluster_id"})
-    out = out.sort_values("doc_id", ignore_index=True).astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "doc_id", dtypes="int64")
 
 
 def corpus_dedup_canonical(
@@ -257,12 +256,11 @@ def corpus_dedup_canonical(
             }
         )
 
-    docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"])
+    docs = read_table(sf_dir, "documents", ["doc_id"])
     edges = pairs.map_batches(as_edges, batch_format="pyarrow").materialize()
     n_edges = edges.count()
     if n_edges == 0:
-        out = docs.to_pandas().sort_values("doc_id", ignore_index=True)
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return finish(docs.to_pandas(), "doc_id")
 
     labels = connected_components(edges, approx_edges=n_edges)
 
@@ -303,8 +301,7 @@ def corpus_dedup_canonical(
 
         out = joined.map_batches(keep_anti, batch_format="pandas").to_pandas()
 
-    out = out.sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "doc_id")
 
 
 # DuckDB oracles: transitive closure by recursive CTE over the SAME
@@ -371,8 +368,7 @@ def winnow_clusters(sf_dir: str, min_shared: int = 3) -> pa.Table:
         )
     labels = connected_components(edges, approx_edges=n_edges)
     out = labels.to_pandas().rename(columns={"node": "doc_id", "label": "cluster_id"})
-    out = out.sort_values("doc_id", ignore_index=True).astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "doc_id", dtypes="int64")
 
 
 def winnow_clusters_sql(min_shared: int = 3) -> str:
@@ -413,9 +409,7 @@ def simhash_clusters(sf_dir: str, max_hamming: int = 3) -> pa.Table:
     count-guarded components fold applies unchanged."""
     from mlscraper_ray.functions.dedup import simhash_neardup_pairs
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     pairs = simhash_neardup_pairs(docs, max_hamming=max_hamming)
     if pairs.num_rows == 0:
         return pa.table(
@@ -431,8 +425,7 @@ def simhash_clusters(sf_dir: str, max_hamming: int = 3) -> pa.Table:
     )
     labels = connected_components(edges, approx_edges=pairs.num_rows)
     out = labels.to_pandas().rename(columns={"node": "doc_id", "label": "cluster_id"})
-    out = out.sort_values("doc_id", ignore_index=True).astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "doc_id", dtypes="int64")
 
 
 def simhash_clusters_sql() -> str:

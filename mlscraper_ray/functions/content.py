@@ -26,6 +26,7 @@ import pyarrow as pa
 import ray.data
 
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
+from mlscraper_ray.functions.tables import finish
 
 
 def pick_densest_block(blocks: list[tuple[str, str, int, int]]) -> int:
@@ -98,8 +99,7 @@ def main_content_ds(sf_dir: str) -> ray.data.Dataset:
 def extract_main_content(sf_dir: str) -> pa.Table:
     """Driver-table wrapper sorted by url; :func:`main_content_ds` is
     the streaming core."""
-    out = main_content_ds(sf_dir).to_pandas().sort_values("url", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(main_content_ds(sf_dir).to_pandas(), "url")
 
 
 def page_profile_ds(sf_dir: str) -> ray.data.Dataset:
@@ -137,8 +137,7 @@ def page_profile_ds(sf_dir: str) -> ray.data.Dataset:
 def page_profile(sf_dir: str) -> pa.Table:
     """Driver-table wrapper sorted by url; :func:`page_profile_ds` is
     the streaming core."""
-    out = page_profile_ds(sf_dir).to_pandas().sort_values("url", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(page_profile_ds(sf_dir).to_pandas(), "url")
 
 
 def page_profile_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> dict:

@@ -19,7 +19,6 @@ reproduces the output bit-for-bit.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import pandas as pd
 import pyarrow as pa
@@ -31,6 +30,7 @@ from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 from mlscraper_ray.functions.textstats import _LANGID, _QUALITY, _sql_stopword_list
+from mlscraper_ray.functions.tables import finish, read_table
 
 
 def _feat_filter_fn(min_quality_x10: int):
@@ -93,7 +93,7 @@ def curate_survivors_ds(
     rows (doc_id, n_tokens, quality_x10, n_dups) — the composition
     point for downstream stages (packing.corpus_to_training consumes
     this directly)."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     survivors = ds.map_batches(_feat_filter_fn(min_quality_x10), batch_format="pandas")
     deduped = bucketed_aggregate(survivors, ["h"], _CURATE_AGGS)
     return deduped.map_batches(_sample_fn(sample_pct), batch_format="pandas")
@@ -103,15 +103,11 @@ def curate_corpus(sf_dir: str, min_quality_x10: int = 500, sample_pct: int = 50)
     """Curated-corpus manifest: (doc_id, n_tokens, quality_x10, n_dups)
     for the surviving documents."""
     out = curate_survivors_ds(sf_dir, min_quality_x10, sample_pct).to_pandas()
-    if len(out) == 0:  # schema is lost on fully-empty results
-        return pa.table(
-            {
-                c: pa.array([], pa.int64())
-                for c in ("doc_id", "n_tokens", "quality_x10", "n_dups")
-            }
-        )
-    out = out.sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(
+        out,
+        "doc_id",
+        empty=pa.schema({c: pa.int64() for c in ("doc_id", "n_tokens", "quality_x10", "n_dups")}),
+    )
 
 
 def curate_corpus_to_parquet(
@@ -127,7 +123,7 @@ def curate_corpus_to_parquet(
     content hash ``h`` (carried as the unwritten ``__h`` routing
     column). Shard union == the oracle-checked contract table
     (tested)."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     survivors = ds.map_batches(_feat_filter_fn(min_quality_x10), batch_format="pandas")
     deduped = bucketed_aggregate(survivors, ["h"], {**_CURATE_AGGS, "__h": ("h", "min")})
     return write_resumable(
@@ -224,7 +220,7 @@ def decontaminate_survivors(
     from mlscraper_ray.functions.dedup import word_gram_set
     from mlscraper_ray.functions.joins import adaptive_n_buckets
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def holdout_grams(batch: pa.Table) -> pa.Table:
         grams: set[str] = set()
@@ -345,10 +341,11 @@ def decontaminate(
     survivors = decontaminate_survivors(
         sf_dir, holdout_mod=holdout_mod, n=n, broadcast_limit=broadcast_limit, n_buckets=n_buckets
     )
-    out = survivors.to_pandas().sort_values("doc_id", ignore_index=True)
-    if len(out) == 0:
-        return pa.table({"doc_id": pa.array([], pa.int64()), "n_grams": pa.array([], pa.int64())})
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(
+        survivors.to_pandas(),
+        "doc_id",
+        empty=pa.schema({"doc_id": pa.int64(), "n_grams": pa.int64()}),
+    )
 
 
 def decontaminate_to_parquet(
@@ -455,9 +452,7 @@ def dsir_select(
        two-int rows is the simpler exact path."""
     import numpy as np
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
     n_docs = docs.count()  # parquet metadata
     n_keep = n_docs // top_denom
     if n_keep == 0:
@@ -521,9 +516,7 @@ def dsir_select(
         .limit(n_keep)
         .to_pandas()
     )
-    return pa.Table.from_pandas(
-        top[["doc_id", "weight"]].reset_index(drop=True), preserve_index=False
-    )
+    return finish(top, columns=["doc_id", "weight"])
 
 
 def dsir_select_sql(

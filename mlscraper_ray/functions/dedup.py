@@ -33,6 +33,7 @@ from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.sinks import crc32_shard, shard_files, write_resumable
+from mlscraper_ray.functions.tables import finish, read_table
 
 # -- exact dedup ---------------------------------------------------------
 
@@ -42,7 +43,7 @@ def exact_dedup_ds(sf_dir: str) -> ray.data.Dataset:
     distinct md5(text), through the coarse-bucket aggregate (the
     distinct-hash cardinality scales with the corpus, see
     functions/bucketed.py)."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def add_hash(batch: pa.Table) -> pa.Table:
         hashes = [hashlib.md5(t.encode()).hexdigest() for t in batch["text"].to_pylist()]
@@ -58,9 +59,7 @@ def exact_dedup_ds(sf_dir: str) -> ray.data.Dataset:
 def exact_dedup(sf_dir: str) -> pa.Table:
     """Exact duplicate groups by md5(text): one row per distinct text
     with the surviving (minimum) doc_id and the duplicate count."""
-    out = exact_dedup_ds(sf_dir).to_pandas().sort_values("h", ignore_index=True)
-    out["n_dups"] = out["n_dups"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(exact_dedup_ds(sf_dir).to_pandas(), "h", dtypes={"n_dups": "int64"})
 
 
 EXACT_DEDUP_SQL = """
@@ -408,9 +407,7 @@ def minhash_verified_pairs(
     - larger: bucketed cogroup joins attach text_a/text_b to the pair
       rows — no driver-sized structure anywhere.
     """
-    from mlscraper_ray.functions.joins import cogroup_join
-
-    docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     # slim (doc_a, doc_b) rows; materialized once so the path-choice
     # count and the verify pass don't re-run the LSH
     candidates = minhash_candidate_pairs(docs, max_bucket_docs=max_bucket_docs).materialize()
@@ -443,7 +440,7 @@ def _verify_candidate_pairs(
             return batch.filter(pc.is_in(batch["doc_id"], value_set=cand_arr))
 
         texts_tbl = (
-            ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+            read_table(sf_dir, "documents", ["doc_id", "text"])
             .map_batches(keep_candidates, batch_format="pyarrow")
             .to_pandas()
         )
@@ -544,8 +541,7 @@ def minhash_dedup(
     out = verified.to_pandas()
     if len(out) == 0:
         return _EMPTY_PAIRS
-    out = out.sort_values(["doc_a", "doc_b"], ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, ["doc_a", "doc_b"])
 
 
 def incremental_minhash_dedup(
@@ -576,9 +572,7 @@ def incremental_minhash_dedup(
     :func:`_verify_candidate_pairs` stage; the best-match reduce packs
     (jaccard, prior_id) into one int64 so it's a scalar coarse-bucket
     max — no driver-side pair table anywhere."""
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     sig_rows = docs.count() * 32
     n_groups = min(65536, max(256, -(-sig_rows // 200_000)))
     sigs = docs.map_batches(
@@ -656,16 +650,11 @@ def incremental_minhash_dedup(
         )
 
     out = best.map_batches(unpack_best, batch_format="pandas").to_pandas()
-    if len(out) == 0:
-        return pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "prior_id": pa.array([], pa.int64()),
-                "jaccard_pct": pa.array([], pa.int64()),
-            }
-        )
-    out = out.sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(
+        out,
+        "doc_id",
+        empty=pa.schema({"doc_id": pa.int64(), "prior_id": pa.int64(), "jaccard_pct": pa.int64()}),
+    )
 
 
 def incremental_minhash_dedup_sql(snapshot_mod: int = 2, threshold_pct: int = 70) -> str:
@@ -850,7 +839,7 @@ def ngram_jaccard_pairs(sf_dir: str, n: int = 3, threshold_pct: int = 70, df_cap
     filter (integer-exact floor(100*i/(na+nb-i)) >= threshold_pct, so
     the Ray and SQL sides stay bit-identical; sub-threshold pairs die
     in the filter stage, never reaching the driver)."""
-    docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     pairs = _ngram_pair_counts(docs, n, df_cap)
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
@@ -862,8 +851,7 @@ def ngram_jaccard_pairs(sf_dir: str, n: int = 3, threshold_pct: int = 70, df_cap
     out = pairs.map_batches(score, batch_format="pandas").to_pandas()
     if len(out) == 0:
         return _EMPTY_PAIRS
-    out = out.sort_values(["doc_a", "doc_b"], ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, ["doc_a", "doc_b"])
 
 
 _EMPTY_CONTAIN = pa.table(
@@ -897,7 +885,7 @@ def ngram_containment_pairs(
     docs are dropped at explode time, since near-empty docs are
     trivially "contained" everywhere.
     """
-    docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     pairs = _ngram_pair_counts(docs, n, df_cap, min_grams=min_grams)
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
@@ -921,8 +909,7 @@ def ngram_containment_pairs(
     out = pairs.map_batches(score, batch_format="pandas").to_pandas()
     if len(out) == 0:
         return _EMPTY_CONTAIN
-    out = out.sort_values(["doc_id", "other_id"], ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, ["doc_id", "other_id"])
 
 
 NGRAM_JACCARD_SQL = """
@@ -1060,7 +1047,7 @@ def simhash64(text: str) -> int:
 def simhash_table(sf_dir: str) -> pa.Table:
     """doc_id -> 64-bit simhash (as signed int64) + 4x16-bit band keys
     for near-dup bucketing."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def fn(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
@@ -1068,8 +1055,7 @@ def simhash_table(sf_dir: str) -> pa.Table:
         signed = [s - (1 << 64) if s >= (1 << 63) else s for s in sh]
         return pa.table({"doc_id": pa.array(ids, pa.int64()), "simhash": pa.array(signed, pa.int64())})
 
-    out = ds.map_batches(fn, batch_format="pyarrow").to_pandas().sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(ds.map_batches(fn, batch_format="pyarrow").to_pandas(), "doc_id")
 
 
 def simhash_neardup_pairs(ds_docs: ray.data.Dataset, max_hamming: int = 3, n_coarse: int = 256) -> pa.Table:
@@ -1145,12 +1131,11 @@ def simhash_neardup_pairs(ds_docs: ray.data.Dataset, max_hamming: int = 3, n_coa
         )
 
     res = deduped.map_batches(unpack, batch_format="pyarrow").to_pandas()
-    if len(res) == 0:
-        return pa.table(
-            {"doc_a": pa.array([], pa.int64()), "doc_b": pa.array([], pa.int64()), "hamming": pa.array([], pa.int64())}
-        )
-    res = res.sort_values(["doc_a", "doc_b"], ignore_index=True)
-    return pa.Table.from_pandas(res, preserve_index=False)
+    return finish(
+        res,
+        ["doc_a", "doc_b"],
+        empty=pa.schema({"doc_a": pa.int64(), "doc_b": pa.int64(), "hamming": pa.int64()}),
+    )
 
 
 # Shared signature CTE: reproduces simhash64 term for term in DuckDB
@@ -1220,7 +1205,7 @@ def doc_dup_span_stats(sf_dir: str, n: int = 3) -> pa.Table:
     they are absent from the output — matching the SQL oracle.
     Integer-only arithmetic; bit-identical to DOC_DUP_SPAN_STATS_SQL.
     """
-    docs = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
         grams, ids = [], []
@@ -1258,10 +1243,7 @@ def doc_dup_span_stats(sf_dir: str, n: int = 3) -> pa.Table:
         )
     out = out.astype("int64")
     out["dup_pct"] = (100 * out["n_dup_grams"]) // out["n_grams"]
-    out = out[["doc_id", "n_grams", "n_dup_grams", "dup_pct"]].sort_values(
-        "doc_id", ignore_index=True
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "doc_id", columns=["doc_id", "n_grams", "n_dup_grams", "dup_pct"])
 
 
 DOC_DUP_SPAN_STATS_SQL = """
@@ -1319,9 +1301,7 @@ def incremental_dedup(sf_dir: str, snapshot_mod: int = 2) -> pa.Table:
     presence flag AND the min new id AND the new-copy count; the
     contaminated-or-duplicate filter is then a pure map. No broadcast,
     no driver structure, exactly one shuffle of slim rows."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def slim(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_pylist()
@@ -1361,20 +1341,11 @@ def incremental_dedup(sf_dir: str, snapshot_mod: int = 2) -> pa.Table:
             (df["prior"] == 0) & (df["n_new"] > 0), ["doc_id", "h", "n_new"]
         ].astype({"doc_id": "int64", "n_new": "int64"})
 
-    out = (
-        agg.map_batches(keep_clean, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    return finish(
+        agg.map_batches(keep_clean, batch_format="pandas").to_pandas(),
+        "doc_id",
+        empty=pa.schema({"doc_id": pa.int64(), "h": pa.string(), "n_new": pa.int64()}),
     )
-    if len(out) == 0:
-        return pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "h": pa.array([], pa.string()),
-                "n_new": pa.array([], pa.int64()),
-            }
-        )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def incremental_dedup_sql(snapshot_mod: int = 2) -> str:
@@ -1427,9 +1398,7 @@ def corpus_snapshot_diff(
     (doc_id, status) over the union of both id spaces, sorted."""
 
     mask = (1 << 62) - 1  # fit the unsigned md5 word into int64
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     base = int(ds.max("doc_id")) + 1
 
     def sides(batch: pa.Table) -> pd.DataFrame:
@@ -1495,10 +1464,12 @@ def corpus_snapshot_diff(
         folded.map_batches(label, batch_format="pandas")
         .to_pandas()
     )
-    if out.empty:  # empty corpus: typed empty, not a column-drop crash
-        return pa.table({"doc_id": pa.array([], pa.int64()), "status": pa.array([], pa.string())})
-    out = out.sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out[["doc_id", "status"]], preserve_index=False)
+    return finish(
+        out,
+        "doc_id",
+        columns=["doc_id", "status"],
+        empty=pa.schema({"doc_id": pa.int64(), "status": pa.string()}),
+    )
 
 
 def corpus_snapshot_diff_sql(
@@ -1570,9 +1541,7 @@ def bloom_screen(
     frozenset. One tiny shuffle, no all-to-all of document data."""
     from mlscraper_ray.functions.broadcast import cached_object
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def a_positions(batch: pd.DataFrame) -> pd.DataFrame:
         a = batch[batch["doc_id"] % 2 == 0]
@@ -1602,12 +1571,10 @@ def bloom_screen(
             }
         )
 
-    out = (
-        docs.map_batches(probe, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    return finish(
+        docs.map_batches(probe, batch_format="pandas").to_pandas(),
+        "doc_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def bloom_screen_sql(k: int = 4, m_bits: int = 1024) -> str:
@@ -1683,18 +1650,16 @@ def query_similar_docs(
             ["jaccard_pct", "doc_id"], ascending=[False, True], ignore_index=True
         ).head(k)
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     parts = docs.map_batches(per_batch, batch_format="pandas").to_pandas()
-    if len(parts) == 0:
-        return pa.table(
-            {c: pa.array([], pa.int64()) for c in ("doc_id", "jaccard_pct", "n_inter")}
-        )
-    out = parts.sort_values(
-        ["jaccard_pct", "doc_id"], ascending=[False, True], ignore_index=True
-    ).head(k).astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(
+        parts,
+        ["jaccard_pct", "doc_id"],
+        ascending=[False, True],
+        head=k,
+        dtypes="int64",
+        empty=pa.schema({c: pa.int64() for c in ("doc_id", "jaccard_pct", "n_inter")}),
+    )
 
 
 def query_similar_docs_sql(query_doc_id: int = 0, k: int = 20) -> str:
@@ -1752,9 +1717,7 @@ def lsh_index_to_parquet(
     import json
 
     meta_path = os.path.join(out_dir, "_meta.json")
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     postings = ds.map_batches(
         minhash_stage_task,
         fn_kwargs={
@@ -1870,10 +1833,8 @@ def query_similar_indexed(
     # string-gram Jaccard against the broadcast query gram set
     qg_ref = ray.put(word_gram_set(qtext, n))
     cand_arr = pa.array(sorted(cands), pa.int64())
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "text"],
-        filter=pc_.field("doc_id").isin(cand_arr),
+    docs = read_table(
+        sf_dir, "documents", ["doc_id", "text"], filter=pc_.field("doc_id").isin(cand_arr)
     )
 
     def verify(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1894,14 +1855,7 @@ def query_similar_indexed(
     parts = docs.map_batches(verify, batch_format="pandas").to_pandas()
     if len(parts) == 0:
         return empty
-    out = (
-        parts.sort_values(
-            ["jaccard_pct", "doc_id"], ascending=[False, True], ignore_index=True
-        )
-        .head(k)
-        .astype("int64")
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(parts, ["jaccard_pct", "doc_id"], ascending=[False, True], head=k, dtypes="int64")
 
 
 def query_similar_indexed_sql(
@@ -2023,9 +1977,7 @@ def winnow_fingerprints_ds(
             columns=["doc_id", "n_grams", "n_selected", "n_distinct_fp", "fp_sum"],
         ).astype("int64")
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     return docs.map_batches(per_batch, batch_format="pandas")
 
 
@@ -2083,15 +2035,14 @@ def doc_winnow_fingerprints(
     """Registry entry: the contract table over
     :func:`winnow_fingerprints_ds`, ordered by doc_id."""
     out = winnow_fingerprints_ds(sf_dir, k=k, w=w, mod=mod).to_pandas()
-    if len(out) == 0:
-        return pa.table(
-            {
-                c: pa.array([], pa.int64())
-                for c in ("doc_id", "n_grams", "n_selected", "n_distinct_fp", "fp_sum")
-            }
-        )
-    out = out.sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out.astype("int64"), preserve_index=False)
+    return finish(
+        out,
+        "doc_id",
+        dtypes="int64",
+        empty=pa.schema(
+            {c: pa.int64() for c in ("doc_id", "n_grams", "n_selected", "n_distinct_fp", "fp_sum")}
+        ),
+    )
 
 
 def winnow_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16, **kwargs) -> dict:
@@ -2146,9 +2097,7 @@ def winnow_neardup_pairs_ds(
             }
         )
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     exploded = docs.map_batches(explode, batch_format="pandas")
 
     def pairs_in_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -2213,12 +2162,12 @@ def winnow_neardup_pairs(
     out = winnow_neardup_pairs_ds(
         sf_dir, k=k, w=w, mod=mod, min_shared=min_shared, df_cap=df_cap
     ).to_pandas()
-    if len(out) == 0:
-        return pa.table(
-            {c: pa.array([], pa.int64()) for c in ("doc_a", "doc_b", "shared")}
-        )
-    out = out.sort_values(["doc_a", "doc_b"], ignore_index=True).astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(
+        out,
+        ["doc_a", "doc_b"],
+        dtypes="int64",
+        empty=pa.schema({c: pa.int64() for c in ("doc_a", "doc_b", "shared")}),
+    )
 
 
 def source_neardup_report(
@@ -2270,9 +2219,7 @@ def source_neardup_report(
         batch_format="pandas",
     )
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "source"])
     joined = cogroup_join(docs, involved, "doc_id", how="left", approx_rows=docs.count())
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -2303,10 +2250,7 @@ def source_neardup_report(
     out["n_docs"] = out["n_docs"].astype("int64")
     out["n_neardup_docs"] = out["n_neardup_docs"].astype("int64")
     out["neardup_milli"] = (1000 * out["n_neardup_docs"]) // out["n_docs"].clip(lower=1)
-    return pa.Table.from_pandas(
-        out[["source", "n_docs", "n_neardup_docs", "neardup_milli"]],
-        preserve_index=False,
-    )
+    return finish(out, columns=["source", "n_docs", "n_neardup_docs", "neardup_milli"])
 
 
 def source_neardup_report_sql(threshold_pct: int = 70) -> str:
@@ -2379,9 +2323,7 @@ def source_pair_matrix(
         broadcast_limit=broadcast_limit,
         max_bucket_docs=max_bucket_docs,
     ).materialize()
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "source"])
     n_docs = docs.count()
 
     n_pairs = pairs.count()
@@ -2410,14 +2352,13 @@ def source_pair_matrix(
         out = pd.DataFrame(
             {"source_lo": np.minimum(a, b), "source_hi": np.maximum(a, b)}
         )
-        out = (
+        return finish(
             out.groupby(["source_lo", "source_hi"], as_index=False)
             .size()
-            .rename(columns={"size": "n_pairs"})
-            .sort_values(["source_lo", "source_hi"], ignore_index=True)
+            .rename(columns={"size": "n_pairs"}),
+            ["source_lo", "source_hi"],
+            dtypes={"n_pairs": "int64"},
         )
-        out["n_pairs"] = out["n_pairs"].astype("int64")
-        return pa.Table.from_pandas(out, preserve_index=False)
 
     def a_rows(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "doc_a" not in df.columns:
@@ -2463,17 +2404,15 @@ def source_pair_matrix(
         g = out.groupby(["source_lo", "source_hi"], sort=False).size().rename("n_pairs")
         return g.reset_index()
 
-    out = (
+    return finish(
         bucketed_aggregate(
             j2.map_batches(matrix_rows, batch_format="pandas"),
             ["source_lo", "source_hi"],
             {"n_pairs": ("n_pairs", "sum")},
-        )
-        .to_pandas()
-        .sort_values(["source_lo", "source_hi"], ignore_index=True)
+        ).to_pandas(),
+        ["source_lo", "source_hi"],
+        dtypes={"n_pairs": "int64"},
     )
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def source_pair_matrix_sql(threshold_pct: int = 70) -> str:
@@ -2506,9 +2445,7 @@ def doc_gram_novelty(sf_dir: str, n: int = 3) -> pa.Table:
     credits and joins them back to the totals on one key. No pair
     emission anywhere."""
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
         grams, ids, buckets = [], [], []
@@ -2576,8 +2513,7 @@ def doc_gram_novelty(sf_dir: str, n: int = 3) -> pa.Table:
     )
     out["n_novel"] = out["doc_id"].map(nov).fillna(0).astype("int64")
     out["novelty_milli"] = (1000 * out["n_novel"]) // out["n_grams"].clip(lower=1)
-    out = out.sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "doc_id")
 
 
 DOC_GRAM_NOVELTY_SQL = """
@@ -2655,23 +2591,18 @@ def simhash_pair_histogram(sf_dir: str) -> pa.Table:
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    out = (
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+    return finish(
         bucketed_aggregate(
             co_partition(
                 ds.map_batches(to_sides, batch_format="pyarrow"), ["pair"], hamming_bucket, n_buckets
             ),
             ["hamming"],
             {"n_pairs": ("n_pairs", "sum")},
-        )
-        .to_pandas()
-        .sort_values("hamming", ignore_index=True)
+        ).to_pandas(),
+        "hamming",
+        dtypes={"hamming": "int64", "n_pairs": "int64"},
     )
-    out["hamming"] = out["hamming"].astype("int64")
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 SIMHASH_PAIR_HISTOGRAM_SQL = _SIMHASH_SIG_CTE + """
@@ -2698,9 +2629,7 @@ def dedup_prefix_groups(sf_dir: str, prefix_len: int = 64) -> pa.Table:
     prefix never ships raw), folded through the coarse-bucket
     aggregate; only >1 groups leave."""
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         df = pd.DataFrame(
@@ -2717,27 +2646,18 @@ def dedup_prefix_groups(sf_dir: str, prefix_len: int = 64) -> pa.Table:
         )
         return g.reset_index().astype({"n_docs": "int64", "min_doc_id": "int64"})
 
-    out = (
+    return finish(
         bucketed_aggregate(
             ds.map_batches(partial, batch_format="pyarrow"),
             ["pmd5"],
             {"n_docs": ("n_docs", "sum"), "min_doc_id": ("min_doc_id", "min")},
         )
         .map_batches(lambda df: df[df["n_docs"] > 1], batch_format="pandas")
-        .to_pandas()
-        .sort_values("pmd5", ignore_index=True)
-    )
-    if len(out) == 0:
-        return pa.table(
-            {
-                "pmd5": pa.array([], pa.string()),
-                "n_docs": pa.array([], pa.int64()),
-                "min_doc_id": pa.array([], pa.int64()),
-            }
-        )
-    out = out.astype({"n_docs": "int64", "min_doc_id": "int64"})
-    return pa.Table.from_pandas(
-        out[["pmd5", "n_docs", "min_doc_id"]], preserve_index=False
+        .to_pandas(),
+        "pmd5",
+        columns=["pmd5", "n_docs", "min_doc_id"],
+        dtypes={"n_docs": "int64", "min_doc_id": "int64"},
+        empty=pa.schema({"pmd5": pa.string(), "n_docs": pa.int64(), "min_doc_id": pa.int64()}),
     )
 
 

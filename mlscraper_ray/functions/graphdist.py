@@ -48,6 +48,7 @@ import ray.data
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, coalesce_blocks
 from mlscraper_ray.functions.joins import cogroup_join
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
+from mlscraper_ray.functions.tables import finish
 
 
 def bfs_reference(
@@ -208,15 +209,14 @@ def link_distance_from_seeds(
         .tolist()
     )
     _nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
-    out = (
+    return finish(
         link_distance_ds(
             edges,
             seeds,
             broadcast_limit=broadcast_limit,
             max_rounds=max_rounds,
-        )
-        .to_pandas()
-        .sort_values("url", ignore_index=True)
+        ).to_pandas(),
+        "url",
+        columns=["url", "dist"],
+        dtypes={"dist": "int64"},
     )
-    out["dist"] = out["dist"].astype("int64")
-    return pa.Table.from_pandas(out[["url", "dist"]], preserve_index=False)

@@ -45,6 +45,7 @@ import ray.data
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 from mlscraper_ray.functions.joins import adaptive_n_buckets
 from mlscraper_ray.functions.pagerank import corpus_link_graph
+from mlscraper_ray.functions.tables import finish
 
 SCALE = 10**5
 
@@ -274,7 +275,9 @@ def link_hits(
     core."""
     nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
     out = hits_ds(nodes, edges, n_iters=n_iters, **kwargs).to_pandas()
-    out = out.rename(columns={"node": "url"}).sort_values("url", ignore_index=True)
-    out["hub"] = out["hub"].astype("int64")
-    out["auth"] = out["auth"].astype("int64")
-    return pa.Table.from_pandas(out[["url", "hub", "auth"]], preserve_index=False)
+    return finish(
+        out.rename(columns={"node": "url"}),
+        "url",
+        columns=["url", "hub", "auth"],
+        dtypes={"hub": "int64", "auth": "int64"},
+    )

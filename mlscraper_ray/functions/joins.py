@@ -28,6 +28,7 @@ import ray
 import ray.data
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
+from mlscraper_ray.functions.tables import finish, read_table
 
 
 def broadcast_join_map(ds: ray.data.Dataset, key: str, mapping_ref, out_col: str):
@@ -207,9 +208,7 @@ def order_lineitem_revenue(sf_dir: str) -> pa.Table:
     extended-price revenue (cents) per order priority."""
     import pyarrow.compute as pc
 
-    li_read = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"), columns=["l_orderkey", "l_extendedprice"]
-    )
+    li_read = read_table(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"])
     n_li = li_read.count()  # parquet metadata, no read
     lineitem = li_read.map_batches(
         lambda t: pa.table(
@@ -220,9 +219,7 @@ def order_lineitem_revenue(sf_dir: str) -> pa.Table:
         ),
         batch_format="pyarrow",
     )
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_orderkey", "o_orderpriority"]
-    )
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     joined = cogroup_join(lineitem, orders, "o_orderkey", approx_rows=n_li)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -239,15 +236,14 @@ def order_lineitem_revenue(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
+    return finish(
         joined.map_batches(partial, batch_format="pyarrow")
         .groupby("o_orderpriority")
         .sum(["revenue_cents", "n_lineitems"])
         .to_pandas()
-        .rename(columns={"sum(revenue_cents)": "revenue_cents", "sum(n_lineitems)": "n_lineitems"})
-        .sort_values("o_orderpriority", ignore_index=True)
+        .rename(columns={"sum(revenue_cents)": "revenue_cents", "sum(n_lineitems)": "n_lineitems"}),
+        "o_orderpriority",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 ORDER_LINEITEM_REVENUE_SQL = """
@@ -273,21 +269,15 @@ def customers_without_orders(sf_dir: str, broadcast_limit: int = 5_000_000) -> p
     """
     import pyarrow.compute as pc
 
-    customers = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_name", "c_nationkey"]
-    )
-    order_keys = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey"]
-    ).map_batches(
+    customers = read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
+    order_keys = read_table(sf_dir, "orders", ["o_custkey"]).map_batches(
         lambda t: pa.table({"o_custkey": pc.unique(t["o_custkey"])}),
         batch_format="pyarrow",
     )
     # path choice from parquet METADATA (row count bounds the distinct
     # key count from above) — deciding by collecting the keys would
     # already pay the broadcast cost
-    n_orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey"]
-    ).count()
+    n_orders = read_table(sf_dir, "orders", ["o_custkey"]).count()
     if n_orders <= broadcast_limit:
         custkeys = order_keys.to_pandas()["o_custkey"].unique()
         keys_ref = ray.put(pa.array(sorted(custkeys), pa.int64()))
@@ -332,16 +322,13 @@ def customers_without_orders(sf_dir: str, broadcast_limit: int = 5_000_000) -> p
             )
 
         out = joined.map_batches(keep_anti, batch_format="pandas").to_pandas()
-    if out.empty:
-        return pa.table(
-            {
-                "c_custkey": pa.array([], pa.int64()),
-                "c_name": pa.array([], pa.string()),
-                "c_nationkey": pa.array([], pa.int32()),
-            }
-        )
-    out = out.sort_values("c_custkey", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(
+        out,
+        "c_custkey",
+        empty=pa.schema(
+            {"c_custkey": pa.int64(), "c_name": pa.string(), "c_nationkey": pa.int32()}
+        ),
+    )
 
 
 CUSTOMERS_WITHOUT_ORDERS_SQL = """
@@ -383,10 +370,7 @@ def asof_join_events(
     """
     import pyarrow.compute as pc
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "user_id", "event_type"],
-    )
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
     if n_buckets is None:
         n_buckets = adaptive_n_buckets(ds.count())  # metadata count for pure reads
     type_set = pa.array([left_type, right_type])
@@ -430,12 +414,11 @@ def asof_join_events(
             }
         )
 
-    out = (
+    return finish(
         co_partition(ds.map_batches(slim, batch_format="pyarrow"), ["user_id"], join_bucket, n_buckets)
-        .to_pandas()
-        .sort_values("purchase_id", ignore_index=True)
+        .to_pandas(),
+        "purchase_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def range_join_events(
@@ -467,10 +450,7 @@ def range_join_events(
     import pyarrow.compute as pc
 
     assert window_us <= bucket_us, "window span must fit 3 consecutive buckets"
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "ts", "event_type"],
-    )
+    ds = read_table(sf_dir, "events", ["event_id", "ts", "event_type"])
 
     def assign(batch: pa.Table) -> pa.Table:
         # int64 us + numpy FLOOR division: Arrow integer divide
@@ -555,18 +535,15 @@ def range_join_events(
     out = bucketed_aggregate(
         partials, ["error_id"], {"n_near_clicks": ("n", "sum"), "min_abs_gap_us": ("gap", "min")}
     ).to_pandas()
-    if out.empty:
-        return pa.table(
-            {
-                "error_id": pa.array([], pa.int64()),
-                "n_near_clicks": pa.array([], pa.int64()),
-                "min_abs_gap_us": pa.array([], pa.int64()),
-            }
-        )
-    out = out.sort_values("error_id", ignore_index=True)
-    out["n_near_clicks"] = out["n_near_clicks"].astype("int64")
-    out["min_abs_gap_us"] = out["min_abs_gap_us"].astype("int64")
-    return pa.Table.from_pandas(out[["error_id", "n_near_clicks", "min_abs_gap_us"]], preserve_index=False)
+    return finish(
+        out,
+        "error_id",
+        columns=["error_id", "n_near_clicks", "min_abs_gap_us"],
+        dtypes={"n_near_clicks": "int64", "min_abs_gap_us": "int64"},
+        empty=pa.schema(
+            {"error_id": pa.int64(), "n_near_clicks": pa.int64(), "min_abs_gap_us": pa.int64()}
+        ),
+    )
 
 
 RANGE_JOIN_EVENTS_SQL = """
@@ -619,14 +596,8 @@ def part_brand_revenue(sf_dir: str, broadcast_limit: int = 50_000_000) -> pa.Tab
     streaming pass over lineitem; above it the cogroup join takes
     over (same output, tested-equal path choice as everywhere else)."""
 
-    parts = ray.data.read_parquet(
-        os.path.join(sf_dir, "part.parquet"),
-        columns=["p_partkey", "p_brand", "p_type"],
-    )
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_partkey", "l_extendedprice", "l_discount"],
-    )
+    parts = read_table(sf_dir, "part", ["p_partkey", "p_brand", "p_type"])
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_extendedprice", "l_discount"])
 
     def rev_rows(df: pd.DataFrame) -> pd.DataFrame:
         cents = (df["l_extendedprice"] * 100).round().astype("int64")
@@ -692,7 +663,7 @@ def part_brand_revenue(sf_dir: str, broadcast_limit: int = 50_000_000) -> pa.Tab
         )
         return g.reset_index()
 
-    out = (
+    return finish(
         bucketed_aggregate(
             attached.map_batches(partial, batch_format="pandas"),
             ["p_brand", "p_type"],
@@ -700,13 +671,10 @@ def part_brand_revenue(sf_dir: str, broadcast_limit: int = 50_000_000) -> pa.Tab
                 "revenue_cents": ("revenue_cents", "sum"),
                 "n_lineitems": ("n_lineitems", "sum"),
             },
-        )
-        .to_pandas()
-        .sort_values(["p_brand", "p_type"], ignore_index=True)
+        ).to_pandas(),
+        ["p_brand", "p_type"],
+        dtypes={"revenue_cents": "int64", "n_lineitems": "int64"},
     )
-    out["revenue_cents"] = out["revenue_cents"].astype("int64")
-    out["n_lineitems"] = out["n_lineitems"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 PART_BRAND_REVENUE_SQL = """
@@ -738,10 +706,7 @@ def supplier_nation_summary(sf_dir: str) -> pa.Table:
     rmap = {int(k): str(n) for k, n in zip(reg["r_regionkey"], reg["r_name"])}
     m_ref = ray.put((nmap, rmap))
 
-    sup = ray.data.read_parquet(
-        os.path.join(sf_dir, "supplier.parquet"),
-        columns=["s_suppkey", "s_name", "s_nationkey", "s_acctbal"],
-    )
+    sup = read_table(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey", "s_acctbal"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         from mlscraper_ray.functions.broadcast import cached_object
@@ -806,7 +771,7 @@ def supplier_nation_summary(sf_dir: str) -> pa.Table:
     for c in ("n_suppliers", "sum_bal_cents", "top_bal_cents"):
         out[c] = out[c].astype("int64")
     cols = ["r_name", "n_name", "n_suppliers", "sum_bal_cents", "top_bal_cents", "top_supplier"]
-    return pa.Table.from_pandas(out[cols], preserve_index=False)
+    return finish(out, columns=cols)
 
 
 SUPPLIER_NATION_SUMMARY_SQL = """
@@ -851,9 +816,7 @@ def q3_shipping_priority(
 
     cut = pd.Timestamp(cutoff)
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_mktsegment"]
-    )
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     keys = set()
     for b in cust.map_batches(
         lambda df: pd.DataFrame(
@@ -864,9 +827,8 @@ def q3_shipping_priority(
         keys.update(int(x) for x in b["c_custkey"])
     keys_ref = ray.put(keys)
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
+    orders = read_table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"]
     )
 
     def keep_orders(df: pd.DataFrame) -> pd.DataFrame:
@@ -880,9 +842,8 @@ def q3_shipping_priority(
 
     o_kept = orders.map_batches(keep_orders, batch_format="pandas")
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"],
+    li = read_table(
+        sf_dir, "lineitem", ["l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"]
     )
 
     def li_rev(df: pd.DataFrame) -> pd.DataFrame:
@@ -920,17 +881,14 @@ def q3_shipping_priority(
         ).head(k)
 
     parts = agg.map_batches(block_topk, batch_format="pandas").to_pandas()
-    out = (
-        parts.sort_values(
-            ["revenue_cents", "o_orderdate", "o_orderkey"],
-            ascending=[False, True, True],
-            ignore_index=True,
-        )
-        .head(k)[["o_orderkey", "o_orderdate", "o_orderpriority", "revenue_cents"]]
-        .reset_index(drop=True)
+    return finish(
+        parts,
+        ["revenue_cents", "o_orderdate", "o_orderkey"],
+        ascending=[False, True, True],
+        head=k,
+        columns=["o_orderkey", "o_orderdate", "o_orderpriority", "revenue_cents"],
+        dtypes={"revenue_cents": "int64"},
     )
-    out["revenue_cents"] = out["revenue_cents"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def q3_shipping_priority_sql(
@@ -991,19 +949,14 @@ def q5_local_supplier_volume(
     region_nations = set(int(k) for k in nat["n_nationkey"])
     name_by_key = dict(zip(nat["n_nationkey"].astype(int), nat["n_name"]))
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    ).map_batches(
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
         lambda df: df.loc[
             (df["o_orderdate"] >= lo) & (df["o_orderdate"] < hi),
             ["o_orderkey", "o_custkey"],
         ].rename(columns={"o_custkey": "custkey"}),
         batch_format="pandas",
     )
-    cust_read = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
-    )
+    cust_read = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     n_cust = cust_read.count()  # parquet metadata, no scan
     cust = cust_read.map_batches(
         lambda df: df.loc[
@@ -1049,9 +1002,8 @@ def q5_local_supplier_volume(
             }
         )
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
+    li = read_table(
+        sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
     ).map_batches(li_slim, batch_format="pandas")
     n_li = pq.read_metadata(os.path.join(sf_dir, "lineitem.parquet")).num_rows
     l_oc = cogroup_join(li, o_c, "orderkey", approx_rows=n_li).map_batches(
@@ -1061,9 +1013,7 @@ def q5_local_supplier_volume(
         batch_format="pandas",
     )
 
-    supp_read = ray.data.read_parquet(
-        os.path.join(sf_dir, "supplier.parquet"), columns=["s_suppkey", "s_nationkey"]
-    )
+    supp_read = read_table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
     n_supp = supp_read.count()
     supp = supp_read.map_batches(
         lambda df: df.loc[
@@ -1109,12 +1059,13 @@ def q5_local_supplier_volume(
         .to_pandas()
     )
     out["n_name"] = out["s_nat"].map(name_by_key)
-    out = out[["n_name", "revenue_cents", "n_lineitems"]].sort_values(
-        ["revenue_cents", "n_name"], ascending=[False, True], ignore_index=True
+    return finish(
+        out,
+        ["revenue_cents", "n_name"],
+        ascending=[False, True],
+        columns=["n_name", "revenue_cents", "n_lineitems"],
+        dtypes={"revenue_cents": "int64", "n_lineitems": "int64"},
     )
-    for c in ("revenue_cents", "n_lineitems"):
-        out[c] = out[c].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def q5_local_supplier_volume_sql(
@@ -1159,9 +1110,7 @@ def q18_large_orders(
     The final top-k folds blockwise local heads — the aggregate is
     never materialized whole. Quantities ride as exact int64 units."""
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"), columns=["l_orderkey", "l_quantity"]
-    ).map_batches(
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
         lambda df: df.groupby("l_orderkey", sort=False)
         .agg(total_qty=("l_quantity", "sum"))
         .reset_index()
@@ -1178,9 +1127,8 @@ def q18_large_orders(
         batch_format="pandas",
     )
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"],
+    orders = read_table(
+        sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]
     ).map_batches(
         lambda df: pd.DataFrame(
             {
@@ -1195,9 +1143,7 @@ def q18_large_orders(
     n_orders = pq.read_metadata(os.path.join(sf_dir, "orders.parquet")).num_rows
     bo = cogroup_join(big, orders, "o_orderkey", approx_rows=n_orders)
 
-    cust_read = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_name"]
-    )
+    cust_read = read_table(sf_dir, "customer", ["c_custkey", "c_name"])
     n_cust = cust_read.count()  # parquet metadata, no scan
     if n_cust <= broadcast_limit:
         from mlscraper_ray.functions.broadcast import cached_object
@@ -1223,14 +1169,12 @@ def q18_large_orders(
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
         return df.sort_values(order_cols, ascending=asc).head(k)[cols]
 
-    out = (
-        joined.map_batches(block_topk, batch_format="pandas")
-        .to_pandas()
-        .sort_values(order_cols, ascending=asc, ignore_index=True)
-        .head(k)
-        .reset_index(drop=True)
+    return finish(
+        joined.map_batches(block_topk, batch_format="pandas").to_pandas(),
+        order_cols,
+        ascending=asc,
+        head=k,
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def q18_large_orders_sql(min_qty: int = 200, k: int = 50) -> str:
@@ -1261,10 +1205,7 @@ def orders_with_returns_by_priority(sf_dir: str) -> pa.Table:
     matching-key set is itself fact-sized and can never broadcast.
     Priority counts then fold partial-first into a 5-row table."""
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_returnflag"],
-    )
+    li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
 
     def returned_keys(df: pd.DataFrame) -> pd.DataFrame:
         ks = df.loc[df["l_returnflag"] == "R", "l_orderkey"].astype("int64").unique()
@@ -1277,10 +1218,7 @@ def orders_with_returns_by_priority(sf_dir: str) -> pa.Table:
         lambda df: df[["o_orderkey"]], batch_format="pandas"
     )
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_orderpriority"],
-    )
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     n_orders = pq.read_metadata(os.path.join(sf_dir, "orders.parquet")).num_rows
     joined = cogroup_join(orders, distinct, "o_orderkey", approx_rows=n_orders)
 
@@ -1291,13 +1229,12 @@ def orders_with_returns_by_priority(sf_dir: str) -> pa.Table:
         .reset_index(),
         batch_format="pandas",
     )
-    out = (
+    return finish(
         bucketed_aggregate(parts, ["o_orderpriority"], {"n_orders": ("n_orders", "sum")})
-        .to_pandas()
-        .sort_values("o_orderpriority", ignore_index=True)
+        .to_pandas(),
+        "o_orderpriority",
+        dtypes={"n_orders": "int64"},
     )
-    out["n_orders"] = out["n_orders"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 ORDERS_WITH_RETURNS_SQL = """
@@ -1325,9 +1262,7 @@ def top_customers_by_nation(sf_dir: str, k: int = 3) -> pa.Table:
     nmap = {int(x): str(n) for x, n in zip(nat["n_nationkey"], nat["n_name"])}
     m_ref = ray.put(nmap)
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey", "o_totalprice"]
-    )
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
     def per_cust(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -1344,9 +1279,7 @@ def top_customers_by_nation(sf_dir: str, k: int = 3) -> pa.Table:
         {"revenue_cents": ("revenue_cents", "sum")},
     )
 
-    cust = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"), columns=["c_custkey", "c_nationkey"]
-    )
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     n_cust = pq.read_metadata(os.path.join(sf_dir, "customer.parquet")).num_rows
     joined = cogroup_join(totals, cust, "c_custkey", approx_rows=n_cust)
 
@@ -1380,7 +1313,7 @@ def top_customers_by_nation(sf_dir: str, k: int = 3) -> pa.Table:
         .head(k)
         .reset_index(drop=True)
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out)
 
 
 def top_customers_by_nation_sql(k: int = 3) -> str:
@@ -1440,15 +1373,11 @@ def q10_returned_revenue(
             .reset_index()
         )
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"],
+    li = read_table(
+        sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_extendedprice", "l_discount"]
     ).map_batches(li_returned, batch_format="pandas")
 
-    orders = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    ).map_batches(
+    orders = read_table(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
         lambda df: df.loc[
             (df["o_orderdate"] >= lo) & (df["o_orderdate"] < hi),
             ["o_orderkey", "o_custkey"],
@@ -1467,10 +1396,7 @@ def q10_returned_revenue(
         per_cust, ["c_custkey"], {"lost_cents": ("lost_cents", "sum")}
     )
 
-    cust_read = ray.data.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_name", "c_nationkey"],
-    )
+    cust_read = read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
     n_cust = cust_read.count()  # parquet metadata, no scan
     if n_cust <= broadcast_limit:
         from mlscraper_ray.functions.broadcast import cached_object
@@ -1516,9 +1442,11 @@ def q10_returned_revenue(
         .head(k)
     )
     out["n_name"] = out["c_nationkey"].map(name_by_key)
-    out = out[["c_custkey", "c_name", "n_name", "lost_cents"]].reset_index(drop=True)
-    out["lost_cents"] = out["lost_cents"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(
+        out,
+        columns=["c_custkey", "c_name", "n_name", "lost_cents"],
+        dtypes={"lost_cents": "int64"},
+    )
 
 
 def q10_returned_revenue_sql(
@@ -1563,9 +1491,7 @@ def part_supplier_diversity(
     (hundreds of rows)."""
     from mlscraper_ray.functions.broadcast import cached_object
 
-    li = ray.data.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"), columns=["l_partkey", "l_suppkey"]
-    ).map_batches(
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
         lambda df: df.drop_duplicates().astype("int64").assign(one=np.int64(1)),
         batch_format="pandas",
     )
@@ -1573,9 +1499,7 @@ def part_supplier_diversity(
         li, ["l_partkey", "l_suppkey"], {"one": ("one", "max")}
     )
 
-    parts_read = ray.data.read_parquet(
-        os.path.join(sf_dir, "part.parquet"), columns=["p_partkey", "p_brand", "p_type"]
-    )
+    parts_read = read_table(sf_dir, "part", ["p_partkey", "p_brand", "p_type"])
     n_parts_tbl = parts_read.count()  # parquet metadata, no scan
     if n_parts_tbl <= broadcast_limit:
         pdf = parts_read.to_pandas()
@@ -1648,15 +1572,12 @@ def part_supplier_diversity(
 
     supp = count_distinct(tagged, "l_suppkey", "n_suppliers")
     prt = count_distinct(tagged, "l_partkey", "n_parts")
-    out = supp.merge(prt, on=["p_brand", "p_type"]).sort_values(
+    return finish(
+        supp.merge(prt, on=["p_brand", "p_type"]),
         ["n_suppliers", "p_brand", "p_type"],
         ascending=[False, True, True],
-        ignore_index=True,
-    )
-    out["n_suppliers"] = out["n_suppliers"].astype("int64")
-    out["n_parts"] = out["n_parts"].astype("int64")
-    return pa.Table.from_pandas(
-        out[["p_brand", "p_type", "n_suppliers", "n_parts"]], preserve_index=False
+        columns=["p_brand", "p_type", "n_suppliers", "n_parts"],
+        dtypes={"n_suppliers": "int64", "n_parts": "int64"},
     )
 
 

@@ -26,7 +26,6 @@ Distributed plan (the doc_unigram_surprisal shape):
 from __future__ import annotations
 
 import heapq
-import os
 from collections import Counter
 
 import pandas as pd
@@ -36,6 +35,7 @@ import ray.data
 from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
+from mlscraper_ray.functions.tables import finish, read_table
 
 _OUT_COLS = ("doc_id", "term", "tf", "score")
 
@@ -84,9 +84,7 @@ def tfidf_topk_ds(
     shape production consumers sink (:func:`tfidf_to_parquet`);
     :func:`doc_tfidf_top_terms` is the sorted driver-table wrapper for
     the compare contract."""
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     tf_rows = docs.map_batches(_doc_tf, batch_format="pandas").materialize()
     # df = per-word count of (doc, word) rows; N = distinct non-empty docs
@@ -186,7 +184,7 @@ def doc_tfidf_top_terms(
         ignore_index=True,
         kind="mergesort",
     )
-    return pa.Table.from_pandas(out[list(_OUT_COLS)], preserve_index=False)
+    return finish(out, columns=list(_OUT_COLS))
 
 
 def tfidf_to_parquet(

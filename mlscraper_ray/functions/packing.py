@@ -32,7 +32,6 @@ whole.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import pandas as pd
 import pyarrow as pa
@@ -41,6 +40,7 @@ import ray.data
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
+from mlscraper_ray.functions.tables import finish, read_table
 
 
 def _rank_key(doc_id) -> str:
@@ -146,9 +146,7 @@ def pack_token_rows(
 
 
 def _doc_token_rows(sf_dir: str) -> ray.data.Dataset:
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def slim(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -165,10 +163,12 @@ _PACK_COLS = ("doc_id", "n_tokens", "begin_off", "seq_begin", "seq_end")
 
 
 def _pack_table(out: pd.DataFrame) -> pa.Table:
-    if len(out) == 0:  # schema is lost on fully-empty results
-        return pa.table({c: pa.array([], pa.int64()) for c in _PACK_COLS})
-    out = out.sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out[list(_PACK_COLS)], preserve_index=False)
+    return finish(
+        out,
+        "doc_id",
+        columns=list(_PACK_COLS),
+        empty=pa.schema({c: pa.int64() for c in _PACK_COLS}),
+    )
 
 
 def pack_sequences(sf_dir: str, seq_len: int = 512, n_rank_buckets: int | None = None) -> pa.Table:
@@ -284,9 +284,7 @@ def source_top_terms(sf_dir: str, k: int = 10) -> pa.Table:
     """Top-``k`` terms per source by global count (ties broken by term
     text ascending) with a dense 1-based rank — the vocabulary /
     contamination-screen summary run per mixture component."""
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["source", "text"])
 
     def local_counts(batch: pd.DataFrame) -> pd.DataFrame:
         ex = pd.DataFrame(
@@ -330,15 +328,12 @@ def source_top_terms(sf_dir: str, k: int = 10) -> pa.Table:
         g["rank"] = pd.Series(range(1, len(g) + 1), dtype="int64")
         return g[["source", "word", "cnt", "rank"]]
 
-    out = (
+    return finish(
         counts.map_batches(partial_topk, batch_format="pandas")
-        .groupby("source")
-        .map_groups(final_topk, batch_format="pandas")
-        .to_pandas()
-        .sort_values(["source", "rank"], ignore_index=True)
+        .groupby("source").map_groups(final_topk, batch_format="pandas").to_pandas(),
+        ["source", "rank"],
+        dtypes={"cnt": "int64"},
     )
-    out["cnt"] = out["cnt"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def source_top_terms_sql(k: int = 10) -> str:
@@ -378,9 +373,7 @@ def doc_chunk_windows_ds(
     (matching the SQL words CTE). Pure streaming map — chunk counts
     and hashes are per-doc local, no shuffle anywhere."""
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def chunk(batch: pd.DataFrame) -> pd.DataFrame:
         ids, cids, starts, ntoks, hashes = [], [], [], [], []
@@ -418,12 +411,10 @@ def doc_chunk_windows(
 ) -> pa.Table:
     """Driver-table wrapper of :func:`doc_chunk_windows_ds`, ordered
     by (doc_id, chunk_id)."""
-    out = (
-        doc_chunk_windows_ds(sf_dir, window=window, stride=stride)
-        .to_pandas()
-        .sort_values(["doc_id", "chunk_id"], ignore_index=True)
+    return finish(
+        doc_chunk_windows_ds(sf_dir, window=window, stride=stride).to_pandas(),
+        ["doc_id", "chunk_id"],
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def chunks_to_parquet(

@@ -54,6 +54,7 @@ from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 from mlscraper_ray.functions.joins import adaptive_n_buckets
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
+from mlscraper_ray.functions.tables import finish
 
 SCALE = 10**12
 
@@ -523,9 +524,12 @@ def page_rank(
     :func:`pagerank_ds` is the streaming core."""
     nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
     out = pagerank_ds(nodes, edges, n_iters, damping_pct, **kwargs).to_pandas()
-    out = out.rename(columns={"node": "url"}).sort_values("url", ignore_index=True)
-    out["rank"] = out["rank"].astype("int64")
-    return pa.Table.from_pandas(out[["url", "rank"]], preserve_index=False)
+    return finish(
+        out.rename(columns={"node": "url"}),
+        "url",
+        columns=["url", "rank"],
+        dtypes={"rank": "int64"},
+    )
 
 
 def corpus_link_stats(
@@ -648,7 +652,7 @@ def link_stats(sf_dir: str, **kwargs) -> pa.Table:
     out = corpus_link_stats(sf_dir, **kwargs).to_pandas()
     out = out.sort_values("url", ignore_index=True)
     cols = ["url", "in_links", "src_hosts", "out_links", "top_anchor"]
-    return pa.Table.from_pandas(out[cols], preserve_index=False)
+    return finish(out, columns=cols)
 
 
 def page_rank_to_parquet(
@@ -745,7 +749,7 @@ def host_reciprocity(sf_dir: str, broadcast_limit: int = 2_000_000) -> pa.Table:
     out["recip_pct"] = (100 * out["recip_hosts"]) // out["out_hosts"]
     out = out.sort_values("host", ignore_index=True)
     cols = ["host", "out_hosts", "recip_hosts", "recip_pct"]
-    return pa.Table.from_pandas(out[cols], preserve_index=False)
+    return finish(out, columns=cols)
 
 
 def host_rank_ds(
@@ -867,7 +871,7 @@ def host_rank(
     # why the up-front bound, not this check, is the real guard
     assert (out["rank_total"] >= 0).all(), "host rank_total overflowed int64; lower `scale`"
     cols = ["host", "n_pages", "rank_total", "in_hosts", "out_hosts"]
-    return pa.Table.from_pandas(out[cols], preserve_index=False)
+    return finish(out, columns=cols)
 
 
 def host_triangles_ds(
@@ -1124,11 +1128,11 @@ def host_triangles(sf_dir: str, broadcast_limit: int = 2_000_000) -> pa.Table:
     out.loc[m, "clustering_milli"] = (2000 * out.loc[m, "triangles"]) // (
         d[m] * (d[m] - 1)
     )
-    out["clustering_milli"] = out["clustering_milli"].astype("int64")
-    out = out.sort_values("host", ignore_index=True)
-    return pa.Table.from_pandas(
-        out[["host", "degree", "triangles", "clustering_milli"]],
-        preserve_index=False,
+    return finish(
+        out,
+        "host",
+        columns=["host", "degree", "triangles", "clustering_milli"],
+        dtypes={"clustering_milli": "int64"},
     )
 
 
@@ -1277,13 +1281,13 @@ def host_kcore(sf_dir: str, broadcast_limit: int = 2_000_000) -> pa.Table:
     with no cross-host edges are absent (as in the other host ops)."""
     _, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
     out = host_kcore_ds(edges, broadcast_limit=broadcast_limit).to_pandas()
-    if out.empty:
-        return pa.table(
-            {"host": pa.array([], pa.string()), "coreness": pa.array([], pa.int64())}
-        )
-    out["coreness"] = out["coreness"].astype("int64")
-    out = out.sort_values("host", ignore_index=True)
-    return pa.Table.from_pandas(out[["host", "coreness"]], preserve_index=False)
+    return finish(
+        out,
+        "host",
+        columns=["host", "coreness"],
+        dtypes={"coreness": "int64"},
+        empty=pa.schema({"host": pa.string(), "coreness": pa.int64()}),
+    )
 
 
 def _lpa_local(
@@ -1465,12 +1469,12 @@ def host_communities(
     out = host_communities_ds(
         edges, n_rounds=n_rounds, broadcast_limit=broadcast_limit
     ).to_pandas()
-    if out.empty:
-        return pa.table(
-            {"host": pa.array([], pa.string()), "community": pa.array([], pa.string())}
-        )
-    out = out.sort_values("host", ignore_index=True)
-    return pa.Table.from_pandas(out[["host", "community"]], preserve_index=False)
+    return finish(
+        out,
+        "host",
+        columns=["host", "community"],
+        empty=pa.schema({"host": pa.string(), "community": pa.string()}),
+    )
 
 
 def host_assortativity_ds(

@@ -30,7 +30,6 @@ operators are DuckDB hash-checked end to end.
 """
 from __future__ import annotations
 
-import os
 
 import numpy as np
 import pandas as pd
@@ -42,6 +41,7 @@ from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.joins import adaptive_n_buckets
+from mlscraper_ray.functions.tables import finish, read_table
 
 
 def _segments(text: str, seg_words: int) -> list[str]:
@@ -63,9 +63,7 @@ def dedup_segments_ds(
     as a streaming Dataset. ``n_segs_removed`` counts removed
     occurrences (a segment repeated inside one doc but shared with
     another is removed everywhere and counted each time)."""
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def doc_distinct_segs(batch: pa.Table) -> pa.Table:
         segs: list[str] = []
@@ -258,9 +256,7 @@ def scrub_dup_runs_ds(
     wire once, co-partitioned, never driver-sized)."""
     import hashlib
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def doc_distinct_grams(batch: pa.Table) -> pa.Table:
         grams: list[str] = []
@@ -424,7 +420,7 @@ def scrub_dup_runs(sf_dir: str, g: int = 8, min_run: int = 16, **kwargs) -> pa.T
     out = out.astype(
         {"doc_id": "int64", "n_runs_removed": "int64", "n_tokens_removed": "int64"}
     ).sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out)
 
 
 def scrub_dup_runs_sql(g: int = 8, min_run: int = 16) -> str:
@@ -507,11 +503,11 @@ def dedup_segments(sf_dir: str, seg_words: int = 8, **kwargs) -> pa.Table:
     """Driver-table wrapper for the compare contract (sorted by
     doc_id); :func:`dedup_segments_ds` is the streaming form."""
     out = dedup_segments_ds(sf_dir, seg_words, **kwargs).to_pandas()
-    out = out.sort_values("doc_id", ignore_index=True).astype(
-        {"doc_id": "int64", "n_segs_removed": "int64"}
-    )
-    return pa.Table.from_pandas(
-        out[["doc_id", "clean_text", "n_segs_removed"]], preserve_index=False
+    return finish(
+        out,
+        "doc_id",
+        columns=["doc_id", "clean_text", "n_segs_removed"],
+        dtypes={"doc_id": "int64", "n_segs_removed": "int64"},
     )
 
 
@@ -555,9 +551,7 @@ def collapse_repeats(sf_dir: str) -> pa.Table:
     single occurrence — the cheap repetition-cleanup pass (C4 uses the
     same idea at line level). Pure streaming map: no shuffle, no
     state; per-doc run detection is one numpy comparison."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
         collapsed, removed = [], []
@@ -580,8 +574,7 @@ def collapse_repeats(sf_dir: str) -> pa.Table:
         )
 
     out = ds.map_batches(fn, batch_format="pandas").to_pandas()
-    out = out.sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "doc_id")
 
 
 COLLAPSE_REPEATS_SQL = """
@@ -655,10 +648,7 @@ def strip_boilerplate_ds(
     the wire once, co-partitioned, never driver-sized)."""
     import hashlib
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "text"],
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def massage(doc_id: int, source: str, text: str) -> str:
         if doc_id % 2 == 0:
@@ -884,22 +874,20 @@ def strip_boilerplate_ds(
 
 def strip_boilerplate(sf_dir: str, g: int = 6, min_doc_pct: int = 30, **kwargs) -> pa.Table:
     out = strip_boilerplate_ds(sf_dir, g=g, min_doc_pct=min_doc_pct, **kwargs).to_pandas()
-    if out.empty:
-        return pa.table(
+    return finish(
+        out,
+        "doc_id",
+        columns=["doc_id", "source", "n_before", "n_after", "clean_md5"],
+        dtypes={"doc_id": "int64", "n_before": "int64", "n_after": "int64"},
+        empty=pa.schema(
             {
-                "doc_id": pa.array([], pa.int64()),
-                "source": pa.array([], pa.string()),
-                "n_before": pa.array([], pa.int64()),
-                "n_after": pa.array([], pa.int64()),
-                "clean_md5": pa.array([], pa.string()),
+                "doc_id": pa.int64(),
+                "source": pa.string(),
+                "n_before": pa.int64(),
+                "n_after": pa.int64(),
+                "clean_md5": pa.string(),
             }
-        )
-    out = out.sort_values("doc_id", ignore_index=True)
-    for c in ("doc_id", "n_before", "n_after"):
-        out[c] = out[c].astype("int64")
-    return pa.Table.from_pandas(
-        out[["doc_id", "source", "n_before", "n_after", "clean_md5"]],
-        preserve_index=False,
+        ),
     )
 
 

@@ -34,6 +34,7 @@ import ray.data
 
 from mlscraper_ray.functions.bucketed import co_partition
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, shard_files, write_resumable
+from mlscraper_ray.functions.tables import finish, read_table
 
 # present in every sf tier of the synthetic corpus vocabulary
 DEFAULT_TERMS = ("scan", "column", "window", "sort")
@@ -71,9 +72,7 @@ def bm25_topk(
     doc_id) — zero-score documents rank too, exactly like the SQL
     ``ORDER BY ... LIMIT k`` they are checked against."""
     m = len(terms)
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     slim = ds.map_batches(_tf_fn(terms), batch_format="pandas").materialize()
 
     def stats_partial(batch: pd.DataFrame) -> pd.DataFrame:
@@ -124,10 +123,9 @@ def bm25_topk(
 
     parts = slim.map_batches(score_topk, batch_format="pandas").to_pandas()
     order = np.lexsort((parts["doc_id"].to_numpy(), -parts["score_m"].to_numpy()))[:k]
-    out = parts.iloc[order].reset_index(drop=True).astype(
-        {"doc_id": "int64", "score_m": "int64", "n_tokens": "int64"}
+    return finish(
+        parts.iloc[order], dtypes={"doc_id": "int64", "score_m": "int64", "n_tokens": "int64"}
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def bm25_topk_sql(terms: tuple[str, ...] = DEFAULT_TERMS, k: int = 10) -> str:
@@ -195,9 +193,7 @@ def bm25_index_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> dict
     if all_shards_done(out_dir, n_shards) and os.path.exists(meta_path):
         return {"written": 0, "skipped": n_shards}
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def postings(batch: pd.DataFrame) -> pd.DataFrame:
         rows_t, rows_d, rows_tf, rows_n = [], [], [], []
@@ -373,7 +369,7 @@ def bm25_query_index(
     parts = scored.map_batches(topk_part, batch_format="pandas").to_pandas()
     order = np.lexsort((parts["doc_id"].to_numpy(), -parts["score_m"].to_numpy()))[:k]
     out = parts.iloc[order].reset_index(drop=True)[["doc_id", "score_m", "n_tokens"]].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out)
 
 
 def _index_cache_dir(sf_dir: str, prefix: str = "bm25_index") -> str:
@@ -446,9 +442,7 @@ def phrase_topk(
     :func:`bm25_topk`."""
     assert len(phrase) >= 2, "a phrase is at least two tokens"
     p0 = phrase[0]
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def score_topk(batch: pd.DataFrame) -> pd.DataFrame:
         toks = batch["text"].fillna("").str.lower().str.findall(_TOKEN_RE)
@@ -498,8 +492,7 @@ def phrase_topk(
             {c: pa.array([], pa.int64()) for c in ("doc_id", "n_hits", "n_tokens")}
         )
     order = np.lexsort((parts["doc_id"].to_numpy(), -parts["n_hits"].to_numpy()))[:k]
-    out = parts.iloc[order].reset_index(drop=True).astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(parts.iloc[order], dtypes="int64")
 
 
 def phrase_topk_sql(phrase: tuple[str, ...] = DEFAULT_PHRASE, k: int = 10) -> str:
@@ -542,9 +535,7 @@ def phrase_index_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> di
     import json
 
     meta_path = os.path.join(out_dir, "_meta.json")
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def postings(batch: pd.DataFrame) -> pa.Table:
         rows_t, rows_d, rows_p, rows_n = [], [], [], []
@@ -636,8 +627,7 @@ def phrase_query_index(
     if len(parts) == 0:
         return empty
     order = np.lexsort((parts["doc_id"].to_numpy(), -parts["n_hits"].to_numpy()))[:k]
-    out = parts.iloc[order].reset_index(drop=True).astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(parts.iloc[order], dtypes="int64")
 
 
 def phrase_indexed_topk(
@@ -688,9 +678,7 @@ def near_topk(
     searchsorted windows, per-batch partial top-k, driver merges
     k x n_blocks rows."""
     ta, tb = terms
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def score_topk(batch: pd.DataFrame) -> pd.DataFrame:
         toks = batch["text"].fillna("").str.lower().str.findall(_TOKEN_RE)
@@ -722,8 +710,7 @@ def near_topk(
     if len(parts) == 0:
         return empty
     order = np.lexsort((parts["doc_id"].to_numpy(), -parts["n_near"].to_numpy()))[:k]
-    out = parts.iloc[order].reset_index(drop=True).astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(parts.iloc[order], dtypes="int64")
 
 
 def near_topk_sql(
@@ -809,8 +796,7 @@ def near_indexed_topk(
     if len(parts) == 0:
         return empty
     order = np.lexsort((parts["doc_id"].to_numpy(), -parts["n_near"].to_numpy()))[:k]
-    out = parts.iloc[order].reset_index(drop=True).astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(parts.iloc[order], dtypes="int64")
 
 
 _REGEX_DEFAULT = "(?:join|merge) (?:sort|agg)"
@@ -830,9 +816,7 @@ def text_search_regex(sf_dir: str, pattern: str = _REGEX_DEFAULT) -> pa.Table:
     worker process (module-level cache keyed by pattern, the regex
     sibling of the classifier's worker-global hash cache), text never
     leaves the batch, output is hit-docs only."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def count(batch: pa.Table) -> pa.Table:
         import re as _re
@@ -858,16 +842,11 @@ def text_search_regex(sf_dir: str, pattern: str = _REGEX_DEFAULT) -> pa.Table:
             }
         )
 
-    out = (
-        ds.map_batches(count, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    return finish(
+        ds.map_batches(count, batch_format="pyarrow").to_pandas(),
+        "doc_id",
+        empty=pa.schema({"doc_id": pa.int64(), "n_matches": pa.int64()}),
     )
-    if len(out) == 0:
-        return pa.table(
-            {"doc_id": pa.array([], pa.int64()), "n_matches": pa.array([], pa.int64())}
-        )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def text_search_regex_sql(pattern: str = _REGEX_DEFAULT) -> str:

@@ -29,6 +29,7 @@ import ray.data
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.sinks import crc32_shard, write_resumable
+from mlscraper_ray.functions.tables import finish, read_table
 
 
 def _batch_matrix(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
@@ -52,35 +53,91 @@ def _load_query_vec(sf_dir: str, query_vec_id: int) -> np.ndarray:
     return np.asarray(t["embedding"][0].as_py(), dtype=np.float64)
 
 
+def _scan_topk(
+    sf_dir: str,
+    query_vec_id: int | None,
+    state,
+    score,
+    order: str,
+    k: int | None,
+    *,
+    descending: bool = False,
+    group: str | None = None,
+    rerank: tuple[str, int] | None = None,
+    label: int | None = None,
+) -> pa.Table:
+    """The one scan behind every vector top-k entry.
+
+    ``state`` is broadcast once. Each batch of ``embeddings`` (only the
+    rows carrying ``label``, when given, pushed into the parquet scan)
+    goes through ``score(state, ids, mat)``, which returns the batch's
+    candidates as int64 columns: ``vec_id``, ``order`` and, when set,
+    ``group`` and ``rerank[0]``. The query's own row is dropped (with a
+    ``group``, the row whose ``vec_id`` equals its group value), and
+    only the batch's top ``k`` by (``order``, vec_id) leave the task, or
+    top ``k`` per ``group`` value. ``lexsort`` keeps the exact global
+    order at the cut, so exact score ties break by vec_id as in the SQL
+    oracles' ``ORDER BY``. ``k=None`` keeps every candidate.
+
+    The calling process orders the partials the same way and cuts to
+    ``k`` (per group). ``rerank=(col, n)`` re-orders that cut by
+    (col, vec_id) and keeps ``n``. A batch or a result without rows is
+    a typed empty table."""
+    import pyarrow.compute as pc
+
+    names = ([group] if group else []) + ["vec_id", order] + ([rerank[0]] if rerank else [])
+    schema = pa.schema([(c, pa.int64()) for c in names])
+    state_ref = ray.put(state)
+
+    def per_batch(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0:
+            return schema.empty_table()
+        ids, mat = _batch_matrix(batch)
+        cols = score(ray.get(state_ref), ids, mat)
+        keep = cols["vec_id"] != (cols[group] if group else query_vec_id)
+        cols = {c: np.asarray(cols[c], dtype=np.int64)[keep] for c in names}
+        if k is not None:
+            keys = (cols["vec_id"], -cols[order] if descending else cols[order])
+            idx = np.lexsort(keys + ((cols[group],) if group else ()))
+            if group:
+                g = cols[group][idx]
+                starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+                rank = np.arange(len(g)) - np.repeat(starts, np.diff(np.r_[starts, len(g)]))
+                idx = idx[rank < k]
+            else:
+                idx = idx[:k]
+            cols = {c: v[idx] for c, v in cols.items()}
+        return pa.table([pa.array(cols[c]) for c in names], schema=schema)
+
+    filt = None if label is None else pc.field("label") == label
+    read_cols = ["vec_id", "embedding"] + ([] if label is None else ["label"])
+    ds = read_table(sf_dir, "embeddings", read_cols, filter=filt)
+    df = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
+    by, asc = [order, "vec_id"], [not descending, True]
+    if group:
+        if len(df):
+            top = df.sort_values([group] + by, ascending=[True] + asc)
+            df = top.groupby(group, sort=False).head(k)
+        return finish(df, empty=schema)
+    if rerank:
+        if len(df):
+            df = df.sort_values(by, ascending=asc).head(k)
+        by, asc, k = [rerank[0], "vec_id"], True, rerank[1]
+    return finish(df, by, ascending=asc, head=k, empty=schema)
+
+
 def cosine_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10) -> pa.Table:
     """Top-k cosine neighbors of one stored vector (excluding itself)."""
     q = _load_query_vec(sf_dir, query_vec_id)
-    qn = q / np.linalg.norm(q)
-    q_ref = ray.put(qn)
 
-    def per_batch(batch: pa.Table) -> pa.Table:
-        qv = ray.get(q_ref)
-        ids, mat = _batch_matrix(batch)
+    def score(qv: np.ndarray, ids: np.ndarray, mat: np.ndarray) -> dict:
         norms = np.linalg.norm(mat, axis=1)
         norms[norms == 0] = 1.0
-        scores = (mat @ qv) / norms
-        keep = min(k + 1, len(ids))
-        # deterministic boundary: exact score ties broken by vec_id,
-        # matching the oracle's ORDER BY (argpartition keeps an
-        # arbitrary tie subset)
-        idx = np.lexsort((ids, -scores))[:keep]
-        return pa.table(
-            {
-                "vec_id": pa.array(ids[idx], pa.int64()),
-                "score_x10k": pa.array(np.round(scores[idx] * 10000).astype(np.int64)),
-            }
-        )
+        return {"vec_id": ids, "score_x10k": np.round((mat @ qv) / norms * 10000)}
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"])
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    partials = partials[partials["vec_id"] != query_vec_id]
-    out = partials.sort_values(["score_x10k", "vec_id"], ascending=[False, True], ignore_index=True).head(k)
-    return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
+    return _scan_topk(
+        sf_dir, query_vec_id, q / np.linalg.norm(q), score, "score_x10k", k, descending=True
+    )
 
 
 def cosine_topk_sql(query_vec_id: int = 0, k: int = 10) -> str:
@@ -103,56 +160,31 @@ def cosine_multi_topk(sf_dir: str, n_queries: int = 4, k: int = 5) -> pa.Table:
     serving shape — one broadcast of the (q x dim) matrix, one
     streaming pass, ONE matmul per batch for all queries.
 
-    Per batch only (k+1) rows PER QUERY leave the task (partial
+    Per batch only k rows PER QUERY leave the task (partial
     top-k). Selection and ordering use the fixed-point score computed
     with the EXPLICIT floor(x*10000 + 0.5) rule on both the Ray and
     SQL sides (np.round's half-to-even differs from DuckDB ROUND's
     half-away exactly on representable .5 products — the hazard
     :func:`_quantize` documents), so the compare is rule-identical
     end to end."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
     qids = list(range(n_queries))
-    dset = pads.dataset(os.path.join(sf_dir, "embeddings.parquet"))
-    t = dset.to_table(columns=["vec_id", "embedding"], filter=pc.field("vec_id").isin(qids))
-    by_id = {v: np.asarray(e, dtype=np.float64) for v, e in zip(t["vec_id"].to_pylist(), t["embedding"].to_pylist())}
-    qmat = np.stack([by_id[i] for i in qids])
+    qmat = _read_vectors_by_id(sf_dir, qids)
     qmat /= np.maximum(np.linalg.norm(qmat, axis=1, keepdims=True), 1e-12)
-    state_ref = ray.put((np.asarray(qids, dtype=np.int64), qmat))
 
-    def per_batch(batch: pa.Table) -> pa.Table:
-        qid_arr, qm = ray.get(state_ref)
-        ids, mat = _batch_matrix(batch)
-        norms = np.maximum(np.linalg.norm(mat, axis=1), 1e-12)
-        unit = mat / norms[:, None]
+    def score(st: tuple, ids: np.ndarray, mat: np.ndarray) -> dict:
+        qid_arr, qm = st
+        unit = mat / np.maximum(np.linalg.norm(mat, axis=1), 1e-12)[:, None]
         scores = np.floor((unit @ qm.T) * 10000 + 0.5).astype(np.int64)  # (rows, q)
-        out_q, out_v, out_s = [], [], []
-        for j, qid in enumerate(qid_arr):
-            col = scores[:, j]
-            keep = min(k + 1, len(ids))
-            idx = np.lexsort((ids, -col))[:keep]
-            out_q.append(np.full(keep, qid, dtype=np.int64))
-            out_v.append(ids[idx])
-            out_s.append(col[idx])
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q)),
-                "vec_id": pa.array(np.concatenate(out_v), pa.int64()),
-                "score_x10k": pa.array(np.concatenate(out_s)),
-            }
-        )
+        return {
+            "query_id": np.repeat(qid_arr, len(ids)),
+            "vec_id": np.tile(ids, len(qid_arr)),
+            "score_x10k": scores.T.ravel(),
+        }
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"])
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    partials = partials[partials["vec_id"] != partials["query_id"]]
-    out = (
-        partials.sort_values(["query_id", "score_x10k", "vec_id"], ascending=[True, False, True])
-        .groupby("query_id", sort=True)
-        .head(k)
-        .reset_index(drop=True)
+    state = (np.asarray(qids, dtype=np.int64), qmat)
+    return _scan_topk(
+        sf_dir, None, state, score, "score_x10k", k, descending=True, group="query_id"
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def cosine_multi_topk_sql(n_queries: int = 4, k: int = 5) -> str:
@@ -222,38 +254,20 @@ def lsh_topk(
     what makes the op honest here). Planted near-duplicates (the
     actual LSH use case) are recalled at 1.0 — pinned in tests."""
     q = _load_query_vec(sf_dir, query_vec_id)
-    qn = q / max(np.linalg.norm(q), 1e-12)
     H = _lsh_planes(n_tables, n_bits, len(q))
     qbits = ((np.floor(q * 10000 + 0.5).astype(np.int64) @ H.T) > 0).reshape(n_tables, n_bits)
-    h_ref = ray.put(H)
-    qb_ref = ray.put(qbits)
-    qn_ref = ray.put(qn)
 
-    def per_batch(batch: pa.Table) -> pa.Table:
-        Hm, qb, qv = ray.get(h_ref), ray.get(qb_ref), ray.get(qn_ref)
-        ids, mat = _batch_matrix(batch)
-        vq = np.floor(mat * 10000 + 0.5).astype(np.int64)
-        bits = (vq @ Hm.T) > 0
+    def score(st: tuple, ids: np.ndarray, mat: np.ndarray) -> dict:
+        Hm, qb, qv = st
+        bits = (np.floor(mat * 10000 + 0.5).astype(np.int64) @ Hm.T) > 0
         hd = (bits.reshape(len(ids), n_tables, n_bits) != qb).sum(axis=2)
-        match = (hd <= radius).any(axis=1) & (ids != query_vec_id)
+        match = (hd <= radius).any(axis=1)
         ids, mat = ids[match], mat[match]
-        if len(ids) == 0:
-            return pa.table({"vec_id": pa.array([], pa.int64()), "score_x10k": pa.array([], pa.int64())})
         norms = np.maximum(np.linalg.norm(mat, axis=1), 1e-12)
-        scores = np.floor((mat @ qv) / norms * 10000 + 0.5).astype(np.int64)
-        idx = np.lexsort((ids, -scores))[: min(k, len(ids))]
-        return pa.table(
-            {"vec_id": pa.array(ids[idx], pa.int64()), "score_x10k": pa.array(scores[idx], pa.int64())}
-        )
+        return {"vec_id": ids, "score_x10k": np.floor((mat @ qv) / norms * 10000 + 0.5)}
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"])
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    if len(partials) == 0:
-        return pa.table({"vec_id": pa.array([], pa.int64()), "score_x10k": pa.array([], pa.int64())})
-    out = partials.sort_values(
-        ["score_x10k", "vec_id"], ascending=[False, True], ignore_index=True
-    ).head(k)
-    return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
+    state = (H, qbits, q / max(np.linalg.norm(q), 1e-12))
+    return _scan_topk(sf_dir, query_vec_id, state, score, "score_x10k", k, descending=True)
 
 
 def lsh_topk_sql(
@@ -330,7 +344,7 @@ def _md5_sample_ids(sf_dir: str, table: str, id_col: str, n_sample: int) -> list
             }
         )
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, f"{table}.parquet"), columns=[id_col])
+    ds = read_table(sf_dir, table, [id_col])
     parts = ds.map_batches(partial_topn, batch_format="pyarrow").to_pandas()
     parts = parts.sort_values(["h", id_col], ignore_index=True).head(n_sample)
     return parts[id_col].tolist()
@@ -367,31 +381,16 @@ def ivf_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10, n_clusters: int = 
 
     q = _load_query_vec(sf_dir, query_vec_id)
     qn = q / np.linalg.norm(q)
-    probe = set(np.argsort(-(centroids @ qn))[:n_probe].tolist())
-    state_ref = ray.put((qn, centroids, probe))
+    probe = np.argsort(-(centroids @ qn))[:n_probe]
 
-    def per_batch(batch: pa.Table) -> pa.Table:
-        qv, cents, probe_set = ray.get(state_ref)
-        ids, mat = _batch_matrix(batch)
-        norms = np.maximum(np.linalg.norm(mat, axis=1), 1e-12)
-        unit = mat / norms[:, None]
-        assign = np.argmax(unit @ cents.T, axis=1)
-        mask = np.isin(assign, list(probe_set))
-        if not mask.any():
-            return pa.table({"vec_id": pa.array([], pa.int64()), "score_x10k": pa.array([], pa.int64())})
-        scores = unit[mask] @ qv
-        return pa.table(
-            {
-                "vec_id": pa.array(ids[mask], pa.int64()),
-                "score_x10k": pa.array(np.round(scores * 10000).astype(np.int64)),
-            }
-        )
+    def score(st: tuple, ids: np.ndarray, mat: np.ndarray) -> dict:
+        qv, cents, probe_ids = st
+        unit = mat / np.maximum(np.linalg.norm(mat, axis=1), 1e-12)[:, None]
+        mask = np.isin(np.argmax(unit @ cents.T, axis=1), probe_ids)
+        return {"vec_id": ids[mask], "score_x10k": np.round((unit[mask] @ qv) * 10000)}
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"])
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    partials = partials[partials["vec_id"] != query_vec_id]
-    out = partials.sort_values(["score_x10k", "vec_id"], ascending=[False, True], ignore_index=True).head(k)
-    return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
+    state = (qn, centroids, probe)
+    return _scan_topk(sf_dir, query_vec_id, state, score, "score_x10k", k, descending=True)
 
 
 def ivf_topk_sql(query_vec_id: int = 0, k: int = 10, n_clusters: int = 16, n_probe: int = 4) -> str:
@@ -451,7 +450,7 @@ def embedding_neardup_pairs(
       clique; over-cap buckets instead emit the linear
       connectivity-preserving STAR around the min vec_id. Pass None
       for unconditional clique/oracle equality."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"])
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     if n_groups is None:
         n_rows = ds.count()  # parquet metadata, no read
         n_groups = min(65536, max(256, -(-n_rows // 200_000)))
@@ -523,15 +522,11 @@ def embedding_neardup_pairs(
     res = co_partition(
         ds.map_batches(bucketize, batch_format="pyarrow"), ["bucket"], pairs_in_coarse, n_groups
     ).to_pandas()
-    if len(res) == 0:
-        return pa.table(
-            {"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64()), "score_x10k": pa.array([], pa.int64())}
-        )
-    # pairs are unique by construction — each vector lives in exactly
-    # ONE LSH bucket (single signature, unlike banded minhash/simhash),
-    # so no cross-group duplicate can exist and no dedup is needed
-    res = res.sort_values(["vec_a", "vec_b"], ignore_index=True)
-    return pa.Table.from_pandas(res, preserve_index=False)
+    return finish(
+        res,
+        ["vec_a", "vec_b"],
+        empty=pa.schema({"vec_a": pa.int64(), "vec_b": pa.int64(), "score_x10k": pa.int64()}),
+    )
 
 
 def embedding_neardup_sql(threshold: float = 0.92) -> str:
@@ -576,9 +571,7 @@ def kmeans_fit(sf_dir: str, n_clusters: int = 16, n_iters: int = 5) -> np.ndarra
     # iterative algorithm: pin the (slim) input in the object store
     # ONCE — without materialize() every Lloyd iteration re-executes
     # the parquet read; with it, iterations re-scan object-store blocks
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    ).materialize()
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
 
     for _ in range(n_iters):
         cents_ref = ray.put(centroids)
@@ -675,9 +668,7 @@ def kmeans_int_fit(
     if dims is not None:
         init_vecs = init_vecs[:, dims[0] : dims[1]]
     centroids = _quantize(init_vecs)
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    ).materialize()
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
 
     for _ in range(n_iters):
         cents_ref = ray.put(centroids)
@@ -736,13 +727,8 @@ def embedding_kmeans_int(sf_dir: str, n_clusters: int = 8, n_iters: int = 3) -> 
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    out = ds.map_batches(assign_batch, batch_format="pyarrow").to_pandas().sort_values(
-        "vec_id", ignore_index=True
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
+    return finish(ds.map_batches(assign_batch, batch_format="pyarrow").to_pandas(), "vec_id")
 
 
 def _int_dist2_sql(a: str, b: str) -> str:
@@ -861,44 +847,20 @@ def ivf_trained_topk(
 
     Search is one streaming pass: per-batch quantize -> centroid
     argmin (ties -> lowest cluster id) -> probe filter -> integer
-    distance to the query -> per-batch partial top-k (only k+1 rows
+    distance to the query -> per-batch partial top-k (only k rows
     leave each task)."""
     centroids = kmeans_int_fit(sf_dir, n_clusters=n_clusters, n_iters=n_iters)
     q = _quantize(_load_query_vec(sf_dir, query_vec_id)[None, :])[0]
     d2c = ((centroids - q[None, :]) ** 2).sum(axis=1)
     probe = np.lexsort((np.arange(len(d2c)), d2c))[:n_probe]
-    state_ref = ray.put((q, centroids, set(probe.tolist())))
 
-    def per_batch(batch: pa.Table) -> pa.Table:
-        qv, cents, probe_set = ray.get(state_ref)
-        ids, mat = _batch_matrix(batch)
+    def score(st: tuple, ids: np.ndarray, mat: np.ndarray) -> dict:
+        qv, cents, probe_ids = st
         x = _quantize(mat)
-        d2 = _int_dist2(x, cents)
-        assign = np.argmin(d2, axis=1)
-        mask = np.isin(assign, list(probe_set))
-        if not mask.any():
-            return pa.table({"vec_id": pa.array([], pa.int64()), "dist2": pa.array([], pa.int64())})
-        kept_ids = ids[mask]
-        dq = ((x[mask] - qv[None, :]) ** 2).sum(axis=1)
-        keep = min(k + 1, len(kept_ids))
-        # lexsort, not argpartition: integer distances tie readily
-        # (duplicate embeddings), and the partial top-k must break
-        # ties by vec_id exactly as the SQL oracle's ORDER BY does —
-        # an arbitrary tie subset here could drop the row the oracle
-        # keeps at the global k boundary
-        idx = np.lexsort((kept_ids, dq))[:keep]
-        return pa.table(
-            {
-                "vec_id": pa.array(kept_ids[idx], pa.int64()),
-                "dist2": pa.array(dq[idx].astype(np.int64)),
-            }
-        )
+        mask = np.isin(np.argmin(_int_dist2(x, cents), axis=1), probe_ids)
+        return {"vec_id": ids[mask], "dist2": ((x[mask] - qv[None, :]) ** 2).sum(axis=1)}
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"])
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    partials = partials[partials["vec_id"] != query_vec_id]
-    out = partials.sort_values(["dist2", "vec_id"], ignore_index=True).head(k)
-    return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
+    return _scan_topk(sf_dir, query_vec_id, (q, centroids, probe), score, "dist2", k)
 
 
 def ivf_trained_topk_sql(
@@ -968,13 +930,8 @@ def embedding_kmeans(sf_dir: str, n_clusters: int = 16, n_iters: int = 5) -> pa.
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    out = ds.map_batches(assign_batch, batch_format="pyarrow").to_pandas().sort_values(
-        "vec_id", ignore_index=True
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
+    return finish(ds.map_batches(assign_batch, batch_format="pyarrow").to_pandas(), "vec_id")
 
 
 # -- SemDeDup: semantic dedup via cluster-then-compare ---------------------
@@ -1087,17 +1044,12 @@ def embed_semdedup(
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    out = (
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
+    return finish(
         ds.map_batches(assign_batch, batch_format="pyarrow")
-        .groupby("cluster")
-        .map_groups(dedup_cluster, batch_format="pandas")
-        .to_pandas()
-        .sort_values("vec_id", ignore_index=True)
+        .groupby("cluster").map_groups(dedup_cluster, batch_format="pandas").to_pandas(),
+        "vec_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def embed_semdedup_sql(
@@ -1169,9 +1121,7 @@ def pq_fit(
         a0 = np.argmin(_int_dist2(init, residual_of), axis=1)
         init = init - residual_of[a0] + _KQ_OFFSET
     cents = np.stack([init[:, s * sub : (s + 1) * sub] for s in range(m)])  # (m,k,sub)
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    ).materialize()
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
 
     for _ in range(n_iters):
         cents_ref = ray.put((cents, residual_of))
@@ -1256,13 +1206,8 @@ def embed_pq_codes(
         cols["dist2"] = pa.array(total)
         return pa.table(cols)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    out = ds.map_batches(encode, batch_format="pyarrow").to_pandas().sort_values(
-        "vec_id", ignore_index=True
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
+    return finish(ds.map_batches(encode, batch_format="pyarrow").to_pandas(), "vec_id")
 
 
 def embed_pq_codes_sql(
@@ -1315,6 +1260,69 @@ ORDER BY vec_id"""
     return "".join(parts)
 
 
+def _ivf_pq_search(
+    sf_dir: str,
+    query_vec_id: int,
+    k: int,
+    n_probe: int,
+    rerank: int,
+    n_coarse: int,
+    coarse_iters: int,
+    m: int,
+    n_pq: int,
+    pq_iters: int,
+    dim: int,
+    residual: bool,
+) -> pa.Table:
+    """The IVF-PQ search both :func:`ivf_pq_topk` (``residual=False``)
+    and :func:`ivf_pq_residual_topk` (``residual=True``) run. Routing
+    takes the query's ``n_probe`` nearest coarse cells. Each probed
+    cell gets an ADC lookup table ``lut[s, j] = |q_s - cb[s][j]|^2``;
+    with residual encoding the query is first shifted by the cell's
+    centroid (``q - c + _KQ_OFFSET``), so the tables differ per cell,
+    and each vector's code is taken of its own shifted residual. The
+    scan keeps the top ``rerank`` by (adc_dist2, vec_id) and re-ranks
+    them by the exact dist2."""
+    if dim % m:
+        raise ValueError(f"dim={dim} not divisible by m={m} subspaces")
+    sub = dim // m
+    coarse = kmeans_int_fit(sf_dir, n_clusters=n_coarse, n_iters=coarse_iters)
+    codebooks = pq_fit(
+        sf_dir, m=m, n_clusters=n_pq, n_iters=pq_iters, dim=dim,
+        residual_of=coarse if residual else None,
+    )
+    q = _quantize(_load_query_vec(sf_dir, query_vec_id)[None, :])[0]
+    d2c = ((coarse - q[None, :]) ** 2).sum(axis=1)
+    probe = np.lexsort((np.arange(len(d2c)), d2c))[:n_probe]
+    luts = {}
+    for c in probe.tolist():
+        qc = q - coarse[c] + _KQ_OFFSET if residual else q
+        luts[c] = np.stack(
+            [_int_dist2(qc[None, s * sub : (s + 1) * sub], codebooks[s])[0] for s in range(m)]
+        )
+
+    def score(st: tuple, ids: np.ndarray, mat: np.ndarray) -> dict:
+        qv, cents, luts_, cbs = st
+        x = _quantize(mat)
+        assign = np.argmin(_int_dist2(x, cents), axis=1)
+        mask = np.isin(assign, list(luts_))
+        xk, cellk = x[mask], assign[mask]
+        codes_of = xk - cents[cellk] + _KQ_OFFSET if residual else xk
+        adc = np.zeros(len(xk), dtype=np.int64)
+        for s in range(m):
+            code = np.argmin(_int_dist2(codes_of[:, s * sub : (s + 1) * sub], cbs[s]), axis=1)
+            for c, lut in luts_.items():
+                sel = cellk == c
+                adc[sel] += lut[s][code[sel]]
+        dist2 = ((xk - qv[None, :]) ** 2).sum(axis=1)
+        return {"vec_id": ids[mask], "adc_dist2": adc, "dist2": dist2}
+
+    state = (q, coarse, luts, codebooks)
+    return _scan_topk(
+        sf_dir, query_vec_id, state, score, "adc_dist2", rerank, rerank=("dist2", k)
+    )
+
+
 def ivf_pq_topk(
     sf_dir: str,
     query_vec_id: int = 0,
@@ -1348,64 +1356,10 @@ def ivf_pq_topk(
     fixed-point integer arithmetic, reproduced term for term in
     :func:`ivf_pq_topk_sql`.
     """
-    if dim % m:
-        raise ValueError(f"dim={dim} not divisible by m={m} subspaces")
-    sub = dim // m
-    coarse = kmeans_int_fit(sf_dir, n_clusters=n_coarse, n_iters=coarse_iters)
-    codebooks = pq_fit(sf_dir, m=m, n_clusters=n_pq, n_iters=pq_iters, dim=dim)
-    q = _quantize(_load_query_vec(sf_dir, query_vec_id)[None, :])[0]
-    d2c = ((coarse - q[None, :]) ** 2).sum(axis=1)
-    probe = np.lexsort((np.arange(len(d2c)), d2c))[:n_probe]
-    # ADC lookup table: lut[s, c] = |q_s - codebook[s][c]|^2 — built
-    # ONCE per query on the driver, broadcast with the codebooks
-    lut = np.stack(
-        [_int_dist2(q[None, s * sub : (s + 1) * sub], codebooks[s])[0] for s in range(m)]
+    return _ivf_pq_search(
+        sf_dir, query_vec_id, k, n_probe, rerank, n_coarse, coarse_iters, m, n_pq, pq_iters, dim,
+        residual=False,
     )
-    state_ref = ray.put((q, coarse, set(probe.tolist()), codebooks, lut))
-
-    def per_batch(batch: pa.Table) -> pa.Table:
-        qv, cents, probe_set, cbs, lut_ = ray.get(state_ref)
-        ids, mat = _batch_matrix(batch)
-        x = _quantize(mat)
-        assign = np.argmin(_int_dist2(x, cents), axis=1)
-        mask = np.isin(assign, list(probe_set))
-        if not mask.any():
-            return pa.table(
-                {
-                    "vec_id": pa.array([], pa.int64()),
-                    "adc_dist2": pa.array([], pa.int64()),
-                    "dist2": pa.array([], pa.int64()),
-                }
-            )
-        kept_ids = ids[mask]
-        xk = x[mask]
-        adc = np.zeros(len(kept_ids), dtype=np.int64)
-        for s in range(m):
-            xs = xk[:, s * sub : (s + 1) * sub]
-            code = np.argmin(_int_dist2(xs, cbs[s]), axis=1)
-            adc += lut_[s][code]
-        # partial top-(rerank+1) in EXACT global (adc, vec_id) order
-        # (+1 absorbs the query's own row, filtered on the driver);
-        # lexsort not argpartition — see ivf_trained_topk's tie note
-        keep = min(rerank + 1, len(kept_ids))
-        idx = np.lexsort((kept_ids, adc))[:keep]
-        dq = ((xk[idx] - qv[None, :]) ** 2).sum(axis=1)
-        return pa.table(
-            {
-                "vec_id": pa.array(kept_ids[idx], pa.int64()),
-                "adc_dist2": pa.array(adc[idx]),
-                "dist2": pa.array(dq.astype(np.int64)),
-            }
-        )
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    partials = partials[partials["vec_id"] != query_vec_id]
-    cand = partials.sort_values(["adc_dist2", "vec_id"], ignore_index=True).head(rerank)
-    out = cand.sort_values(["dist2", "vec_id"], ignore_index=True).head(k)
-    return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
 
 
 def ivf_pq_topk_sql(
@@ -1536,70 +1490,10 @@ def ivf_pq_residual_topk(
     floor-division python/DuckDB-identical, so the WHOLE path —
     coarse training, residual PQ training, routing, per-cell ADC scan,
     re-rank — is reproduced in :func:`ivf_pq_residual_topk_sql`."""
-    if dim % m:
-        raise ValueError(f"dim={dim} not divisible by m={m} subspaces")
-    sub = dim // m
-    coarse = kmeans_int_fit(sf_dir, n_clusters=n_coarse, n_iters=coarse_iters)
-    codebooks = pq_fit(
-        sf_dir, m=m, n_clusters=n_pq, n_iters=pq_iters, dim=dim, residual_of=coarse
+    return _ivf_pq_search(
+        sf_dir, query_vec_id, k, n_probe, rerank, n_coarse, coarse_iters, m, n_pq, pq_iters, dim,
+        residual=True,
     )
-    q = _quantize(_load_query_vec(sf_dir, query_vec_id)[None, :])[0]
-    d2c = ((coarse - q[None, :]) ** 2).sum(axis=1)
-    probe = np.lexsort((np.arange(len(d2c)), d2c))[:n_probe]
-    # one lut per probed cell: lut[c][s, j] = |(q - coarse_c)_s - cb[s][j]|^2
-    luts = {}
-    for c in probe.tolist():
-        qres = q - coarse[c] + _KQ_OFFSET
-        luts[c] = np.stack(
-            [_int_dist2(qres[None, s * sub : (s + 1) * sub], codebooks[s])[0] for s in range(m)]
-        )
-    state_ref = ray.put((q, coarse, luts, codebooks))
-
-    def per_batch(batch: pa.Table) -> pa.Table:
-        qv, cents, luts_, cbs = ray.get(state_ref)
-        ids, mat = _batch_matrix(batch)
-        x = _quantize(mat)
-        assign = np.argmin(_int_dist2(x, cents), axis=1)
-        mask = np.isin(assign, list(luts_))
-        if not mask.any():
-            return pa.table(
-                {
-                    "vec_id": pa.array([], pa.int64()),
-                    "adc_dist2": pa.array([], pa.int64()),
-                    "dist2": pa.array([], pa.int64()),
-                }
-            )
-        kept_ids = ids[mask]
-        xk = x[mask]
-        cellk = assign[mask]
-        rk = xk - cents[cellk] + _KQ_OFFSET
-        adc = np.zeros(len(kept_ids), dtype=np.int64)
-        for s in range(m):
-            code = np.argmin(_int_dist2(rk[:, s * sub : (s + 1) * sub], cbs[s]), axis=1)
-            # per-cell lut read: vectorized within each probed cell
-            for c, lut in luts_.items():
-                sel = cellk == c
-                if sel.any():
-                    adc[sel] += lut[s][code[sel]]
-        keep = min(rerank + 1, len(kept_ids))
-        idx = np.lexsort((kept_ids, adc))[:keep]
-        dq = ((xk[idx] - qv[None, :]) ** 2).sum(axis=1)
-        return pa.table(
-            {
-                "vec_id": pa.array(kept_ids[idx], pa.int64()),
-                "adc_dist2": pa.array(adc[idx]),
-                "dist2": pa.array(dq.astype(np.int64)),
-            }
-        )
-
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    partials = partials[partials["vec_id"] != query_vec_id]
-    cand = partials.sort_values(["adc_dist2", "vec_id"], ignore_index=True).head(rerank)
-    out = cand.sort_values(["dist2", "vec_id"], ignore_index=True).head(k)
-    return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
 
 
 def ivf_pq_residual_topk_sql(
@@ -1769,13 +1663,8 @@ def embed_random_projection(sf_dir: str, d_out: int = 8) -> pa.Table:
             cols[f"p{j}"] = pa.array(proj[:, j], pa.int64())
         return pa.table(cols)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    out = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas().sort_values(
-        "vec_id", ignore_index=True
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
+    return finish(ds.map_batches(per_batch, batch_format="pyarrow").to_pandas(), "vec_id")
 
 
 def embed_random_projection_sql(d_out: int = 8, dim: int = 64) -> str:
@@ -1822,12 +1711,8 @@ def cosine_range(
     never k-padded. Zero shuffle (same plan as :func:`cosine_topk`,
     with the partial top-k replaced by a predicate)."""
     q = _load_query_vec(sf_dir, query_vec_id)
-    qn = q / np.linalg.norm(q)
-    q_ref = ray.put(qn)
 
-    def per_batch(batch: pa.Table) -> pa.Table:
-        qv = ray.get(q_ref)
-        ids, mat = _batch_matrix(batch)
+    def score(qv: np.ndarray, ids: np.ndarray, mat: np.ndarray) -> dict:
         norms = np.linalg.norm(mat, axis=1)
         norms[norms == 0] = 1.0
         # floor(x+0.5), NOT np.round: in a THRESHOLD operator every row
@@ -1835,28 +1720,12 @@ def cosine_range(
         # zero divergence (the documented _quantize hazard) would flip
         # set membership vs the oracle on exact .5 landings
         scores = np.floor((mat @ qv) / norms * 10000 + 0.5).astype(np.int64)
-        keep = (scores >= threshold_x10k) & (ids != query_vec_id)
-        return pa.table(
-            {
-                "vec_id": pa.array(ids[keep], pa.int64()),
-                "score_x10k": pa.array(scores[keep]),
-            }
-        )
+        keep = scores >= threshold_x10k
+        return {"vec_id": ids[keep], "score_x10k": scores[keep]}
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
+    return _scan_topk(
+        sf_dir, query_vec_id, q / np.linalg.norm(q), score, "score_x10k", None, descending=True
     )
-    out = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    if len(out) == 0:
-        # empty-Dataset to_pandas() drops columns (repo-documented
-        # hazard) — typed empty BEFORE touching them
-        return pa.table(
-            {"vec_id": pa.array([], pa.int64()), "score_x10k": pa.array([], pa.int64())}
-        )
-    out = out.sort_values(
-        ["score_x10k", "vec_id"], ascending=[False, True], ignore_index=True
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def cosine_range_sql(query_vec_id: int = 0, threshold_x10k: int = 2500) -> str:
@@ -1891,9 +1760,7 @@ def embed_label_centroids(sf_dir: str, dim: int = 64) -> pa.Table:
 
     Returns (label, dim, n_vecs, centroid_q) ordered."""
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["label", "embedding"]
-    )
+    ds = read_table(sf_dir, "embeddings", ["label", "embedding"])
 
     def partial(batch: pa.Table) -> pa.Table:
         labels = np.asarray(batch["label"].to_pylist(), dtype=np.int64)
@@ -1923,9 +1790,9 @@ def embed_label_centroids(sf_dir: str, dim: int = 64) -> pa.Table:
             {c: pa.array([], pa.int64()) for c in ("label", "dim", "n_vecs", "centroid_q")}
         )
     agg["centroid_q"] = agg["sum_q"].astype(int) // agg["n_vecs"].astype(int)
-    out = agg.sort_values(["label", "dim"], ignore_index=True)
-    out = out[["label", "dim", "n_vecs", "centroid_q"]].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(
+        agg, ["label", "dim"], columns=["label", "dim", "n_vecs", "centroid_q"], dtypes="int64"
+    )
 
 
 def embed_label_centroids_sql(dim: int = 64) -> str:
@@ -1968,10 +1835,7 @@ def embed_knn_label_eval(sf_dir: str, stride: int = 157, k: int = 5) -> pa.Table
     # only the ~n/stride sampled rows reach the driver)
     t = pa.concat_tables(
         ray.get(
-            ray.data.read_parquet(
-                os.path.join(sf_dir, "embeddings.parquet"),
-                columns=["vec_id", "label", "embedding"],
-            )
+            read_table(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
             .map_batches(pick_queries, batch_format="pyarrow")
             .to_arrow_refs()
         )
@@ -2009,10 +1873,7 @@ def embed_knn_label_eval(sf_dir: str, stride: int = 157, k: int = 5) -> pa.Table
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "label", "embedding"],
-    )
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
     partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
     partials = partials[partials["vec_id"] != partials["query_id"]]
     topk = (
@@ -2040,7 +1901,7 @@ def embed_knn_label_eval(sf_dir: str, stride: int = 157, k: int = 5) -> pa.Table
             "correct": (pred.values == qlabels).astype("int64"),
         }
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out)
 
 
 def embed_knn_label_eval_sql(stride: int = 157, k: int = 5) -> str:
@@ -2133,23 +1994,18 @@ def embed_pair_distance_histogram(sf_dir: str) -> pa.Table:
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
-    out = (
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
+    return finish(
         bucketed_aggregate(
             co_partition(
                 ds.map_batches(to_sides, batch_format="pyarrow"), ["pair"], score_bucket, n_buckets
             ),
             ["bucket"],
             {"n_pairs": ("n_pairs", "sum")},
-        )
-        .to_pandas()
-        .sort_values("bucket", ignore_index=True)
+        ).to_pandas(),
+        "bucket",
+        dtypes={"bucket": "int64", "n_pairs": "int64"},
     )
-    out["bucket"] = out["bucket"].astype("int64")
-    out["n_pairs"] = out["n_pairs"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def embed_pair_distance_histogram_sql() -> str:
@@ -2189,9 +2045,7 @@ def embed_knn_graph_ds(sf_dir: str, k: int = 5, n_buckets: int = 4) -> ray.data.
     merge of per-group top-ks — the second (slim, N*B*k-row) shuffle
     folds them per src. Ties at the k boundary break by dst id
     ascending, both sides."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
-    )
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
     B = n_buckets
 
     def fan_out(batch: pa.Table) -> pa.Table:
@@ -2277,14 +2131,12 @@ def embed_knn_graph_ds(sf_dir: str, k: int = 5, n_buckets: int = 4) -> ray.data.
 def embed_knn_graph(sf_dir: str, k: int = 5, n_buckets: int = 4) -> pa.Table:
     """Driver-table wrapper over :func:`embed_knn_graph_ds` (the
     Dataset stays distributed until the contract pull)."""
-    out = (
-        embed_knn_graph_ds(sf_dir, k=k, n_buckets=n_buckets)
-        .to_pandas()
-        .sort_values(["src", "score_x10k", "dst"], ascending=[True, False, True], ignore_index=True)
+    return finish(
+        embed_knn_graph_ds(sf_dir, k=k, n_buckets=n_buckets).to_pandas(),
+        ["src", "score_x10k", "dst"],
+        ascending=[True, False, True],
+        dtypes="int64",
     )
-    for c in out.columns:
-        out[c] = out[c].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def embed_knn_graph_sql(k: int = 5) -> str:
@@ -2359,7 +2211,7 @@ def embed_mutual_knn_clusters(sf_dir: str, k: int = 2, n_buckets: int = 4) -> pa
 
     import pyarrow.compute as pc
 
-    ids = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id"])
+    ids = read_table(sf_dir, "embeddings", ["vec_id"])
     selfrows = ids.map_batches(
         lambda t: pa.table(
             {
@@ -2380,7 +2232,7 @@ def embed_mutual_knn_clusters(sf_dir: str, k: int = 2, n_buckets: int = 4) -> pa
         .sort_values("vec_id", ignore_index=True)
         .astype("int64")
     )
-    return pa.Table.from_pandas(out[["vec_id", "cluster_id"]], preserve_index=False)
+    return finish(out, columns=["vec_id", "cluster_id"])
 
 
 def embed_mutual_knn_clusters_sql(k: int = 2) -> str:
@@ -2423,39 +2275,18 @@ def cosine_filtered_topk(
     (row-group pruning; only matching rows ever enter the object
     store), then the same broadcast-query partial-top-k plan as
     :func:`cosine_topk` with the explicit floor(x*10000 + 0.5)
-    fixed-point rule shared with the SQL mirror."""
-    import pyarrow.compute as pc
-
+    fixed-point rule shared with the SQL mirror. A label no vector
+    carries gives a typed empty result."""
     q = _load_query_vec(sf_dir, query_vec_id)
-    qn = q / np.linalg.norm(q)
-    q_ref = ray.put(qn)
 
-    def per_batch(batch: pa.Table) -> pa.Table:
-        qv = ray.get(q_ref)
-        ids, mat = _batch_matrix(batch)
+    def score(qv: np.ndarray, ids: np.ndarray, mat: np.ndarray) -> dict:
         norms = np.maximum(np.linalg.norm(mat, axis=1), 1e-12)
-        scores = np.floor((mat @ qv) / norms * 10000 + 0.5).astype(np.int64)
-        keep = min(k + 1, len(ids))
-        idx = np.lexsort((ids, -scores))[:keep]
-        return pa.table(
-            {
-                "vec_id": pa.array(ids[idx], pa.int64()),
-                "score_x10k": pa.array(scores[idx]),
-            }
-        )
+        return {"vec_id": ids, "score_x10k": np.floor((mat @ qv) / norms * 10000 + 0.5)}
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-        filter=pc.field("label") == label,
+    return _scan_topk(
+        sf_dir, query_vec_id, q / np.linalg.norm(q), score, "score_x10k", k,
+        descending=True, label=label,
     )
-    partials = ds.map_batches(per_batch, batch_format="pyarrow").to_pandas()
-    partials = partials[partials["vec_id"] != query_vec_id]
-    out = partials.sort_values(
-        ["score_x10k", "vec_id"], ascending=[False, True], ignore_index=True
-    ).head(k)
-    out = out.astype("int64")
-    return pa.Table.from_pandas(out.reset_index(drop=True), preserve_index=False)
 
 
 def cosine_filtered_topk_sql(query_vec_id: int = 0, label: int = 1, k: int = 10) -> str:
@@ -2496,9 +2327,7 @@ def embed_outliers(sf_dir: str, top_n: int = 20) -> pa.Table:
         by_label[int(lab)] = grp.sort_values("dim")["centroid_q"].to_numpy(np.int64)
     c_ref = ray.put(by_label)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "label", "embedding"]
-    )
+    ds = read_table(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
 
     def per_batch(batch: pa.Table) -> pd.DataFrame:
         from mlscraper_ray.functions.broadcast import cached_object
@@ -2525,7 +2354,7 @@ def embed_outliers(sf_dir: str, top_n: int = 20) -> pa.Table:
         .reset_index(drop=True)
         .astype("int64")
     )
-    return pa.Table.from_pandas(out[["label", "vec_id", "dist2_q"]], preserve_index=False)
+    return finish(out, columns=["label", "vec_id", "dist2_q"])
 
 
 def embed_outliers_sql(top_n: int = 20, dim: int = 64) -> str:
@@ -2593,9 +2422,7 @@ def embed_top_component(sf_dir: str, n_iters: int = 8) -> pa.Table:
     counts would overflow, hence the Python fold). The v vector (64
     ints) broadcasts per iteration; X streams from parquet each pass
     like every iterative op in this module."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["embedding"]
-    )
+    ds = read_table(sf_dir, "embeddings", ["embedding"])
     dim = 64
     v = [1000] * dim
 
@@ -2681,9 +2508,7 @@ def embed_dim_stats(sf_dir: str) -> pa.Table:
     (sum, sumsq, min, max) block per batch — two numpy int64
     reductions — folded driver-side in Python ints (the cross-batch
     sum is where web-scale row counts would overflow int64)."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["embedding"]
-    )
+    ds = read_table(sf_dir, "embeddings", ["embedding"])
     dim = 64
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2762,9 +2587,7 @@ def embed_norm_histogram(sf_dir: str) -> pa.Table:
 
     One streaming pass, <= 64-row partials per batch, tiny fold."""
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "embeddings.parquet"), columns=["embedding"]
-    )
+    ds = read_table(sf_dir, "embeddings", ["embedding"])
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         mat = np.array(
@@ -2781,18 +2604,16 @@ def embed_norm_histogram(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
+    return finish(
         bucketed_aggregate(
             ds.map_batches(partial, batch_format="pyarrow"),
             ["band"],
             {"n_vectors": ("n_vectors", "sum")},
             n_buckets=16,
-        )
-        .to_pandas()
-        .sort_values("band", ignore_index=True)
-        .astype({"band": "int64", "n_vectors": "int64"})
+        ).to_pandas(),
+        "band",
+        dtypes={"band": "int64", "n_vectors": "int64"},
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 EMBED_NORM_HISTOGRAM_SQL = """

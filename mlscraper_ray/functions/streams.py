@@ -9,7 +9,6 @@ hash-compare against DuckDB window-function oracles.
 """
 from __future__ import annotations
 
-import os
 
 import numpy as np
 import pandas as pd
@@ -19,13 +18,14 @@ import ray
 import ray.data
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
+from mlscraper_ray.functions.tables import finish, read_table
 
 
 def sessionize(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     """Sessions per user: a new session starts when the gap from the
     previous event exceeds ``gap_minutes``. Partitioned by user_id
     (the shuffle key), windowed within the sorted group."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"])
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
@@ -44,12 +44,11 @@ def sessionize(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
         agg["n_events"] = agg["n_events"].astype("int64")
         return agg
 
-    out = (
-        co_partition(ds, ["user_id"], per_bucket, n_buckets)
-        .to_pandas()
-        .sort_values("user_id", ignore_index=True)
+    return finish(
+        co_partition(ds, ["user_id"], per_bucket, n_buckets).to_pandas(),
+        "user_id",
+        columns=["user_id", "n_sessions", "n_events"],
     )
-    return pa.Table.from_pandas(out[["user_id", "n_sessions", "n_events"]], preserve_index=False)
 
 
 def sessionize_sql(gap_minutes: int = 30) -> str:
@@ -71,7 +70,7 @@ def hourly_event_counts(sf_dir: str) -> pa.Table:
     """Tumbling 1-hour windows per event_type: count + milli-exact
     value sum. Window key computed per batch (vectorized floor), then
     partial-agg -> small groupby."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["event_type", "ts", "value"])
+    ds = read_table(sf_dir, "events", ["event_type", "ts", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         hour = pc.floor_temporal(batch["ts"], unit="hour")
@@ -98,18 +97,15 @@ def hourly_event_counts(sf_dir: str) -> pa.Table:
 
     # window count scales with the covered time range -> coarse-bucket
     # combine of the per-batch partials (functions/bucketed.py)
-    out = (
+    return finish(
         bucketed_aggregate(
             ds.map_batches(partial, batch_format="pyarrow"),
             ["event_type", "window_start"],
             {"sum_value_milli": ("sum_value_milli", "sum"), "n_events": ("n_events", "sum")},
-        )
-        .to_pandas()
-        .sort_values(["event_type", "window_start"], ignore_index=True)
+        ).to_pandas(),
+        ["event_type", "window_start"],
+        dtypes={"sum_value_milli": "int64", "n_events": "int64"},
     )
-    out["sum_value_milli"] = out["sum_value_milli"].astype("int64")
-    out["n_events"] = out["n_events"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 HOURLY_EVENT_COUNTS_SQL = """
@@ -126,9 +122,7 @@ ORDER BY event_type, window_start
 def top_event_per_user(sf_dir: str) -> pa.Table:
     """Each user's highest-value event (value desc, event_id asc
     tiebreak): co-partitioned on user_id, top-1 per user."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "event_id", "value"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "event_id", "value"])
     n_buckets = 64
 
     def top1_per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -142,12 +136,10 @@ def top_event_per_user(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        co_partition(ds, ["user_id"], top1_per_bucket, n_buckets)
-        .to_pandas()
-        .sort_values("user_id", ignore_index=True)
+    return finish(
+        co_partition(ds, ["user_id"], top1_per_bucket, n_buckets).to_pandas(),
+        "user_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 TOP_EVENT_PER_USER_SQL = """
@@ -173,7 +165,7 @@ def sliding_window_counts(sf_dir: str, window_hours: int = 24, slide_hours: int 
     assert window_hours % slide_hours == 0
     k_windows = window_hours // slide_hours
     slide_s = slide_hours * 3600
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "events.parquet"), columns=["event_type", "ts", "value"])
+    ds = read_table(sf_dir, "events", ["event_type", "ts", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
@@ -194,20 +186,17 @@ def sliding_window_counts(sf_dir: str, window_hours: int = 24, slide_hours: int 
         g = exploded.groupby(["event_type", "window_start_epoch"], sort=False).agg(
             sum_value_milli=("vm", "sum"), n_events=("vm", "size")
         ).reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return finish(g)
 
-    out = (
+    return finish(
         bucketed_aggregate(
             ds.map_batches(partial, batch_format="pyarrow"),
             ["event_type", "window_start_epoch"],
             {"sum_value_milli": ("sum_value_milli", "sum"), "n_events": ("n_events", "sum")},
-        )
-        .to_pandas()
-        .sort_values(["event_type", "window_start_epoch"], ignore_index=True)
+        ).to_pandas(),
+        ["event_type", "window_start_epoch"],
+        dtypes={"sum_value_milli": "int64", "n_events": "int64"},
     )
-    out["sum_value_milli"] = out["sum_value_milli"].astype("int64")
-    out["n_events"] = out["n_events"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def sliding_window_counts_sql(window_hours: int = 24, slide_hours: int = 6) -> str:
@@ -249,9 +238,7 @@ def events_decayed_value(
     per-batch per-user partials, one coarse-bucket aggregate over the
     user keys. Nothing driver-sized."""
     hl_us = halflife_hours * 3_600 * 1_000_000
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts", "value"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "value"])
     mx = ds.max("ts")
     ts_max_us = pd.Timestamp(mx).value // 1_000
 
@@ -275,17 +262,15 @@ def events_decayed_value(
         g["n_events"] = g["n_events"].astype("int64")
         return g
 
-    out = (
+    return finish(
         bucketed_aggregate(
             ds.map_batches(partial, batch_format="pyarrow"),
             ["user_id"],
             {"decayed_milli": ("decayed_milli", "sum"), "n_events": ("n_events", "sum")},
-        )
-        .to_pandas()
-        .sort_values("user_id", ignore_index=True)
-        .astype("int64")
+        ).to_pandas(),
+        "user_id",
+        dtypes="int64",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def events_funnel(
@@ -305,9 +290,7 @@ def events_funnel(
     timestamp chain is vectorized pandas merges inside each bucket;
     each bucket emits 3 partial-count rows, so the driver combine is
     O(buckets * steps) — nothing per-user ever leaves the cluster."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts", "event_type"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
     win = pd.Timedelta(hours=window_hours)
     n_buckets = 64
     step_set = list(steps)
@@ -350,10 +333,12 @@ def events_funnel(
             .groupby(["step", "event_type"], as_index=False)["n_users"]
             .sum()
         )
-    out = base.sort_values("step", ignore_index=True)
-    out["step"] = out["step"].astype("int64")
-    out["n_users"] = out["n_users"].astype("int64")
-    return pa.Table.from_pandas(out[["step", "event_type", "n_users"]], preserve_index=False)
+    return finish(
+        base,
+        "step",
+        columns=["step", "event_type", "n_users"],
+        dtypes={"step": "int64", "n_users": "int64"},
+    )
 
 
 def events_funnel_sql(
@@ -390,9 +375,7 @@ def events_retention(sf_dir: str) -> pa.Table:
     (cohort_day, day_offset) counts — distinct users never collide
     across buckets because the bucket key IS the user — then one
     coarse-bucket sum over the tiny cohort x offset key space."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
     n_buckets = 64
     us_per_day = 86_400_000_000
 
@@ -421,15 +404,13 @@ def events_retention(sf_dir: str) -> pa.Table:
     partials = co_partition(
         ds.map_batches(add_day, batch_format="pyarrow"), ["user_id"], per_bucket, n_buckets
     )
-    out = (
+    return finish(
         bucketed_aggregate(
             partials, ["cohort_day", "day_offset"], {"n_users": ("n_users", "sum")}
-        )
-        .to_pandas()
-        .sort_values(["cohort_day", "day_offset"], ignore_index=True)
-        .astype("int64")
+        ).to_pandas(),
+        ["cohort_day", "day_offset"],
+        dtypes="int64",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 EVENTS_RETENTION_SQL = """
@@ -477,10 +458,7 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, depth: int = 3) -> pa.Tabl
     tiny coarse-bucket path-count sum."""
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_id", "event_type"],
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
@@ -505,16 +483,13 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, depth: int = 3) -> pa.Tabl
         co_partition(ds, ["user_id"], per_bucket, n_buckets)
     )
     out = bucketed_aggregate(local, ["path"], {"n_sessions": ("n", "sum")}).to_pandas()
-    if out.empty:
-        return pa.table(
-            {
-                "path": pa.array([], pa.string()),
-                "n_sessions": pa.array([], pa.int64()),
-            }
-        )
-    out["n_sessions"] = out["n_sessions"].astype("int64")
-    out = out.sort_values("path", ignore_index=True)
-    return pa.Table.from_pandas(out[["path", "n_sessions"]], preserve_index=False)
+    return finish(
+        out,
+        "path",
+        columns=["path", "n_sessions"],
+        dtypes={"n_sessions": "int64"},
+        empty=pa.schema({"path": pa.string(), "n_sessions": pa.int64()}),
+    )
 
 
 def session_paths_sql(gap_minutes: int = 30, depth: int = 3) -> str:
@@ -563,9 +538,7 @@ def events_rate_anomaly(sf_dir: str, min_count: int = SPIKE_MIN_COUNT) -> pa.Tab
     densification + the rolling max run inside one type-bucketed
     group (series length = covered hours, bounded by time range, not
     event count)."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "ts"]
-    )
+    ds = read_table(sf_dir, "events", ["event_type", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
         hour = pc.floor_temporal(batch["ts"], unit="hour")
@@ -627,13 +600,11 @@ def events_rate_anomaly(sf_dir: str, min_count: int = SPIKE_MIN_COUNT) -> pa.Tab
             )
         return pd.concat(frames, ignore_index=True)
 
-    out = (
-        co_partition(counts, ["event_type"], detect, n_buckets)
-        .to_pandas()
-        .sort_values(["event_type", "window_start"], ignore_index=True)
+    return finish(
+        co_partition(counts, ["event_type"], detect, n_buckets).to_pandas(),
+        ["event_type", "window_start"],
+        dtypes={"window_start": "datetime64[us]"},
     )
-    out["window_start"] = out["window_start"].astype("datetime64[us]")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def events_rate_anomaly_sql(min_count: int = SPIKE_MIN_COUNT) -> str:
@@ -685,10 +656,7 @@ def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     One user-bucket shuffle does the sessionization + local pair
     counts; a tiny coarse-bucket aggregate folds the per-bucket
     partials."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_type"],
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
@@ -720,17 +688,15 @@ def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
             }
         )
 
-    out = (
+    return finish(
         bucketed_aggregate(
             co_partition(ds, ["user_id"], per_bucket, n_buckets),
             ["t1", "t2"],
             {"n_sessions": ("n_sessions", "sum")},
-        )
-        .to_pandas()
-        .sort_values(["t1", "t2"], ignore_index=True)
+        ).to_pandas(),
+        ["t1", "t2"],
+        dtypes={"n_sessions": "int64"},
     )
-    out["n_sessions"] = out["n_sessions"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def session_type_pairs_sql(gap_minutes: int = 30) -> str:
@@ -777,9 +743,7 @@ def events_props_stats(sf_dir: str) -> pa.Table:
     n_missing and are excluded from the numeric rolls."""
     import json
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "props"]
-    )
+    ds = read_table(sf_dir, "events", ["event_type", "props"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         rows: dict[tuple[str, int], list] = {}
@@ -881,10 +845,7 @@ def events_markov_transitions(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
 
     One user-bucket shuffle does sessionization + local transition
     counts; a tiny coarse-bucket aggregate folds the partials."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_id", "event_type"],
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
@@ -923,17 +884,15 @@ def events_markov_transitions(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
         out["n_transitions"] = out["n_transitions"].astype("int64")
         return out
 
-    out = (
+    return finish(
         bucketed_aggregate(
             co_partition(ds, ["user_id"], per_bucket, n_buckets),
             ["t_from", "t_to"],
             {"n_transitions": ("n_transitions", "sum")},
-        )
-        .to_pandas()
-        .sort_values(["t_from", "t_to"], ignore_index=True)
+        ).to_pandas(),
+        ["t_from", "t_to"],
+        dtypes={"n_transitions": "int64"},
     )
-    out["n_transitions"] = out["n_transitions"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def events_markov_transitions_sql(gap_minutes: int = 30) -> str:
@@ -974,9 +933,7 @@ def events_user_lifetime_stats(sf_dir: str) -> pa.Table:
     event count and milli-exact value total. Pure partial-aggregate
     fold; distinct days fold as (user, day) partials first (bounded
     by users x active days)."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts", "value"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "value"])
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         df = pd.DataFrame(
@@ -1065,7 +1022,7 @@ def events_user_lifetime_stats(sf_dir: str) -> pa.Table:
         "n_events",
         "sum_value_milli",
     ]
-    return pa.Table.from_pandas(out[cols], preserve_index=False)
+    return finish(out, columns=cols)
 
 
 EVENTS_USER_LIFETIME_SQL = """
@@ -1089,9 +1046,7 @@ def events_hour_of_day_profile(sf_dir: str) -> pa.Table:
     capacity planning and anomaly baselines read (distinct from the
     hourly timeline: this folds ACROSS days). Pure partial-aggregate
     fold over a 24 x types output."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "ts", "value"]
-    )
+    ds = read_table(sf_dir, "events", ["event_type", "ts", "value"])
 
     def partial(batch: pa.Table) -> pa.Table:
         hod = pc.hour(batch["ts"])
@@ -1116,7 +1071,7 @@ def events_hour_of_day_profile(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
+    return finish(
         bucketed_aggregate(
             ds.map_batches(partial, batch_format="pyarrow"),
             ["event_type", "hour_of_day"],
@@ -1124,13 +1079,10 @@ def events_hour_of_day_profile(sf_dir: str) -> pa.Table:
                 "sum_value_milli": ("sum_value_milli", "sum"),
                 "n_events": ("n_events", "sum"),
             },
-        )
-        .to_pandas()
-        .sort_values(["event_type", "hour_of_day"], ignore_index=True)
+        ).to_pandas(),
+        ["event_type", "hour_of_day"],
+        dtypes={"hour_of_day": "int64", "sum_value_milli": "int64", "n_events": "int64"},
     )
-    for c in ("hour_of_day", "sum_value_milli", "n_events"):
-        out[c] = out[c].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 EVENTS_HOUR_OF_DAY_SQL = """
@@ -1150,9 +1102,7 @@ def event_value_histogram(sf_dir: str) -> pa.Table:
     table next to the exact percentiles, integer-exact on both sides
     (int.bit_length vs length(bin(n)); no float log2 boundary
     hazard). One tiny (type, bucket) count shuffle."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "value"]
-    )
+    ds = read_table(sf_dir, "events", ["event_type", "value"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         vm = (
@@ -1172,18 +1122,15 @@ def event_value_histogram(sf_dir: str) -> pa.Table:
         g = rows.groupby(["event_type", "bucket"], sort=False).size().rename("n_events")
         return g.reset_index().astype({"bucket": "int64", "n_events": "int64"})
 
-    out = (
+    return finish(
         bucketed_aggregate(
             ds.map_batches(partial, batch_format="pandas"),
             ["event_type", "bucket"],
             {"n_events": ("n_events", "sum")},
-        )
-        .to_pandas()
-        .sort_values(["event_type", "bucket"], ignore_index=True)
+        ).to_pandas(),
+        ["event_type", "bucket"],
+        dtypes={"bucket": "int64", "n_events": "int64"},
     )
-    out["bucket"] = out["bucket"].astype("int64")
-    out["n_events"] = out["n_events"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 EVENT_VALUE_HISTOGRAM_SQL = """
@@ -1211,10 +1158,7 @@ def events_attribution(sf_dir: str) -> pa.Table:
     construction, matching the oracle's ``ROWS ... 1 PRECEDING``
     IGNORE NULLS window). Purchases with no prior touch drop out.
     Gap is exact integer microseconds."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["event_id", "user_id", "event_type", "ts"],
-    )
+    ds = read_table(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
     n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1242,12 +1186,10 @@ def events_attribution(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        co_partition(ds, ["user_id"], per_bucket, n_buckets)
-        .to_pandas()
-        .sort_values("event_id", ignore_index=True)
+    return finish(
+        co_partition(ds, ["user_id"], per_bucket, n_buckets).to_pandas(),
+        "event_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 EVENTS_ATTRIBUTION_SQL = """
@@ -1279,9 +1221,7 @@ def hourly_distinct_users(sf_dir: str) -> pa.Table:
     batch), one bucketed distinct collapse, then counting is a
     second aggregate over (type, window). Both shuffles move at most
     one row per (type, window, user) triple."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["event_type", "ts", "user_id"]
-    )
+    ds = read_table(sf_dir, "events", ["event_type", "ts", "user_id"])
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     def distinct_rows(batch: pa.Table) -> pa.Table:
@@ -1317,18 +1257,15 @@ def hourly_distinct_users(sf_dir: str) -> pa.Table:
         )
         return g.reset_index()
 
-    out = (
+    return finish(
         bucketed_aggregate(
             triples.map_batches(count_users, batch_format="pandas"),
             ["event_type", "window_start"],
             {"n_users": ("n_users", "sum"), "n_events": ("n_events", "sum")},
-        )
-        .to_pandas()
-        .sort_values(["event_type", "window_start"], ignore_index=True)
+        ).to_pandas(),
+        ["event_type", "window_start"],
+        dtypes={"n_users": "int64", "n_events": "int64"},
     )
-    out["n_users"] = out["n_users"].astype("int64")
-    out["n_events"] = out["n_events"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 HOURLY_DISTINCT_USERS_SQL = """
@@ -1354,10 +1291,7 @@ def events_type_lift(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     session counts AND the bucket's session total (sessions never
     straddle buckets — the shuffle key is the user); the driver folds
     tagged partials bounded by the TYPE cardinality, not events."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_type"],
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
@@ -1410,13 +1344,12 @@ def events_type_lift(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
         n * n_total * 1000 // (singles[a] * singles[b])
         for a, b, n in zip(pairs["t1"], pairs["t2"], pairs["n_ab"])
     ]
-    out = (
-        pairs.rename(columns={"t1": "type_a", "t2": "type_b"})
-        [["type_a", "type_b", "n_ab", "lift_milli"]]
-        .sort_values(["type_a", "type_b"], ignore_index=True)
-        .astype({"n_ab": "int64", "lift_milli": "int64"})
+    return finish(
+        pairs.rename(columns={"t1": "type_a", "t2": "type_b"}),
+        ["type_a", "type_b"],
+        columns=["type_a", "type_b", "n_ab", "lift_milli"],
+        dtypes={"n_ab": "int64", "lift_milli": "int64"},
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def events_type_lift_sql(gap_minutes: int = 30) -> str:
@@ -1475,9 +1408,7 @@ def events_user_value_rank(sf_dir: str) -> pa.Table:
     all-to-all global sort."""
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "value"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "value"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -1536,15 +1467,10 @@ def events_user_value_rank(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        totals.groupby("band")
-        .map_groups(rank_band, batch_format="pandas")
-        .to_pandas()
-        .sort_values("user_id", ignore_index=True)
-    )
-    return pa.Table.from_pandas(
-        out[["user_id", "total_milli", "n_events", "rnk", "pct_milli"]],
-        preserve_index=False,
+    return finish(
+        totals.groupby("band").map_groups(rank_band, batch_format="pandas").to_pandas(),
+        "user_id",
+        columns=["user_id", "total_milli", "n_events", "rnk", "pct_milli"],
     )
 
 
@@ -1573,10 +1499,7 @@ def events_signup_to_purchase(sf_dir: str) -> pa.Table:
     integer microseconds (unit pinned to us before the int64 view).
     Users who never signed up, or never purchased after signing up,
     drop out — matching the oracle's inner join."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"),
-        columns=["user_id", "ts", "event_type"],
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
     n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1617,12 +1540,10 @@ def events_signup_to_purchase(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        co_partition(ds, ["user_id"], per_bucket, n_buckets)
-        .to_pandas()
-        .sort_values("user_id", ignore_index=True)
+    return finish(
+        co_partition(ds, ["user_id"], per_bucket, n_buckets).to_pandas(),
+        "user_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 EVENTS_SIGNUP_TO_PURCHASE_SQL = """
@@ -1651,9 +1572,7 @@ def events_interarrival(sf_dir: str) -> pa.Table:
     user-bucket shuffle; gaps are a vectorized per-user shift-diff
     over the (ts, event_id)-sorted frame. Single-event users drop out
     (no gaps), matching the oracle's HAVING."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts", "event_id"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_id"])
     n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -1680,12 +1599,10 @@ def events_interarrival(sf_dir: str) -> pa.Table:
         agg["mean_gap_us"] = agg["sum_gap"] // agg["n_gaps"]
         return agg[["user_id", "n_gaps", "mean_gap_us", "max_gap_us"]].astype("int64")
 
-    out = (
-        co_partition(ds, ["user_id"], per_bucket, n_buckets)
-        .to_pandas()
-        .sort_values("user_id", ignore_index=True)
+    return finish(
+        co_partition(ds, ["user_id"], per_bucket, n_buckets).to_pandas(),
+        "user_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 EVENTS_INTERARRIVAL_SQL = """
@@ -1723,9 +1640,7 @@ def events_dau_wau(sf_dir: str, window_days: int = 7) -> pa.Table:
     window, and counts per covered day. All shuffles ship 2-column
     integer rows; the final per-day tables are calendar-sized (one
     row per day, ~37k rows per century) and merge on the driver."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
     def pair_partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -1788,10 +1703,12 @@ def events_dau_wau(sf_dir: str, window_days: int = 7) -> pa.Table:
         .rename(columns={"cday": "day"})
     )
 
-    out = dau.merge(wau, on="day", how="left").sort_values("day", ignore_index=True)
-    out["dau"] = out["dau"].astype("int64")
-    out["wau"] = out["wau"].astype("int64")
-    return pa.Table.from_pandas(out[["day", "dau", "wau"]], preserve_index=False)
+    return finish(
+        dau.merge(wau, on="day", how="left"),
+        "day",
+        columns=["day", "dau", "wau"],
+        dtypes={"dau": "int64", "wau": "int64"},
+    )
 
 
 EVENTS_DAU_WAU_SQL = """
@@ -1829,9 +1746,7 @@ def events_peak_concurrency(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     a whole-hour offset shifts every in-hour prefix uniformly, so
     the global peak is max(offset + local_max) and its first instant
     is the earliest qualifying hour's recorded first-max ts."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
@@ -1964,9 +1879,7 @@ def events_heavy_hitters(sf_dir: str, k: int = 200) -> pa.Table:
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
     from mlscraper_ray.functions.broadcast import cached_object
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id"])
     n_total = ds.count()  # parquet metadata, no scan
 
     def local_candidates(df: pd.DataFrame) -> pd.DataFrame:
@@ -2004,11 +1917,12 @@ def events_heavy_hitters(sf_dir: str, k: int = 200) -> pa.Table:
         )
         .to_pandas()
     )
-    out = counts[counts["n_events"] * k > n_total].sort_values(
-        ["n_events", "user_id"], ascending=[False, True], ignore_index=True
+    return finish(
+        counts[counts["n_events"] * k > n_total],
+        ["n_events", "user_id"],
+        ascending=[False, True],
+        dtypes={"user_id": "int64", "n_events": "int64"},
     )
-    out = out.astype({"user_id": "int64", "n_events": "int64"})
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def events_heavy_hitters_sql(k: int = 200) -> str:
@@ -2038,9 +1952,7 @@ def session_duration_percentiles(sf_dir: str, gap_minutes: int = 30) -> pa.Table
     partial counts; the coarse-bucket aggregate folds the histogram;
     quantile selection reads cumulative counts off the (small) sorted
     histogram with DuckDB's quantile_disc index rule."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
     gap = pd.Timedelta(minutes=gap_minutes)
     n_buckets = 64
 
@@ -2134,9 +2046,7 @@ def events_burst_users(sf_dir: str, min_burst: int = 2) -> pa.Table:
     anomaly-sized, never user-domain-sized."""
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "ts"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -2173,20 +2083,17 @@ def events_burst_users(sf_dir: str, min_burst: int = 2) -> pa.Table:
             }
         )
 
-    out = (
-        co_partition(per_min, ["user_id"], per_user, 64)
-        .to_pandas()
-        .sort_values("user_id", ignore_index=True)
-    )
-    if len(out) == 0:
-        return pa.table(
+    return finish(
+        co_partition(per_min, ["user_id"], per_user, 64).to_pandas(),
+        "user_id",
+        empty=pa.schema(
             {
-                "user_id": pa.array([], pa.int64()),
-                "max_burst": pa.array([], pa.int64()),
-                "first_burst_minute": pa.array([], pa.timestamp("us")),
+                "user_id": pa.int64(),
+                "max_burst": pa.int64(),
+                "first_burst_minute": pa.timestamp("us"),
             }
-        )
-    return pa.Table.from_pandas(out, preserve_index=False)
+        ),
+    )
 
 
 def events_burst_users_sql(min_burst: int = 2) -> str:
@@ -2223,9 +2130,7 @@ def user_activity_histogram(sf_dir: str) -> pa.Table:
     (< 64 rows) folds through a second tiny aggregate."""
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id"])
     per_user = bucketed_aggregate(
         ds.map_batches(
             lambda df: df.groupby("user_id", sort=False)
@@ -2247,18 +2152,16 @@ def user_activity_histogram(sf_dir: str) -> pa.Table:
         )
         return g.reset_index().astype("int64")
 
-    out = (
+    return finish(
         bucketed_aggregate(
             per_user.map_batches(to_bands, batch_format="pandas"),
             ["band"],
             {"n_users": ("n_users", "sum"), "n_events": ("n_events", "sum")},
             n_buckets=16,
-        )
-        .to_pandas()
-        .sort_values("band", ignore_index=True)
-        .astype({"band": "int64", "n_users": "int64", "n_events": "int64"})
+        ).to_pandas(),
+        "band",
+        dtypes={"band": "int64", "n_users": "int64", "n_events": "int64"},
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 USER_ACTIVITY_HISTOGRAM_SQL = """
@@ -2286,9 +2189,7 @@ def events_value_topk_share(sf_dir: str, k: int = 100) -> pa.Table:
     user-domain materialization."""
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["user_id", "value"]
-    )
+    ds = read_table(sf_dir, "events", ["user_id", "value"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         g = pd.DataFrame(

@@ -25,6 +25,7 @@ import pyarrow as pa
 import ray.data
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
+from mlscraper_ray.functions.tables import finish
 
 
 def structure_tokens(doc) -> list[str]:
@@ -56,8 +57,6 @@ def page_template_clusters_ds(sf_dir: str) -> ray.data.Dataset:
 
 def page_template_clusters(sf_dir: str) -> pa.Table:
     out = page_template_clusters_ds(sf_dir).to_pandas()
-    out["n_pages"] = out["n_pages"].astype("int64")
-    out = out[["tpl_hash", "n_pages", "sample_url"]].sort_values(
-        "tpl_hash", ignore_index=True
+    return finish(
+        out, "tpl_hash", columns=["tpl_hash", "n_pages", "sample_url"], dtypes={"n_pages": "int64"}
     )
-    return pa.Table.from_pandas(out, preserve_index=False)

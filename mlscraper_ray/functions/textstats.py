@@ -14,6 +14,7 @@ import ray.data
 
 from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
+from mlscraper_ray.functions.tables import finish, read_table
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -26,7 +27,7 @@ _STOPWORDS = {
 
 def doc_token_stats(sf_dir: str) -> pa.Table:
     """Per-doc exact token/char counts (whitespace tokens)."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -37,8 +38,7 @@ def doc_token_stats(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = ds.map_batches(fn, batch_format="pandas").to_pandas().sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(ds.map_batches(fn, batch_format="pandas").to_pandas(), "doc_id")
 
 
 DOC_TOKEN_STATS_SQL = """
@@ -54,24 +54,22 @@ ORDER BY doc_id
 def source_token_totals(sf_dir: str) -> pa.Table:
     """Corpus-level token budget per source: partial agg per batch ->
     small groupby. The shape of 'how many training tokens do we have'."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"])
+    ds = read_table(sf_dir, "documents", ["source", "text"])
 
     def partial(batch: pa.Table) -> pa.Table:
         df = batch.to_pandas()
         df["n_tokens"] = df["text"].str.findall(_WORD_RE).str.len().astype("int64")
         g = df.groupby("source", as_index=False).agg(n_tokens=("n_tokens", "sum"), n_docs=("text", "size"))
-        g["n_docs"] = g["n_docs"].astype("int64")
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return finish(g, dtypes={"n_docs": "int64"})
 
-    out = (
+    return finish(
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("source")
         .sum(["n_tokens", "n_docs"])
         .to_pandas()
-        .rename(columns={"sum(n_tokens)": "n_tokens", "sum(n_docs)": "n_docs"})
-        .sort_values("source", ignore_index=True)
+        .rename(columns={"sum(n_tokens)": "n_tokens", "sum(n_docs)": "n_docs"}),
+        "source",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 SOURCE_TOKEN_TOTALS_SQL = """
@@ -129,13 +127,11 @@ _QUALITY = QualityScorer()
 
 
 def quality_scores(sf_dir: str) -> pa.Table:
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
-    out = (
-        ds.map_batches(lambda b: _QUALITY(b), batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+    return finish(
+        ds.map_batches(lambda b: _QUALITY(b), batch_format="pandas").to_pandas(),
+        "doc_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def _sql_stopword_list(lang: str) -> str:
@@ -206,13 +202,11 @@ _LANGID = LangIdStage()
 
 
 def langid(sf_dir: str) -> pa.Table:
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
-    out = (
-        ds.map_batches(lambda b: _LANGID(b), batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+    return finish(
+        ds.map_batches(lambda b: _LANGID(b), batch_format="pandas").to_pandas(),
+        "doc_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 LANGID_SQL = f"""
@@ -250,7 +244,7 @@ def fingerprints(sf_dir: str) -> pa.Table:
     ``md5_number_lower`` yields, so the fold is SQL-reproducible."""
     import hashlib
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     B, M = 1000003, (1 << 61) - 1
 
     def fn(batch: pa.Table) -> pa.Table:
@@ -264,8 +258,7 @@ def fingerprints(sf_dir: str) -> pa.Table:
             fps.append(acc)
         return pa.table({"doc_id": pa.array(ids, pa.int64()), "fingerprint": pa.array(fps, pa.int64())})
 
-    out = ds.map_batches(fn, batch_format="pyarrow").to_pandas().sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(ds.map_batches(fn, batch_format="pyarrow").to_pandas(), "doc_id")
 
 
 FINGERPRINTS_SQL = """
@@ -298,7 +291,7 @@ def bpe_token_stats(sf_dir: str) -> pa.Table:
     """Per-doc BPE-ish token counts (subword-style regex segmentation,
     the 'how many training tokens' estimator) next to whitespace
     counts."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -309,8 +302,7 @@ def bpe_token_stats(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = ds.map_batches(fn, batch_format="pandas").to_pandas().sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(ds.map_batches(fn, batch_format="pandas").to_pandas(), "doc_id")
 
 
 BPE_TOKEN_STATS_SQL = f"""
@@ -328,7 +320,7 @@ def clean_text(sf_dir: str) -> pa.Table:
     (the first stage of most training-data pipelines). Vectorized
     pandas str ops per batch; output text hash-compares against the
     SQL oracle byte-for-byte."""
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
         cleaned = (
@@ -339,8 +331,7 @@ def clean_text(sf_dir: str) -> pa.Table:
              "n_chars_clean": cleaned.str.len().astype("int64")}
         )
 
-    out = ds.map_batches(fn, batch_format="pandas").to_pandas().sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(ds.map_batches(fn, batch_format="pandas").to_pandas(), "doc_id")
 
 
 CLEAN_TEXT_SQL = """
@@ -359,9 +350,7 @@ def sample_documents(sf_dir: str, pct: int = 10) -> pa.Table:
     count, unlike random_shuffle-based sampling."""
     import hashlib
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source", "n_chars"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
     def keep(batch: pa.Table) -> pa.Table:
         mask = [
@@ -370,8 +359,7 @@ def sample_documents(sf_dir: str, pct: int = 10) -> pa.Table:
         ]
         return batch.filter(pa.array(mask, pa.bool_()))
 
-    out = ds.map_batches(keep, batch_format="pyarrow").to_pandas().sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(ds.map_batches(keep, batch_format="pyarrow").to_pandas(), "doc_id")
 
 
 SAMPLE_DOCUMENTS_SQL = """
@@ -394,10 +382,7 @@ def sample_stratified(sf_dir: str, rates: dict[str, int] | None = None, default_
         rates = {"en": 50}
     rates_ref = ray.put(dict(rates))
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "source", "n_chars"],
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "lang", "source", "n_chars"])
 
     def keep(batch: pa.Table) -> pa.Table:
         r = ray.get(rates_ref)
@@ -408,10 +393,7 @@ def sample_stratified(sf_dir: str, rates: dict[str, int] | None = None, default_
         ]
         return batch.filter(pa.array(mask, pa.bool_()))
 
-    out = ds.map_batches(keep, batch_format="pyarrow").to_pandas().sort_values(
-        "doc_id", ignore_index=True
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(ds.map_batches(keep, batch_format="pyarrow").to_pandas(), "doc_id")
 
 
 SAMPLE_STRATIFIED_SQL = """
@@ -460,9 +442,7 @@ def source_temperature_mix(sf_dir: str, target_milli: int = 500) -> pa.Table:
     rates = {s: min(1000, target_milli * wmax // ws) for s, ws in w.items()}
     rates_ref = ray.put(rates)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source"])
 
     def keep(batch: pa.Table) -> pa.Table:
         r = ray.get(rates_ref)
@@ -480,10 +460,7 @@ def source_temperature_mix(sf_dir: str, target_milli: int = 500) -> pa.Table:
         t = batch.append_column("rate_milli", pa.array(rm, pa.int64()))
         return t.filter(pa.array(mask, pa.bool_()))
 
-    out = ds.map_batches(keep, batch_format="pyarrow").to_pandas().sort_values(
-        "doc_id", ignore_index=True
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(ds.map_batches(keep, batch_format="pyarrow").to_pandas(), "doc_id")
 
 
 def source_temperature_mix_sql(target_milli: int = 500) -> str:
@@ -542,7 +519,7 @@ def source_token_quota(sf_dir: str, budget_tokens: int = 1000, n_rank_buckets: i
     import ray
 
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source", "text"])
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def slim(batch: pd.DataFrame) -> pd.DataFrame:
         import hashlib
@@ -617,18 +594,12 @@ def source_token_quota(sf_dir: str, budget_tokens: int = 1000, n_rank_buckets: i
     )
 
     out = kept.union(cut).to_pandas()
-    if len(out) == 0:
-        return pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "source": pa.array([], pa.string()),
-                "n_tokens": pa.array([], pa.int64()),
-            }
-        )
-    out = out.sort_values("doc_id", ignore_index=True).astype(
-        {"doc_id": "int64", "n_tokens": "int64"}
+    return finish(
+        out,
+        "doc_id",
+        dtypes={"doc_id": "int64", "n_tokens": "int64"},
+        empty=pa.schema({"doc_id": pa.int64(), "source": pa.string(), "n_tokens": pa.int64()}),
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def source_token_quota_sql(budget_tokens: int = 1000) -> str:
@@ -686,7 +657,7 @@ def source_distinct_tokens_hll(sf_dir: str) -> pa.Table:
     import hashlib
 
 
-    ds = ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"])
+    ds = read_table(sf_dir, "documents", ["source", "text"])
 
     def partials(batch: pd.DataFrame) -> pd.DataFrame:
         regs: dict[tuple[str, int], int] = {}
@@ -791,10 +762,7 @@ def _fold_surprisal(scored: "ray.data.Dataset") -> pa.Table:
         )
     out = out.astype("int64")
     out["mean_milli"] = (1000 * out["surprisal_sum"]) // out["n_tokens"]
-    out = out[["doc_id", "n_tokens", "surprisal_sum", "mean_milli"]].sort_values(
-        "doc_id", ignore_index=True
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "doc_id", columns=["doc_id", "n_tokens", "surprisal_sum", "mean_milli"])
 
 
 # scored-Dataset memo: doc_unigram_surprisal and doc_perplexity_buckets
@@ -832,7 +800,7 @@ def _unigram_scored_ds(
         _SCORED_CACHE[memo_key] = out
         return out
 
-    docs = ray.data.read_parquet(docs_path, columns=["doc_id", "text"])
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     counts = bucketed_aggregate(
         docs.map_batches(
@@ -1011,9 +979,7 @@ def doc_bigram_surprisal(
     the coarse-bucket aggregate. Paths bit-identical (tested)."""
     from mlscraper_ray.functions.joins import adaptive_n_buckets
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def local_both(batch: pd.DataFrame) -> pd.DataFrame:
         """ONE tokenize pass emits both count partials: bigram rows
@@ -1060,10 +1026,7 @@ def doc_bigram_surprisal(
         out = out.astype("int64")
         out = out[out["n_bigrams"] > 0]
         out["mean_milli"] = (1000 * out["surprisal_sum"]) // out["n_bigrams"]
-        out = out[["doc_id", "n_bigrams", "surprisal_sum", "mean_milli"]].sort_values(
-            "doc_id", ignore_index=True
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return finish(out, "doc_id", columns=["doc_id", "n_bigrams", "surprisal_sum", "mean_milli"])
 
     if n_distinct <= broadcast_limit:
         up = uni.to_pandas()
@@ -1233,9 +1196,7 @@ def pii_scrub(sf_dir: str) -> pa.Table:
     Returns (doc_id, n_email, n_phone, n_ip, redacted_md5)."""
     import hashlib
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
         out = {"doc_id": batch["doc_id"].astype("int64")}
@@ -1246,12 +1207,10 @@ def pii_scrub(sf_dir: str) -> pa.Table:
         out["redacted_md5"] = [hashlib.md5(t.encode()).hexdigest() for t in red]
         return pd.DataFrame(out)
 
-    out = (
-        ds.map_batches(fn, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    return finish(
+        ds.map_batches(fn, batch_format="pandas").to_pandas(),
+        "doc_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def pii_scrub_sql() -> str:
@@ -1294,9 +1253,7 @@ def corpus_split(
     split)."""
     import hashlib
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         r = pd.Series(
@@ -1319,13 +1276,12 @@ def corpus_split(
         return g
 
     parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    out = (
+    return finish(
         parts.groupby(["source", "split"], as_index=False)
-        .agg(n_docs=("n_docs", "sum"), n_tokens=("n_tokens", "sum"))
-        .astype({"n_docs": "int64", "n_tokens": "int64"})
-        .sort_values(["source", "split"], ignore_index=True)
+        .agg(n_docs=("n_docs", "sum"), n_tokens=("n_tokens", "sum")),
+        ["source", "split"],
+        dtypes={"n_docs": "int64", "n_tokens": "int64"},
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def corpus_split_sql(val_pct: int = 10, test_pct: int = 10) -> str:
@@ -1364,9 +1320,7 @@ def corpus_split_by_source(
     (source, split, n_docs, n_tokens) — one row per source."""
     import hashlib
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["source", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         r = pd.Series(
@@ -1390,13 +1344,12 @@ def corpus_split_by_source(
         return g
 
     parts = ds.map_batches(partial, batch_format="pandas").to_pandas()
-    out = (
+    return finish(
         parts.groupby(["source", "split"], as_index=False)
-        .agg(n_docs=("n_docs", "sum"), n_tokens=("n_tokens", "sum"))
-        .astype({"n_docs": "int64", "n_tokens": "int64"})
-        .sort_values(["source", "split"], ignore_index=True)
+        .agg(n_docs=("n_docs", "sum"), n_tokens=("n_tokens", "sum")),
+        ["source", "split"],
+        dtypes={"n_docs": "int64", "n_tokens": "int64"},
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def corpus_split_by_source_sql(val_pct: int = 10, test_pct: int = 10) -> str:
@@ -1473,13 +1426,8 @@ def gopher_rules(
             }
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    out = ds.map_batches(fn, batch_format="pandas").to_pandas().sort_values(
-        "doc_id", ignore_index=True
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+    return finish(ds.map_batches(fn, batch_format="pandas").to_pandas(), "doc_id")
 
 
 _GOPHER_STOPS_SET = set(_GOPHER_STOPS)
@@ -1545,9 +1493,7 @@ def source_token_cms(sf_dir: str, n_probe: int = 5) -> pa.Table:
     import hashlib as _hl
 
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["source", "text"])
 
     def sketch_partials(batch: pd.DataFrame) -> pd.DataFrame:
         counters: dict[tuple[str, int, int], int] = {}
@@ -1717,9 +1663,7 @@ def source_overlap(sf_dir: str, n: int = 3) -> pa.Table:
 
     Only pairs with ``inter >= 1`` appear (the oracle's inner join
     drops disjoint pairs too). Output sorted by (src_a, src_b)."""
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["source", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
         grams, srcs = [], []
@@ -1778,10 +1722,11 @@ def source_overlap(sf_dir: str, n: int = 3) -> pa.Table:
     inter["jaccard_x10k"] = (10000 * inter["inter"]) // (
         inter["n_a"] + inter["n_b"] - inter["inter"]
     )
-    out = inter[["src_a", "src_b", "n_a", "n_b", "inter", "jaccard_x10k"]].sort_values(
-        ["src_a", "src_b"], ignore_index=True
+    return finish(
+        inter,
+        ["src_a", "src_b"],
+        columns=["src_a", "src_b", "n_a", "n_b", "inter", "jaccard_x10k"],
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def source_overlap_sql(n: int = 3) -> str:
@@ -1920,15 +1865,11 @@ def doc_perplexity_buckets(
         ]
         return out
 
-    out = (
-        mds.map_batches(classify, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["mean_milli"] = out["mean_milli"].astype("int64")
-    return pa.Table.from_pandas(
-        out[["doc_id", "mean_milli", "bucket"]], preserve_index=False
+    return finish(
+        mds.map_batches(classify, batch_format="pandas").to_pandas(),
+        "doc_id",
+        columns=["doc_id", "mean_milli", "bucket"],
+        dtypes={"doc_id": "int64", "mean_milli": "int64"},
     )
 
 
@@ -1973,9 +1914,7 @@ def source_epoch_mix(sf_dir: str, target_tokens: int = 2700, max_epochs: int = 4
     the tiny per-source table (one small groupby); the epoch map is a
     broadcast dict; repetition is one streaming flat-map — a doc is
     duplicated AT THE WORKER, never the driver. No all-to-all."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame(
@@ -2011,12 +1950,10 @@ def source_epoch_mix(sf_dir: str, target_tokens: int = 2700, max_epochs: int = 4
         out["epoch"] = pd.Series(out["epoch"], dtype="int64")
         return out
 
-    out = (
-        ds.map_batches(repeat, batch_format="pandas")
-        .to_pandas()
-        .sort_values(["doc_id", "epoch"], ignore_index=True)
+    return finish(
+        ds.map_batches(repeat, batch_format="pandas").to_pandas(),
+        ["doc_id", "epoch"],
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def source_epoch_mix_sql(target_tokens: int = 2700, max_epochs: int = 4) -> str:
@@ -2049,9 +1986,7 @@ def source_datacard(sf_dir: str) -> pa.Table:
     length per source. One streaming pass of per-batch partials into
     the tiny per-source groupby; extends `source_token_totals` with
     the distribution facts a mixing recipe actually reads."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["source", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         n = batch["text"].str.findall(_WORD_RE).str.len().astype("int64")
@@ -2081,9 +2016,8 @@ def source_datacard(sf_dir: str) -> pa.Table:
     for c in ("n_docs", "n_tokens", "n_empty", "max_tokens"):
         agg[c] = agg[c].astype("int64")
     agg["mean_tokens"] = agg["n_tokens"] // agg["n_docs"]
-    return pa.Table.from_pandas(
-        agg[["source", "n_docs", "n_tokens", "n_empty", "max_tokens", "mean_tokens"]],
-        preserve_index=False,
+    return finish(
+        agg, columns=["source", "n_docs", "n_tokens", "n_empty", "max_tokens", "mean_tokens"]
     )
 
 
@@ -2128,10 +2062,7 @@ def doc_length_outliers(sf_dir: str, k: int = 3) -> pa.Table:
     by doc_id, is_outlier as int64 0/1.
     """
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "text"],
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def tokens(batch: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -2203,14 +2134,10 @@ def doc_length_outliers(sf_dir: str, k: int = 3) -> pa.Table:
         ).astype("int64")
         return out
 
-    out = (
-        tds.map_batches(classify, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    return pa.Table.from_pandas(
-        out[["doc_id", "source", "n_tokens", "med", "mad", "is_outlier"]],
-        preserve_index=False,
+    return finish(
+        tds.map_batches(classify, batch_format="pandas").to_pandas(),
+        "doc_id",
+        columns=["doc_id", "source", "n_tokens", "med", "mad", "is_outlier"],
     )
 
 
@@ -2317,29 +2244,17 @@ def doc_repetition_stats(sf_dir: str) -> pa.Table:
             {c: pd.Series(v, dtype="int64") for c, v in cols.items()}
         )
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
-    out = (
-        ds.map_batches(fn, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    if len(out) == 0:  # empty to_pandas drops columns — typed empty
-        return pa.table(
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
+    return finish(
+        ds.map_batches(fn, batch_format="pandas").to_pandas(),
+        "doc_id",
+        empty=pa.schema(
             {
-                c: pa.array([], pa.int64())
-                for c in (
-                    "doc_id",
-                    "n_tokens",
-                    "top2_milli",
-                    "top3_milli",
-                    "top4_milli",
-                    "dup5_milli",
-                )
+                c: pa.int64()
+                for c in ("doc_id", "n_tokens", "top2_milli", "top3_milli", "top4_milli", "dup5_milli")
             }
-        )
-    return pa.Table.from_pandas(out, preserve_index=False)
+        ),
+    )
 
 
 DOC_REPETITION_STATS_SQL = r"""
@@ -2408,9 +2323,7 @@ def doc_oov_rate(sf_dir: str, vocab_size: int = 256) -> pa.Table:
     shuffle, nothing driver-sided beyond the V-row merge.
     """
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     counts = bucketed_aggregate(
         docs.map_batches(
@@ -2462,12 +2375,10 @@ def doc_oov_rate(sf_dir: str, vocab_size: int = 256) -> pa.Table:
             }
         )
 
-    out = (
-        docs.map_batches(score, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    return finish(
+        docs.map_batches(score, batch_format="pandas").to_pandas(),
+        "doc_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def doc_oov_rate_sql(vocab_size: int = 256) -> str:
@@ -2522,9 +2433,7 @@ def bigram_dice_top(
     bounded by k x n_blocks tiny rows either way.
     """
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]
-    )
+    docs = read_table(sf_dir, "documents", ["text"])
 
     def local_both(batch: pd.DataFrame) -> pd.DataFrame:
         w1s, w2s = [], []
@@ -2640,8 +2549,7 @@ def bigram_dice_top(
 
     if len(merged) == 0:
         return empty()
-    merged = cut(merged).reset_index(drop=True)
-    return pa.Table.from_pandas(merged[list(cols)], preserve_index=False)
+    return finish(cut(merged), columns=list(cols))
 
 
 def bigram_dice_top_sql(k: int = 100, min_count: int = 3) -> str:
@@ -2700,10 +2608,7 @@ def source_quality_gate(sf_dir: str, q_pct: int = 25) -> pa.Table:
     doc_id, keep as int64 0/1.
     """
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "text"],
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def scored(batch: pd.DataFrame) -> pd.DataFrame:
         q = _QUALITY(batch)  # row-aligned with the input batch
@@ -2759,14 +2664,10 @@ def source_quality_gate(sf_dir: str, q_pct: int = 25) -> pa.Table:
         out["keep"] = (df["quality_x10"] >= out["cut"]).astype("int64")
         return out
 
-    out = (
-        sds.map_batches(classify, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    return pa.Table.from_pandas(
-        out[["doc_id", "source", "quality_x10", "cut", "keep"]],
-        preserve_index=False,
+    return finish(
+        sds.map_batches(classify, batch_format="pandas").to_pandas(),
+        "doc_id",
+        columns=["doc_id", "source", "quality_x10", "cut", "keep"],
     )
 
 
@@ -2821,10 +2722,7 @@ def source_dedup_report(sf_dir: str) -> pa.Table:
     text never leaves the tasks.
     """
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "text"],
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def hashed(batch: pd.DataFrame) -> pd.DataFrame:
         import hashlib
@@ -2881,10 +2779,7 @@ def source_dedup_report(sf_dir: str) -> pa.Table:
     out["n_dup_docs"] = out["n_dup_docs"].astype("int64")
     out["n_kept"] = out["n_docs"] - out["n_dup_docs"]
     out["dup_milli"] = (1000 * out["n_dup_docs"]) // out["n_docs"]
-    return pa.Table.from_pandas(
-        out[["source", "n_docs", "n_kept", "n_dup_docs", "dup_milli"]],
-        preserve_index=False,
-    )
+    return finish(out, columns=["source", "n_docs", "n_kept", "n_dup_docs", "dup_milli"])
 
 
 SOURCE_DEDUP_REPORT_SQL = """
@@ -2919,9 +2814,7 @@ def doc_sentence_stats(sf_dir: str) -> pa.Table:
 
     sent_re = _re2.compile(r"[.!?]+")
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def stats(batch: pd.DataFrame) -> pd.DataFrame:
         ids, ns, mx, mean = [], [], [], []
@@ -2941,12 +2834,10 @@ def doc_sentence_stats(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        ds.map_batches(stats, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    return finish(
+        ds.map_batches(stats, batch_format="pandas").to_pandas(),
+        "doc_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 DOC_SENTENCE_STATS_SQL = r"""
@@ -2977,9 +2868,7 @@ def doc_ttr(sf_dir: str) -> pa.Table:
     template/boilerplate text the repetition stats can miss):
     distinct whitespace tokens / tokens, floor-milli. Empty docs
     carry 0/0/0. Pure streaming map."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def stats(batch: pd.DataFrame) -> pd.DataFrame:
         ids, nt, nd = [], [], []
@@ -2999,12 +2888,10 @@ def doc_ttr(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        ds.map_batches(stats, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    return finish(
+        ds.map_batches(stats, batch_format="pandas").to_pandas(),
+        "doc_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 DOC_TTR_SQL = r"""
@@ -3031,9 +2918,7 @@ def source_length_histogram(sf_dir: str) -> pa.Table:
     int.bit_length vs SQL length(bin(n)) — no float log2 boundary
     hazard). One tiny (source, bucket) count shuffle."""
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["source", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
         rows = pd.DataFrame(
@@ -3047,18 +2932,15 @@ def source_length_histogram(sf_dir: str) -> pa.Table:
         g = rows.groupby(["source", "bucket"], sort=False).size().rename("n_docs")
         return g.reset_index().astype({"bucket": "int64", "n_docs": "int64"})
 
-    out = (
+    return finish(
         bucketed_aggregate(
             ds.map_batches(partial, batch_format="pandas"),
             ["source", "bucket"],
             {"n_docs": ("n_docs", "sum")},
-        )
-        .to_pandas()
-        .sort_values(["source", "bucket"], ignore_index=True)
+        ).to_pandas(),
+        ["source", "bucket"],
+        dtypes={"bucket": "int64", "n_docs": "int64"},
     )
-    out["bucket"] = out["bucket"].astype("int64")
-    out["n_docs"] = out["n_docs"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 SOURCE_LENGTH_HISTOGRAM_SQL = r"""
@@ -3109,10 +2991,7 @@ def source_token_drift(
     Returns (source, n_vocab, n_cur_tokens, n_prior_tokens,
     drift_milli) where the token totals count vocab terms only."""
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "text"],
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def local_counts(batch: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
@@ -3291,9 +3170,7 @@ def source_char_class_profile(sf_dir: str) -> pa.Table:
     ASCII classes ([a-zA-Z], [0-9], [\\t\\n\\f\\r ]) so the Python and
     SQL sides count identically with no unicode-category drift."""
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["source", "text"])
     letter_re = re.compile(r"[a-zA-Z]")
     digit_re = re.compile(r"[0-9]")
     space_re = re.compile(r"[\t\n\f\r ]")
@@ -3349,7 +3226,7 @@ def source_char_class_profile(sf_dir: str) -> pa.Table:
         "space_milli",
         "other_milli",
     ]
-    return pa.Table.from_pandas(out[cols], preserve_index=False)
+    return finish(out, columns=cols)
 
 
 SOURCE_CHAR_CLASS_SQL = r"""
@@ -3383,9 +3260,7 @@ def sample_fixed_k(sf_dir: str, k: int = 100) -> pa.Table:
     k-bounded while a rate sample's size drifts with the corpus."""
     import hashlib
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source", "n_chars"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -3398,9 +3273,7 @@ def sample_fixed_k(sf_dir: str, k: int = 100) -> pa.Table:
         .head(k)[["doc_id", "source", "n_chars"]]
         .sort_values("doc_id", ignore_index=True)
     )
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["n_chars"] = out["n_chars"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, dtypes={"doc_id": "int64", "n_chars": "int64"})
 
 
 def sample_fixed_k_sql(k: int = 100) -> str:
@@ -3428,9 +3301,7 @@ def doc_readability(sf_dir: str) -> pa.Table:
     SQL sides agree bit-for-bit (every numerator is non-negative, so
     ``//`` truncation == floor on both engines). Pure streaming
     map — vectorized pandas ``str.count`` per batch, zero shuffles."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def score(df: pd.DataFrame) -> pd.DataFrame:
         w = df["text"].str.count(r"[A-Za-z]+").astype("int64")
@@ -3449,8 +3320,7 @@ def doc_readability(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = ds.map_batches(score, batch_format="pandas").to_pandas().sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(ds.map_batches(score, batch_format="pandas").to_pandas(), "doc_id")
 
 
 DOC_READABILITY_SQL = """
@@ -3489,9 +3359,7 @@ def doc_char_entropy(sf_dir: str) -> pa.Table:
     per-doc counting is one numpy unique over the utf-32 view."""
     import numpy as np
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def ent(df: pd.DataFrame) -> pd.DataFrame:
         L = lambda x: int(x).bit_length() - 1  # noqa: E731
@@ -3515,8 +3383,7 @@ def doc_char_entropy(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = ds.map_batches(ent, batch_format="pandas").to_pandas().sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(ds.map_batches(ent, batch_format="pandas").to_pandas(), "doc_id")
 
 
 DOC_CHAR_ENTROPY_SQL = """
@@ -3552,9 +3419,7 @@ def sample_weighted_k(sf_dir: str, k: int = 100) -> pa.Table:
     int64 (the UBIGINT the SQL side compares)."""
     import hashlib
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source", "n_chars"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
         pri = [
@@ -3572,12 +3437,12 @@ def sample_weighted_k(sf_dir: str, k: int = 100) -> pa.Table:
     parts = ds.map_batches(block_topk, batch_format="pandas").to_pandas()
     order = sorted(zip(parts["__p"], parts["doc_id"]))[:k]
     keep = {d for _, d in order}
-    out = (
-        parts[parts["doc_id"].isin(keep)][["doc_id", "source", "n_chars"]]
-        .sort_values("doc_id", ignore_index=True)
-        .astype({"doc_id": "int64", "n_chars": "int64"})
+    return finish(
+        parts[parts["doc_id"].isin(keep)],
+        "doc_id",
+        columns=["doc_id", "source", "n_chars"],
+        dtypes={"doc_id": "int64", "n_chars": "int64"},
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def sample_weighted_k_sql(k: int = 100) -> str:
@@ -3635,9 +3500,7 @@ def doc_pareto_front(sf_dir: str) -> pa.Table:
     ties: duplicate coordinate pairs never dominate each other (no
     strict axis), so equal-front docs all survive — pinned by the
     corpus itself (doc 467/474 share a front cell at sf0.001)."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text", "n_chars"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "text", "n_chars"])
 
     def local_front(df: pd.DataFrame) -> pd.DataFrame:
         toks = df["text"].fillna("").str.findall(r"[^\t\n\f\r ]+")
@@ -3656,7 +3519,7 @@ def doc_pareto_front(sf_dir: str) -> pa.Table:
         .sort_values("doc_id", ignore_index=True)
         .astype("int64")
     )
-    return pa.Table.from_pandas(out[["doc_id", "n_distinct", "n_chars"]], preserve_index=False)
+    return finish(out, columns=["doc_id", "n_distinct", "n_chars"])
 
 
 DOC_PARETO_FRONT_SQL = r"""
@@ -3691,9 +3554,7 @@ def source_length_gini(sf_dir: str) -> pa.Table:
     shuffle key (bounded cardinality): one groupby(source) and a
     vectorized in-group sort — the numerator is always >= 0, so
     ``//`` truncation == floor on both engines."""
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source", "n_chars"]
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
     def per_source(g: pd.DataFrame) -> pd.DataFrame:
         import numpy as np
@@ -3718,13 +3579,10 @@ def source_length_gini(sf_dir: str) -> pa.Table:
             {"n_docs": "int64", "gini_milli": "int64"}
         )
 
-    out = (
-        ds.groupby("source")
-        .map_groups(per_source, batch_format="pandas")
-        .to_pandas()
-        .sort_values("source", ignore_index=True)
+    return finish(
+        ds.groupby("source").map_groups(per_source, batch_format="pandas").to_pandas(),
+        "source",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 SOURCE_LENGTH_GINI_SQL = """
@@ -3769,9 +3627,7 @@ def window_cooc_lift(
     at web scale, and the SQL mirror uses HUGEINT for the same
     reason."""
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]
-    )
+    docs = read_table(sf_dir, "documents", ["text"])
     counts = bucketed_aggregate(
         docs.map_batches(
             lambda b: _local_word_counts(b["text"]), batch_format="pandas"
@@ -3848,17 +3704,14 @@ def window_cooc_lift(
         for a, b, cab in zip(pairs["w1"], pairs["w2"], pairs["pair_count"])
     ]
     pairs["lift_milli"] = pd.Series(lift, index=pairs.index, dtype="int64")
-    out = (
-        pairs.sort_values(
-            ["lift_milli", "pair_count", "w1", "w2"],
-            ascending=[False, False, True, True],
-            ignore_index=True,
-        )
-        .head(k)[["w1", "w2", "pair_count", "lift_milli"]]
-        .reset_index(drop=True)
+    return finish(
+        pairs,
+        ["lift_milli", "pair_count", "w1", "w2"],
+        ascending=[False, False, True, True],
+        head=k,
+        columns=["w1", "w2", "pair_count", "lift_milli"],
+        dtypes={"pair_count": "int64"},
     )
-    out["pair_count"] = out["pair_count"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def window_cooc_lift_sql(
@@ -3915,10 +3768,7 @@ def sample_k_per_source(sf_dir: str, k: int = 20) -> pa.Table:
     of the driver fold."""
     import hashlib
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "source", "n_chars"],
-    )
+    ds = read_table(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
         df = df.copy()
@@ -3927,15 +3777,12 @@ def sample_k_per_source(sf_dir: str, k: int = 20) -> pa.Table:
         return df.groupby("source", sort=False).head(k)
 
     parts = ds.map_batches(block_topk, batch_format="pandas").to_pandas()
-    out = (
-        parts.sort_values(["rk", "doc_id"])
-        .groupby("source", sort=False)
-        .head(k)[["doc_id", "source", "n_chars"]]
-        .sort_values("doc_id", ignore_index=True)
+    return finish(
+        parts.sort_values(["rk", "doc_id"]).groupby("source", sort=False).head(k),
+        "doc_id",
+        columns=["doc_id", "source", "n_chars"],
+        dtypes={"doc_id": "int64", "n_chars": "int64"},
     )
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["n_chars"] = out["n_chars"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def sample_k_per_source_sql(k: int = 20) -> str:
@@ -3963,9 +3810,7 @@ def source_lang_mix(sf_dir: str) -> pa.Table:
     through the coarse-bucket aggregate; the resolved table is
     sources x langs (data-card-sized), so shares compute driver-side."""
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "lang"]
-    )
+    ds = read_table(sf_dir, "documents", ["source", "lang"])
     counts = (
         bucketed_aggregate(
             ds.map_batches(
@@ -3982,11 +3827,11 @@ def source_lang_mix(sf_dir: str) -> pa.Table:
     )
     totals = counts.groupby("source")["n_docs"].transform("sum")
     counts["share_milli"] = (1000 * counts["n_docs"]) // totals
-    out = counts.sort_values(["source", "lang"], ignore_index=True).astype(
-        {"n_docs": "int64", "share_milli": "int64"}
-    )
-    return pa.Table.from_pandas(
-        out[["source", "lang", "n_docs", "share_milli"]], preserve_index=False
+    return finish(
+        counts,
+        ["source", "lang"],
+        columns=["source", "lang", "n_docs", "share_milli"],
+        dtypes={"n_docs": "int64", "share_milli": "int64"},
     )
 
 
@@ -4011,9 +3856,7 @@ def source_length_percentiles(sf_dir: str) -> pa.Table:
     selection reads cumulative counts with DuckDB's quantile_disc
     index rule."""
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "n_chars"]
-    )
+    ds = read_table(sf_dir, "documents", ["source", "n_chars"])
     hist = bucketed_aggregate(
         ds.map_batches(
             lambda df: df.groupby(["source", "n_chars"], sort=False)
@@ -4048,13 +3891,10 @@ def source_length_percentiles(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
-        hist.groupby("source")
-        .map_groups(pctl, batch_format="pandas")
-        .to_pandas()
-        .sort_values("source", ignore_index=True)
+    return finish(
+        hist.groupby("source").map_groups(pctl, batch_format="pandas").to_pandas(),
+        "source",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 SOURCE_LENGTH_PERCENTILES_SQL = """
@@ -4086,9 +3926,7 @@ def vocab_growth_curve(sf_dir: str, n_bins: int = 10) -> pa.Table:
     10-element scan. The doc-id span comes from one metadata-cheap
     column max."""
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     max_doc = docs.max("doc_id")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
@@ -4128,9 +3966,7 @@ def vocab_growth_curve(sf_dir: str, n_bins: int = 10) -> pa.Table:
         .sort_values("bin", ignore_index=True)
     )
     hist["cum_words"] = hist["new_words"].cumsum()
-    for c in ("bin", "new_words", "cum_words"):
-        hist[c] = hist[c].astype("int64")
-    return pa.Table.from_pandas(hist, preserve_index=False)
+    return finish(hist, dtypes={"bin": "int64", "new_words": "int64", "cum_words": "int64"})
 
 
 def vocab_growth_curve_sql(n_bins: int = 10) -> str:
@@ -4167,9 +4003,7 @@ def token_length_histogram(sf_dir: str) -> pa.Table:
     fold through the coarse-bucket word aggregate first and then
     count per length — exactly one shuffle of word rows."""
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]
-    )
+    docs = read_table(sf_dir, "documents", ["text"])
 
     counts = bucketed_aggregate(
         docs.map_batches(
@@ -4187,18 +4021,16 @@ def token_length_histogram(sf_dir: str) -> pa.Table:
         )
         return out.reset_index().astype("int64")
 
-    out = (
+    return finish(
         bucketed_aggregate(
             counts.map_batches(per_len, batch_format="pandas"),
             ["token_len"],
             {"n_instances": ("n_instances", "sum"), "n_distinct": ("n_distinct", "sum")},
             n_buckets=16,
-        )
-        .to_pandas()
-        .sort_values("token_len", ignore_index=True)
-        .astype({"token_len": "int64", "n_instances": "int64", "n_distinct": "int64"})
+        ).to_pandas(),
+        "token_len",
+        dtypes={"token_len": "int64", "n_instances": "int64", "n_distinct": "int64"},
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 TOKEN_LENGTH_HISTOGRAM_SQL = r"""
@@ -4230,9 +4062,7 @@ def source_ttr(sf_dir: str) -> pa.Table:
     exactly one shuffle of word rows, nothing driver-sized beyond the
     source table."""
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["source", "text"]
-    )
+    docs = read_table(sf_dir, "documents", ["source", "text"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         ex = pd.DataFrame(
@@ -4270,9 +4100,7 @@ def source_ttr(sf_dir: str) -> pa.Table:
         .astype({"n_distinct": "int64", "n_tokens": "int64"})
     )
     out["ttr_milli"] = (1000 * out["n_distinct"]) // out["n_tokens"]
-    return pa.Table.from_pandas(
-        out[["source", "n_tokens", "n_distinct", "ttr_milli"]], preserve_index=False
-    )
+    return finish(out, columns=["source", "n_tokens", "n_distinct", "ttr_milli"])
 
 
 SOURCE_TTR_SQL = r"""

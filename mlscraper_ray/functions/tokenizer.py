@@ -35,7 +35,6 @@ makes the cache hit rate ~the corpus's type/token ratio).
 """
 from __future__ import annotations
 
-import os
 import re
 from collections import Counter
 
@@ -45,6 +44,7 @@ import ray.data
 
 from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
+from mlscraper_ray.functions.tables import finish, read_table
 
 _ALPHA_RE = re.compile(r"[a-z]+")
 
@@ -69,9 +69,7 @@ def _word_histogram(sf_dir: str, top_v: int) -> list[tuple[str, int]]:
     """Corpus (word, cnt) histogram cut to the global top-V by
     (cnt desc, word asc) — one slim shuffle + a V-bounded driver
     merge; see module docstring for the subset-union bound."""
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["text"]
-    )
+    docs = read_table(sf_dir, "documents", ["text"])
     counts = bucketed_aggregate(
         docs.map_batches(
             lambda b: _local_word_counts(b["text"]), batch_format="pandas"
@@ -178,15 +176,11 @@ def doc_bpe_encode(
             }
         )
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
+    docs = read_table(sf_dir, "documents", ["doc_id", "text"])
+    return finish(
+        docs.map_batches(encode, batch_format="pandas").to_pandas(),
+        "doc_id",
     )
-    out = (
-        docs.map_batches(encode, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 # worker-global encode cache (per process; merges are fixed per run)

@@ -38,6 +38,7 @@ from mlscraper_ray.functions.similarity import (
     _lloyd_layer_sql,
     _md5_sample_ids,
 )
+from mlscraper_ray.functions.tables import finish, read_table
 
 TOPIC_DIM = 32
 TOPIC_CLUSTERS = 8
@@ -75,9 +76,7 @@ def doc_topic_clusters(
     by_id = dict(zip(t["doc_id"].to_pylist(), t["text"].to_pylist()))
     centroids = _doc_features([by_id[i] for i in init_ids], dim)
 
-    ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text"]
-    ).materialize()
+    ds = read_table(sf_dir, "documents", ["doc_id", "text"]).materialize()
 
     for _ in range(n_iters):
         cents_ref = ray.put(centroids)
@@ -130,12 +129,10 @@ def doc_topic_clusters(
             }
         )
 
-    out = (
-        ds.map_batches(assign_batch, batch_format="pyarrow")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    return finish(
+        ds.map_batches(assign_batch, batch_format="pyarrow").to_pandas(),
+        "doc_id",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def doc_topic_clusters_sql(
@@ -242,15 +239,11 @@ def corpus_cluster_sample(
         out["keep"] = [int(d in k) for d in batch["doc_id"]]
         return out
 
-    out = (
-        ds.map_batches(flag, batch_format="pandas")
-        .to_pandas()
-        .sort_values("doc_id", ignore_index=True)
+    return finish(
+        ds.map_batches(flag, batch_format="pandas").to_pandas(),
+        "doc_id",
+        dtypes={"doc_id": "int64", "cluster": "int32", "keep": "int64"},
     )
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["cluster"] = out["cluster"].astype("int32")
-    out["keep"] = out["keep"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def corpus_cluster_sample_sql(

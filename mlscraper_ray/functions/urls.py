@@ -33,7 +33,6 @@ must produce, so a canonicalization regression flips the hash.
 """
 from __future__ import annotations
 
-import os
 from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
 import pandas as pd
@@ -110,15 +109,14 @@ def url_canonical_dedup_ds(docs: ray.data.Dataset) -> ray.data.Dataset:
 
 
 def url_canonical_dedup(sf_dir: str) -> pa.Table:
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "source"])
     out = url_canonical_dedup_ds(docs).to_pandas()
-    out["n_dups"] = out["n_dups"].astype("int64")
-    out = out[["canonical_url", "n_dups", "kept_url"]].sort_values(
-        "canonical_url", ignore_index=True
+    return finish(
+        out,
+        "canonical_url",
+        columns=["canonical_url", "n_dups", "kept_url"],
+        dtypes={"n_dups": "int64"},
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 # Expected-value oracle: each synthesized spelling is listed with the
@@ -223,15 +221,11 @@ def frontier_url_filter(sf_dir: str) -> pa.Table:
             {"url": str, "keep": bool, "reason": str}
         )
 
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
+    docs = read_table(sf_dir, "documents", ["doc_id", "source"])
+    return finish(
+        docs.map_batches(variants, batch_format="pandas").to_pandas(),
+        "url",
     )
-    out = (
-        docs.map_batches(variants, batch_format="pandas")
-        .to_pandas()
-        .sort_values("url", ignore_index=True)
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 # Expected-verdict oracle: every synthesized candidate appears with
@@ -299,9 +293,7 @@ def url_redirect_resolve(sf_dir: str, max_hops: int = 16) -> pa.Table:
     block-doubling hazard, see components.py)."""
     import math
 
-    n_docs_ds = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id"]
-    )
+    n_docs_ds = read_table(sf_dir, "documents", ["doc_id"])
     n = n_docs_ds.count()
 
     def init_state(t: pa.Table) -> pa.Table:
@@ -376,10 +368,11 @@ def url_redirect_resolve(sf_dir: str, max_hops: int = 16) -> pa.Table:
     out["final_id"] = out["ptr"].where(resolved, -1).astype("int64")
     out["n_hops"] = out["hops"].where(resolved, -1).astype("int64")
     out["resolved"] = resolved.astype(bool)
-    out = out.rename(columns={"u": "doc_id"})[
-        ["doc_id", "final_id", "n_hops", "resolved"]
-    ].sort_values("doc_id", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(
+        out.rename(columns={"u": "doc_id"}),
+        "doc_id",
+        columns=["doc_id", "final_id", "n_hops", "resolved"],
+    )
 
 
 def url_redirect_resolve_sql(max_hops: int = 16) -> str:
@@ -421,6 +414,7 @@ ORDER BY doc_id
 _TRAP_THRESHOLD = 64
 
 import re as _re
+from mlscraper_ray.functions.tables import finish, read_table
 
 _NUM_SEG = _re.compile(r"[0-9]+")
 _HEX_SEG = _re.compile(r"[0-9a-f]{8,}")
@@ -527,15 +521,11 @@ def url_pattern_stats_ds(
 def url_pattern_stats(
     sf_dir: str, trap_threshold: int = _TRAP_THRESHOLD
 ) -> pa.Table:
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "source"]
+    docs = read_table(sf_dir, "documents", ["doc_id", "source"])
+    return finish(
+        url_pattern_stats_ds(docs, trap_threshold=trap_threshold).to_pandas(),
+        ["host", "pattern"],
     )
-    out = (
-        url_pattern_stats_ds(docs, trap_threshold=trap_threshold)
-        .to_pandas()
-        .sort_values(["host", "pattern"], ignore_index=True)
-    )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def url_pattern_stats_sql(trap_threshold: int = _TRAP_THRESHOLD) -> str:

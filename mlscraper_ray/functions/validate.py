@@ -31,6 +31,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from mlscraper_ray.functions.tables import finish, read_table
+
 
 def corpus_validate(sf_dir: str) -> pa.Table:
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
@@ -40,9 +42,7 @@ def corpus_validate(sf_dir: str) -> pa.Table:
 
     # -- documents: uniqueness + column invariants (one pass each kind)
     n_docs = pq.read_metadata(os.path.join(sf_dir, "documents.parquet")).num_rows
-    docs = ray.data.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"), columns=["doc_id", "text", "n_chars"]
-    )
+    docs = read_table(sf_dir, "documents", ["doc_id", "text", "n_chars"])
     key_counts = bucketed_aggregate(
         docs.map_batches(
             lambda df: pd.DataFrame({"doc_id": df["doc_id"].astype("int64"), "n": np.int64(1)}),
@@ -69,9 +69,7 @@ def corpus_validate(sf_dir: str) -> pa.Table:
 
     # -- events: range + JSON parsability
     n_events = pq.read_metadata(os.path.join(sf_dir, "events.parquet")).num_rows
-    events = ray.data.read_parquet(
-        os.path.join(sf_dir, "events.parquet"), columns=["value", "props"]
-    )
+    events = read_table(sf_dir, "events", ["value", "props"])
 
     def ev_viol(df: pd.DataFrame) -> pd.DataFrame:
         bad_val = int((df["value"].isna() | (df["value"] < 0)).sum())
@@ -100,7 +98,7 @@ def corpus_validate(sf_dir: str) -> pa.Table:
         return pd.DataFrame({"bad": [bad]})
 
     oo = (
-        ray.data.read_parquet(os.path.join(sf_dir, "orders.parquet"), columns=["o_custkey"])
+        read_table(sf_dir, "orders", ["o_custkey"])
         .map_batches(orphan_orders, batch_format="pandas")
         .to_pandas()
     )
@@ -109,7 +107,7 @@ def corpus_validate(sf_dir: str) -> pa.Table:
     # -- referential: lineitem.l_orderkey -> orders (fact-fact, slim keys)
     n_li = pq.read_metadata(os.path.join(sf_dir, "lineitem.parquet")).num_rows
     li_counts = bucketed_aggregate(
-        ray.data.read_parquet(os.path.join(sf_dir, "lineitem.parquet"), columns=["l_orderkey"])
+        read_table(sf_dir, "lineitem", ["l_orderkey"])
         .map_batches(
             lambda df: pd.DataFrame(
                 {"o_orderkey": df["l_orderkey"].astype("int64"), "n_li": np.int64(1)}
@@ -119,9 +117,7 @@ def corpus_validate(sf_dir: str) -> pa.Table:
         ["o_orderkey"],
         {"n_li": ("n_li", "sum")},
     )
-    ok_keys = ray.data.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"), columns=["o_orderkey"]
-    ).map_batches(
+    ok_keys = read_table(sf_dir, "orders", ["o_orderkey"]).map_batches(
         lambda df: pd.DataFrame(
             {"o_orderkey": df["o_orderkey"].astype("int64"), "present": np.int64(1)}
         ),
@@ -140,7 +136,7 @@ def corpus_validate(sf_dir: str) -> pa.Table:
 
     # -- embeddings: fixed dimensionality
     n_emb = pq.read_metadata(os.path.join(sf_dir, "embeddings.parquet")).num_rows
-    emb = ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=["embedding"])
+    emb = read_table(sf_dir, "embeddings", ["embedding"])
 
     def bad_dim(t: pa.Table) -> pd.DataFrame:
         lens = np.array([len(e) for e in t["embedding"].to_pylist()])
@@ -152,9 +148,7 @@ def corpus_validate(sf_dir: str) -> pa.Table:
     out = pd.DataFrame(
         sorted(checks), columns=["table_name", "check_name", "n_checked", "n_violations"]
     )
-    out["n_checked"] = out["n_checked"].astype("int64")
-    out["n_violations"] = out["n_violations"].astype("int64")
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, dtypes={"n_checked": "int64", "n_violations": "int64"})
 
 
 CORPUS_VALIDATE_SQL = """

@@ -28,6 +28,7 @@ import ray.data
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
+from mlscraper_ray.functions.tables import finish
 
 
 def wet_rows_ds(sf_dir: str, min_tokens: int = 20) -> ray.data.Dataset:
@@ -95,8 +96,7 @@ def wet_curate(sf_dir: str, min_tokens: int = 20) -> pa.Table:
             }
         )
     out = out.astype({"n_tokens": "int64", "n_dups": "int64"})
-    out = out[cols].sort_values("url", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(out, "url", columns=cols)
 
 
 def wet_curate_to_parquet(

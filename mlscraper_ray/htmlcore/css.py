@@ -114,18 +114,28 @@ class CompiledSelector:
         return True
 
 
+# An ``#id`` or ``.class`` token: it stops at whitespace, ``>``, ``#``,
+# ``.``, ``[`` and ``:``.
+_NAME = r"[^\s>#.\[:]+"
+
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s*>\s*|\s+)                    # combinator
     | (?P<tag>[a-zA-Z][a-zA-Z0-9_-]*)      # tag name
-    | \#(?P<id>[^\s>#.\[:]+)               # id
-    | \.(?P<cls>[^\s>#.\[:]+)              # class
+    | \#(?P<id>{_NAME})                    # id
+    | \.(?P<cls>{_NAME})                   # class
     | \[(?P<attr>[^\s\]=]+)                # [attr  or  [attr="value"
         (?: = "(?P<aval>[^"]*)" )? \]
     | :nth-child\((?P<nth>\d+)\)           # :nth-child(n)
     """,
     re.VERBOSE,
 )
+_NAME_RE = re.compile(_NAME)
+
+
+def is_name_token(name: str) -> bool:
+    """Whether ``#name`` / ``.name`` reads back as one id or class token."""
+    return _NAME_RE.fullmatch(name) is not None
 
 
 @lru_cache(maxsize=65536)

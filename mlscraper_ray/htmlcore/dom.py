@@ -24,7 +24,6 @@ tests pin them:
 """
 from __future__ import annotations
 
-import re
 from html.parser import HTMLParser
 from typing import Iterator, Optional, Union
 
@@ -428,9 +427,6 @@ class _TreeBuilder(HTMLParser):
             children.append(TextNode(data, parent, self.order))
 
     # comments / declarations / pis are ignored entirely
-
-
-_WS_RE = re.compile(r"\s+")
 
 
 def parse_html(html: Union[str, bytes]) -> Document:

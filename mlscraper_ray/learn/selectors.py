@@ -22,7 +22,7 @@ import re
 import typing
 from itertools import chain, combinations
 
-from mlscraper_ray.htmlcore.css import compile_selector
+from mlscraper_ray.htmlcore.css import compile_selector, is_name_token
 from mlscraper_ray.htmlcore.dom import Document, Element
 from mlscraper_ray.scrape.model import CssRuleSelector
 
@@ -162,11 +162,13 @@ def _generate_regular_node_selectors(node: Element):
     """Reference ``_generate_regular_node_selectors``
     (``selectors.py:159-193``): tag, ``#id``, class powerset as ``.a.b``
     and ``tag.a.b``, ``tag[attr]`` and ``tag[attr="v"]`` for
-    non-blacklisted attrs with "plain" values."""
+    non-blacklisted attrs with "plain" values. An id or class that the
+    CSS grammar would split (``a.b``, ``a>b``, ``x[y``) is skipped: its
+    selector could never match the node itself."""
     yield node.tag_name
-    if node.id:
+    if node.id and is_name_token(node.id):
         yield f"#{node.id}"
-    for class_combination in _powerset(node.classes):
+    for class_combination in _powerset(c for c in node.classes if is_name_token(c)):
         if class_combination:
             class_selector = make_selector_for_classes(class_combination)
             yield class_selector

@@ -20,12 +20,6 @@ from mlscraper_ray.sources.corpusgen import CorpusSpec, generate_corpus, spec_fo
 
 DATA_ROOT = os.environ.get("MLSCRAPER_RAY_TMP", "/tmp/mlscraper_ray_data")
 
-def ncpus() -> int:
-    import ray
-
-    return int(ray.cluster_resources().get("CPU", 8))
-
-
 
 def sf_of_dir(sf_dir: str) -> float:
     m = re.search(r"sf([0-9.]+)", os.path.basename(os.path.normpath(sf_dir)))

@@ -1,0 +1,121 @@
+"""The shared read and finish (``functions/tables.py``): ``read_table``
+reads exactly what a plain ``read_parquet`` reads, without schema
+metadata; the vector top-k entries return typed empty tables; and no
+operator module grows its own base-table read or result tail again."""
+import ast
+import glob
+import os
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.dirname(__file__))
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+from test_functions import SF_DIR  # noqa: E402
+
+FUNCTIONS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "mlscraper_ray", "functions"
+)
+
+# (module file name, function name) -> why that function keeps its own
+# read or result tail.
+ALLOWLIST: dict[tuple[str, str], str] = {}
+
+BASE_TABLES = [
+    os.path.basename(p)[: -len(".parquet")] for p in sorted(glob.glob(f"{SF_DIR}/*.parquet"))
+]
+
+
+@pytest.mark.parametrize("project", [False, True], ids=["all_columns", "projected"])
+@pytest.mark.parametrize("name", BASE_TABLES)
+def test_read_table_matches_plain_read(ray_session, name, project):
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from mlscraper_ray.functions.tables import read_table
+
+    path = os.path.join(SF_DIR, f"{name}.parquet")
+    columns = pq.read_schema(path).names[::-2] if project else None
+    ds = read_table(SF_DIR, name, columns)
+    assert not ds.schema().base_schema.metadata
+    plain = ray.data.read_parquet(path, columns=columns).to_pandas()
+    assert ds.to_pandas().equals(plain)
+
+
+@pytest.mark.parametrize(
+    "entry, kwargs",
+    [
+        ("cosine_filtered_topk", {"label": 999}),  # sf0.001 has labels 0-9 only
+        ("cosine_range", {"threshold_x10k": 10001}),
+        ("lsh_topk", {"radius": -1}),
+    ],
+)
+def test_ann_empty_result_is_typed(ray_session, entry, kwargs):
+    import pyarrow as pa
+    from oracle_compare import compare
+
+    from mlscraper_ray.functions import similarity
+
+    out = getattr(similarity, entry)(SF_DIR, **kwargs)
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("vec_id", pa.int64()), ("score_x10k", pa.int64())])
+    c = compare(out, getattr(similarity, f"{entry}_sql")(**kwargs), SF_DIR)
+    assert c["rows_match"] and c["schema_match"] and c["hash_match"], c
+
+
+def _hand_written_sites(path: str) -> list[tuple[str, str]]:
+    """(enclosing function, idiom) for each hand-written base-table read
+    or ``Table.from_pandas`` tail in one module, in source order."""
+    src = open(path).read()
+    sites = []
+
+    def visit(node: ast.AST, fn: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            owner = ast.get_source_segment(src, node.func.value)
+            path_arg = node.args[0] if node.args else None
+            if node.func.attr == "from_pandas" and owner.endswith("Table"):
+                sites.append((node.lineno, fn, "Table.from_pandas"))
+            elif (
+                node.func.attr == "read_parquet"
+                and owner.endswith("data")
+                and isinstance(path_arg, ast.Call)
+                and ast.get_source_segment(src, path_arg.func).endswith("path.join")
+                and path_arg.args
+                and isinstance(path_arg.args[0], ast.Name)
+                and path_arg.args[0].id == "sf_dir"
+            ):
+                sites.append((node.lineno, fn, "read_parquet(os.path.join(sf_dir, ...))"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(src), "<module>")
+    return [(fn, what) for _, fn, what in sorted(sites)]
+
+
+def test_operators_read_and_finish_through_tables():
+    found = []
+    for path in sorted(glob.glob(os.path.join(FUNCTIONS_DIR, "*.py"))):
+        fname = os.path.basename(path)
+        if fname == "tables.py":
+            continue
+        for fn, what in _hand_written_sites(path):
+            if (fname, fn) not in ALLOWLIST:
+                found.append(f"{fname}::{fn} {what}")
+    assert not found, "use tables.read_table / tables.finish:\n" + "\n".join(found)
+
+
+def test_guard_sees_both_idioms(tmp_path):
+    p = tmp_path / "op.py"
+    p.write_text(
+        "import os\nimport pyarrow as pa\nimport ray.data\n"
+        "def op(sf_dir):\n"
+        "    ds = ray.data.read_parquet(os.path.join(sf_dir, 'events.parquet'))\n"
+        "    return pa.Table.from_pandas(ds.to_pandas(), preserve_index=False)\n"
+    )
+    assert _hand_written_sites(str(p)) == [
+        ("op", "read_parquet(os.path.join(sf_dir, ...))"),
+        ("op", "Table.from_pandas"),
+    ]
