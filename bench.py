@@ -7,7 +7,10 @@ default 32) and prints ONE JSON line:
 
   {"metric": "e2e_bench_sec", "value": <total sec>, "unit": "sec",
    "queries": {...per-pipeline sec...}, "sf": .., "num_cpus": N,
-   "crawl_urls_per_sec": .., "extract_pages_per_sec": ..}
+   "crawl_urls_per_sec": .., "extract_pages_per_sec": ..,
+   "core_set_sec": <sum over the registry queries in
+   perfbench.inputs.CORE_OPS — a fixed set, so it stays comparable
+   while the registry grows>}
 
 --scaling: runs the scaling pipeline (the parse+select+extract slice
 over the full corpus, 3x-replicated input, streaming count) twice in
@@ -48,6 +51,7 @@ def run_bench() -> dict:
 
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
     import __ray_entry__ as entry_mod
+    from perfbench.inputs import CORE_OPS
     from mlscraper_ray.pipelines.crawl_pipeline import (
         corpus_for_sf,
         extract_all_query,
@@ -329,6 +333,7 @@ def run_bench() -> dict:
         queries[name] = round(time.time() - t0, 3)
 
     total = round(sum(queries.values()), 3)
+    extras["core_set_sec"] = round(sum(queries[op] for op in CORE_OPS if op in queries), 3)
     # Full per-query map + extras go to a sidecar file: the single
     # summary line outgrew the driver's tail-capture window in r4
     # ("parsed": null), so the FINAL stdout line stays compact —
@@ -360,6 +365,7 @@ def run_bench() -> dict:
         "num_cpus": num_cpus,
         "crawl_urls_per_sec": extras["crawl_urls_per_sec"],
         "extract_pages_per_sec": extras["extract_pages_per_sec"],
+        "core_set_sec": extras["core_set_sec"],
         "n_queries": len(queries),
         "detail_file": detail_file,
     }

@@ -123,14 +123,14 @@ def revenue_by_nation(sf_dir: str) -> pa.Table:
             {"custkey": g["custkey"], "revenue_cents": g["revenue_cents_sum"], "n_orders": g["custkey_count"]}
         )
 
-    orders_read = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-    n_orders = orders_read.count()  # parquet metadata, no read
-    orders = orders_read.map_batches(order_partial, batch_format="pyarrow")
+    orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
+        order_partial, batch_format="pyarrow"
+    )
     customer = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
         lambda t: pa.table({"custkey": t["c_custkey"], "nationkey": t["c_nationkey"]}),
         batch_format="pyarrow",
     )
-    joined = cogroup_join(orders, customer, "custkey", approx_rows=n_orders)
+    joined = cogroup_join(orders, customer, "custkey")
 
     def nation_partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by("nationkey").aggregate([("revenue_cents", "sum"), ("n_orders", "sum")])
@@ -717,8 +717,7 @@ def revenue_rollup(sf_dir: str) -> pa.Table:
         {"revenue_cents": ("revenue_cents", "sum"), "n_orders": ("n_orders", "sum")},
     )
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    n_cust = pq.read_metadata(os.path.join(sf_dir, "customer.parquet")).num_rows
-    joined = cogroup_join(totals, cust, "c_custkey", approx_rows=n_cust)
+    joined = cogroup_join(totals, cust, "c_custkey")
 
     def per_nation(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "c_nationkey" not in df.columns or "revenue_cents" not in df.columns:
@@ -830,7 +829,7 @@ def orders_repeat_rate(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Tabl
         cust = cust_read.map_batches(
             lambda df: df.astype({"c_custkey": "int64"}), batch_format="pandas"
         )
-        tagged = cogroup_join(per_cust, cust, "c_custkey", approx_rows=n_cust)
+        tagged = cogroup_join(per_cust, cust, "c_custkey")
 
     parts = tagged.map_batches(
         lambda df: df.assign(rep=(df["n_orders"] > 1).astype("int64"), one=np.int64(1))
@@ -844,7 +843,6 @@ def orders_repeat_rate(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Tabl
             parts,
             ["c_mktsegment"],
             {"n_customers": ("n_customers", "sum"), "n_repeat": ("n_repeat", "sum")},
-            n_buckets=5,
         )
         .to_pandas()
         .sort_values("c_mktsegment", ignore_index=True)
@@ -907,7 +905,6 @@ def lineitem_discount_bands(sf_dir: str) -> pa.Table:
                 "total_qty": ("total_qty", "sum"),
                 "revenue_cents": ("revenue_cents", "sum"),
             },
-            n_buckets=11,
         ).to_pandas(),
         "discount_pct",
         dtypes="int64",

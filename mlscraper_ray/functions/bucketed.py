@@ -1,7 +1,7 @@
 """Key co-partitioning: the one place a shuffle bucket is computed.
 
 :func:`co_partition` is the engine's only hash shuffle. It tags every
-row with a private bucket column, ``hash(keys) mod n_buckets``; runs
+row with a private bucket column, ``hash(keys) mod n``; runs
 ONE Ray ``groupby`` over that column (a tiny key domain, so the sort
 shuffle is cheap and every group gets substantial work); and calls
 ``fn`` once per bucket on a pandas frame of the input columns. Every
@@ -13,6 +13,14 @@ Ray's per-distinct-group overhead: a 1.3M-row / 1M-group native
 in 5 minutes on 32 cpus (measured in this repo); through this pattern
 it takes ~2s. :func:`bucketed_aggregate` and ``joins.cogroup_join``
 are thin wrappers over it.
+
+Bucket count: ``8 x cluster CPUs`` (:func:`_n_buckets`), the same
+CPU source ``frontier.crawler.RayCrawler`` sizes its actors from. At
+corpus scale a shuffle's cost is per bucket, not per row, so the count
+belongs to the cluster, not to the query; no caller can set it, and no
+output depends on it (every key value lands in one bucket at any
+count). There is no row term: a cheap row count exists only for a
+pure read, not after the maps and unions that feed most shuffles.
 
 Bucket rule: the bucket is a function of the key VALUES only. Numeric
 keys (any int or float width, nullable or not) are hashed as float64
@@ -34,6 +42,12 @@ import pyarrow as pa
 import ray.data
 
 _BUCKET = "__co_bucket"
+_BUCKETS_PER_CPU = 8
+
+
+def _n_buckets() -> int:
+    """The shuffle width of every :func:`co_partition` call."""
+    return _BUCKETS_PER_CPU * max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
 def _bucket_ids(frame: pd.DataFrame, keys: list[str], n_buckets: int) -> np.ndarray:
@@ -50,10 +64,9 @@ def co_partition(
     ds: ray.data.Dataset | list[ray.data.Dataset],
     keys: list[str],
     fn: Callable[[pd.DataFrame], pd.DataFrame],
-    n_buckets: int,
 ) -> ray.data.Dataset:
-    """Hash-partition ``ds`` on ``keys`` into ``n_buckets`` buckets and
-    return the union of ``fn(bucket)`` over all buckets. ``fn`` sees a
+    """Hash-partition ``ds`` on ``keys`` into :func:`_n_buckets` buckets
+    and return the union of ``fn(bucket)`` over all buckets. ``fn`` sees a
     pandas frame holding every row of its bucket with ``ds``'s columns
     (rows of one key value are never split across calls).
 
@@ -62,6 +75,7 @@ def co_partition(
     block type): each is tagged before the union. The tagging map
     fuses into each input's last map; after a union it would be a
     stage of its own."""
+    n_buckets = _n_buckets()
 
     def tag(block: pa.Table | pd.DataFrame) -> pa.Table | pd.DataFrame:
         # blocks keep their format (empty ones may carry no columns)
@@ -85,7 +99,6 @@ def bucketed_aggregate(
     ds: ray.data.Dataset,
     keys: list[str],
     aggs: dict[str, tuple[str, str]],
-    n_buckets: int = 241,
 ) -> ray.data.Dataset:
     """Group ``ds`` by ``keys`` computing ``aggs`` (out_col -> (in_col,
     op), op in {sum, min, max, count}); 'count' counts rows. Returns a
@@ -95,12 +108,11 @@ def bucketed_aggregate(
         for out, (col, op) in aggs.items()
     }
     # pandas blocks before the shuffle: one conversion per block instead
-    # of one per bucket in map_groups (there are hundreds of buckets)
+    # of one per bucket in map_groups
     return co_partition(
         ds.map_batches(lambda df: df, batch_format="pandas"),
         keys,
         lambda g: g.groupby(keys, sort=False, dropna=False).agg(**named).reset_index(),
-        n_buckets,
     )
 
 
@@ -111,7 +123,6 @@ def coalesce_blocks(ds: ray.data.Dataset, approx_rows: int) -> ray.data.Dataset:
     than in data movement — measured 31.8s for a 416-tiny-block
     existence-filter sort at sf0.1, ~1s after coalescing (see
     functions/pagerank.py). ``repartition(shuffle=False)`` is a local
-    block merge (no all-to-all); target ~200k rows per block, the
-    same constant as the adaptive bucket formula."""
+    block merge (no all-to-all); target ~200k rows per block."""
     nb = max(8, min(256, approx_rows // 200_000 + 8))
     return ds.repartition(nb, shuffle=False)

@@ -43,7 +43,7 @@ from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
 from mlscraper_ray.functions.dedup import MINHASH_DEDUP_SQL, minhash_verified_pairs
-from mlscraper_ray.functions.joins import adaptive_n_buckets, cogroup_join
+from mlscraper_ray.functions.joins import cogroup_join
 from mlscraper_ray.functions.tables import finish, read_table
 
 
@@ -97,8 +97,6 @@ def connected_components(
                 }
             )
         )
-    n_buckets = adaptive_n_buckets(2 * approx_edges, lo=64)
-    agg_buckets = min(4096, max(61, n_buckets))
     # Ray's sort-based groupby emits ~one reduce partition per INPUT
     # block, so feeding round k's output (plus the propagate union)
     # straight into round k+1 DOUBLES the label block count every
@@ -136,7 +134,6 @@ def connected_components(
             sym.map_batches(seed, batch_format="pyarrow"),
             ["node"],
             {"label": ("cand", "min")},
-            n_buckets=agg_buckets,
         )
         .repartition(label_blocks, shuffle=False)
         .materialize()
@@ -162,9 +159,7 @@ def connected_components(
             )
 
         lbl_edges = labels.map_batches(label_edges, batch_format="pyarrow")
-        joined = cogroup_join(
-            sym.union(lbl_edges), labels, "node", approx_rows=2 * approx_edges
-        )
+        joined = cogroup_join(sym.union(lbl_edges), labels, "node")
         prop = joined.map_batches(
             lambda t: pa.table(
                 {
@@ -188,7 +183,6 @@ def connected_components(
                 prop.union(keep),
                 ["node"],
                 {"label": ("cand", "min")},
-                n_buckets=agg_buckets,
             )
             .repartition(label_blocks, shuffle=False)
             .materialize()
@@ -292,8 +286,7 @@ def corpus_dedup_canonical(
             ),
             batch_format="pyarrow",
         )
-        n_docs = docs.count()
-        joined = cogroup_join(left, right, "key", how="left", approx_rows=n_docs)
+        joined = cogroup_join(left, right, "key", how="left")
 
         def keep_anti(df: pd.DataFrame) -> pd.DataFrame:
             keep = df[df["__is_loser"].isna()]

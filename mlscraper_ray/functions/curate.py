@@ -186,7 +186,6 @@ def decontaminate_survivors(
     holdout_mod: int = 97,
     n: int = 3,
     broadcast_limit: int = 2_000_000,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Benchmark DECONTAMINATION: drop every training document that
     shares ANY word n-gram with the held-out set — the standard
@@ -218,7 +217,6 @@ def decontaminate_survivors(
     driver-table wrapper, :func:`decontaminate_to_parquet` the
     resumable production sink."""
     from mlscraper_ray.functions.dedup import word_gram_set
-    from mlscraper_ray.functions.joins import adaptive_n_buckets
 
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
@@ -255,9 +253,6 @@ def decontaminate_survivors(
 
         survivors = ds.map_batches(screen, batch_format="pyarrow")
     else:
-        if n_buckets is None:
-            n_buckets = adaptive_n_buckets(ds.count())  # metadata count
-
         def explode_training(batch: pa.Table) -> pa.Table:
             grams, ids, ngrams = [], [], []
             for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
@@ -317,7 +312,7 @@ def decontaminate_survivors(
             )
             return part
 
-        flags = co_partition(sides, ["gram"], flag_bucket, n_buckets)
+        flags = co_partition(sides, ["gram"], flag_bucket)
         combined = bucketed_aggregate(
             flags, ["doc_id"], {"contam": ("contam", "max"), "n_grams": ("n_grams", "max")}
         )
@@ -334,13 +329,10 @@ def decontaminate(
     holdout_mod: int = 97,
     n: int = 3,
     broadcast_limit: int = 2_000_000,
-    n_buckets: int | None = None,
 ) -> pa.Table:
     """Driver-table wrapper over :func:`decontaminate_survivors` (the
     driver-compare contract wants a sorted Arrow table)."""
-    survivors = decontaminate_survivors(
-        sf_dir, holdout_mod=holdout_mod, n=n, broadcast_limit=broadcast_limit, n_buckets=n_buckets
-    )
+    survivors = decontaminate_survivors(sf_dir, holdout_mod=holdout_mod, n=n, broadcast_limit=broadcast_limit)
     return finish(
         survivors.to_pandas(),
         "doc_id",

@@ -120,16 +120,11 @@ def minhash_signature(shingles: set[int], a: np.ndarray, b: np.ndarray) -> np.nd
 
 
 class MinHashStage:
-    """Actor-pool stage: doc -> (band, bucket, grp, doc_id) rows.
-
-    ``grp`` is the COARSE shuffle key: hash(band, bucket) %
-    ``n_groups``. Candidate pairs require an equal full (band, bucket),
-    which determines grp — so grouping by grp is complete — while the
-    Ray-visible group cardinality stays FIXED (n_groups) and each
-    group holds O(corpus * bands / n_groups) slim rows instead of the
-    whole corpus's rows for one band. Exact-bucket resolution happens
-    vectorized in pandas inside each group (the repo's coarse-bucket
-    idiom, functions/bucketed.py); raise n_groups with cluster size."""
+    """Actor-pool stage: doc -> (band, bucket, doc_id) rows. Candidate
+    pairs share a full (band, bucket), so the pair shuffle is
+    ``co_partition`` on those two keys (functions/bucketed.py): each
+    shuffle bucket holds O(corpus * bands / buckets) slim rows, never
+    the whole corpus's rows for one band."""
 
     def __init__(
         self,
@@ -137,13 +132,11 @@ class MinHashStage:
         bands: int = 32,
         shingle_n: int = 3,
         seed: int = 42,
-        n_groups: int = 2048,
     ):
         self.a, self.b = _perm_params(num_perm, seed)
         self.bands = bands
         self.rows_per_band = num_perm // bands
         self.shingle_n = shingle_n
-        self.n_groups = n_groups
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         band_ids, buckets, doc_ids = [], [], []
@@ -155,17 +148,10 @@ class MinHashStage:
                 band_ids.append(band)
                 buckets.append(struct.unpack("<q", digest)[0])
                 doc_ids.append(doc_id)
-        band_arr = np.asarray(band_ids, dtype=np.uint64)
-        bucket_arr = np.asarray(buckets, dtype=np.int64)
-        grp = (
-            (band_arr * np.uint64(0x9E3779B97F4A7C15) + bucket_arr.astype(np.uint64))
-            % np.uint64(self.n_groups)
-        ).astype(np.int32)
         return pa.table(
             {
-                "band": pa.array(band_arr.astype(np.int32)),
-                "bucket": pa.array(bucket_arr),
-                "grp": pa.array(grp),
+                "band": pa.array(band_ids, pa.int32()),
+                "bucket": pa.array(buckets, pa.int64()),
                 "doc_id": pa.array(doc_ids, pa.int64()),
             }
         )
@@ -219,15 +205,13 @@ def _unpack_pairs_arrow(keys) -> tuple:
 _MINHASH_CACHE: dict = {}
 
 
-def minhash_stage_task(
-    batch: pa.Table, *, num_perm: int, bands: int, shingle_n: int, seed: int, n_groups: int = 2048
-) -> pa.Table:
-    key = (num_perm, bands, shingle_n, seed, n_groups)
+def minhash_stage_task(batch: pa.Table, *, num_perm: int, bands: int, shingle_n: int, seed: int) -> pa.Table:
+    key = (num_perm, bands, shingle_n, seed)
     stage = _MINHASH_CACHE.get(key)
     if stage is None:
         if len(_MINHASH_CACHE) > 4:
             _MINHASH_CACHE.clear()
-        stage = _MINHASH_CACHE[key] = MinHashStage(num_perm, bands, shingle_n, seed, n_groups)
+        stage = _MINHASH_CACHE[key] = MinHashStage(num_perm, bands, shingle_n, seed)
     return stage(batch)
 
 
@@ -268,7 +252,6 @@ def minhash_candidate_pairs(
     bands=32,
     shingle_n=3,
     seed=42,
-    n_groups: int | None = None,
     max_bucket_docs: int = 1024,
 ) -> ray.data.Dataset:
     """Deduplicated LSH candidate pairs as a DATASET — nothing
@@ -277,38 +260,19 @@ def minhash_candidate_pairs(
     Two shuffle rounds of SLIM rows, both with bounded Ray-visible
     group cardinality (never a whole-corpus group):
 
-    1. (band, bucket, grp, doc_id) rows grouped by the coarse
-       ``grp = hash(band, bucket) % n_groups`` key computed in
-       :class:`MinHashStage`; per-(band, bucket) pair emission runs
-       vectorized in pandas inside each group, with the
-       ``max_bucket_docs`` degenerate-bucket guard
+    1. (band, bucket, doc_id) rows from :class:`MinHashStage`,
+       co-partitioned on (band, bucket); per-(band, bucket) pair
+       emission runs vectorized in pandas inside each shuffle bucket,
+       with the ``max_bucket_docs`` degenerate-bucket guard
        (see :func:`_emit_pairs_by_key`).
     2. cross-band duplicate pairs removed DISTRIBUTED: the pair packed
        into one int64 key (doc_ids < 2^31), deduped with the
        coarse-bucket aggregate idiom — the same pattern as
        :func:`ngram_jaccard_pairs`, never a driver
-       ``drop_duplicates``.
-
-    ``n_groups`` defaults ADAPTIVE: ceil(sig_rows / 200k) clamped to
-    [256, 65536], so each map_groups call gets enough rows to
-    amortize its fixed pandas overhead (measured: 2048 groups on a
-    512k-row sig table cost 3x more than 256, all in per-call fixed
-    cost) while no group exceeds ~200k slim rows regardless of corpus
-    size — the knob rises automatically with the data. Exactness
-    never depends on it: emission is keyed on the full (band, bucket)
-    inside each group."""
-    if n_groups is None:
-        sig_rows = ds_docs.count() * bands  # metadata count for pure reads
-        n_groups = min(65536, max(256, -(-sig_rows // 200_000)))
+       ``drop_duplicates``."""
     sigs = ds_docs.map_batches(
         minhash_stage_task,
-        fn_kwargs={
-            "num_perm": num_perm,
-            "bands": bands,
-            "shingle_n": shingle_n,
-            "seed": seed,
-            "n_groups": n_groups,
-        },
+        fn_kwargs={"num_perm": num_perm, "bands": bands, "shingle_n": shingle_n, "seed": seed},
         batch_format="pyarrow",
     )
 
@@ -317,7 +281,7 @@ def minhash_candidate_pairs(
         p["pair_key"] = _pack_pairs_pd(p["doc_a"], p["doc_b"])
         return p[["pair_key"]]
 
-    pair_keys = sigs.groupby("grp").map_groups(emit, batch_format="pandas")
+    pair_keys = co_partition(sigs, ["band", "bucket"], emit)
     deduped = bucketed_aggregate(pair_keys, ["pair_key"], {"n_bands": ("pair_key", "count")})
 
     def unpack(batch: pa.Table) -> pa.Table:
@@ -461,7 +425,6 @@ def _verify_candidate_pairs(
         def a_as_key(batch: pa.Table) -> pa.Table:
             return pa.table({"doc_id": batch["doc_a"], "doc_b": batch["doc_b"]})
 
-        n_docs = docs.count()  # parquet metadata, no read
         texts_a = docs.map_batches(
             lambda t: pa.table({"doc_id": t["doc_id"], "text_a": t["text"]}), batch_format="pyarrow"
         )
@@ -469,7 +432,6 @@ def _verify_candidate_pairs(
             cand_ds.map_batches(a_as_key, batch_format="pyarrow"),
             texts_a,
             "doc_id",
-            approx_rows=n_docs + n_pairs,
         )
 
         def b_as_key(batch: pa.Table) -> pa.Table:
@@ -491,7 +453,6 @@ def _verify_candidate_pairs(
             j1.map_batches(b_as_key, batch_format="pyarrow"),
             texts_b,
             "doc_id",
-            approx_rows=n_docs + n_pairs,
         )
 
         def verify_joined(batch: pa.Table) -> pa.Table:
@@ -573,17 +534,9 @@ def incremental_minhash_dedup(
     (jaccard, prior_id) into one int64 so it's a scalar coarse-bucket
     max — no driver-side pair table anywhere."""
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
-    sig_rows = docs.count() * 32
-    n_groups = min(65536, max(256, -(-sig_rows // 200_000)))
     sigs = docs.map_batches(
         minhash_stage_task,
-        fn_kwargs={
-            "num_perm": 128,
-            "bands": 32,
-            "shingle_n": 3,
-            "seed": 42,
-            "n_groups": n_groups,
-        },
+        fn_kwargs={"num_perm": 128, "bands": 32, "shingle_n": 3, "seed": 42},
         batch_format="pyarrow",
     )
 
@@ -608,7 +561,7 @@ def incremental_minhash_dedup(
         p["pair_key"] = _pack_pairs_pd(p["doc_a"], p["doc_b"])
         return p[["pair_key"]]
 
-    pair_keys = sigs.groupby("grp").map_groups(emit_cross, batch_format="pandas")
+    pair_keys = co_partition(sigs, ["band", "bucket"], emit_cross)
     deduped = bucketed_aggregate(pair_keys, ["pair_key"], {"n_bands": ("pair_key", "count")})
 
     def unpack(batch: pa.Table) -> pa.Table:
@@ -829,8 +782,8 @@ def _ngram_pair_counts(
         s["doc_b"] = (s["pair_key"] % _PAIR_BASE).astype("int64")
         return s[["doc_a", "doc_b", "inter", "na", "nb"]]
 
-    counted = co_partition(exploded, ["gram"], pairs_in_bucket, 256)
-    return co_partition(counted, ["pair_key"], combine_bucket, 241)
+    counted = co_partition(exploded, ["gram"], pairs_in_bucket)
+    return co_partition(counted, ["pair_key"], combine_bucket)
 
 
 def ngram_jaccard_pairs(sf_dir: str, n: int = 3, threshold_pct: int = 70, df_cap: int | None = None) -> pa.Table:
@@ -1058,29 +1011,25 @@ def simhash_table(sf_dir: str) -> pa.Table:
     return finish(ds.map_batches(fn, batch_format="pyarrow").to_pandas(), "doc_id")
 
 
-def simhash_neardup_pairs(ds_docs: ray.data.Dataset, max_hamming: int = 3, n_coarse: int = 256) -> pa.Table:
+def simhash_neardup_pairs(ds_docs: ray.data.Dataset, max_hamming: int = 3) -> pa.Table:
     """Near-dup pairs by simhash banding: 4 bands of 16 bits; any pair
     within Hamming distance 3 shares at least one exact band
-    (pigeonhole). Grouped by the COMPOSITE ``band * n_coarse +
-    (key % n_coarse)`` — pairs require an equal full 16-bit band key,
-    so coarsening the key into the group key preserves completeness
-    while bounding group size to O(corpus / n_coarse) and raising
-    concurrency from 4 groups to up to ``4 * n_coarse``. In-group
-    Hamming verify stays keyed on the exact band key."""
+    (pigeonhole). Rows are co-partitioned on the full (band, key), so
+    a shuffle bucket holds O(corpus * 4 / buckets) rows and the
+    Hamming verify runs per exact band key inside it."""
 
     def sig(batch: pa.Table) -> pa.Table:
-        grps, keys, ids, hashes = [], [], [], []
+        bands, keys, ids, hashes = [], [], [], []
         sims = simhash64_batch(batch["text"].to_pylist())
         for doc_id, s in zip(batch["doc_id"].to_pylist(), sims):
             for band in range(4):
-                key = (s >> (band * 16)) & 0xFFFF
-                grps.append(band * n_coarse + key % n_coarse)
-                keys.append(key)
+                bands.append(band)
+                keys.append((s >> (band * 16)) & 0xFFFF)
                 ids.append(doc_id)
                 hashes.append(s - (1 << 64) if s >= (1 << 63) else s)
         return pa.table(
             {
-                "grp": pa.array(grps, pa.int32()),
+                "band": pa.array(bands, pa.int32()),
                 "key": pa.array(keys, pa.int32()),
                 "doc_id": pa.array(ids, pa.int64()),
                 "simhash": pa.array(hashes, pa.int64()),
@@ -1088,13 +1037,12 @@ def simhash_neardup_pairs(ds_docs: ray.data.Dataset, max_hamming: int = 3, n_coa
         )
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        # one (band, key % n_coarse) group; per-key work vectorized in
-        # pandas (only keys shared by >1 doc reach the pair loop)
-        d = g.drop_duplicates(["key", "doc_id"])
-        counts = d["key"].value_counts()
-        d = d[d["key"].isin(counts[counts > 1].index)]
+        # one shuffle bucket; per-(band, key) work vectorized in pandas
+        # (only keys shared by >1 doc reach the pair loop)
+        d = g.drop_duplicates(["band", "key", "doc_id"])
+        d = d[d.groupby(["band", "key"], sort=False)["doc_id"].transform("size") > 1]
         out_a, out_b, out_d = [], [], []
-        for _, sub in d.groupby("key", sort=False):
+        for _, sub in d.groupby(["band", "key"], sort=False):
             sub = sub.sort_values("doc_id")
             ids = sub["doc_id"].tolist()
             hs = [h & ((1 << 64) - 1) for h in sub["simhash"].tolist()]
@@ -1115,11 +1063,9 @@ def simhash_neardup_pairs(ds_docs: ray.data.Dataset, max_hamming: int = 3, n_coa
     # key through the coarse-bucket aggregate — the minhash pattern),
     # never a driver drop_duplicates; hamming is identical across a
     # pair's bands, so min() just picks the value
+    banded = co_partition(ds_docs.map_batches(sig, batch_format="pyarrow"), ["band", "key"], pairs)
     deduped = bucketed_aggregate(
-        ds_docs.map_batches(sig, batch_format="pyarrow")
-        .groupby("grp")
-        .map_groups(pairs, batch_format="pandas")
-        .map_batches(pack, batch_format="pyarrow"),
+        banded.map_batches(pack, batch_format="pyarrow"),
         ["pair_key"],
         {"hamming": ("hamming", "min")},
     )
@@ -1228,7 +1174,7 @@ def doc_dup_span_stats(sf_dir: str, n: int = 3) -> pa.Table:
             }
         )
 
-    flags = co_partition(docs.map_batches(explode, batch_format="pyarrow"), ["gram"], flag_bucket, 256)
+    flags = co_partition(docs.map_batches(explode, batch_format="pyarrow"), ["gram"], flag_bucket)
     stats = bucketed_aggregate(
         flags, ["doc_id"], {"n_dup_grams": ("dup", "sum"), "n_grams": ("dup", "count")}
     )
@@ -2109,7 +2055,7 @@ def winnow_neardup_pairs_ds(
         return key.value_counts().rename_axis("pair_key").reset_index(name="shared")
 
     counted = bucketed_aggregate(
-        co_partition(exploded, ["fp"], pairs_in_bucket, 256),
+        co_partition(exploded, ["fp"], pairs_in_bucket),
         ["pair_key"],
         {"shared": ("shared", "sum")},
     )
@@ -2220,7 +2166,7 @@ def source_neardup_report(
     )
 
     docs = read_table(sf_dir, "documents", ["doc_id", "source"])
-    joined = cogroup_join(docs, involved, "doc_id", how="left", approx_rows=docs.count())
+    joined = cogroup_join(docs, involved, "doc_id", how="left")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "source" not in df.columns:
@@ -2324,7 +2270,6 @@ def source_pair_matrix(
         max_bucket_docs=max_bucket_docs,
     ).materialize()
     docs = read_table(sf_dir, "documents", ["doc_id", "source"])
-    n_docs = docs.count()
 
     n_pairs = pairs.count()
     if n_pairs <= broadcast_limit:
@@ -2369,9 +2314,7 @@ def source_pair_matrix(
             {"doc_id": df["doc_a"].astype("int64"), "doc_b": df["doc_b"].astype("int64")}
         )
 
-    j1 = cogroup_join(
-        pairs.map_batches(a_rows, batch_format="pandas"), docs, "doc_id", approx_rows=n_docs
-    )
+    j1 = cogroup_join(pairs.map_batches(a_rows, batch_format="pandas"), docs, "doc_id")
 
     def b_rows(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "doc_b" not in df.columns or "source" not in df.columns:
@@ -2382,9 +2325,7 @@ def source_pair_matrix(
             {"doc_id": df["doc_b"].astype("int64"), "source_a": df["source"].astype(str)}
         )
 
-    j2 = cogroup_join(
-        j1.map_batches(b_rows, batch_format="pandas"), docs, "doc_id", approx_rows=n_docs
-    )
+    j2 = cogroup_join(j1.map_batches(b_rows, batch_format="pandas"), docs, "doc_id")
 
     def matrix_rows(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "source_a" not in df.columns or "source" not in df.columns:
@@ -2438,9 +2379,9 @@ def doc_gram_novelty(sf_dir: str, n: int = 3) -> pa.Table:
     minimum doc_id.
 
     Same two-slim-shuffle plan as dup-span: explode DISTINCT
-    (gram, doc_id) rows into coarse crc32(gram) buckets (per-doc
-    totals emitted locally at explode time — the explode sees the
-    whole doc); per-bucket the min-doc fold credits each gram and
+    (gram, doc_id) rows co-partitioned on gram (per-doc totals emitted
+    locally at explode time — the explode sees the whole doc);
+    per-bucket the min-doc fold credits each gram and
     pre-aggregates per winner; a final coarse-bucket aggregate sums
     credits and joins them back to the totals on one key. No pair
     emission anywhere."""
@@ -2448,20 +2389,18 @@ def doc_gram_novelty(sf_dir: str, n: int = 3) -> pa.Table:
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
-        grams, ids, buckets = [], [], []
+        grams, ids = [], []
         tot_ids, tot_ns = [], []
         for doc_id, text in zip(batch["doc_id"].to_pylist(), batch["text"].to_pylist()):
             gset = word_gram_set(text, n)
             grams.extend(gset)
             ids.extend([doc_id] * len(gset))
-            buckets.extend(zlib.crc32(g.encode()) % 256 for g in gset)
             if gset:  # a blank doc has no grams, so no totals row (as in SQL)
                 tot_ids.append(doc_id)
                 tot_ns.append(len(gset))
-        # totals ride as gram='' rows (never a real gram) in bucket -1
+        # totals ride as gram='' rows (never a real gram)
         grams.extend([""] * len(tot_ids))
         ids.extend(tot_ids)
-        buckets.extend([-1] * len(tot_ids))
         return pa.table(
             {
                 "gram": pa.array(grams, pa.string()),
@@ -2469,35 +2408,30 @@ def doc_gram_novelty(sf_dir: str, n: int = 3) -> pa.Table:
                 "n_val": pa.array(
                     [1] * (len(ids) - len(tot_ns)) + tot_ns, pa.int64()
                 ),
-                "gram_bucket": pa.array(buckets, pa.int32()),
             }
         )
 
     exploded = docs.map_batches(explode, batch_format="pyarrow")
 
     def credit_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or "gram" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "kind": pd.Series(dtype=str),
-                    "cnt": pd.Series(dtype="int64"),
-                }
-            )
-        if int(g["gram_bucket"].iloc[0]) == -1:
-            t = g.groupby("doc_id", as_index=False)["n_val"].sum()
-            return pd.DataFrame(
-                {"doc_id": t["doc_id"].astype("int64"), "kind": "tot", "cnt": t["n_val"].astype("int64")}
-            )
-        winners = g.groupby("gram", sort=False)["doc_id"].min()
-        c = winners.value_counts()
-        return pd.DataFrame(
-            {"doc_id": c.index.astype("int64"), "kind": "nov", "cnt": c.to_numpy().astype("int64")}
+        is_tot = g["gram"] == ""
+        t = g[is_tot].groupby("doc_id", as_index=False)["n_val"].sum()
+        c = g[~is_tot].groupby("gram", sort=False)["doc_id"].min().value_counts()
+        return pd.concat(
+            [
+                pd.DataFrame(
+                    {"doc_id": t["doc_id"].astype("int64"), "kind": "tot", "cnt": t["n_val"].astype("int64")}
+                ),
+                pd.DataFrame(
+                    {"doc_id": c.index.astype("int64"), "kind": "nov", "cnt": c.to_numpy().astype("int64")}
+                ),
+            ],
+            ignore_index=True,
         )
 
     folded = (
         bucketed_aggregate(
-            exploded.groupby("gram_bucket").map_groups(credit_bucket, batch_format="pandas"),
+            co_partition(exploded, ["gram"], credit_bucket),
             ["doc_id", "kind"],
             {"cnt": ("cnt", "sum")},
         )
@@ -2556,7 +2490,6 @@ def simhash_pair_histogram(sf_dir: str) -> pa.Table:
     co-partitioned on the pair id, per-bucket popcount is a vectorized
     byte-LUT fold, and only the <=65-row histogram leaves."""
 
-    n_buckets = 64
     lut = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
 
     def to_sides(batch: pa.Table) -> pd.DataFrame:
@@ -2595,7 +2528,7 @@ def simhash_pair_histogram(sf_dir: str) -> pa.Table:
     return finish(
         bucketed_aggregate(
             co_partition(
-                ds.map_batches(to_sides, batch_format="pyarrow"), ["pair"], hamming_bucket, n_buckets
+                ds.map_batches(to_sides, batch_format="pyarrow"), ["pair"], hamming_bucket
             ),
             ["hamming"],
             {"n_pairs": ("n_pairs", "sum")},

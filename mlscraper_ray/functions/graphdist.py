@@ -125,7 +125,6 @@ def link_distance_ds(
             ),
             edges,
             key="src",
-            approx_rows=approx_edges,
         ).map_batches(
             lambda df, rr=r: pd.DataFrame(
                 {"url": df["dst"].astype(str), "dist": np.int64(rr)}

@@ -43,7 +43,6 @@ import ray
 import ray.data
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
-from mlscraper_ray.functions.joins import adaptive_n_buckets
 from mlscraper_ray.functions.pagerank import corpus_link_graph
 from mlscraper_ray.functions.tables import finish
 
@@ -81,7 +80,6 @@ def _propagate(
     score_col: str,
     key_col: str,
     emit_col: str,
-    n_buckets: int,
     n_blocks: int,
 ) -> ray.data.Dataset:
     """One HITS half-step: raw(x) = sum of ``score_col`` over edge
@@ -135,7 +133,6 @@ def _propagate(
         ],
         ["key"],
         contribs,
-        n_buckets,
     )
     return (
         bucketed_aggregate(flow.union(seeds), ["node"], {"raw": ("c", "sum")})
@@ -150,7 +147,6 @@ def hits_ds(
     n_iters: int = 4,
     scale: int = SCALE,
     driver_limit: int = 2_000_000,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Core operator: ``nodes`` has column ``node`` (distinct),
     ``edges`` columns ``src``/``dst`` (existence-filtered, same
@@ -192,8 +188,6 @@ def hits_ds(
         )
         return ray.data.from_pandas(out)
 
-    if n_buckets is None:
-        n_buckets = adaptive_n_buckets(n_edges)
     n_blocks = max(4, min(512, n_nodes // 1_000_000 + 1))
     max_pre = (2**63 - 1) // scale  # exact pre-multiply bound
 
@@ -230,10 +224,10 @@ def hits_ds(
     auth = None
     for _ in range(n_iters):
         # auth step: hub scores ride the SRC endpoint, sum by dst
-        a_raw = _propagate(hub, edges, "hub", "src", "dst", n_buckets, n_blocks)
+        a_raw = _propagate(hub, edges, "hub", "src", "dst", n_blocks)
         auth = normalized(a_raw, "auth").materialize()
         # hub step: auth scores ride the DST endpoint, sum by src
-        h_raw = _propagate(auth, edges, "auth", "dst", "src", n_buckets, n_blocks)
+        h_raw = _propagate(auth, edges, "auth", "dst", "src", n_blocks)
         hub = normalized(h_raw, "hub").materialize()
 
     def key_hub(df: pd.DataFrame) -> pd.DataFrame:

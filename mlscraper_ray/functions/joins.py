@@ -42,26 +42,6 @@ def broadcast_join_map(ds: ray.data.Dataset, key: str, mapping_ref, out_col: str
     return ds.map_batches(add, batch_format="pyarrow")
 
 
-def adaptive_n_buckets(
-    approx_rows: int | None,
-    rows_per_bucket: int = 100_000,
-    lo: int = 64,
-    hi: int = 65536,
-) -> int:
-    """Partition-count default derived from an (approximate) row count
-    — the adaptive-group idiom from dedup.py (minhash n_groups): each
-    bucket holds ~``rows_per_bucket`` rows REGARDLESS of data size, so
-    per-group work stays bounded as the corpus grows (a fixed 64 makes
-    group size O(rows/64) — the scale wall the r2/r3 verdicts flagged
-    for bands), clamped below so small inputs don't pay per-group
-    fixed pandas overhead and above so Ray-visible group cardinality
-    stays bounded. ``None`` (no cheap count available) falls back to
-    ``lo``."""
-    if approx_rows is None:
-        return lo
-    return min(hi, max(lo, -(-approx_rows // rows_per_bucket)))
-
-
 def _is_integer_type(typ) -> bool:
     """Integer test across Ray's two block schemas: pyarrow DataType
     (arrow blocks) or numpy dtype (pandas blocks from map_groups)."""
@@ -78,22 +58,16 @@ def cogroup_join(
     right: ray.data.Dataset,
     key: str,
     how: str = "inner",
-    n_buckets: int | None = None,
-    approx_rows: int | None = None,
     salt_hot_keys: bool = False,
     hot_key_threshold: int = 100_000,
     n_salt: int = 16,
 ) -> ray.data.Dataset:
     """Partitioned hash join of two Datasets on ``key`` (non-key column
     sets must be disjoint): tag sides, union on aligned schemas,
-    co-partition into ``n_buckets`` buckets, pandas-merge inside each
-    bucket. One shuffle; per-bucket work is one vectorized merge (never
-    one Python call per key, which melts at 10^5+ keys).
-
-    ``n_buckets=None`` derives the partition count from
-    ``approx_rows`` via :func:`adaptive_n_buckets` — pass the cheap
-    parquet-METADATA row count of the larger side (callers in this
-    repo all do); output is invariant to the bucket count.
+    co-partition (``bucketed.co_partition``, which owns the bucket
+    count), pandas-merge inside each bucket. One shuffle; per-bucket
+    work is one vectorized merge (never one Python call per key, which
+    melts at 10^5+ keys).
 
     ``salt_hot_keys=True`` handles key skew INSIDE the operator
     (inner/left only — replicating the right side breaks right/outer
@@ -113,8 +87,6 @@ def cogroup_join(
     r_cols = [c for c in right.schema().names if c != key]
     overlap = set(l_cols) & set(r_cols)
     assert not overlap, f"non-key column overlap: {overlap}"
-    if n_buckets is None:
-        n_buckets = adaptive_n_buckets(approx_rows)
 
     hot_ref = None
     if salt_hot_keys:
@@ -200,7 +172,7 @@ def cogroup_join(
                 out[col] = out[col].astype("Int64")
         return out
 
-    return co_partition([lt, rt], [key, "__salt"], join_bucket, n_buckets)
+    return co_partition([lt, rt], [key, "__salt"], join_bucket)
 
 
 def order_lineitem_revenue(sf_dir: str) -> pa.Table:
@@ -208,9 +180,7 @@ def order_lineitem_revenue(sf_dir: str) -> pa.Table:
     extended-price revenue (cents) per order priority."""
     import pyarrow.compute as pc
 
-    li_read = read_table(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"])
-    n_li = li_read.count()  # parquet metadata, no read
-    lineitem = li_read.map_batches(
+    lineitem = read_table(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"]).map_batches(
         lambda t: pa.table(
             {
                 "o_orderkey": t["l_orderkey"],
@@ -220,7 +190,7 @@ def order_lineitem_revenue(sf_dir: str) -> pa.Table:
         batch_format="pyarrow",
     )
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    joined = cogroup_join(lineitem, orders, "o_orderkey", approx_rows=n_li)
+    joined = cogroup_join(lineitem, orders, "o_orderkey")
 
     def partial(batch: pa.Table) -> pa.Table:
         g = batch.group_by("o_orderpriority").aggregate(
@@ -309,7 +279,7 @@ def customers_without_orders(sf_dir: str, broadcast_limit: int = 5_000_000) -> p
             ),
             batch_format="pyarrow",
         )
-        joined = cogroup_join(left, right, "key", how="left", approx_rows=n_orders)
+        joined = cogroup_join(left, right, "key", how="left")
 
         def keep_anti(df: pd.DataFrame) -> pd.DataFrame:
             keep = df[df["__has_order"].isna()]
@@ -343,7 +313,6 @@ def asof_join_events(
     sf_dir: str,
     left_type: str = "purchase",
     right_type: str = "click",
-    n_buckets: int | None = None,
 ) -> pa.Table:
     """Distributed AS-OF (temporal) join: each ``left_type`` event is
     matched to the LATEST ``right_type`` event of the same user at or
@@ -361,18 +330,13 @@ def asof_join_events(
     engine's internal tie order. Unmatched left events are dropped
     (inner as-of).
 
-    ``n_buckets=None`` derives the bucket count from the events
-    table's parquet-metadata row count (:func:`adaptive_n_buckets`).
     Timestamps are cast to int64 MICROSECONDS at the Arrow layer
     (explicit unit — the pandas datetime64 conversion unit depends on
-    the pyarrow/Ray pin), and the user bucket uses numpy FLOOR mod so
-    negative user ids still land in [0, n_buckets).
+    the pyarrow/Ray pin).
     """
     import pyarrow.compute as pc
 
     ds = read_table(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
-    if n_buckets is None:
-        n_buckets = adaptive_n_buckets(ds.count())  # metadata count for pure reads
     type_set = pa.array([left_type, right_type])
 
     def slim(batch: pa.Table) -> pa.Table:
@@ -415,7 +379,7 @@ def asof_join_events(
         )
 
     return finish(
-        co_partition(ds.map_batches(slim, batch_format="pyarrow"), ["user_id"], join_bucket, n_buckets)
+        co_partition(ds.map_batches(slim, batch_format="pyarrow"), ["user_id"], join_bucket)
         .to_pandas(),
         "purchase_id",
     )
@@ -642,7 +606,6 @@ def part_brand_revenue(sf_dir: str, broadcast_limit: int = 50_000_000) -> pa.Tab
             ),
             parts,
             "p_partkey",
-            approx_rows=n_parts,
         )
         attached = joined.map_batches(
             lambda df: df[["p_brand", "p_type", "rev_cents"]]
@@ -858,8 +821,7 @@ def q3_shipping_priority(
         )
 
     rev = li.map_batches(li_rev, batch_format="pandas")
-    n_orders = pq.read_metadata(os.path.join(sf_dir, "orders.parquet")).num_rows
-    joined = cogroup_join(rev, o_kept, "o_orderkey", approx_rows=n_orders)
+    joined = cogroup_join(rev, o_kept, "o_orderkey")
 
     agg = bucketed_aggregate(
         joined.map_batches(
@@ -966,7 +928,6 @@ def q5_local_supplier_volume(
         .astype({"custkey": "int64", "c_nat": "int64"}),
         batch_format="pandas",
     )
-    n_orders = pq.read_metadata(os.path.join(sf_dir, "orders.parquet")).num_rows
     if n_cust <= broadcast_limit:
         cdf = cust.to_pandas()
         c_ref = ray.put(dict(zip(cdf["custkey"].astype(int), cdf["c_nat"].astype(int))))
@@ -984,7 +945,7 @@ def q5_local_supplier_volume(
 
         o_c = orders.map_batches(attach_cnat, batch_format="pandas")
     else:
-        o_c = cogroup_join(orders, cust, "custkey", approx_rows=n_orders).map_batches(
+        o_c = cogroup_join(orders, cust, "custkey").map_batches(
             lambda df: df[["o_orderkey", "c_nat"]].rename(
                 columns={"o_orderkey": "orderkey"}
             ),
@@ -1005,8 +966,7 @@ def q5_local_supplier_volume(
     li = read_table(
         sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
     ).map_batches(li_slim, batch_format="pandas")
-    n_li = pq.read_metadata(os.path.join(sf_dir, "lineitem.parquet")).num_rows
-    l_oc = cogroup_join(li, o_c, "orderkey", approx_rows=n_li).map_batches(
+    l_oc = cogroup_join(li, o_c, "orderkey").map_batches(
         lambda df: df.groupby(["suppkey", "c_nat"], sort=False)
         .agg(rev_cents=("rev_cents", "sum"), n_lineitems=("rev_cents", "size"))
         .reset_index(),
@@ -1034,7 +994,7 @@ def q5_local_supplier_volume(
 
         joined = l_oc.map_batches(attach_snat, batch_format="pandas")
     else:
-        joined = cogroup_join(l_oc, supp, "suppkey", approx_rows=n_li)
+        joined = cogroup_join(l_oc, supp, "suppkey")
 
     def local_partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df[df["c_nat"] == df["s_nat"]]
@@ -1054,7 +1014,6 @@ def q5_local_supplier_volume(
                 "revenue_cents": ("revenue_cents", "sum"),
                 "n_lineitems": ("n_lineitems", "sum"),
             },
-            n_buckets=25,
         )
         .to_pandas()
     )
@@ -1140,8 +1099,7 @@ def q18_large_orders(
         ),
         batch_format="pandas",
     )
-    n_orders = pq.read_metadata(os.path.join(sf_dir, "orders.parquet")).num_rows
-    bo = cogroup_join(big, orders, "o_orderkey", approx_rows=n_orders)
+    bo = cogroup_join(big, orders, "o_orderkey")
 
     cust_read = read_table(sf_dir, "customer", ["c_custkey", "c_name"])
     n_cust = cust_read.count()  # parquet metadata, no scan
@@ -1160,7 +1118,7 @@ def q18_large_orders(
         cust = cust_read.map_batches(
             lambda df: df.astype({"c_custkey": "int64"}), batch_format="pandas"
         )
-        joined = cogroup_join(bo, cust, "c_custkey", approx_rows=max(n_cust, 1))
+        joined = cogroup_join(bo, cust, "c_custkey")
 
     order_cols = ["total_qty", "price_cents", "o_orderkey"]
     asc = [False, False, True]
@@ -1219,8 +1177,7 @@ def orders_with_returns_by_priority(sf_dir: str) -> pa.Table:
     )
 
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-    n_orders = pq.read_metadata(os.path.join(sf_dir, "orders.parquet")).num_rows
-    joined = cogroup_join(orders, distinct, "o_orderkey", approx_rows=n_orders)
+    joined = cogroup_join(orders, distinct, "o_orderkey")
 
     parts = joined.map_batches(
         lambda df: df.groupby("o_orderpriority", sort=False)
@@ -1280,8 +1237,7 @@ def top_customers_by_nation(sf_dir: str, k: int = 3) -> pa.Table:
     )
 
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    n_cust = pq.read_metadata(os.path.join(sf_dir, "customer.parquet")).num_rows
-    joined = cogroup_join(totals, cust, "c_custkey", approx_rows=n_cust)
+    joined = cogroup_join(totals, cust, "c_custkey")
 
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "c_nationkey" not in df.columns or "revenue_cents" not in df.columns:
@@ -1384,8 +1340,7 @@ def q10_returned_revenue(
         ].astype({"o_orderkey": "int64", "o_custkey": "int64"}),
         batch_format="pandas",
     )
-    n_li = pq.read_metadata(os.path.join(sf_dir, "lineitem.parquet")).num_rows
-    per_cust = cogroup_join(li, orders, "o_orderkey", approx_rows=n_li).map_batches(
+    per_cust = cogroup_join(li, orders, "o_orderkey").map_batches(
         lambda df: df.groupby("o_custkey", sort=False)
         .agg(lost_cents=("lost_cents", "sum"))
         .reset_index()
@@ -1427,7 +1382,7 @@ def q10_returned_revenue(
             lambda df: df.astype({"c_custkey": "int64", "c_nationkey": "int64"}),
             batch_format="pandas",
         )
-        joined = cogroup_join(agg, cust, "c_custkey", approx_rows=max(n_cust, 1))
+        joined = cogroup_join(agg, cust, "c_custkey")
 
     order_cols = ["lost_cents", "c_custkey"]
     asc = [False, True]
@@ -1536,7 +1491,6 @@ def part_supplier_diversity(
             ),
             parts_ds,
             "l_partkey",
-            approx_rows=n_parts_tbl,
         )
     # materialize once: the tagged pair table feeds BOTH distinct
     # counts — without this the lineitem distinct-pair fold re-executes

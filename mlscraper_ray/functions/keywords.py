@@ -152,7 +152,7 @@ def tfidf_topk_ds(
     from mlscraper_ray.functions.joins import cogroup_join
 
     total_rows = tf_rows.count()
-    joined = cogroup_join(tf_rows, df_tbl, "word", approx_rows=total_rows)
+    joined = cogroup_join(tf_rows, df_tbl, "word")
 
     def score_rows(df: pd.DataFrame) -> pd.DataFrame:
         tf = df["tf"].astype("int64")
@@ -168,7 +168,7 @@ def tfidf_topk_ds(
 
     scored = joined.map_batches(score_rows, batch_format="pandas")
     return co_partition(
-        coalesce_blocks(scored, total_rows), ["doc_id"], lambda g: _topk_cut(g, k)[list(_OUT_COLS)], 1024
+        coalesce_blocks(scored, total_rows), ["doc_id"], lambda g: _topk_cut(g, k)[list(_OUT_COLS)]
     )
 
 

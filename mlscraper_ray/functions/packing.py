@@ -13,8 +13,9 @@ Computed as a DISTRIBUTED PREFIX SUM — no engine-wide sort/window:
 1. slim pass ships only (doc_id, n_tokens, rk, rb) where rb is a
    RANGE bucket of rk's first two bytes (bucket order == rank order);
    text never leaves the task. The bucket count ADAPTS to the corpus
-   (adaptive_n_buckets clamped to 2048 Ray-visible groups — the
-   measured sweet spot for groupby/map_groups on this engine);
+   (~200k rows per range bucket, clamped to [64, 2048] Ray-visible
+   groups — the measured sweet spot for groupby/map_groups on this
+   engine);
 2. per-bucket token sums via the coarse-bucket aggregate; the driver
    prefix runs over that O(n_buckets) table (bounded by the clamp);
 3. every bucket gets its base offset broadcast; ONE groupby co-locates
@@ -117,11 +118,7 @@ def _rank_and_base(rows: ray.data.Dataset, n_rank_buckets: int | None):
         # clamp keeps the Ray-visible group count in the measured
         # groupby sweet spot while per-group cumsum work stays
         # ~rows/n_buckets (vectorized)
-        from mlscraper_ray.functions.joins import adaptive_n_buckets
-
-        n_rank_buckets = adaptive_n_buckets(
-            ranked.count(), rows_per_bucket=200_000, lo=64, hi=2048
-        )
+        n_rank_buckets = min(2048, max(64, -(-ranked.count() // 200_000)))
     bucketed = ranked.map_batches(_add_rb_fn(n_rank_buckets), batch_format="pandas").materialize()
 
     sums = bucketed_aggregate(bucketed, ["rb"], {"tok_sum": ("n_tokens", "sum")}).to_pandas()

@@ -52,7 +52,6 @@ import ray.data
 
 from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
-from mlscraper_ray.functions.joins import adaptive_n_buckets
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 from mlscraper_ray.functions.tables import finish
 
@@ -101,7 +100,6 @@ def pagerank_ds(
     damping_pct: int = 85,
     scale: int = SCALE,
     driver_limit: int = 2_000_000,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Core operator: ``nodes`` has column ``node`` (distinct),
     ``edges`` columns ``src``/``dst`` (already existence-filtered —
@@ -145,9 +143,6 @@ def pagerank_ds(
         )
         return ray.data.from_pandas(out)
 
-    if n_buckets is None:
-        n_buckets = adaptive_n_buckets(n_edges)
-    B = n_buckets
     rank_blocks = max(4, min(512, n_nodes // 1_000_000 + 1))
     keep_pct = 100 - damping_pct
 
@@ -202,7 +197,6 @@ def pagerank_ds(
         ),
         ["key"],
         attach_out,
-        B,
     ).materialize()
 
     # ranks: (node, rank, out); nodes absent from outdeg are dangling
@@ -294,7 +288,6 @@ def pagerank_ds(
             ],
             ["key"],
             contribs,
-            B,
         )
         # exact pre-multiply bound: the update wraps iff
         # damping_pct * (inflow + dshare) exceeds int64 — check the
@@ -434,8 +427,6 @@ def corpus_link_graph(
         return _write_graph_cache(nodes, edges_out, cache, npath, epath, marker)
 
     # scale path: edges meet the node list co-partitioned on dst
-    B = adaptive_n_buckets(n_nodes)
-
     def edge_keyed(df: pd.DataFrame) -> pd.DataFrame:
         out = {c: df[c].astype(str) for c in ecols}
         out["side"] = "e"
@@ -464,7 +455,6 @@ def corpus_link_graph(
         ),
         ["dst"],
         keep_existing,
-        B,
     )
     if not use_cache:
         return nodes, edges
@@ -534,7 +524,6 @@ def page_rank(
 
 def corpus_link_stats(
     sf_dir: str,
-    n_buckets: int | None = None,
     broadcast_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Per-url link statistics over the crawled-corpus page graph —
@@ -554,10 +543,8 @@ def corpus_link_stats(
     nodes, edges = corpus_link_graph(
         sf_dir, broadcast_limit=broadcast_limit, with_anchors=True
     )
-    n_nodes = nodes.count()
-    B = n_buckets if n_buckets is not None else adaptive_n_buckets(n_nodes)
     flows = edges.map_batches(_in_out_from, batch_format="pandas")
-    return _link_stats_aggregate(flows, nodes, B, n_nodes)
+    return _link_stats_aggregate(flows, nodes, nodes.count())
 
 
 def _in_out_from(e: pd.DataFrame) -> pd.DataFrame:
@@ -593,7 +580,6 @@ def _in_out_from(e: pd.DataFrame) -> pd.DataFrame:
 def _link_stats_aggregate(
     flows: ray.data.Dataset,
     nodes: ray.data.Dataset,
-    B: int,
     n_nodes: int,
 ) -> ray.data.Dataset:
     """Round 2 of :func:`corpus_link_stats` — the single stats shuffle
@@ -641,7 +627,6 @@ def _link_stats_aggregate(
         ),
         ["url"],
         stats,
-        B,
     )
 
 
@@ -968,7 +953,6 @@ def host_triangles_ds(
                 batch_format="pandas",
             ),
             "host",
-            approx_rows=n_edges_und,
         ).map_batches(
             lambda df: df.rename(columns={"host": "lo"}), batch_format="pandas"
         )
@@ -981,7 +965,6 @@ def host_triangles_ds(
                 batch_format="pandas",
             ),
             "host",
-            approx_rows=n_edges_und,
         )
 
         def orient_joined(df: pd.DataFrame) -> pd.DataFrame:
@@ -997,8 +980,6 @@ def host_triangles_ds(
             )
 
         directed = both_deg.map_batches(orient_joined, batch_format="pandas")
-
-    nb = adaptive_n_buckets(max(n_edges_und, 1))
 
     def wedges(grp: pd.DataFrame) -> pd.DataFrame:
         rows_lo, rows_hi, rows_c = [], [], []
@@ -1068,7 +1049,7 @@ def host_triangles_ds(
         return pd.DataFrame({"host": hosts.astype(str)})
 
     tri_rows = co_partition(
-        coalesce_blocks(wedge_rows.union(edge_rows), n_edges_und * 4), ["lo", "hi"], close, nb
+        coalesce_blocks(wedge_rows.union(edge_rows), n_edges_und * 4), ["lo", "hi"], close
     )
 
     tri = bucketed_aggregate(
@@ -1408,7 +1389,7 @@ def host_communities_ds(
             batch_format="pandas",
         )
         msg_to_hi = cogroup_join(
-            left_lo, labels, "host", approx_rows=n_und
+            left_lo, labels, "host"
         ).map_batches(
             lambda df: pd.DataFrame({"host": df["other"], "label": df["label"]})
             if "other" in df.columns
@@ -1423,7 +1404,7 @@ def host_communities_ds(
             batch_format="pandas",
         )
         msg_to_lo = cogroup_join(
-            left_hi, labels, "host", approx_rows=n_und
+            left_hi, labels, "host"
         ).map_batches(
             lambda df: pd.DataFrame({"host": df["other"], "label": df["label"]})
             if "other" in df.columns
@@ -1448,7 +1429,7 @@ def host_communities_ds(
             ).drop_duplicates("host")
             return best[["host", "label"]]
 
-        labels = coalesce_blocks(co_partition(votes, ["host"], pick, 241), max(n_und, 1)).materialize()
+        labels = coalesce_blocks(co_partition(votes, ["host"], pick), max(n_und, 1)).materialize()
 
     def to_out(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "host" not in df.columns:

@@ -40,7 +40,6 @@ import ray.data
 from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
-from mlscraper_ray.functions.joins import adaptive_n_buckets
 from mlscraper_ray.functions.tables import finish, read_table
 
 
@@ -56,7 +55,6 @@ def dedup_segments_ds(
     sf_dir: str,
     seg_words: int = 8,
     broadcast_limit: int = 2_000_000,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Remove every segment that appears in >1 distinct document;
     returns (doc_id, clean_text, n_segs_removed) for EVERY input doc
@@ -106,8 +104,6 @@ def dedup_segments_ds(
     # join-back path: nothing driver-sized. Segments (with their doc
     # slot) and the dup set meet co-partitioned on seg; flagged rows
     # then reassemble per doc co-partitioned on doc_id.
-    if n_buckets is None:
-        n_buckets = adaptive_n_buckets(docs.count())
 
     def explode(batch: pa.Table) -> pa.Table:
         ids, idxs, segs = [], [], []
@@ -171,7 +167,7 @@ def dedup_segments_ds(
             }
         )
 
-    flagged = co_partition(sides, ["seg"], flag_bucket, n_buckets)
+    flagged = co_partition(sides, ["seg"], flag_bucket)
 
     def reassemble(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty or "doc_id" not in g.columns:
@@ -190,7 +186,7 @@ def dedup_segments_ds(
             rows.append((int(doc_id), " ".join(kept), int((~real["keep"]).sum())))
         return pd.DataFrame(rows, columns=["doc_id", "clean_text", "n_segs_removed"])
 
-    return co_partition(flagged, ["doc_id"], reassemble, n_buckets)
+    return co_partition(flagged, ["doc_id"], reassemble)
 
 
 def _grams_overlapping(words: list[str], g: int) -> list[str]:
@@ -234,7 +230,6 @@ def scrub_dup_runs_ds(
     g: int = 8,
     min_run: int = 16,
     broadcast_limit: int = 2_000_000,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Exact duplicated-SUBSTRING removal at gram resolution (the
     scalable form of Lee et al. 2021's suffix-array dedup): every
@@ -313,8 +308,6 @@ def scrub_dup_runs_ds(
     # join-back path: overlapping gram rows (one per position) meet
     # the dup set co-partitioned on gram; flagged positions rejoin the
     # doc text co-partitioned on doc_id
-    if n_buckets is None:
-        n_buckets = adaptive_n_buckets(docs.count())
 
     def explode(batch: pa.Table) -> pa.Table:
         ids, poss, grams = [], [], []
@@ -360,7 +353,7 @@ def scrub_dup_runs_ds(
             }
         )
 
-    flagged = co_partition(sides, ["gram"], flag_bucket, n_buckets)
+    flagged = co_partition(sides, ["gram"], flag_bucket)
 
     def doc_carrier(df: pd.DataFrame) -> pd.DataFrame:
         # pandas block like flag_bucket's output: a mixed-block union
@@ -401,7 +394,7 @@ def scrub_dup_runs_ds(
             rows, columns=["doc_id", "n_runs_removed", "n_tokens_removed", "clean_md5"]
         )
 
-    return co_partition([flagged, carriers], ["doc_id"], reassemble, n_buckets)
+    return co_partition([flagged, carriers], ["doc_id"], reassemble)
 
 
 def scrub_dup_runs(sf_dir: str, g: int = 8, min_run: int = 16, **kwargs) -> pa.Table:
@@ -618,7 +611,6 @@ def strip_boilerplate_ds(
     g: int = 6,
     min_doc_pct: int = 30,
     broadcast_limit: int = 2_000_000,
-    n_buckets: int | None = None,
 ) -> ray.data.Dataset:
     """Per-SOURCE boilerplate removal — the host-frequency rule CCNet
     and trafilatura-style curation applies to web text: any
@@ -763,8 +755,6 @@ def strip_boilerplate_ds(
     # join-back path: (source, gram) position rows meet the chrome set
     # co-partitioned on (source, gram); flagged positions rejoin doc
     # text co-partitioned on doc_id
-    if n_buckets is None:
-        n_buckets = adaptive_n_buckets(docs.count())
 
     def explode(batch: pa.Table) -> pa.Table:
         ids, srcs, poss, grams = [], [], [], []
@@ -828,7 +818,7 @@ def strip_boilerplate_ds(
             }
         )
 
-    flagged = co_partition(sides, ["source", "gram"], flag_bucket, n_buckets)
+    flagged = co_partition(sides, ["source", "gram"], flag_bucket)
 
     def doc_carrier(df: pd.DataFrame) -> pd.DataFrame:
         return pd.DataFrame(
@@ -869,7 +859,7 @@ def strip_boilerplate_ds(
             rows.append(finish_doc(int(doc_id), source, words, flags))
         return pd.DataFrame(rows, columns=cols)
 
-    return co_partition([flagged, carriers], ["doc_id"], reassemble, n_buckets)
+    return co_partition([flagged, carriers], ["doc_id"], reassemble)
 
 
 def strip_boilerplate(sf_dir: str, g: int = 6, min_doc_pct: int = 30, **kwargs) -> pa.Table:

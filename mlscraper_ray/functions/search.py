@@ -598,8 +598,6 @@ def phrase_query_index(
     if post is None or post.count() == 0:
         return empty
 
-    n_buckets = 64
-
     terms = list(phrase)
 
     def count_hits(g: pd.DataFrame) -> pd.DataFrame:
@@ -621,7 +619,7 @@ def phrase_query_index(
         return df.iloc[order]
 
     parts = (
-        co_partition(post, ["doc_id"], count_hits, n_buckets)
+        co_partition(post, ["doc_id"], count_hits)
         .to_pandas()
     )
     if len(parts) == 0:
@@ -774,8 +772,6 @@ def near_indexed_topk(
     if post is None or post.count() == 0:
         return empty
 
-    n_buckets = 64
-
     def count_near(g: pd.DataFrame) -> pd.DataFrame:
         rows = []
         for doc_id, r in g.groupby("doc_id", sort=False):
@@ -790,7 +786,7 @@ def near_indexed_topk(
         return df.iloc[order]
 
     parts = (
-        co_partition(post, ["doc_id"], count_near, n_buckets)
+        co_partition(post, ["doc_id"], count_near)
         .to_pandas()
     )
     if len(parts) == 0:

@@ -432,28 +432,19 @@ def embedding_neardup_pairs(
     threshold: float = 0.92,
     n_planes: int = 16,
     max_bucket_docs: int | None = 1024,
-    n_groups: int | None = None,
 ) -> pa.Table:
     """Embedding near-dup pairs: random-hyperplane LSH buckets, then
-    exact cosine within buckets. Pairs with cos >= threshold.
+    exact cosine within buckets. Pairs with cos >= threshold. Rows are
+    co-partitioned on the LSH bucket, so pair emission is keyed on the
+    full bucket inside each shuffle bucket.
 
-    Scale guards (mirroring the minhash pipeline's, dedup.py):
-
-    - ``n_groups`` (coarse shuffle-key count) defaults ADAPTIVE in the
-      corpus row count — ceil(rows / 200k) clamped to [256, 65536] —
-      so each Ray-visible group holds ~bounded rows instead of
-      O(corpus / 256); pair emission stays keyed on the FULL LSH
-      bucket inside each group, so exactness never depends on it.
-    - ``max_bucket_docs`` is the hot-bucket guard: a degenerate bucket
-      (e.g. thousands of EXACT-duplicate embeddings sharing one
-      signature — the common real-corpus case) would emit an O(d^2)
-      clique; over-cap buckets instead emit the linear
-      connectivity-preserving STAR around the min vec_id. Pass None
-      for unconditional clique/oracle equality."""
+    ``max_bucket_docs`` is the hot-bucket guard (mirroring the minhash
+    pipeline's, dedup.py): a degenerate bucket (e.g. thousands of
+    EXACT-duplicate embeddings sharing one signature — the common
+    real-corpus case) would emit an O(d^2) clique; over-cap buckets
+    instead emit the linear connectivity-preserving STAR around the
+    min vec_id. Pass None for unconditional clique/oracle equality."""
     ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    if n_groups is None:
-        n_rows = ds.count()  # parquet metadata, no read
-        n_groups = min(65536, max(256, -(-n_rows // 200_000)))
     first = ds.take_batch(1, batch_format="pyarrow")
     dim = len(first["embedding"][0].as_py())
     rng = np.random.RandomState(7)
@@ -506,7 +497,7 @@ def embedding_neardup_pairs(
         )
 
     def pairs_in_coarse(g: pd.DataFrame) -> pd.DataFrame:
-        # one coarse group holds many LSH buckets; resolve them with a
+        # one shuffle bucket holds many LSH buckets; resolve them with a
         # vectorized pandas groupby instead of one map call per bucket
         frames = [pairs(sub) for _, sub in g.groupby("bucket", sort=False) if len(sub) > 1]
         if not frames:
@@ -520,7 +511,7 @@ def embedding_neardup_pairs(
         return pd.concat(frames, ignore_index=True)
 
     res = co_partition(
-        ds.map_batches(bucketize, batch_format="pyarrow"), ["bucket"], pairs_in_coarse, n_groups
+        ds.map_batches(bucketize, batch_format="pyarrow"), ["bucket"], pairs_in_coarse
     ).to_pandas()
     return finish(
         res,
@@ -1949,8 +1940,6 @@ def embed_pair_distance_histogram(sf_dir: str) -> pa.Table:
     per-bucket work is a vectorized dot per pair; only the
     20-row histogram leaves."""
 
-    n_buckets = 64
-
     def to_sides(batch: pa.Table) -> pd.DataFrame:
         ids, mat = _batch_matrix(batch)
         keep = np.ones(len(ids), dtype=bool)
@@ -1998,7 +1987,7 @@ def embed_pair_distance_histogram(sf_dir: str) -> pa.Table:
     return finish(
         bucketed_aggregate(
             co_partition(
-                ds.map_batches(to_sides, batch_format="pyarrow"), ["pair"], score_bucket, n_buckets
+                ds.map_batches(to_sides, batch_format="pyarrow"), ["pair"], score_bucket
             ),
             ["bucket"],
             {"n_pairs": ("n_pairs", "sum")},
@@ -2125,7 +2114,7 @@ def embed_knn_graph_ds(sf_dir: str, k: int = 5, n_buckets: int = 4) -> ray.data.
         )
         return out[["src", "dst", "score_x10k"]]
 
-    return co_partition(partials, ["src"], merge_topk, 64)
+    return co_partition(partials, ["src"], merge_topk)
 
 
 def embed_knn_graph(sf_dir: str, k: int = 5, n_buckets: int = 4) -> pa.Table:
@@ -2609,7 +2598,6 @@ def embed_norm_histogram(sf_dir: str) -> pa.Table:
             ds.map_batches(partial, batch_format="pyarrow"),
             ["band"],
             {"n_vectors": ("n_vectors", "sum")},
-            n_buckets=16,
         ).to_pandas(),
         "band",
         dtypes={"band": "int64", "n_vectors": "int64"},

@@ -27,7 +27,6 @@ def sessionize(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     (the shuffle key), windowed within the sorted group."""
     ds = read_table(sf_dir, "events", ["user_id", "ts"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # vectorized windowing over ALL users in the bucket at once
@@ -45,7 +44,7 @@ def sessionize(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
         return agg
 
     return finish(
-        co_partition(ds, ["user_id"], per_bucket, n_buckets).to_pandas(),
+        co_partition(ds, ["user_id"], per_bucket).to_pandas(),
         "user_id",
         columns=["user_id", "n_sessions", "n_events"],
     )
@@ -123,7 +122,6 @@ def top_event_per_user(sf_dir: str) -> pa.Table:
     """Each user's highest-value event (value desc, event_id asc
     tiebreak): co-partitioned on user_id, top-1 per user."""
     ds = read_table(sf_dir, "events", ["user_id", "event_id", "value"])
-    n_buckets = 64
 
     def top1_per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["value", "event_id"], ascending=[False, True])
@@ -137,7 +135,7 @@ def top_event_per_user(sf_dir: str) -> pa.Table:
         )
 
     return finish(
-        co_partition(ds, ["user_id"], top1_per_bucket, n_buckets).to_pandas(),
+        co_partition(ds, ["user_id"], top1_per_bucket).to_pandas(),
         "user_id",
     )
 
@@ -286,13 +284,12 @@ def events_funnel(
     n_users), n_users monotonically non-increasing.
 
     Plan shape: filter to the step types at the read, one shuffle
-    keyed on user_id (64 fixed buckets), then the whole per-user
+    keyed on user_id (co_partition), then the whole per-user
     timestamp chain is vectorized pandas merges inside each bucket;
     each bucket emits 3 partial-count rows, so the driver combine is
     O(buckets * steps) — nothing per-user ever leaves the cluster."""
     ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
     win = pd.Timedelta(hours=window_hours)
-    n_buckets = 64
     step_set = list(steps)
 
     def step_events(batch: pa.Table) -> pa.Table:
@@ -318,7 +315,7 @@ def events_funnel(
 
     partials = (
         co_partition(
-            ds.map_batches(step_events, batch_format="pyarrow"), ["user_id"], per_bucket, n_buckets
+            ds.map_batches(step_events, batch_format="pyarrow"), ["user_id"], per_bucket
         ).to_pandas()
     )
     # every step row exists even on an empty/step-free corpus (the SQL
@@ -376,7 +373,6 @@ def events_retention(sf_dir: str) -> pa.Table:
     across buckets because the bucket key IS the user — then one
     coarse-bucket sum over the tiny cohort x offset key space."""
     ds = read_table(sf_dir, "events", ["user_id", "ts"])
-    n_buckets = 64
     us_per_day = 86_400_000_000
 
     def add_day(batch: pa.Table) -> pa.Table:
@@ -402,7 +398,7 @@ def events_retention(sf_dir: str) -> pa.Table:
         )
 
     partials = co_partition(
-        ds.map_batches(add_day, batch_format="pyarrow"), ["user_id"], per_bucket, n_buckets
+        ds.map_batches(add_day, batch_format="pyarrow"), ["user_id"], per_bucket
     )
     return finish(
         bucketed_aggregate(
@@ -460,7 +456,6 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, depth: int = 3) -> pa.Tabl
 
     ds = read_table(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty or "user_id" not in g.columns:  # empty group block
@@ -480,7 +475,7 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, depth: int = 3) -> pa.Tabl
         )
 
     local = (
-        co_partition(ds, ["user_id"], per_bucket, n_buckets)
+        co_partition(ds, ["user_id"], per_bucket)
     )
     out = bucketed_aggregate(local, ["path"], {"n_sessions": ("n", "sum")}).to_pandas()
     return finish(
@@ -554,8 +549,6 @@ def events_rate_anomaly(sf_dir: str, min_count: int = SPIKE_MIN_COUNT) -> pa.Tab
         {"cnt": ("cnt", "sum")},
     )
 
-    n_buckets = 64
-
     def detect(g: pd.DataFrame) -> pd.DataFrame:
         out_cols = {
             "event_type": pd.Series(dtype=str),
@@ -601,7 +594,7 @@ def events_rate_anomaly(sf_dir: str, min_count: int = SPIKE_MIN_COUNT) -> pa.Tab
         return pd.concat(frames, ignore_index=True)
 
     return finish(
-        co_partition(counts, ["event_type"], detect, n_buckets).to_pandas(),
+        co_partition(counts, ["event_type"], detect).to_pandas(),
         ["event_type", "window_start"],
         dtypes={"window_start": "datetime64[us]"},
     )
@@ -658,7 +651,6 @@ def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     partials."""
     ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
@@ -690,7 +682,7 @@ def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
 
     return finish(
         bucketed_aggregate(
-            co_partition(ds, ["user_id"], per_bucket, n_buckets),
+            co_partition(ds, ["user_id"], per_bucket),
             ["t1", "t2"],
             {"n_sessions": ("n_sessions", "sum")},
         ).to_pandas(),
@@ -847,7 +839,6 @@ def events_markov_transitions(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     counts; a tiny coarse-bucket aggregate folds the partials."""
     ds = read_table(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         if g.empty or "user_id" not in g.columns:
@@ -886,7 +877,7 @@ def events_markov_transitions(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
 
     return finish(
         bucketed_aggregate(
-            co_partition(ds, ["user_id"], per_bucket, n_buckets),
+            co_partition(ds, ["user_id"], per_bucket),
             ["t_from", "t_to"],
             {"n_transitions": ("n_transitions", "sum")},
         ).to_pandas(),
@@ -1159,7 +1150,6 @@ def events_attribution(sf_dir: str) -> pa.Table:
     IGNORE NULLS window). Purchases with no prior touch drop out.
     Gap is exact integer microseconds."""
     ds = read_table(sf_dir, "events", ["event_id", "user_id", "event_type", "ts"])
-    n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"])
@@ -1187,7 +1177,7 @@ def events_attribution(sf_dir: str) -> pa.Table:
         )
 
     return finish(
-        co_partition(ds, ["user_id"], per_bucket, n_buckets).to_pandas(),
+        co_partition(ds, ["user_id"], per_bucket).to_pandas(),
         "event_id",
     )
 
@@ -1293,7 +1283,6 @@ def events_type_lift(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     tagged partials bounded by the TYPE cardinality, not events."""
     ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         from collections import Counter
@@ -1328,7 +1317,7 @@ def events_type_lift(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
         return pd.DataFrame(rows, columns=["t1", "t2", "n"]).astype({"n": "int64"})
 
     parts = (
-        co_partition(ds, ["user_id"], per_bucket, n_buckets)
+        co_partition(ds, ["user_id"], per_bucket)
         .to_pandas()
     )
     agg = parts.groupby(["t1", "t2"], as_index=False)["n"].sum()
@@ -1500,7 +1489,6 @@ def events_signup_to_purchase(sf_dir: str) -> pa.Table:
     Users who never signed up, or never purchased after signing up,
     drop out — matching the oracle's inner join."""
     ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
-    n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -1541,7 +1529,7 @@ def events_signup_to_purchase(sf_dir: str) -> pa.Table:
         )
 
     return finish(
-        co_partition(ds, ["user_id"], per_bucket, n_buckets).to_pandas(),
+        co_partition(ds, ["user_id"], per_bucket).to_pandas(),
         "user_id",
     )
 
@@ -1573,7 +1561,6 @@ def events_interarrival(sf_dir: str) -> pa.Table:
     over the (ts, event_id)-sorted frame. Single-event users drop out
     (no gaps), matching the oracle's HAVING."""
     ds = read_table(sf_dir, "events", ["user_id", "ts", "event_id"])
-    n_buckets = 64
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -1600,7 +1587,7 @@ def events_interarrival(sf_dir: str) -> pa.Table:
         return agg[["user_id", "n_gaps", "mean_gap_us", "max_gap_us"]].astype("int64")
 
     return finish(
-        co_partition(ds, ["user_id"], per_bucket, n_buckets).to_pandas(),
+        co_partition(ds, ["user_id"], per_bucket).to_pandas(),
         "user_id",
     )
 
@@ -1748,7 +1735,6 @@ def events_peak_concurrency(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     is the earliest qualifying hour's recorded first-max ts."""
     ds = read_table(sf_dir, "events", ["user_id", "ts"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    n_buckets = 64
 
     def sessions(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"])
@@ -1776,7 +1762,7 @@ def events_peak_concurrency(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     deltas = bucketed_aggregate(
-        co_partition(ds, ["user_id"], sessions, n_buckets),
+        co_partition(ds, ["user_id"], sessions),
         ["ts"],
         {"d": ("d", "sum"), "starts": ("starts", "sum")},
     )
@@ -1954,7 +1940,6 @@ def session_duration_percentiles(sf_dir: str, gap_minutes: int = 30) -> pa.Table
     histogram with DuckDB's quantile_disc index rule."""
     ds = read_table(sf_dir, "events", ["user_id", "ts"])
     gap = pd.Timedelta(minutes=gap_minutes)
-    n_buckets = 64
 
     def durations(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"])
@@ -1974,7 +1959,7 @@ def session_duration_percentiles(sf_dir: str, gap_minutes: int = 30) -> pa.Table
 
     hist = (
         bucketed_aggregate(
-            co_partition(ds, ["user_id"], durations, n_buckets),
+            co_partition(ds, ["user_id"], durations),
             ["dur_sec"],
             {"n": ("n", "sum")},
         )
@@ -2084,7 +2069,7 @@ def events_burst_users(sf_dir: str, min_burst: int = 2) -> pa.Table:
         )
 
     return finish(
-        co_partition(per_min, ["user_id"], per_user, 64).to_pandas(),
+        co_partition(per_min, ["user_id"], per_user).to_pandas(),
         "user_id",
         empty=pa.schema(
             {
@@ -2157,7 +2142,6 @@ def user_activity_histogram(sf_dir: str) -> pa.Table:
             per_user.map_batches(to_bands, batch_format="pandas"),
             ["band"],
             {"n_users": ("n_users", "sum"), "n_events": ("n_events", "sum")},
-            n_buckets=16,
         ).to_pandas(),
         "band",
         dtypes={"band": "int64", "n_users": "int64", "n_events": "int64"},

@@ -858,9 +858,6 @@ def _unigram_scored_ds(
 
     # scale path: per-doc (word, occ) partials meet the count table
     # co-partitioned on word; doc scores fold through the coarse bucket
-    from mlscraper_ray.functions.joins import adaptive_n_buckets
-
-    B = adaptive_n_buckets(vocab)
 
     def doc_word_occ(batch: pd.DataFrame) -> pd.DataFrame:
         ex = pd.DataFrame(
@@ -917,7 +914,6 @@ def _unigram_scored_ds(
         ),
         ["word"],
         join_score,
-        B,
     )
     return _memo(
         bucketed_aggregate(
@@ -977,8 +973,6 @@ def doc_bigram_surprisal(
     keyed by prev and bigram by the pair land in the same bucket, so
     one shuffle round serves both joins) and doc scores fold through
     the coarse-bucket aggregate. Paths bit-identical (tested)."""
-    from mlscraper_ray.functions.joins import adaptive_n_buckets
-
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def local_both(batch: pd.DataFrame) -> pd.DataFrame:
@@ -1059,7 +1053,6 @@ def doc_bigram_surprisal(
         return fold(docs.map_batches(score, batch_format="pandas"))
 
     # scale path: one co-partition round on prev serves BOTH joins
-    B = adaptive_n_buckets(n_distinct)
 
     def doc_pairs(batch: pd.DataFrame) -> pd.DataFrame:
         ids, w1s, w2s = [], [], []
@@ -1133,7 +1126,6 @@ def doc_bigram_surprisal(
         ),
         ["w1"],
         join_score,
-        B,
     )
     scored = bucketed_aggregate(
         flags, ["doc_id"], {"surprisal_sum": ("s", "sum"), "n_bigrams": ("n", "sum")}
@@ -1696,7 +1688,7 @@ def source_overlap(sf_dir: str, n: int = 3) -> pa.Table:
         return pd.concat([ncnt[["src_a", "src_b", "cnt"]], pairs], ignore_index=True)
 
     parts = co_partition(
-        docs.map_batches(explode, batch_format="pyarrow"), ["gram"], fold_bucket, 256
+        docs.map_batches(explode, batch_format="pyarrow"), ["gram"], fold_bucket
     ).to_pandas()
     if len(parts) == 0:
         return pa.table(
@@ -2512,7 +2504,6 @@ def bigram_dice_top(
     else:
         from mlscraper_ray.functions.joins import cogroup_join
 
-        n = bi.count()
         j1 = cogroup_join(
             bi,
             uni.map_batches(
@@ -2520,7 +2511,6 @@ def bigram_dice_top(
                 batch_format="pandas",
             ),
             "w1",
-            approx_rows=n,
         )
         j2 = cogroup_join(
             j1,
@@ -2529,7 +2519,6 @@ def bigram_dice_top(
                 batch_format="pandas",
             ),
             "w2",
-            approx_rows=n,
         )
 
         def score2(df: pd.DataFrame) -> pd.DataFrame:
@@ -2748,7 +2737,7 @@ def source_dedup_report(sf_dir: str) -> pa.Table:
     # join the group keeper back onto the slim rows by hash bucket
     from mlscraper_ray.functions.joins import cogroup_join
 
-    joined = cogroup_join(slim, keepers, "h", approx_rows=slim.count())
+    joined = cogroup_join(slim, keepers, "h")
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "source" not in df.columns:
@@ -3960,7 +3949,6 @@ def vocab_growth_curve(sf_dir: str, n_bins: int = 10) -> pa.Table:
             ),
             ["bin"],
             {"new_words": ("new_words", "sum")},
-            n_buckets=n_bins,
         )
         .to_pandas()
         .sort_values("bin", ignore_index=True)
@@ -4026,7 +4014,6 @@ def token_length_histogram(sf_dir: str) -> pa.Table:
             counts.map_batches(per_len, batch_format="pandas"),
             ["token_len"],
             {"n_instances": ("n_instances", "sum"), "n_distinct": ("n_distinct", "sum")},
-            n_buckets=16,
         ).to_pandas(),
         "token_len",
         dtypes={"token_len": "int64", "n_instances": "int64", "n_distinct": "int64"},
@@ -4093,7 +4080,6 @@ def source_ttr(sf_dir: str) -> pa.Table:
             ),
             ["source"],
             {"n_distinct": ("n_distinct", "sum"), "n_tokens": ("n_tokens", "sum")},
-            n_buckets=32,
         )
         .to_pandas()
         .sort_values("source", ignore_index=True)

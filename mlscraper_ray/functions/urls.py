@@ -355,7 +355,6 @@ def url_redirect_resolve(sf_dir: str, max_hops: int = 16) -> pa.Table:
             state.map_batches(as_self, batch_format="pyarrow"),
             state.map_batches(as_lookup, batch_format="pyarrow"),
             "k",
-            approx_rows=2 * n,
         )
         state = (
             joined.map_batches(jump, batch_format="pandas")

@@ -123,7 +123,7 @@ def corpus_validate(sf_dir: str) -> pa.Table:
         ),
         batch_format="pandas",
     )
-    joined = cogroup_join(li_counts, ok_keys, "o_orderkey", how="left", approx_rows=n_li)
+    joined = cogroup_join(li_counts, ok_keys, "o_orderkey", how="left")
 
     def orphan_li(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "n_li" not in df.columns:

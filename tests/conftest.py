@@ -15,3 +15,16 @@ def ray_session():
         )
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def set_buckets(monkeypatch):
+    """``set_buckets(n)`` fixes the bucket count of every shuffle
+    (``bucketed.co_partition`` and its wrappers) for the rest of the
+    test, in place of the cluster rule."""
+    from mlscraper_ray.functions import bucketed
+
+    def set_count(n: int) -> None:
+        monkeypatch.setattr(bucketed, "_n_buckets", lambda: n)
+
+    return set_count

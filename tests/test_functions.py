@@ -637,29 +637,32 @@ class TestNearDupCrafted:
         got = set(zip(pairs["doc_a"], pairs["doc_b"]))
         assert got == {(0, j) for j in range(1, n)}  # linear, rep-anchored
 
-    def test_minhash_candidates_invariant_to_group_count(self, ray_session, docs_dir):
-        """The coarse grp key only co-locates work; exactness is keyed
-        on the full (band, bucket) inside each group, so results must
-        be identical at any n_groups."""
+    def test_minhash_candidates_invariant_to_group_count(self, ray_session, docs_dir, set_buckets):
+        """The shuffle bucket only co-locates work; exactness is keyed
+        on the full (band, bucket) inside each shuffle bucket, so
+        results must be identical at any bucket count."""
         import ray.data
 
         from mlscraper_ray.functions.dedup import minhash_candidate_pairs
 
         docs = ray.data.read_parquet(os.path.join(docs_dir, "documents.parquet"))
-        base = minhash_candidate_pairs(docs, n_groups=256).to_pandas().sort_values(
+        set_buckets(256)
+        base = minhash_candidate_pairs(docs).to_pandas().sort_values(
             ["doc_a", "doc_b"], ignore_index=True
         )
         for ng in (1, 64, 4096):
-            other = minhash_candidate_pairs(docs, n_groups=ng).to_pandas().sort_values(
+            set_buckets(ng)
+            other = minhash_candidate_pairs(docs).to_pandas().sort_values(
                 ["doc_a", "doc_b"], ignore_index=True
             )
             assert other.equals(base), ng
 
     def test_minhash_composite_grouping_bounds_group_size(self):
-        """The hash(band, bucket) % n_groups shuffle key keeps
-        per-group rows at O(corpus * bands / n_groups) on a diverse
+        """co_partition's bucket of the (band, bucket) keys keeps
+        per-bucket rows at O(corpus * bands / n_buckets) on a diverse
         corpus — the 100-TB guarantee the band-only grouping lacked
         (one group per band = whole-corpus groups)."""
+        from mlscraper_ray.functions.bucketed import _bucket_ids
         from mlscraper_ray.functions.dedup import MinHashStage
 
         n = 512
@@ -669,12 +672,13 @@ class TestNearDupCrafted:
                 "text": pa.array([f"unique document {i} with words {i * 7} {i * 13}" for i in range(n)]),
             }
         )
-        sigs = MinHashStage()(t).to_pandas()  # n_groups=2048, 32 bands
-        max_group = sigs.groupby("grp").size().max()
-        # 16384 rows over 2048 groups: ~8 expected at uniform spread
+        sigs = MinHashStage()(t).to_pandas()  # 32 bands
+        sigs["b"] = _bucket_ids(sigs, ["band", "bucket"], 2048)
+        max_group = sigs.groupby("b").size().max()
+        # 16384 rows over 2048 buckets: ~8 expected at uniform spread
         assert max_group <= 64
-        # grp is a pure function of (band, bucket): completeness
-        assert (sigs.groupby(["band", "bucket"])["grp"].nunique() == 1).all()
+        # the bucket is a pure function of (band, bucket): completeness
+        assert (sigs.groupby(["band", "bucket"])["b"].nunique() == 1).all()
 
 
 class TestSimilarityCrafted:
@@ -1257,16 +1261,8 @@ class TestAsofJoinCrafted:
 
 
 class TestJoinScaleGuards:
-    """Round-4 scale guards: adaptive bucket counts, salted skew
-    handling, negative-key bucketing, packed-pair-id preconditions."""
-
-    def test_adaptive_n_buckets_formula(self):
-        from mlscraper_ray.functions.joins import adaptive_n_buckets
-
-        assert adaptive_n_buckets(None) == 64  # no cheap count -> floor
-        assert adaptive_n_buckets(1_000) == 64  # small inputs clamp low
-        assert adaptive_n_buckets(10_000_000) == 100  # ~100k rows/bucket
-        assert adaptive_n_buckets(10**12) == 65536  # bounded above
+    """Round-4 scale guards: salted skew handling, negative-key
+    bucketing, packed-pair-id preconditions."""
 
     def test_pack_pairs_rejects_out_of_range_ids(self):
         """doc_id >= 2^31 (or negative) must raise LOUDLY instead of
@@ -1423,9 +1419,12 @@ class TestCoPartition:
 
         assert rows(out.to_pandas()) == rows(oracle) == [(-1, 10), (5, 101), (7, 1000)]
 
-    def test_per_key_fn_invariant_to_bucket_count(self, ray_session):
+    def test_per_key_fn_invariant_to_bucket_count(self, ray_session, set_buckets):
         """A per-key fn sees every row of its key in one call, so the
-        result does not depend on the bucket count."""
+        result does not depend on the bucket count and equals a plain
+        pandas groupby — also on a skewed input where one user_id holds
+        half the rows (one bucket then carries at least half the
+        data)."""
         import ray.data
 
         from mlscraper_ray.functions.bucketed import co_partition
@@ -1433,21 +1432,33 @@ class TestCoPartition:
         ds = ray.data.read_parquet(
             os.path.join(SF_DIR, "events.parquet"), columns=["user_id", "ts", "value"]
         )
+        events = ds.to_pandas()
+        hot = events.assign(user_id=events["user_id"].max() + 1)
+        skewed = pd.concat([events, hot], ignore_index=True)
+        assert (skewed["user_id"] == hot["user_id"].iloc[0]).sum() * 2 == len(skewed)
 
         def per_user(g: pd.DataFrame) -> pd.DataFrame:
             return g.groupby("user_id", as_index=False).agg(
                 n=("ts", "size"), first=("ts", "min"), vmax=("value", "max")
             )
 
-        runs = [
-            co_partition(ds, ["user_id"], per_user, n)
-            .to_pandas()
-            .sort_values("user_id", ignore_index=True)
-            for n in (1, 7, 64)
-        ]
-        assert runs[0]["user_id"].is_unique and len(runs[0]) > 1
-        for other in runs[1:]:
-            pd.testing.assert_frame_equal(runs[0], other)
+        for frame, data in ((events, ds), (skewed, ray.data.from_pandas(skewed))):
+            want = per_user(frame).sort_values("user_id", ignore_index=True)
+            assert want["user_id"].is_unique and len(want) > 1
+            for n in (1, 7, 64):
+                set_buckets(n)
+                got = co_partition(data, ["user_id"], per_user).to_pandas()
+                pd.testing.assert_frame_equal(got.sort_values("user_id", ignore_index=True), want)
+
+    def test_bucket_count_rule_from_cluster_cpus(self, monkeypatch):
+        """Every shuffle takes 8 buckets per cluster CPU: 1 CPU -> 8,
+        32 CPUs -> 256, at or above the old per-site counts of 241, 64
+        and 256 on the 32-CPU host the past records come from."""
+        from mlscraper_ray.functions import bucketed
+
+        for cpus, want in ((1, 8), (32, 256)):
+            monkeypatch.setattr(bucketed.ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+            assert bucketed._n_buckets() == want
 
 
 class TestIncrementalMinhash:

@@ -41,11 +41,12 @@ def _crafted():
 
 
 class TestPagerankCrafted:
-    def test_distributed_matches_reference_loop(self, ray_session):
+    def test_distributed_matches_reference_loop(self, ray_session, set_buckets):
         nodes, edges = _crafted()
         want = pagerank_reference(nodes, edges)
         n, e = _graph_ds(nodes, edges)
-        out = pagerank_ds(n, e, driver_limit=0, n_buckets=5).to_pandas()
+        set_buckets(5)
+        out = pagerank_ds(n, e, driver_limit=0).to_pandas()
         got = dict(zip(out["node"], out["rank"]))
         assert got == want
 
@@ -59,12 +60,13 @@ class TestPagerankCrafted:
         s = dict(zip(slow["node"], slow["rank"]))
         assert f == s
 
-    def test_invariant_to_bucket_count(self, ray_session):
+    def test_invariant_to_bucket_count(self, ray_session, set_buckets):
         nodes, edges = _crafted()
         ranks = []
         for nb in (1, 3, 17):
             n, e = _graph_ds(nodes, edges)
-            out = pagerank_ds(n, e, driver_limit=0, n_buckets=nb).to_pandas()
+            set_buckets(nb)
+            out = pagerank_ds(n, e, driver_limit=0).to_pandas()
             ranks.append(dict(zip(out["node"], out["rank"])))
         assert ranks[0] == ranks[1] == ranks[2]
 
@@ -195,11 +197,13 @@ class TestLinkStats:
             )
             assert row.top_anchor == want_top, row
 
-    def test_invariant_to_bucket_count(self, ray_session):
+    def test_invariant_to_bucket_count(self, ray_session, set_buckets):
         from mlscraper_ray.functions.pagerank import link_stats
 
-        a = link_stats(SF_DIR, n_buckets=3)
-        b = link_stats(SF_DIR, n_buckets=101)
+        set_buckets(3)
+        a = link_stats(SF_DIR)
+        set_buckets(101)
+        b = link_stats(SF_DIR)
         assert a.equals(b)
 
     def test_bucketed_existence_path_matches_broadcast(self, ray_session):
@@ -262,7 +266,7 @@ class TestHostRank:
 
 
 @pytest.mark.parametrize("seed", [7, 41])
-def test_distributed_matches_reference_on_random_graphs(ray_session, seed):
+def test_distributed_matches_reference_on_random_graphs(ray_session, set_buckets, seed):
     """Seeded random digraphs (multi-edges, dangling nodes, isolates):
     the distributed path must equal the big-int reference loop node
     for node — also exercises the overflow assert on healthy input."""
@@ -276,7 +280,8 @@ def test_distributed_matches_reference_on_random_graphs(ray_session, seed):
         edges.append((rng.choice(nodes), rng.choice(nodes)))
     want = pagerank_reference(nodes, edges)
     nd, ed = _graph_ds(nodes, edges)
-    out = pagerank_ds(nd, ed, driver_limit=0, n_buckets=rng.choice([1, 5, 13])).to_pandas()
+    set_buckets(rng.choice([1, 5, 13]))
+    out = pagerank_ds(nd, ed, driver_limit=0).to_pandas()
     got = dict(zip(out["node"], out["rank"]))
     assert got == want
 
@@ -340,13 +345,14 @@ class TestHostReciprocity:
 
 
 class TestHITS:
-    def test_distributed_matches_reference_loop(self, ray_session):
+    def test_distributed_matches_reference_loop(self, ray_session, set_buckets):
         from mlscraper_ray.functions.hits import hits_ds, hits_reference
 
         nodes, edges = _crafted()
         want = hits_reference(nodes, edges)
         n, e = _graph_ds(nodes, edges)
-        out = hits_ds(n, e, driver_limit=0, n_buckets=5).to_pandas()
+        set_buckets(5)
+        out = hits_ds(n, e, driver_limit=0).to_pandas()
         got = {r["node"]: (r["hub"], r["auth"]) for _, r in out.iterrows()}
         assert got == want
 
@@ -377,7 +383,7 @@ class TestHITS:
             assert got[a][1] == SCALE and got[a][0] == 0  # pure authorities
 
     @pytest.mark.parametrize("seed", [3, 29])
-    def test_distributed_matches_reference_on_random_graphs(self, ray_session, seed):
+    def test_distributed_matches_reference_on_random_graphs(self, ray_session, set_buckets, seed):
         import random
 
         from mlscraper_ray.functions.hits import hits_ds, hits_reference
@@ -390,9 +396,8 @@ class TestHITS:
         ]
         want = hits_reference(nodes, edges)
         nd, ed = _graph_ds(nodes, edges)
-        out = hits_ds(
-            nd, ed, driver_limit=0, n_buckets=rng.choice([1, 5, 13])
-        ).to_pandas()
+        set_buckets(rng.choice([1, 5, 13]))
+        out = hits_ds(nd, ed, driver_limit=0).to_pandas()
         got = {r["node"]: (r["hub"], r["auth"]) for _, r in out.iterrows()}
         assert got == want
 

@@ -1,7 +1,9 @@
 """The shared read and finish (``functions/tables.py``): ``read_table``
 reads exactly what a plain ``read_parquet`` reads, without schema
-metadata; the vector top-k entries return typed empty tables; and no
-operator module grows its own base-table read or result tail again."""
+metadata; the vector top-k entries return typed empty tables; no
+operator module grows its own base-table read or result tail again;
+and no caller picks a shuffle's bucket count (``functions/bucketed.py``
+owns it)."""
 import ast
 import glob
 import os
@@ -14,9 +16,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 from test_functions import SF_DIR  # noqa: E402
 
-FUNCTIONS_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "mlscraper_ray", "functions"
-)
+PACKAGE_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "mlscraper_ray")
+FUNCTIONS_DIR = os.path.join(PACKAGE_DIR, "functions")
 
 # (module file name, function name) -> why that function keeps its own
 # read or result tail.
@@ -118,4 +119,68 @@ def test_guard_sees_both_idioms(tmp_path):
     assert _hand_written_sites(str(p)) == [
         ("op", "read_parquet(os.path.join(sf_dir, ...))"),
         ("op", "Table.from_pandas"),
+    ]
+
+
+# shuffle helper -> positional arguments it takes; anything past them,
+# or a count keyword, would be a caller-chosen bucket count
+SHUFFLE_ARITY = {"co_partition": 3, "bucketed_aggregate": 3, "cogroup_join": 4}
+COUNT_KEYWORDS = {"n_buckets", "n_groups", "approx_rows"}
+
+
+def _shuffle_count_sites(path: str) -> list[tuple[int, str]]:
+    """(line, what) for each shuffle-helper call that passes a bucket
+    count and each ``.groupby("grp")`` in one module."""
+    sites = []
+    for node in ast.walk(ast.parse(open(path).read())):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        if name in SHUFFLE_ARITY:
+            counts = [k.arg for k in node.keywords if k.arg in COUNT_KEYWORDS]
+            if len(node.args) > SHUFFLE_ARITY[name] or counts:
+                sites.append((node.lineno, f"{name} with a bucket count"))
+        elif (
+            name == "groupby"
+            and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and node.args[0].value == "grp"
+        ):
+            sites.append((node.lineno, 'groupby("grp")'))
+    return sorted(sites)
+
+
+def test_no_caller_sets_a_shuffle_bucket_count():
+    import inspect
+
+    from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
+    from mlscraper_ray.functions.joins import cogroup_join
+
+    assert list(inspect.signature(co_partition).parameters) == ["ds", "keys", "fn"]
+    assert list(inspect.signature(bucketed_aggregate).parameters) == ["ds", "keys", "aggs"]
+    assert not COUNT_KEYWORDS & set(inspect.signature(cogroup_join).parameters)
+    found = [
+        f"{os.path.relpath(path, PACKAGE_DIR)}:{line} {what}"
+        for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "**", "*.py"), recursive=True))
+        for line, what in _shuffle_count_sites(path)
+    ]
+    assert not found, "shuffle width belongs to bucketed.co_partition:\n" + "\n".join(found)
+
+
+def test_shuffle_guard_sees_counts_and_grp(tmp_path):
+    p = tmp_path / "op.py"
+    p.write_text(
+        "def op(ds, B):\n"
+        "    a = co_partition(ds, ['k'], len, B)\n"
+        "    b = bucketed.bucketed_aggregate(ds, ['k'], {}, n_buckets=5)\n"
+        "    c = cogroup_join(ds, ds, 'k', approx_rows=10)\n"
+        "    d = ds.groupby('grp').map_groups(len)\n"
+        "    return cogroup_join(ds, ds, 'k', how='left'), co_partition(ds, ['k'], len)\n"
+    )
+    assert _shuffle_count_sites(str(p)) == [
+        (2, "co_partition with a bucket count"),
+        (3, "bucketed_aggregate with a bucket count"),
+        (4, "cogroup_join with a bucket count"),
+        (5, 'groupby("grp")'),
     ]
