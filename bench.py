@@ -366,6 +366,10 @@ def run_bench() -> dict:
         "crawl_urls_per_sec": extras["crawl_urls_per_sec"],
         "extract_pages_per_sec": extras["extract_pages_per_sec"],
         "core_set_sec": extras["core_set_sec"],
+        # host stamp: readings compare only across like hosts
+        "host_cpus": os.cpu_count(),
+        "host_probe_ms": extras["host_probe_ms"],
+        "host_probe_ms_after": extras["host_probe_ms_after"],
         "n_queries": len(queries),
         "detail_file": detail_file,
     }

@@ -784,7 +784,7 @@ ORDER BY region, nation
 """
 
 
-def orders_repeat_rate(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Table:
+def orders_repeat_rate(sf_dir: str) -> pa.Table:
     """Repeat-purchase rate per market segment: of each segment's
     customers WITH at least one order, how many ordered more than
     once (integer-milli rate) — the retention headline every commerce
@@ -792,9 +792,10 @@ def orders_repeat_rate(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Tabl
 
     Distributed shape: per-custkey order counts fold through the
     coarse-bucket aggregate (slim int pairs); the segment lookup is
-    COUNT-GUARDED — customer broadcast-attaches under
-    ``broadcast_limit`` rows, else cogroups on custkey; segment
-    roll-up is a 5-row fold."""
+    SIZE-GUARDED — customer broadcast-attaches when ``broadcast.pull``
+    takes it, else cogroups on custkey; segment roll-up is a 5-row
+    fold."""
+    from mlscraper_ray.functions import broadcast
     from mlscraper_ray.functions.broadcast import cached_object
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
     from mlscraper_ray.functions.joins import cogroup_join
@@ -813,9 +814,8 @@ def orders_repeat_rate(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Tabl
     )
 
     cust_read = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    n_cust = cust_read.count()  # parquet metadata, no scan
-    if n_cust <= broadcast_limit:
-        cdf = cust_read.to_pandas()
+    if pulled := broadcast.pull(cust_read):
+        (cdf,) = pulled
         c_ref = ray.put(dict(zip(cdf["c_custkey"].astype(int), cdf["c_mktsegment"])))
 
         def attach(df: pd.DataFrame) -> pd.DataFrame:

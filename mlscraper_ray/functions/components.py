@@ -39,6 +39,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from mlscraper_ray.functions import broadcast
 from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate
@@ -48,10 +49,7 @@ from mlscraper_ray.functions.tables import finish, read_table
 
 
 def connected_components(
-    edges: ray.data.Dataset,
-    approx_edges: int | None = None,
-    max_iters: int = 50,
-    broadcast_limit: int = 1_000_000,
+    edges: ray.data.Dataset, max_iters: int = 50
 ) -> ray.data.Dataset:
     """Min-label connected components.
 
@@ -62,19 +60,16 @@ def connected_components(
     Output is partitioning-invariant: every reduction is a min over
     int64, associative and commutative.
 
-    Two paths, picked by the edge COUNT (the repo's count-based
-    path-choice idiom — minhash_dedup, customers_without_orders,
-    decontaminate): ``<= broadcast_limit`` edges pull once to the
-    driver (a pull bounded by the CONSTANT — for near-dup graphs the
-    verified pair set is tiny relative to the corpus) and run
-    union-find in microseconds instead of paying multi-round shuffle
-    latency; larger graphs run the distributed label-propagation loop
-    below. Paths are equal by construction (regression-tested).
+    Two paths, picked by ``broadcast.pull`` on the edges: edges small
+    enough to pull (for near-dup graphs the verified pair set is tiny
+    relative to the corpus) run union-find on the driver in
+    microseconds instead of paying multi-round shuffle latency; larger
+    graphs run the distributed label-propagation loop below. Paths are
+    equal by construction (regression-tested).
     """
-    if approx_edges is None:
-        approx_edges = edges.count()
-    if approx_edges <= broadcast_limit:
-        pdf = edges.to_pandas()
+    edges = edges.materialize()  # sized by the pull, then read by either path
+    if pulled := broadcast.pull(edges):
+        (pdf,) = pulled
         parent: dict[int, int] = {}
 
         def find(x: int) -> int:
@@ -104,7 +99,7 @@ def connected_components(
     # doubles with it). Coalesce labels to a bounded block count after
     # every aggregate — shuffle=False merges blocks locally, no
     # all-to-all — sized at ~1M slim (node,label) rows per block.
-    label_blocks = max(4, min(512, (2 * approx_edges) // 1_000_000 + 1))
+    label_blocks = max(4, min(512, (2 * edges.count()) // 1_000_000 + 1))
 
     def symmetrize(t: pa.Table) -> pa.Table:
         u = pc.cast(t["u"], pa.int64()).combine_chunks().to_numpy(zero_copy_only=False)
@@ -216,30 +211,25 @@ def neardup_clusters(sf_dir: str, threshold_pct: int = 70) -> pa.Table:
         )
 
     edges = pairs.map_batches(as_edges, batch_format="pyarrow").materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
+    if edges.count() == 0:
         return pa.table(
             {"doc_id": pa.array([], pa.int64()), "cluster_id": pa.array([], pa.int64())}
         )
-    labels = connected_components(edges, approx_edges=n_edges)
+    labels = connected_components(edges)
     out = labels.to_pandas().rename(columns={"node": "doc_id", "label": "cluster_id"})
     return finish(out, "doc_id", dtypes="int64")
 
 
-def corpus_dedup_canonical(
-    sf_dir: str, threshold_pct: int = 70, broadcast_limit: int = 100_000
-) -> pa.Table:
+def corpus_dedup_canonical(sf_dir: str, threshold_pct: int = 70) -> pa.Table:
     """Near-dup dedup manifest: the doc_ids that SURVIVE keeping one
     canonical doc (the minimum doc_id) per near-duplicate cluster —
     i.e. all docs minus cluster members whose id isn't the cluster
     minimum.
 
-    Anti-join path picked by the loser COUNT (distributed aggregate,
-    same idiom as decontaminate / customers_without_orders):
-    <= ``broadcast_limit`` losers broadcast once as an is_in filter
-    (driver pull bounded by the constant); above that a bucketed
-    cogroup left-join marks losers and keeps null-marker rows —
-    nothing driver-sized anywhere."""
+    Anti-join path picked by ``broadcast.pull`` on the loser table:
+    losers small enough to pull broadcast once as an is_in filter;
+    otherwise a bucketed cogroup left-join marks losers and keeps
+    null-marker rows — nothing driver-sized anywhere."""
     pairs = minhash_verified_pairs(sf_dir, threshold_pct=threshold_pct)
 
     def as_edges(t: pa.Table) -> pa.Table:
@@ -252,11 +242,10 @@ def corpus_dedup_canonical(
 
     docs = read_table(sf_dir, "documents", ["doc_id"])
     edges = pairs.map_batches(as_edges, batch_format="pyarrow").materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
+    if edges.count() == 0:
         return finish(docs.to_pandas(), "doc_id")
 
-    labels = connected_components(edges, approx_edges=n_edges)
+    labels = connected_components(edges)
 
     def keep_losers(t: pa.Table) -> pa.Table:
         node = pc.cast(t["node"], pa.int64())
@@ -264,10 +253,9 @@ def corpus_dedup_canonical(
         return pa.table({"loser": pc.filter(node, mask)})
 
     losers = labels.map_batches(keep_losers, batch_format="pyarrow").materialize()
-    n_losers = losers.count()
 
-    if n_losers <= broadcast_limit:
-        loser_ids = losers.to_pandas()["loser"].to_numpy()
+    if pulled := broadcast.pull(losers):
+        loser_ids = pulled[0]["loser"].to_numpy()
         loser_ref = ray.put(pa.array(np.sort(loser_ids), pa.int64()))
 
         def anti(batch: pa.Table) -> pa.Table:
@@ -354,12 +342,11 @@ def winnow_clusters(sf_dir: str, min_shared: int = 3) -> pa.Table:
         )
 
     edges = pairs.map_batches(as_edges, batch_format="pyarrow").materialize()
-    n_edges = edges.count()
-    if n_edges == 0:
+    if edges.count() == 0:
         return pa.table(
             {"doc_id": pa.array([], pa.int64()), "cluster_id": pa.array([], pa.int64())}
         )
-    labels = connected_components(edges, approx_edges=n_edges)
+    labels = connected_components(edges)
     out = labels.to_pandas().rename(columns={"node": "doc_id", "label": "cluster_id"})
     return finish(out, "doc_id", dtypes="int64")
 
@@ -399,7 +386,7 @@ def simhash_clusters(sf_dir: str, max_hamming: int = 3) -> pa.Table:
     families expose the same dedup-manifest surface. Pairs come from
     the banded simhash plan (coarse-bucketed, recall-complete by
     pigeonhole); the verified pair set is near-dup-sized, so the
-    count-guarded components fold applies unchanged."""
+    size-guarded components fold applies unchanged."""
     from mlscraper_ray.functions.dedup import simhash_neardup_pairs
 
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
@@ -416,7 +403,7 @@ def simhash_clusters(sf_dir: str, max_hamming: int = 3) -> pa.Table:
             }
         )
     )
-    labels = connected_components(edges, approx_edges=pairs.num_rows)
+    labels = connected_components(edges)
     out = labels.to_pandas().rename(columns={"node": "doc_id", "label": "cluster_id"})
     return finish(out, "doc_id", dtypes="int64")
 

@@ -25,6 +25,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from mlscraper_ray.functions import broadcast
 from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
@@ -185,7 +186,6 @@ def decontaminate_survivors(
     sf_dir: str,
     holdout_mod: int = 97,
     n: int = 3,
-    broadcast_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Benchmark DECONTAMINATION: drop every training document that
     shares ANY word n-gram with the held-out set — the standard
@@ -196,15 +196,13 @@ def decontaminate_survivors(
     unlike a true fixed benchmark this stand-in SCALES with the
     corpus, which is exactly why the path guard below exists).
 
-    Two screening paths, picked by the held-out gram COUNT (a
-    distributed aggregate — the repo's count-based path-choice idiom,
-    see minhash_dedup / customers_without_orders):
+    Two screening paths, picked by ``broadcast.pull`` on the
+    per-batch-distinct held-out gram table:
 
-    - count <= ``broadcast_limit``: grams collected once (the driver
-      pull is bounded by the broadcast_limit CONSTANT), ``ray.put``
-      once, every training document screened inside ``map_batches`` —
-      one streaming pass, no shuffle, text never leaves its task.
-    - larger: bucketed EXISTS anti-join on the gram STRING (exact, no
+    - pulled: grams collected once, ``ray.put`` once, every training
+      document screened inside ``map_batches`` — one streaming pass,
+      no shuffle, text never leaves its task.
+    - too large to pull: bucketed EXISTS anti-join on the gram STRING (exact, no
       hash collisions): training docs explode to slim distinct
       (gram, doc_id, n_grams) rows, holdout grams ride the same
       gram-hash buckets, per-bucket membership is one vectorized
@@ -227,15 +225,12 @@ def decontaminate_survivors(
                 grams.update(word_gram_set(text, n))
         return pa.table({"gram": pa.array(sorted(grams), pa.string())})
 
-    # materialized once: the path-choice count and the chosen path both
+    # materialized once: the path choice and the chosen path both
     # consume it without re-running the gram extraction
     ho_rows = ds.map_batches(holdout_grams, batch_format="pyarrow").materialize()
-    # per-batch-distinct row count: cheap upper bound on the distinct
-    # holdout gram count (good enough for a path choice)
-    n_ho = ho_rows.count()
 
-    if n_ho <= broadcast_limit:
-        ho = set(ho_rows.to_pandas()["gram"])
+    if pulled := broadcast.pull(ho_rows):
+        ho = set(pulled[0]["gram"])
         ho_ref = ray.put(ho)
 
         def screen(batch: pa.Table) -> pa.Table:
@@ -328,11 +323,10 @@ def decontaminate(
     sf_dir: str,
     holdout_mod: int = 97,
     n: int = 3,
-    broadcast_limit: int = 2_000_000,
 ) -> pa.Table:
     """Driver-table wrapper over :func:`decontaminate_survivors` (the
     driver-compare contract wants a sorted Arrow table)."""
-    survivors = decontaminate_survivors(sf_dir, holdout_mod=holdout_mod, n=n, broadcast_limit=broadcast_limit)
+    survivors = decontaminate_survivors(sf_dir, holdout_mod=holdout_mod, n=n)
     return finish(
         survivors.to_pandas(),
         "doc_id",
@@ -346,7 +340,6 @@ def decontaminate_to_parquet(
     n_shards: int = 16,
     holdout_mod: int = 97,
     n: int = 3,
-    broadcast_limit: int = 2_000_000,
 ) -> dict:
     """Production sink twin of :func:`decontaminate`, RESUMABLE
     (functions/sinks.py): the (doc_id, n_grams) survivors sharded by
@@ -354,9 +347,7 @@ def decontaminate_to_parquet(
     if all_shards_done(out_dir, n_shards):  # the holdout pass runs eagerly
         return {"written": 0, "skipped": n_shards}
     return write_resumable(
-        decontaminate_survivors(
-            sf_dir, holdout_mod=holdout_mod, n=n, broadcast_limit=broadcast_limit
-        ),
+        decontaminate_survivors(sf_dir, holdout_mod=holdout_mod, n=n),
         crc32_shard("doc_id", n_shards),
         out_dir,
         n_shards,

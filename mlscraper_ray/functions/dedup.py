@@ -29,6 +29,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from mlscraper_ray.functions import broadcast
 from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
@@ -331,7 +332,6 @@ _EMPTY_PAIRS = pa.table(
 def minhash_verified_pairs(
     sf_dir: str,
     threshold_pct: int = 70,
-    broadcast_limit: int = 100_000,
     max_bucket_docs: int | None = 1024,
 ) -> ray.data.Dataset:
     """Near-duplicate pairs on documents as a streaming Dataset
@@ -359,23 +359,22 @@ def minhash_verified_pairs(
     ~1e-14 at j=0.9; the corpus's true pairs all sit at >=0.80),
     verified against DuckDB at sf0.001/0.01/0.1.
 
-    Two verify paths, picked by the candidate-pair COUNT (a
-    distributed aggregate; the candidate table is a Dataset
-    throughout — nothing corpus-scaled touches the driver):
-    - 2 * n_pairs <= ``broadcast_limit`` (so the distinct candidate
-      doc count is bounded too): texts filtered AT THE READ (is_in
-      predicate, only candidate rows leave storage) and broadcast once
-      via ``ray.put``; pair loop in map_batches. The driver pull here
-      is bounded by the broadcast_limit CONSTANT, which any broadcast
-      pays anyway.
-    - larger: bucketed cogroup joins attach text_a/text_b to the pair
-      rows — no driver-sized structure anywhere.
+    Two verify paths, picked by two ``broadcast.pull`` calls (the
+    candidate table is a Dataset throughout — nothing corpus-scaled
+    touches the driver):
+    - the candidate pairs pull, and then the candidates' texts,
+      filtered AT THE READ (is_in predicate, only candidate rows leave
+      storage), pull too: the texts broadcast once via ``ray.put``;
+      pair loop in map_batches.
+    - either is too large to pull: bucketed cogroup joins attach
+      text_a/text_b to the pair rows — no driver-sized structure
+      anywhere.
     """
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
-    # slim (doc_a, doc_b) rows; materialized once so the path-choice
-    # count and the verify pass don't re-run the LSH
+    # slim (doc_a, doc_b) rows; materialized once so the path choice
+    # and the verify pass don't re-run the LSH
     candidates = minhash_candidate_pairs(docs, max_bucket_docs=max_bucket_docs).materialize()
-    return _verify_candidate_pairs(sf_dir, docs, candidates, threshold_pct, broadcast_limit)
+    return _verify_candidate_pairs(sf_dir, docs, candidates, threshold_pct)
 
 
 def _verify_candidate_pairs(
@@ -383,31 +382,35 @@ def _verify_candidate_pairs(
     docs: ray.data.Dataset,
     candidates: ray.data.Dataset,
     threshold_pct: int,
-    broadcast_limit: int,
 ) -> ray.data.Dataset:
     """Exact word-3-gram Jaccard verification of a candidate (doc_a,
-    doc_b) Dataset — the count-guarded verify stage shared by
+    doc_b) Dataset — the size-guarded verify stage shared by
     :func:`minhash_verified_pairs` and the incremental cross-snapshot
     variant. See minhash_verified_pairs' docstring for the two paths."""
     from mlscraper_ray.functions.joins import cogroup_join
 
-    n_pairs = candidates.count()
-    if n_pairs == 0:
+    if candidates.count() == 0:
         return ray.data.from_arrow(_EMPTY_PAIRS)
 
-    if 2 * n_pairs <= broadcast_limit:
-        cand_pdf = candidates.to_pandas()  # <= broadcast_limit/2 rows
+    # the candidates' texts are a pull of their own: they can outweigh
+    # the pair rows many times over
+    pulled_texts = None
+    if pulled := broadcast.pull(candidates):
+        cand_pdf = pulled[0]
         cand_ids = sorted(set(cand_pdf["doc_a"]) | set(cand_pdf["doc_b"]))
         cand_arr = pa.array(cand_ids, pa.int64())
 
         def keep_candidates(batch: pa.Table) -> pa.Table:
             return batch.filter(pc.is_in(batch["doc_id"], value_set=cand_arr))
 
-        texts_tbl = (
+        pulled_texts = broadcast.pull(
             read_table(sf_dir, "documents", ["doc_id", "text"])
             .map_batches(keep_candidates, batch_format="pyarrow")
-            .to_pandas()
+            .materialize()
         )
+
+    if pulled_texts:
+        (texts_tbl,) = pulled_texts
         texts_ref = ray.put(dict(zip(texts_tbl["doc_id"], texts_tbl["text"])))
 
         def verify(batch: pa.Table) -> pa.Table:
@@ -487,7 +490,6 @@ def _verify_candidate_pairs(
 def minhash_dedup(
     sf_dir: str,
     threshold_pct: int = 70,
-    broadcast_limit: int = 100_000,
     max_bucket_docs: int | None = 1024,
 ) -> pa.Table:
     """Driver-table wrapper over :func:`minhash_verified_pairs` (the
@@ -496,7 +498,6 @@ def minhash_dedup(
     verified = minhash_verified_pairs(
         sf_dir,
         threshold_pct=threshold_pct,
-        broadcast_limit=broadcast_limit,
         max_bucket_docs=max_bucket_docs,
     )
     out = verified.to_pandas()
@@ -509,7 +510,6 @@ def incremental_minhash_dedup(
     sf_dir: str,
     snapshot_mod: int = 2,
     threshold_pct: int = 70,
-    broadcast_limit: int = 100_000,
     max_bucket_docs: int | None = 1024,
 ) -> pa.Table:
     """Cross-SNAPSHOT incremental NEAR-dup screen — the recurring-crawl
@@ -529,7 +529,7 @@ def incremental_minhash_dedup(
     not C(p+q, 2)). Degenerate buckets collapse to new x {min prior}
     (each new doc keeps a prior witness; identical-doc floods stay
     linear — same caveat discipline as ``max_bucket_docs`` on the
-    plain pipeline). Verification reuses the count-guarded
+    plain pipeline). Verification reuses the size-guarded
     :func:`_verify_candidate_pairs` stage; the best-match reduce packs
     (jaccard, prior_id) into one int64 so it's a scalar coarse-bucket
     max — no driver-side pair table anywhere."""
@@ -569,9 +569,7 @@ def incremental_minhash_dedup(
         return pa.table({"doc_a": doc_a, "doc_b": doc_b})
 
     candidates = deduped.map_batches(unpack, batch_format="pyarrow").materialize()
-    verified = _verify_candidate_pairs(
-        sf_dir, docs, candidates, threshold_pct, broadcast_limit
-    )
+    verified = _verify_candidate_pairs(sf_dir, docs, candidates, threshold_pct)
 
     # best prior match per new doc: pack (jaccard, inverted prior id)
     # into one int64 so the reduce is a scalar coarse-bucket MAX
@@ -2119,7 +2117,6 @@ def winnow_neardup_pairs(
 def source_neardup_report(
     sf_dir: str,
     threshold_pct: int = 70,
-    broadcast_limit: int = 100_000,
     max_bucket_docs: int | None = 1024,
 ) -> pa.Table:
     """Per-source NEAR-dup census — the data-card row next to the
@@ -2137,7 +2134,6 @@ def source_neardup_report(
     pairs = minhash_verified_pairs(
         sf_dir,
         threshold_pct=threshold_pct,
-        broadcast_limit=broadcast_limit,
         max_bucket_docs=max_bucket_docs,
     )
 
@@ -2247,7 +2243,6 @@ ORDER BY d.source
 def source_pair_matrix(
     sf_dir: str,
     threshold_pct: int = 70,
-    broadcast_limit: int = 100_000,
     max_bucket_docs: int | None = 1024,
 ) -> pa.Table:
     """Cross-source near-duplication MATRIX — who copies from whom:
@@ -2266,26 +2261,22 @@ def source_pair_matrix(
     pairs = minhash_verified_pairs(
         sf_dir,
         threshold_pct=threshold_pct,
-        broadcast_limit=broadcast_limit,
         max_bucket_docs=max_bucket_docs,
     ).materialize()
     docs = read_table(sf_dir, "documents", ["doc_id", "source"])
 
-    n_pairs = pairs.count()
-    if n_pairs <= broadcast_limit:
-        # count-guarded fast path (the usual case — the verified pair
+    if pulled := broadcast.pull(pairs):
+        # size-guarded fast path (the usual case — the verified pair
         # set is near-dup-sized BY DEFINITION): broadcast the involved
         # id set, filter the doc scan down to involved rows, and roll
         # the matrix from the tiny (doc_id -> source) map — one
         # filtered pass instead of two corpus cogroup joins (16.2s ->
         # ~3s at sf0.1). Path-equal to the cogroup fallback (tested).
-        pdf = pairs.to_pandas()
+        (pdf,) = pulled
         involved_ids = set(int(x) for x in pdf["doc_a"]) | set(int(x) for x in pdf["doc_b"])
         ids_ref = ray.put(involved_ids)
 
         def keep_involved(df: pd.DataFrame) -> pd.DataFrame:
-            from mlscraper_ray.functions.broadcast import cached_object
-
             ids = cached_object(ids_ref)
             m = df["doc_id"].map(lambda d: int(d) in ids)
             return df.loc[m, ["doc_id", "source"]]

@@ -28,12 +28,11 @@ O(frontier-adjacent edges) slim string rows + one min-combine, with
 the label block count re-bounded every round (the components.py
 block-doubling hazard).
 
-Count-guarded driver fast path (the connected-components idiom): an
-edge list under ``broadcast_limit`` is pulled once — a pull bounded by
-the constant — and walked with a deque in microseconds instead of
-paying multi-round shuffle latency; larger graphs run the distributed
-loop. Paths are equal by construction (regression-tested on seeded
-random digraphs).
+Size-guarded driver fast path (the connected-components idiom): an
+edge list that ``broadcast.pull`` takes is walked on the driver with a
+deque in microseconds instead of paying multi-round shuffle latency;
+larger graphs run the distributed loop. Paths are equal by
+construction (regression-tested on seeded random digraphs).
 """
 from __future__ import annotations
 
@@ -45,6 +44,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from mlscraper_ray.functions import broadcast
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, coalesce_blocks
 from mlscraper_ray.functions.joins import cogroup_join
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
@@ -72,8 +72,6 @@ def bfs_reference(
 def link_distance_ds(
     edges: ray.data.Dataset,
     seeds: list[str],
-    approx_edges: int | None = None,
-    broadcast_limit: int = 2_000_000,
     max_rounds: int = 64,
 ) -> ray.data.Dataset:
     """(url, dist) for every node reachable from ``seeds`` over the
@@ -81,10 +79,9 @@ def link_distance_ds(
     Unreachable nodes are absent (a crawler never discovers them).
     Output is partitioning-invariant: the only reduction is a min over
     int64 labels."""
-    if approx_edges is None:
-        approx_edges = edges.count()
-    if approx_edges <= broadcast_limit:
-        pdf = edges.to_pandas()
+    edges = edges.materialize()  # sized by the pull, then read by every round
+    if pulled := broadcast.pull(edges):
+        (pdf,) = pulled
         pairs = (
             list(zip(pdf["src"].astype(str), pdf["dst"].astype(str)))
             if len(pdf)
@@ -115,7 +112,7 @@ def link_distance_ds(
     dist = ray.data.from_arrow(seed_tbl).map_batches(as_pandas, batch_format="pyarrow")
     frontier = dist
     n_prev = len(seeds)
-    label_rows = max(approx_edges, 1)
+    label_rows = max(edges.count(), 1)
 
     for r in range(1, max_rounds + 1):
         cand = cogroup_join(
@@ -155,7 +152,6 @@ def link_distance_to_parquet(
     sf_dir: str,
     out_dir: str,
     n_shards: int = 16,
-    broadcast_limit: int = 2_000_000,
     max_rounds: int = 64,
 ) -> dict:
     """Production sink twin of :func:`link_distance_from_seeds`,
@@ -178,18 +174,12 @@ def link_distance_to_parquet(
         .astype(str)
         .tolist()
     )
-    _nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
-    dist = link_distance_ds(
-        edges, seeds, broadcast_limit=broadcast_limit, max_rounds=max_rounds
-    )
+    _nodes, edges = corpus_link_graph(sf_dir)
+    dist = link_distance_ds(edges, seeds, max_rounds=max_rounds)
     return write_resumable(dist, crc32_shard("url", n_shards), out_dir, n_shards)
 
 
-def link_distance_from_seeds(
-    sf_dir: str,
-    broadcast_limit: int = 2_000_000,
-    max_rounds: int = 64,
-) -> pa.Table:
+def link_distance_from_seeds(sf_dir: str, max_rounds: int = 64) -> pa.Table:
     """Registry contract: BFS distance from the corpus's own seed
     manifest (seeds.parquet, the crawl's depth-0 rows) over the cached
     link graph (:func:`~mlscraper_ray.functions.pagerank.corpus_link_graph`
@@ -207,14 +197,9 @@ def link_distance_from_seeds(
         .astype(str)
         .tolist()
     )
-    _nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
+    _nodes, edges = corpus_link_graph(sf_dir)
     return finish(
-        link_distance_ds(
-            edges,
-            seeds,
-            broadcast_limit=broadcast_limit,
-            max_rounds=max_rounds,
-        ).to_pandas(),
+        link_distance_ds(edges, seeds, max_rounds=max_rounds).to_pandas(),
         "url",
         columns=["url", "dist"],
         dtypes={"dist": "int64"},

@@ -29,9 +29,9 @@ choice bounds the graph: ``max_raw * scale`` must stay under 2^63 —
 with scale=10^5 that admits raw sums (≈ in-degree × scale) up to
 ~9·10^13, i.e. in-degrees to ~9·10^8; the update asserts the exact
 pre-multiply bound at runtime so an infeasible pair fails loudly
-(same guard discipline as pagerank_ds). A count-guarded driver fast
-path mirrors pagerank's; both paths are bit-identical (tested with
-the guard forced off).
+(same guard discipline as pagerank_ds). A size-guarded driver fast
+path (``broadcast.pull``) mirrors pagerank's; both paths are
+bit-identical (tested with the pull cap at 0).
 """
 from __future__ import annotations
 
@@ -42,6 +42,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from mlscraper_ray.functions import broadcast
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 from mlscraper_ray.functions.pagerank import corpus_link_graph
 from mlscraper_ray.functions.tables import finish
@@ -146,7 +147,6 @@ def hits_ds(
     edges: ray.data.Dataset,
     n_iters: int = 4,
     scale: int = SCALE,
-    driver_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Core operator: ``nodes`` has column ``node`` (distinct),
     ``edges`` columns ``src``/``dst`` (existence-filtered, same
@@ -156,7 +156,6 @@ def hits_ds(
     nodes = nodes.materialize()
     edges = edges.materialize()
     n_nodes = nodes.count()
-    n_edges = edges.count()
     if n_nodes == 0:
         return nodes.map_batches(
             lambda t: pa.table(
@@ -169,15 +168,12 @@ def hits_ds(
             batch_format="pyarrow",
         )
 
-    if n_edges <= driver_limit and n_nodes <= driver_limit:
-        # driver pull bounded by the CONSTANT (both counts guard —
-        # the pagerank_ds idiom)
-        node_list = nodes.to_pandas()["node"].tolist()
-        if n_edges:
-            ep = edges.to_pandas()
-            edge_list = list(zip(ep["src"], ep["dst"]))
-        else:
-            edge_list = []  # empty Dataset -> to_pandas drops columns
+    if pulled := broadcast.pull(nodes, edges):
+        # the pull sizes both sides (the pagerank_ds idiom)
+        np_, ep = pulled
+        node_list = np_["node"].tolist()
+        # empty Dataset -> to_pandas drops columns
+        edge_list = list(zip(ep["src"], ep["dst"])) if len(ep) else []
         ha = hits_reference(node_list, edge_list, n_iters, scale)
         out = pd.DataFrame(
             {
@@ -261,13 +257,12 @@ def hits_ds(
 def link_hits(
     sf_dir: str,
     n_iters: int = 4,
-    broadcast_limit: int = 2_000_000,
     **kwargs,
 ) -> pa.Table:
     """Driver-table wrapper (url, hub, auth) sorted by url over the
     crawled-corpus page graph; :func:`hits_ds` is the streaming
     core."""
-    nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
+    nodes, edges = corpus_link_graph(sf_dir)
     out = hits_ds(nodes, edges, n_iters=n_iters, **kwargs).to_pandas()
     return finish(
         out.rename(columns={"node": "url"}),

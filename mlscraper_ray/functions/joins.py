@@ -27,6 +27,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from mlscraper_ray.functions import broadcast
+from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.tables import finish, read_table
 
@@ -226,16 +228,16 @@ ORDER BY o_orderpriority
 """
 
 
-def customers_without_orders(sf_dir: str, broadcast_limit: int = 5_000_000) -> pa.Table:
+def customers_without_orders(sf_dir: str) -> pa.Table:
     """ANTI-join: customers with no orders.
 
-    Two paths, picked by the probe-side key cardinality:
-    - distinct o_custkey count <= ``broadcast_limit``: keys collected
-      once, broadcast via ray.put, vectorized is_in filter per batch —
-      no shuffle;
-    - larger: bucketed cogroup anti — customers left-join a marker
-      column on hashed key buckets, keep null-marker rows. One
-      shuffle, nothing driver-sized anywhere.
+    Two paths, picked by ``broadcast.pull`` on the per-batch distinct
+    o_custkey table:
+    - pulled: keys collected once, broadcast via ray.put, vectorized
+      is_in filter per batch — no shuffle;
+    - too large to pull: bucketed cogroup anti — customers left-join
+      a marker column on hashed key buckets, keep null-marker rows.
+      One shuffle, nothing driver-sized anywhere.
     """
     import pyarrow.compute as pc
 
@@ -243,13 +245,9 @@ def customers_without_orders(sf_dir: str, broadcast_limit: int = 5_000_000) -> p
     order_keys = read_table(sf_dir, "orders", ["o_custkey"]).map_batches(
         lambda t: pa.table({"o_custkey": pc.unique(t["o_custkey"])}),
         batch_format="pyarrow",
-    )
-    # path choice from parquet METADATA (row count bounds the distinct
-    # key count from above) — deciding by collecting the keys would
-    # already pay the broadcast cost
-    n_orders = read_table(sf_dir, "orders", ["o_custkey"]).count()
-    if n_orders <= broadcast_limit:
-        custkeys = order_keys.to_pandas()["o_custkey"].unique()
+    ).materialize()
+    if pulled := broadcast.pull(order_keys):
+        custkeys = pulled[0]["o_custkey"].unique()
         keys_ref = ray.put(pa.array(sorted(custkeys), pa.int64()))
 
         def anti(batch: pa.Table) -> pa.Table:
@@ -546,7 +544,7 @@ ORDER BY purchase_id
 """
 
 
-def part_brand_revenue(sf_dir: str, broadcast_limit: int = 50_000_000) -> pa.Table:
+def part_brand_revenue(sf_dir: str) -> pa.Table:
     """Per-(brand, type) part revenue — the catalog roll-up that
     closes the part-table coverage (no operator touched it): lineitem
     joins part on partkey, discounted revenue computed in the
@@ -555,9 +553,9 @@ def part_brand_revenue(sf_dir: str, broadcast_limit: int = 50_000_000) -> pa.Tab
     pure int math — the repo's cross-engine-exact money discipline).
 
     The part side is a dimension table (catalog-sized, not
-    fact-sized): under ``broadcast_limit`` rows its partkey ->
+    fact-sized): when ``broadcast.pull`` takes it, its partkey ->
     (brand, type) map broadcasts via ray.put and the join is one
-    streaming pass over lineitem; above it the cogroup join takes
+    streaming pass over lineitem; otherwise the cogroup join takes
     over (same output, tested-equal path choice as everywhere else)."""
 
     parts = read_table(sf_dir, "part", ["p_partkey", "p_brand", "p_type"])
@@ -575,9 +573,8 @@ def part_brand_revenue(sf_dir: str, broadcast_limit: int = 50_000_000) -> pa.Tab
 
     rev = li.map_batches(rev_rows, batch_format="pandas")
 
-    n_parts = parts.count()
-    if n_parts <= broadcast_limit:
-        pdf = parts.to_pandas()
+    if pulled := broadcast.pull(parts):
+        (pdf,) = pulled
         pmap = {
             int(k): (b, t)
             for k, b, t in zip(pdf["p_partkey"], pdf["p_brand"], pdf["p_type"])
@@ -585,8 +582,6 @@ def part_brand_revenue(sf_dir: str, broadcast_limit: int = 50_000_000) -> pa.Tab
         m_ref = ray.put(pmap)
 
         def attach(df: pd.DataFrame) -> pd.DataFrame:
-            from mlscraper_ray.functions.broadcast import cached_object
-
             m = cached_object(m_ref)
             bt = [m[int(k)] for k in df["l_partkey"]]
             return pd.DataFrame(
@@ -672,8 +667,6 @@ def supplier_nation_summary(sf_dir: str) -> pa.Table:
     sup = read_table(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey", "s_acctbal"])
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        from mlscraper_ray.functions.broadcast import cached_object
-
         nm, rm = cached_object(m_ref)
         nn = [nm[int(k)] for k in df["s_nationkey"]]
         rows = pd.DataFrame(
@@ -795,8 +788,6 @@ def q3_shipping_priority(
     )
 
     def keep_orders(df: pd.DataFrame) -> pd.DataFrame:
-        from mlscraper_ray.functions.broadcast import cached_object
-
         ks = cached_object(keys_ref)
         m = (df["o_orderdate"] < cut) & df["o_custkey"].isin(ks)
         out = df.loc[m, ["o_orderkey", "o_orderdate", "o_orderpriority"]].copy()
@@ -878,30 +869,27 @@ def q5_local_supplier_volume(
     region: str = "ASIA",
     date_from: str = "1996-01-01",
     date_to: str = "1997-01-01",
-    broadcast_limit: int = 5_000_000,
 ) -> pa.Table:
     """TPC-H-Q5-flavored local-supplier volume: revenue per nation from
     lineitems where the CUSTOMER's nation equals the SUPPLIER's nation,
     restricted to one region and a one-year order window.
 
     Distributed shape — the lineitem x orders fact-fact cogroup is the
-    one unavoidable shuffle; the two dimension sides are COUNT-GUARDED
-    (the repo's broadcast-vs-join-back idiom, paths tested equal):
+    one unavoidable shuffle; the two dimension sides are SIZE-GUARDED
+    by ``broadcast.pull`` (paths tested equal):
 
     1. customer (region-filtered custkey -> nation map) broadcasts via
-       ``ray.put`` under ``broadcast_limit`` rows and attaches to the
-       date-filtered orders in-map (no shuffle); above the limit the
-       same slim sides cogroup on custkey.
+       ``ray.put`` when pulled and attaches to the date-filtered orders
+       in-map (no shuffle); otherwise the same slim sides cogroup on
+       custkey.
     2. lineitem (slim rev rows) JOIN step-1 on orderkey — both sides
        scale with the corpus, always a cogroup; output pre-sums per
        (suppkey, c_nat) inside each bucket so step 3 ships partials.
     3. supplier (region-filtered suppkey -> nation map, ~lineitem/600
-       in TPC-H proportions) broadcast-attaches under the same guard,
+       in TPC-H proportions) broadcast-attaches under the same rule,
        else cogroups; the local predicate c_nat == s_nat filters in
        the merge output and a 25-group fold finishes on nation name.
     """
-    from mlscraper_ray.functions.broadcast import cached_object
-
     lo, hi = pd.Timestamp(date_from), pd.Timestamp(date_to)
 
     nat = pq.read_table(os.path.join(sf_dir, "nation.parquet")).to_pandas()
@@ -918,18 +906,16 @@ def q5_local_supplier_volume(
         ].rename(columns={"o_custkey": "custkey"}),
         batch_format="pandas",
     )
-    cust_read = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-    n_cust = cust_read.count()  # parquet metadata, no scan
-    cust = cust_read.map_batches(
+    cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
         lambda df: df.loc[
             df["c_nationkey"].isin(region_nations), ["c_custkey", "c_nationkey"]
         ]
         .rename(columns={"c_custkey": "custkey", "c_nationkey": "c_nat"})
         .astype({"custkey": "int64", "c_nat": "int64"}),
         batch_format="pandas",
-    )
-    if n_cust <= broadcast_limit:
-        cdf = cust.to_pandas()
+    ).materialize()
+    if pulled := broadcast.pull(cust):
+        (cdf,) = pulled
         c_ref = ray.put(dict(zip(cdf["custkey"].astype(int), cdf["c_nat"].astype(int))))
 
         def attach_cnat(df: pd.DataFrame) -> pd.DataFrame:
@@ -973,18 +959,16 @@ def q5_local_supplier_volume(
         batch_format="pandas",
     )
 
-    supp_read = read_table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"])
-    n_supp = supp_read.count()
-    supp = supp_read.map_batches(
+    supp = read_table(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]).map_batches(
         lambda df: df.loc[
             df["s_nationkey"].isin(region_nations), ["s_suppkey", "s_nationkey"]
         ]
         .rename(columns={"s_suppkey": "suppkey", "s_nationkey": "s_nat"})
         .astype({"suppkey": "int64", "s_nat": "int64"}),
         batch_format="pandas",
-    )
-    if n_supp <= broadcast_limit:
-        sdf = supp.to_pandas()
+    ).materialize()
+    if pulled := broadcast.pull(supp):
+        (sdf,) = pulled
         s_ref = ray.put(dict(zip(sdf["suppkey"].astype(int), sdf["s_nat"].astype(int))))
 
         def attach_snat(df: pd.DataFrame) -> pd.DataFrame:
@@ -1053,7 +1037,7 @@ ORDER BY revenue_cents DESC, n_name
 
 
 def q18_large_orders(
-    sf_dir: str, min_qty: int = 200, k: int = 50, broadcast_limit: int = 5_000_000
+    sf_dir: str, min_qty: int = 200, k: int = 50
 ) -> pa.Table:
     """TPC-H-Q18-flavored large-volume customers: orders whose total
     lineitem quantity exceeds ``min_qty``, joined back to the order and
@@ -1064,8 +1048,8 @@ def q18_large_orders(
     groupby-HAVING semi-join pattern where the qualifying key set is
     fact-sized and can never broadcast); qualifying keys then cogroup
     with orders on orderkey (one more slim shuffle); the customer name
-    lookup is COUNT-GUARDED — broadcast attach under
-    ``broadcast_limit`` rows, cogroup above it (paths tested equal).
+    lookup is SIZE-GUARDED — broadcast attach when ``broadcast.pull``
+    takes it, cogroup otherwise (paths tested equal).
     The final top-k folds blockwise local heads — the aggregate is
     never materialized whole. Quantities ride as exact int64 units."""
 
@@ -1102,11 +1086,8 @@ def q18_large_orders(
     bo = cogroup_join(big, orders, "o_orderkey")
 
     cust_read = read_table(sf_dir, "customer", ["c_custkey", "c_name"])
-    n_cust = cust_read.count()  # parquet metadata, no scan
-    if n_cust <= broadcast_limit:
-        from mlscraper_ray.functions.broadcast import cached_object
-
-        cdf = cust_read.to_pandas()
+    if pulled := broadcast.pull(cust_read):
+        (cdf,) = pulled
         c_ref = ray.put(dict(zip(cdf["c_custkey"].astype(int), cdf["c_name"])))
 
         def attach_name(df: pd.DataFrame) -> pd.DataFrame:
@@ -1248,8 +1229,6 @@ def top_customers_by_nation(sf_dir: str, k: int = 3) -> pa.Table:
                     "revenue_cents": pd.Series(dtype="int64"),
                 }
             )
-        from mlscraper_ray.functions.broadcast import cached_object
-
         nm = cached_object(m_ref)
         df = df.dropna(subset=["revenue_cents", "c_nationkey"]).copy()
         df["n_name"] = df["c_nationkey"].map(lambda x: nm[int(x)])
@@ -1294,7 +1273,6 @@ def q10_returned_revenue(
     date_from: str = "1996-01-01",
     date_to: str = "1996-07-01",
     k: int = 20,
-    broadcast_limit: int = 5_000_000,
 ) -> pa.Table:
     """TPC-H-Q10-flavored returned-item reporting: per customer, the
     revenue lost to RETURNED lineitems (l_returnflag = 'R') on orders
@@ -1303,8 +1281,8 @@ def q10_returned_revenue(
     Distributed shape: returned lineitems pre-sum per orderkey inside
     each batch (slim rev partials), cogroup with date-filtered orders
     on orderkey (fact-fact, one shuffle), re-partial per custkey; the
-    customer (name, nation) lookup is COUNT-GUARDED — broadcast attach
-    under ``broadcast_limit`` rows, cogroup above it (paths tested
+    customer (name, nation) lookup is SIZE-GUARDED — broadcast attach
+    when ``broadcast.pull`` takes it, cogroup otherwise (paths tested
     equal); only the 25-row nation map is unconditionally driver-side.
     Top-k folds blockwise local heads, integer cents."""
 
@@ -1352,11 +1330,8 @@ def q10_returned_revenue(
     )
 
     cust_read = read_table(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
-    n_cust = cust_read.count()  # parquet metadata, no scan
-    if n_cust <= broadcast_limit:
-        from mlscraper_ray.functions.broadcast import cached_object
-
-        cdf = cust_read.to_pandas()
+    if pulled := broadcast.pull(cust_read):
+        (cdf,) = pulled
         c_ref = ray.put(
             {
                 int(k_): (n_, int(nk))
@@ -1425,9 +1400,7 @@ LIMIT {k}
 """
 
 
-def part_supplier_diversity(
-    sf_dir: str, broadcast_limit: int = 50_000_000
-) -> pa.Table:
+def part_supplier_diversity(sf_dir: str) -> pa.Table:
     """TPC-H-Q16-flavored supplier diversity: per (p_brand, p_type),
     how many DISTINCT suppliers have shipped such a part and how many
     DISTINCT parts of it circulate — the supply-concentration report
@@ -1438,14 +1411,12 @@ def part_supplier_diversity(
     (partkey, suppkey) pairs per batch, then globally through the
     coarse-bucket aggregate (slim int pairs — the pair domain is
     catalog-sized, far below lineitem); part dims attach via the
-    count-guarded broadcast (part is ~lineitem/30; above the limit the
-    same slim sides cogroup on partkey). The two DISTINCT counts fold
-    as separate bucketed distincts over (brand, type, suppkey) and
-    (brand, type, partkey) — each re-shuffles only already-distinct
-    catalog-sized rows — and merge on the brand x type driver table
-    (hundreds of rows)."""
-    from mlscraper_ray.functions.broadcast import cached_object
-
+    size-guarded broadcast (part is ~lineitem/30; when
+    ``broadcast.pull`` declines it the same slim sides cogroup on
+    partkey). The two DISTINCT counts fold as separate bucketed
+    distincts over (brand, type, suppkey) and (brand, type, partkey) —
+    each re-shuffles only already-distinct catalog-sized rows — and
+    merge on the brand x type driver table (hundreds of rows)."""
     li = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
         lambda df: df.drop_duplicates().astype("int64").assign(one=np.int64(1)),
         batch_format="pandas",
@@ -1455,9 +1426,8 @@ def part_supplier_diversity(
     )
 
     parts_read = read_table(sf_dir, "part", ["p_partkey", "p_brand", "p_type"])
-    n_parts_tbl = parts_read.count()  # parquet metadata, no scan
-    if n_parts_tbl <= broadcast_limit:
-        pdf = parts_read.to_pandas()
+    if pulled := broadcast.pull(parts_read):
+        (pdf,) = pulled
         p_ref = ray.put(
             {
                 int(k): (b, t)

@@ -14,14 +14,15 @@ Distributed plan (the doc_unigram_surprisal shape):
      text lives in one row;
   2. df per word + N via the coarse-bucket aggregate (no native
      high-cardinality groupby, see functions/bucketed.py);
-  3. join-back chosen by VOCABULARY count: ``<= broadcast_limit``
-     distinct words pull once into a word->df dict broadcast with
+  3. join-back chosen by ``broadcast.pull`` on the df table: when it
+     is pulled, it becomes a word->df dict broadcast with
      ``ray.put`` — scoring AND the per-doc top-k are then one
      streaming pass (each doc's words are local, zero further
-     shuffles); above the cap, tf rows meet the df table through the
-     shared partitioned hash join (joins.cogroup_join) and the top-k
-     cut happens in a second doc-bucket group round (nothing
-     driver-sized). Paths bit-identical (tested).
+     shuffles); when it is too large to pull, tf rows meet the df
+     table through the shared partitioned hash join
+     (joins.cogroup_join) and the top-k cut happens in a second
+     doc-bucket group round (nothing driver-sized). Paths
+     bit-identical (tested).
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ import pandas as pd
 import pyarrow as pa
 import ray.data
 
+from mlscraper_ray.functions import broadcast
 from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
@@ -76,9 +78,7 @@ def _topk_cut(df: pd.DataFrame, k: int) -> pd.DataFrame:
     return df.groupby("doc_id", sort=False).head(k)
 
 
-def tfidf_topk_ds(
-    sf_dir: str, k: int = 5, broadcast_limit: int = 2_000_000
-) -> ray.data.Dataset:
+def tfidf_topk_ds(sf_dir: str, k: int = 5) -> ray.data.Dataset:
     """Dataset form of the per-doc tf-idf top-k (columns
     ``doc_id, term, tf, score``, each doc's k rows) — the streaming
     shape production consumers sink (:func:`tfidf_to_parquet`);
@@ -109,12 +109,11 @@ def tfidf_topk_ds(
         ).sum("c")
         or 0
     )
-    vocab = df_tbl.count()
 
-    if vocab <= broadcast_limit:
-        # driver pull bounded by the vocabulary COUNT; one streaming
-        # score+topk pass over the docs, zero further shuffle rounds
-        dp = df_tbl.to_pandas()
+    if pulled := broadcast.pull(df_tbl):
+        # one streaming score+topk pass over the docs, zero further
+        # shuffle rounds
+        (dp,) = pulled
         idf = {w: (n_docs * 1000) // int(d) for w, d in zip(dp["word"], dp["df"])}
         idf_ref = ray.put(idf)
 
@@ -172,10 +171,8 @@ def tfidf_topk_ds(
     )
 
 
-def doc_tfidf_top_terms(
-    sf_dir: str, k: int = 5, broadcast_limit: int = 2_000_000
-) -> pa.Table:
-    out = tfidf_topk_ds(sf_dir, k=k, broadcast_limit=broadcast_limit).to_pandas()
+def doc_tfidf_top_terms(sf_dir: str, k: int = 5) -> pa.Table:
+    out = tfidf_topk_ds(sf_dir, k=k).to_pandas()
     if len(out) == 0:
         return _empty_out()
     out = out.sort_values(
@@ -192,7 +189,6 @@ def tfidf_to_parquet(
     out_dir: str,
     n_shards: int = 16,
     k: int = 5,
-    broadcast_limit: int = 2_000_000,
 ) -> dict:
     """Production sink twin of :func:`doc_tfidf_top_terms`, RESUMABLE
     (functions/sinks.py), sharded by crc32(doc_id) so a doc's k rows
@@ -201,7 +197,7 @@ def tfidf_to_parquet(
     if all_shards_done(out_dir, n_shards):  # the idf pass runs eagerly
         return {"written": 0, "skipped": n_shards}
     return write_resumable(
-        tfidf_topk_ds(sf_dir, k=k, broadcast_limit=broadcast_limit),
+        tfidf_topk_ds(sf_dir, k=k),
         crc32_shard("doc_id", n_shards),
         out_dir,
         n_shards,

@@ -35,10 +35,10 @@ Distributed plan (components.py's iterative idiom):
 
 Node keys are the url STRINGS end to end — no hash-collision caveat
 at 10^10-node scale; the slim iteration rows are (url, int64, int64).
-A count-guarded driver fast path (mirrors
-components.connected_components) pulls graphs under
-``driver_limit`` edges and runs the loop in-process; paths are
-bit-identical (tested with the guard forced off).
+A size-guarded driver fast path (mirrors
+components.connected_components) runs the loop in-process on graphs
+that ``broadcast.pull`` takes; paths are bit-identical (tested with
+the pull cap at 0).
 """
 from __future__ import annotations
 
@@ -50,6 +50,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from mlscraper_ray.functions import broadcast
 from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
@@ -99,7 +100,6 @@ def pagerank_ds(
     n_iters: int = 4,
     damping_pct: int = 85,
     scale: int = SCALE,
-    driver_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Core operator: ``nodes`` has column ``node`` (distinct),
     ``edges`` columns ``src``/``dst`` (already existence-filtered —
@@ -119,24 +119,20 @@ def pagerank_ds(
     nodes = nodes.materialize()
     edges = edges.materialize()
     n_nodes = nodes.count()
-    n_edges = edges.count()
     if n_nodes == 0:
         return nodes.map_batches(
             lambda t: pa.table({"node": pa.array([], pa.string()), "rank": pa.array([], pa.int64())}),
             batch_format="pyarrow",
         )
 
-    if n_edges <= driver_limit and n_nodes <= driver_limit:
-        # driver pull bounded by the CONSTANT (fast path, same idiom
-        # as connected_components' union-find shortcut); BOTH counts
-        # guard — a sparse graph can have few edges but a huge node
-        # set, and the node pull below must stay bounded too
-        node_list = nodes.to_pandas()["node"].tolist()
-        if n_edges:
-            ep = edges.to_pandas()
-            edge_list = list(zip(ep["src"], ep["dst"]))
-        else:
-            edge_list = []  # empty Dataset -> to_pandas drops columns
+    if pulled := broadcast.pull(nodes, edges):
+        # fast path, same idiom as connected_components' union-find
+        # shortcut; the pull sizes BOTH sides — a sparse graph can
+        # have few edges but a huge node set
+        np_, ep = pulled
+        node_list = np_["node"].tolist()
+        # empty Dataset -> to_pandas drops columns
+        edge_list = list(zip(ep["src"], ep["dst"])) if len(ep) else []
         rank = pagerank_reference(node_list, edge_list, n_iters, damping_pct, scale)
         out = pd.DataFrame(
             {"node": node_list, "rank": pd.Series([rank[u] for u in node_list], dtype="int64")}
@@ -193,7 +189,7 @@ def pagerank_ds(
             edges.map_batches(edge_side, batch_format="pandas").union(
                 outdeg.map_batches(out_side, batch_format="pandas")
             ),
-            n_edges,
+            edges.count(),
         ),
         ["key"],
         attach_out,
@@ -341,7 +337,6 @@ def _graph_cache_dir(corpus_dir: str) -> str:
 
 def corpus_link_graph(
     sf_dir: str,
-    broadcast_limit: int = 2_000_000,
     with_anchors: bool = False,
     use_cache: bool = True,
 ) -> tuple[ray.data.Dataset, ray.data.Dataset]:
@@ -351,11 +346,11 @@ def corpus_link_graph(
     excluded), edges = extracted a[href] targets that exist in the
     corpus, with an ``anchor`` text column when ``with_anchors`` (the
     rank path skips anchor-text computation entirely). Existence
-    filter chosen by the node COUNT (the decontaminate idiom):
-    ``<= broadcast_limit`` urls are pulled once (driver pull bounded
-    by the constant) and ``ray.put`` broadcast as a set — the filter
-    is then a pure streaming map_batches, zero shuffle rounds; above
-    the cap the edges meet the node list co-partitioned on dst
+    filter chosen by ``broadcast.pull`` on the node list (the
+    decontaminate idiom): pulled urls are ``ray.put`` broadcast as a
+    set — the filter is then a pure streaming map_batches, zero
+    shuffle rounds; when the node list is too large to pull the edges
+    meet the node list co-partitioned on dst
     (nothing driver-sized), with the union coalesced first (see
     :func:`~mlscraper_ray.functions.bucketed.coalesce_blocks`).
 
@@ -386,7 +381,6 @@ def corpus_link_graph(
         return pa.table({"node": pa.array(urls, pa.string())})
 
     nodes = pages.map_batches(page_nodes, batch_format="pyarrow").materialize()
-    n_nodes = nodes.count()
     ecols = ["src", "dst"] + (["anchor"] if with_anchors else [])
 
     def raw_edges(t: pa.Table) -> pa.Table:
@@ -413,8 +407,8 @@ def corpus_link_graph(
 
     raw = pages.map_batches(raw_edges, batch_format="pyarrow")
 
-    if n_nodes <= broadcast_limit:
-        known_ref = ray.put(set(nodes.to_pandas()["node"]))
+    if pulled := broadcast.pull(nodes):
+        known_ref = ray.put(set(pulled[0]["node"]))
 
         def filt(t: pa.Table) -> pa.Table:
             known = cached_object(known_ref)
@@ -451,7 +445,7 @@ def corpus_link_graph(
             raw.map_batches(edge_keyed, batch_format="pandas").union(
                 nodes.map_batches(node_keyed, batch_format="pandas")
             ),
-            n_nodes * 5,
+            nodes.count() * 5,
         ),
         ["dst"],
         keep_existing,
@@ -507,12 +501,11 @@ def page_rank(
     sf_dir: str,
     n_iters: int = 4,
     damping_pct: int = 85,
-    broadcast_limit: int = 2_000_000,
     **kwargs,
 ) -> pa.Table:
     """Driver-table wrapper (url, rank) sorted by url;
-    :func:`pagerank_ds` is the streaming core."""
-    nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
+    :func:`pagerank_ds` is the streaming core (``kwargs`` go to it)."""
+    nodes, edges = corpus_link_graph(sf_dir)
     out = pagerank_ds(nodes, edges, n_iters, damping_pct, **kwargs).to_pandas()
     return finish(
         out.rename(columns={"node": "url"}),
@@ -522,10 +515,7 @@ def page_rank(
     )
 
 
-def corpus_link_stats(
-    sf_dir: str,
-    broadcast_limit: int = 2_000_000,
-) -> ray.data.Dataset:
+def corpus_link_stats(sf_dir: str) -> ray.data.Dataset:
     """Per-url link statistics over the crawled-corpus page graph —
     the anchor-text / in-link signal of classic web pipelines: for
     every corpus page url, ``in_links`` (in-corpus pages linking to
@@ -540,9 +530,7 @@ def corpus_link_stats(
     map to additive in-rows + out-rows and a single stats shuffle in
     url co-partition. Html never leaves the parse stage; anchors
     are the only strings that shuffle."""
-    nodes, edges = corpus_link_graph(
-        sf_dir, broadcast_limit=broadcast_limit, with_anchors=True
-    )
+    nodes, edges = corpus_link_graph(sf_dir, with_anchors=True)
     flows = edges.map_batches(_in_out_from, batch_format="pandas")
     return _link_stats_aggregate(flows, nodes, nodes.count())
 
@@ -630,11 +618,11 @@ def _link_stats_aggregate(
     )
 
 
-def link_stats(sf_dir: str, **kwargs) -> pa.Table:
+def link_stats(sf_dir: str) -> pa.Table:
     """Driver-table wrapper: (url, in_links, src_hosts, out_links,
     top_anchor) sorted by url; :func:`corpus_link_stats` is the
     streaming core."""
-    out = corpus_link_stats(sf_dir, **kwargs).to_pandas()
+    out = corpus_link_stats(sf_dir).to_pandas()
     out = out.sort_values("url", ignore_index=True)
     cols = ["url", "in_links", "src_hosts", "out_links", "top_anchor"]
     return finish(out, columns=cols)
@@ -646,17 +634,15 @@ def page_rank_to_parquet(
     n_shards: int = 16,
     n_iters: int = 4,
     damping_pct: int = 85,
-    broadcast_limit: int = 2_000_000,
     **kwargs,
 ) -> dict:
-    """Production sink twin of :func:`page_rank` (same kwargs routing:
-    ``broadcast_limit`` to the graph builder, the rest — e.g.
-    ``driver_limit`` — to :func:`pagerank_ds`), RESUMABLE
+    """Production sink twin of :func:`page_rank` (``kwargs`` go to
+    :func:`pagerank_ds` there too), RESUMABLE
     (functions/sinks.py): the (url, rank) manifest is sharded by
     crc32(url). Returns {"written": n, "skipped": n}."""
     if all_shards_done(out_dir, n_shards):  # graph build + iterations run eagerly
         return {"written": 0, "skipped": n_shards}
-    nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
+    nodes, edges = corpus_link_graph(sf_dir)
     ranks = pagerank_ds(nodes, edges, n_iters, damping_pct, **kwargs).map_batches(
         lambda df: df.rename(columns={"node": "url"}), batch_format="pandas"
     )
@@ -725,10 +711,10 @@ def host_reciprocity_ds(edges: ray.data.Dataset, n_hosts_hint: int | None = None
     )
 
 
-def host_reciprocity(sf_dir: str, broadcast_limit: int = 2_000_000) -> pa.Table:
+def host_reciprocity(sf_dir: str) -> pa.Table:
     """Driver-table wrapper: (host, out_hosts, recip_hosts,
     recip_pct) sorted by host, integer percent."""
-    _, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
+    _, edges = corpus_link_graph(sf_dir)
     out = host_reciprocity_ds(edges).to_pandas()
     out = out.astype({"out_hosts": "int64", "recip_hosts": "int64"})
     out["recip_pct"] = (100 * out["recip_hosts"]) // out["out_hosts"]
@@ -835,15 +821,13 @@ def host_rank(
     sf_dir: str,
     n_iters: int = 4,
     damping_pct: int = 85,
-    broadcast_limit: int = 2_000_000,
     **kwargs,
 ) -> pa.Table:
     """Driver-table wrapper: (host, n_pages, rank_total, in_hosts,
     out_hosts) sorted by host; :func:`host_rank_ds` is the streaming
-    core. Kwargs routing matches :func:`page_rank`
-    (``broadcast_limit`` to the graph builder, the rest to
+    core. Kwargs routing matches :func:`page_rank` (to
     :func:`pagerank_ds`)."""
-    nodes, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
+    nodes, edges = corpus_link_graph(sf_dir)
     edges = edges.materialize()
     ranks = pagerank_ds(nodes, edges, n_iters, damping_pct, **kwargs)
     out = host_rank_ds(nodes, edges, ranks).to_pandas()
@@ -859,9 +843,7 @@ def host_rank(
     return finish(out, columns=cols)
 
 
-def host_triangles_ds(
-    edges: ray.data.Dataset, broadcast_limit: int = 2_000_000
-) -> ray.data.Dataset:
+def host_triangles_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
     """Per-host TRIANGLE counts over the undirected host graph — the
     community-density signal (hosts embedded in mutually-linked
     clusters vs isolated spam hubs). Exact, via the degree-ordered
@@ -879,8 +861,9 @@ def host_triangles_ds(
        closed wedge is one triangle, credited to ALL THREE corners;
     5. per-host triangle totals fold in the coarse-bucket aggregate.
 
-    Degrees attach by count-guarded broadcast (one int per host)
-    with a cogroup join-back fallback above ``broadcast_limit``.
+    Degrees attach by size-guarded broadcast (one int per host)
+    with a cogroup join-back fallback when ``broadcast.pull`` declines
+    the degree table.
     Returns per-host rows (host, degree, triangles)."""
     pairs = _distinct_host_pairs(edges).materialize()
 
@@ -916,11 +899,10 @@ def host_triangles_ds(
         ["host"],
         {"degree": ("host", "count")},
     ).materialize()
-    n_hosts = deg.count()
     n_edges_und = und.count()
 
-    if n_hosts <= broadcast_limit:
-        ddf = deg.to_pandas()
+    if pulled := broadcast.pull(deg):
+        (ddf,) = pulled
         deg_ref = ray.put(
             {str(h): int(d) for h, d in zip(ddf["host"], ddf["degree"])}
             if len(ddf)
@@ -1086,13 +1068,13 @@ def host_triangles_ds(
     )
 
 
-def host_triangles(sf_dir: str, broadcast_limit: int = 2_000_000) -> pa.Table:
+def host_triangles(sf_dir: str) -> pa.Table:
     """Driver-table wrapper: (host, degree, triangles,
     clustering_milli) sorted by host — clustering_milli =
     (2000 * triangles) // (degree * (degree - 1)), 0 when degree < 2
     (the local clustering coefficient in exact fixed-point)."""
-    _, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
-    out = host_triangles_ds(edges, broadcast_limit=broadcast_limit).to_pandas()
+    _, edges = corpus_link_graph(sf_dir)
+    out = host_triangles_ds(edges).to_pandas()
     if out.empty:
         return pa.table(
             {
@@ -1152,25 +1134,22 @@ def _kcore_peel_local(pairs: list[tuple[str, str]]) -> dict[str, int]:
     return core
 
 
-def host_kcore_ds(
-    edges: ray.data.Dataset, broadcast_limit: int = 2_000_000
-) -> ray.data.Dataset:
+def host_kcore_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
     """Per-host CORENESS over the undirected host graph (k-core
     decomposition) — the robustness/community-depth signal crawl
     prioritization uses alongside rank: a host in the k-core survives
     when every host of degree < k is recursively stripped away.
 
-    Path choice by undirected-pair COUNT (the graphdist idiom): under
-    ``broadcast_limit`` the slim pair table is pulled once (a pull
-    bounded by the constant) and peeled in O(m) driver-side; above it,
-    the distributed PEELING loop runs stage k = 1, 2, ...: each round
-    one bucketed degree count over live edges + one broadcast victim
-    filter (hosts with degree < k get coreness k-1 and their edges
-    drop). Rounds are bounded by graph degeneracy x peel depth —
-    small for host graphs, whose degeneracy grows far slower than
-    size; every round ships only slim host-string rows, and live
-    edges re-materialize per round with bounded block count (the
-    components.py block-doubling hazard).
+    Path choice by ``broadcast.pull`` on the slim undirected-pair
+    table (the graphdist idiom): a pulled table is peeled in O(m)
+    driver-side; otherwise the distributed PEELING loop runs stage
+    k = 1, 2, ...: each round one bucketed degree count over live
+    edges + one broadcast victim filter (hosts with degree < k get
+    coreness k-1 and their edges drop). Rounds are bounded by graph
+    degeneracy x peel depth — small for host graphs, whose degeneracy grows far
+    slower than size; every round ships only slim host-string rows,
+    and live edges re-materialize per round with bounded block count
+    (the components.py block-doubling hazard).
 
     Returns per-host rows (host, coreness)."""
     pairs = _distinct_host_pairs(edges).materialize()
@@ -1189,7 +1168,6 @@ def host_kcore_ds(
         ["lo", "hi"],
         {"one": ("lo", "count")},
     ).materialize()
-    n_und = und.count()
 
     def rows_table(core: dict[str, int]) -> pa.Table:
         hosts = sorted(core)
@@ -1200,14 +1178,15 @@ def host_kcore_ds(
             }
         )
 
-    if n_und <= broadcast_limit:
-        pdf = und.to_pandas()
+    if pulled := broadcast.pull(und):
+        (pdf,) = pulled
         pair_list = (
             list(zip(pdf["lo"], pdf["hi"])) if len(pdf) else []
         )
         return ray.data.from_arrow(rows_table(_kcore_peel_local(pair_list)))
 
     # distributed peeling loop
+    n_und = und.count()
     live = und.map_batches(
         lambda df: df[["lo", "hi"]], batch_format="pandas"
     ).materialize()
@@ -1257,11 +1236,11 @@ def _endpoints_live(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def host_kcore(sf_dir: str, broadcast_limit: int = 2_000_000) -> pa.Table:
+def host_kcore(sf_dir: str) -> pa.Table:
     """Driver-table wrapper: (host, coreness) sorted by host. Hosts
     with no cross-host edges are absent (as in the other host ops)."""
-    _, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
-    out = host_kcore_ds(edges, broadcast_limit=broadcast_limit).to_pandas()
+    _, edges = corpus_link_graph(sf_dir)
+    out = host_kcore_ds(edges).to_pandas()
     return finish(
         out,
         "host",
@@ -1304,23 +1283,22 @@ def _lpa_local(
 def host_communities_ds(
     edges: ray.data.Dataset,
     n_rounds: int = 8,
-    broadcast_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Host-graph community detection by synchronous label
     propagation over the undirected distinct cross-host pair graph —
     the mirror/link-farm/topic-cluster grouping signal next to
     coreness and triangles (semantics in :func:`_lpa_local`).
 
-    Path choice by undirected-pair count (the kcore idiom): under
-    ``broadcast_limit`` the slim pair table is pulled once and
-    propagated driver-side; above it, each round runs distributed —
-    two ``cogroup_join`` label attachments (one per edge direction)
-    emit (host, neighbor_label) messages, the self-label rows union
-    in, one coarse-bucket (host, label) count aggregate, then a
-    host-bucketed argmax picks each host's new label. Every round
-    ships only slim host/label string rows; the label table is
-    host-cardinality (not edge- or page-cardinality), the same size
-    class the other host roll-ups shuffle.
+    Path choice by ``broadcast.pull`` on the slim undirected-pair
+    table (the kcore idiom): a pulled table is propagated driver-side;
+    otherwise each round runs distributed — two ``cogroup_join`` label
+    attachments (one per edge direction) emit (host, neighbor_label)
+    messages, the self-label rows union in, one coarse-bucket
+    (host, label) count aggregate, then a host-bucketed argmax picks
+    each host's new label. Every round ships only slim host/label
+    string rows; the label table is host-cardinality (not edge- or
+    page-cardinality), the same size class the other host roll-ups
+    shuffle.
 
     Returns per-host rows (host, community); community is a host
     name (the propagated label)."""
@@ -1342,7 +1320,6 @@ def host_communities_ds(
         ["lo", "hi"],
         {"one": ("lo", "count")},
     ).materialize()
-    n_und = und.count()
 
     def rows_table(label: dict[str, str]) -> pa.Table:
         hosts = sorted(label)
@@ -1353,12 +1330,13 @@ def host_communities_ds(
             }
         )
 
-    if n_und <= broadcast_limit:
-        pdf = und.to_pandas()
+    if pulled := broadcast.pull(und):
+        (pdf,) = pulled
         pair_list = list(zip(pdf["lo"], pdf["hi"])) if len(pdf) else []
         return ray.data.from_arrow(rows_table(_lpa_local(pair_list, n_rounds)))
 
     # distributed synchronous rounds
+    n_und = und.count()
     und = und.map_batches(
         lambda df: df[["lo", "hi"]] if "lo" in df.columns else df,
         batch_format="pandas",
@@ -1441,15 +1419,11 @@ def host_communities_ds(
     return labels.map_batches(to_out, batch_format="pandas")
 
 
-def host_communities(
-    sf_dir: str, n_rounds: int = 8, broadcast_limit: int = 2_000_000
-) -> pa.Table:
+def host_communities(sf_dir: str, n_rounds: int = 8) -> pa.Table:
     """Driver-table wrapper: (host, community) sorted by host. Hosts
     with no cross-host edges are absent (as in the other host ops)."""
-    _, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
-    out = host_communities_ds(
-        edges, n_rounds=n_rounds, broadcast_limit=broadcast_limit
-    ).to_pandas()
+    _, edges = corpus_link_graph(sf_dir)
+    out = host_communities_ds(edges, n_rounds=n_rounds).to_pandas()
     return finish(
         out,
         "host",
@@ -1458,9 +1432,7 @@ def host_communities(
     )
 
 
-def host_assortativity_ds(
-    edges: ray.data.Dataset, broadcast_limit: int = 2_000_000
-) -> pa.Table:
+def host_assortativity_ds(edges: ray.data.Dataset) -> pa.Table:
     """Degree assortativity of the distinct cross-host link graph —
     the hub-wiring signal (Newman 2002): over each distinct directed
     host pair (sh, dh), correlate x = out-degree(sh) with
@@ -1500,19 +1472,19 @@ def host_assortativity_ds(
         ),
         ["sh"],
         {"od": ("od", "sum")},
-    )
+    ).materialize()
     in_deg = bucketed_aggregate(
         pairs.map_batches(
             lambda df: df.assign(idg=np.int64(1))[["dh", "idg"]], batch_format="pandas"
         ),
         ["dh"],
         {"idg": ("idg", "sum")},
-    )
+    ).materialize()
     # degree tables are HOST-sized (data-card domain, not edge-sized):
-    # count-guarded broadcast attach; cogroup fallback above the limit
-    if out_deg.count() <= broadcast_limit and in_deg.count() <= broadcast_limit:
-        od_df = out_deg.to_pandas()
-        id_df = in_deg.to_pandas()
+    # size-guarded broadcast attach, else cogroup fallback; materialized
+    # once, so either path reads the two degree shuffles' output
+    if pulled := broadcast.pull(out_deg, in_deg):
+        od_df, id_df = pulled
         od_ref = ray.put(dict(zip(od_df["sh"], od_df["od"].astype(int))))
         id_ref = ray.put(dict(zip(id_df["dh"], id_df["idg"].astype(int))))
 
@@ -1571,7 +1543,7 @@ def host_assortativity_ds(
     )
 
 
-def host_assortativity(sf_dir: str, broadcast_limit: int = 2_000_000) -> pa.Table:
+def host_assortativity(sf_dir: str) -> pa.Table:
     """Driver-table wrapper over the cached corpus link graph."""
-    _, edges = corpus_link_graph(sf_dir, broadcast_limit=broadcast_limit)
+    _, edges = corpus_link_graph(sf_dir)
     return host_assortativity_ds(edges)

@@ -16,10 +16,10 @@ curate.decontaminate_survivors):
    (segment string, 1) rows — exact strings, no hash collisions;
 2. segment document-frequency = coarse-bucket aggregate
    (functions/bucketed.py); duplicated segments are the df > 1 rows;
-3. path choice by the duplicated-segment COUNT (the repo's
-   count-based idiom): small -> ``ray.put`` the set once and rewrite
+3. path choice by ``broadcast.pull`` of the duplicated-segment
+   table: pulled -> ``ray.put`` the set once and rewrite
    every doc in one broadcast streaming pass (text never shuffles);
-   large -> bucketed join-back: segments are co-partitioned with the
+   too large to pull -> bucketed join-back: segments are co-partitioned with the
    dup set, per-bucket ``isin`` flags them, and documents reassemble
    co-partitioned on doc_id (text crosses the wire once per shuffle,
    never driver-sized).
@@ -37,6 +37,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from mlscraper_ray.functions import broadcast
 from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
@@ -54,7 +55,6 @@ def _segments(text: str, seg_words: int) -> list[str]:
 def dedup_segments_ds(
     sf_dir: str,
     seg_words: int = 8,
-    broadcast_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Remove every segment that appears in >1 distinct document;
     returns (doc_id, clean_text, n_segs_removed) for EVERY input doc
@@ -77,10 +77,9 @@ def dedup_segments_ds(
     dup_rows = df_counts.map_batches(
         lambda d: d.loc[d["df"] > 1, ["seg"]], batch_format="pandas"
     ).materialize()
-    n_dup = dup_rows.count()
 
-    if n_dup <= broadcast_limit:
-        dup_ref = ray.put(set(dup_rows.to_pandas()["seg"]))
+    if pulled := broadcast.pull(dup_rows):
+        dup_ref = ray.put(set(pulled[0]["seg"]))
 
         def rewrite(batch: pa.Table) -> pa.Table:
             dup = cached_object(dup_ref)
@@ -229,7 +228,6 @@ def scrub_dup_runs_ds(
     sf_dir: str,
     g: int = 8,
     min_run: int = 16,
-    broadcast_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Exact duplicated-SUBSTRING removal at gram resolution (the
     scalable form of Lee et al. 2021's suffix-array dedup): every
@@ -244,8 +242,9 @@ def scrub_dup_runs_ds(
 
     Plan: per-doc DISTINCT grams ship as slim rows, df folds in the
     coarse-bucket aggregate, dup set = df > 1 (distinct-doc df, same
-    rule as dedup_segments); path by dup COUNT — broadcast set +
-    one streaming rewrite under the cap, else grams meet the dup set
+    rule as dedup_segments); path by ``broadcast.pull`` of the dup
+    set — broadcast set + one streaming rewrite when it is pulled,
+    else grams meet the dup set
     co-partitioned on gram and the flagged (doc_id, pos) rows rejoin
     each doc's TEXT co-partitioned on doc_id (text crosses the
     wire once, co-partitioned, never driver-sized)."""
@@ -267,7 +266,6 @@ def scrub_dup_runs_ds(
     dup_rows = df_counts.map_batches(
         lambda d: d.loc[d["df"] > 1, ["gram"]], batch_format="pandas"
     ).materialize()
-    n_dup = dup_rows.count()
 
     def finish_doc(doc_id: int, words: list[str], flags: "np.ndarray"):
         keep, n_runs, n_removed = _covered_runs(flags, len(words), g, min_run)
@@ -290,8 +288,8 @@ def scrub_dup_runs_ds(
         cols = list(zip(*rows)) if rows else [[], [], [], []]
         return pa.table({n: pa.array(c, t) for (n, t), c in zip(out_schema.items(), cols)})
 
-    if n_dup <= broadcast_limit:
-        dup_ref = ray.put(set(dup_rows.to_pandas()["gram"]))
+    if pulled := broadcast.pull(dup_rows):
+        dup_ref = ray.put(set(pulled[0]["gram"]))
 
         def rewrite(batch: pa.Table) -> pa.Table:
             dup = cached_object(dup_ref)
@@ -397,10 +395,10 @@ def scrub_dup_runs_ds(
     return co_partition([flagged, carriers], ["doc_id"], reassemble)
 
 
-def scrub_dup_runs(sf_dir: str, g: int = 8, min_run: int = 16, **kwargs) -> pa.Table:
+def scrub_dup_runs(sf_dir: str, g: int = 8, min_run: int = 16) -> pa.Table:
     """Driver-table wrapper (sorted by doc_id);
     :func:`scrub_dup_runs_ds` is the streaming form."""
-    out = scrub_dup_runs_ds(sf_dir, g=g, min_run=min_run, **kwargs).to_pandas()
+    out = scrub_dup_runs_ds(sf_dir, g=g, min_run=min_run).to_pandas()
     if len(out) == 0:
         return pa.table(
             {
@@ -492,10 +490,10 @@ ORDER BY w.doc_id
 """
 
 
-def dedup_segments(sf_dir: str, seg_words: int = 8, **kwargs) -> pa.Table:
+def dedup_segments(sf_dir: str, seg_words: int = 8) -> pa.Table:
     """Driver-table wrapper for the compare contract (sorted by
     doc_id); :func:`dedup_segments_ds` is the streaming form."""
-    out = dedup_segments_ds(sf_dir, seg_words, **kwargs).to_pandas()
+    out = dedup_segments_ds(sf_dir, seg_words).to_pandas()
     return finish(
         out,
         "doc_id",
@@ -610,7 +608,6 @@ def strip_boilerplate_ds(
     sf_dir: str,
     g: int = 6,
     min_doc_pct: int = 30,
-    broadcast_limit: int = 2_000_000,
 ) -> ray.data.Dataset:
     """Per-SOURCE boilerplate removal — the host-frequency rule CCNet
     and trafilatura-style curation applies to web text: any
@@ -633,8 +630,9 @@ def strip_boilerplate_ds(
 
     Plan: slim (source, gram) distinct-doc counts fold in the
     coarse-bucket aggregate; per-source doc totals are a tiny
-    broadcast; path by chrome-gram COUNT — broadcast set + one
-    streaming rewrite under the cap, else gram-position rows meet the
+    broadcast; path by ``broadcast.pull`` of the chrome-gram set —
+    broadcast set + one streaming rewrite when it is pulled, else
+    gram-position rows meet the
     chrome set co-partitioned on (source, gram) and flagged positions
     rejoin each doc's text co-partitioned on doc_id (text crosses
     the wire once, co-partitioned, never driver-sized)."""
@@ -698,7 +696,6 @@ def strip_boilerplate_ds(
         )
 
     chrome_rows = df_counts.map_batches(keep_chrome, batch_format="pyarrow").materialize()
-    n_chrome = chrome_rows.count()
 
     out_schema = {
         "doc_id": pa.int64(),
@@ -725,9 +722,9 @@ def strip_boilerplate_ds(
             {n: pa.array(c, t) for (n, t), c in zip(out_schema.items(), cols)}
         )
 
-    if n_chrome <= broadcast_limit:
+    if pulled := broadcast.pull(chrome_rows):
         by_src: dict[str, set] = {}
-        cdf = chrome_rows.to_pandas()
+        (cdf,) = pulled
         if len(cdf):
             for s, gr in zip(cdf["source"], cdf["gram"]):
                 by_src.setdefault(str(s), set()).add(gr)
@@ -862,8 +859,8 @@ def strip_boilerplate_ds(
     return co_partition([flagged, carriers], ["doc_id"], reassemble)
 
 
-def strip_boilerplate(sf_dir: str, g: int = 6, min_doc_pct: int = 30, **kwargs) -> pa.Table:
-    out = strip_boilerplate_ds(sf_dir, g=g, min_doc_pct=min_doc_pct, **kwargs).to_pandas()
+def strip_boilerplate(sf_dir: str, g: int = 6, min_doc_pct: int = 30) -> pa.Table:
+    out = strip_boilerplate_ds(sf_dir, g=g, min_doc_pct=min_doc_pct).to_pandas()
     return finish(
         out,
         "doc_id",

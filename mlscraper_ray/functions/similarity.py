@@ -2156,7 +2156,7 @@ def embed_mutual_knn_clusters(sf_dir: str, k: int = 2, n_buckets: int = 4) -> pa
     slim (lo, hi, dirbit) shuffle where mutuality is literally
     ``sum(dirbit) == 3`` per unordered pair (1 for the src<dst
     direction, 2 for the reverse; each directed edge exists at most
-    once) -> min-label components (count-guarded union-find vs
+    once) -> min-label components (size-guarded union-find vs
     distributed propagation) -> a final min fold unions the
     singleton self-labels. Nothing driver-sized anywhere before the
     contract pull."""
@@ -2211,7 +2211,7 @@ def embed_mutual_knn_clusters(sf_dir: str, k: int = 2, n_buckets: int = 4) -> pa
         batch_format="pyarrow",
     )
     if n_edges:
-        labelled = connected_components(edges, approx_edges=n_edges).union(selfrows)
+        labelled = connected_components(edges).union(selfrows)
     else:
         labelled = selfrows
     out = (

@@ -12,6 +12,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from mlscraper_ray.functions import broadcast
 from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
 from mlscraper_ray.functions.tables import finish, read_table
@@ -733,9 +734,7 @@ ORDER BY source
 """
 
 
-def doc_unigram_surprisal(
-    sf_dir: str, broadcast_limit: int = 2_000_000
-) -> pa.Table:
+def doc_unigram_surprisal(sf_dir: str) -> pa.Table:
     """Per-doc unigram-surprisal LM quality score — the CCNet-style
     'how typical is this text of the corpus' signal, INTEGER-exact so
     it hash-compares against SQL: with corpus unigram counts ``c(w)``
@@ -748,7 +747,7 @@ def doc_unigram_surprisal(
 
     Distributed plan: see :func:`_unigram_scored_ds` (shared with the
     perplexity-bucket partitioner)."""
-    return _fold_surprisal(_unigram_scored_ds(sf_dir, broadcast_limit))
+    return _fold_surprisal(_unigram_scored_ds(sf_dir))
 
 
 def _fold_surprisal(scored: "ray.data.Dataset") -> pa.Table:
@@ -768,29 +767,31 @@ def _fold_surprisal(scored: "ray.data.Dataset") -> pa.Table:
 # scored-Dataset memo: doc_unigram_surprisal and doc_perplexity_buckets
 # both pay the scorer; within one process a registry pass reuses the
 # materialized slim result. Keyed by the documents parquet's identity
-# (path + size + mtime), so a rewritten file can't serve stale scores.
+# (path + size + mtime), so a rewritten file can't serve stale scores,
+# and by the pull cap, so a run on one path is never served the other
+# path's scores.
 _SCORED_CACHE: dict = {}
 
 
-def _unigram_scored_ds(
-    sf_dir: str, broadcast_limit: int = 2_000_000
-) -> "ray.data.Dataset":
+def _unigram_scored_ds(sf_dir: str) -> "ray.data.Dataset":
     """Scored Dataset (doc_id, n_tokens, surprisal_sum) behind both
     surprisal-family operators (process-memoized, see _SCORED_CACHE).
 
     Distributed plan: per-batch LOCAL (word, cnt) partials fold
     through the coarse-bucket aggregate into the corpus count table
     (the source_top_terms shape); T is one distributed sum. The
-    join-back is chosen by VOCABULARY count (the decontaminate idiom):
-    ``<= broadcast_limit`` distinct words pull once into a
-    word->surprisal dict broadcast via ``ray.put`` — scoring is then a
-    single streaming pass; above the cap, per-doc (word, occ) partials
+    join-back is chosen by ``broadcast.pull`` on the count table: when
+    it is pulled, it becomes a word->surprisal dict broadcast via
+    ``ray.put`` — scoring is then a single streaming pass; when it is
+    too large to pull, per-doc (word, occ) partials
     meet the count table co-partitioned on word and doc scores fold
     through the coarse-bucket aggregate (nothing driver-sized). Paths
     bit-identical (tested)."""
     docs_path = os.path.join(sf_dir, "documents.parquet")
     st_ = os.stat(docs_path)
-    memo_key = (os.path.abspath(docs_path), st_.st_size, st_.st_mtime_ns, broadcast_limit)
+    memo_key = (
+        os.path.abspath(docs_path), st_.st_size, st_.st_mtime_ns, broadcast._MAX_PULL_BYTES
+    )
     if memo_key in _SCORED_CACHE:
         return _SCORED_CACHE[memo_key]
 
@@ -810,7 +811,6 @@ def _unigram_scored_ds(
         {"cnt": ("cnt", "sum")},
     ).materialize()
     total = int(counts.sum("cnt") or 0)
-    vocab = counts.count()
 
     if total == 0:
         # all-empty corpus: empty Dataset to_pandas() drops columns
@@ -826,10 +826,9 @@ def _unigram_scored_ds(
             )
         )
 
-    if vocab <= broadcast_limit:
-        # driver pull bounded by the vocabulary COUNT; one streaming
-        # scoring pass, zero further shuffle rounds
-        cp = counts.to_pandas()
+    if pulled := broadcast.pull(counts):
+        # one streaming scoring pass, zero further shuffle rounds
+        (cp,) = pulled
         table = {
             w: (total // int(c)).bit_length() - 1
             for w, c in zip(cp["word"], cp["cnt"])
@@ -952,9 +951,7 @@ FROM scored GROUP BY doc_id ORDER BY doc_id
 """
 
 
-def doc_bigram_surprisal(
-    sf_dir: str, broadcast_limit: int = 2_000_000
-) -> pa.Table:
+def doc_bigram_surprisal(sf_dir: str) -> pa.Table:
     """Per-doc bigram CONDITIONAL surprisal — the next-word-
     predictability LM proxy one order above
     :func:`doc_unigram_surprisal`, same integer discipline: a bigram
@@ -966,9 +963,9 @@ def doc_bigram_surprisal(
 
     Distributed plan: unigram and bigram corpus counts each fold from
     per-batch LOCAL partials through the coarse-bucket aggregate; the
-    join-back is chosen by combined distinct-count (the decontaminate
-    idiom) — under the cap both tables broadcast as dicts for a single
-    streaming scoring pass; above it, per-doc (prev, cur, occ)
+    join-back is chosen by one ``broadcast.pull`` of both tables —
+    when they are pulled, both broadcast as dicts for a single
+    streaming scoring pass; otherwise, per-doc (prev, cur, occ)
     partials meet BOTH count tables co-partitioned on prev (unigram
     keyed by prev and bigram by the pair land in the same bucket, so
     one shuffle round serves both joins) and doc scores fold through
@@ -1006,7 +1003,6 @@ def doc_bigram_surprisal(
     bi = both.map_batches(
         lambda df: df[df["w2"] != ""], batch_format="pandas"
     ).materialize()
-    n_distinct = uni.count() + bi.count()
 
     def fold(scored: ray.data.Dataset) -> pa.Table:
         out = scored.to_pandas()
@@ -1022,9 +1018,8 @@ def doc_bigram_surprisal(
         out["mean_milli"] = (1000 * out["surprisal_sum"]) // out["n_bigrams"]
         return finish(out, "doc_id", columns=["doc_id", "n_bigrams", "surprisal_sum", "mean_milli"])
 
-    if n_distinct <= broadcast_limit:
-        up = uni.to_pandas()
-        bp = bi.to_pandas()
+    if pulled := broadcast.pull(uni, bi):
+        up, bp = pulled
         c1 = dict(zip(up["word"], up["cnt"].astype(int)))
         c2 = dict(zip(zip(bp["w1"], bp["w2"]), bp["cnt"].astype(int)))
         t_ref = ray.put((c1, c2))
@@ -1122,7 +1117,7 @@ def doc_bigram_surprisal(
             docs.map_batches(doc_pairs, batch_format="pandas")
             .union(uni.map_batches(uni_side, batch_format="pandas"))
             .union(bi.map_batches(bi_side, batch_format="pandas")),
-            n_distinct * 2,
+            (uni.count() + bi.count()) * 2,
         ),
         ["w1"],
         join_score,
@@ -1757,9 +1752,7 @@ ORDER BY src_a, src_b
 """
 
 
-def doc_perplexity_buckets(
-    sf_dir: str, broadcast_limit: int = 2_000_000
-) -> pa.Table:
+def doc_perplexity_buckets(sf_dir: str) -> pa.Table:
     """CCNet-style head/middle/tail corpus partition (Wenzek et al.
     2020): rank every document by its per-token unigram surprisal
     (integer ``mean_milli`` from the shared scorer, doc_id tiebreak)
@@ -1791,7 +1784,7 @@ def doc_perplexity_buckets(
         )
 
     mds = (
-        _unigram_scored_ds(sf_dir, broadcast_limit)
+        _unigram_scored_ds(sf_dir)
         .map_batches(mm, batch_format="pandas")
         .materialize()
     )
@@ -2400,7 +2393,6 @@ def bigram_dice_top(
     sf_dir: str,
     k: int = 100,
     min_count: int = 3,
-    broadcast_limit: int = 2_000_000,
 ) -> pa.Table:
     """Corpus-level collocation mining: the top-``k`` adjacent-token
     bigrams by Dice coefficient — ``dice_milli = (2000 * c_xy) //
@@ -2414,15 +2406,14 @@ def bigram_dice_top(
 
     Distributed plan: ONE tokenize pass emits bigram + sentinel
     unigram count partials (the ``doc_bigram_surprisal`` trick) that
-    fold through the coarse-bucket aggregate. Under
-    ``broadcast_limit`` distinct words the unigram table broadcasts
-    as a dict and scoring + a local top-k cut run per count block
-    (the global top-k is a subset of the union of local top-ks since
-    each bigram lives in exactly one block after the keyed
-    aggregate); above it the bigram table meets the unigram table in
-    TWO partitioned hash-join rounds (on w1, then on w2 — see
-    joins.cogroup_join) before the same local cut. Driver work is
-    bounded by k x n_blocks tiny rows either way.
+    fold through the coarse-bucket aggregate. When ``broadcast.pull``
+    takes the unigram table, it broadcasts as a dict and scoring + a
+    local top-k cut run per count block (the global top-k is a subset
+    of the union of local top-ks since each bigram lives in exactly
+    one block after the keyed aggregate); otherwise the bigram table
+    meets the unigram table in TWO partitioned hash-join rounds (on
+    w1, then on w2 — see joins.cogroup_join) before the same local
+    cut. Driver work is bounded by k x n_blocks tiny rows either way.
     """
 
     docs = read_table(sf_dir, "documents", ["text"])
@@ -2479,8 +2470,8 @@ def bigram_dice_top(
             ["dice_milli", "w1", "w2"], ascending=[False, True, True]
         ).head(k)
 
-    if uni.count() <= broadcast_limit:
-        up = uni.to_pandas()
+    if pulled := broadcast.pull(uni):
+        (up,) = pulled
         table = dict(zip(up["word"], up["c"].astype(int)))
         t_ref = ray.put(table)
 

@@ -28,3 +28,29 @@ def set_buckets(monkeypatch):
         monkeypatch.setattr(bucketed, "_n_buckets", lambda: n)
 
     return set_count
+
+
+@pytest.fixture
+def set_pull_cap(monkeypatch):
+    """``set_pull_cap(n)`` sets the byte cap of ``broadcast.pull`` for
+    the rest of the test, in place of ``_MAX_PULL_BYTES``, and returns
+    a list of the path each later pull took: ``"broadcast"`` when it
+    returned the frames, ``"shuffle"`` when it returned ``None``."""
+    from mlscraper_ray.functions import broadcast
+
+    real_pull = broadcast.pull
+    paths: list[list[str]] = [[]]
+
+    def recording_pull(*datasets):
+        frames = real_pull(*datasets)
+        paths[-1].append("shuffle" if frames is None else "broadcast")
+        return frames
+
+    monkeypatch.setattr(broadcast, "pull", recording_pull)
+
+    def set_cap(n: int) -> list[str]:
+        monkeypatch.setattr(broadcast, "_MAX_PULL_BYTES", n)
+        paths.append([])
+        return paths[-1]
+
+    return set_cap

@@ -326,12 +326,16 @@ class TestNearDupCrafted:
         row = pairs[(pairs["doc_a"] == 0) & (pairs["doc_b"] == 2)]
         assert row["jaccard_pct"].iloc[0] == expected
 
-    def test_minhash_bucketed_verify_path_matches_broadcast(self, ray_session, docs_dir):
+    def test_minhash_bucketed_verify_path_matches_broadcast(
+        self, ray_session, docs_dir, set_pull_cap
+    ):
         from mlscraper_ray.functions.dedup import minhash_dedup
 
         broadcast = minhash_dedup(docs_dir, threshold_pct=50).to_pandas()
-        bucketed = minhash_dedup(docs_dir, threshold_pct=50, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        bucketed = minhash_dedup(docs_dir, threshold_pct=50).to_pandas()
         assert broadcast.equals(bucketed)
+        assert pulls == ["shuffle"]
 
     def test_emit_pairs_hot_bucket_guard(self):
         """A degenerate bucket (thousands of docs with one signature)
@@ -535,15 +539,17 @@ class TestNearDupCrafted:
         with pytest.raises(ValueError, match="not divisible"):
             embed_pq_codes_sql(m=3, dim=64)
 
-    def test_tfidf_paths_bit_identical(self, ray_session):
-        """broadcast_limit=0 forces the bucketed join-back + doc-group
+    def test_tfidf_paths_bit_identical(self, ray_session, set_pull_cap):
+        """A pull cap of 0 forces the bucketed join-back + doc-group
         top-k cut; it must equal the broadcast path bit for bit."""
         from mlscraper_ray.functions.keywords import doc_tfidf_top_terms
 
         a = doc_tfidf_top_terms(SF_DIR).to_pandas()
-        b = doc_tfidf_top_terms(SF_DIR, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        b = doc_tfidf_top_terms(SF_DIR).to_pandas()
         pd.testing.assert_frame_equal(a, b)
         assert len(a) > 0
+        assert pulls == ["shuffle"]
 
     def test_quality_classifier_sign_discipline(self, ray_session):
         """The classifier's mean uses the positive-shift division form
@@ -995,7 +1001,7 @@ class TestKMeans:
 
 
 class TestAntiJoinPaths:
-    def test_bucketed_anti_matches_broadcast_and_oracle(self, ray_session):
+    def test_bucketed_anti_matches_broadcast_and_oracle(self, ray_session, set_pull_cap):
         """Forcing the bucketed cogroup anti path must reproduce the
         broadcast path and the DuckDB oracle exactly."""
         import sys
@@ -1009,8 +1015,10 @@ class TestAntiJoinPaths:
 
         sf = "/root/testdata/sf0.001"
         broadcast = customers_without_orders(sf).to_pandas()
-        bucketed = customers_without_orders(sf, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        bucketed = customers_without_orders(sf).to_pandas()
         assert broadcast.equals(bucketed)
+        assert pulls == ["shuffle"]
         con = duckdb.connect()
         for t in ("customer", "orders"):
             con.execute(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
@@ -1019,7 +1027,7 @@ class TestAntiJoinPaths:
         if len(oracle):
             assert bucketed["c_custkey"].tolist() == oracle["c_custkey"].tolist()
 
-    def test_bucketed_anti_nonempty_crafted(self, ray_session, tmp_path):
+    def test_bucketed_anti_nonempty_crafted(self, ray_session, tmp_path, set_pull_cap):
         """Non-vacuous check (the shipped tables have no order-less
         customers): crafted data where 40 of 100 customers lack orders."""
         from mlscraper_ray.functions.joins import customers_without_orders
@@ -1042,9 +1050,11 @@ class TestAntiJoinPaths:
         pq.write_table(orders, str(tmp_path / "orders.parquet"))
         expected = sorted(i for i in range(100) if i % 5 >= 3)
         broadcast = customers_without_orders(str(tmp_path)).to_pandas()
-        bucketed = customers_without_orders(str(tmp_path), broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        bucketed = customers_without_orders(str(tmp_path)).to_pandas()
         assert broadcast["c_custkey"].tolist() == expected
         assert broadcast.equals(bucketed)
+        assert pulls == ["shuffle"]
 
 
 def test_ngram_df_cap_prunes_hot_grams(ray_session, tmp_path):
@@ -1498,15 +1508,17 @@ class TestIncrementalMinhash:
         assert out.loc[1, "prior_id"] == 2
         assert out.loc[1, "jaccard_pct"] == 100
 
-    def test_bucketed_verify_path_matches_broadcast(self, ray_session):
-        """broadcast_limit=0 forces the cogroup-join verify path of
+    def test_bucketed_verify_path_matches_broadcast(self, ray_session, set_pull_cap):
+        """A pull cap of 0 forces the cogroup-join verify path of
         the shared _verify_candidate_pairs stage; output must equal
         the broadcast path (the oracle-checked default)."""
         from mlscraper_ray.functions.dedup import incremental_minhash_dedup
 
         a = incremental_minhash_dedup(SF_DIR).to_pandas()
-        b = incremental_minhash_dedup(SF_DIR, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        b = incremental_minhash_dedup(SF_DIR).to_pandas()
         pd.testing.assert_frame_equal(a, b)
+        assert pulls == ["shuffle"]
         assert len(a) > 0  # the shipped corpus has cross-snapshot dups
 
 
@@ -1607,15 +1619,17 @@ class TestDsirSelect:
 
 
 class TestDecontaminateGuard:
-    def test_bucketed_path_matches_broadcast(self, ray_session):
-        """broadcast_limit=0 forces the bucketed EXISTS anti-join path;
+    def test_bucketed_path_matches_broadcast(self, ray_session, set_pull_cap):
+        """A pull cap of 0 forces the bucketed EXISTS anti-join path;
         survivors must be bit-identical to the broadcast screen (the
         oracle-checked default)."""
         from mlscraper_ray.functions.curate import decontaminate
 
         a = decontaminate(SF_DIR).to_pandas()
-        b = decontaminate(SF_DIR, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        b = decontaminate(SF_DIR).to_pandas()
         pd.testing.assert_frame_equal(a, b)
+        assert pulls == ["shuffle"]
         assert len(a) > 0
 
 
@@ -1721,12 +1735,14 @@ class TestIncrementalDedup:
 
 
 class TestSourcePairMatrix:
-    def test_broadcast_and_cogroup_paths_equal(self, ray_session):
+    def test_broadcast_and_cogroup_paths_equal(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.dedup import source_pair_matrix
 
         fast = source_pair_matrix(SF_DIR).to_pandas()
-        slow = source_pair_matrix(SF_DIR, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        slow = source_pair_matrix(SF_DIR).to_pandas()
         pd.testing.assert_frame_equal(fast, slow)
+        assert pulls == ["shuffle", "shuffle"]  # verify stage, then the matrix
         # non-vacuity: the synthetic corpus has cross-source near-dups
         assert (fast["source_lo"] != fast["source_hi"]).any()
 
@@ -2590,7 +2606,7 @@ class TestConnectedComponents:
         out = connected_components(ds, **kw).to_pandas()
         return dict(zip(out["node"].astype(int), out["label"].astype(int)))
 
-    def test_cliques_stars_and_isolates_both_paths(self, ray_session):
+    def test_cliques_stars_and_isolates_both_paths(self, ray_session, set_pull_cap):
         edges = [
             (1, 2), (2, 3), (1, 3),          # clique
             (10, 11), (10, 12), (10, 13),    # star
@@ -2599,32 +2615,42 @@ class TestConnectedComponents:
         ]
         want = self._uf_labels(edges)
         assert self._run_cc(edges) == want  # driver union-find fast path
-        assert self._run_cc(edges, broadcast_limit=0) == want  # distributed
+        pulls = set_pull_cap(0)
+        assert self._run_cc(edges) == want  # distributed
+        assert pulls == ["shuffle"]
 
-    def test_path_graph_needs_iterations(self, ray_session):
+    def test_path_graph_needs_iterations(self, ray_session, set_pull_cap):
         # a path 100..91 has diameter 9: exercises the multi-round
         # distributed loop (seed alone would only see direct neighbors)
         edges = [(i, i + 1) for i in range(91, 101)]
-        got = self._run_cc(edges, broadcast_limit=0)
+        pulls = set_pull_cap(0)
+        got = self._run_cc(edges)
+        assert pulls == ["shuffle"]
         assert got == self._uf_labels(edges)
         assert set(got.values()) == {91}
 
-    def test_random_graph_matches_union_find(self, ray_session):
+    def test_random_graph_matches_union_find(self, ray_session, set_pull_cap):
         rng = np.random.RandomState(7)
         edges = [tuple(sorted(rng.randint(0, 400, 2))) for _ in range(300)]
-        assert self._run_cc(edges, broadcast_limit=0) == self._uf_labels(edges)
+        pulls = set_pull_cap(0)
+        assert self._run_cc(edges) == self._uf_labels(edges)
+        assert pulls == ["shuffle"]
 
-    def test_max_iters_raises_loud(self, ray_session):
+    def test_max_iters_raises_loud(self, ray_session, set_pull_cap):
         edges = [(i, i + 1) for i in range(0, 30)]
+        set_pull_cap(0)
         with pytest.raises(RuntimeError, match="did not converge"):
-            self._run_cc(edges, broadcast_limit=0, max_iters=2)
+            self._run_cc(edges, max_iters=2)
 
-    def test_canonical_bucketed_anti_matches_broadcast(self, ray_session):
+    def test_canonical_bucketed_anti_matches_broadcast(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.components import corpus_dedup_canonical
 
         a = corpus_dedup_canonical(SF_DIR).to_pandas()
-        b = corpus_dedup_canonical(SF_DIR, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        b = corpus_dedup_canonical(SF_DIR).to_pandas()
         pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
+        # verify stage, components, then the loser anti-join
+        assert pulls == ["shuffle"] * 3
         assert len(a) > 0
 
 
@@ -2780,12 +2806,16 @@ class TestDocDupSpanStats:
 
 
 class TestUnigramSurprisal:
-    def test_bucketed_join_back_matches_broadcast(self, ray_session):
+    def test_bucketed_join_back_matches_broadcast(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.textstats import doc_unigram_surprisal
 
         a = doc_unigram_surprisal(SF_DIR)
-        b = doc_unigram_surprisal(SF_DIR, broadcast_limit=0)
+        pulls = set_pull_cap(0)
+        b = doc_unigram_surprisal(SF_DIR)
         assert a.equals(b)
+        # the scored-Dataset memo is keyed by the cap: a shuffle run
+        # never reuses the broadcast run's scores
+        assert pulls == ["shuffle"]
 
     def test_crafted_integer_log2(self, ray_session, tmp_path):
         """8 'the' + 1 'zyzzyva' over T=9 tokens: surprisal(the) =
@@ -2835,7 +2865,7 @@ def test_broadcast_cached_object(ray_session):
     assert B.cached_object(refs[-1]) == {"k": len(refs) - 1}
 
 
-def test_bigram_paths_and_crafted(ray_session, tmp_path):
+def test_bigram_paths_and_crafted(ray_session, tmp_path, set_pull_cap):
     """bigram twin: c1('b')=5, pairs (a,b)=2 (b,a)=1 (b,c)=1
     (b,b)=2 over the crafted corpus -> doc1 sum 0+0+2+2=4,
     doc4 (b b b) sum 1+1=2; 1-token and empty docs absent."""
@@ -2862,8 +2892,10 @@ def test_bigram_paths_and_crafted(ray_session, tmp_path):
     assert out.loc[1, "surprisal_sum"] == 4 and out.loc[1, "n_bigrams"] == 4
     assert out.loc[4, "surprisal_sum"] == 2 and out.loc[4, "n_bigrams"] == 2
     a = doc_bigram_surprisal(str(d))
-    b = doc_bigram_surprisal(str(d), broadcast_limit=0)
+    pulls = set_pull_cap(0)
+    b = doc_bigram_surprisal(str(d))
     assert a.equals(b)
+    assert pulls == ["shuffle"]
 
 
 def test_coalesce_blocks_bounds_block_count(ray_session):
@@ -3212,12 +3244,14 @@ class TestStripBoilerplate:
         assert out.loc[1, "n_after"] == 1 and out.loc[3, "n_after"] == 1
         assert out.loc[5, "n_after"] == out.loc[5, "n_before"]
 
-    def test_join_back_path_equals_broadcast(self, ray_session):
+    def test_join_back_path_equals_broadcast(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.scrub import strip_boilerplate
 
-        a = strip_boilerplate("/root/testdata/sf0.001").to_pandas()
-        b = strip_boilerplate("/root/testdata/sf0.001", broadcast_limit=0).to_pandas()
+        a = strip_boilerplate(SF_DIR).to_pandas()
+        pulls = set_pull_cap(0)
+        b = strip_boilerplate(SF_DIR).to_pandas()
         assert a.equals(b)
+        assert pulls == ["shuffle"]
 
 
 class TestHostTriangles:
@@ -3263,12 +3297,14 @@ class TestHostTriangles:
         }
         assert milli == {"a": 333, "b": 1000, "c": 1000, "d": 0}
 
-    def test_join_back_path_equals_broadcast_and_nonvacuous(self, ray_session):
+    def test_join_back_path_equals_broadcast_and_nonvacuous(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.pagerank import host_triangles
 
-        a = host_triangles("/root/testdata/sf0.001").to_pandas()
-        b = host_triangles("/root/testdata/sf0.001", broadcast_limit=0).to_pandas()
+        a = host_triangles(SF_DIR).to_pandas()
+        pulls = set_pull_cap(0)
+        b = host_triangles(SF_DIR).to_pandas()
         assert a.equals(b)
+        assert pulls[-1] == "shuffle"  # the degree attach
         assert (a["triangles"] > 0).any()  # the corpus graph has triangles
 
 
@@ -3322,13 +3358,15 @@ class TestHostKcore:
             "a": 3, "b": 3, "c": 3, "d": 3, "e": 1, "f": 1
         }
 
-    def test_distributed_peel_equals_driver_peel(self, ray_session):
+    def test_distributed_peel_equals_driver_peel(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.pagerank import host_kcore_ds
 
         clique = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
         tail = [("d", "e"), ("e", "f"), ("f", "g"), ("g", "e")]
         fast = host_kcore_ds(self._edges(clique + tail)).to_pandas()
-        slow = host_kcore_ds(self._edges(clique + tail), broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        slow = host_kcore_ds(self._edges(clique + tail)).to_pandas()
+        assert pulls == ["shuffle"]
         assert fast.sort_values("host", ignore_index=True).equals(
             slow.sort_values("host", ignore_index=True)
         )
@@ -3398,7 +3436,7 @@ class TestOovRate:
 
 
 class TestBigramDice:
-    def test_planted_collocation(self, ray_session, tmp_path):
+    def test_planted_collocation(self, ray_session, tmp_path, set_pull_cap):
         """'new york' in every doc is a perfect collocation (dice =
         1000); singleton bigrams fall to the min_count gate; the two
         join paths (broadcast vs partitioned hash join) agree."""
@@ -3420,8 +3458,10 @@ class TestBigramDice:
         assert (row["w1"], row["w2"]) == ("new", "york")
         assert row["c_xy"] == 3 and row["c_x"] == 3 and row["c_y"] == 3
         assert row["dice_milli"] == 1000
-        b = bigram_dice_top(str(tmp_path), min_count=3, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        b = bigram_dice_top(str(tmp_path), min_count=3).to_pandas()
         pd.testing.assert_frame_equal(out, b)
+        assert pulls == ["shuffle"]
 
 
 class TestHostCommunities:
@@ -3449,16 +3489,16 @@ class TestHostCommunities:
         assert out["a"] == out["b"] == out["c"]
         assert out["x"] == out["y"] == out["z"]
 
-    def test_distributed_rounds_equal_driver_rounds(self, ray_session):
+    def test_distributed_rounds_equal_driver_rounds(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.pagerank import host_communities_ds
 
         left = [("a", "b"), ("a", "c"), ("b", "c")]
         right = [("x", "y"), ("x", "z"), ("y", "z")]
         bridge = [("c", "x"), ("d", "a"), ("d", "b")]
         fast = host_communities_ds(self._edges(left + right + bridge)).to_pandas()
-        slow = host_communities_ds(
-            self._edges(left + right + bridge), broadcast_limit=0
-        ).to_pandas()
+        pulls = set_pull_cap(0)
+        slow = host_communities_ds(self._edges(left + right + bridge)).to_pandas()
+        assert pulls == ["shuffle"]
         assert fast.sort_values("host", ignore_index=True).equals(
             slow.sort_values("host", ignore_index=True)
         )
@@ -3663,30 +3703,36 @@ class TestEventsHeavyHitters:
 
 
 class TestJoinGuardPathEquality:
-    """The count-guarded broadcast fast paths of the Q5/Q10/Q18 joins
-    must be bit-identical to their cogroup fallbacks (broadcast_limit=0
+    """The size-guarded broadcast fast paths of the Q5/Q10/Q18 joins
+    must be bit-identical to their cogroup fallbacks (a pull cap of 0
     forces every guarded side down the shuffle path)."""
 
-    def test_q5_paths_equal(self, ray_session):
+    def test_q5_paths_equal(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.joins import q5_local_supplier_volume
 
         sf = "/root/testdata/sf0.001"
         fast = q5_local_supplier_volume(sf).to_pandas()
-        slow = q5_local_supplier_volume(sf, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        slow = q5_local_supplier_volume(sf).to_pandas()
         pd.testing.assert_frame_equal(fast, slow)
+        assert pulls == ["shuffle", "shuffle"]  # customer, then supplier
 
-    def test_q10_paths_equal(self, ray_session):
+    def test_q10_paths_equal(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.joins import q10_returned_revenue
 
         sf = "/root/testdata/sf0.001"
         fast = q10_returned_revenue(sf).to_pandas()
-        slow = q10_returned_revenue(sf, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        slow = q10_returned_revenue(sf).to_pandas()
         pd.testing.assert_frame_equal(fast, slow)
+        assert pulls == ["shuffle"]
 
-    def test_q18_paths_equal(self, ray_session):
+    def test_q18_paths_equal(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.joins import q18_large_orders
 
         sf = "/root/testdata/sf0.001"
         fast = q18_large_orders(sf).to_pandas()
-        slow = q18_large_orders(sf, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        slow = q18_large_orders(sf).to_pandas()
         pd.testing.assert_frame_equal(fast, slow)
+        assert pulls == ["shuffle"]

@@ -41,34 +41,40 @@ def _crafted():
 
 
 class TestPagerankCrafted:
-    def test_distributed_matches_reference_loop(self, ray_session, set_buckets):
+    def test_distributed_matches_reference_loop(self, ray_session, set_buckets, set_pull_cap):
         nodes, edges = _crafted()
         want = pagerank_reference(nodes, edges)
         n, e = _graph_ds(nodes, edges)
         set_buckets(5)
-        out = pagerank_ds(n, e, driver_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        out = pagerank_ds(n, e).to_pandas()
         got = dict(zip(out["node"], out["rank"]))
         assert got == want
+        assert pulls == ["shuffle"]
 
-    def test_driver_path_identical(self, ray_session):
+    def test_driver_path_identical(self, ray_session, set_pull_cap):
         nodes, edges = _crafted()
         n, e = _graph_ds(nodes, edges)
         fast = pagerank_ds(n, e).to_pandas()
         n2, e2 = _graph_ds(nodes, edges)
-        slow = pagerank_ds(n2, e2, driver_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        slow = pagerank_ds(n2, e2).to_pandas()
         f = dict(zip(fast["node"], fast["rank"]))
         s = dict(zip(slow["node"], slow["rank"]))
         assert f == s
+        assert pulls == ["shuffle"]
 
-    def test_invariant_to_bucket_count(self, ray_session, set_buckets):
+    def test_invariant_to_bucket_count(self, ray_session, set_buckets, set_pull_cap):
         nodes, edges = _crafted()
         ranks = []
+        pulls = set_pull_cap(0)
         for nb in (1, 3, 17):
             n, e = _graph_ds(nodes, edges)
             set_buckets(nb)
-            out = pagerank_ds(n, e, driver_limit=0).to_pandas()
+            out = pagerank_ds(n, e).to_pandas()
             ranks.append(dict(zip(out["node"], out["rank"])))
         assert ranks[0] == ranks[1] == ranks[2]
+        assert pulls == ["shuffle"] * 3
 
     def test_rank_mass_conserved_and_ordered(self):
         nodes, edges = _crafted()
@@ -120,10 +126,12 @@ class TestPagerankCorpus:
         got = dict(zip(out["url"].to_pylist(), out["rank"].to_pylist()))
         assert got == want
 
-    def test_distributed_corpus_path_matches_driver(self, ray_session):
+    def test_distributed_corpus_path_matches_driver(self, ray_session, set_pull_cap):
         a = page_rank(SF_DIR)
-        b = page_rank(SF_DIR, driver_limit=0)
+        pulls = set_pull_cap(0)
+        b = page_rank(SF_DIR)
         assert a.equals(b)
+        assert pulls[-1] == "shuffle"  # the rank loop
 
 
 class TestLinkStats:
@@ -206,18 +214,34 @@ class TestLinkStats:
         b = link_stats(SF_DIR)
         assert a.equals(b)
 
-    def test_bucketed_existence_path_matches_broadcast(self, ray_session):
-        from mlscraper_ray.functions.pagerank import link_stats
+    def test_bucketed_existence_path_matches_broadcast(self, ray_session, set_pull_cap):
+        """The existence filter's two paths build the same anchored
+        edge set. Built fresh: a cached graph would skip the filter."""
 
-        a = link_stats(SF_DIR)
-        b = link_stats(SF_DIR, broadcast_limit=0)
-        assert a.equals(b)
+        def anchored_edges() -> pd.DataFrame:
+            _, edges = corpus_link_graph(SF_DIR, with_anchors=True, use_cache=False)
+            return edges.to_pandas().sort_values(["src", "dst", "anchor"], ignore_index=True)
+
+        a = anchored_edges()
+        pulls = set_pull_cap(0)
+        b = anchored_edges()
+        pd.testing.assert_frame_equal(a, b[a.columns.tolist()])
+        assert len(a) > 0
+        assert pulls == ["shuffle"]
 
 
-def test_page_rank_bucketed_existence_matches_broadcast(ray_session):
+def test_page_rank_bucketed_existence_matches_broadcast(ray_session, set_pull_cap):
+    """page_rank over a graph whose existence filter (and rank loop)
+    took the shuffle path equals the default run. Built fresh: a
+    cached graph would skip the filter."""
     a = page_rank(SF_DIR)
-    b = page_rank(SF_DIR, broadcast_limit=0)
-    assert a.equals(b)
+    pulls = set_pull_cap(0)
+    nodes, edges = corpus_link_graph(SF_DIR, use_cache=False)
+    b = pagerank_ds(nodes, edges).to_pandas()
+    assert dict(zip(a["url"].to_pylist(), a["rank"].to_pylist())) == dict(
+        zip(b["node"], b["rank"])
+    )
+    assert pulls == ["shuffle", "shuffle"]  # existence filter, then the rank loop
 
 
 class TestHostRank:
@@ -266,7 +290,9 @@ class TestHostRank:
 
 
 @pytest.mark.parametrize("seed", [7, 41])
-def test_distributed_matches_reference_on_random_graphs(ray_session, set_buckets, seed):
+def test_distributed_matches_reference_on_random_graphs(
+    ray_session, set_buckets, set_pull_cap, seed
+):
     """Seeded random digraphs (multi-edges, dangling nodes, isolates):
     the distributed path must equal the big-int reference loop node
     for node — also exercises the overflow assert on healthy input."""
@@ -281,9 +307,11 @@ def test_distributed_matches_reference_on_random_graphs(ray_session, set_buckets
     want = pagerank_reference(nodes, edges)
     nd, ed = _graph_ds(nodes, edges)
     set_buckets(rng.choice([1, 5, 13]))
-    out = pagerank_ds(nd, ed, driver_limit=0).to_pandas()
+    pulls = set_pull_cap(0)
+    out = pagerank_ds(nd, ed).to_pandas()
     got = dict(zip(out["node"], out["rank"]))
     assert got == want
+    assert pulls == ["shuffle"]
 
 
 class TestGraphCache:
@@ -345,31 +373,35 @@ class TestHostReciprocity:
 
 
 class TestHITS:
-    def test_distributed_matches_reference_loop(self, ray_session, set_buckets):
+    def test_distributed_matches_reference_loop(self, ray_session, set_buckets, set_pull_cap):
         from mlscraper_ray.functions.hits import hits_ds, hits_reference
 
         nodes, edges = _crafted()
         want = hits_reference(nodes, edges)
         n, e = _graph_ds(nodes, edges)
         set_buckets(5)
-        out = hits_ds(n, e, driver_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        out = hits_ds(n, e).to_pandas()
         got = {r["node"]: (r["hub"], r["auth"]) for _, r in out.iterrows()}
         assert got == want
+        assert pulls == ["shuffle"]
 
-    def test_driver_path_identical(self, ray_session):
+    def test_driver_path_identical(self, ray_session, set_pull_cap):
         from mlscraper_ray.functions.hits import hits_ds
 
         nodes, edges = _crafted()
         n, e = _graph_ds(nodes, edges)
         fast = hits_ds(n, e).to_pandas().sort_values("node", ignore_index=True)
         n2, e2 = _graph_ds(nodes, edges)
+        pulls = set_pull_cap(0)
         slow = (
-            hits_ds(n2, e2, driver_limit=0)
+            hits_ds(n2, e2)
             .to_pandas()
             .sort_values("node", ignore_index=True)
             .astype(fast.dtypes.to_dict())
         )
         pd.testing.assert_frame_equal(fast, slow)
+        assert pulls == ["shuffle"]
 
     def test_hub_authority_semantics(self):
         from mlscraper_ray.functions.hits import SCALE, hits_reference
@@ -383,7 +415,9 @@ class TestHITS:
             assert got[a][1] == SCALE and got[a][0] == 0  # pure authorities
 
     @pytest.mark.parametrize("seed", [3, 29])
-    def test_distributed_matches_reference_on_random_graphs(self, ray_session, set_buckets, seed):
+    def test_distributed_matches_reference_on_random_graphs(
+        self, ray_session, set_buckets, set_pull_cap, seed
+    ):
         import random
 
         from mlscraper_ray.functions.hits import hits_ds, hits_reference
@@ -397,9 +431,11 @@ class TestHITS:
         want = hits_reference(nodes, edges)
         nd, ed = _graph_ds(nodes, edges)
         set_buckets(rng.choice([1, 5, 13]))
-        out = hits_ds(nd, ed, driver_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        out = hits_ds(nd, ed).to_pandas()
         got = {r["node"]: (r["hub"], r["auth"]) for _, r in out.iterrows()}
         assert got == want
+        assert pulls == ["shuffle"]
 
     def test_matches_generator_truth(self, ray_session):
         from oracle_compare import compare
@@ -501,7 +537,7 @@ class TestWetCurate:
 
 
 class TestLinkDistance:
-    def test_distributed_equals_reference_on_random_digraphs(self, ray_session):
+    def test_distributed_equals_reference_on_random_digraphs(self, ray_session, set_pull_cap):
         """Frontier-expansion BFS == single-process reference on
         seeded random digraphs (cycles, unreachable islands, multiple
         seeds), on BOTH the driver fast path and the forced
@@ -529,14 +565,16 @@ class TestLinkDistance:
                     }
                 )
             )
-            for bl in (10**6, 0):  # driver path / distributed loop
+            for cap, path in ((2**40, "broadcast"), (0, "shuffle")):
+                pulls = set_pull_cap(cap)
                 got = (
-                    link_distance_ds(eds, seeds, broadcast_limit=bl)
+                    link_distance_ds(eds, seeds)
                     .to_pandas()
                     .set_index("url")["dist"]
                     .to_dict()
                 )
-                assert got == want, (seed, bl)
+                assert got == want, (seed, cap)
+                assert pulls == [path]
             # unreachable nodes are absent, seeds are 0
             assert all(want[s] == 0 for s in seeds)
             assert len(want) < n  # random digraph leaves islands
@@ -607,8 +645,8 @@ class TestHostAssortativity:
             }
         ]
 
-    def test_broadcast_and_cogroup_paths_equal(self, ray_session):
-        """broadcast_limit=0 forces the degree attach down the cogroup
+    def test_broadcast_and_cogroup_paths_equal(self, ray_session, set_pull_cap):
+        """A pull cap of 0 forces the degree attach down the cogroup
         fallback; both paths must produce identical statistics."""
         import ray.data
 
@@ -623,7 +661,7 @@ class TestHostAssortativity:
             }
         )
         fast = host_assortativity_ds(ray.data.from_pandas(e)).to_pandas()
-        slow = host_assortativity_ds(
-            ray.data.from_pandas(e), broadcast_limit=0
-        ).to_pandas()
+        pulls = set_pull_cap(0)
+        slow = host_assortativity_ds(ray.data.from_pandas(e)).to_pandas()
         pd.testing.assert_frame_equal(fast, slow)
+        assert pulls == ["shuffle"]

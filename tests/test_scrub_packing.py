@@ -74,15 +74,17 @@ class TestScrubDupRuns:
         assert out.loc[4, "n_runs_removed"] == 0
         assert out.loc[5, "clean_md5"] == md5("")
 
-    def test_bucketed_path_matches_broadcast(self, ray_session, tmp_path):
-        """broadcast_limit=0 forces the join-back path; output must be
+    def test_bucketed_path_matches_broadcast(self, ray_session, tmp_path, set_pull_cap):
+        """A pull cap of 0 forces the join-back path; output must be
         bit-identical to the broadcast screen (the oracle-checked
         default)."""
         from mlscraper_ray.functions.scrub import scrub_dup_runs
 
         a = scrub_dup_runs(SF_DIR).to_pandas()
-        b = scrub_dup_runs(SF_DIR, broadcast_limit=0).to_pandas()
+        pulls = set_pull_cap(0)
+        b = scrub_dup_runs(SF_DIR).to_pandas()
         pd.testing.assert_frame_equal(a, b)
+        assert pulls == ["shuffle"]
         assert len(a) > 0
         # non-vacuous on the shipped corpus: exact-dup docs share all
         # grams, so whole docs get scrubbed somewhere
@@ -128,26 +130,30 @@ class TestDedupSegments:
         assert out.loc[1, "n_segs_removed"] == 1
         assert (out["clean_text"] == "").all()
 
-    def test_joinback_path_matches_broadcast_and_oracle(self, ray_session):
+    def test_joinback_path_matches_broadcast_and_oracle(self, ray_session, set_pull_cap):
         from oracle_compare import compare, to_pandas, value_hash
 
         from mlscraper_ray.functions.scrub import DEDUP_SEGMENTS_SQL, dedup_segments
 
         broadcast = dedup_segments(SF_DIR)
-        joinback = dedup_segments(SF_DIR, broadcast_limit=0)
+        pulls = set_pull_cap(0)
+        joinback = dedup_segments(SF_DIR)
         assert value_hash(to_pandas(broadcast)) == value_hash(to_pandas(joinback))
+        assert pulls == ["shuffle"]
         c = compare(joinback, DEDUP_SEGMENTS_SQL, SF_DIR)
         assert c["hash_match"], c
 
-    def test_joinback_blank_docs_survive(self, ray_session, tmp_path):
+    def test_joinback_blank_docs_survive(self, ray_session, tmp_path, set_pull_cap):
         from mlscraper_ray.functions.scrub import dedup_segments
 
         seg = " ".join(f"y{i}" for i in range(8))
+        pulls = set_pull_cap(0)
         out = (
-            dedup_segments(_write_docs(tmp_path, ["", seg, seg]), broadcast_limit=0)
+            dedup_segments(_write_docs(tmp_path, ["", seg, seg]))
             .to_pandas()
             .set_index("doc_id")
         )
+        assert pulls == ["shuffle"]
         assert len(out) == 3
         assert out.loc[0, "clean_text"] == "" and out.loc[0, "n_segs_removed"] == 0
 

@@ -2,8 +2,9 @@
 reads exactly what a plain ``read_parquet`` reads, without schema
 metadata; the vector top-k entries return typed empty tables; no
 operator module grows its own base-table read or result tail again;
-and no caller picks a shuffle's bucket count (``functions/bucketed.py``
-owns it)."""
+no caller picks a shuffle's bucket count (``functions/bucketed.py``
+owns it); and no caller picks the broadcast-or-shuffle cut-over
+(``broadcast.pull`` owns it)."""
 import ast
 import glob
 import os
@@ -183,4 +184,97 @@ def test_shuffle_guard_sees_counts_and_grp(tmp_path):
         (3, "bucketed_aggregate with a bucket count"),
         (4, "cogroup_join with a bucket count"),
         (5, 'groupby("grp")'),
+    ]
+
+
+def _materialized(rows: int):
+    import pandas as pd
+    import ray.data
+
+    return ray.data.from_pandas(pd.DataFrame({"k": list(range(rows))})).materialize()
+
+
+def test_pull_boundary(ray_session, set_pull_cap):
+    from mlscraper_ray.functions import broadcast
+
+    ds = _materialized(100)
+    size = ds.size_bytes()
+    set_pull_cap(size)
+    (frame,) = broadcast.pull(ds)
+    assert frame["k"].tolist() == list(range(100))
+    set_pull_cap(size - 1)
+    assert broadcast.pull(ds) is None
+    # an empty side pulls nothing, so even a cap of 0 takes it
+    set_pull_cap(0)
+    (empty,) = broadcast.pull(_materialized(0))
+    assert len(empty) == 0
+    # several inputs are judged by their sum
+    other = _materialized(50)
+    both = size + other.size_bytes()
+    set_pull_cap(both)
+    assert [len(f) for f in broadcast.pull(ds, other)] == [100, 50]
+    set_pull_cap(both - 1)
+    assert broadcast.pull(ds, other) is None
+
+
+def test_pull_takes_a_plain_read(ray_session):
+    from mlscraper_ray.functions import broadcast
+    from mlscraper_ray.functions.tables import read_table
+
+    (customer,) = broadcast.pull(read_table(SF_DIR, "customer", ["c_custkey"]))
+    assert len(customer) > 0
+
+
+def test_pull_rejects_a_lazy_input(ray_session):
+    """Sizing a lazy plan would run it once for the size and again for
+    the pull (or the shuffle), so ``pull`` refuses it."""
+    from mlscraper_ray.functions import broadcast
+
+    lazy = _materialized(10).map_batches(lambda df: df, batch_format="pandas")
+    with pytest.raises(ValueError, match="materialized Dataset or a plain read"):
+        broadcast.pull(lazy)
+
+
+# parameter / keyword names that would let a caller pick the
+# broadcast-or-shuffle cut-over instead of broadcast.pull
+PULL_KNOBS = {"broadcast_limit", "driver_limit", "approx_edges"}
+
+
+def _pull_knob_sites(path: str) -> list[tuple[int, str]]:
+    """(line, name) for each function parameter and call keyword in one
+    module that is named like a pull knob."""
+    sites = []
+    for node in ast.walk(ast.parse(open(path).read())):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            sites += [(node.lineno, p.arg) for p in params if p and p.arg in PULL_KNOBS]
+        elif isinstance(node, ast.Call):
+            sites += [(node.lineno, k.arg) for k in node.keywords if k.arg in PULL_KNOBS]
+    return sorted(sites)
+
+
+def test_no_caller_sets_a_pull_cap():
+    found = [
+        f"{os.path.relpath(path, PACKAGE_DIR)}:{line} {name}"
+        for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "**", "*.py"), recursive=True))
+        for line, name in _pull_knob_sites(path)
+    ]
+    assert not found, "the broadcast-or-shuffle choice belongs to broadcast.pull:\n" + "\n".join(
+        found
+    )
+
+
+def test_pull_guard_sees_parameters_and_keywords(tmp_path):
+    p = tmp_path / "op.py"
+    p.write_text(
+        "def op(sf_dir, broadcast_limit=10):\n"
+        "    return run(sf_dir, driver_limit=0)\n"
+        "def cc(edges, *, approx_edges=None):\n"
+        "    return connected_components(edges, max_iters=3)\n"
+    )
+    assert _pull_knob_sites(str(p)) == [
+        (1, "broadcast_limit"),
+        (2, "driver_limit"),
+        (3, "approx_edges"),
     ]
