@@ -62,6 +62,7 @@ import ray.data
 
 from mlscraper_ray.frontier.config import CrawlConfig
 from mlscraper_ray.frontier.shard import FrontierShard, FrontierShardGroup, group_members
+from mlscraper_ray.functions.tables import finish
 from mlscraper_ray.stages.crawl_stages import fetch_parse_extract_task, make_submit_fn
 
 
@@ -377,5 +378,4 @@ def crawl_order(out_dir: str) -> pa.Table:
     """Driver-contract convenience: the distributed crawl order pulled
     into one Arrow table (test-scale result; at the 10^10-url design
     point consume :func:`crawl_order_dataset` with ``write_parquet``)."""
-    out = crawl_order_dataset(out_dir).to_pandas()
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(crawl_order_dataset(out_dir).to_pandas())

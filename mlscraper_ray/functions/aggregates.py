@@ -217,14 +217,16 @@ ORDER BY event_type
 
 def top_users_by_value(sf_dir: str, k: int = 25) -> pa.Table:
     """Sort/top-k over a wide groupby: per-user event value totals,
-    top k by (total desc, user_id asc). Partial-agg inside map_batches
-    first, then ``Dataset.sort`` on the (small) aggregated keyspace and
-    a driver-side limit — the all-to-all moves one row per user, and
-    the sort ranks those partials, never raw events."""
+    top k by (total desc, user_id asc). A bucketed aggregate per user
+    (user cardinality scales with the data), then ``Dataset.sort`` on
+    the aggregated keyspace and a driver-side limit — the sort ranks
+    one slim row per user, never raw events."""
+    from mlscraper_ray.functions.bucketed import bucketed_aggregate
+
     ds = read_table(sf_dir, "events", ["user_id", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+    def milli(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "user_id": batch["user_id"],
                 "value_milli": pc.cast(
@@ -232,20 +234,12 @@ def top_users_by_value(sf_dir: str, k: int = 25) -> pa.Table:
                 ),
             }
         )
-        g = t.group_by("user_id").aggregate([("value_milli", "sum"), ("value_milli", "count")])
-        return pa.table(
-            {"user_id": g["user_id"], "value_milli": g["value_milli_sum"], "n_events": g["value_milli_count"]}
-        )
 
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
-
-    # user cardinality scales with the data -> coarse-bucket combine of
-    # the partials, then a Dataset.sort over one slim row per user
     agg = (
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pyarrow"),
+            ds.map_batches(milli, batch_format="pyarrow"),
             ["user_id"],
-            {"total_value_milli": ("value_milli", "sum"), "n_events": ("n_events", "sum")},
+            {"total_value_milli": ("value_milli", "sum"), "n_events": ("value_milli", "count")},
         )
         .sort([("total_value_milli"), ("user_id")], descending=[True, False])
         .limit(k)
@@ -275,9 +269,9 @@ def event_value_percentiles(sf_dir: str) -> pa.Table:
     per row.
 
     Values are milli-ints, so the quantile reduces to a COUNT
-    HISTOGRAM: per-batch (event_type, value_milli, count) partials,
-    combined with the coarse-bucket aggregate (distinct-value
-    cardinality scales with the data), then per-type quantile
+    HISTOGRAM: (event_type, value_milli) counts from the bucketed
+    aggregate (distinct-value cardinality scales with the data), then
+    per-type quantile
     selection from CUMULATIVE counts over the (small) histogram rows.
     The selection uses DuckDB's quantile_disc index rule (element at
     ceil(q*n)-1 of the sorted multiset == first value whose cumulative
@@ -290,8 +284,8 @@ def event_value_percentiles(sf_dir: str) -> pa.Table:
 
     ds = read_table(sf_dir, "events", ["event_type", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+    def milli(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "event_type": batch["event_type"],
                 "value_milli": pc.cast(
@@ -299,19 +293,11 @@ def event_value_percentiles(sf_dir: str) -> pa.Table:
                 ),
             }
         )
-        g = t.group_by(["event_type", "value_milli"]).aggregate([("value_milli", "count")])
-        return pa.table(
-            {
-                "event_type": g["event_type"],
-                "value_milli": g["value_milli"],
-                "n": pc.cast(g["value_milli_count"], pa.int64()),
-            }
-        )
 
     hist = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        ds.map_batches(milli, batch_format="pyarrow"),
         ["event_type", "value_milli"],
-        {"n": ("n", "sum")},
+        {"n": ("value_milli", "count")},
     )
 
     def pctl_from_hist(g: pd.DataFrame) -> pd.DataFrame:
@@ -540,10 +526,9 @@ WHERE l_shipdate >= TIMESTAMP '1996-01-01'
 def customer_rfm_segments(sf_dir: str) -> pa.Table:
     """RFM-style customer segmentation over orders: per customer the
     recency (year of last order), frequency (order count) and
-    monetary total fold FIRST in the custkey-bucketed aggregate (one
-    shuffle of per-batch partials — max/sum/count all merge
-    associatively), then customers map into fixed (recency-year,
-    frequency-band) segments and a second TINY aggregate emits the
+    monetary total fold FIRST in the custkey-bucketed aggregate, then
+    each customer row maps into a fixed (recency-year, frequency-band)
+    segment and a second TINY aggregate emits the
     segment matrix (years x 4 bands rows). Fixed band edges — not
     data-dependent quantiles — keep the segmentation stable across
     snapshots (and SQL-mirrorable without ntile drift)."""
@@ -551,43 +536,34 @@ def customer_rfm_segments(sf_dir: str) -> pa.Table:
 
     ds = read_table(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = pd.DataFrame(
+    def cents(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "o_custkey": df["o_custkey"].astype("int64"),
                 "last_ts": df["o_orderdate"],
-                "n_orders": np.int64(1),
                 "cents": (df["o_totalprice"] * 100).round().astype("int64"),
             }
         )
-        g = df.groupby("o_custkey", sort=False).agg(
-            last_ts=("last_ts", "max"), n_orders=("n_orders", "sum"), cents=("cents", "sum")
-        )
-        return g.reset_index()
 
     per_cust = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
+        ds.map_batches(cents, batch_format="pandas"),
         ["o_custkey"],
-        {"last_ts": ("last_ts", "max"), "n_orders": ("n_orders", "sum"), "cents": ("cents", "sum")},
+        {"last_ts": ("last_ts", "max"), "n_orders": ("cents", "count"), "cents": ("cents", "sum")},
     )
 
     def to_segment(df: pd.DataFrame) -> pd.DataFrame:
         yr = pd.to_datetime(df["last_ts"]).dt.year.astype("int64")
         n = df["n_orders"].astype("int64")
         band = np.select([n >= 10, n >= 5, n >= 2], ["10+", "5-9", "2-4"], default="1")
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {"recency_year": yr, "freq_band": band, "cents": df["cents"].astype("int64")}
         )
-        g = out.groupby(["recency_year", "freq_band"], sort=False).agg(
-            n_customers=("cents", "size"), monetary_cents=("cents", "sum")
-        )
-        return g.reset_index()
 
     return finish(
         bucketed_aggregate(
             per_cust.map_batches(to_segment, batch_format="pandas"),
             ["recency_year", "freq_band"],
-            {"n_customers": ("n_customers", "sum"), "monetary_cents": ("monetary_cents", "sum")},
+            {"n_customers": ("cents", "count"), "monetary_cents": ("cents", "sum")},
         ).to_pandas(),
         ["recency_year", "freq_band"],
         dtypes={"recency_year": "int64", "n_customers": "int64", "monetary_cents": "int64"},
@@ -616,8 +592,8 @@ ORDER BY recency_year, freq_band
 def orders_monthly_revenue(sf_dir: str) -> pa.Table:
     """Monthly order-revenue time series with month-over-month delta:
     the reporting primitive over the order stream. Distribution
-    shape: per-batch (year, month) integer partials, one tiny
-    coarse-bucket fold (months are calendar-bounded, the table is
+    shape: one tiny bucketed aggregate over (year, month) integer
+    rows (months are calendar-bounded, the table is
     dozens of rows at any corpus size) — the LAG fills in driver
     memory on the already-tiny series, exactly like the SQL mirror's
     window."""
@@ -625,25 +601,21 @@ def orders_monthly_revenue(sf_dir: str) -> pa.Table:
 
     ds = read_table(sf_dir, "orders", ["o_orderdate", "o_totalprice"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def monthly(df: pd.DataFrame) -> pd.DataFrame:
         d = pd.to_datetime(df["o_orderdate"])
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "year": d.dt.year.astype("int64"),
                 "month": d.dt.month.astype("int64"),
                 "revenue_cents": (df["o_totalprice"] * 100).round().astype("int64"),
             }
         )
-        g = out.groupby(["year", "month"], sort=False).agg(
-            revenue_cents=("revenue_cents", "sum"), n_orders=("revenue_cents", "size")
-        )
-        return g.reset_index()
 
     series = (
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pandas"),
+            ds.map_batches(monthly, batch_format="pandas"),
             ["year", "month"],
-            {"revenue_cents": ("revenue_cents", "sum"), "n_orders": ("n_orders", "sum")},
+            {"revenue_cents": ("revenue_cents", "sum"), "n_orders": ("revenue_cents", "count")},
         )
         .to_pandas()
         .sort_values(["year", "month"], ignore_index=True)
@@ -682,7 +654,7 @@ def revenue_rollup(sf_dir: str) -> pa.Table:
     table ('ALL' marks the rolled level — the GROUP BY ROLLUP shape).
 
     The distributed work is exactly the nation-grain aggregate (the
-    :func:`revenue_by_nation` plan: per-custkey partials, one cogroup
+    :func:`revenue_by_nation` plan: per-custkey totals, one cogroup
     shuffle, 25-row broadcast dimension maps); the subtotal tiers
     derive from that hierarchy-bounded table in driver arithmetic —
     at ANY corpus size the rollup adds zero distributed passes, which
@@ -701,34 +673,25 @@ def revenue_rollup(sf_dir: str) -> pa.Table:
 
     orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    def per_cust(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def cents(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "c_custkey": df["o_custkey"].astype("int64"),
                 "revenue_cents": (df["o_totalprice"] * 100).round().astype("int64"),
-                "n_orders": np.int64(1),
             }
         )
-        return out.groupby("c_custkey", as_index=False).sum()
 
     totals = bucketed_aggregate(
-        orders.map_batches(per_cust, batch_format="pandas"),
+        orders.map_batches(cents, batch_format="pandas"),
         ["c_custkey"],
-        {"revenue_cents": ("revenue_cents", "sum"), "n_orders": ("n_orders", "sum")},
+        {"revenue_cents": ("revenue_cents", "sum"), "n_orders": ("revenue_cents", "count")},
     )
     cust = read_table(sf_dir, "customer", ["c_custkey", "c_nationkey"])
     joined = cogroup_join(totals, cust, "c_custkey")
 
-    def per_nation(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "c_nationkey" not in df.columns or "revenue_cents" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "region": pd.Series(dtype=str),
-                    "nation": pd.Series(dtype=str),
-                    "n_orders": pd.Series(dtype="int64"),
-                    "revenue_cents": pd.Series(dtype="int64"),
-                }
-            )
+    def to_nation(df: pd.DataFrame) -> pd.DataFrame:
+        if "c_nationkey" not in df.columns:  # a block with no columns
+            return df
         from mlscraper_ray.functions.broadcast import cached_object
 
         nm = cached_object(m_ref)
@@ -736,14 +699,11 @@ def revenue_rollup(sf_dir: str) -> pa.Table:
         nr = [nm[int(x)] for x in df["c_nationkey"]]
         df["nation"] = [x[0] for x in nr]
         df["region"] = [x[1] for x in nr]
-        g = df.groupby(["region", "nation"], sort=False).agg(
-            n_orders=("n_orders", "sum"), revenue_cents=("revenue_cents", "sum")
-        )
-        return g.reset_index()
+        return df
 
     base = (
         bucketed_aggregate(
-            joined.map_batches(per_nation, batch_format="pandas"),
+            joined.map_batches(to_nation, batch_format="pandas"),
             ["region", "nation"],
             {"n_orders": ("n_orders", "sum"), "revenue_cents": ("revenue_cents", "sum")},
         )
@@ -801,17 +761,10 @@ def orders_repeat_rate(sf_dir: str) -> pa.Table:
     from mlscraper_ray.functions.joins import cogroup_join
 
     orders = read_table(sf_dir, "orders", ["o_custkey"]).map_batches(
-        lambda df: df.groupby("o_custkey", sort=False)
-        .size()
-        .rename("n_orders")
-        .reset_index()
-        .rename(columns={"o_custkey": "c_custkey"})
-        .astype({"c_custkey": "int64", "n_orders": "int64"}),
+        lambda df: pd.DataFrame({"c_custkey": df["o_custkey"].astype("int64")}),
         batch_format="pandas",
     )
-    per_cust = bucketed_aggregate(
-        orders, ["c_custkey"], {"n_orders": ("n_orders", "sum")}
-    )
+    per_cust = bucketed_aggregate(orders, ["c_custkey"], {"n_orders": ("c_custkey", "count")})
 
     cust_read = read_table(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     if pulled := broadcast.pull(cust_read):
@@ -832,17 +785,11 @@ def orders_repeat_rate(sf_dir: str) -> pa.Table:
         tagged = cogroup_join(per_cust, cust, "c_custkey")
 
     parts = tagged.map_batches(
-        lambda df: df.assign(rep=(df["n_orders"] > 1).astype("int64"), one=np.int64(1))
-        .groupby("c_mktsegment", sort=False)
-        .agg(n_customers=("one", "sum"), n_repeat=("rep", "sum"))
-        .reset_index(),
-        batch_format="pandas",
+        lambda df: df.assign(rep=(df["n_orders"] > 1).astype("int64")), batch_format="pandas"
     )
     out = (
         bucketed_aggregate(
-            parts,
-            ["c_mktsegment"],
-            {"n_customers": ("n_customers", "sum"), "n_repeat": ("n_repeat", "sum")},
+            parts, ["c_mktsegment"], {"n_customers": ("rep", "count"), "n_repeat": ("rep", "sum")},
         )
         .to_pandas()
         .sort_values("c_mktsegment", ignore_index=True)
@@ -872,38 +819,32 @@ def lineitem_discount_bands(sf_dir: str) -> pa.Table:
     """Discount-elasticity base table: per integer discount percent
     (0..10), lineitem count, total quantity and discounted revenue —
     the pricing-analysis scan (does volume rise where discounts
-    deepen?). ZERO-shuffle: per-batch partials over the two needed
-    columns fold into an 11-row table; money rides the integer-cents
-    chain."""
+    deepen?). One bucketed aggregate over an 11-key domain (each block
+    combines to at most 11 rows before the shuffle); money rides the
+    integer-cents chain."""
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     ds = read_table(sf_dir, "lineitem", ["l_discount", "l_quantity", "l_extendedprice"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def discounted(df: pd.DataFrame) -> pd.DataFrame:
         dpct = (df["l_discount"] * 100).round().astype("int64")
         cents = (df["l_extendedprice"] * 100).round().astype("int64")
-        g = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "discount_pct": dpct,
                 "qty": df["l_quantity"].round().astype("int64"),
                 "rev_cents": (cents * (100 - dpct)) // 100,
             }
         )
-        out = g.groupby("discount_pct", sort=False).agg(
-            n_lineitems=("qty", "size"),
-            total_qty=("qty", "sum"),
-            revenue_cents=("rev_cents", "sum"),
-        )
-        return out.reset_index().astype("int64")
 
     return finish(
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pandas"),
+            ds.map_batches(discounted, batch_format="pandas"),
             ["discount_pct"],
             {
-                "n_lineitems": ("n_lineitems", "sum"),
-                "total_qty": ("total_qty", "sum"),
-                "revenue_cents": ("revenue_cents", "sum"),
+                "n_lineitems": ("qty", "count"),
+                "total_qty": ("qty", "sum"),
+                "revenue_cents": ("rev_cents", "sum"),
             },
         ).to_pandas(),
         "discount_pct",

@@ -14,6 +14,12 @@ in 5 minutes on 32 cpus (measured in this repo); through this pattern
 it takes ~2s. :func:`bucketed_aggregate` and ``joins.cogroup_join``
 are thin wrappers over it.
 
+Combiner: :func:`bucketed_aggregate` pre-aggregates every block by its
+keys before the shuffle (sum/min/max, row counts for 'count'), so the
+shuffle carries at most one row per key per block and callers feed it
+plain rows; each bucket merges the partials, a 'count' as the sum of
+the partial counts.
+
 Bucket count: ``8 x cluster CPUs`` (:func:`_n_buckets`), the same
 CPU source ``frontier.crawler.RayCrawler`` sizes its actors from. At
 corpus scale a shuffle's cost is per bucket, not per row, so the count
@@ -81,6 +87,9 @@ def co_partition(
         # blocks keep their format (empty ones may carry no columns)
         if isinstance(block, pa.Table):
             ids = _bucket_ids(block.select(keys).to_pandas(), keys, n_buckets) if block.num_rows else []
+            # blocks of one shuffle may differ only in their pandas
+            # metadata; Ray would warn when it unifies their schemas
+            block = block.replace_schema_metadata(None)
             return block.append_column(_BUCKET, pa.array(ids, pa.int32()))
         ids = _bucket_ids(block, keys, n_buckets) if len(block) else np.zeros(0, np.int32)
         return block.assign(**{_BUCKET: ids})
@@ -102,17 +111,34 @@ def bucketed_aggregate(
 ) -> ray.data.Dataset:
     """Group ``ds`` by ``keys`` computing ``aggs`` (out_col -> (in_col,
     op), op in {sum, min, max, count}); 'count' counts rows. Returns a
-    Dataset with columns keys + aggs; null keys form one group."""
-    named = {
+    Dataset with columns keys + aggs; null keys form one group.
+
+    Callers feed plain rows: every block is combined before the
+    shuffle (grouped by ``keys`` with sum/min/max, and row counts for
+    'count'), so the shuffle carries one row per key per block; each
+    bucket then merges the partials (sum/min/max, a 'count' as the sum
+    of its partial counts)."""
+    combine = {
         out: pd.NamedAgg(column=col, aggfunc=("size" if op == "count" else op))
         for out, (col, op) in aggs.items()
     }
-    # pandas blocks before the shuffle: one conversion per block instead
-    # of one per bucket in map_groups
+    merge = {
+        out: pd.NamedAgg(column=out, aggfunc=("sum" if op == "count" else op))
+        for out, (_, op) in aggs.items()
+    }
+
+    def partials(block: pd.DataFrame) -> pd.DataFrame:
+        # a block with no columns passes through, as in co_partition's tag
+        if not len(block.columns):
+            return block
+        return block.groupby(keys, sort=False, dropna=False).agg(**combine).reset_index()
+
+    # the combine is the map that turns blocks into pandas before the
+    # shuffle: one conversion per block instead of one per bucket
     return co_partition(
-        ds.map_batches(lambda df: df, batch_format="pandas"),
+        ds.map_batches(partials, batch_format="pandas"),
         keys,
-        lambda g: g.groupby(keys, sort=False, dropna=False).agg(**named).reset_index(),
+        lambda g: g.groupby(keys, sort=False, dropna=False).agg(**merge).reset_index(),
     )
 
 

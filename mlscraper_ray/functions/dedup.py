@@ -2141,12 +2141,8 @@ def source_neardup_report(
         if df.empty or "doc_a" not in df.columns:
             return pd.DataFrame({"doc_id": pd.Series(dtype="int64")})
         return pd.DataFrame(
-            {
-                "doc_id": pd.concat(
-                    [df["doc_a"], df["doc_b"]], ignore_index=True
-                ).astype("int64")
-            }
-        ).drop_duplicates()
+            {"doc_id": pd.concat([df["doc_a"], df["doc_b"]], ignore_index=True).astype("int64")}
+        )
 
     involved = bucketed_aggregate(
         pairs.map_batches(endpoints, batch_format="pandas"),
@@ -2163,28 +2159,10 @@ def source_neardup_report(
 
     docs = read_table(sf_dir, "documents", ["doc_id", "source"])
     joined = cogroup_join(docs, involved, "doc_id", how="left")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "source" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "source": pd.Series(dtype=str),
-                    "n_docs": pd.Series(dtype="int64"),
-                    "n_neardup_docs": pd.Series(dtype="int64"),
-                }
-            )
-        df = df.copy()
-        df["nd"] = df["nd"].fillna(0).astype("int64")
-        g = df.groupby("source", sort=False).agg(
-            n_docs=("doc_id", "size"), n_neardup_docs=("nd", "sum")
-        )
-        return g.reset_index()
-
+    # docs without a pair hold a null nd, which the sum skips
     out = (
         bucketed_aggregate(
-            joined.map_batches(partial, batch_format="pandas"),
-            ["source"],
-            {"n_docs": ("n_docs", "sum"), "n_neardup_docs": ("n_neardup_docs", "sum")},
+            joined, ["source"], {"n_docs": ("doc_id", "count"), "n_neardup_docs": ("nd", "sum")}
         )
         .to_pandas()
         .sort_values("source", ignore_index=True)
@@ -2255,7 +2233,7 @@ def source_pair_matrix(
     attaches its source through a cogroup join against the slim
     (doc_id, source) projection (two one-key shuffles — doc->source
     is corpus-sized, never broadcast), then the matrix folds in a
-    coarse-bucket aggregate bounded by sources^2."""
+    bucketed aggregate bounded by sources^2."""
     from mlscraper_ray.functions.joins import cogroup_join
 
     pairs = minhash_verified_pairs(
@@ -2319,28 +2297,18 @@ def source_pair_matrix(
     j2 = cogroup_join(j1.map_batches(b_rows, batch_format="pandas"), docs, "doc_id")
 
     def matrix_rows(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "source_a" not in df.columns or "source" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "source_lo": pd.Series(dtype=str),
-                    "source_hi": pd.Series(dtype=str),
-                    "n_pairs": pd.Series(dtype="int64"),
-                }
-            )
+        if "source" not in df.columns:  # a block with no columns
+            return df
         df = df.dropna(subset=["source_a", "source"])
         a = df["source_a"].astype(str)
         b = df["source"].astype(str)
-        out = pd.DataFrame(
-            {"source_lo": np.minimum(a, b), "source_hi": np.maximum(a, b)}
-        )
-        g = out.groupby(["source_lo", "source_hi"], sort=False).size().rename("n_pairs")
-        return g.reset_index()
+        return pd.DataFrame({"source_lo": np.minimum(a, b), "source_hi": np.maximum(a, b)})
 
     return finish(
         bucketed_aggregate(
             j2.map_batches(matrix_rows, batch_format="pandas"),
             ["source_lo", "source_hi"],
-            {"n_pairs": ("n_pairs", "sum")},
+            {"n_pairs": ("source_lo", "count")},
         ).to_pandas(),
         ["source_lo", "source_hi"],
         dtypes={"n_pairs": "int64"},
@@ -2548,15 +2516,15 @@ def dedup_prefix_groups(sf_dir: str, prefix_len: int = 64) -> pa.Table:
     One row per group with more than one member: md5 of the prefix,
     member count, smallest doc_id (the canonical keep).
 
-    Scale shape: each doc collapses to ONE slim (prefix_md5, count,
-    min_doc) partial at the map (the text never leaves the batch, the
-    prefix never ships raw), folded through the coarse-bucket
-    aggregate; only >1 groups leave."""
+    Scale shape: each doc collapses to ONE slim (prefix_md5, doc_id)
+    row at the map (the text never leaves the batch, the prefix never
+    ships raw), folded through the bucketed aggregate; only >1 groups
+    leave."""
 
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
-        df = pd.DataFrame(
+    def prefixes(batch: pa.Table) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "pmd5": [
                     hashlib.md5(t[:prefix_len].encode()).hexdigest()
@@ -2565,16 +2533,12 @@ def dedup_prefix_groups(sf_dir: str, prefix_len: int = 64) -> pa.Table:
                 "doc_id": batch["doc_id"].to_pylist(),
             }
         )
-        g = df.groupby("pmd5", sort=False).agg(
-            n_docs=("doc_id", "size"), min_doc_id=("doc_id", "min")
-        )
-        return g.reset_index().astype({"n_docs": "int64", "min_doc_id": "int64"})
 
     return finish(
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pyarrow"),
+            ds.map_batches(prefixes, batch_format="pyarrow"),
             ["pmd5"],
-            {"n_docs": ("n_docs", "sum"), "min_doc_id": ("min_doc_id", "min")},
+            {"n_docs": ("doc_id", "count"), "min_doc_id": ("doc_id", "min")},
         )
         .map_batches(lambda df: df[df["n_docs"] > 1], batch_format="pandas")
         .to_pandas(),

@@ -46,13 +46,11 @@ def broadcast_join_map(ds: ray.data.Dataset, key: str, mapping_ref, out_col: str
 
 def _is_integer_type(typ) -> bool:
     """Integer test across Ray's two block schemas: pyarrow DataType
-    (arrow blocks) or numpy dtype (pandas blocks from map_groups)."""
+    (arrow blocks) or pandas dtype (pandas blocks from map_groups,
+    numpy or nullable ``Int64``)."""
     if isinstance(typ, pa.DataType):
         return pa.types.is_integer(typ)
-    try:
-        return np.issubdtype(typ, np.integer)
-    except Exception:
-        return False
+    return pd.api.types.is_integer_dtype(typ)
 
 
 def cogroup_join(
@@ -156,7 +154,7 @@ def cogroup_join(
     # column different dtypes in different blocks
     int_cols = {
         name
-        for side in (left.schema(), right.schema())
+        for side in (left.schema().base_schema, right.schema().base_schema)
         for name, typ in zip(side.names, side.types)
         if _is_integer_type(typ)
     }
@@ -594,7 +592,7 @@ def part_brand_revenue(sf_dir: str) -> pa.Table:
 
         attached = rev.map_batches(attach, batch_format="pandas")
     else:
-        joined = cogroup_join(
+        attached = cogroup_join(
             rev.map_batches(
                 lambda df: df.rename(columns={"l_partkey": "p_partkey"}),
                 batch_format="pandas",
@@ -602,33 +600,12 @@ def part_brand_revenue(sf_dir: str) -> pa.Table:
             parts,
             "p_partkey",
         )
-        attached = joined.map_batches(
-            lambda df: df[["p_brand", "p_type", "rev_cents"]]
-            if "p_brand" in df.columns
-            else pd.DataFrame(
-                {
-                    "p_brand": pd.Series(dtype=str),
-                    "p_type": pd.Series(dtype=str),
-                    "rev_cents": pd.Series(dtype="int64"),
-                }
-            ),
-            batch_format="pandas",
-        )
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["p_brand", "p_type"], sort=False).agg(
-            revenue_cents=("rev_cents", "sum"), n_lineitems=("rev_cents", "size")
-        )
-        return g.reset_index()
 
     return finish(
         bucketed_aggregate(
-            attached.map_batches(partial, batch_format="pandas"),
+            attached,
             ["p_brand", "p_type"],
-            {
-                "revenue_cents": ("revenue_cents", "sum"),
-                "n_lineitems": ("n_lineitems", "sum"),
-            },
+            {"revenue_cents": ("rev_cents", "sum"), "n_lineitems": ("rev_cents", "count")},
         ).to_pandas(),
         ["p_brand", "p_type"],
         dtypes={"revenue_cents": "int64", "n_lineitems": "int64"},
@@ -666,10 +643,10 @@ def supplier_nation_summary(sf_dir: str) -> pa.Table:
 
     sup = read_table(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey", "s_acctbal"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def named(df: pd.DataFrame) -> pd.DataFrame:
         nm, rm = cached_object(m_ref)
         nn = [nm[int(k)] for k in df["s_nationkey"]]
-        rows = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "r_name": [rm[x[1]] for x in nn],
                 "n_name": [x[0] for x in nn],
@@ -677,53 +654,32 @@ def supplier_nation_summary(sf_dir: str) -> pa.Table:
                 "bal_cents": (df["s_acctbal"] * 100).round().astype("int64"),
             }
         )
-        g = (
-            rows.sort_values(["bal_cents", "s_name"], ascending=[False, True])
-            .groupby(["r_name", "n_name"], sort=False)
-            .agg(
-                n_suppliers=("s_name", "size"),
-                sum_bal_cents=("bal_cents", "sum"),
-                top_bal_cents=("bal_cents", "max"),
-                top_supplier=("s_name", "first"),
-            )
-        )
-        return g.reset_index()
 
-    def fold(df: pd.DataFrame) -> pd.DataFrame:
-        # merge partials: counts/sums add; the top supplier re-picks
-        # by (bal desc, name asc) across partial winners
-        g = df.groupby(["r_name", "n_name"], sort=False)
-        agg = g.agg(
-            n_suppliers=("n_suppliers", "sum"), sum_bal_cents=("sum_bal_cents", "sum")
-        ).reset_index()
-        top = (
-            df.sort_values(
-                ["top_bal_cents", "top_supplier"], ascending=[False, True]
-            )
+    def winners(df: pd.DataFrame) -> pd.DataFrame:
+        # the (bal desc, name asc) first supplier of each nation
+        return (
+            df.sort_values(["bal_cents", "s_name"], ascending=[False, True])
             .groupby(["r_name", "n_name"], sort=False)
-            .head(1)[["r_name", "n_name", "top_bal_cents", "top_supplier"]]
+            .head(1)
         )
-        return agg.merge(top, on=["r_name", "n_name"])
 
+    rows = sup.map_batches(named, batch_format="pandas")
     parts_ds = bucketed_aggregate(
-        sup.map_batches(partial, batch_format="pandas"),
+        rows,
         ["r_name", "n_name"],
         {
-            "n_suppliers": ("n_suppliers", "sum"),
-            "sum_bal_cents": ("sum_bal_cents", "sum"),
-            "top_bal_cents": ("top_bal_cents", "max"),
+            "n_suppliers": ("s_name", "count"),
+            "sum_bal_cents": ("bal_cents", "sum"),
+            "top_bal_cents": ("bal_cents", "max"),
         },
     ).to_pandas()
     # winner names: a second slim pass keeps only per-batch winners,
     # final pick on the tiny (region, nation) table
-    winners = (
-        sup.map_batches(partial, batch_format="pandas")
-        .to_pandas()
-        .pipe(fold)[["r_name", "n_name", "top_supplier", "top_bal_cents"]]
+    top = winners(rows.map_batches(winners, batch_format="pandas").to_pandas())
+    top = top[["r_name", "n_name", "s_name"]].rename(columns={"s_name": "top_supplier"})
+    out = parts_ds.merge(top, on=["r_name", "n_name"]).sort_values(
+        ["r_name", "n_name"], ignore_index=True
     )
-    out = parts_ds.merge(
-        winners[["r_name", "n_name", "top_supplier"]], on=["r_name", "n_name"]
-    ).sort_values(["r_name", "n_name"], ignore_index=True)
     for c in ("n_suppliers", "sum_bal_cents", "top_bal_cents"):
         out[c] = out[c].astype("int64")
     cols = ["r_name", "n_name", "n_suppliers", "sum_bal_cents", "top_bal_cents", "top_supplier"]
@@ -815,16 +771,9 @@ def q3_shipping_priority(
     joined = cogroup_join(rev, o_kept, "o_orderkey")
 
     agg = bucketed_aggregate(
-        joined.map_batches(
-            lambda df: df.groupby(
-                ["o_orderkey", "o_orderdate", "o_orderpriority"], sort=False
-            )
-            .agg(revenue_cents=("rev_cents", "sum"))
-            .reset_index(),
-            batch_format="pandas",
-        ),
+        joined,
         ["o_orderkey", "o_orderdate", "o_orderpriority"],
-        {"revenue_cents": ("revenue_cents", "sum")},
+        {"revenue_cents": ("rev_cents", "sum")},
     )
 
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -980,27 +929,11 @@ def q5_local_supplier_volume(
     else:
         joined = cogroup_join(l_oc, supp, "suppkey")
 
-    def local_partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["c_nat"] == df["s_nat"]]
-        return (
-            df.groupby("s_nat", sort=False)
-            .agg(
-                revenue_cents=("rev_cents", "sum"), n_lineitems=("n_lineitems", "sum")
-            )
-            .reset_index()
-        )
-
-    out = (
-        bucketed_aggregate(
-            joined.map_batches(local_partial, batch_format="pandas"),
-            ["s_nat"],
-            {
-                "revenue_cents": ("revenue_cents", "sum"),
-                "n_lineitems": ("n_lineitems", "sum"),
-            },
-        )
-        .to_pandas()
-    )
+    out = bucketed_aggregate(
+        joined.map_batches(lambda df: df[df["c_nat"] == df["s_nat"]], batch_format="pandas"),
+        ["s_nat"],
+        {"revenue_cents": ("rev_cents", "sum"), "n_lineitems": ("n_lineitems", "sum")},
+    ).to_pandas()
     out["n_name"] = out["s_nat"].map(name_by_key)
     return finish(
         out,
@@ -1044,7 +977,7 @@ def q18_large_orders(
     its customer; top-``k`` by quantity.
 
     Distributed shape: the HAVING side is a bucketed per-orderkey
-    quantity fold (one shuffle of slim (orderkey, qty) partials — the
+    quantity fold (one shuffle of slim (orderkey, qty) rows — the
     groupby-HAVING semi-join pattern where the qualifying key set is
     fact-sized and can never broadcast); qualifying keys then cogroup
     with orders on orderkey (one more slim shuffle); the customer name
@@ -1054,14 +987,10 @@ def q18_large_orders(
     never materialized whole. Quantities ride as exact int64 units."""
 
     li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
-        lambda df: df.groupby("l_orderkey", sort=False)
-        .agg(total_qty=("l_quantity", "sum"))
-        .reset_index()
-        .rename(columns={"l_orderkey": "o_orderkey"}),
-        batch_format="pandas",
+        lambda df: df.rename(columns={"l_orderkey": "o_orderkey"}), batch_format="pandas"
     )
     big = bucketed_aggregate(
-        li, ["o_orderkey"], {"total_qty": ("total_qty", "sum")}
+        li, ["o_orderkey"], {"total_qty": ("l_quantity", "sum")}
     ).map_batches(
         lambda df: df.loc[df["total_qty"] > min_qty].assign(
             o_orderkey=lambda d: d["o_orderkey"].astype("int64"),
@@ -1147,28 +1076,20 @@ def orders_with_returns_by_priority(sf_dir: str) -> pa.Table:
     li = read_table(sf_dir, "lineitem", ["l_orderkey", "l_returnflag"])
 
     def returned_keys(df: pd.DataFrame) -> pd.DataFrame:
-        ks = df.loc[df["l_returnflag"] == "R", "l_orderkey"].astype("int64").unique()
-        return pd.DataFrame({"o_orderkey": ks})
+        return pd.DataFrame(
+            {"o_orderkey": df.loc[df["l_returnflag"] == "R", "l_orderkey"].astype("int64")}
+        )
 
-    rk = li.map_batches(returned_keys, batch_format="pandas").map_batches(
-        lambda df: df.assign(one=np.int64(1)), batch_format="pandas"
-    )
-    distinct = bucketed_aggregate(rk, ["o_orderkey"], {"one": ("one", "max")}).map_batches(
-        lambda df: df[["o_orderkey"]], batch_format="pandas"
-    )
+    distinct = bucketed_aggregate(
+        li.map_batches(returned_keys, batch_format="pandas"),
+        ["o_orderkey"],
+        {"n": ("o_orderkey", "count")},
+    ).map_batches(lambda df: df[["o_orderkey"]], batch_format="pandas")
 
     orders = read_table(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     joined = cogroup_join(orders, distinct, "o_orderkey")
-
-    parts = joined.map_batches(
-        lambda df: df.groupby("o_orderpriority", sort=False)
-        .size()
-        .rename("n_orders")
-        .reset_index(),
-        batch_format="pandas",
-    )
     return finish(
-        bucketed_aggregate(parts, ["o_orderpriority"], {"n_orders": ("n_orders", "sum")})
+        bucketed_aggregate(joined, ["o_orderpriority"], {"n_orders": ("o_orderkey", "count")})
         .to_pandas(),
         "o_orderpriority",
         dtypes={"n_orders": "int64"},
@@ -1202,17 +1123,16 @@ def top_customers_by_nation(sf_dir: str, k: int = 3) -> pa.Table:
 
     orders = read_table(sf_dir, "orders", ["o_custkey", "o_totalprice"])
 
-    def per_cust(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def cents(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "c_custkey": df["o_custkey"].astype("int64"),
                 "revenue_cents": (df["o_totalprice"] * 100).round().astype("int64"),
             }
         )
-        return out.groupby("c_custkey", as_index=False)["revenue_cents"].sum()
 
     totals = bucketed_aggregate(
-        orders.map_batches(per_cust, batch_format="pandas"),
+        orders.map_batches(cents, batch_format="pandas"),
         ["c_custkey"],
         {"revenue_cents": ("revenue_cents", "sum")},
     )
@@ -1280,7 +1200,8 @@ def q10_returned_revenue(
 
     Distributed shape: returned lineitems pre-sum per orderkey inside
     each batch (slim rev partials), cogroup with date-filtered orders
-    on orderkey (fact-fact, one shuffle), re-partial per custkey; the
+    on orderkey (fact-fact, one shuffle), then one bucketed aggregate
+    per custkey; the
     customer (name, nation) lookup is SIZE-GUARDED — broadcast attach
     when ``broadcast.pull`` takes it, cogroup otherwise (paths tested
     equal); only the 25-row nation map is unconditionally driver-side.
@@ -1319,11 +1240,7 @@ def q10_returned_revenue(
         batch_format="pandas",
     )
     per_cust = cogroup_join(li, orders, "o_orderkey").map_batches(
-        lambda df: df.groupby("o_custkey", sort=False)
-        .agg(lost_cents=("lost_cents", "sum"))
-        .reset_index()
-        .rename(columns={"o_custkey": "c_custkey"}),
-        batch_format="pandas",
+        lambda df: df.rename(columns={"o_custkey": "c_custkey"}), batch_format="pandas"
     )
     agg = bucketed_aggregate(
         per_cust, ["c_custkey"], {"lost_cents": ("lost_cents", "sum")}
@@ -1408,22 +1325,18 @@ def part_supplier_diversity(sf_dir: str) -> pa.Table:
     failure).
 
     Distributed shape: lineitem collapses to distinct
-    (partkey, suppkey) pairs per batch, then globally through the
-    coarse-bucket aggregate (slim int pairs — the pair domain is
-    catalog-sized, far below lineitem); part dims attach via the
+    (partkey, suppkey) pairs through the bucketed aggregate (slim int
+    pairs — the pair domain is catalog-sized, far below lineitem);
+    part dims attach via the
     size-guarded broadcast (part is ~lineitem/30; when
     ``broadcast.pull`` declines it the same slim sides cogroup on
-    partkey). The two DISTINCT counts fold as separate bucketed
-    distincts over (brand, type, suppkey) and (brand, type, partkey) —
-    each re-shuffles only already-distinct catalog-sized rows — and
-    merge on the brand x type driver table (hundreds of rows)."""
-    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"]).map_batches(
-        lambda df: df.drop_duplicates().astype("int64").assign(one=np.int64(1)),
-        batch_format="pandas",
-    )
-    pairs = bucketed_aggregate(
-        li, ["l_partkey", "l_suppkey"], {"one": ("one", "max")}
-    )
+    partkey). Each DISTINCT count is two chained bucketed aggregates:
+    a distinct over (brand, type, suppkey) or (brand, type, partkey),
+    whose catalog-sized rows are then counted per (brand, type); the
+    two counts merge on the brand x type driver table (hundreds of
+    rows)."""
+    li = read_table(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
+    pairs = bucketed_aggregate(li, ["l_partkey", "l_suppkey"], {"n": ("l_suppkey", "count")})
 
     parts_read = read_table(sf_dir, "part", ["p_partkey", "p_brand", "p_type"])
     if pulled := broadcast.pull(parts_read):
@@ -1469,30 +1382,9 @@ def part_supplier_diversity(sf_dir: str) -> pa.Table:
     tagged = tagged.materialize()
 
     def count_distinct(ds, key_col, out_col):
-        d = bucketed_aggregate(
-            ds.map_batches(
-                lambda df, kc=key_col: df[["p_brand", "p_type", kc]]
-                .drop_duplicates()
-                .assign(one=np.int64(1)),
-                batch_format="pandas",
-            ),
-            ["p_brand", "p_type", key_col],
-            {"one": ("one", "max")},
-        )
-        return (
-            bucketed_aggregate(
-                d.map_batches(
-                    lambda df: df.groupby(["p_brand", "p_type"], sort=False)
-                    .size()
-                    .rename("c")
-                    .reset_index(),
-                    batch_format="pandas",
-                ),
-                ["p_brand", "p_type"],
-                {out_col: ("c", "sum")},
-            )
-            .to_pandas()
-        )
+        d = bucketed_aggregate(ds, ["p_brand", "p_type", key_col], {"n": (key_col, "count")})
+        counts = bucketed_aggregate(d, ["p_brand", "p_type"], {out_col: (key_col, "count")})
+        return counts.to_pandas()
 
     supp = count_distinct(tagged, "l_suppkey", "n_suppliers")
     prt = count_distinct(tagged, "l_partkey", "n_parts")

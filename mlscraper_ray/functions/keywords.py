@@ -88,16 +88,7 @@ def tfidf_topk_ds(sf_dir: str, k: int = 5) -> ray.data.Dataset:
 
     tf_rows = docs.map_batches(_doc_tf, batch_format="pandas").materialize()
     # df = per-word count of (doc, word) rows; N = distinct non-empty docs
-    df_tbl = bucketed_aggregate(
-        tf_rows.map_batches(
-            lambda b: pd.DataFrame(
-                {"word": b["word"], "df": pd.Series([1] * len(b), dtype="int64")}
-            ),
-            batch_format="pandas",
-        ),
-        ["word"],
-        {"df": ("df", "sum")},
-    ).materialize()
+    df_tbl = bucketed_aggregate(tf_rows, ["word"], {"df": ("word", "count")}).materialize()
     # N = docs with at least one token (one doc per input row, so a
     # per-batch vectorized count folds to the exact distinct count)
     n_docs = int(

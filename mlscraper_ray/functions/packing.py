@@ -24,9 +24,9 @@ Computed as a DISTRIBUTED PREFIX SUM — no engine-wide sort/window:
    rows.
 
 :func:`source_top_terms` is the classic per-source vocabulary summary
-(top-k terms by frequency): per-batch LOCAL term counts (pandas
-explode + groupby — the partial-aggregate idiom), a coarse-bucket
-global sum, per-block partial top-k, then a final tiny per-source
+(top-k terms by frequency): (source, term) rows (pandas explode) into
+a bucketed count aggregate, which combines each block before its
+shuffle, per-block partial top-k, then a final tiny per-source
 merge — the full (source, term) count table never lands anywhere
 whole.
 """
@@ -283,21 +283,16 @@ def source_top_terms(sf_dir: str, k: int = 10) -> pa.Table:
     contamination-screen summary run per mixture component."""
     docs = read_table(sf_dir, "documents", ["source", "text"])
 
-    def local_counts(batch: pd.DataFrame) -> pd.DataFrame:
+    def words(batch: pd.DataFrame) -> pd.DataFrame:
         ex = pd.DataFrame(
             {"source": batch["source"], "word": batch["text"].str.split()}
         ).explode("word")
-        ex = ex[ex["word"].notna()]
-        out = (
-            ex.groupby(["source", "word"], sort=False).size().rename("cnt").reset_index()
-        )
-        out["cnt"] = out["cnt"].astype("int64")
-        return out
+        return ex[ex["word"].notna()]
 
     counts = bucketed_aggregate(
-        docs.map_batches(local_counts, batch_format="pandas"),
+        docs.map_batches(words, batch_format="pandas"),
         ["source", "word"],
-        {"cnt": ("cnt", "sum")},
+        {"cnt": ("word", "count")},
     )
 
     def partial_topk(df: pd.DataFrame) -> pd.DataFrame:

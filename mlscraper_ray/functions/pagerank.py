@@ -651,24 +651,45 @@ def page_rank_to_parquet(
 
 def _distinct_host_pairs(edges: ray.data.Dataset) -> ray.data.Dataset:
     """DISTINCT cross-host (sh, dh) directed pairs from a url-level
-    edge Dataset: local pre-dedup per batch, global dedup via the
-    coarse-bucket aggregate (host-pair cardinality ≤ hosts², far
-    below edge count). Shared by the host roll-up and the
-    reciprocity metric."""
+    edge Dataset through the bucketed aggregate (host-pair
+    cardinality ≤ hosts², far below edge count). Shared by the host
+    roll-up and the reciprocity metric."""
     from mlscraper_ray.sources.corpusgen import url_host
 
     def host_pairs(df: pd.DataFrame) -> pd.DataFrame:
         sh = [url_host(s) for s in df["src"]]
         dh = [url_host(d) for d in df["dst"]]
         p = pd.DataFrame({"sh": sh, "dh": dh})
-        p = p[p["sh"] != p["dh"]].drop_duplicates()  # local pre-dedup
-        return p
+        return p[p["sh"] != p["dh"]]
 
     return bucketed_aggregate(
         edges.map_batches(host_pairs, batch_format="pandas"),
         ["sh", "dh"],
         {"one": ("sh", "count")},
     )
+
+
+def _undirected_host_pairs(edges: ray.data.Dataset) -> ray.data.Dataset:
+    """DISTINCT unordered cross-host (lo, hi) pairs, lo < hi, of a
+    url-level edge Dataset, materialized (every caller reads them more
+    than once): :func:`_distinct_host_pairs` folded onto their
+    unordered form through one more bucketed aggregate."""
+
+    def unordered(df: pd.DataFrame) -> pd.DataFrame:
+        if df.empty or "sh" not in df.columns:  # empty group block
+            return pd.DataFrame(
+                {"lo": pd.Series(dtype=str), "hi": pd.Series(dtype=str)}
+            )
+        lo = df[["sh", "dh"]].min(axis=1)
+        hi = df[["sh", "dh"]].max(axis=1)
+        return pd.DataFrame({"lo": lo, "hi": hi})
+
+    pairs = _distinct_host_pairs(edges).materialize()
+    return bucketed_aggregate(
+        pairs.map_batches(unordered, batch_format="pandas"),
+        ["lo", "hi"],
+        {"one": ("lo", "count")},
+    ).materialize()
 
 
 def host_reciprocity_ds(edges: ray.data.Dataset, n_hosts_hint: int | None = None) -> ray.data.Dataset:
@@ -865,27 +886,7 @@ def host_triangles_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
     with a cogroup join-back fallback when ``broadcast.pull`` declines
     the degree table.
     Returns per-host rows (host, degree, triangles)."""
-    pairs = _distinct_host_pairs(edges).materialize()
-
-    def endpoints(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"host": pd.concat([df["sh"], df["dh"]], ignore_index=True)}
-        )
-
-    def unordered(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "sh" not in df.columns:  # empty group block
-            return pd.DataFrame(
-                {"lo": pd.Series(dtype=str), "hi": pd.Series(dtype=str)}
-            )
-        lo = df[["sh", "dh"]].min(axis=1)
-        hi = df[["sh", "dh"]].max(axis=1)
-        return pd.DataFrame({"lo": lo, "hi": hi}).drop_duplicates()
-
-    und = bucketed_aggregate(
-        pairs.map_batches(unordered, batch_format="pandas"),
-        ["lo", "hi"],
-        {"one": ("lo", "count")},
-    ).materialize()
+    und = _undirected_host_pairs(edges)
 
     def _endpoints_und(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "lo" not in df.columns:  # empty group block
@@ -1152,22 +1153,7 @@ def host_kcore_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
     (the components.py block-doubling hazard).
 
     Returns per-host rows (host, coreness)."""
-    pairs = _distinct_host_pairs(edges).materialize()
-
-    def unordered(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "sh" not in df.columns:  # empty group block
-            return pd.DataFrame(
-                {"lo": pd.Series(dtype=str), "hi": pd.Series(dtype=str)}
-            )
-        lo = df[["sh", "dh"]].min(axis=1)
-        hi = df[["sh", "dh"]].max(axis=1)
-        return pd.DataFrame({"lo": lo, "hi": hi}).drop_duplicates()
-
-    und = bucketed_aggregate(
-        pairs.map_batches(unordered, batch_format="pandas"),
-        ["lo", "hi"],
-        {"one": ("lo", "count")},
-    ).materialize()
+    und = _undirected_host_pairs(edges)
 
     def rows_table(core: dict[str, int]) -> pa.Table:
         hosts = sorted(core)
@@ -1304,22 +1290,7 @@ def host_communities_ds(
     name (the propagated label)."""
     from mlscraper_ray.functions.joins import cogroup_join
 
-    pairs = _distinct_host_pairs(edges).materialize()
-
-    def unordered(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "sh" not in df.columns:  # empty group block
-            return pd.DataFrame(
-                {"lo": pd.Series(dtype=str), "hi": pd.Series(dtype=str)}
-            )
-        lo = df[["sh", "dh"]].min(axis=1)
-        hi = df[["sh", "dh"]].max(axis=1)
-        return pd.DataFrame({"lo": lo, "hi": hi}).drop_duplicates()
-
-    und = bucketed_aggregate(
-        pairs.map_batches(unordered, batch_format="pandas"),
-        ["lo", "hi"],
-        {"one": ("lo", "count")},
-    ).materialize()
+    und = _undirected_host_pairs(edges)
 
     def rows_table(label: dict[str, str]) -> pa.Table:
         hosts = sorted(label)
@@ -1348,7 +1319,7 @@ def host_communities_ds(
                 {"host": pd.Series(dtype=str), "label": pd.Series(dtype=str)}
             )
         h = pd.concat([df["lo"], df["hi"]], ignore_index=True)
-        return pd.DataFrame({"host": h, "label": h}).drop_duplicates()
+        return pd.DataFrame({"host": h, "label": h})
 
     labels = bucketed_aggregate(
         und.map_batches(init_labels, batch_format="pandas"),
@@ -1466,20 +1437,8 @@ def host_assortativity_ds(edges: ray.data.Dataset) -> pa.Table:
         lambda df: df[["sh", "dh"]], batch_format="pandas"
     ).materialize()
 
-    out_deg = bucketed_aggregate(
-        pairs.map_batches(
-            lambda df: df.assign(od=np.int64(1))[["sh", "od"]], batch_format="pandas"
-        ),
-        ["sh"],
-        {"od": ("od", "sum")},
-    ).materialize()
-    in_deg = bucketed_aggregate(
-        pairs.map_batches(
-            lambda df: df.assign(idg=np.int64(1))[["dh", "idg"]], batch_format="pandas"
-        ),
-        ["dh"],
-        {"idg": ("idg", "sum")},
-    ).materialize()
+    out_deg = bucketed_aggregate(pairs, ["sh"], {"od": ("dh", "count")}).materialize()
+    in_deg = bucketed_aggregate(pairs, ["dh"], {"idg": ("sh", "count")}).materialize()
     # degree tables are HOST-sized (data-card domain, not edge-sized):
     # size-guarded broadcast attach, else cogroup fallback; materialized
     # once, so either path reads the two degree shuffles' output

@@ -2574,30 +2574,24 @@ def embed_norm_histogram(sf_dir: str) -> pa.Table:
     whole-vector granularity (a bimodal norm histogram says two
     incompatible embedding versions were mixed).
 
-    One streaming pass, <= 64-row partials per batch, tiny fold."""
+    One streaming pass, one tiny bucketed aggregate (<= 64 bands)."""
 
     ds = read_table(sf_dir, "embeddings", ["embedding"])
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def bands(batch: pa.Table) -> pd.DataFrame:
         mat = np.array(
             [list(r) for r in batch["embedding"].to_pylist()], dtype=np.float64
         )
         X = np.floor(mat * 1000 + 0.5).astype(np.int64)
         sq = (X * X).sum(axis=1)
         band = np.where(sq > 0, np.frexp(sq.astype(np.float64))[1], 0)
-        vc = pd.Series(band.astype(np.int64)).value_counts()
-        return pd.DataFrame(
-            {
-                "band": vc.index.astype("int64"),
-                "n_vectors": vc.to_numpy().astype("int64"),
-            }
-        )
+        return pd.DataFrame({"band": band.astype(np.int64)})
 
     return finish(
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pyarrow"),
+            ds.map_batches(bands, batch_format="pyarrow"),
             ["band"],
-            {"n_vectors": ("n_vectors", "sum")},
+            {"n_vectors": ("band", "count")},
         ).to_pandas(),
         "band",
         dtypes={"band": "int64", "n_vectors": "int64"},

@@ -68,39 +68,24 @@ FROM flagged GROUP BY user_id ORDER BY user_id
 def hourly_event_counts(sf_dir: str) -> pa.Table:
     """Tumbling 1-hour windows per event_type: count + milli-exact
     value sum. Window key computed per batch (vectorized floor), then
-    partial-agg -> small groupby."""
+    one bucketed aggregate (window count scales with the covered time
+    range)."""
     ds = read_table(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch["ts"], unit="hour")
-        t = pa.table(
+    def windowed(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "event_type": batch["event_type"],
-                "window_start": hour,
+                "window_start": pc.floor_temporal(batch["ts"], unit="hour"),
                 "value_milli": pc.cast(pc.round(pc.multiply(batch["value"], pa.scalar(1000.0))), pa.int64()),
             }
         )
-        g = t.group_by(["event_type", "window_start"]).aggregate(
-            [("value_milli", "sum"), ("window_start", "count")]
-        )
-        # select by NAME: aggregate output column order differed across
-        # pyarrow versions (keys-first vs aggregates-first)
-        return pa.table(
-            {
-                "event_type": g["event_type"],
-                "window_start": g["window_start"],
-                "sum_value_milli": g["value_milli_sum"],
-                "n_events": g["window_start_count"],
-            }
-        )
 
-    # window count scales with the covered time range -> coarse-bucket
-    # combine of the per-batch partials (functions/bucketed.py)
     return finish(
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pyarrow"),
+            ds.map_batches(windowed, batch_format="pyarrow"),
             ["event_type", "window_start"],
-            {"sum_value_milli": ("sum_value_milli", "sum"), "n_events": ("n_events", "sum")},
+            {"sum_value_milli": ("value_milli", "sum"), "n_events": ("value_milli", "count")},
         ).to_pandas(),
         ["event_type", "window_start"],
         dtypes={"sum_value_milli": "int64", "n_events": "int64"},
@@ -156,16 +141,16 @@ def sliding_window_counts(sf_dir: str, window_hours: int = 24, slide_hours: int 
     """Sliding event-time windows per event_type (window_hours wide,
     sliding every slide_hours): each event belongs to
     window_hours/slide_hours windows. The explode happens per batch
-    (numpy), partials are pre-aggregated per batch, and the global
-    combine is the coarse-bucket idiom — the shuffle carries one row
-    per (type, window) per batch, never per event. Window keys are
+    (numpy) and feeds the bucketed aggregate, which combines each
+    block first — the shuffle carries one row per (type, window) per
+    block, never per event. Window keys are
     epoch seconds (integer) so the DuckDB oracle compares bit-exact."""
     assert window_hours % slide_hours == 0
     k_windows = window_hours // slide_hours
     slide_s = slide_hours * 3600
     ds = read_table(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def exploded(batch: pa.Table) -> pd.DataFrame:
         df = batch.to_pandas()
         slot = (df["ts"].astype("int64") // 1_000_000) // slide_s
         vm = (df["value"] * 1000).round().astype("int64")
@@ -180,17 +165,13 @@ def sliding_window_counts(sf_dir: str, window_hours: int = 24, slide_hours: int 
                     }
                 )
             )
-        exploded = pd.concat(frames, ignore_index=True)
-        g = exploded.groupby(["event_type", "window_start_epoch"], sort=False).agg(
-            sum_value_milli=("vm", "sum"), n_events=("vm", "size")
-        ).reset_index()
-        return finish(g)
+        return pd.concat(frames, ignore_index=True)
 
     return finish(
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pyarrow"),
+            ds.map_batches(exploded, batch_format="pyarrow"),
             ["event_type", "window_start_epoch"],
-            {"sum_value_milli": ("sum_value_milli", "sum"), "n_events": ("n_events", "sum")},
+            {"sum_value_milli": ("vm", "sum"), "n_events": ("vm", "count")},
         ).to_pandas(),
         ["event_type", "window_start_epoch"],
         dtypes={"sum_value_milli": "int64", "n_events": "int64"},
@@ -232,15 +213,15 @@ def events_decayed_value(
     against the distributed global max timestamp. Returns (user_id,
     decayed_milli, n_events) ordered by user_id.
 
-    Plan shape: one distributed max, one streaming pass emitting
-    per-batch per-user partials, one coarse-bucket aggregate over the
-    user keys. Nothing driver-sized."""
+    Plan shape: one distributed max, one streaming pass emitting each
+    event's contribution, one bucketed aggregate over the user keys.
+    Nothing driver-sized."""
     hl_us = halflife_hours * 3_600 * 1_000_000
     ds = read_table(sf_dir, "events", ["user_id", "ts", "value"])
     mx = ds.max("ts")
     ts_max_us = pd.Timestamp(mx).value // 1_000
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def decayed(batch: pa.Table) -> pd.DataFrame:
         ts_us = batch["ts"].cast(pa.timestamp("us")).cast(pa.int64()).to_numpy()
         vm = (
             pc.cast(pc.round(pc.multiply(batch["value"], pa.scalar(1000.0))), pa.int64())
@@ -248,23 +229,13 @@ def events_decayed_value(
         )
         sh = (ts_max_us - ts_us) // hl_us
         contrib = np.where(sh >= 63, 0, vm >> np.minimum(sh, 62))
-        df = pd.DataFrame(
-            {
-                "user_id": batch["user_id"].to_numpy(),
-                "c": contrib.astype("int64"),
-            }
-        )
-        g = df.groupby("user_id", as_index=False).agg(
-            decayed_milli=("c", "sum"), n_events=("c", "size")
-        )
-        g["n_events"] = g["n_events"].astype("int64")
-        return g
+        return pd.DataFrame({"user_id": batch["user_id"].to_numpy(), "c": contrib.astype("int64")})
 
     return finish(
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pyarrow"),
+            ds.map_batches(decayed, batch_format="pyarrow"),
             ["user_id"],
-            {"decayed_milli": ("decayed_milli", "sum"), "n_events": ("n_events", "sum")},
+            {"decayed_milli": ("c", "sum"), "n_events": ("c", "count")},
         ).to_pandas(),
         "user_id",
         dtypes="int64",
@@ -535,18 +506,15 @@ def events_rate_anomaly(sf_dir: str, min_count: int = SPIKE_MIN_COUNT) -> pa.Tab
     event count)."""
     ds = read_table(sf_dir, "events", ["event_type", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch["ts"], unit="hour")
-        t = pa.table({"event_type": batch["event_type"], "h": hour})
-        g = t.group_by(["event_type", "h"]).aggregate([("h", "count")])
+    def hourly(batch: pa.Table) -> pa.Table:
         return pa.table(
-            {"event_type": g["event_type"], "h": g["h"], "cnt": g["h_count"]}
+            {"event_type": batch["event_type"], "h": pc.floor_temporal(batch["ts"], unit="hour")}
         )
 
     counts = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        ds.map_batches(hourly, batch_format="pyarrow"),
         ["event_type", "h"],
-        {"cnt": ("cnt", "sum")},
+        {"cnt": ("h", "count")},
     )
 
     def detect(g: pd.DataFrame) -> pd.DataFrame:
@@ -729,53 +697,33 @@ def events_props_stats(sf_dir: str) -> pa.Table:
     real logs carry nested payloads): parse ``$.k`` per event and roll
     up per event_type the count, sum/min/max and the EXACT distinct-k
     count. Parsing happens inside the batch map (the string-kernel hot
-    path, like tokenization); distinct-k folds as (type, k) partials —
-    bounded by the value domain, not the event count — then a tiny
-    per-type aggregate. Events with no parseable ``k`` count into
-    n_missing and are excluded from the numeric rolls."""
+    path, like tokenization); distinct-k folds as (type, k) counts in
+    a bucketed aggregate — bounded by the value domain, not the event
+    count — then a tiny per-type aggregate. Events with no parseable
+    ``k`` count into n_missing and are excluded from the numeric
+    rolls."""
     import json
 
     ds = read_table(sf_dir, "events", ["event_type", "props"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        rows: dict[tuple[str, int], list] = {}
-        missing: dict[str, int] = {}
-        for etype, props in zip(batch["event_type"], batch["props"]):
-            et = str(etype)
-            k = None
+    def parsed_k(batch: pd.DataFrame) -> pd.DataFrame:
+        ks = []
+        for props in batch["props"]:
+            k = -1  # missing
             try:
                 v = json.loads(props or "")
                 if isinstance(v, dict) and isinstance(v.get("k"), int):
                     k = v["k"]
             except (ValueError, TypeError):
                 pass
-            if k is None:
-                missing[et] = missing.get(et, 0) + 1
-                continue
-            cur = rows.get((et, k))
-            if cur is None:
-                rows[(et, k)] = [1, k]
-            else:
-                cur[0] += 1
-        out = pd.DataFrame(
-            {
-                "event_type": [k[0] for k in rows] + list(missing),
-                "k": pd.Series(
-                    [k[1] for k in rows] + [-1] * len(missing), dtype="int64"
-                ),
-                "n": pd.Series(
-                    [v[0] for v in rows.values()] + list(missing.values()),
-                    dtype="int64",
-                ),
-            }
+            ks.append(k)
+        return pd.DataFrame(
+            {"event_type": batch["event_type"].astype(str), "k": pd.Series(ks, dtype="int64")}
         )
-        return out
 
-    # (type, k) partials: k's domain bounds this table, not event count
+    # (type, k) counts: k's domain bounds this table, not event count
     agg = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["event_type", "k"],
-        {"n": ("n", "sum")},
+        ds.map_batches(parsed_k, batch_format="pandas"), ["event_type", "k"], {"n": ("k", "count")}
     ).to_pandas()
     out_rows = []
     for et, grp in agg.groupby("event_type"):
@@ -921,12 +869,12 @@ EVENTS_MARKOV_TRANSITIONS_SQL = events_markov_transitions_sql()
 def events_user_lifetime_stats(sf_dir: str) -> pa.Table:
     """Per-user lifetime roll-up — the cohort/LTV base table: first
     and last event time, span in hours (floor), distinct active days,
-    event count and milli-exact value total. Pure partial-aggregate
-    fold; distinct days fold as (user, day) partials first (bounded
-    by users x active days)."""
+    event count and milli-exact value total. Two chained bucketed
+    aggregates: per (user, day), then per user over those distinct
+    (user, day) rows, whose count is the active days."""
     ds = read_table(sf_dir, "events", ["user_id", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pd.DataFrame:
+    def daily(batch: pa.Table) -> pd.DataFrame:
         df = pd.DataFrame(
             {
                 "user_id": batch["user_id"].to_pandas(),
@@ -940,54 +888,26 @@ def events_user_lifetime_stats(sf_dir: str) -> pa.Table:
             }
         )
         df["day"] = df["ts"].dt.floor("D")
-        g = df.groupby(["user_id", "day"], sort=False).agg(
-            first_ts=("ts", "min"),
-            last_ts=("ts", "max"),
-            n_events=("ts", "size"),
-            sum_value_milli=("value_milli", "sum"),
-        )
-        return g.reset_index()
+        return df
 
     per_day = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        ds.map_batches(daily, batch_format="pyarrow"),
         ["user_id", "day"],
         {
-            "first_ts": ("first_ts", "min"),
-            "last_ts": ("last_ts", "max"),
-            "n_events": ("n_events", "sum"),
-            "sum_value_milli": ("sum_value_milli", "sum"),
+            "first_ts": ("ts", "min"),
+            "last_ts": ("ts", "max"),
+            "n_events": ("ts", "count"),
+            "sum_value_milli": ("value_milli", "sum"),
         },
     )
-
-    def fold_user(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "user_id" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series(dtype="int64"),
-                    "first_ts": pd.Series(dtype="datetime64[us]"),
-                    "last_ts": pd.Series(dtype="datetime64[us]"),
-                    "n_active_days": pd.Series(dtype="int64"),
-                    "n_events": pd.Series(dtype="int64"),
-                    "sum_value_milli": pd.Series(dtype="int64"),
-                }
-            )
-        g = df.groupby("user_id", sort=False).agg(
-            first_ts=("first_ts", "min"),
-            last_ts=("last_ts", "max"),
-            n_active_days=("day", "size"),
-            n_events=("n_events", "sum"),
-            sum_value_milli=("sum_value_milli", "sum"),
-        )
-        return g.reset_index()
-
     out = (
         bucketed_aggregate(
-            per_day.map_batches(fold_user, batch_format="pandas"),
+            per_day,
             ["user_id"],
             {
                 "first_ts": ("first_ts", "min"),
                 "last_ts": ("last_ts", "max"),
-                "n_active_days": ("n_active_days", "sum"),
+                "n_active_days": ("day", "count"),
                 "n_events": ("n_events", "sum"),
                 "sum_value_milli": ("sum_value_milli", "sum"),
             },
@@ -1035,41 +955,26 @@ def events_hour_of_day_profile(sf_dir: str) -> pa.Table:
     """Diurnal seasonality profile: per (event_type, hour-of-day 0-23)
     the event count and milli-exact value sum — the load-shape table
     capacity planning and anomaly baselines read (distinct from the
-    hourly timeline: this folds ACROSS days). Pure partial-aggregate
-    fold over a 24 x types output."""
+    hourly timeline: this folds ACROSS days). One bucketed aggregate
+    over a 24 x types output."""
     ds = read_table(sf_dir, "events", ["event_type", "ts", "value"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        hod = pc.hour(batch["ts"])
-        t = pa.table(
+    def hourly(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "event_type": batch["event_type"],
-                "hour_of_day": pc.cast(hod, pa.int64()),
+                "hour_of_day": pc.cast(pc.hour(batch["ts"]), pa.int64()),
                 "value_milli": pc.cast(
                     pc.round(pc.multiply(batch["value"], pa.scalar(1000.0))), pa.int64()
                 ),
             }
         )
-        g = t.group_by(["event_type", "hour_of_day"]).aggregate(
-            [("value_milli", "sum"), ("hour_of_day", "count")]
-        )
-        return pa.table(
-            {
-                "event_type": g["event_type"],
-                "hour_of_day": g["hour_of_day"],
-                "sum_value_milli": g["value_milli_sum"],
-                "n_events": g["hour_of_day_count"],
-            }
-        )
 
     return finish(
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pyarrow"),
+            ds.map_batches(hourly, batch_format="pyarrow"),
             ["event_type", "hour_of_day"],
-            {
-                "sum_value_milli": ("sum_value_milli", "sum"),
-                "n_events": ("n_events", "sum"),
-            },
+            {"sum_value_milli": ("value_milli", "sum"), "n_events": ("value_milli", "count")},
         ).to_pandas(),
         ["event_type", "hour_of_day"],
         dtypes={"hour_of_day": "int64", "sum_value_milli": "int64", "n_events": "int64"},
@@ -1095,7 +1000,7 @@ def event_value_histogram(sf_dir: str) -> pa.Table:
     hazard). One tiny (type, bucket) count shuffle."""
     ds = read_table(sf_dir, "events", ["event_type", "value"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
+    def bucketed_values(batch: pd.DataFrame) -> pd.DataFrame:
         vm = (
             pc.cast(
                 pc.round(pc.multiply(pa.Array.from_pandas(batch["value"]), pa.scalar(1000.0))),
@@ -1104,20 +1009,18 @@ def event_value_histogram(sf_dir: str) -> pa.Table:
             .to_pandas()
             .astype("int64")
         )
-        rows = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "event_type": batch["event_type"].astype(str),
-                "bucket": [int(v).bit_length() if v > 0 else 0 for v in vm],
+                "bucket": np.array([int(v).bit_length() if v > 0 else 0 for v in vm], "int64"),
             }
         )
-        g = rows.groupby(["event_type", "bucket"], sort=False).size().rename("n_events")
-        return g.reset_index().astype({"bucket": "int64", "n_events": "int64"})
 
     return finish(
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pandas"),
+            ds.map_batches(bucketed_values, batch_format="pandas"),
             ["event_type", "bucket"],
-            {"n_events": ("n_events", "sum")},
+            {"n_events": ("bucket", "count")},
         ).to_pandas(),
         ["event_type", "bucket"],
         dtypes={"bucket": "int64", "n_events": "int64"},
@@ -1205,53 +1108,32 @@ ORDER BY event_id
 def hourly_distinct_users(sf_dir: str) -> pa.Table:
     """EXACT distinct users per tumbling 1-hour window per event_type
     (the DAU/HAU primitive, exact flavor — :func:`source_distinct_hll`
-    is the sketch flavor). Two-level fold so nothing holds a user
-    set in memory: per-batch DISTINCT (type, window, user) rows (the
-    only rows that shuffle — slim and already-deduped within each
-    batch), one bucketed distinct collapse, then counting is a
-    second aggregate over (type, window). Both shuffles move at most
-    one row per (type, window, user) triple."""
+    is the sketch flavor). Two chained bucketed aggregates so nothing
+    holds a user set in memory: the first collapses events to distinct
+    (type, window, user) rows, the second counts those rows per
+    (type, window). Both shuffles move at most one row per
+    (type, window, user) triple per block."""
     ds = read_table(sf_dir, "events", ["event_type", "ts", "user_id"])
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
-    def distinct_rows(batch: pa.Table) -> pa.Table:
-        hour = pc.floor_temporal(batch["ts"], unit="hour")
-        t = pa.table(
-            {
-                "event_type": batch["event_type"],
-                "window_start": hour,
-                "user_id": pc.cast(batch["user_id"], pa.int64()),
-            }
-        )
-        g = t.group_by(["event_type", "window_start", "user_id"]).aggregate(
-            [("user_id", "count")]
-        )
+    def windowed(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "event_type": g["event_type"],
-                "window_start": g["window_start"],
-                "user_id": g["user_id"],
-                "n_events": pc.cast(g["user_id_count"], pa.int64()),
+                "event_type": batch["event_type"],
+                "window_start": pc.floor_temporal(batch["ts"], unit="hour"),
+                "user_id": pc.cast(batch["user_id"], pa.int64()),
             }
         )
 
     triples = bucketed_aggregate(
-        ds.map_batches(distinct_rows, batch_format="pyarrow"),
+        ds.map_batches(windowed, batch_format="pyarrow"),
         ["event_type", "window_start", "user_id"],
-        {"n_events": ("n_events", "sum")},
+        {"n_events": ("user_id", "count")},
     )
-
-    def count_users(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby(["event_type", "window_start"], sort=False).agg(
-            n_users=("user_id", "size"), n_events=("n_events", "sum")
-        )
-        return g.reset_index()
-
     return finish(
         bucketed_aggregate(
-            triples.map_batches(count_users, batch_format="pandas"),
+            triples,
             ["event_type", "window_start"],
-            {"n_users": ("n_users", "sum"), "n_events": ("n_events", "sum")},
+            {"n_users": ("user_id", "count"), "n_events": ("n_events", "sum")},
         ).to_pandas(),
         ["event_type", "window_start"],
         dtypes={"n_users": "int64", "n_events": "int64"},
@@ -1395,27 +1277,20 @@ def events_user_value_rank(sf_dir: str) -> pa.Table:
     mirror's ``RANK() OVER (ORDER BY total)`` (ties share a rank),
     paid with one slim shuffle plus band-local sorts instead of an
     all-to-all global sort."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
-
     ds = read_table(sf_dir, "events", ["user_id", "value"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame(
+    def milli(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "user_id": df["user_id"].astype("int64"),
                 "total_milli": (df["value"] * 1000).round().astype("int64"),
-                "n_events": np.int64(1),
             }
         )
-        g = out.groupby("user_id", sort=False).agg(
-            total_milli=("total_milli", "sum"), n_events=("n_events", "sum")
-        )
-        return g.reset_index()
 
     totals = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
+        ds.map_batches(milli, batch_format="pandas"),
         ["user_id"],
-        {"total_milli": ("total_milli", "sum"), "n_events": ("n_events", "sum")},
+        {"total_milli": ("total_milli", "sum"), "n_events": ("total_milli", "count")},
     ).map_batches(
         lambda df: df.assign(band=[_signed_log2_band(int(t)) for t in df["total_milli"]]),
         batch_format="pandas",
@@ -1430,6 +1305,7 @@ def events_user_value_rank(sf_dir: str) -> pa.Table:
         .groupby("band", as_index=False)["n"].sum()
         .sort_values("band")
     )
+
     prefix = {}
     acc = 0
     for band, n in zip(band_counts["band"], band_counts["n"]):
@@ -1629,35 +1505,20 @@ def events_dau_wau(sf_dir: str, window_days: int = 7) -> pa.Table:
     row per day, ~37k rows per century) and merge on the driver."""
     ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+
+    def days(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "user_id": pc.cast(batch["user_id"], pa.int64()),
                 "day": pc.floor_temporal(batch["ts"], unit="day"),
             }
         )
-        g = t.group_by(["user_id", "day"]).aggregate([("user_id", "count")])
-        return pa.table(
-            {"user_id": g["user_id"], "day": g["day"], "one": pa.array(np.ones(g.num_rows, dtype=np.int64))}
-        )
 
     pairs = bucketed_aggregate(
-        ds.map_batches(pair_partial, batch_format="pyarrow"),
-        ["user_id", "day"],
-        {"one": ("one", "max")},
+        ds.map_batches(days, batch_format="pyarrow"), ["user_id", "day"], {"n": ("day", "count")}
     )
 
-    dau = (
-        bucketed_aggregate(
-            pairs.map_batches(
-                lambda df: df.groupby("day", sort=False).size().rename("dau").reset_index(),
-                batch_format="pandas",
-            ),
-            ["day"],
-            {"dau": ("dau", "sum")},
-        )
-        .to_pandas()
-    )
+    dau = bucketed_aggregate(pairs, ["day"], {"dau": ("user_id", "count")}).to_pandas()
 
     def cover(df: pd.DataFrame) -> pd.DataFrame:
         reps = pd.DataFrame(
@@ -1669,23 +1530,15 @@ def events_dau_wau(sf_dir: str, window_days: int = 7) -> pa.Table:
                 ),
             }
         )
-        reps["one"] = np.int64(1)
         return reps
 
     covered = bucketed_aggregate(
         pairs.map_batches(cover, batch_format="pandas"),
         ["user_id", "cday"],
-        {"one": ("one", "max")},
+        {"n": ("cday", "count")},
     )
     wau = (
-        bucketed_aggregate(
-            covered.map_batches(
-                lambda df: df.groupby("cday", sort=False).size().rename("wau").reset_index(),
-                batch_format="pandas",
-            ),
-            ["cday"],
-            {"wau": ("wau", "sum")},
-        )
+        bucketed_aggregate(covered, ["cday"], {"wau": ("user_id", "count")})
         .to_pandas()
         .rename(columns={"cday": "day"})
     )
@@ -1884,25 +1737,15 @@ def events_heavy_hitters(sf_dir: str, k: int = 200) -> pa.Table:
         )
     c_ref = ray.put(frozenset(cand))
 
-    def count_candidates(df: pd.DataFrame) -> pd.DataFrame:
+    def candidates(df: pd.DataFrame) -> pd.DataFrame:
         cs = cached_object(c_ref)
-        m = df["user_id"].map(lambda u: int(u) in cs)
-        vc = df.loc[m, "user_id"].value_counts()
-        return pd.DataFrame(
-            {
-                "user_id": vc.index.astype("int64"),
-                "n_events": vc.to_numpy().astype("int64"),
-            }
-        )
+        return df[df["user_id"].map(lambda u: int(u) in cs)]
 
-    counts = (
-        bucketed_aggregate(
-            ds.map_batches(count_candidates, batch_format="pandas"),
-            ["user_id"],
-            {"n_events": ("n_events", "sum")},
-        )
-        .to_pandas()
-    )
+    counts = bucketed_aggregate(
+        ds.map_batches(candidates, batch_format="pandas"),
+        ["user_id"],
+        {"n_events": ("user_id", "count")},
+    ).to_pandas()
     return finish(
         counts[counts["n_events"] * k > n_total],
         ["n_events", "user_id"],
@@ -2023,36 +1866,24 @@ def events_burst_users(sf_dir: str, min_burst: int = 2) -> pa.Table:
     bot/replay screen over the raw event log (the windowed sibling of
     events_heavy_hitters' whole-corpus share test).
 
-    Distributed shape: one streaming pass emits per-batch
-    (user, minute, n) partials; the coarse-bucket aggregate resolves
-    exact per-(user, minute) counts (a batch boundary can split a
-    user-minute — the combine re-sums); per-user max/argmin-minute
-    folds through a second slim bucketed pass. Output is
-    anomaly-sized, never user-domain-sized."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
-
+    Distributed shape: one streaming pass emits (user, minute) rows;
+    the bucketed aggregate resolves exact per-(user, minute) counts;
+    per-user max/argmin-minute folds through a second slim bucketed
+    pass. Output is anomaly-sized, never user-domain-sized."""
     ds = read_table(sf_dir, "events", ["user_id", "ts"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        t = pa.table(
+    def minutes(batch: pa.Table) -> pa.Table:
+        return pa.table(
             {
                 "user_id": pc.cast(batch["user_id"], pa.int64()),
                 "minute": pc.floor_temporal(batch["ts"], unit="minute"),
             }
         )
-        g = t.group_by(["user_id", "minute"]).aggregate([("user_id", "count")])
-        return pa.table(
-            {
-                "user_id": g["user_id"],
-                "minute": g["minute"],
-                "n": pc.cast(g["user_id_count"], pa.int64()),
-            }
-        )
 
     per_min = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
+        ds.map_batches(minutes, batch_format="pyarrow"),
         ["user_id", "minute"],
-        {"n": ("n", "sum")},
+        {"n": ("minute", "count")},
     ).map_batches(
         lambda df: df[df["n"] >= min_burst], batch_format="pandas"
     )
@@ -2110,38 +1941,22 @@ def user_activity_histogram(sf_dir: str) -> pa.Table:
     heavy head here says the corpus is a few power users' behavior,
     not a population's).
 
-    Distributed shape: per-user counts via one slim bucketed fold;
-    band assignment is a vectorized bit-length; the band histogram
-    (< 64 rows) folds through a second tiny aggregate."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
-
+    Distributed shape: per-user counts via one slim bucketed aggregate;
+    band assignment is a vectorized bit-length over those per-user
+    rows; the band histogram (< 64 rows) is a second tiny aggregate."""
     ds = read_table(sf_dir, "events", ["user_id"])
-    per_user = bucketed_aggregate(
-        ds.map_batches(
-            lambda df: df.groupby("user_id", sort=False)
-            .size()
-            .rename("n")
-            .reset_index(),
-            batch_format="pandas",
-        ),
-        ["user_id"],
-        {"n": ("n", "sum")},
-    )
+    per_user = bucketed_aggregate(ds, ["user_id"], {"n": ("user_id", "count")})
 
-    def to_bands(df: pd.DataFrame) -> pd.DataFrame:
+    def to_band(df: pd.DataFrame) -> pd.DataFrame:
         n = df["n"].to_numpy(dtype=np.int64)
         band = np.frexp(n.astype(np.float64))[1]  # bit_length for n >= 1
-        out = pd.DataFrame({"band": band.astype(np.int64), "n": n})
-        g = out.groupby("band", sort=False).agg(
-            n_users=("n", "size"), n_events=("n", "sum")
-        )
-        return g.reset_index().astype("int64")
+        return pd.DataFrame({"band": band.astype(np.int64), "n": n})
 
     return finish(
         bucketed_aggregate(
-            per_user.map_batches(to_bands, batch_format="pandas"),
+            per_user.map_batches(to_band, batch_format="pandas"),
             ["band"],
-            {"n_users": ("n_users", "sum"), "n_events": ("n_events", "sum")},
+            {"n_users": ("n", "count"), "n_events": ("n", "sum")},
         ).to_pandas(),
         "band",
         dtypes={"band": "int64", "n_users": "int64", "n_events": "int64"},
@@ -2166,30 +1981,22 @@ def events_value_topk_share(sf_dir: str, k: int = 100) -> pa.Table:
     total_value_milli, share_milli).
 
     Distributed shape: per-user milli sums fold through the
-    coarse-bucket aggregate (slim int pairs); every output block then
+    bucketed aggregate (slim int pairs); every output block then
     keeps only its LOCAL k largest (value, user) rows, so the driver
     folds k x n_blocks rows — k-bounded no matter the user domain —
     while the grand total rides the same partials. No global sort, no
     user-domain materialization."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
-
     ds = read_table(sf_dir, "events", ["user_id", "value"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        g = pd.DataFrame(
+    def milli(df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "user_id": df["user_id"].astype("int64"),
                 "v": (df["value"] * 1000).round().astype("int64"),
             }
         )
-        return (
-            g.groupby("user_id", sort=False).agg(v=("v", "sum")).reset_index()
-        )
 
     per_user = bucketed_aggregate(
-        ds.map_batches(partial, batch_format="pandas"),
-        ["user_id"],
-        {"v": ("v", "sum")},
+        ds.map_batches(milli, batch_format="pandas"), ["user_id"], {"v": ("v", "sum")}
     )
 
     def block_head(df: pd.DataFrame) -> pd.DataFrame:
@@ -2207,6 +2014,7 @@ def events_value_topk_share(sf_dir: str, k: int = 100) -> pa.Table:
         .sort_values(["v", "user_id"], ascending=[False, True])
         .head(k)
     )
+
     topv = int(top["v"].sum())
     return pa.table(
         {

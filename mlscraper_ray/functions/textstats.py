@@ -777,14 +777,13 @@ def _unigram_scored_ds(sf_dir: str) -> "ray.data.Dataset":
     """Scored Dataset (doc_id, n_tokens, surprisal_sum) behind both
     surprisal-family operators (process-memoized, see _SCORED_CACHE).
 
-    Distributed plan: per-batch LOCAL (word, cnt) partials fold
-    through the coarse-bucket aggregate into the corpus count table
-    (the source_top_terms shape); T is one distributed sum. The
-    join-back is chosen by ``broadcast.pull`` on the count table: when
-    it is pulled, it becomes a word->surprisal dict broadcast via
-    ``ray.put`` — scoring is then a single streaming pass; when it is
-    too large to pull, per-doc (word, occ) partials
-    meet the count table co-partitioned on word and doc scores fold
+    Distributed plan: word rows (``_words``) fold through the bucketed
+    aggregate into the corpus count table (the source_top_terms
+    shape); T is one distributed sum. The join-back is chosen by
+    ``broadcast.pull`` on the count table: when it is pulled, it
+    becomes a word->surprisal dict broadcast via ``ray.put`` — scoring
+    is then a single streaming pass; when it is too large to pull,
+    per-doc (word, occ) partials meet the count table co-partitioned on word and doc scores fold
     through the coarse-bucket aggregate (nothing driver-sized). Paths
     bit-identical (tested)."""
     docs_path = os.path.join(sf_dir, "documents.parquet")
@@ -804,11 +803,9 @@ def _unigram_scored_ds(sf_dir: str) -> "ray.data.Dataset":
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     counts = bucketed_aggregate(
-        docs.map_batches(
-            lambda b: _local_word_counts(b["text"]), batch_format="pandas"
-        ),
+        docs.map_batches(_words, batch_format="pandas"),
         ["word"],
-        {"cnt": ("cnt", "sum")},
+        {"cnt": ("word", "count")},
     ).materialize()
     total = int(counts.sum("cnt") or 0)
 
@@ -921,15 +918,29 @@ def _unigram_scored_ds(sf_dir: str) -> "ray.data.Dataset":
     )
 
 
-def _local_word_counts(texts: pd.Series) -> pd.DataFrame:
-    """Per-batch LOCAL (word, cnt) partials over whitespace tokens —
-    the shared tokenize-and-count step of both surprisal operators
-    (one definition so their unigram semantics cannot desynchronize)."""
-    ex = pd.DataFrame({"word": texts.str.split()}).explode("word")
-    ex = ex[ex["word"].notna()]
-    out = ex.groupby("word", sort=False).size().rename("cnt").reset_index()
-    out["cnt"] = out["cnt"].astype("int64")
-    return out
+def _words(batch: pd.DataFrame, *keep: str) -> pd.DataFrame:
+    """One ``word`` row per whitespace token of ``batch["text"]``, with
+    the ``keep`` columns of its document — the shared tokenize step of
+    every word-count aggregate (one definition so their unigram
+    semantics cannot desynchronize)."""
+    ex = pd.DataFrame({"word": batch["text"].str.split(), **{c: batch[c] for c in keep}})
+    ex = ex.explode("word")
+    return ex[ex["word"].notna()]
+
+
+def _bigram_rows(texts: pd.Series) -> pd.DataFrame:
+    """ONE tokenize pass feeds both count tables: a (w1, w2) row per
+    bigram plus a unigram row per token marked w2="" — "" can never be
+    a real token (whitespace split yields non-empty strings only), so
+    the sentinel is collision-free and one bucketed aggregate serves
+    both tables instead of re-reading the corpus."""
+    w1s, w2s, uni = [], [], []
+    for text in texts:
+        words = text.split()
+        w1s.extend(words[:-1])
+        w2s.extend(words[1:])
+        uni.extend(words)
+    return pd.DataFrame({"w1": w1s + uni, "w2": w2s + [""] * len(uni)})
 
 
 DOC_UNIGRAM_SURPRISAL_SQL = """
@@ -961,8 +972,8 @@ def doc_bigram_surprisal(sf_dir: str) -> pa.Table:
     over its n-1 bigram positions plus the milli mean. Docs with
     fewer than 2 tokens are absent (matching the SQL pos CTE).
 
-    Distributed plan: unigram and bigram corpus counts each fold from
-    per-batch LOCAL partials through the coarse-bucket aggregate; the
+    Distributed plan: unigram and bigram corpus counts fold from one
+    tokenize pass (``_bigram_rows``) through one bucketed aggregate; the
     join-back is chosen by one ``broadcast.pull`` of both tables —
     when they are pulled, both broadcast as dicts for a single
     streaming scoring pass; otherwise, per-doc (prev, cur, occ)
@@ -972,29 +983,10 @@ def doc_bigram_surprisal(sf_dir: str) -> pa.Table:
     the coarse-bucket aggregate. Paths bit-identical (tested)."""
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
-    def local_both(batch: pd.DataFrame) -> pd.DataFrame:
-        """ONE tokenize pass emits both count partials: bigram rows
-        (w1, w2) plus unigram rows marked w2="" — "" can never be a
-        real token (whitespace split yields non-empty strings only),
-        so the sentinel is collision-free and one bucketed aggregate
-        serves both tables instead of re-reading the corpus."""
-        w1s, w2s = [], []
-        for text in batch["text"]:
-            words = text.split()
-            w1s.extend(words[:-1])
-            w2s.extend(words[1:])
-        p = pd.DataFrame({"w1": w1s, "w2": w2s})
-        bi_part = p.groupby(["w1", "w2"], sort=False).size().rename("cnt").reset_index()
-        uni_part = _local_word_counts(batch["text"]).rename(columns={"word": "w1"})
-        uni_part["w2"] = ""
-        out = pd.concat([bi_part, uni_part[["w1", "w2", "cnt"]]], ignore_index=True)
-        out["cnt"] = out["cnt"].astype("int64")
-        return out
-
     both = bucketed_aggregate(
-        docs.map_batches(local_both, batch_format="pandas"),
+        docs.map_batches(lambda b: _bigram_rows(b["text"]), batch_format="pandas"),
         ["w1", "w2"],
-        {"cnt": ("cnt", "sum")},
+        {"cnt": ("w2", "count")},
     ).materialize()
     uni = both.map_batches(
         lambda df: df[df["w2"] == ""][["w1", "cnt"]].rename(columns={"w1": "word"}),
@@ -1520,9 +1512,9 @@ def source_token_cms(sf_dir: str, n_probe: int = 5) -> pa.Table:
     # the word-count table -> tiny driver merge, the source_top_terms
     # shape) + per-(source, probe) exact counts for the truth column
     wc = bucketed_aggregate(
-        ds.map_batches(lambda b: _local_word_counts(b["text"]), batch_format="pandas"),
+        ds.map_batches(_words, batch_format="pandas"),
         ["word"],
-        {"cnt": ("cnt", "sum")},
+        {"cnt": ("word", "count")},
     )
 
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
@@ -1789,17 +1781,7 @@ def doc_perplexity_buckets(sf_dir: str) -> pa.Table:
         .materialize()
     )
 
-    hist = bucketed_aggregate(
-        mds.map_batches(
-            lambda df: df.groupby("mean_milli", sort=False)
-            .size()
-            .rename("cnt")
-            .reset_index(),
-            batch_format="pandas",
-        ),
-        ["mean_milli"],
-        {"cnt": ("cnt", "sum")},
-    ).to_pandas()
+    hist = bucketed_aggregate(mds, ["mean_milli"], {"cnt": ("doc_id", "count")}).to_pandas()
     if len(hist) == 0:
         # empty to_pandas drops columns — check BEFORE touching them
         return pa.table(
@@ -2063,17 +2045,7 @@ def doc_length_outliers(sf_dir: str, k: int = 3) -> pa.Table:
 
     tds = ds.map_batches(tokens, batch_format="pandas").materialize()
 
-    hist = bucketed_aggregate(
-        tds.map_batches(
-            lambda df: df.groupby(["source", "n_tokens"], sort=False)
-            .size()
-            .rename("cnt")
-            .reset_index(),
-            batch_format="pandas",
-        ),
-        ["source", "n_tokens"],
-        {"cnt": ("cnt", "sum")},
-    ).to_pandas()
+    hist = bucketed_aggregate(tds, ["source", "n_tokens"], {"cnt": ("doc_id", "count")}).to_pandas()
     if len(hist) == 0:  # empty to_pandas drops columns — guard first
         return pa.table(
             {
@@ -2297,11 +2269,11 @@ def doc_oov_rate(sf_dir: str, vocab_size: int = 256) -> pa.Table:
     count and floor-milli OOV fraction. Empty docs carry no tokens
     and are absent (matching the SQL words CTE).
 
-    Distributed plan: per-batch local (word, cnt) partials fold
-    through the coarse-bucket aggregate into the corpus count table
-    (the surprisal shape); each count block is cut to its LOCAL top-V
-    by (cnt desc, word asc) before the driver merges — after the
-    keyed aggregate every word lives in exactly one block, so the
+    Distributed plan: word rows (``_words``) fold through the bucketed
+    aggregate into the corpus count table (the surprisal shape); each
+    count block is cut to its LOCAL top-V by (cnt desc, word asc)
+    before the driver merges — after the keyed aggregate every word
+    lives in exactly one block, so the
     global top-V is a subset of the union of local top-Vs (bounded:
     V x n_blocks tiny rows). The V-word vocabulary broadcasts via
     ``ray.put`` and scoring is one streaming pass — no further
@@ -2311,11 +2283,9 @@ def doc_oov_rate(sf_dir: str, vocab_size: int = 256) -> pa.Table:
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     counts = bucketed_aggregate(
-        docs.map_batches(
-            lambda b: _local_word_counts(b["text"]), batch_format="pandas"
-        ),
+        docs.map_batches(_words, batch_format="pandas"),
         ["word"],
-        {"cnt": ("cnt", "sum")},
+        {"cnt": ("word", "count")},
     )
 
     def local_topv(df: pd.DataFrame) -> pd.DataFrame:
@@ -2405,9 +2375,10 @@ def bigram_dice_top(
     (dice desc, w1 asc, w2 asc), LIMIT k.
 
     Distributed plan: ONE tokenize pass emits bigram + sentinel
-    unigram count partials (the ``doc_bigram_surprisal`` trick) that
-    fold through the coarse-bucket aggregate. When ``broadcast.pull``
-    takes the unigram table, it broadcasts as a dict and scoring + a
+    unigram rows (``_bigram_rows``, shared with
+    ``doc_bigram_surprisal``) that fold through the bucketed
+    aggregate. When ``broadcast.pull`` takes the unigram table, it
+    broadcasts as a dict and scoring + a
     local top-k cut run per count block (the global top-k is a subset
     of the union of local top-ks since each bigram lives in exactly
     one block after the keyed aggregate); otherwise the bigram table
@@ -2418,28 +2389,10 @@ def bigram_dice_top(
 
     docs = read_table(sf_dir, "documents", ["text"])
 
-    def local_both(batch: pd.DataFrame) -> pd.DataFrame:
-        w1s, w2s = [], []
-        for text in batch["text"]:
-            words = text.split()
-            w1s.extend(words[:-1])
-            w2s.extend(words[1:])
-        p = pd.DataFrame({"w1": w1s, "w2": w2s})
-        bi_part = (
-            p.groupby(["w1", "w2"], sort=False).size().rename("cnt").reset_index()
-        )
-        uni_part = _local_word_counts(batch["text"]).rename(columns={"word": "w1"})
-        uni_part["w2"] = ""
-        out = pd.concat(
-            [bi_part, uni_part[["w1", "w2", "cnt"]]], ignore_index=True
-        )
-        out["cnt"] = out["cnt"].astype("int64")
-        return out
-
     both = bucketed_aggregate(
-        docs.map_batches(local_both, batch_format="pandas"),
+        docs.map_batches(lambda b: _bigram_rows(b["text"]), batch_format="pandas"),
         ["w1", "w2"],
-        {"cnt": ("cnt", "sum")},
+        {"cnt": ("w2", "count")},
     ).materialize()
     uni = both.map_batches(
         lambda df: df[df["w2"] == ""][["w1", "cnt"]].rename(
@@ -2603,15 +2556,7 @@ def source_quality_gate(sf_dir: str, q_pct: int = 25) -> pa.Table:
     sds = ds.map_batches(scored, batch_format="pandas").materialize()
 
     hist = bucketed_aggregate(
-        sds.map_batches(
-            lambda df: df.groupby(["source", "quality_x10"], sort=False)
-            .size()
-            .rename("cnt")
-            .reset_index(),
-            batch_format="pandas",
-        ),
-        ["source", "quality_x10"],
-        {"cnt": ("cnt", "sum")},
+        sds, ["source", "quality_x10"], {"cnt": ("doc_id", "count")}
     ).to_pandas()
     if len(hist) == 0:
         return pa.table(
@@ -2696,10 +2641,10 @@ def source_dedup_report(sf_dir: str) -> pa.Table:
     groups, keep-lowest-doc_id convention shared with dedup_exact),
     plus the distinct-text count and the drop fraction in floor-milli.
 
-    One slim (h, doc_id, source) shuffle: per-batch md5 partials fold
-    through the coarse-bucket aggregate keyed by hash to find each
-    group's keeper, a second tiny aggregate rolls up per source —
-    text never leaves the tasks.
+    One slim (h, doc_id, source) shuffle: md5 rows fold through the
+    bucketed aggregate keyed by hash to find each group's keeper, a
+    second tiny aggregate rolls up per source — text never leaves the
+    tasks.
     """
 
     ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
@@ -2730,27 +2675,16 @@ def source_dedup_report(sf_dir: str) -> pa.Table:
 
     joined = cogroup_join(slim, keepers, "h")
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "source" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "source": pd.Series(dtype=str),
-                    "n_docs": pd.Series(dtype="int64"),
-                    "n_dup_docs": pd.Series(dtype="int64"),
-                }
-            )
-        df = df.copy()
-        df["dup"] = (df["doc_id"] != df["keep_id"]).astype("int64")
-        g = df.groupby("source", sort=False).agg(
-            n_docs=("doc_id", "size"), n_dup_docs=("dup", "sum")
-        )
-        return g.reset_index()
+    def flag_dups(df: pd.DataFrame) -> pd.DataFrame:
+        if "source" not in df.columns:  # a block with no columns
+            return df
+        return df.assign(dup=(df["doc_id"] != df["keep_id"]).astype("int64"))
 
     out = (
         bucketed_aggregate(
-            joined.map_batches(partial, batch_format="pandas"),
+            joined.map_batches(flag_dups, batch_format="pandas"),
             ["source"],
-            {"n_docs": ("n_docs", "sum"), "n_dup_docs": ("n_dup_docs", "sum")},
+            {"n_docs": ("doc_id", "count"), "n_dup_docs": ("dup", "sum")},
         )
         .to_pandas()
         .sort_values("source", ignore_index=True)
@@ -2900,23 +2834,21 @@ def source_length_histogram(sf_dir: str) -> pa.Table:
 
     ds = read_table(sf_dir, "documents", ["source", "text"])
 
-    def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        rows = pd.DataFrame(
+    def bucketed_lengths(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
             {
                 "source": batch["source"].astype(str),
-                "bucket": [
-                    len((t or "").split()).bit_length() for t in batch["text"]
-                ],
+                "bucket": pd.Series(
+                    [len((t or "").split()).bit_length() for t in batch["text"]], dtype="int64"
+                ),
             }
         )
-        g = rows.groupby(["source", "bucket"], sort=False).size().rename("n_docs")
-        return g.reset_index().astype({"bucket": "int64", "n_docs": "int64"})
 
     return finish(
         bucketed_aggregate(
-            ds.map_batches(partial, batch_format="pandas"),
+            ds.map_batches(bucketed_lengths, batch_format="pandas"),
             ["source", "bucket"],
-            {"n_docs": ("n_docs", "sum")},
+            {"n_docs": ("bucket", "count")},
         ).to_pandas(),
         ["source", "bucket"],
         dtypes={"bucket": "int64", "n_docs": "int64"},
@@ -3598,8 +3530,8 @@ def window_cooc_lift(
     window-4 phrase structure.
 
     Distributed plan: the oov_rate vocab fold builds the broadcast
-    vocabulary (count partials -> coarse-bucket aggregate -> local
-    top-V -> V-row driver merge); ONE more tokenize pass emits local
+    vocabulary (word rows -> bucketed aggregate -> local top-V ->
+    V-row driver merge); ONE more tokenize pass emits local
     (w1, w2, cnt) pair partials that fold through the bucketed
     aggregate. The resolved pair table is vocab-bounded (<= V^2/2
     rows, independent of corpus size), so scoring runs driver-side in
@@ -3609,11 +3541,9 @@ def window_cooc_lift(
 
     docs = read_table(sf_dir, "documents", ["text"])
     counts = bucketed_aggregate(
-        docs.map_batches(
-            lambda b: _local_word_counts(b["text"]), batch_format="pandas"
-        ),
+        docs.map_batches(_words, batch_format="pandas"),
         ["word"],
-        {"cnt": ("cnt", "sum")},
+        {"cnt": ("word", "count")},
     )
 
     def local_topv(df: pd.DataFrame) -> pd.DataFrame:
@@ -3786,25 +3716,12 @@ def source_lang_mix(sf_dir: str) -> pa.Table:
     """Per (source, lang) document counts with integer-milli share of
     the source — the language-mix data-card table read before fixing a
     sampling temperature per source (a 'en' source that is 30% 'zh' is
-    mislabeled upstream). One streaming partial-count pass folds
-    through the coarse-bucket aggregate; the resolved table is
-    sources x langs (data-card-sized), so shares compute driver-side."""
+    mislabeled upstream). One bucketed count aggregate; the resolved
+    table is sources x langs (data-card-sized), so shares compute
+    driver-side."""
 
     ds = read_table(sf_dir, "documents", ["source", "lang"])
-    counts = (
-        bucketed_aggregate(
-            ds.map_batches(
-                lambda df: df.groupby(["source", "lang"], sort=False)
-                .size()
-                .rename("n_docs")
-                .reset_index(),
-                batch_format="pandas",
-            ),
-            ["source", "lang"],
-            {"n_docs": ("n_docs", "sum")},
-        )
-        .to_pandas()
-    )
+    counts = bucketed_aggregate(ds, ["source", "lang"], {"n_docs": ("lang", "count")}).to_pandas()
     totals = counts.groupby("source")["n_docs"].transform("sum")
     counts["share_milli"] = (1000 * counts["n_docs"]) // totals
     return finish(
@@ -3830,24 +3747,14 @@ def source_length_percentiles(sf_dir: str) -> pa.Table:
     per source — the length-profile data-card row next to the log2
     histogram and the Gini (percentiles localize WHERE the mass sits;
     the histogram shows shape). The exact count-histogram idiom:
-    per-batch (source, n_chars, count) partials fold through the
-    coarse-bucket aggregate (distinct lengths per source are
-    length-domain-bounded, never doc-sized), then per-source quantile
+    (source, n_chars) counts from the bucketed aggregate (distinct
+    lengths per source are length-domain-bounded, never doc-sized),
+    then per-source quantile
     selection reads cumulative counts with DuckDB's quantile_disc
     index rule."""
 
     ds = read_table(sf_dir, "documents", ["source", "n_chars"])
-    hist = bucketed_aggregate(
-        ds.map_batches(
-            lambda df: df.groupby(["source", "n_chars"], sort=False)
-            .size()
-            .rename("n")
-            .reset_index(),
-            batch_format="pandas",
-        ),
-        ["source", "n_chars"],
-        {"n": ("n", "sum")},
-    )
+    hist = bucketed_aggregate(ds, ["source", "n_chars"], {"n": ("n_chars", "count")})
 
     def pctl(g: pd.DataFrame) -> pd.DataFrame:
         import numpy as np
@@ -3898,10 +3805,10 @@ def vocab_growth_curve(sf_dir: str, n_bins: int = 10) -> pa.Table:
     saturates). A token is credited to the decile of its FIRST
     occurrence (min doc_id).
 
-    Distributed shape: per-batch (word, min_doc_id) partials fold
-    through the coarse-bucket MIN aggregate (one shuffle of slim word
-    rows — the surprisal tokenize shape); the decile histogram is then
-    a streaming count over the resolved word table and only
+    Distributed shape: (word, doc_id) rows fold through the bucketed
+    MIN aggregate (one shuffle of slim word rows — the surprisal
+    tokenize shape); the decile histogram is then a second bucketed
+    count over the resolved word table and only
     ``n_bins`` rows reach the driver, where the cumulative sum is a
     10-element scan. The doc-id span comes from one metadata-cheap
     column max."""
@@ -3909,37 +3816,21 @@ def vocab_growth_curve(sf_dir: str, n_bins: int = 10) -> pa.Table:
     docs = read_table(sf_dir, "documents", ["doc_id", "text"])
     max_doc = docs.max("doc_id")
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        ex = pd.DataFrame(
-            {"word": df["text"].str.split(), "doc_id": df["doc_id"]}
-        ).explode("word")
-        ex = ex[ex["word"].notna()]
-        out = ex.groupby("word", sort=False)["doc_id"].min().rename("first_doc").reset_index()
-        out["first_doc"] = out["first_doc"].astype("int64")
-        return out
-
     firsts = bucketed_aggregate(
-        docs.map_batches(partial, batch_format="pandas"),
+        docs.map_batches(lambda b: _words(b, "doc_id"), batch_format="pandas"),
         ["word"],
-        {"first_doc": ("first_doc", "min")},
+        {"first_doc": ("doc_id", "min")},
     )
     hist = (
         bucketed_aggregate(
             firsts.map_batches(
                 lambda df: pd.DataFrame(
-                    {
-                        "bin": (df["first_doc"].astype("int64") * n_bins)
-                        // (max_doc + 1)
-                    }
-                )
-                .groupby("bin", sort=False)
-                .size()
-                .rename("new_words")
-                .reset_index(),
+                    {"bin": (df["first_doc"].astype("int64") * n_bins) // (max_doc + 1)}
+                ),
                 batch_format="pandas",
             ),
             ["bin"],
-            {"new_words": ("new_words", "sum")},
+            {"new_words": ("bin", "count")},
         )
         .to_pandas()
         .sort_values("bin", ignore_index=True)
@@ -3976,35 +3867,29 @@ def token_length_histogram(sf_dir: str) -> pa.Table:
     whitespace-token character length, the token-instance count and
     the distinct-token count of that length.
 
-    Distributed shape: one tokenize pass emits per-batch
-    (len, instances) partials PLUS slim (word, len) distinct partials;
-    instances fold directly (length domain is tiny), distinct words
-    fold through the coarse-bucket word aggregate first and then
-    count per length — exactly one shuffle of word rows."""
+    Distributed shape: one tokenize pass; word rows fold through the
+    bucketed word aggregate, then each distinct word's (length, count)
+    row folds per length (the length domain is tiny) — exactly one
+    shuffle of word rows."""
 
     docs = read_table(sf_dir, "documents", ["text"])
 
     counts = bucketed_aggregate(
-        docs.map_batches(
-            lambda b: _local_word_counts(b["text"]), batch_format="pandas"
-        ),
+        docs.map_batches(_words, batch_format="pandas"),
         ["word"],
-        {"cnt": ("cnt", "sum")},
+        {"cnt": ("word", "count")},
     )
 
     def per_len(df: pd.DataFrame) -> pd.DataFrame:
-        ln = df["word"].str.len().astype("int64")
-        g = pd.DataFrame({"token_len": ln, "cnt": df["cnt"].astype("int64")})
-        out = g.groupby("token_len", sort=False).agg(
-            n_instances=("cnt", "sum"), n_distinct=("cnt", "size")
+        return pd.DataFrame(
+            {"token_len": df["word"].str.len().astype("int64"), "cnt": df["cnt"].astype("int64")}
         )
-        return out.reset_index().astype("int64")
 
     return finish(
         bucketed_aggregate(
             counts.map_batches(per_len, batch_format="pandas"),
             ["token_len"],
-            {"n_instances": ("n_instances", "sum"), "n_distinct": ("n_distinct", "sum")},
+            {"n_instances": ("cnt", "sum"), "n_distinct": ("cnt", "count")},
         ).to_pandas(),
         "token_len",
         dtypes={"token_len": "int64", "n_instances": "int64", "n_distinct": "int64"},
@@ -4033,44 +3918,22 @@ def source_ttr(sf_dir: str) -> pa.Table:
     to peers is templated or machine-generated; the source-level
     companion to the per-doc doc_ttr).
 
-    Distributed shape: one tokenize pass emits slim
-    (source, word, cnt) partials; the coarse-bucket aggregate resolves
-    distinct (source, word) rows with their instance counts; per-source
-    distinct and instance totals then fold as source-sized partials —
-    exactly one shuffle of word rows, nothing driver-sized beyond the
-    source table."""
+    Distributed shape: one tokenize pass emits slim (source, word)
+    rows; a bucketed aggregate resolves distinct (source, word) rows
+    with their instance counts, and a second one folds those rows into
+    per-source distinct and instance totals — nothing driver-sized
+    beyond the source table."""
 
     docs = read_table(sf_dir, "documents", ["source", "text"])
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        ex = pd.DataFrame(
-            {"word": df["text"].str.split(), "source": df["source"]}
-        ).explode("word")
-        ex = ex[ex["word"].notna()]
-        out = (
-            ex.groupby(["source", "word"], sort=False)
-            .size()
-            .rename("cnt")
-            .reset_index()
-        )
-        out["cnt"] = out["cnt"].astype("int64")
-        return out
-
     sw = bucketed_aggregate(
-        docs.map_batches(partial, batch_format="pandas"),
+        docs.map_batches(lambda b: _words(b, "source"), batch_format="pandas"),
         ["source", "word"],
-        {"cnt": ("cnt", "sum")},
+        {"cnt": ("word", "count")},
     )
     out = (
         bucketed_aggregate(
-            sw.map_batches(
-                lambda df: df.groupby("source", sort=False)
-                .agg(n_distinct=("cnt", "size"), n_tokens=("cnt", "sum"))
-                .reset_index(),
-                batch_format="pandas",
-            ),
-            ["source"],
-            {"n_distinct": ("n_distinct", "sum"), "n_tokens": ("n_tokens", "sum")},
+            sw, ["source"], {"n_distinct": ("word", "count"), "n_tokens": ("cnt", "sum")}
         )
         .to_pandas()
         .sort_values("source", ignore_index=True)

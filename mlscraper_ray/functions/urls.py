@@ -480,18 +480,11 @@ def url_pattern_stats_ds(
     infinite calendars) before they eat a host's fetch budget.
 
     Two slim shuffles, both over (host, pattern[, url]) string rows:
-    one distinct pass (local pre-dedup per batch first), one count
-    aggregate — URL-cardinality work never reaches the driver."""
+    one distinct pass, one count aggregate — URL-cardinality work never reaches the driver."""
     exploded = docs.map_batches(
         _PatternVariantStage, batch_format="pandas", concurrency=(1, 8)
     )
-    distinct = bucketed_aggregate(
-        exploded.map_batches(
-            lambda df: df.drop_duplicates(), batch_format="pandas"
-        ),
-        ["host", "pattern", "url"],
-        {"one": ("url", "count")},
-    )
+    distinct = bucketed_aggregate(exploded, ["host", "pattern", "url"], {"one": ("url", "count")})
     stats = bucketed_aggregate(
         distinct,
         ["host", "pattern"],

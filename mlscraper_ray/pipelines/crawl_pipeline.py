@@ -137,15 +137,10 @@ def host_page_counts_distributed(corpus_dir: str) -> dict[str, int]:
     pages = ray.data.read_parquet(os.path.join(corpus_dir, "pages"), columns=["url"])
 
     def to_host(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "host": pd.Series([url_host(u) for u in b["url"]], dtype=str),
-                "c": pd.Series([1] * len(b), dtype="int64"),
-            }
-        )
+        return pd.DataFrame({"host": pd.Series([url_host(u) for u in b["url"]], dtype=str)})
 
     agg = bucketed_aggregate(
-        pages.map_batches(to_host, batch_format="pandas"), ["host"], {"c": ("c", "sum")}
+        pages.map_batches(to_host, batch_format="pandas"), ["host"], {"c": ("host", "count")}
     ).to_pandas()
     return dict(zip(agg["host"], agg["c"].astype(int)))
 
@@ -246,8 +241,8 @@ def robots_stats_query(sf_dir: str) -> pa.Table:
     (truth_oracles.robots_stats_truth_sql) independent of crawl
     behavior. Robots bodies are a bounded per-host policy table
     (pulled once, parsed once, broadcast); the page scan is one
-    streaming pass folding per-host (pages, blocked) partials through
-    the coarse-bucket aggregate."""
+    streaming pass emitting one (host, blocked) row per page into the
+    bucketed aggregate."""
     import pandas as pd
     import pyarrow.compute as pc
     import ray.data
@@ -256,6 +251,7 @@ def robots_stats_query(sf_dir: str) -> pa.Table:
     from mlscraper_ray.frontier.shard import url_path
     from mlscraper_ray.functions.broadcast import cached_object
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
+    from mlscraper_ray.functions.tables import finish
     from mlscraper_ray.sources.corpusgen import url_host
 
     sf = sf_of_dir(sf_dir)
@@ -278,39 +274,31 @@ def robots_stats_query(sf_dir: str) -> pa.Table:
     }
     rules_ref = ray.put(rules)
 
-    def partials(batch: pd.DataFrame) -> pd.DataFrame:
+    def per_page(batch: pd.DataFrame) -> pd.DataFrame:
         r = cached_object(rules_ref)
-        hosts, pages_c, blocked_c = {}, {}, {}
-        for u in batch["url"]:
-            if u.endswith("/robots.txt"):
-                continue
-            h = url_host(u)
-            pages_c[h] = pages_c.get(h, 0) + 1
-            rl = r.get(h)
-            if rl is not None and not rl.allowed(url_path(u)):
-                blocked_c[h] = blocked_c.get(h, 0) + 1
-        ks = sorted(pages_c)
+        urls = [u for u in batch["url"] if not u.endswith("/robots.txt")]
+        hosts = [url_host(u) for u in urls]
+        blocked = [
+            int(h in r and not r[h].allowed(url_path(u))) for u, h in zip(urls, hosts)
+        ]
         return pd.DataFrame(
-            {
-                "host": pd.Series(ks, dtype=str),
-                "n_pages": pd.Series([pages_c[k] for k in ks], dtype="int64"),
-                "n_blocked": pd.Series([blocked_c.get(k, 0) for k in ks], dtype="int64"),
-            }
+            {"host": pd.Series(hosts, dtype=str), "blocked": pd.Series(blocked, dtype="int64")}
         )
 
     agg = bucketed_aggregate(
-        pages.map_batches(partials, batch_format="pandas"),
+        pages.map_batches(per_page, batch_format="pandas"),
         ["host"],
-        {"n_pages": ("n_pages", "sum"), "n_blocked": ("n_blocked", "sum")},
+        {"n_pages": ("host", "count"), "n_blocked": ("blocked", "sum")},
     ).to_pandas()
     agg["n_rules"] = [
         len(rules[h].disallow_prefixes) if h in rules else 0 for h in agg["host"]
     ]
-    agg = agg.astype({"n_pages": "int64", "n_blocked": "int64", "n_rules": "int64"})
-    agg = agg[["host", "n_rules", "n_pages", "n_blocked"]].sort_values(
-        "host", ignore_index=True
+    return finish(
+        agg,
+        "host",
+        columns=["host", "n_rules", "n_pages", "n_blocked"],
+        dtypes={"n_rules": "int64", "n_pages": "int64", "n_blocked": "int64"},
     )
-    return pa.Table.from_pandas(agg, preserve_index=False)
 
 
 def crawl_order_tiered_recrawl_query(sf_dir: str) -> pa.Table:
@@ -367,6 +355,7 @@ def crawl_metrics_query(sf_dir: str) -> pa.Table:
     import pandas as pd
 
     from mlscraper_ray.frontier.crawler import crawl_order_dataset
+    from mlscraper_ray.functions.tables import finish
 
     out_dir = _plain_crawl_artifacts(sf_dir)
 
@@ -380,14 +369,13 @@ def crawl_metrics_query(sf_dir: str) -> pa.Table:
             }
         )
 
-    out = (
+    return finish(
         crawl_order_dataset(out_dir)
         .groupby("round")
         .map_groups(per_round, batch_format="pandas")
-        .to_pandas()
-        .sort_values("round", ignore_index=True)
+        .to_pandas(),
+        "round",
     )
-    return pa.Table.from_pandas(out, preserve_index=False)
 
 
 def crawl_counter_totals_query(sf_dir: str) -> pa.Table:
@@ -533,8 +521,9 @@ def extract_all_query(sf_dir: str):
     """Driver-contract twin of :func:`extract_all_dataset`: same
     pipeline, pulled into one url-sorted table for the oracle
     compare."""
-    out = extract_all_dataset(sf_dir).to_pandas().sort_values("url", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    from mlscraper_ray.functions.tables import finish
+
+    return finish(extract_all_dataset(sf_dir).to_pandas(), "url")
 
 
 def learn_plan_query(sf_dir: str) -> pa.Table:
@@ -570,6 +559,7 @@ def extract_from_warc_query(sf_dir: str) -> pa.Table:
     extraction stage is source-agnostic (same rows as extract_all)."""
     import ray.data
 
+    from mlscraper_ray.functions.tables import finish
     from mlscraper_ray.sources.warc import read_warc, write_warc_from_pages
     from mlscraper_ray.stages.apply import apply_scraper_task
 
@@ -585,55 +575,34 @@ def extract_from_warc_query(sf_dir: str) -> pa.Table:
         batch_format="pyarrow",
         batch_size=128,
     )
-    out = extracted.to_pandas().sort_values("url", ignore_index=True)
-    return pa.Table.from_pandas(out, preserve_index=False)
+    return finish(extracted.to_pandas(), "url")
 
 
 def crawl_depth_histogram_query(sf_dir: str) -> pa.Table:
     """Depth census over the crawl's own output partitions: (depth,
     n_urls, n_hosts) — how far from the seeds the fetch budget
     reached, the frontier-shape diagnostic next to the per-round
-    metrics. Two slim shuffles — per-batch (depth, count) partials and
-    a (depth, host) distinct pass — nothing URL-sized aggregates on
-    one task (depth cardinality is tiny, so a naive groupby(depth)
-    would melt one worker at scale). Value-pinned by the oracle
-    crawler's fetch log (truth_oracles.crawl_depth_histogram_truth_sql)."""
-    import pandas as pd
-
+    metrics. Bucketed aggregates — per-depth counts and a (depth, host)
+    distinct pass — so nothing URL-sized aggregates on one task (depth
+    cardinality is tiny, so a naive groupby(depth) would melt one
+    worker at scale). Value-pinned by the oracle crawler's fetch log
+    (truth_oracles.crawl_depth_histogram_truth_sql)."""
     from mlscraper_ray.frontier.crawler import crawl_order_dataset
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
+    from mlscraper_ray.functions.tables import finish
 
     out_dir = _plain_crawl_artifacts(sf_dir)
     ds = crawl_order_dataset(out_dir).materialize()
 
-    url_counts = bucketed_aggregate(
-        ds.map_batches(
-            lambda df: df.groupby("depth", sort=False)
-            .size()
-            .rename("n_urls")
-            .reset_index(),
-            batch_format="pandas",
-        ),
-        ["depth"],
-        {"n_urls": ("n_urls", "sum")},
-    ).to_pandas()
-
+    url_counts = bucketed_aggregate(ds, ["depth"], {"n_urls": ("depth", "count")}).to_pandas()
     host_counts = bucketed_aggregate(
-        bucketed_aggregate(
-            ds.map_batches(
-                lambda df: df[["depth", "host"]].drop_duplicates(),
-                batch_format="pandas",
-            ),
-            ["depth", "host"],
-            {"one": ("host", "count")},
-        ),
+        bucketed_aggregate(ds, ["depth", "host"], {"one": ("host", "count")}),
         ["depth"],
         {"n_hosts": ("host", "count")},
     ).to_pandas()
-
-    out = url_counts.merge(host_counts[["depth", "n_hosts"]], on="depth").sort_values(
-        "depth", ignore_index=True
+    return finish(
+        url_counts.merge(host_counts, on="depth"),
+        "depth",
+        columns=["depth", "n_urls", "n_hosts"],
+        dtypes="int64",
     )
-    for c in ("depth", "n_urls", "n_hosts"):
-        out[c] = out[c].astype("int64")
-    return pa.Table.from_pandas(out[["depth", "n_urls", "n_hosts"]], preserve_index=False)

@@ -1460,6 +1460,60 @@ class TestCoPartition:
                 got = co_partition(data, ["user_id"], per_user).to_pandas()
                 pd.testing.assert_frame_equal(got.sort_values("user_id", ignore_index=True), want)
 
+    @pytest.mark.parametrize("op", ["sum", "min", "max", "count"])
+    def test_combiner_matches_pandas_groupby(self, ray_session, monkeypatch, op):
+        """``bucketed_aggregate`` combines each block before its shuffle:
+        whatever the block split (1, 3 or 17 blocks, with null keys, key
+        5 in an int64-with-null and an int32 block, an empty block, and
+        key 1 holding half the rows), every op equals a plain pandas
+        groupby, and the shuffle input never repeats a key in a block."""
+        import ray
+        import ray.data
+        from ray.data.block import BlockAccessor
+
+        from mlscraper_ray.functions import bucketed
+
+        keys = [1] * 120 + [None, 5, 9, None, 5, 7] * 20
+        rows = pd.DataFrame({"k": keys, "v": [(i * 37) % 101 - 50 for i in range(len(keys))]})
+        want = (
+            rows.groupby("k", dropna=False)["v"]
+            .agg("size" if op == "count" else op)
+            .reset_index(name="out")
+        )
+
+        def normalized(df: pd.DataFrame) -> list:  # null key -> -1 (keys are >= 0)
+            pairs = zip(df["k"], df["out"])
+            return sorted((-1 if pd.isna(k) else int(k), int(v)) for k, v in pairs)
+
+        def blocks(n: int) -> list[pa.Table]:
+            if n == 1:
+                return [pa.table({"k": pa.array(rows["k"], pa.int64()), "v": rows["v"]})]
+            # every other key-5/7 row in an int32 block, an empty block,
+            # the rest (nulls and the other 5s) in n - 2 int64 blocks
+            small = rows[rows["k"].isin([5, 7])].iloc[::2]
+            rest = rows.drop(small.index)
+            parts = [rest.iloc[i :: n - 2] for i in range(n - 2)]
+            assert parts[0]["k"].isna().any() and (parts[0]["k"] == 5).any()
+            typed = [pa.table({"k": pa.array(p["k"], pa.int64()), "v": p["v"]}) for p in parts]
+            int32 = pa.table({"k": pa.array(small["k"], pa.int32()), "v": small["v"]})
+            return [typed[0], typed[0].slice(0, 0), int32, *typed[1:]]
+
+        real = bucketed.co_partition
+
+        def checked(ds, keys, fn):
+            ds = ds.materialize()
+            for bundle in ds.iter_internal_ref_bundles():
+                for ref in bundle.block_refs:
+                    block = BlockAccessor.for_block(ray.get(ref)).to_pandas()
+                    assert not block.duplicated(keys).any(), "a key repeats within a block"
+            return real(ds, keys, fn)
+
+        monkeypatch.setattr(bucketed, "co_partition", checked)
+        for n in (1, 3, 17):
+            ds = ray.data.from_arrow(blocks(n))
+            got = bucketed.bucketed_aggregate(ds, ["k"], {"out": ("v", op)}).to_pandas()
+            assert normalized(got) == normalized(want), n
+
     def test_bucket_count_rule_from_cluster_cpus(self, monkeypatch):
         """Every shuffle takes 8 buckets per cluster CPU: 1 CPU -> 8,
         32 CPUs -> 256, at or above the old per-site counts of 241, 64

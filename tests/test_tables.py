@@ -3,8 +3,9 @@ reads exactly what a plain ``read_parquet`` reads, without schema
 metadata; the vector top-k entries return typed empty tables; no
 operator module grows its own base-table read or result tail again;
 no caller picks a shuffle's bucket count (``functions/bucketed.py``
-owns it); and no caller picks the broadcast-or-shuffle cut-over
-(``broadcast.pull`` owns it)."""
+owns it); no caller picks the broadcast-or-shuffle cut-over
+(``broadcast.pull`` owns it); and no caller pre-aggregates the batches
+it feeds ``bucketed_aggregate``, which combines every block itself."""
 import ast
 import glob
 import os
@@ -99,13 +100,14 @@ def _hand_written_sites(path: str) -> list[tuple[str, str]]:
 
 def test_operators_read_and_finish_through_tables():
     found = []
-    for path in sorted(glob.glob(os.path.join(FUNCTIONS_DIR, "*.py"))):
-        fname = os.path.basename(path)
-        if fname == "tables.py":
-            continue
-        for fn, what in _hand_written_sites(path):
-            if (fname, fn) not in ALLOWLIST:
-                found.append(f"{fname}::{fn} {what}")
+    for sub in ("functions", "pipelines", "frontier"):
+        for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, sub, "*.py"))):
+            fname = os.path.basename(path)
+            if fname == "tables.py":
+                continue
+            for fn, what in _hand_written_sites(path):
+                if (fname, fn) not in ALLOWLIST:
+                    found.append(f"{sub}/{fname}::{fn} {what}")
     assert not found, "use tables.read_table / tables.finish:\n" + "\n".join(found)
 
 
@@ -277,4 +279,93 @@ def test_pull_guard_sees_parameters_and_keywords(tmp_path):
         (1, "broadcast_limit"),
         (2, "driver_limit"),
         (3, "approx_edges"),
+    ]
+
+
+# (module path under mlscraper_ray/, operator) -> why that operator
+# still groups a batch before handing it to bucketed_aggregate.
+PRE_AGGREGATED_ALLOWLIST: dict[tuple[str, str], str] = {}
+GROUPERS = {"groupby", "group_by", "value_counts"}
+
+
+def _pre_aggregated_sites(path: str) -> list[tuple[str, str]]:
+    """(operator, map fn) for each ``bucketed_aggregate(X.map_batches(fn,
+    ...), ...)`` in one module whose ``fn`` — a lambda, or a def or
+    name-bound lambda of the operator or the module — groups its batch
+    with ``.groupby(``, ``.group_by(`` or ``.value_counts(``."""
+    tree = ast.parse(open(path).read())
+
+    def named_fns(scope: ast.AST) -> dict[str, ast.AST]:
+        fns = {}
+        for node in ast.walk(scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node is not scope:
+                fns[node.name] = node
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Lambda):
+                fns.update((t.id, node.value) for t in node.targets if isinstance(t, ast.Name))
+        return fns
+
+    def groups(fn: ast.AST) -> bool:
+        calls = (n for n in ast.walk(fn) if isinstance(n, ast.Call))
+        return any(isinstance(c.func, ast.Attribute) and c.func.attr in GROUPERS for c in calls)
+
+    module_fns = named_fns(tree)
+    sites = []
+    for top in tree.body:
+        op = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        local_fns = {**module_fns, **named_fns(top)}
+        for node in ast.walk(top):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            feed = node.args[0]
+            if not (
+                name == "bucketed_aggregate"
+                and isinstance(feed, ast.Call)
+                and isinstance(feed.func, ast.Attribute)
+                and feed.func.attr == "map_batches"
+                and feed.args
+            ):
+                continue
+            m = feed.args[0]
+            fn = m if isinstance(m, ast.Lambda) else local_fns.get(getattr(m, "id", None))
+            if fn is not None and groups(fn):
+                sites.append((node.lineno, op, getattr(m, "id", "<lambda>")))
+    return [(op, fn) for _, op, fn in sorted(sites)]
+
+
+def test_bucketed_aggregate_inputs_are_plain_rows():
+    found = [
+        f"{rel}::{op} pre-aggregates in {fn}"
+        for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "**", "*.py"), recursive=True))
+        for rel in [os.path.relpath(path, PACKAGE_DIR)]
+        for op, fn in _pre_aggregated_sites(path)
+        if (rel, op) not in PRE_AGGREGATED_ALLOWLIST
+    ]
+    assert not found, "bucketed_aggregate combines each block itself:\n" + "\n".join(found)
+
+
+def test_pre_aggregation_guard_sees_defs_lambdas_and_helpers(tmp_path):
+    p = tmp_path / "op.py"
+    p.write_text(
+        "def op(ds):\n"
+        "    def partial(df):\n"
+        "        return df.groupby('k').size().reset_index()\n"
+        "    rows = lambda df: df[['k']]\n"
+        "    a = bucketed_aggregate(ds.map_batches(partial), ['k'], {})\n"
+        "    b = bucketed.bucketed_aggregate(\n"
+        "        ds.map_batches(lambda t: t.group_by('k').aggregate([])), ['k'], {})\n"
+        "    c = bucketed_aggregate(ds.map_batches(lambda df: df.k.value_counts()), ['k'], {})\n"
+        "    d = bucketed_aggregate(ds.map_batches(rows), ['k'], {'n': ('k', 'count')})\n"
+        "    return bucketed_aggregate(ds, ['k'], {'n': ('k', 'count')})\n"
+        "def other(ds):\n"
+        "    return bucketed_aggregate(ds.map_batches(helper), ['k'], {})\n"
+        "def helper(df):\n"
+        "    return df.groupby('k').sum()\n"
+    )
+    assert _pre_aggregated_sites(str(p)) == [
+        ("op", "partial"),
+        ("op", "<lambda>"),
+        ("op", "<lambda>"),
+        ("other", "helper"),
     ]
