@@ -184,6 +184,19 @@ class RayCrawler:
         stage.write_parquet(results_dir)
         return results_dir
 
+    def _round_pages(self, k: int) -> dict:
+        """Round k's fetch-stage counters, read back from its results:
+        fetched pages that fell back from the scan to the tree path,
+        and the html fetched, in MB."""
+        import pyarrow.compute as pc
+
+        n_fallback = n_bytes = 0
+        for path in glob.glob(os.path.join(_round_dir(self.out_dir, k), "results", "*.parquet")):
+            t = pq.read_table(path, columns=["scan_fallback", "html_bytes"])
+            n_fallback += pc.sum(t["scan_fallback"]).as_py() or 0
+            n_bytes += pc.sum(t["html_bytes"]).as_py() or 0
+        return {"pages_fallback": n_fallback, "html_mb": round(n_bytes / 1e6, 3)}
+
     def _round_lineage(self, k: int) -> dict:
         """Per-partition lineage for round k: every results file with
         its row count and content hash, so a resume (or an auditor) can
@@ -284,6 +297,7 @@ class RayCrawler:
                 "admitted": n_admitted,
                 "sec_admit": round(t_admit, 3),
                 "sec_fetch_extract": round(t_fetch, 3),
+                **self._round_pages(k),
             }
             stats["rounds"].append(round_stats)
             self._checkpoint(k, round_stats)

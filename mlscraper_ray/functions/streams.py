@@ -707,28 +707,37 @@ def events_props_stats(sf_dir: str) -> pa.Table:
     ds = read_table(sf_dir, "events", ["event_type", "props"])
 
     def parsed_k(batch: pd.DataFrame) -> pd.DataFrame:
-        ks = []
+        ks, has_k = [], []
         for props in batch["props"]:
-            k = -1  # missing
+            k = None
             try:
                 v = json.loads(props or "")
                 if isinstance(v, dict) and isinstance(v.get("k"), int):
                     k = v["k"]
             except (ValueError, TypeError):
                 pass
-            ks.append(k)
+            has_k.append(k is not None)
+            ks.append(0 if k is None else k)
+        # missing k is SQL's NULL: its own key column, so every int
+        # (negative ones too) is a value. Not a null k: Ray hands a
+        # null-holding int column to pandas as float64, which would
+        # merge distinct k above 2**53.
         return pd.DataFrame(
-            {"event_type": batch["event_type"].astype(str), "k": pd.Series(ks, dtype="int64")}
+            {
+                "event_type": batch["event_type"].astype(str),
+                "has_k": pd.Series(has_k, dtype="bool"),
+                "k": pd.Series(ks, dtype="int64"),
+            }
         )
 
     # (type, k) counts: k's domain bounds this table, not event count
     agg = bucketed_aggregate(
-        ds.map_batches(parsed_k, batch_format="pandas"), ["event_type", "k"], {"n": ("k", "count")}
+        ds.map_batches(parsed_k, batch_format="pandas"), ["event_type", "has_k", "k"], {"n": ("k", "count")}
     ).to_pandas()
     out_rows = []
     for et, grp in agg.groupby("event_type"):
-        ks = grp[grp["k"] >= 0]
-        n_missing = int(grp.loc[grp["k"] < 0, "n"].sum())
+        ks = grp[grp["has_k"]]
+        n_missing = int(grp.loc[~grp["has_k"], "n"].sum())
         n = int(ks["n"].sum())
         if n:
             out_rows.append(

@@ -53,24 +53,25 @@ ORDER BY doc_id
 
 
 def source_token_totals(sf_dir: str) -> pa.Table:
-    """Corpus-level token budget per source: partial agg per batch ->
-    small groupby. The shape of 'how many training tokens do we have'."""
+    """Corpus-level token budget per source: per-doc token counts ->
+    one bucketed aggregate. The shape of 'how many training tokens do
+    we have'."""
     ds = read_table(sf_dir, "documents", ["source", "text"])
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df["n_tokens"] = df["text"].str.findall(_WORD_RE).str.len().astype("int64")
-        g = df.groupby("source", as_index=False).agg(n_tokens=("n_tokens", "sum"), n_docs=("text", "size"))
-        return finish(g, dtypes={"n_docs": "int64"})
+    def n_tokens(batch: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(
+            {
+                "source": batch["source"],
+                "n_tokens": batch["text"].str.findall(_WORD_RE).str.len().astype("int64"),
+            }
+        )
 
-    return finish(
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .sum(["n_tokens", "n_docs"])
-        .to_pandas()
-        .rename(columns={"sum(n_tokens)": "n_tokens", "sum(n_docs)": "n_docs"}),
-        "source",
+    agg = bucketed_aggregate(
+        ds.map_batches(n_tokens, batch_format="pandas"),
+        ["source"],
+        {"n_tokens": ("n_tokens", "sum"), "n_docs": ("n_tokens", "count")},
     )
+    return finish(agg.to_pandas(), "source", dtypes={"n_tokens": "int64", "n_docs": "int64"})
 
 
 SOURCE_TOKEN_TOTALS_SQL = """

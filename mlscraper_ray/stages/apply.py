@@ -10,6 +10,9 @@ Reference semantics: ``Scraper.get`` tree walk
 a null value_json (the reference raises — at corpus scale we record
 instead of abort, the per-row contract is otherwise identical and the
 golden tests pin it).
+
+Each page is evaluated by one ``scrape.scan`` pass; a page outside the
+scanner's subset takes the tree (``parse_html`` + ``Scraper.get``).
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import json
 import pyarrow as pa
 
 from mlscraper_ray.htmlcore.dom import parse_html
-from mlscraper_ray.scrape.model import SelectorMissException, scraper_from_plan
+from mlscraper_ray.scrape.scan import ScanFallback, compile_scan
 
 
 # Worker-process-global cache for the stateless-task flavor. Tradeoff,
@@ -40,7 +43,7 @@ def apply_scraper_task(batch: pa.Table, *, plan_json: str) -> pa.Table:
 
 class ApplyScraper:
     def __init__(self, plan: dict, html_col: str = "html", url_col: str = "url"):
-        self.scraper = scraper_from_plan(plan)
+        self.scan = compile_scan(plan)
         self.html_col = html_col
         self.url_col = url_col
 
@@ -49,9 +52,10 @@ class ApplyScraper:
         values = []
         for html in batch[self.html_col].to_pylist():
             try:
-                values.append(json.dumps(self.scraper.get(parse_html(html)), sort_keys=True))
-            except SelectorMissException:
-                values.append(None)
+                value, _ = self.scan.run(html)
+            except ScanFallback:
+                value = self.scan.tree_value(parse_html(html))
+            values.append(value)
         return pa.table(
             {
                 "url": pa.array(urls, pa.string()),

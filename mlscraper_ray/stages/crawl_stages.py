@@ -1,7 +1,10 @@
 """Ray Data stages for the crawl pipeline.
 
 ``FetchParseExtract`` is the hot path (reference extraction semantics
-per row in ``__call__``). The BSP round loop runs it as the stateless
+per row in ``__call__``): one ``scrape.scan`` pass per page yields the
+plan's value and the page's links; a page outside the scanner's subset
+falls back to ``parse_html`` + ``Scraper.get`` + :func:`extract_links`
+and is marked ``scan_fallback``. The BSP round loop runs it as the stateless
 ``map_batches`` task :func:`fetch_parse_extract_task`; its state —
 corpus bucket cache, compiled scraper plan — is built once per Ray
 worker process and cached there (``get_fetch_stage``). Batches are
@@ -28,7 +31,7 @@ from urllib.parse import urljoin
 import pyarrow as pa
 
 from mlscraper_ray.htmlcore.dom import parse_html
-from mlscraper_ray.scrape.model import SelectorMissException, scraper_from_plan
+from mlscraper_ray.scrape.scan import ScanFallback, compile_scan
 from mlscraper_ray.sources.corpus import CorpusReader
 from mlscraper_ray.sources.corpusgen import url_host
 
@@ -41,7 +44,9 @@ def extract_links(doc, base_url: str) -> list[str]:
     :func:`extract_links_anchors`) because this is the crawl hot path
     and the anchors twin computes ``Node.text`` per link; the two
     loops' url semantics are pinned byte-equal by
-    tests/test_pagerank.py — change them TOGETHER."""
+    tests/test_pagerank.py — change them TOGETHER. The fetch stage's
+    scan (``scrape.scan``) collects the same links in its own pass,
+    pinned equal by tests/test_scan.py."""
     seen = set()
     out = []
     for a in doc.select("a"):
@@ -81,14 +86,16 @@ class FetchParseExtract:
     """url rows -> fetched + parsed + extracted rows.
 
     Output schema: url, host, depth, warc_ts, value_json, links
-    (list<string>), html_bytes, fetch_ok.
+    (list<string>), html_bytes, fetch_ok, scan_fallback.
     URLs absent from the corpus are emitted with fetch_ok=false and
-    empty payload (counted, never silently dropped).
+    empty payload (counted, never silently dropped); scan_fallback is
+    true for a fetched page that took the tree path, null when nothing
+    was fetched.
     """
 
     def __init__(self, corpus_dir: str, n_buckets: int, plan: dict):
         self.reader = CorpusReader(corpus_dir, n_buckets)
-        self.scraper = scraper_from_plan(plan) if plan else None
+        self.scan = compile_scan(plan)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         urls = batch["url"].to_pylist()
@@ -104,6 +111,7 @@ class FetchParseExtract:
         out = {
             "url": [], "host": [], "depth": [], "warc_ts": [],
             "value_json": [], "links": [], "html_bytes": [], "fetch_ok": [],
+            "scan_fallback": [],
         }
         for url in urls:
             out["url"].append(url)
@@ -116,20 +124,23 @@ class FetchParseExtract:
                 out["links"].append([])
                 out["html_bytes"].append(0)
                 out["fetch_ok"].append(False)
+                out["scan_fallback"].append(None)
                 continue
             warc_ts, html = hit
-            doc = parse_html(html)
-            value = None
-            if self.scraper is not None:
-                try:
-                    value = json.dumps(self.scraper.get(doc), sort_keys=True)
-                except SelectorMissException:
-                    value = None
+            try:
+                value, links = self.scan.run(html, url)
+                fallback = False
+            except ScanFallback:
+                doc = parse_html(html)
+                value = self.scan.tree_value(doc)
+                links = extract_links(doc, url)
+                fallback = True
             out["warc_ts"].append(warc_ts)
             out["value_json"].append(value)
-            out["links"].append(extract_links(doc, url))
+            out["links"].append(links)
             out["html_bytes"].append(len(html))
             out["fetch_ok"].append(True)
+            out["scan_fallback"].append(fallback)
         return pa.table(
             {
                 "url": pa.array(out["url"], pa.string()),
@@ -140,6 +151,7 @@ class FetchParseExtract:
                 "links": pa.array(out["links"], pa.list_(pa.string())),
                 "html_bytes": pa.array(out["html_bytes"], pa.int64()),
                 "fetch_ok": pa.array(out["fetch_ok"], pa.bool_()),
+                "scan_fallback": pa.array(out["scan_fallback"], pa.bool_()),
             }
         )
 

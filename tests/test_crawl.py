@@ -105,6 +105,26 @@ class TestCrawlVsOracle:
                 assert value == golden[url], url
         assert checked > 0
 
+    def test_round_stats_report_fallback_pages_and_html(self, crawl_run):
+        """metrics.json and every manifest carry each round's scan
+        fallbacks and fetched html; every corpus page is in the scan's
+        subset."""
+        corpus, out, cfg, stats = crawl_run
+        res = _results_table(out, ["round", "html_bytes", "scan_fallback", "fetch_ok"]).to_pylist()
+        with open(f"{out}/metrics.json") as f:
+            assert json.load(f)["rounds"] == stats["rounds"]
+        for r in stats["rounds"]:
+            rows = [x for x in res if x["round"] == r["round"]]
+            assert r["html_mb"] == round(sum(x["html_bytes"] for x in rows) / 1e6, 3)
+            assert r["pages_fallback"] == sum(bool(x["scan_fallback"]) for x in rows) == 0
+            assert all((x["scan_fallback"] is None) == (not x["fetch_ok"]) for x in rows)
+            with open(f"{out}/checkpoint/round={r['round']}/MANIFEST.json") as f:
+                manifest = json.load(f)["round_stats"]
+            assert {k: manifest[k] for k in ("pages_fallback", "html_mb")} == {
+                k: r[k] for k in ("pages_fallback", "html_mb")
+            }
+        assert sum(r["html_mb"] for r in stats["rounds"]) > 0
+
     def test_politeness_budget_respected(self, crawl_run):
         corpus, out, cfg, _ = crawl_run
         res = _results_table(out, ["round", "host", "url"])

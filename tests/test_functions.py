@@ -866,6 +866,50 @@ class TestEventsUserLifetimeCrafted:
         assert value_hash(out) == value_hash(oracle)
 
 
+class TestEventsPropsStatsCrafted:
+    def test_negative_zero_and_missing_k_match_sql(self, ray_session, tmp_path):
+        """Every integer k is a value, negative ones too; only events
+        without one count as missing (SQL's NULL). Two k above 2**53
+        that one float cannot tell apart stay two distinct values."""
+        import datetime as dt
+
+        import duckdb
+        from oracle_compare import value_hash
+
+        from mlscraper_ray.functions.streams import EVENTS_PROPS_STATS_SQL, events_props_stats
+
+        big = 2**60
+        rows = [  # (event_type, props)
+            ("neg", '{"k": -3}'), ("neg", '{"k": -3}'), ("neg", '{"k": -7}'), ("neg", "{}"),
+            ("zero", '{"k": 0}'), ("zero", '{"j": 1}'), ("zero", None),
+            ("mixed", '{"k": -1}'), ("mixed", '{"k": 0}'), ("mixed", '{"k": 5}'), ("mixed", '{"k": 5}'),
+            ("none", "{}"), ("none", '{"j": -1}'),
+            ("big", f'{{"k": {big}}}'), ("big", f'{{"k": {big + 1}}}'),
+        ]
+        t = pa.table(
+            {
+                "event_id": pa.array(range(len(rows)), pa.int64()),
+                "ts": pa.array([dt.datetime(2024, 1, 1)] * len(rows), pa.timestamp("us")),
+                "user_id": pa.array([1] * len(rows), pa.int64()),
+                "event_type": pa.array([e for e, _ in rows]),
+                "value": pa.array([0.5] * len(rows), pa.float64()),
+                "props": pa.array([p for _, p in rows], pa.string()),
+            }
+        )
+        pq.write_table(t, str(tmp_path / "events.parquet"))
+        out = events_props_stats(str(tmp_path)).to_pandas()
+        by_type = {r["event_type"]: r for r in out.to_dict("records")}
+        assert (by_type["neg"]["n_events"], by_type["neg"]["n_missing"]) == (3, 1)
+        assert (by_type["neg"]["min_k"], by_type["neg"]["sum_k"], by_type["neg"]["n_distinct_k"]) == (-7, -13, 2)
+        assert (by_type["zero"]["n_events"], by_type["zero"]["n_missing"]) == (1, 2)
+        assert by_type["none"]["n_events"] == 0 and by_type["none"]["n_missing"] == 2
+        assert by_type["big"]["n_distinct_k"] == 2 and by_type["big"]["sum_k"] == 2 * big + 1
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM '{tmp_path}/events.parquet'")
+        oracle = con.execute(EVENTS_PROPS_STATS_SQL).fetchdf()
+        assert value_hash(out) == value_hash(oracle)
+
+
 class TestEventsUserValueRankCrafted:
     def test_negative_totals_rank_below_positive_ones(self, ray_session, tmp_path):
         """Value bands are signed: a lifetime total of -5.0 ranks below
