@@ -690,8 +690,6 @@ def revenue_rollup(sf_dir: str) -> pa.Table:
     joined = cogroup_join(totals, cust, "c_custkey")
 
     def to_nation(df: pd.DataFrame) -> pd.DataFrame:
-        if "c_nationkey" not in df.columns:  # a block with no columns
-            return df
         from mlscraper_ray.functions.broadcast import cached_object
 
         nm = cached_object(m_ref)

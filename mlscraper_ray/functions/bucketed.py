@@ -2,17 +2,25 @@
 
 :func:`co_partition` is the engine's only hash shuffle. It tags every
 row with a private bucket column, ``hash(keys) mod n``; runs
-ONE Ray ``groupby`` over that column (a tiny key domain, so the sort
+ONE Ray sort over that column (a tiny key domain, so the sort
 shuffle is cheap and every group gets substantial work); and calls
-``fn`` once per bucket on a pandas frame of the input columns. Every
-row with a given key value lands in the same bucket, so ``fn`` does
-the real per-key work (merge, windowing, aggregation) vectorized in
-pandas. Same all-to-all data movement as a native groupby, without
-Ray's per-distinct-group overhead: a 1.3M-row / 1M-group native
-``groupby(...).aggregate(...)`` (Ray 2.49, sort-based) did not finish
-in 5 minutes on 32 cpus (measured in this repo); through this pattern
-it takes ~2s. :func:`bucketed_aggregate` and ``joins.cogroup_join``
-are thin wrappers over it.
+``fn`` once per bucket. Every row with a given key value lands in the
+same bucket, so ``fn`` does the real per-key work (merge, windowing,
+aggregation) vectorized in pandas. Same all-to-all data movement as a
+native groupby, without Ray's per-distinct-group overhead: a 1.3M-row
+/ 1M-group native ``groupby(...).aggregate(...)`` (Ray 2.49,
+sort-based) did not finish in 5 minutes on 32 cpus (measured in this
+repo); through this pattern it takes ~2s. :func:`bucketed_aggregate`
+and ``joins.cogroup_join`` are thin wrappers over it.
+
+Two forms, one shuffle. ``co_partition(ds, keys, fn)`` hands ``fn``
+one pandas frame per bucket in ``ds``'s block format. A join names its
+sides, ``co_partition({"e": edges, "o": outdeg}, keys, fn)``, and
+``fn`` gets one frame per side with that side's own columns and
+dtypes. The side tag, the union and the per-bucket split live here:
+each side's block travels as one row per bucket holding that bucket's
+rows as an Arrow IPC stream, so the sides share one schema, the union
+needs no padding, and an int64 column stays exact int64.
 
 Combiner: :func:`bucketed_aggregate` pre-aggregates every block by its
 keys before the shuffle (sum/min/max, row counts for 'count'), so the
@@ -48,6 +56,8 @@ import pyarrow as pa
 import ray.data
 
 _BUCKET = "__co_bucket"
+_SIDE = "__co_side"
+_ROWS = "__co_rows"
 _BUCKETS_PER_CPU = 8
 
 
@@ -67,41 +77,126 @@ def _bucket_ids(frame: pd.DataFrame, keys: list[str], n_buckets: int) -> np.ndar
 
 
 def co_partition(
-    ds: ray.data.Dataset | list[ray.data.Dataset],
+    ds: ray.data.Dataset | dict[str, ray.data.Dataset],
     keys: list[str],
-    fn: Callable[[pd.DataFrame], pd.DataFrame],
+    fn: Callable[..., pd.DataFrame],
 ) -> ray.data.Dataset:
     """Hash-partition ``ds`` on ``keys`` into :func:`_n_buckets` buckets
-    and return the union of ``fn(bucket)`` over all buckets. ``fn`` sees a
-    pandas frame holding every row of its bucket with ``ds``'s columns
-    (rows of one key value are never split across calls).
+    and return the union of ``fn``'s frames over all buckets (rows of
+    one key value are never split across calls).
 
-    ``ds`` may be a list of Datasets with the same columns and block
-    format (the sides of a join; Ray's sort shuffle asserts a single
-    block type): each is tagged before the union. The tagging map
-    fuses into each input's last map; after a union it would be a
-    stage of its own."""
+    A Dataset: ``fn(frame)`` sees every row of its bucket with ``ds``'s
+    columns, as a pandas frame of ``ds``'s own block format.
+
+    A dict of named Datasets (the sides of a join, each holding the
+    ``keys`` columns): ``fn(sides)`` gets a dict with one pandas frame
+    per name, holding that side's rows of the bucket, only its columns,
+    with its own dtypes (an int64 column stays exact int64 unless that
+    side holds a null in it). A side with no rows in the bucket gets an
+    empty frame with its columns and dtypes. A side with no rows at all
+    has no columns to give (Ray runs no map on an empty block), so its
+    frames are empty and have no columns.
+
+    ``fn`` is never called on a bucket without rows: not on an empty
+    frame, not on a frame without columns, and in the named form not
+    with every side empty. An input without rows yields no rows."""
     n_buckets = _n_buckets()
+    if isinstance(ds, dict):
+        return _co_partition_sides(ds, keys, fn, n_buckets)
 
     def tag(block: pa.Table | pd.DataFrame) -> pa.Table | pd.DataFrame:
-        # blocks keep their format (empty ones may carry no columns)
+        # blocks keep their format
         if isinstance(block, pa.Table):
-            ids = _bucket_ids(block.select(keys).to_pandas(), keys, n_buckets) if block.num_rows else []
+            ids = _bucket_ids(block.select(keys).to_pandas(), keys, n_buckets)
             # blocks of one shuffle may differ only in their pandas
             # metadata; Ray would warn when it unifies their schemas
             block = block.replace_schema_metadata(None)
             return block.append_column(_BUCKET, pa.array(ids, pa.int32()))
-        ids = _bucket_ids(block, keys, n_buckets) if len(block) else np.zeros(0, np.int32)
-        return block.assign(**{_BUCKET: ids})
+        return block.assign(**{_BUCKET: _bucket_ids(block, keys, n_buckets)})
 
     def run(g: pd.DataFrame):
-        if _BUCKET in g.columns:
-            del g[_BUCKET]
+        del g[_BUCKET]
         return fn(g)
 
-    tagged = [d.map_batches(tag, batch_format=None) for d in (ds if isinstance(ds, list) else [ds])]
+    tagged = ds.map_batches(tag, batch_format=None)
+    return tagged.groupby(_BUCKET).map_groups(run, batch_format="pandas")
+
+
+def _co_partition_sides(
+    sides: dict[str, ray.data.Dataset],
+    keys: list[str],
+    fn: Callable[[dict[str, pd.DataFrame]], pd.DataFrame],
+    n_buckets: int,
+) -> ray.data.Dataset:
+    """The named form of :func:`co_partition`.
+
+    Each side's map packs every block into one row per bucket: the side
+    tag, the bucket and the bucket's rows as an Arrow IPC stream, which
+    carries the side's schema even when it holds no rows. All sides
+    then share one three-column schema, so the union needs no padding,
+    and no dtype depends on the block type Ray's sort merges in (it
+    takes the most common one, and a pandas merge turns an int64 column
+    with nulls into float64). Every block writes every bucket, so every
+    reduce task holds each side's schema, and a side without rows in a
+    bucket still reaches ``fn`` typed."""
+    names = list(sides)
+
+    def tagger(i: int):
+        def tag(t: pa.Table) -> pa.Table:
+            ids = _bucket_ids(t.select(keys).to_pandas(), keys, n_buckets)
+            order = np.argsort(ids, kind="stable")
+            bounds = np.searchsorted(ids[order], np.arange(n_buckets + 1))
+            t = t.replace_schema_metadata(None).take(order)
+            return pa.table(
+                {
+                    _SIDE: np.full(n_buckets, i, np.int8),
+                    _BUCKET: np.arange(n_buckets, dtype=np.int32),
+                    _ROWS: pa.array(
+                        [_ipc(t.slice(lo, hi - lo)) for lo, hi in zip(bounds[:-1], bounds[1:])],
+                        pa.large_binary(),
+                    ),
+                }
+            )
+
+        return tag
+
+    def run(block: pa.Table):
+        # a reduce block holds whole buckets, sorted by bucket
+        bucket = block[_BUCKET].to_numpy()
+        side = block[_SIDE].to_numpy()
+        rows = block[_ROWS]
+        starts = np.flatnonzero(np.diff(bucket, prepend=-1))
+        for lo, hi in zip(starts, [*starts[1:], len(bucket)]):
+            parts = {
+                name: [
+                    pa.ipc.open_stream(rows[j].as_buffer()).read_all()
+                    for j in range(lo, hi)
+                    if side[j] == i
+                ]
+                for i, name in enumerate(names)
+            }
+            frames = {
+                name: pa.concat_tables(p, promote_options="permissive").to_pandas()
+                if p
+                else pd.DataFrame()
+                for name, p in parts.items()
+            }
+            if any(len(f) for f in frames.values()):
+                yield fn(frames)
+
+    tagged = [
+        sides[name].map_batches(tagger(i), batch_format="pyarrow") for i, name in enumerate(names)
+    ]
     unioned = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
-    return unioned.groupby(_BUCKET).map_groups(run, batch_format="pandas")
+    return unioned.sort(_BUCKET).map_batches(run, batch_size=None, batch_format="pyarrow")
+
+
+def _ipc(t: pa.Table) -> bytes:
+    """``t`` as one Arrow IPC stream (schema included)."""
+    sink = pa.BufferOutputStream()
+    with pa.ipc.new_stream(sink, t.schema) as writer:
+        writer.write_table(t)
+    return sink.getvalue().to_pybytes()
 
 
 def bucketed_aggregate(
@@ -128,9 +223,6 @@ def bucketed_aggregate(
     }
 
     def partials(block: pd.DataFrame) -> pd.DataFrame:
-        # a block with no columns passes through, as in co_partition's tag
-        if not len(block.columns):
-            return block
         return block.groupby(keys, sort=False, dropna=False).agg(**combine).reset_index()
 
     # the combine is the map that turns blocks into pandas before the

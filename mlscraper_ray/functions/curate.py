@@ -65,9 +65,6 @@ def _sample_fn(sample_pct: int):
     the survivor columns plus any ``__`` routing column."""
 
     def sample(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "doc_id" not in df.columns:
-            # empty blocks can arrive schema-less through the shuffle
-            return pd.DataFrame({c: pd.Series([], dtype="int64") for c in _SURVIVOR_COLS})
         mask = [
             int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little") % 100 < sample_pct
             for d in df["doc_id"]
@@ -267,47 +264,24 @@ def decontaminate_survivors(
                     "gram": pa.array(grams, pa.string()),
                     "doc_id": pa.array(ids, pa.int64()),
                     "n_grams": pa.array(ngrams, pa.int64()),
-                    "side": pa.array(["t"] * len(grams), pa.string()),
                 }
             )
 
-        def tag_holdout(batch: pa.Table) -> pa.Table:
-            nrows = batch.num_rows
-            return pa.table(
-                {
-                    "gram": batch["gram"],
-                    "doc_id": pa.array([-1] * nrows, pa.int64()),
-                    "n_grams": pa.array([0] * nrows, pa.int64()),
-                    "side": pa.array(["h"] * nrows, pa.string()),
-                }
-            )
-
-        sides = [
-            ds.map_batches(explode_training, batch_format="pyarrow"),
-            ho_rows.map_batches(tag_holdout, batch_format="pyarrow"),
-        ]
-
-        def flag_bucket(g: pd.DataFrame) -> pd.DataFrame:
-            hset = set(g.loc[g["side"] == "h", "gram"])
-            t = g[g["side"] == "t"]
-            if t.empty:
-                return pd.DataFrame(
-                    {
-                        "doc_id": pd.Series(dtype="int64"),
-                        "contam": pd.Series(dtype="int64"),
-                        "n_grams": pd.Series(dtype="int64"),
-                    }
-                )
-            flag = t["gram"].isin(hset).astype("int64")
-            part = (
+        def flag_bucket(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+            t = sides["t"]
+            flag = t["gram"].isin(set(sides["h"]["gram"])).astype("int64")
+            return (
                 pd.DataFrame({"doc_id": t["doc_id"], "contam": flag, "n_grams": t["n_grams"]})
                 .groupby("doc_id", sort=False)
                 .agg(contam=("contam", "max"), n_grams=("n_grams", "first"))
                 .reset_index()
             )
-            return part
 
-        flags = co_partition(sides, ["gram"], flag_bucket)
+        flags = co_partition(
+            {"t": ds.map_batches(explode_training, batch_format="pyarrow"), "h": ho_rows},
+            ["gram"],
+            flag_bucket,
+        )
         combined = bucketed_aggregate(
             flags, ["doc_id"], {"contam": ("contam", "max"), "n_grams": ("n_grams", "max")}
         )

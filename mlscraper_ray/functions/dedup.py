@@ -1160,10 +1160,6 @@ def doc_dup_span_stats(sf_dir: str, n: int = 3) -> pa.Table:
         return pa.table({"gram": pa.array(grams, pa.string()), "doc_id": pa.array(ids, pa.int64())})
 
     def flag_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or "gram" not in g.columns:
-            return pd.DataFrame(
-                {"doc_id": pd.Series(dtype="int64"), "dup": pd.Series(dtype="int64")}
-            )
         df_counts = g.groupby("gram", sort=False)["gram"].transform("size")
         return pd.DataFrame(
             {
@@ -1272,15 +1268,6 @@ def incremental_dedup(sf_dir: str, snapshot_mod: int = 2) -> pa.Table:
         },
     )
     def keep_clean(df: pd.DataFrame) -> pd.DataFrame:
-        if len(df) == 0 or "prior" not in df.columns:
-            # empty blocks can arrive schema-less through the shuffle
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "h": pd.Series(dtype=str),
-                    "n_new": pd.Series(dtype="int64"),
-                }
-            )
         return df.loc[
             (df["prior"] == 0) & (df["n_new"] > 0), ["doc_id", "h", "n_new"]
         ].astype({"doc_id": "int64", "n_new": "int64"})
@@ -2138,8 +2125,6 @@ def source_neardup_report(
     )
 
     def endpoints(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "doc_a" not in df.columns:
-            return pd.DataFrame({"doc_id": pd.Series(dtype="int64")})
         return pd.DataFrame(
             {"doc_id": pd.concat([df["doc_a"], df["doc_b"]], ignore_index=True).astype("int64")}
         )
@@ -2275,10 +2260,6 @@ def source_pair_matrix(
         )
 
     def a_rows(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "doc_a" not in df.columns:
-            return pd.DataFrame(
-                {"doc_id": pd.Series(dtype="int64"), "doc_b": pd.Series(dtype="int64")}
-            )
         return pd.DataFrame(
             {"doc_id": df["doc_a"].astype("int64"), "doc_b": df["doc_b"].astype("int64")}
         )
@@ -2286,10 +2267,6 @@ def source_pair_matrix(
     j1 = cogroup_join(pairs.map_batches(a_rows, batch_format="pandas"), docs, "doc_id")
 
     def b_rows(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "doc_b" not in df.columns or "source" not in df.columns:
-            return pd.DataFrame(
-                {"doc_id": pd.Series(dtype="int64"), "source_a": pd.Series(dtype=str)}
-            )
         return pd.DataFrame(
             {"doc_id": df["doc_b"].astype("int64"), "source_a": df["source"].astype(str)}
         )
@@ -2297,8 +2274,6 @@ def source_pair_matrix(
     j2 = cogroup_join(j1.map_batches(b_rows, batch_format="pandas"), docs, "doc_id")
 
     def matrix_rows(df: pd.DataFrame) -> pd.DataFrame:
-        if "source" not in df.columns:  # a block with no columns
-            return df
         df = df.dropna(subset=["source_a", "source"])
         a = df["source_a"].astype(str)
         b = df["source"].astype(str)
@@ -2460,10 +2435,6 @@ def simhash_pair_histogram(sf_dir: str) -> pa.Table:
         return pd.DataFrame({"pair": ids // 2, "side": ids % 2, "simhash": signed})
 
     def hamming_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "pair" not in g.columns:
-            return pd.DataFrame(
-                {"hamming": pd.Series(dtype="int64"), "n_pairs": pd.Series(dtype="int64")}
-            )
         w = g.pivot_table(index="pair", columns="side", values="simhash", aggfunc="first")
         if 0 not in w.columns or 1 not in w.columns:
             return pd.DataFrame(

@@ -88,35 +88,11 @@ def _propagate(
     ``emit_col`` endpoint. Zero-seed rows keep every node in the
     output. Returns (node, raw)."""
 
-    def score_side(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["node"].astype(str),
-                "other": "",
-                "val": df[score_col].astype("int64"),
-                "side": "r",
-            }
-        )
-
-    def edge_side(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df[key_col].astype(str),
-                "other": df[emit_col].astype(str),
-                "val": pd.Series([0] * len(df), index=df.index, dtype="int64"),
-                "side": "e",
-            }
-        )
-
-    def contribs(g: pd.DataFrame) -> pd.DataFrame:
-        r = g.loc[g["side"] == "r", ["key", "val"]].rename(columns={"val": "s"})
-        e = g.loc[g["side"] == "e", ["key", "other"]]
-        if e.empty:
+    def contribs(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        if sides["e"].empty:  # no columns either when no edge exists at all
             return pd.DataFrame({"node": pd.Series(dtype=str), "c": pd.Series(dtype="int64")})
-        m = e.merge(r, on="key", how="left")
-        return pd.DataFrame(
-            {"node": m["other"], "c": m["s"].fillna(0).astype("int64")}
-        )
+        m = sides["e"].merge(sides["r"], on=key_col, how="left")
+        return pd.DataFrame({"node": m[emit_col], "c": m[score_col].fillna(0).astype("int64")})
 
     seeds = scores.map_batches(
         lambda df: pd.DataFrame(
@@ -128,11 +104,13 @@ def _propagate(
         batch_format="pandas",
     )
     flow = co_partition(
-        [
-            scores.map_batches(score_side, batch_format="pandas"),
-            edges.map_batches(edge_side, batch_format="pandas"),
-        ],
-        ["key"],
+        {
+            "r": scores.map_batches(
+                lambda df: df.rename(columns={"node": key_col}), batch_format="pandas"
+            ),
+            "e": edges.select_columns([key_col, emit_col]),
+        },
+        [key_col],
         contribs,
     )
     return (

@@ -5,10 +5,10 @@ Two shapes, matching the scale playbook:
 - :func:`broadcast_join_map` — small side broadcast once via
   ``ray.put``, looked up inside ``map_batches`` (no shuffle). Used by
   aggregates.revenue_by_nation.
-- :func:`cogroup_join` — both sides large: tag each side, union the
-  datasets on aligned schemas, co-partition the union on
-  ``(key, __salt)`` (``bucketed.co_partition``) and merge inside each
-  bucket. One shuffle total, no driver materialization.
+- :func:`cogroup_join` — both sides large: ``bucketed.co_partition``
+  takes the two sides by name, one shuffle on ``key`` (plus the salt
+  column when salting), and each bucket is one pandas ``merge``. No
+  driver materialization.
   Skew: pass ``salt_hot_keys=True`` — hot keys are detected by a slim
   pre-aggregate, hot left rows get salts 0..``n_salt``-1 and hot right
   rows are replicated once per salt (inner/left joins). Every other
@@ -44,15 +44,6 @@ def broadcast_join_map(ds: ray.data.Dataset, key: str, mapping_ref, out_col: str
     return ds.map_batches(add, batch_format="pyarrow")
 
 
-def _is_integer_type(typ) -> bool:
-    """Integer test across Ray's two block schemas: pyarrow DataType
-    (arrow blocks) or pandas dtype (pandas blocks from map_groups,
-    numpy or nullable ``Int64``)."""
-    if isinstance(typ, pa.DataType):
-        return pa.types.is_integer(typ)
-    return pd.api.types.is_integer_dtype(typ)
-
-
 def cogroup_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -63,11 +54,17 @@ def cogroup_join(
     n_salt: int = 16,
 ) -> ray.data.Dataset:
     """Partitioned hash join of two Datasets on ``key`` (non-key column
-    sets must be disjoint): tag sides, union on aligned schemas,
-    co-partition (``bucketed.co_partition``, which owns the bucket
-    count), pandas-merge inside each bucket. One shuffle; per-bucket
-    work is one vectorized merge (never one Python call per key, which
-    melts at 10^5+ keys).
+    sets must be disjoint): ``co_partition({"l": left, "r": right})``
+    hands each bucket both sides with their own columns and dtypes,
+    and the bucket is one pandas merge. One shuffle; per-bucket work
+    is one vectorized merge (never one Python call per key, which
+    melts at 10^5+ keys). No side's plan runs twice: the columns come
+    with the rows.
+
+    The sides' integer columns come back as pandas nullable ``Int64``
+    in every bucket (a left join's missing right values are nulls, not
+    floats; a cast only in the buckets that hold a null would give one
+    column different dtypes in different blocks).
 
     ``salt_hot_keys=True`` handles key skew INSIDE the operator
     (inner/left only — replicating the right side breaks right/outer
@@ -83,12 +80,7 @@ def cogroup_join(
     path (regression-tested with a 50%-hot-key corpus). Note the
     pre-pass re-executes the left pipeline once — materialize ``left``
     first if it is expensive to recompute."""
-    l_cols = [c for c in left.schema().names if c != key]
-    r_cols = [c for c in right.schema().names if c != key]
-    overlap = set(l_cols) & set(r_cols)
-    assert not overlap, f"non-key column overlap: {overlap}"
-
-    hot_ref = None
+    keys = [key]
     if salt_hot_keys:
         assert how in ("inner", "left"), "salting replicates the right side: inner/left joins only"
 
@@ -109,23 +101,21 @@ def cogroup_join(
         hot_keys = sorted(hot_pdf[key].tolist()) if len(hot_pdf) else []
         hot_ref = ray.put(hot_keys)
 
-    def tag(side: str, other_cols: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
+        def salt(side: str):
+            def fn(batch: pa.Table) -> pa.Table:
+                import pyarrow.compute as pc
 
-            n = batch.num_rows
-            batch = batch.append_column("__side", pa.array([side] * n))
-            hot = ray.get(hot_ref) if salt_hot_keys else []
-            if hot:
-                mask = pc.is_in(
-                    batch[key], value_set=pa.array(hot, batch.column(key).type)
-                ).to_numpy(zero_copy_only=False)
-            else:
-                mask = np.zeros(n, dtype=bool)
-            if side == "l":
-                salt = np.where(mask, np.arange(n, dtype=np.int64) % n_salt, 0)
-                batch = batch.append_column("__salt", pa.array(salt, pa.int64()))
-            else:
+                n = batch.num_rows
+                hot = ray.get(hot_ref)
+                if hot:
+                    mask = pc.is_in(
+                        batch[key], value_set=pa.array(hot, batch.column(key).type)
+                    ).to_numpy(zero_copy_only=False)
+                else:
+                    mask = np.zeros(n, dtype=bool)
+                if side == "l":
+                    salts = np.where(mask, np.arange(n, dtype=np.int64) % n_salt, 0)
+                    return batch.append_column("__salt", pa.array(salts, pa.int64()))
                 reps = [batch.append_column("__salt", pa.array(np.zeros(n, dtype=np.int64)))]
                 if mask.any():
                     # hot right rows exist once per salt (salt 0 is reps[0])
@@ -136,43 +126,29 @@ def cogroup_join(
                         )
                         for s in range(1, n_salt)
                     ]
-                batch = pa.concat_tables(reps)
-            for c in other_cols:
-                batch = batch.append_column(c, pa.nulls(batch.num_rows))
-            return batch
+                return pa.concat_tables(reps)
 
-        return fn
+            return fn
 
-    all_cols = [key, "__side", "__salt"] + l_cols + r_cols
-    lt = left.map_batches(tag("l", r_cols), batch_format="pyarrow").select_columns(all_cols)
-    rt = right.map_batches(tag("r", l_cols), batch_format="pyarrow").select_columns(all_cols)
+        left = left.map_batches(salt("l"), batch_format="pyarrow")
+        right = right.map_batches(salt("r"), batch_format="pyarrow")
+        keys = [key, "__salt"]
 
-    # original dtypes: the null-padded union coerces int columns to
-    # float64 in pandas. Restore via pandas NULLABLE Int64
-    # unconditionally — a per-bucket conditional cast (skip when that
-    # bucket happens to contain a NaN) would give the same logical
-    # column different dtypes in different blocks
-    int_cols = {
-        name
-        for side in (left.schema().base_schema, right.schema().base_schema)
-        for name, typ in zip(side.names, side.types)
-        if _is_integer_type(typ)
-    }
+    def join_bucket(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        lg, rg = sides["l"], sides["r"]
+        # a side without any row has no columns: it joins as its keys
+        lg = lg if len(lg.columns) else rg[keys].iloc[:0]
+        rg = rg if len(rg.columns) else lg[keys].iloc[:0]
+        overlap = set(lg.columns) & set(rg.columns) - set(keys)
+        assert not overlap, f"non-key column overlap: {overlap}"
+        int_cols = {
+            c for f in (lg, rg) for c, t in f.dtypes.items() if pd.api.types.is_integer_dtype(t)
+        }
+        out = lg.merge(rg, on=keys, how=how)
+        cols = [key, *(c for c in out.columns if c not in keys)]
+        return pd.DataFrame({c: out[c].astype("Int64") if c in int_cols else out[c] for c in cols})
 
-    merge_keys = [key, "__salt"] if salt_hot_keys else [key]
-
-    def join_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        lg = g[g["__side"] == "l"][merge_keys + l_cols]
-        rg = g[g["__side"] == "r"][merge_keys + r_cols]
-        out = lg.merge(rg, on=merge_keys, how=how)
-        if "__salt" in out.columns:
-            out = out.drop(columns=["__salt"])
-        for col in out.columns:
-            if col in int_cols:
-                out[col] = out[col].astype("Int64")
-        return out
-
-    return co_partition([lt, rt], [key, "__salt"], join_bucket)
+    return co_partition({"l": left, "r": right}, keys, join_bucket)
 
 
 def order_lineitem_revenue(sf_dir: str) -> pa.Table:
@@ -1141,14 +1117,6 @@ def top_customers_by_nation(sf_dir: str, k: int = 3) -> pa.Table:
     joined = cogroup_join(totals, cust, "c_custkey")
 
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "c_nationkey" not in df.columns or "revenue_cents" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "n_name": pd.Series(dtype=str),
-                    "c_custkey": pd.Series(dtype="int64"),
-                    "revenue_cents": pd.Series(dtype="int64"),
-                }
-            )
         nm = cached_object(m_ref)
         df = df.dropna(subset=["revenue_cents", "c_nationkey"]).copy()
         df["n_name"] = df["c_nationkey"].map(lambda x: nm[int(x)])

@@ -79,16 +79,6 @@ def _add_rb_fn(n_rank_buckets: int):
 
 def _pack_bucket_fn(base_ref, seq_len: int):
     def pack_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or "doc_id" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "n_tokens": pd.Series(dtype="int64"),
-                    "begin_off": pd.Series(dtype="int64"),
-                    "seq_begin": pd.Series(dtype="int64"),
-                    "seq_end": pd.Series(dtype="int64"),
-                }
-            )
         start = ray.get(base_ref)[int(g["rb"].iloc[0])]
         g = g.sort_values(["rk", "doc_id"])
         cum = start + g["n_tokens"].cumsum()
@@ -306,15 +296,6 @@ def source_top_terms(sf_dir: str, k: int = 10) -> pa.Table:
         )
 
     def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or "source" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "source": pd.Series(dtype=str),
-                    "word": pd.Series(dtype=str),
-                    "cnt": pd.Series(dtype="int64"),
-                    "rank": pd.Series(dtype="int64"),
-                }
-            )
         g = g.sort_values(["cnt", "word"], ascending=[False, True]).head(k)
         g = g.reset_index(drop=True)
         g["rank"] = pd.Series(range(1, len(g) + 1), dtype="int64")

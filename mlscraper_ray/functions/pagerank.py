@@ -45,6 +45,7 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray
@@ -145,33 +146,10 @@ def pagerank_ds(
     # one-time: out-degree by src, attached to both edges and ranks
     outdeg = bucketed_aggregate(edges, ["src"], {"out": ("src", "count")}).materialize()
 
-    # NOTE: every union below unions map_batches outputs of the SAME
-    # block type (pandas) — Ray's sort-shuffle boundary sampler
-    # asserts a single block type across the unioned stream
-    def edge_side(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["src"].astype(str),
-                "dst": df["dst"].astype(str),
-                "val": pd.Series([0] * len(df), index=df.index, dtype="int64"),
-                "side": "e",
-            }
-        )
-
-    def out_side(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["src"].astype(str),
-                "dst": "",
-                "val": df["out"].astype("int64"),
-                "side": "o",
-            }
-        )
-
-    def attach_out(g: pd.DataFrame) -> pd.DataFrame:
-        o = g.loc[g["side"] == "o", ["key", "val"]].rename(columns={"val": "out"})
-        e = g.loc[g["side"] == "e", ["key", "dst"]]
-        if e.empty:
+    # a bucket without edges may meet a graph without edges, whose edge
+    # side then has no columns either
+    def attach_out(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        if sides["e"].empty:
             return pd.DataFrame(
                 {
                     "src": pd.Series(dtype=str),
@@ -179,19 +157,12 @@ def pagerank_ds(
                     "out": pd.Series(dtype="int64"),
                 }
             )
-        m = e.merge(o, on="key", how="left")
-        return pd.DataFrame(
-            {"src": m["key"], "dst": m["dst"], "out": m["out"].fillna(0).astype("int64")}
-        )
+        m = sides["e"].merge(sides["o"], on="src", how="left")
+        return m.assign(out=m["out"].fillna(0).astype("int64"))
 
     edges_out = co_partition(
-        coalesce_blocks(
-            edges.map_batches(edge_side, batch_format="pandas").union(
-                outdeg.map_batches(out_side, batch_format="pandas")
-            ),
-            edges.count(),
-        ),
-        ["key"],
+        {"e": coalesce_blocks(edges.select_columns(["src", "dst"]), edges.count()), "o": outdeg},
+        ["src"],
         attach_out,
     ).materialize()
 
@@ -229,37 +200,13 @@ def pagerank_ds(
     def dangling_rows(df: pd.DataFrame) -> pd.DataFrame:
         return df.loc[df["out"] == 0, ["rank"]]
 
-    def rank_side(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["node"].astype(str),
-                "dst": "",
-                "val": df["rank"].astype("int64"),
-                "out2": df["out"].astype("int64"),
-                "side": "r",
-            }
-        )
-
-    def edge_side2(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "key": df["src"].astype(str),
-                "dst": df["dst"].astype(str),
-                "val": pd.Series([0] * len(df), index=df.index, dtype="int64"),
-                "out2": df["out"].astype("int64"),
-                "side": "e",
-            }
-        )
-
-    def contribs(g: pd.DataFrame) -> pd.DataFrame:
-        r = g.loc[g["side"] == "r", ["key", "val"]].rename(columns={"val": "rank"})
-        e = g.loc[g["side"] == "e", ["key", "dst", "out2"]]
-        if e.empty:
+    def contribs(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        if sides["e"].empty:
             return pd.DataFrame(
                 {"node": pd.Series(dtype=str), "c": pd.Series(dtype="int64"), "o": pd.Series(dtype="int64")}
             )
-        m = e.merge(r, on="key", how="left")
-        share = (m["rank"].fillna(0).astype("int64") // m["out2"].astype("int64")).astype("int64")
+        m = sides["e"].merge(sides["r"], on="src", how="left")
+        share = (m["rank"].fillna(0).astype("int64") // m["out"]).astype("int64")
         return pd.DataFrame({"node": m["dst"], "c": share, "o": pd.Series([0] * len(m), dtype="int64", index=m.index)})
 
     for _ in range(n_iters):
@@ -278,11 +225,14 @@ def pagerank_ds(
             batch_format="pandas",
         )
         flow = co_partition(
-            [
-                ranks.map_batches(rank_side, batch_format="pandas"),
-                edges_out.map_batches(edge_side2, batch_format="pandas"),
-            ],
-            ["key"],
+            {
+                "r": ranks.map_batches(
+                    lambda df: df[["node", "rank"]].rename(columns={"node": "src"}),
+                    batch_format="pandas",
+                ),
+                "e": edges_out,
+            },
+            ["src"],
             contribs,
         )
         # exact pre-multiply bound: the update wraps iff
@@ -381,7 +331,6 @@ def corpus_link_graph(
         return pa.table({"node": pa.array(urls, pa.string())})
 
     nodes = pages.map_batches(page_nodes, batch_format="pyarrow").materialize()
-    ecols = ["src", "dst"] + (["anchor"] if with_anchors else [])
 
     def raw_edges(t: pa.Table) -> pa.Table:
         srcs, dsts, anchors = [], [], []
@@ -421,32 +370,19 @@ def corpus_link_graph(
         return _write_graph_cache(nodes, edges_out, cache, npath, epath, marker)
 
     # scale path: edges meet the node list co-partitioned on dst
-    def edge_keyed(df: pd.DataFrame) -> pd.DataFrame:
-        out = {c: df[c].astype(str) for c in ecols}
-        out["side"] = "e"
-        return pd.DataFrame(out)
-
-    def node_keyed(df: pd.DataFrame) -> pd.DataFrame:
-        out = {c: "" for c in ecols}
-        out["dst"] = df["node"].astype(str)
-        out["side"] = "n"
-        return pd.DataFrame(out, index=df.index)
-
-    def keep_existing(g: pd.DataFrame) -> pd.DataFrame:
-        known = set(g.loc[g["side"] == "n", "dst"])
-        e = g[g["side"] == "e"]
-        out = e[e["dst"].isin(known)][ecols]
-        if out.empty:
-            return pd.DataFrame({c: pd.Series(dtype=str) for c in ecols})
-        return out
+    def keep_existing(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        e = sides["e"]
+        if e.empty:  # no columns either when no page links at all
+            return e
+        return e[e["dst"].isin(set(sides["n"]["dst"]))]
 
     edges = co_partition(
-        coalesce_blocks(
-            raw.map_batches(edge_keyed, batch_format="pandas").union(
-                nodes.map_batches(node_keyed, batch_format="pandas")
+        {
+            "e": coalesce_blocks(raw, nodes.count() * 5),
+            "n": nodes.map_batches(
+                lambda df: df.rename(columns={"node": "dst"}), batch_format="pandas"
             ),
-            nodes.count() * 5,
-        ),
+        },
         ["dst"],
         keep_existing,
     )
@@ -540,16 +476,6 @@ def _in_out_from(e: pd.DataFrame) -> pd.DataFrame:
     (keyed by dst) + out-rows (keyed by src) for the stats groupby."""
     from mlscraper_ray.sources.corpusgen import url_host
 
-    if e.empty or "src" not in e.columns:
-        return pd.DataFrame(
-            {
-                "url": pd.Series(dtype=str),
-                "host": pd.Series(dtype=str),
-                "anchor": pd.Series(dtype=str),
-                "inl": pd.Series(dtype="int64"),
-                "outl": pd.Series(dtype="int64"),
-            }
-        )
     inr = pd.DataFrame(
         {
             "url": e["dst"].to_numpy(),
@@ -575,21 +501,15 @@ def _link_stats_aggregate(
     plus zero-seed node rows meet co-partitioned on url; one
     vectorized pandas pass per bucket computes all four stats."""
 
-    def seed_rows(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "url": df["node"].astype(str),
-                "host": "",
-                "anchor": "",
-                "inl": pd.Series([0] * len(df), index=df.index, dtype="int64"),
-                "outl": pd.Series([0] * len(df), index=df.index, dtype="int64"),
-            }
-        )
-
-    def stats(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("url", sort=False).agg(
-            in_links=("inl", "sum"), out_links=("outl", "sum")
-        )
+    def stats(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        g = sides["f"]
+        if g.empty:  # no columns either when no page links at all
+            g = pd.DataFrame(
+                {"url": [], "host": [], "anchor": [], "inl": [], "outl": []}
+            ).astype({"inl": "int64", "outl": "int64"})
+        agg = g.groupby("url", sort=False).agg(in_links=("inl", "sum"), out_links=("outl", "sum"))
+        # every node gets a row, with zero counts when nothing links it
+        agg = agg.reindex(agg.index.union(sides["n"]["url"]), fill_value=0)
         hosts = g[g["host"] != ""].groupby("url")["host"].nunique()
         out = agg.join(hosts.rename("src_hosts")).reset_index()
         out["src_hosts"] = out["src_hosts"].fillna(0).astype("int64")
@@ -609,10 +529,12 @@ def _link_stats_aggregate(
         return out.astype({"in_links": "int64", "out_links": "int64"})
 
     return co_partition(
-        coalesce_blocks(
-            flows.union(nodes.map_batches(seed_rows, batch_format="pandas")),
-            n_nodes * 8,
-        ),
+        {
+            "f": coalesce_blocks(flows, n_nodes * 8),
+            "n": nodes.map_batches(
+                lambda df: df.rename(columns={"node": "url"}), batch_format="pandas"
+            ),
+        },
         ["url"],
         stats,
     )
@@ -676,10 +598,6 @@ def _undirected_host_pairs(edges: ray.data.Dataset) -> ray.data.Dataset:
     unordered form through one more bucketed aggregate."""
 
     def unordered(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "sh" not in df.columns:  # empty group block
-            return pd.DataFrame(
-                {"lo": pd.Series(dtype=str), "hi": pd.Series(dtype=str)}
-            )
         lo = df[["sh", "dh"]].min(axis=1)
         hi = df[["sh", "dh"]].max(axis=1)
         return pd.DataFrame({"lo": lo, "hi": hi})
@@ -889,8 +807,6 @@ def host_triangles_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
     und = _undirected_host_pairs(edges)
 
     def _endpoints_und(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "lo" not in df.columns:  # empty group block
-            return pd.DataFrame({"host": pd.Series(dtype=str)})
         return pd.DataFrame(
             {"host": pd.concat([df["lo"], df["hi"]], ignore_index=True)}
         )
@@ -911,10 +827,6 @@ def host_triangles_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
         )
 
         def orient(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty or "lo" not in df.columns:  # empty group block
-                return pd.DataFrame(
-                    {"a": pd.Series(dtype=str), "b": pd.Series(dtype=str)}
-                )
             dm = cached_object(deg_ref)
             klo = [(dm[h], h) for h in df["lo"]]
             khi = [(dm[h], h) for h in df["hi"]]
@@ -966,8 +878,6 @@ def host_triangles_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
 
     def wedges(grp: pd.DataFrame) -> pd.DataFrame:
         rows_lo, rows_hi, rows_c = [], [], []
-        if grp.empty or "a" not in grp.columns:  # empty group block
-            grp = pd.DataFrame({"a": [], "b": []})
         for center, d in grp.groupby("a", sort=False):
             nbrs = sorted(d["b"])
             for i in range(len(nbrs)):
@@ -980,7 +890,6 @@ def host_triangles_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
                 "lo": pd.Series(rows_lo, dtype=str),
                 "hi": pd.Series(rows_hi, dtype=str),
                 "center": pd.Series(rows_c, dtype=str),
-                "side": pd.Series(["w"] * len(rows_c), dtype=str),
             }
         )
 
@@ -990,38 +899,13 @@ def host_triangles_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
         .map_groups(wedges, batch_format="pandas")
     )
 
-    def _edge_carrier(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "lo" not in df.columns:  # empty group block
-            return pd.DataFrame(
-                {
-                    "lo": pd.Series(dtype=str),
-                    "hi": pd.Series(dtype=str),
-                    "center": pd.Series(dtype=str),
-                    "side": pd.Series(dtype=str),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "lo": df["lo"].astype(str),
-                "hi": df["hi"].astype(str),
-                "center": pd.Series([""] * len(df), index=df.index, dtype=str),
-                "side": pd.Series(["e"] * len(df), index=df.index, dtype=str),
-            }
-        )
-
-    edge_rows = und.map_batches(_edge_carrier, batch_format="pandas")
-
-
-    def close(grp: pd.DataFrame) -> pd.DataFrame:
-        if grp.empty or "lo" not in grp.columns:  # empty group block
+    def close(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        e, w = sides["e"], sides["w"]
+        if w.empty:  # no columns either when the graph holds no wedge
             return pd.DataFrame({"host": pd.Series(dtype=str)})
-        e = grp[grp["side"] == "e"]
         exists = set(zip(e["lo"], e["hi"]))
-        w = grp[grp["side"] == "w"]
         # numpy mask, NOT a list: an empty list is pandas COLUMN
         # selection and silently drops every column
-        import numpy as np
-
         mask = np.fromiter(
             (p in exists for p in zip(w["lo"], w["hi"])), dtype=bool, count=len(w)
         )
@@ -1032,7 +916,12 @@ def host_triangles_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
         return pd.DataFrame({"host": hosts.astype(str)})
 
     tri_rows = co_partition(
-        coalesce_blocks(wedge_rows.union(edge_rows), n_edges_und * 4), ["lo", "hi"], close
+        {
+            "w": coalesce_blocks(wedge_rows, n_edges_und * 4),
+            "e": und.select_columns(["lo", "hi"]),
+        },
+        ["lo", "hi"],
+        close,
     )
 
     tri = bucketed_aggregate(
@@ -1196,10 +1085,6 @@ def host_kcore_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
         v_ref = ray.put(victims)
 
         def drop(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty or "lo" not in df.columns:
-                return pd.DataFrame(
-                    {"lo": pd.Series(dtype=str), "hi": pd.Series(dtype=str)}
-                )
             v = cached_object(v_ref)
             keep = [
                 l not in v and h not in v for l, h in zip(df["lo"], df["hi"])
@@ -1215,8 +1100,6 @@ def host_kcore_ds(edges: ray.data.Dataset) -> ray.data.Dataset:
 
 
 def _endpoints_live(df: pd.DataFrame) -> pd.DataFrame:
-    if df.empty or "lo" not in df.columns:  # empty group block
-        return pd.DataFrame({"host": pd.Series(dtype=str)})
     return pd.DataFrame(
         {"host": pd.concat([df["lo"], df["hi"]], ignore_index=True)}
     )
@@ -1314,10 +1197,6 @@ def host_communities_ds(
     ).materialize()
 
     def init_labels(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "lo" not in df.columns:
-            return pd.DataFrame(
-                {"host": pd.Series(dtype=str), "label": pd.Series(dtype=str)}
-            )
         h = pd.concat([df["lo"], df["hi"]], ignore_index=True)
         return pd.DataFrame({"host": h, "label": h})
 
@@ -1369,10 +1248,6 @@ def host_communities_ds(
         )
 
         def pick(g: pd.DataFrame) -> pd.DataFrame:
-            if g.empty or "host" not in g.columns:
-                return pd.DataFrame(
-                    {"host": pd.Series(dtype=str), "label": pd.Series(dtype=str)}
-                )
             best = g.sort_values(
                 ["host", "cnt", "label"], ascending=[True, False, True]
             ).drop_duplicates("host")
@@ -1381,10 +1256,6 @@ def host_communities_ds(
         labels = coalesce_blocks(co_partition(votes, ["host"], pick), max(n_und, 1)).materialize()
 
     def to_out(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "host" not in df.columns:
-            return pd.DataFrame(
-                {"host": pd.Series(dtype=str), "community": pd.Series(dtype=str)}
-            )
         return df.rename(columns={"label": "community"})[["host", "community"]]
 
     return labels.map_batches(to_out, batch_format="pandas")

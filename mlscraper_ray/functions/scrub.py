@@ -125,58 +125,20 @@ def dedup_segments_ds(
                 "doc_id": pa.array(ids, pa.int64()),
                 "seg_idx": pa.array(idxs, pa.int64()),
                 "seg": pa.array(segs, pa.string()),
-                "side": pa.array(["t"] * len(ids), pa.string()),
             }
         )
 
-    def tag_dup(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "doc_id": pa.array([-1] * n, pa.int64()),
-                "seg_idx": pa.array([-1] * n, pa.int64()),
-                "seg": batch["seg"],
-                "side": pa.array(["d"] * n, pa.string()),
-            }
-        )
+    def flag_bucket(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        t = sides["t"]
+        return t.assign(keep=~t["seg"].isin(set(sides["d"]["seg"])))
 
-    sides = [
-        docs.map_batches(explode, batch_format="pyarrow"),
-        dup_rows.map_batches(tag_dup, batch_format="pyarrow"),
-    ]
-
-    def flag_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        dup = set(g.loc[g["side"] == "d", "seg"])
-        t = g[g["side"] == "t"]
-        if t.empty:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "seg_idx": pd.Series(dtype="int64"),
-                    "seg": pd.Series(dtype=str),
-                    "keep": pd.Series(dtype="bool"),
-                }
-            )
-        return pd.DataFrame(
-            {
-                "doc_id": t["doc_id"].astype("int64"),
-                "seg_idx": t["seg_idx"].astype("int64"),
-                "seg": t["seg"],
-                "keep": ~t["seg"].isin(dup),
-            }
-        )
-
-    flagged = co_partition(sides, ["seg"], flag_bucket)
+    flagged = co_partition(
+        {"t": docs.map_batches(explode, batch_format="pyarrow"), "d": dup_rows},
+        ["seg"],
+        flag_bucket,
+    )
 
     def reassemble(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "doc_id" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "clean_text": pd.Series(dtype=str),
-                    "n_segs_removed": pd.Series(dtype="int64"),
-                }
-            )
         rows = []
         for doc_id, d in g.groupby("doc_id", sort=False):
             d = d.sort_values("seg_idx")
@@ -319,80 +281,32 @@ def scrub_dup_runs_ds(
                 "doc_id": pa.array(ids, pa.int64()),
                 "pos": pa.array(poss, pa.int64()),
                 "gram": pa.array(grams, pa.string()),
-                "side": pa.array(["t"] * len(ids), pa.string()),
             }
         )
 
-    def tag_dup(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "doc_id": pa.array([-1] * n, pa.int64()),
-                "pos": pa.array([-1] * n, pa.int64()),
-                "gram": batch["gram"],
-                "side": pa.array(["d"] * n, pa.string()),
-            }
-        )
+    def flag_bucket(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        t = sides["t"]
+        return t.loc[t["gram"].isin(set(sides["d"]["gram"])), ["doc_id", "pos"]]
 
-    sides = [
-        docs.map_batches(explode, batch_format="pyarrow"),
-        dup_rows.map_batches(tag_dup, batch_format="pyarrow"),
-    ]
+    flagged = co_partition(
+        {"t": docs.map_batches(explode, batch_format="pyarrow"), "d": dup_rows},
+        ["gram"],
+        flag_bucket,
+    )
 
-    def flag_bucket(grp: pd.DataFrame) -> pd.DataFrame:
-        dup = set(grp.loc[grp["side"] == "d", "gram"])
-        t = grp[grp["side"] == "t"]
-        t = t[t["gram"].isin(dup)]
-        return pd.DataFrame(
-            {
-                "doc_id": t["doc_id"].astype("int64"),
-                "pos": t["pos"].astype("int64"),
-                "payload": pd.Series([""] * len(t), index=t.index, dtype=str),
-            }
-        )
-
-    flagged = co_partition(sides, ["gram"], flag_bucket)
-
-    def doc_carrier(df: pd.DataFrame) -> pd.DataFrame:
-        # pandas block like flag_bucket's output: a mixed-block union
-        # trips Ray's groupby block-type assertion
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype("int64"),
-                "pos": pd.Series([-1] * len(df), index=df.index, dtype="int64"),
-                "payload": df["text"].astype(str),
-            }
-        )
-
-    carriers = docs.map_batches(doc_carrier, batch_format="pandas")
-
-    def reassemble(grp: pd.DataFrame) -> pd.DataFrame:
-        if grp.empty or "doc_id" not in grp.columns:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "n_runs_removed": pd.Series(dtype="int64"),
-                    "n_tokens_removed": pd.Series(dtype="int64"),
-                    "clean_md5": pd.Series(dtype=str),
-                }
-            )
+    def reassemble(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        hits = {int(d): p.to_numpy() for d, p in sides["f"].groupby("doc_id", sort=False)["pos"]}
         rows = []
-        for doc_id, d in grp.groupby("doc_id", sort=False):
-            text_rows = d.loc[d["pos"] < 0, "payload"]
-            if text_rows.empty:
-                continue  # flags for a doc whose carrier sits elsewhere never happens (same bucket fn)
-            words = text_rows.iloc[0].split()
-            n_pos = max(0, len(words) - g + 1)
-            flags = np.zeros(n_pos, dtype=bool)
-            hit = d.loc[d["pos"] >= 0, "pos"].to_numpy()
-            if len(hit):
-                flags[hit] = True
+        for doc_id, text in zip(sides["d"]["doc_id"], sides["d"]["text"]):
+            words = text.split()
+            flags = np.zeros(max(0, len(words) - g + 1), dtype=bool)
+            flags[hits.get(int(doc_id), [])] = True
             rows.append(finish_doc(doc_id, words, flags))
         return pd.DataFrame(
             rows, columns=["doc_id", "n_runs_removed", "n_tokens_removed", "clean_md5"]
         )
 
-    return co_partition([flagged, carriers], ["doc_id"], reassemble)
+    return co_partition({"f": flagged, "d": docs}, ["doc_id"], reassemble)
 
 
 def scrub_dup_runs(sf_dir: str, g: int = 8, min_run: int = 16) -> pa.Table:
@@ -773,31 +687,12 @@ def strip_boilerplate_ds(
                 "source": pa.array(srcs, pa.string()),
                 "pos": pa.array(poss, pa.int64()),
                 "gram": pa.array(grams, pa.string()),
-                "side": pa.array(["t"] * len(ids), pa.string()),
             }
         )
 
-    def tag_chrome(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        return pa.table(
-            {
-                "doc_id": pa.array([-1] * n, pa.int64()),
-                "source": batch["source"],
-                "pos": pa.array([-1] * n, pa.int64()),
-                "gram": batch["gram"],
-                "side": pa.array(["d"] * n, pa.string()),
-            }
-        )
-
-    sides = [
-        docs.map_batches(explode, batch_format="pyarrow"),
-        chrome_rows.map_batches(tag_chrome, batch_format="pyarrow"),
-    ]
-
-    def flag_bucket(grp: pd.DataFrame) -> pd.DataFrame:
-        d = grp[grp["side"] == "d"]
+    def flag_bucket(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        t, d = sides["t"], sides["d"]
         chrome = set(zip(d["source"], d["gram"]))
-        t = grp[grp["side"] == "t"]
         # numpy mask, NOT a list: an empty list is pandas COLUMN
         # selection and silently drops every column
         mask = np.fromiter(
@@ -805,58 +700,26 @@ def strip_boilerplate_ds(
             dtype=bool,
             count=len(t),
         )
-        hit = t[mask]
-        return pd.DataFrame(
-            {
-                "doc_id": hit["doc_id"].astype("int64"),
-                "pos": hit["pos"].astype("int64"),
-                "payload": pd.Series([""] * len(hit), index=hit.index, dtype=str),
-                "src": hit["source"].astype(str),
-            }
-        )
+        return t.loc[mask, ["doc_id", "pos"]]
 
-    flagged = co_partition(sides, ["source", "gram"], flag_bucket)
+    flagged = co_partition(
+        {"t": docs.map_batches(explode, batch_format="pyarrow"), "d": chrome_rows},
+        ["source", "gram"],
+        flag_bucket,
+    )
 
-    def doc_carrier(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "doc_id": df["doc_id"].astype("int64"),
-                "pos": pd.Series([-1] * len(df), index=df.index, dtype="int64"),
-                "payload": df["text"].astype(str),
-                "src": df["source"].astype(str),
-            }
-        )
-
-    carriers = docs.map_batches(doc_carrier, batch_format="pandas")
-
-    def reassemble(grp: pd.DataFrame) -> pd.DataFrame:
-        cols = ["doc_id", "source", "n_before", "n_after", "clean_md5"]
-        if grp.empty or "doc_id" not in grp.columns:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "source": pd.Series(dtype=str),
-                    "n_before": pd.Series(dtype="int64"),
-                    "n_after": pd.Series(dtype="int64"),
-                    "clean_md5": pd.Series(dtype=str),
-                }
-            )
+    def reassemble(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        hits = {int(d): p.to_numpy() for d, p in sides["f"].groupby("doc_id", sort=False)["pos"]}
         rows = []
-        for doc_id, d in grp.groupby("doc_id", sort=False):
-            text_rows = d[d["pos"] < 0]
-            if text_rows.empty:
-                continue
-            source = text_rows["src"].iloc[0]
-            words = massage(int(doc_id), source, text_rows["payload"].iloc[0]).split()
-            n_pos = max(0, len(words) - g + 1)
-            flags = np.zeros(n_pos, dtype=bool)
-            hit = d.loc[d["pos"] >= 0, "pos"].to_numpy()
-            if len(hit):
-                flags[hit] = True
+        d = sides["d"]
+        for doc_id, source, text in zip(d["doc_id"], d["source"], d["text"]):
+            words = massage(int(doc_id), source, text).split()
+            flags = np.zeros(max(0, len(words) - g + 1), dtype=bool)
+            flags[hits.get(int(doc_id), [])] = True
             rows.append(finish_doc(int(doc_id), source, words, flags))
-        return pd.DataFrame(rows, columns=cols)
+        return pd.DataFrame(rows, columns=["doc_id", "source", "n_before", "n_after", "clean_md5"])
 
-    return co_partition([flagged, carriers], ["doc_id"], reassemble)
+    return co_partition({"f": flagged, "d": docs}, ["doc_id"], reassemble)
 
 
 def strip_boilerplate(sf_dir: str, g: int = 6, min_doc_pct: int = 30) -> pa.Table:

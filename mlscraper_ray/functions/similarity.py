@@ -995,15 +995,6 @@ def embed_semdedup(
         )
 
     def dedup_cluster(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or "vec_id" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "vec_id": pd.Series(dtype="int64"),
-                    "cluster": pd.Series(dtype="int64"),
-                    "is_dup": pd.Series(dtype="int64"),
-                    "dup_of": pd.Series(dtype="int64"),
-                }
-            )
         g = g.sort_values("vec_id")
         ids = g["vec_id"].to_numpy(dtype=np.int64)
         u = np.stack([np.asarray(v) for v in g["unit"]])
@@ -1954,13 +1945,6 @@ def embed_pair_distance_histogram(sf_dir: str) -> pa.Table:
         )
 
     def score_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "pair" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "bucket": pd.Series(dtype="int64"),
-                    "n_pairs": pd.Series(dtype="int64"),
-                }
-            )
         counts: dict[int, int] = {}
         by_pair: dict[int, dict[int, np.ndarray]] = {}
         for pair, side, v in zip(g["pair"], g["side"], g["v"]):
@@ -2068,8 +2052,6 @@ def embed_knn_graph_ds(sf_dir: str, k: int = 5, n_buckets: int = 4) -> ray.data.
                 "score_x10k": pd.Series(dtype="int64"),
             }
         )
-        if df.empty or "role" not in df.columns:
-            return empty
         s = df[df["role"] == "s"]
         d = df[df["role"] == "d"]
         if s.empty or d.empty:
@@ -2099,14 +2081,6 @@ def embed_knn_graph_ds(sf_dir: str, k: int = 5, n_buckets: int = 4) -> ray.data.
     )
 
     def merge_topk(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "src" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "src": pd.Series(dtype="int64"),
-                    "dst": pd.Series(dtype="int64"),
-                    "score_x10k": pd.Series(dtype="int64"),
-                }
-            )
         out = (
             df.sort_values(["src", "score_x10k", "dst"], ascending=[True, False, True])
             .groupby("src", sort=False)
@@ -2165,14 +2139,6 @@ def embed_mutual_knn_clusters(sf_dir: str, k: int = 2, n_buckets: int = 4) -> pa
     g = embed_knn_graph_ds(sf_dir, k=k, n_buckets=n_buckets)
 
     def dir_rows(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "src" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "lo": pd.Series(dtype="int64"),
-                    "hi": pd.Series(dtype="int64"),
-                    "dirbit": pd.Series(dtype="int64"),
-                }
-            )
         lo = df[["src", "dst"]].min(axis=1)
         hi = df[["src", "dst"]].max(axis=1)
         return pd.DataFrame(
@@ -2190,8 +2156,6 @@ def embed_mutual_knn_clusters(sf_dir: str, k: int = 2, n_buckets: int = 4) -> pa
     )
 
     def mutual_edges(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "dirs" not in df.columns:
-            return pd.DataFrame({"u": pd.Series(dtype="int64"), "v": pd.Series(dtype="int64")})
         m = df[df["dirs"] == 3]
         return pd.DataFrame({"u": m["lo"].astype("int64"), "v": m["hi"].astype("int64")})
 

@@ -429,10 +429,6 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, depth: int = 3) -> pa.Tabl
     gap = pd.Timedelta(minutes=gap_minutes)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "user_id" not in g.columns:  # empty group block
-            return pd.DataFrame(
-                {"path": pd.Series(dtype=str), "n": pd.Series(dtype="int64")}
-            )
         g = g.sort_values(["user_id", "ts", "event_id"])
         prev = g.groupby("user_id")["ts"].shift()
         ns = (prev.isna() | ((g["ts"] - prev) > gap)).astype("int64")
@@ -518,15 +514,6 @@ def events_rate_anomaly(sf_dir: str, min_count: int = SPIKE_MIN_COUNT) -> pa.Tab
     )
 
     def detect(g: pd.DataFrame) -> pd.DataFrame:
-        out_cols = {
-            "event_type": pd.Series(dtype=str),
-            "window_start": pd.Series(dtype="datetime64[us]"),
-            "n_events": pd.Series(dtype="int64"),
-            "prev_max3": pd.Series(dtype="int64"),
-            "is_spike": pd.Series(dtype="int64"),
-        }
-        if g.empty or "event_type" not in g.columns:
-            return pd.DataFrame(out_cols)
         frames = []
         for etype, grp in g.groupby("event_type", sort=False):
             ser = (
@@ -624,14 +611,6 @@ def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
         from collections import Counter
         from itertools import combinations
 
-        if g.empty or "user_id" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "t1": pd.Series(dtype=str),
-                    "t2": pd.Series(dtype=str),
-                    "n_sessions": pd.Series(dtype="int64"),
-                }
-            )
         g = g.sort_values(["user_id", "ts"])
         prev = g.groupby("user_id")["ts"].shift()
         ns = (prev.isna() | ((g["ts"] - prev) > gap)).astype(int)
@@ -798,14 +777,6 @@ def events_markov_transitions(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     gap = pd.Timedelta(minutes=gap_minutes)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        if g.empty or "user_id" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "t_from": pd.Series(dtype=str),
-                    "t_to": pd.Series(dtype=str),
-                    "n_transitions": pd.Series(dtype="int64"),
-                }
-            )
         g = g.sort_values(["user_id", "ts", "event_id"])
         prev_ts = g.groupby("user_id")["ts"].shift()
         ns = (prev_ts.isna() | ((g["ts"] - prev_ts) > gap)).astype(int)
@@ -1179,15 +1150,6 @@ def events_type_lift(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
         from collections import Counter
         from itertools import combinations
 
-        empty = pd.DataFrame(
-            {
-                "t1": pd.Series(dtype=str),
-                "t2": pd.Series(dtype=str),
-                "n": pd.Series(dtype="int64"),
-            }
-        )
-        if g.empty or "user_id" not in g.columns:
-            return empty
         g = g.sort_values(["user_id", "ts"])
         prev = g.groupby("user_id")["ts"].shift()
         ns = (prev.isna() | ((g["ts"] - prev) > gap)).astype(int)
@@ -1384,8 +1346,6 @@ def events_signup_to_purchase(sf_dir: str) -> pa.Table:
                 "gap_us": pd.Series(dtype="int64"),
             }
         )
-        if g.empty or "user_id" not in g.columns:
-            return empty
         s = (
             g[g["event_type"] == "signup"]
             .groupby("user_id", as_index=False)["ts"].min()
@@ -1456,8 +1416,6 @@ def events_interarrival(sf_dir: str) -> pa.Table:
                 "max_gap_us": pd.Series(dtype="int64"),
             }
         )
-        if g.empty or "user_id" not in g.columns:
-            return empty
         g = g.sort_values(["user_id", "ts", "event_id"])
         t = g["ts"].astype("datetime64[us]").astype("int64")
         prev = t.groupby(g["user_id"]).shift()

@@ -575,14 +575,6 @@ def source_token_quota(sf_dir: str, budget_tokens: int = 1000, n_rank_buckets: i
     kept = rows.map_batches(keep_filter, batch_format="pandas")
 
     def cut_boundary(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) == 0 or "doc_id" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series([], dtype="int64"),
-                    "source": pd.Series([], dtype=str),
-                    "n_tokens": pd.Series([], dtype="int64"),
-                }
-            )
         bd = ray.get(bd_ref)
         start = bd[(g["source"].iloc[0], int(g["rb"].iloc[0]))]
         g = g.sort_values(["rk", "doc_id"])
@@ -867,48 +859,27 @@ def _unigram_scored_ds(sf_dir: str) -> "ray.data.Dataset":
                 "word": g["word"].astype(str),
                 "doc_id": g["doc_id"].astype("int64"),
                 "occ": g["occ"].astype("int64"),
-                "side": "d",
             }
         )
 
-    def count_side(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "word": df["word"].astype(str),
-                "doc_id": pd.Series([0] * len(df), index=df.index, dtype="int64"),
-                "occ": df["cnt"].astype("int64"),
-                "side": "c",
-            }
-        )
-
-    def join_score(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.loc[g["side"] == "c", ["word", "occ"]].rename(columns={"occ": "cnt"})
-        d = g[g["side"] == "d"]
-        if d.empty:
-            return pd.DataFrame(
-                {
-                    "doc_id": pd.Series(dtype="int64"),
-                    "s": pd.Series(dtype="int64"),
-                    "n": pd.Series(dtype="int64"),
-                }
-            )
-        m = d.merge(c, on="word", how="left")
+    def join_score(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        m = sides["d"].merge(sides["c"], on="word", how="left")
         surp = [(total // int(cc)).bit_length() - 1 for cc in m["cnt"]]
         return pd.DataFrame(
             {
-                "doc_id": m["doc_id"].astype("int64"),
+                "doc_id": m["doc_id"],
                 "s": (pd.Series(surp, index=m.index, dtype="int64") * m["occ"]).astype("int64"),
-                "n": m["occ"].astype("int64"),
+                "n": m["occ"],
             }
         )
 
     flags = co_partition(
-        coalesce_blocks(
-            docs.map_batches(doc_word_occ, batch_format="pandas").union(
-                counts.map_batches(count_side, batch_format="pandas")
+        {
+            "d": coalesce_blocks(
+                docs.map_batches(doc_word_occ, batch_format="pandas"), total // 4 + 1
             ),
-            total // 4 + 1,
-        ),
+            "c": counts,
+        },
         ["word"],
         join_score,
     )
@@ -1057,35 +1028,11 @@ def doc_bigram_surprisal(sf_dir: str) -> pa.Table:
                 "w2": g["w2"].astype(str),
                 "doc_id": g["doc_id"].astype("int64"),
                 "occ": g["occ"].astype("int64"),
-                "side": "d",
             }
         )
 
-    def uni_side(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "w1": df["word"].astype(str),
-                "w2": "",
-                "doc_id": pd.Series([0] * len(df), index=df.index, dtype="int64"),
-                "occ": df["cnt"].astype("int64"),
-                "side": "u",
-            }
-        )
-
-    def bi_side(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {
-                "w1": df["w1"].astype(str),
-                "w2": df["w2"].astype(str),
-                "doc_id": pd.Series([0] * len(df), index=df.index, dtype="int64"),
-                "occ": df["cnt"].astype("int64"),
-                "side": "b",
-            }
-        )
-
-    def join_score(g: pd.DataFrame) -> pd.DataFrame:
-        d = g[g["side"] == "d"]
-        if d.empty:
+    def join_score(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+        if sides["d"].empty:  # no columns either when no doc has two words
             return pd.DataFrame(
                 {
                     "doc_id": pd.Series(dtype="int64"),
@@ -1093,25 +1040,28 @@ def doc_bigram_surprisal(sf_dir: str) -> pa.Table:
                     "n": pd.Series(dtype="int64"),
                 }
             )
-        u = g.loc[g["side"] == "u", ["w1", "occ"]].rename(columns={"occ": "c1"})
-        b = g.loc[g["side"] == "b", ["w1", "w2", "occ"]].rename(columns={"occ": "c2"})
-        m = d.merge(u, on="w1").merge(b, on=["w1", "w2"])
+        u = sides["u"].rename(columns={"cnt": "c1"})
+        b = sides["b"].rename(columns={"cnt": "c2"})
+        m = sides["d"].merge(u, on="w1").merge(b, on=["w1", "w2"])
         surp = [(int(a) // int(c)).bit_length() - 1 for a, c in zip(m["c1"], m["c2"])]
         return pd.DataFrame(
             {
-                "doc_id": m["doc_id"].astype("int64"),
+                "doc_id": m["doc_id"],
                 "s": (pd.Series(surp, index=m.index, dtype="int64") * m["occ"]).astype("int64"),
-                "n": m["occ"].astype("int64"),
+                "n": m["occ"],
             }
         )
 
     flags = co_partition(
-        coalesce_blocks(
-            docs.map_batches(doc_pairs, batch_format="pandas")
-            .union(uni.map_batches(uni_side, batch_format="pandas"))
-            .union(bi.map_batches(bi_side, batch_format="pandas")),
-            (uni.count() + bi.count()) * 2,
-        ),
+        {
+            "d": coalesce_blocks(
+                docs.map_batches(doc_pairs, batch_format="pandas"), (uni.count() + bi.count()) * 2
+            ),
+            "u": uni.map_batches(
+                lambda df: df.rename(columns={"word": "w1"}), batch_format="pandas"
+            ),
+            "b": bi,
+        },
         ["w1"],
         join_score,
     )
@@ -2677,8 +2627,6 @@ def source_dedup_report(sf_dir: str) -> pa.Table:
     joined = cogroup_join(slim, keepers, "h")
 
     def flag_dups(df: pd.DataFrame) -> pd.DataFrame:
-        if "source" not in df.columns:  # a block with no columns
-            return df
         return df.assign(dup=(df["doc_id"] != df["keep_id"]).astype("int64"))
 
     out = (
@@ -2942,14 +2890,6 @@ def source_token_drift(
     ).materialize()
 
     def local_topv(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "side" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "source": pd.Series(dtype=str),
-                    "word": pd.Series(dtype=str),
-                    "cnt": pd.Series(dtype="int64"),
-                }
-            )
         cur = df[df["side"] == "c"]
         return (
             cur.sort_values(["source", "cnt", "word"], ascending=[True, False, True])
@@ -2983,15 +2923,6 @@ def source_token_drift(
 
     def vocab_rows(df: pd.DataFrame) -> pd.DataFrame:
         cols = ["side", "source", "word", "cnt"]
-        if df.empty or "side" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "side": pd.Series(dtype=str),
-                    "source": pd.Series(dtype=str),
-                    "word": pd.Series(dtype=str),
-                    "cnt": pd.Series(dtype="int64"),
-                }
-            )
         from mlscraper_ray.functions.broadcast import cached_object
 
         v = cached_object(v_ref)
@@ -3472,14 +3403,6 @@ def source_length_gini(sf_dir: str) -> pa.Table:
     def per_source(g: pd.DataFrame) -> pd.DataFrame:
         import numpy as np
 
-        if g.empty or "source" not in g.columns:
-            return pd.DataFrame(
-                {
-                    "source": pd.Series(dtype=str),
-                    "n_docs": pd.Series(dtype="int64"),
-                    "gini_milli": pd.Series(dtype="int64"),
-                }
-            )
         rows = []
         for src, grp in g.groupby("source", sort=False):
             x = grp.sort_values(["n_chars", "doc_id"])["n_chars"].to_numpy(dtype=np.int64)

@@ -492,16 +492,6 @@ def url_pattern_stats_ds(
     )
 
     def flag(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "host" not in df.columns:
-            return pd.DataFrame(
-                {
-                    "host": pd.Series(dtype=str),
-                    "pattern": pd.Series(dtype=str),
-                    "n_urls": pd.Series(dtype="int64"),
-                    "example_url": pd.Series(dtype=str),
-                    "trap_suspect": pd.Series(dtype="int64"),
-                }
-            )
         df = df.copy()
         df["n_urls"] = df["n_urls"].astype("int64")
         df["trap_suspect"] = (df["n_urls"] >= trap_threshold).astype("int64")

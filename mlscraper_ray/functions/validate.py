@@ -116,8 +116,6 @@ def corpus_validate(sf_dir: str) -> pa.Table:
     joined = cogroup_join(li_counts, ok_keys, "o_orderkey", how="left")
 
     def orphan_li(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "n_li" not in df.columns:
-            return pd.DataFrame({"bad": [np.int64(0)]})
         miss = df["present"].isna() if "present" in df.columns else pd.Series(True, index=df.index)
         return pd.DataFrame({"bad": [int(df.loc[miss, "n_li"].sum())]})
 

@@ -1568,6 +1568,73 @@ class TestCoPartition:
             monkeypatch.setattr(bucketed.ray, "cluster_resources", lambda: {"CPU": float(cpus)})
             assert bucketed._n_buckets() == want
 
+    def test_fn_only_sees_buckets_with_rows(self, ray_session, set_buckets):
+        """``fn`` is never called on a bucket without rows: 3 rows over
+        8 buckets, an input without rows, and the two as named sides
+        never reach an ``fn`` that refuses an empty or column-less
+        frame, and an input without rows yields no rows."""
+        import ray.data
+
+        from mlscraper_ray.functions.bucketed import co_partition
+
+        set_buckets(8)
+        rows = ray.data.from_arrow(pa.table({"k": pa.array([1, 2, 3], pa.int64())}))
+        empty = ray.data.from_arrow(pa.table({"k": pa.array([], pa.int64())}))
+
+        def whole(g: pd.DataFrame) -> pd.DataFrame:
+            assert len(g) and "k" in g.columns
+            return g
+
+        def named(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+            # a side without any row has no columns to give
+            assert sides["e"].empty and sides["e"].columns.empty
+            return whole(sides["r"])
+
+        assert sorted(co_partition(rows, ["k"], whole).to_pandas()["k"]) == [1, 2, 3]
+        assert sorted(co_partition({"r": rows, "e": empty}, ["k"], named).to_pandas()["k"]) == [1, 2, 3]
+        assert len(co_partition(empty, ["k"], whole).to_pandas()) == 0
+        assert len(co_partition({"r": empty, "e": empty}, ["k"], named).to_pandas()) == 0
+
+    def test_named_sides_keep_their_dtypes(self, ray_session, set_buckets):
+        """Each side reaches ``fn`` with its own columns and dtypes: A's
+        int64 values above 2**53 stay exact (a float64 would merge
+        2**53 and 2**53 + 1), and in buckets without a row of B, B is
+        an empty frame with B's columns and dtypes."""
+        import ray.data
+
+        from mlscraper_ray.functions.bucketed import co_partition
+
+        set_buckets(8)
+        big = [2**53 + i for i in range(40)]
+        a = pa.table({"k": pa.array(range(40), pa.int64()), "x": pa.array(big, pa.int64())})
+        b = pa.table({"k": pa.array([3], pa.int64()), "y": ["p"], "n": pa.array([7], pa.int32())})
+        b_dtypes = {"k": np.dtype("int64"), "y": np.dtype(object), "n": np.dtype("int32")}
+
+        def fn(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
+            assert sides["a"]["x"].dtype == np.int64
+            assert sides["b"].dtypes.to_dict() == b_dtypes
+            return pd.DataFrame({"x": sides["a"]["x"], "nb": len(sides["b"])})
+
+        sides = {"a": ray.data.from_arrow([a.slice(0, 20), a.slice(20)]), "b": ray.data.from_arrow(b)}
+        out = co_partition(sides, ["k"], fn).to_pandas()
+        assert sorted(out["x"].tolist()) == big
+        assert (out["nb"] == 0).any() and (out["nb"] == 1).any()
+
+    @pytest.mark.parametrize("how", ["inner", "left"])
+    def test_join_with_a_side_without_rows(self, ray_session, how):
+        """A join side whose map leaves no row has no columns in any
+        bucket: an inner join yields no rows, a left join every left
+        row (without the right side's columns, which no row carried)."""
+        import ray.data
+
+        from mlscraper_ray.functions.joins import cogroup_join
+
+        left = ray.data.from_arrow(pa.table({"k": pa.array(range(10), pa.int64()), "v": list("abcdefghij")}))
+        right = ray.data.from_arrow(pa.table({"k": pa.array([1, 2], pa.int64()), "w": [1.5, 2.5]}))
+        none = right.map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
+        out = cogroup_join(left, none, "k", how=how).to_pandas()
+        assert sorted(out.get("k", [])) == ([] if how == "inner" else list(range(10)))
+
 
 class TestIncrementalMinhash:
     def test_cross_snapshot_best_match_and_within_new_ignored(

@@ -189,6 +189,51 @@ def test_shuffle_guard_sees_counts_and_grp(tmp_path):
     ]
 
 
+def _hand_tagged_join_sites(path: str) -> list[tuple[int, str]]:
+    """(line, what) for each ``co_partition`` call in one module whose
+    first argument is a list literal or holds a ``.union(`` call: a
+    join that unions its own sides instead of naming them."""
+    sites = []
+    for node in ast.walk(ast.parse(open(path).read())):
+        if not (isinstance(node, ast.Call) and node.args):
+            continue
+        f = node.func
+        name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+        if name != "co_partition":
+            continue
+        first = node.args[0]
+        if isinstance(first, ast.List):
+            sites.append((node.lineno, "co_partition over a list"))
+        elif any(isinstance(n, ast.Attribute) and n.attr == "union" for n in ast.walk(first)):
+            sites.append((node.lineno, "co_partition over a union"))
+    return sorted(sites)
+
+
+def test_joins_name_their_sides():
+    found = [
+        f"{os.path.relpath(path, PACKAGE_DIR)}:{line} {what}"
+        for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "**", "*.py"), recursive=True))
+        if os.path.basename(path) != "bucketed.py"
+        for line, what in _hand_tagged_join_sites(path)
+    ]
+    assert not found, "name the sides: co_partition({'a': a, 'b': b}, keys, fn):\n" + "\n".join(found)
+
+
+def test_join_guard_sees_lists_and_unions(tmp_path):
+    p = tmp_path / "op.py"
+    p.write_text(
+        "def op(a, b):\n"
+        "    x = co_partition([a, b], ['k'], len)\n"
+        "    y = bucketed.co_partition(coalesce_blocks(a.union(b), 10), ['k'], len)\n"
+        "    z = bucketed_aggregate(a.union(b), ['k'], {})\n"
+        "    return co_partition({'a': a, 'b': b}, ['k'], len), co_partition(a, ['k'], len)\n"
+    )
+    assert _hand_tagged_join_sites(str(p)) == [
+        (2, "co_partition over a list"),
+        (3, "co_partition over a union"),
+    ]
+
+
 def _materialized(rows: int):
     import pandas as pd
     import ray.data
