@@ -1,7 +1,7 @@
 """Distributed BSP crawl driver: rounds of
 submit -> admit -> fetch/parse/extract -> link discovery -> checkpoint.
 
-Ray-Data-first structure per round k:
+Structure per round k:
 
 0. **shard actors**: the ``n_shards`` logical frontier shards
    (host -> shard is ``crc32(host) % n_shards``) are dealt round-robin
@@ -20,17 +20,22 @@ Ray-Data-first structure per round k:
    admit flush).
 2. **admit**: each shard emits its politeness-admitted rows
    pre-split into corpus-bucket-aligned parts (``admit_parts``; one
-   ``num_returns`` call per actor, whose last return is the admitted
-   count); ``ray.data.from_arrow_refs`` assembles ~shards x
-   parts blocks without driver materialization — full fetch-pool
-   parallelism with no Dataset shuffle, and each block touches only a
-   slice of the corpus bucket files.
-3. **fetch+parse+extract**: ``map_batches(fetch_parse_extract_task)``
-   over the bucket-aligned blocks ->
-   ``write_parquet(out/rounds/round=K/results)``. html bytes live only
-   inside this stage; per-host skew is bounded by the politeness
-   budget, the bucket-part interleaving, and hot-host salting
-   (``FrontierShard.admit_parts``).
+   ``num_returns`` call per actor, whose last return is the parts'
+   row counts). The parts stay in the object store: the driver sees
+   only their refs and row counts, in (shard id, part) order, and no
+   Dataset is built — full fetch-pool parallelism with no shuffle,
+   and each part touches only a slice of the corpus bucket files.
+3. **fetch+parse+extract**: consecutive non-empty parts are packed
+   into bundles of at least ``_BATCH_ROWS`` rows, and each bundle is
+   one Ray task (:func:`_fetch_bundle`) that runs
+   ``fetch_parse_extract_task`` over ``_BATCH_ROWS``-row slices and
+   writes ``out/rounds/round=K/results/part-{i:05d}.parquet``. A round
+   costs a few ms of task submission instead of a Ray Data job
+   launch. html bytes live only inside this stage; per-host skew is
+   bounded by the politeness budget, the bucket-part interleaving,
+   and hot-host salting (``FrontierShard.admit_parts``). The results
+   files depend only on the admitted rows, not on the shard grouping
+   or on task scheduling.
 4. **checkpoint**: every logical shard snapshots (bloom + heaps +
    robots + counters) to ``out/checkpoint/round=K/shard-i.bin``; the driver
    writes ``MANIFEST.json`` last — the atomic commit point.
@@ -65,6 +70,10 @@ from mlscraper_ray.frontier.shard import FrontierShard, FrontierShardGroup, grou
 from mlscraper_ray.functions.tables import finish
 from mlscraper_ray.stages.crawl_stages import fetch_parse_extract_task, make_submit_fn
 
+# rows per fetch-function call, and the least rows per fetch task
+# (a round's last task may hold fewer)
+_BATCH_ROWS = 256
+
 
 def _batch_min_depth(batch: pa.Table) -> pa.Table:
     """Per-batch candidate pre-dedup (min depth per url). The GLOBAL
@@ -75,6 +84,23 @@ def _batch_min_depth(batch: pa.Table) -> pa.Table:
     # select by NAME: aggregate output column order differed across
     # pyarrow versions (keys-first vs aggregates-first)
     return pa.table({"url": grouped["url"], "depth": grouped["depth_min"]})
+
+
+def _bundles(parts: list[tuple]) -> list[list]:
+    """Pack consecutive non-empty (part, rows) pairs into bundles of at
+    least ``_BATCH_ROWS`` rows, in order; the last bundle may hold
+    fewer."""
+    bundles: list[list] = []
+    rows = _BATCH_ROWS  # the first non-empty part opens a bundle
+    for part, n in parts:
+        if n == 0:
+            continue
+        if rows >= _BATCH_ROWS:
+            bundles.append([])
+            rows = 0
+        bundles[-1].append(part)
+        rows += n
+    return bundles
 
 
 def _round_dir(out_dir: str, k: int) -> str:
@@ -92,10 +118,10 @@ class RayCrawler:
         self.cfg = config
         cpus = int(ray.cluster_resources().get("CPU", 4))
         # at most one shard actor process per CPU: more processes buy no
-        # parallelism, and each costs a start-up (~0.6 s on a 1-CPU
-        # host) and ~200 MB RSS. num_cpus=0: shard actors are
-        # lightweight bookkeeping; on a real cluster give them
-        # fractional CPUs and spread across nodes.
+        # parallelism, and each costs a start-up (0.7-0.8 s warm on a
+        # 1-CPU Ray session, ~1.5 s inside a crawl) and ~200 MB RSS.
+        # num_cpus=0: shard actors are lightweight bookkeeping; on a
+        # real cluster give them fractional CPUs and spread across nodes.
         self.members = group_members(config.n_shards, max(1, min(config.n_shards, cpus)))
         remote_group = ray.remote(FrontierShardGroup)
         # FrontierShard is looked up here at call time, so the benchmark's
@@ -121,10 +147,10 @@ class RayCrawler:
                 totals[key] = totals.get(key, 0) + value
         return totals
 
-    def _admit(self) -> tuple[ray.data.Dataset, int]:
+    def _admit(self) -> list[tuple[ray.ObjectRef, int]]:
         # each shard splits its admitted rows into bucket-aligned parts
         # (part = corpus_bucket % n_parts) so the fetch stage gets
-        # ~n_shards x n_parts blocks, each touching only
+        # ~n_shards x n_parts parts, each touching only
         # n_buckets/n_parts corpus bucket files. This restores full
         # pool parallelism WITHOUT a Dataset shuffle and without the
         # blind-repartition failure mode where every worker cold-reads
@@ -133,7 +159,7 @@ class RayCrawler:
         # ADAPTIVE part count: small rounds must not be shredded into
         # tiny tasks (at sf0.1 a 1,200-url round over 32 parts is ~37
         # urls/task and per-task overhead dominates — measured: 7 cpus
-        # == 28 cpus). Size parts so blocks carry >= ~192 urls, using
+        # == 28 cpus). Size parts so they carry >= ~192 urls, using
         # the previous round's admitted count as the (deterministic)
         # estimate; cap at the pool-parallelism split for big rounds.
         pool_cap = max(
@@ -146,42 +172,49 @@ class RayCrawler:
             per_block = max(1, self.cfg.fetch_rows_per_block)
             by_size = max(1, round(self._prev_admitted / (self.cfg.n_shards * per_block)))
             n_parts = min(pool_cap, by_size)
-        # (shard id, part) block order, as with one actor per shard: the
-        # fetch stage's blocks must not depend on the grouping
-        parts_of: dict[int, list] = {}
-        count_refs = []
+        calls = []
         for ids, actor in zip(self.members, self.actors):
             out = actor.admit_parts.options(num_returns=len(ids) * n_parts + 1).remote(n_parts)
+            calls.append((ids, out))
+        # (shard id, part) order, as with one actor per shard: the
+        # fetch stage's bundles must not depend on the grouping
+        parts_of: dict[int, list] = {}
+        for (ids, out), rows in zip(calls, ray.get([out[-1] for _, out in calls])):
+            pairs = list(zip(out[:-1], rows))
             for j, sid in enumerate(ids):
-                parts_of[sid] = out[j * n_parts:(j + 1) * n_parts]
-            count_refs.append(out[-1])
-        n_admitted = sum(ray.get(count_refs))
-        ds = ray.data.from_arrow_refs([r for sid in sorted(parts_of) for r in parts_of[sid]])
-        self._prev_admitted = n_admitted
-        return ds, n_admitted
+                parts_of[sid] = pairs[j * n_parts:(j + 1) * n_parts]
+        admitted = [p for sid in sorted(parts_of) for p in parts_of[sid]]
+        self._prev_admitted = sum(rows for _, rows in admitted)
+        return admitted
 
-    def _fetch_extract(self, admitted: ray.data.Dataset, k: int, n_admitted: int = 0) -> str:
+    def _fetch_extract(self, admitted: list[tuple[ray.ObjectRef, int]], k: int) -> str:
         results_dir = os.path.join(_round_dir(self.out_dir, k), "results")
-        # blocks arrive bucket-aligned from admit_parts (see _admit);
+        os.makedirs(results_dir, exist_ok=True)
+        # parts arrive bucket-aligned from admit_parts (see _admit);
         # per-host skew within a round is bounded by the politeness
         # token budget, and hosts hot enough to dominate a part are
         # salted round-robin across parts (shard.admit_parts)
-        stage = admitted.map_batches(
-            fetch_parse_extract_task,
-            fn_kwargs={
-                "corpus_dir": self.corpus_dir,
-                "n_buckets": self.cfg.n_buckets,
-                "plan": self.cfg.plan,
-                "round_k": k,
-                # in-stage link submission: round k+1's candidates go
-                # straight to their shard actors, not through parquet
-                "shard_actors": self.actors,
-                "n_shards": self.cfg.n_shards,
-            },
-            batch_format="pyarrow",
-            batch_size=256,
-        )
-        stage.write_parquet(results_dir)
+        kwargs = {
+            "corpus_dir": self.corpus_dir,
+            "n_buckets": self.cfg.n_buckets,
+            "plan": self.cfg.plan,
+            "round_k": k,
+            # in-stage link submission: round k+1's candidates go
+            # straight to their shard actors, not through parquet
+            "shard_actors": self.actors,
+            "n_shards": self.cfg.n_shards,
+        }
+        # the fetch function is looked up here at call time, so the
+        # benchmark's tracer can swap in its instrumented stand-in
+        ray.get([
+            _fetch_bundle.remote(
+                fetch_parse_extract_task,
+                os.path.join(results_dir, f"part-{i:05d}.parquet"),
+                kwargs,
+                *refs,
+            )
+            for i, refs in enumerate(_bundles(admitted))
+        ])
         return results_dir
 
     def _round_pages(self, k: int) -> dict:
@@ -284,12 +317,13 @@ class RayCrawler:
                 self._submit_dataset(seeds)
                 stats["sec_seed_submit"] = round(time.monotonic() - t0, 3)
             t0 = time.monotonic()
-            admitted, n_admitted = self._admit()
+            admitted = self._admit()
             t_admit = time.monotonic() - t0
+            n_admitted = sum(rows for _, rows in admitted)
             if n_admitted == 0:
                 break
             t0 = time.monotonic()
-            self._fetch_extract(admitted, k, n_admitted)
+            self._fetch_extract(admitted, k)
             t_fetch = time.monotonic() - t0
             t0 = time.monotonic()
             round_stats = {
@@ -341,6 +375,22 @@ class RayCrawler:
 
                 shutil.rmtree(rd)
         return crawler, k + 1
+
+
+@ray.remote
+def _fetch_bundle(fetch_fn, path: str, kwargs: dict, *parts: pa.Table) -> int:
+    """One fetch task: run ``fetch_fn`` over the concatenated parts in
+    ``_BATCH_ROWS``-row slices and write the results to ``path``
+    through a tmp file, so a rerun task rewrites identical bytes.
+    Returns the row count."""
+    table = pa.concat_tables(parts)
+    out = pa.concat_tables(
+        [fetch_fn(table.slice(i, _BATCH_ROWS), **kwargs) for i in range(0, table.num_rows, _BATCH_ROWS)]
+    )
+    tmp = path + ".tmp"
+    pq.write_table(out, tmp)
+    os.replace(tmp, path)
+    return out.num_rows
 
 
 @ray.remote

@@ -77,7 +77,6 @@ class FrontierShard:
         self.robots: dict[str, RobotsRules] = {}
         self.reader = CorpusReader(corpus_dir, cfg.n_buckets)
         self.counters: Counter = Counter()
-        self._last_admitted = 0
 
     # -- robots ---------------------------------------------------------
     def _robots_for(self, host: str) -> RobotsRules:
@@ -175,7 +174,6 @@ class FrontierShard:
                 depths.append(depth)
             if not heap:
                 del self.heaps[host]
-        self._last_admitted = len(urls)
         self.counters["admitted"] += len(urls)
         if self.cfg.recrawl_after_rounds > 0 and urls:
             self.expiry_ring.append((self.round_counter, list(urls)))
@@ -243,9 +241,6 @@ class FrontierShard:
             self.counters["salted_hosts"] += len(dealt)
         parts = pa.array(part_ids, pa.int32())
         return tuple(t.filter(pc.equal(parts, r)) for r in range(n_parts))
-
-    def last_admitted(self) -> int:
-        return self._last_admitted
 
     def pending(self) -> int:
         return sum(len(h) for h in self.heaps.values())
@@ -351,14 +346,13 @@ class FrontierShardGroup:
 
     def admit_parts(self, n_parts: int) -> tuple:
         """Every member's ``admit_parts(n_parts)`` in ``shard_ids`` order,
-        flattened, followed by the members' total admitted count (call
+        flattened, followed by the list of those parts' row counts (call
         it with ``num_returns = len(members) * n_parts + 1``)."""
         out: list = []
         for shard in self.shards.values():
             parts = shard.admit_parts(n_parts)
             out.extend([parts] if n_parts == 1 else parts)
-        out.append(sum(s.last_admitted() for s in self.shards.values()))
-        return tuple(out)
+        return (*out, [t.num_rows for t in out])
 
     def checkpoint_to(self, ckpt_dir: str) -> dict[int, dict]:
         """Write ``shard-{i}.bin`` per member; returns counters by shard id."""

@@ -680,7 +680,9 @@ def events_props_stats(sf_dir: str) -> pa.Table:
     a bucketed aggregate — bounded by the value domain, not the event
     count — then a tiny per-type aggregate. Events with no parseable
     ``k`` count into n_missing and are excluded from the numeric
-    rolls."""
+    rolls; as in ``EVENTS_PROPS_STATS_SQL``, only a JSON integer in
+    BIGINT range is a ``k`` (not ``1.5``, ``"3"``, ``1e2``, ``true`` or
+    2**63)."""
     import json
 
     ds = read_table(sf_dir, "events", ["event_type", "props"])
@@ -691,7 +693,8 @@ def events_props_stats(sf_dir: str) -> pa.Table:
             k = None
             try:
                 v = json.loads(props or "")
-                if isinstance(v, dict) and isinstance(v.get("k"), int):
+                # bool is an int subclass: type(), not isinstance()
+                if isinstance(v, dict) and type(v.get("k")) is int and -(2**63) <= v["k"] < 2**63:
                     k = v["k"]
             except (ValueError, TypeError):
                 pass
@@ -745,10 +748,13 @@ def events_props_stats(sf_dir: str) -> pa.Table:
     )
 
 
+# DuckDB types a non-negative JSON integer UBIGINT and a negative one
+# BIGINT; TRY_CAST drops a UBIGINT above the BIGINT range
 EVENTS_PROPS_STATS_SQL = """
 WITH p AS (
     SELECT event_type,
-           CAST(json_extract(props, '$.k') AS BIGINT) AS k
+           CASE WHEN json_type(props, '$.k') IN ('BIGINT', 'UBIGINT')
+                THEN TRY_CAST(json_extract(props, '$.k') AS BIGINT) END AS k
     FROM events
 )
 SELECT event_type,

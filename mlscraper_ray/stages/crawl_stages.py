@@ -1,14 +1,15 @@
-"""Ray Data stages for the crawl pipeline.
+"""Stages for the crawl pipeline.
 
 ``FetchParseExtract`` is the hot path (reference extraction semantics
 per row in ``__call__``): one ``scrape.scan`` pass per page yields the
 plan's value and the page's links; a page outside the scanner's subset
 falls back to ``parse_html`` + ``Scraper.get`` + :func:`extract_links`
-and is marked ``scan_fallback``. The BSP round loop runs it as the stateless
-``map_batches`` task :func:`fetch_parse_extract_task`; its state —
-corpus bucket cache, compiled scraper plan — is built once per Ray
-worker process and cached there (``get_fetch_stage``). Batches are
-Arrow in / Arrow out.
+and is marked ``scan_fallback``. The BSP round loop calls it through
+the stateless function :func:`fetch_parse_extract_task`, once per
+256-row slice inside each of its plain Ray fetch tasks
+(``frontier.crawler._fetch_bundle``); its state — corpus bucket cache,
+compiled scraper plan — is built once per Ray worker process and
+cached there (``get_fetch_stage``). Batches are Arrow in / Arrow out.
 
 Throughput notes for the 100 TB design point:
 - html bytes enter existence only inside this stage (the frontier
@@ -157,7 +158,7 @@ class FetchParseExtract:
 
 
 # Worker-process-global stage cache. Ray reuses worker processes across
-# tasks, so stateless map_batches tasks get warm state (corpus bucket
+# tasks, so stateless fetch tasks get warm state (corpus bucket
 # cache + compiled plan) without paying actor-pool startup every BSP
 # round. Keyed by (corpus_dir, n_buckets, plan-json); bounded.
 _STAGE_CACHE: dict = {}
@@ -207,9 +208,9 @@ def fetch_parse_extract_task(
     shard_actors: list | None = None,
     n_shards: int = 0,
 ) -> pa.Table:
-    """Stateless-task flavor of :class:`FetchParseExtract` for the BSP
-    round loop (state cached per worker process); appends the round
-    constant so the driver doesn't need an extra stage.
+    """Stateless flavor of :class:`FetchParseExtract` for the BSP round
+    loop's fetch tasks (state cached per worker process); appends the
+    round constant so the driver doesn't need an extra stage.
 
     When ``shard_actors`` is given, discovered links are submitted to
     the actors hosting their owning shards from INSIDE the stage — the

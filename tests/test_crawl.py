@@ -244,6 +244,16 @@ def _shard_files(out_dir):
     return {p[len(out_dir):]: open(p, "rb").read() for p in paths}
 
 
+def _lineages(out_dir):
+    """Each checkpointed round's manifest lineage, keyed by round."""
+    out = {}
+    for path in glob.glob(f"{out_dir}/checkpoint/round=*/MANIFEST.json"):
+        with open(path) as f:
+            m = json.load(f)
+        out[m["round"]] = m["lineage"]
+    return out
+
+
 @contextlib.contextmanager
 def _as_cluster(cpus):
     """Make RayCrawler see a cluster of ``cpus`` CPUs while it sizes its
@@ -306,6 +316,28 @@ class TestShardGrouping:
         assert len(want) > 4 and all(k.endswith(".bin") for k in want)
         for g_out, _, _ in grouped_runs.values():
             assert _shard_files(g_out) == want
+
+    def test_results_files_identical_and_bundled(self, grouped_runs, crawl_run):
+        """Results files are named by bundle, not by task or shard, so
+        each round's manifest lineage (file names, rows, sha256) is the
+        same under every grouping; every file of a round but its last
+        holds at least one full fetch batch (256 rows)."""
+        want = _lineages(crawl_run[1])
+        assert want and all(lin["results_files"] for lin in want.values())
+        for g_out, _, _ in grouped_runs.values():
+            assert _lineages(g_out) == want
+        for lin in want.values():
+            files = lin["results_files"]
+            assert [f["file"] for f in files] == [f"part-{i:05d}.parquet" for i in range(len(files))]
+            assert all(f["rows"] >= 256 for f in files[:-1])
+
+    def test_bundles_hold_a_full_batch_but_the_last(self):
+        from mlscraper_ray.frontier.crawler import _bundles
+
+        parts = [("a", 100), ("b", 0), ("c", 200), ("d", 300), ("e", 0), ("f", 10), ("g", 5)]
+        assert _bundles(parts) == [["a", "c"], ["d"], ["f", "g"]]
+        assert _bundles([("a", 256), ("b", 1)]) == [["a"], ["b"]]
+        assert _bundles([("a", 0)]) == []
 
     def test_resume_under_another_grouping(self, grouped_runs, crawl_run, small_corpus, tmp_path):
         """A checkpoint written by 1 actor resumes under 2 actors (and

@@ -910,6 +910,41 @@ class TestEventsPropsStatsCrafted:
         assert value_hash(out) == value_hash(oracle)
 
 
+    def test_only_bigint_range_json_integers_are_k(self, ray_session, tmp_path):
+        """A float, a string, an exponent, a boolean or an integer past
+        BIGINT is not a k on either side: each counts as missing."""
+        import datetime as dt
+
+        import duckdb
+        from oracle_compare import value_hash
+
+        from mlscraper_ray.functions.streams import EVENTS_PROPS_STATS_SQL, events_props_stats
+
+        props = [
+            '{"k": 1.5}', '{"k": "3"}', '{"k": 1e2}', '{"k": true}', '{"k": -2}',
+            f'{{"k": {2**64 - 1}}}', '{"j": 4}', '{"k": 7}',
+        ]
+        t = pa.table(
+            {
+                "event_id": pa.array(range(len(props)), pa.int64()),
+                "ts": pa.array([dt.datetime(2024, 1, 1)] * len(props), pa.timestamp("us")),
+                "user_id": pa.array([1] * len(props), pa.int64()),
+                "event_type": pa.array(["t"] * len(props)),
+                "value": pa.array([0.5] * len(props), pa.float64()),
+                "props": pa.array(props, pa.string()),
+            }
+        )
+        pq.write_table(t, str(tmp_path / "events.parquet"))
+        out = events_props_stats(str(tmp_path)).to_pandas()
+        assert out.to_dict("records") == [
+            {"event_type": "t", "n_events": 2, "n_missing": 6, "sum_k": 5, "min_k": -2, "max_k": 7, "n_distinct_k": 2}
+        ]
+        con = duckdb.connect()
+        con.execute(f"CREATE VIEW events AS SELECT * FROM '{tmp_path}/events.parquet'")
+        oracle = con.execute(EVENTS_PROPS_STATS_SQL).fetchdf()
+        assert value_hash(out) == value_hash(oracle)
+
+
 class TestEventsUserValueRankCrafted:
     def test_negative_totals_rank_below_positive_ones(self, ray_session, tmp_path):
         """Value bands are signed: a lifetime total of -5.0 ranks below

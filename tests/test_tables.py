@@ -4,8 +4,9 @@ metadata; the vector top-k entries return typed empty tables; no
 operator module grows its own base-table read or result tail again;
 no caller picks a shuffle's bucket count (``functions/bucketed.py``
 owns it); no caller picks the broadcast-or-shuffle cut-over
-(``broadcast.pull`` owns it); and no caller pre-aggregates the batches
-it feeds ``bucketed_aggregate``, which combines every block itself."""
+(``broadcast.pull`` owns it); no caller pre-aggregates the batches
+it feeds ``bucketed_aggregate``, which combines every block itself;
+and the crawl round admits and fetches without a Ray Data job."""
 import ast
 import glob
 import os
@@ -414,3 +415,52 @@ def test_pre_aggregation_guard_sees_defs_lambdas_and_helpers(tmp_path):
         ("op", "<lambda>"),
         ("other", "helper"),
     ]
+
+
+# the crawl round's per-round phases, which run as plain Ray tasks: a
+# Ray Data job here would cost a launch per BSP round
+ROUND_METHODS = ("RayCrawler", ("_admit", "_fetch_extract"))
+
+
+def _ray_data_sites(path: str) -> list[tuple[int, str]]:
+    """(line, method) for each ``ray.data`` attribute, calls and
+    annotations alike, inside the round methods of one module."""
+    cls_name, methods = ROUND_METHODS
+    sites = []
+    for cls in ast.walk(ast.parse(open(path).read())):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == cls_name):
+            continue
+        for fn in cls.body:
+            if not (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name in methods):
+                continue
+            sites += [
+                (node.lineno, fn.name)
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Attribute)
+                and node.attr == "data"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "ray"
+            ]
+    return sorted(sites)
+
+
+def test_crawl_round_launches_no_ray_data_job():
+    path = os.path.join(PACKAGE_DIR, "frontier", "crawler.py")
+    found = [f"frontier/crawler.py:{line} {fn}" for line, fn in _ray_data_sites(path)]
+    assert not found, "a crawl round admits and fetches with plain Ray tasks:\n" + "\n".join(found)
+
+
+def test_round_guard_sees_calls_and_annotations(tmp_path):
+    p = tmp_path / "crawler.py"
+    p.write_text(
+        "class RayCrawler:\n"
+        "    def _submit_dataset(self, ds: ray.data.Dataset):\n"
+        "        return ds.take_all()\n"
+        "    def _admit(self):\n"
+        "        return ray.data.from_arrow_refs(self.refs)\n"
+        "    def _fetch_extract(self, admitted: ray.data.Dataset, k):\n"
+        "        return [f.remote(r) for r in admitted]\n"
+        "def crawl_order_dataset(out_dir):\n"
+        "    return ray.data.read_parquet(out_dir)\n"
+    )
+    assert _ray_data_sites(str(p)) == [(5, "_admit"), (6, "_fetch_extract")]
