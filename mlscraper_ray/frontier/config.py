@@ -9,9 +9,10 @@ Scale guidance (the 10^10-URL design point, tested at ~10^4):
 - ``n_shards``: the number P of logical frontier shards (partitions);
   P should be ~2-4x total cluster cores. Host -> shard is
   ``crc32(host) % P``, so P must stay constant across resume (it is in
-  the manifest). The crawler hosts the P shards in
-  ``min(P, cluster CPUs)`` actor processes; that grouping is not part
-  of the config and may differ between a run and its resume.
+  the manifest). The crawler deals the P shards to
+  ``min(P, cluster CPUs)`` groups, each run as one plain Ray task per
+  BSP phase; that grouping is not part of the config and may differ
+  between a run and its resume.
 - ``bloom_capacity``: sized per shard; 10^10/P keys at the configured
   FPR. At P=1024, fpr=1e-9: ~52 GB/shard of bits — budget accordingly
   (or raise fpr / use the cuckoo variant with eviction).

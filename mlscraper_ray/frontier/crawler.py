@@ -3,47 +3,53 @@ submit -> admit -> fetch/parse/extract -> link discovery -> checkpoint.
 
 Structure per round k:
 
-0. **shard actors**: the ``n_shards`` logical frontier shards
+0. **shard groups**: the ``n_shards`` logical frontier shards
    (host -> shard is ``crc32(host) % n_shards``) are dealt round-robin
-   to ``min(n_shards, cluster CPUs)`` :class:`FrontierShardGroup`
-   actors, one Python process each. Every shard keeps its own state,
-   so the crawl does not depend on the grouping; each phase below
-   makes one call per actor, not one per shard.
+   to ``min(n_shards, cluster CPUs)`` groups. No process keeps a
+   shard: each phase below is one plain Ray task per group, a pure
+   function of the group's state bytes and candidate tables
+   (``shard.load_group``). Every shard keeps its own state, so the
+   crawl does not depend on the grouping, and a retried task returns
+   or writes identical bytes.
 1. **submit**: seeds (round 0 only) go through a per-batch min-depth
-   pre-dedup -> ``map_batches(submit_fn)`` routing rows to the actor
-   hosting their owning shard. Rounds >= 1 have no submit pass at
-   all: the previous round's fetch/extract stage pushed discovered
-   links to the shards in-stage. Either way the shard round buffer
-   resolves the global min depth per url (min is commutative, so this
-   replaces a per-round all-to-all ``groupby(url).min(depth)`` with
-   shard-local state; seen-set dedup + robots gating happen at the
-   admit flush).
+   pre-dedup and ``shard.route``; round 0's admit submits them. Rounds
+   >= 1 have no submit pass: the previous round's fetch tasks
+   returned the links per group, and its checkpoint submitted them.
+   Either way the shard round buffer resolves the global min depth
+   per url (min is commutative, so this replaces a per-round
+   all-to-all ``groupby(url).min(depth)`` with shard-local state;
+   seen-set dedup + robots gating happen at the admit flush).
 2. **admit**: each shard emits its politeness-admitted rows
    pre-split into corpus-bucket-aligned parts (``admit_parts``; one
-   ``num_returns`` call per actor, whose last return is the parts'
-   row counts). The parts stay in the object store: the driver sees
-   only their refs and row counts, in (shard id, part) order, and no
-   Dataset is built — full fetch-pool parallelism with no shuffle,
-   and each part touches only a slice of the corpus bucket files.
+   ``num_returns`` task per group, ``shard.admit_group``, which also
+   returns the parts' row counts and the new state bytes). The parts
+   stay in the object store: the driver sees only their refs and row
+   counts, in (shard id, part) order, and no Dataset is built — full
+   fetch-pool parallelism with no shuffle, and each part touches
+   only a slice of the corpus bucket files.
 3. **fetch+parse+extract**: consecutive non-empty parts are packed
    into bundles of at least ``_BATCH_ROWS`` rows, and each bundle is
    one Ray task (:func:`_fetch_bundle`) that runs
-   ``fetch_parse_extract_task`` over ``_BATCH_ROWS``-row slices and
-   writes ``out/rounds/round=K/results/part-{i:05d}.parquet``. A round
-   costs a few ms of task submission instead of a Ray Data job
-   launch. html bytes live only inside this stage; per-host skew is
-   bounded by the politeness budget, the bucket-part interleaving,
-   and hot-host salting (``FrontierShard.admit_parts``). The results
-   files depend only on the admitted rows, not on the shard grouping
-   or on task scheduling.
-4. **checkpoint**: every logical shard snapshots (bloom + heaps +
-   robots + counters) to ``out/checkpoint/round=K/shard-i.bin``; the driver
-   writes ``MANIFEST.json`` last — the atomic commit point.
+   ``fetch_parse_extract_task`` over ``_BATCH_ROWS``-row slices,
+   writes ``out/rounds/round=K/results/part-{i:05d}.parquet`` and
+   returns the discovered links per group. A round costs a few ms of
+   task submission instead of a Ray Data job launch. html bytes live
+   only inside this stage; per-host skew is bounded by the politeness
+   budget, the bucket-part interleaving, and hot-host salting
+   (``FrontierShard.admit_parts``). The results files depend only on
+   the admitted rows, not on the shard grouping or on task
+   scheduling.
+4. **checkpoint**: one task per group (``shard.checkpoint_group``)
+   submits the round's links and snapshots every member (bloom +
+   heaps + robots + counters) to
+   ``out/checkpoint/round=K/shard-i.bin``; the driver writes
+   ``MANIFEST.json`` last — the atomic commit point. Round K+1
+   starts from those files.
 
-Resume: :func:`RayCrawler.resume` loads the latest complete manifest,
-restores every shard, and continues with round K+1 — producing
-byte-identical output to an uninterrupted run, under any grouping of
-shards into actors (tested).
+Resume: :func:`RayCrawler.resume` loads the latest complete manifest
+and starts round K+1 from its shard files — producing byte-identical
+output to an uninterrupted run, under any grouping of shards
+(tested).
 
 Determinism: crawl order is a pure function of (corpus, seeds,
 config). Ordering comes from data keys — (depth, warc_ts, url) heaps, per-host
@@ -66,24 +72,28 @@ import ray
 import ray.data
 
 from mlscraper_ray.frontier.config import CrawlConfig
-from mlscraper_ray.frontier.shard import FrontierShard, FrontierShardGroup, group_members
+from mlscraper_ray.frontier.shard import (
+    FrontierShard, admit_group, checkpoint_group, group_members, group_of, group_stats, route,
+)
 from mlscraper_ray.functions.tables import finish
-from mlscraper_ray.stages.crawl_stages import fetch_parse_extract_task, make_submit_fn
+from mlscraper_ray.stages.crawl_stages import fetch_parse_extract_task
 
 # rows per fetch-function call, and the least rows per fetch task
 # (a round's last task may hold fewer)
 _BATCH_ROWS = 256
 
 
-def _batch_min_depth(batch: pa.Table) -> pa.Table:
-    """Per-batch candidate pre-dedup (min depth per url). The GLOBAL
+def _batch_min_depth(batch: pa.Table, n_shards: int) -> pa.Table:
+    """Per-batch candidate pre-dedup (min depth per url), routed to the
+    shards (``shard.route``; seeds have warc_ts 0). The GLOBAL
     min-per-url is resolved inside the owning shard's round buffer —
     min is commutative, so no cross-batch shuffle is needed; this
-    partial pass just shrinks the actor-RPC volume."""
+    partial pass just shrinks the submitted volume."""
     grouped = batch.group_by("url").aggregate([("depth", "min")])
     # select by NAME: aggregate output column order differed across
     # pyarrow versions (keys-first vs aggregates-first)
-    return pa.table({"url": grouped["url"], "depth": grouped["depth_min"]})
+    urls, depths = grouped["url"].combine_chunks(), grouped["depth_min"].combine_chunks()
+    return route(urls, depths, pa.repeat(pa.scalar(0, pa.int64()), len(urls)), n_shards)
 
 
 def _bundles(parts: list[tuple]) -> list[list]:
@@ -117,35 +127,32 @@ class RayCrawler:
         self.out_dir = out_dir
         self.cfg = config
         cpus = int(ray.cluster_resources().get("CPU", 4))
-        # at most one shard actor process per CPU: more processes buy no
-        # parallelism, and each costs a start-up (0.7-0.8 s warm on a
-        # 1-CPU Ray session, ~1.5 s inside a crawl) and ~200 MB RSS.
-        # num_cpus=0: shard actors are lightweight bookkeeping; on a
-        # real cluster give them fractional CPUs and spread across nodes.
+        # each phase runs one task per group, at most one group per
+        # CPU: more tasks buy no parallelism
         self.members = group_members(config.n_shards, max(1, min(config.n_shards, cpus)))
-        remote_group = ray.remote(FrontierShardGroup)
-        # FrontierShard is looked up here at call time, so the benchmark's
-        # tracer can swap in its instrumented subclass
-        self.actors = [
-            remote_group.options(num_cpus=0).remote(
-                ids, config.to_dict(), corpus_dir, FrontierShard
-            )
-            for ids in self.members
-        ]
         self._fetch_parallelism = max(2, cpus - 1)
         self._prev_admitted: int | None = None
+        # each group's state for its next phase (see shard.load_group):
+        # None on a fresh crawl, the latest checkpoint dir, or the ref
+        # to its members' state bytes after an admit
+        self._state: list = [None] * len(self.members)
+        # each group's candidate tables (shard.route), submitted by its
+        # next phase
+        self._pending: list[list] = [[] for _ in self.members]
+
+    def _group_args(self, g: int) -> tuple:
+        # FrontierShard is looked up here at call time, so the benchmark's
+        # tracer can swap in its instrumented subclass
+        return FrontierShard, self.members[g], self.cfg.to_dict(), self.corpus_dir, self._state[g]
 
     # -- round primitives ----------------------------------------------
-    def _submit_dataset(self, candidates: ray.data.Dataset) -> dict:
-        submit_fn = make_submit_fn(self.actors, self.cfg.n_shards)
-        counter_rows = candidates.map_batches(
-            submit_fn, batch_format="pyarrow", batch_size=4096
-        ).take_all()
-        totals: dict = {}
-        for row in counter_rows:
-            for key, value in row.items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+    def _submit_dataset(self, candidates: ray.data.Dataset) -> None:
+        """Hand every group the candidate (``shard.route``) blocks; its
+        next phase submits its own members' rows. Block refs, not
+        ``to_arrow_refs()``, which runs a second job for the schema."""
+        refs = [ref for bundle in candidates.iter_internal_ref_bundles() for ref in bundle.block_refs]
+        for pending in self._pending:
+            pending.extend(refs)
 
     def _admit(self) -> list[tuple[ray.ObjectRef, int]]:
         # each shard splits its admitted rows into bucket-aligned parts
@@ -172,15 +179,19 @@ class RayCrawler:
             per_block = max(1, self.cfg.fetch_rows_per_block)
             by_size = max(1, round(self._prev_admitted / (self.cfg.n_shards * per_block)))
             n_parts = min(pool_cap, by_size)
-        calls = []
-        for ids, actor in zip(self.members, self.actors):
-            out = actor.admit_parts.options(num_returns=len(ids) * n_parts + 1).remote(n_parts)
-            calls.append((ids, out))
-        # (shard id, part) order, as with one actor per shard: the
+        calls = [
+            _admit_task.options(num_returns=len(ids) * n_parts + 2).remote(
+                *self._group_args(g), n_parts, *self._pending[g]
+            )
+            for g, ids in enumerate(self.members)
+        ]
+        self._state = [out[-1] for out in calls]
+        self._pending = [[] for _ in self.members]
+        # (shard id, part) order, as with one task per shard: the
         # fetch stage's bundles must not depend on the grouping
         parts_of: dict[int, list] = {}
-        for (ids, out), rows in zip(calls, ray.get([out[-1] for _, out in calls])):
-            pairs = list(zip(out[:-1], rows))
+        for ids, out, rows in zip(self.members, calls, ray.get([out[-2] for out in calls])):
+            pairs = list(zip(out[:-2], rows))
             for j, sid in enumerate(ids):
                 parts_of[sid] = pairs[j * n_parts:(j + 1) * n_parts]
         admitted = [p for sid in sorted(parts_of) for p in parts_of[sid]]
@@ -199,22 +210,26 @@ class RayCrawler:
             "n_buckets": self.cfg.n_buckets,
             "plan": self.cfg.plan,
             "round_k": k,
-            # in-stage link submission: round k+1's candidates go
-            # straight to their shard actors, not through parquet
-            "shard_actors": self.actors,
-            "n_shards": self.cfg.n_shards,
         }
+        n_groups = len(self.members)
         # the fetch function is looked up here at call time, so the
         # benchmark's tracer can swap in its instrumented stand-in
-        ray.get([
-            _fetch_bundle.remote(
+        calls = [
+            _fetch_bundle.options(num_returns=1 + n_groups).remote(
                 fetch_parse_extract_task,
                 os.path.join(results_dir, f"part-{i:05d}.parquet"),
                 kwargs,
+                self.cfg.n_shards,
+                n_groups,
                 *refs,
             )
             for i, refs in enumerate(_bundles(admitted))
-        ])
+        ]
+        ray.get([out[0] for out in calls])
+        # round k+1's candidates stay in the object store, one table
+        # per (bundle, group), until the groups' checkpoint tasks
+        for g, pending in enumerate(self._pending):
+            pending.extend(out[1 + g] for out in calls)
         return results_dir
 
     def _round_pages(self, k: int) -> dict:
@@ -258,8 +273,13 @@ class RayCrawler:
         ckpt = _ckpt_dir(self.out_dir, k)
         os.makedirs(ckpt, exist_ok=True)
         by_shard: dict[int, dict] = {}
-        for part in ray.get([a.checkpoint_to.remote(ckpt) for a in self.actors]):
+        for part in ray.get([
+            _checkpoint_task.remote(*self._group_args(g), ckpt, *self._pending[g])
+            for g in range(len(self.members))
+        ]):
             by_shard.update(part)
+        self._state = [ckpt] * len(self.members)
+        self._pending = [[] for _ in self.members]
         counters = [by_shard[i] for i in range(self.cfg.n_shards)]
         manifest = {
             "round": k,
@@ -299,21 +319,24 @@ class RayCrawler:
     # -- main loop ------------------------------------------------------
     def run(self, seeds_path: str | None = None, start_round: int = 0) -> dict:
         os.makedirs(self.out_dir, exist_ok=True)
-        # sec_seed_submit includes waiting for the shard actors to start;
-        # it stays 0 when a resumed run skips round 0
-        stats: dict = {"rounds": [], "shard_actors": len(self.actors), "sec_seed_submit": 0.0}
+        # sec_seed_submit is the seed read-and-route job (round 0's
+        # admit submits the seeds); it stays 0 when a resumed run skips
+        # round 0
+        stats: dict = {"rounds": [], "shard_groups": len(self.members), "sec_seed_submit": 0.0}
         for k in range(start_round, self.cfg.max_rounds):
             if k == 0:
                 t0 = time.monotonic()
                 # seeds are the only candidates that enter through a
                 # dedicated submit pass; rounds >= 1 get their candidates
-                # pushed from inside the previous fetch/extract stage
-                # (round buffers are part of the checkpoint, so resume
-                # needs no re-read either)
+                # from the previous round's fetch tasks, submitted at its
+                # checkpoint (round buffers are part of the checkpoint,
+                # so resume needs no re-read either)
                 seeds = ray.data.read_parquet(
                     seeds_path or os.path.join(self.corpus_dir, "seeds.parquet"),
                     columns=["url", "depth"],
-                ).map_batches(_batch_min_depth, batch_format="pyarrow")
+                ).map_batches(
+                    _batch_min_depth, fn_kwargs={"n_shards": self.cfg.n_shards}, batch_format="pyarrow"
+                )
                 self._submit_dataset(seeds)
                 stats["sec_seed_submit"] = round(time.monotonic() - t0, 3)
             t0 = time.monotonic()
@@ -337,7 +360,9 @@ class RayCrawler:
             self._checkpoint(k, round_stats)
             round_stats["sec_checkpoint"] = round(time.monotonic() - t0, 3)
         by_shard: dict[int, tuple[int, dict]] = {}
-        for part in ray.get([a.final_stats.remote() for a in self.actors]):
+        for part in ray.get([
+            _stats_task.remote(*self._group_args(g)) for g in range(len(self.members))
+        ]):
             by_shard.update(part)
         stats["seen"] = sum(seen for seen, _ in by_shard.values())
         stats["counters"] = {}
@@ -366,7 +391,7 @@ class RayCrawler:
         with open(os.path.join(ckpt, "MANIFEST.json")) as f:
             manifest = json.load(f)
         crawler = cls(corpus_dir, out_dir, CrawlConfig.from_dict(manifest["config"]))
-        ray.get([a.restore_from.remote(ckpt) for a in crawler.actors])
+        crawler._state = [ckpt] * len(crawler.members)
         # discard any partial output after the checkpointed round
         for rd in glob.glob(os.path.join(out_dir, "rounds", "round=*")):
             m = re.search(r"round=(\d+)", rd)
@@ -377,12 +402,23 @@ class RayCrawler:
         return crawler, k + 1
 
 
+_admit_task = ray.remote(admit_group)
+_checkpoint_task = ray.remote(checkpoint_group)
+_stats_task = ray.remote(group_stats)
+
+
 @ray.remote
-def _fetch_bundle(fetch_fn, path: str, kwargs: dict, *parts: pa.Table) -> int:
+def _fetch_bundle(fetch_fn, path: str, kwargs: dict, n_shards: int, n_groups: int,
+                  *parts: pa.Table) -> tuple:
     """One fetch task: run ``fetch_fn`` over the concatenated parts in
     ``_BATCH_ROWS``-row slices and write the results to ``path``
     through a tmp file, so a rerun task rewrites identical bytes.
-    Returns the row count."""
+    Returns the row count, then one :func:`shard.route` table of the
+    discovered links per shard group: each link at the discovering
+    page's depth + 1 and capture time (the warc_ts component of the
+    frontier priority key)."""
+    import pyarrow.compute as pc
+
     table = pa.concat_tables(parts)
     out = pa.concat_tables(
         [fetch_fn(table.slice(i, _BATCH_ROWS), **kwargs) for i in range(0, table.num_rows, _BATCH_ROWS)]
@@ -390,7 +426,15 @@ def _fetch_bundle(fetch_fn, path: str, kwargs: dict, *parts: pa.Table) -> int:
     tmp = path + ".tmp"
     pq.write_table(out, tmp)
     os.replace(tmp, path)
-    return out.num_rows
+    page = pc.list_parent_indices(out["links"])
+    links = route(
+        pc.list_flatten(out["links"]).combine_chunks(),
+        pc.add(out["depth"].take(page), 1).combine_chunks(),
+        pc.cast(out["warc_ts"], pa.int64()).fill_null(0).take(page).combine_chunks(),
+        n_shards,
+    )
+    group = group_of(links["shard"].to_numpy(), n_groups)
+    return out.num_rows, *(links.filter(pa.array(group == g)) for g in range(n_groups))
 
 
 @ray.remote

@@ -69,7 +69,7 @@ def oracle_crawl(corpus_dir: str, config: CrawlConfig, seeds_path: str | None = 
                         seen.discard(url)
                         counters["recrawl_evicted"] += 1
         # intra-round dedup: min (depth, warc_ts) per url (mirrors the
-        # shard actors' round-buffer tuple-min resolution)
+        # shards' round-buffer tuple-min resolution)
         best: dict[str, tuple] = {}
         for url, depth, ts in candidates:
             key = (depth, ts)

@@ -15,11 +15,14 @@ and holds, per the north-star design:
   total-order tiebreaker). The key is intrinsic to the row, never
   arrival-order, so parallel submission cannot change the crawl order.
 
-The class is deliberately plain Python: the distributed crawler hosts
-several shards per actor process through :class:`FrontierShardGroup`,
-while tests can drive either class in-process. All state round-trips
-through ``state_bytes``/``restore`` — the per-round checkpoint unit,
-one file per logical shard whatever process hosts it.
+The class is deliberately plain Python, and no process keeps a shard
+between BSP phases: the distributed crawler runs each phase of a group
+of shards as one plain Ray task (:func:`admit_group`,
+:func:`checkpoint_group`) that restores the members from their state
+bytes, submits the phase's candidates, and returns or writes the new
+bytes. All state round-trips through ``state_bytes``/``restore`` — the
+per-round checkpoint unit, one ``shard-{i}.bin`` per logical shard,
+which is also where the next round starts from.
 
 The reference has no counterpart to any of this (mlscraper never
 fetches or schedules; the only fetch in its repo is ``requests.get``
@@ -313,8 +316,8 @@ class FrontierShard:
 
 
 def group_of(shard_id: int, n_groups: int) -> int:
-    """The group (host process) of a logical shard: shards are dealt
-    round-robin."""
+    """The group of a logical shard, whose phases run as one task:
+    shards are dealt round-robin."""
     return shard_id % n_groups
 
 
@@ -323,47 +326,77 @@ def group_members(n_shards: int, n_groups: int) -> list[list[int]]:
     return [[i for i in range(n_shards) if group_of(i, n_groups) == g] for g in range(n_groups)]
 
 
-class FrontierShardGroup:
-    """Several logical frontier shards in one process.
+def route(urls: pa.Array, depths: pa.Array, warc_ts: pa.Array, n_shards: int) -> pa.Table:
+    """Candidate rows with their owning logical shard,
+    ``crc32(host) % n_shards``: the table a group step submits."""
+    import zlib
 
-    The crawler runs at most one group actor per CPU instead of one
-    actor per shard: each member keeps its own seen set, heaps, robots cache and
-    counters, and every call is forwarded to it by shard id, so a
-    shard's outputs do not depend on which process hosts it. Each
-    method is one round trip for all members, which is what lets the
-    crawler make one call per actor per BSP phase."""
+    shard = [zlib.crc32(url_host(u).encode()) % n_shards for u in urls.to_pylist()]
+    return pa.table({
+        "shard": pa.array(shard, pa.int32()),
+        "url": urls,
+        "depth": depths.cast(pa.int32()),
+        "warc_ts": warc_ts.cast(pa.int64()),
+    })
 
-    def __init__(self, shard_ids: list[int], config: dict | CrawlConfig, corpus_dir: str,
-                 shard_cls: type):
-        self.shards = {i: shard_cls(i, config, corpus_dir) for i in shard_ids}
 
-    def submit(self, by_shard: dict) -> dict:
-        """``by_shard`` maps shard id -> (urls, depths, warc_ts_us)."""
-        total: Counter = Counter()
-        for sid, (urls, depths, ts_list) in by_shard.items():
-            total.update(self.shards[sid].submit(urls, depths, ts_list))
-        return dict(total)
+def load_group(shard_cls: type, ids: list[int], config: dict, corpus_dir: str,
+               state: str | list[bytes] | None, candidates=()) -> dict:
+    """The group's shards by id, in ``ids`` order, restored from
+    ``state`` with ``candidates`` (:func:`route` tables) submitted.
+    ``state`` is None on a fresh crawl, a checkpoint directory holding
+    ``shard-{i}.bin`` per member, or the members' state bytes in
+    ``ids`` order. A shard is submitted to only when it has rows (a
+    ``submitted: 0`` counter would change its checkpoint bytes); an
+    empty table (Ray Data may emit one without columns) is skipped."""
+    import pyarrow.compute as pc
 
-    def admit_parts(self, n_parts: int) -> tuple:
-        """Every member's ``admit_parts(n_parts)`` in ``shard_ids`` order,
-        flattened, followed by the list of those parts' row counts (call
-        it with ``num_returns = len(members) * n_parts + 1``)."""
-        out: list = []
-        for shard in self.shards.values():
-            parts = shard.admit_parts(n_parts)
-            out.extend([parts] if n_parts == 1 else parts)
-        return (*out, [t.num_rows for t in out])
+    shards = {i: shard_cls(i, config, corpus_dir) for i in ids}
+    if isinstance(state, str):
+        for sid, shard in shards.items():
+            shard.restore_from(os.path.join(state, f"shard-{sid}.bin"))
+    elif state is not None:
+        for shard, data in zip(shards.values(), state):
+            shard.restore(data)
+    candidates = [t for t in candidates if t.num_rows]
+    if candidates:
+        table = pa.concat_tables(candidates)
+        for sid, shard in shards.items():
+            rows = table.filter(pc.equal(table["shard"], sid))
+            if rows.num_rows:
+                shard.submit(*(rows[c].to_pylist() for c in ("url", "depth", "warc_ts")))
+    return shards
 
-    def checkpoint_to(self, ckpt_dir: str) -> dict[int, dict]:
-        """Write ``shard-{i}.bin`` per member; returns counters by shard id."""
-        for sid, shard in self.shards.items():
-            shard.checkpoint_to(os.path.join(ckpt_dir, f"shard-{sid}.bin"))
-        return {sid: shard.get_counters() for sid, shard in self.shards.items()}
 
-    def restore_from(self, ckpt_dir: str) -> None:
-        for sid, shard in self.shards.items():
-            shard.restore_from(os.path.join(ckpt_dir, f"shard-{sid}.bin"))
+def admit_group(shard_cls: type, ids: list[int], config: dict, corpus_dir: str, state,
+                n_parts: int, *candidates: pa.Table) -> tuple:
+    """One round's admit for a group of logical shards, a pure function
+    of its inputs (:func:`load_group`): every member's
+    ``admit_parts(n_parts)`` in ``ids`` order, flattened, then the list
+    of those parts' row counts, then the members' new state bytes
+    (call it with ``num_returns = len(ids) * n_parts + 2``)."""
+    shards = load_group(shard_cls, ids, config, corpus_dir, state, candidates)
+    out: list = []
+    for shard in shards.values():
+        parts = shard.admit_parts(n_parts)
+        out.extend([parts] if n_parts == 1 else parts)
+    return (*out, [t.num_rows for t in out], [s.state_bytes() for s in shards.values()])
 
-    def final_stats(self) -> dict[int, tuple[int, dict]]:
-        """(seen count, counters) by shard id."""
-        return {sid: (s.seen_count(), s.get_counters()) for sid, s in self.shards.items()}
+
+def checkpoint_group(shard_cls: type, ids: list[int], config: dict, corpus_dir: str, state,
+                     ckpt_dir: str, *candidates: pa.Table) -> dict[int, dict]:
+    """Submit the round's discovered links to the group restored from
+    ``state`` and write ``shard-{i}.bin`` per member under
+    ``ckpt_dir`` (through a tmp file: a rerun writes identical bytes);
+    the next round starts from those files. Returns counters by shard id."""
+    shards = load_group(shard_cls, ids, config, corpus_dir, state, candidates)
+    for sid, shard in shards.items():
+        shard.checkpoint_to(os.path.join(ckpt_dir, f"shard-{sid}.bin"))
+    return {sid: shard.get_counters() for sid, shard in shards.items()}
+
+
+def group_stats(shard_cls: type, ids: list[int], config: dict, corpus_dir: str,
+                state) -> dict[int, tuple[int, dict]]:
+    """(seen count, counters) by shard id of the group restored from ``state``."""
+    shards = load_group(shard_cls, ids, config, corpus_dir, state)
+    return {sid: (s.seen_count(), s.get_counters()) for sid, s in shards.items()}

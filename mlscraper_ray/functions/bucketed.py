@@ -29,7 +29,7 @@ plain rows; each bucket merges the partials, a 'count' as the sum of
 the partial counts.
 
 Bucket count: ``8 x cluster CPUs`` (:func:`_n_buckets`), the same
-CPU source ``frontier.crawler.RayCrawler`` sizes its actors from. At
+CPU source ``frontier.crawler.RayCrawler`` sizes its shard groups from. At
 corpus scale a shuffle's cost is per bucket, not per row, so the count
 belongs to the cluster, not to the query; no caller can set it, and no
 output depends on it (every key value lands in one bucket at any

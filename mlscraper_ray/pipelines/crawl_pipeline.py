@@ -220,7 +220,7 @@ def crawl_order_ranked_query(
     return crawl_order(out_dir)
 
 
-# the counters both the shard actors and the single-process oracle
+# the counters both the frontier shards and the single-process oracle
 # maintain with identical semantics (same check order: depth -> seen
 # -> robots); the metrics queries compare exactly this set
 CRAWL_COUNTER_NAMES = (
@@ -379,7 +379,7 @@ def crawl_metrics_query(sf_dir: str) -> pa.Table:
 
 
 def crawl_counter_totals_query(sf_dir: str) -> pa.Table:
-    """Final frontier-counter totals summed across shard actors (the
+    """Final frontier-counter totals summed across shards (the
     run's metrics.json artifact — the per-round checkpoint MANIFESTs
     carry the same per-shard counters but stop one flush EARLY: the
     terminating 0-admit round's flush drops are counted in shard state

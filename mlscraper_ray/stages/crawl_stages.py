@@ -174,93 +174,13 @@ def get_fetch_stage(corpus_dir: str, n_buckets: int, plan: dict) -> FetchParseEx
     return stage
 
 
-def submit_to_shards(
-    shard_actors: list, n_shards: int, urls: list, depths: list, ts_list: list | None = None
-) -> list:
-    """Route candidate rows to their owning logical shard
-    (``crc32(host) % n_shards``) and send ONE ``submit`` per actor
-    hosting any of them (``frontier.shard.group_of``), carrying one
-    (urls, depths, warc_ts_us) list per shard. Returns the submit refs."""
-    import zlib
-
-    from mlscraper_ray.frontier.shard import group_of
-
-    n_actors = len(shard_actors)
-    if ts_list is None:
-        ts_list = [0] * len(urls)
-    by_actor: dict[int, dict[int, tuple[list, list, list]]] = {}
-    for url, depth, ts in zip(urls, depths, ts_list):
-        sid = zlib.crc32(url_host(url).encode()) % n_shards
-        lists = by_actor.setdefault(group_of(sid, n_actors), {}).setdefault(sid, ([], [], []))
-        lists[0].append(url)
-        lists[1].append(depth)
-        lists[2].append(ts)
-    return [shard_actors[a].submit.remote(by_shard) for a, by_shard in by_actor.items()]
-
-
 def fetch_parse_extract_task(
-    batch: pa.Table,
-    *,
-    corpus_dir: str,
-    n_buckets: int,
-    plan: dict,
-    round_k: int,
-    shard_actors: list | None = None,
-    n_shards: int = 0,
+    batch: pa.Table, *, corpus_dir: str, n_buckets: int, plan: dict, round_k: int
 ) -> pa.Table:
     """Stateless flavor of :class:`FetchParseExtract` for the BSP round
     loop's fetch tasks (state cached per worker process); appends the
-    round constant so the driver doesn't need an extra stage.
-
-    When ``shard_actors`` is given, discovered links are submitted to
-    the actors hosting their owning shards from INSIDE the stage — the
-    next round's candidates never round-trip through parquet + a
-    second Dataset execution. Safe under task retries: the shard round
-    buffer takes a commutative min per url and the seen-set dedups
-    across rounds, so double-submission is idempotent."""
-    import ray
-
+    round constant so the driver doesn't need an extra stage. It has no
+    side effect: the fetch task routes the discovered links to their
+    shards from the returned ``links`` column."""
     out = get_fetch_stage(corpus_dir, n_buckets, plan)(batch)
-    if shard_actors is not None:
-        import pyarrow.compute as pc
-
-        urls: list = []
-        depths: list = []
-        ts_list: list = []
-        ts_micros = pc.cast(out["warc_ts"], pa.int64()).to_pylist()  # tz-free epoch us
-        for depth, ts_val, links in zip(
-            out["depth"].to_pylist(), ts_micros, out["links"].to_pylist()
-        ):
-            # links inherit the discovering page's capture time — the
-            # warc_ts component of the frontier priority key
-            ts_us = ts_val if ts_val is not None else 0
-            urls.extend(links)
-            depths.extend([depth + 1] * len(links))
-            ts_list.extend([ts_us] * len(links))
-        # barrier: stage completion implies links submitted
-        ray.get(submit_to_shards(shard_actors, n_shards, urls, depths, ts_list))
     return out.append_column("round", pa.array([round_k] * out.num_rows, pa.int32()))
-
-
-def make_submit_fn(shard_actors: list, n_shards: int):
-    """Returns a map_batches fn that routes candidate (url, depth) rows
-    to the actors hosting their owning shards and emits per-batch
-    counters.
-
-    The actor round-trip is awaited inside the task (the submit stage's
-    output is only counters, so there is nothing downstream to
-    pipeline); candidates for different actors fan out in parallel.
-    """
-    import ray
-
-    def submit_batch(batch: pa.Table) -> pa.Table:
-        refs = submit_to_shards(
-            shard_actors, n_shards, batch["url"].to_pylist(), batch["depth"].to_pylist()
-        )
-        total = {"submitted": 0}
-        for res in ray.get(refs):
-            for k, v in res.items():
-                total[k] = total.get(k, 0) + v
-        return pa.table({k: pa.array([v], pa.int64()) for k, v in total.items()})
-
-    return submit_batch

@@ -257,7 +257,7 @@ def _lineages(out_dir):
 @contextlib.contextmanager
 def _as_cluster(cpus):
     """Make RayCrawler see a cluster of ``cpus`` CPUs while it sizes its
-    shard actors (use around construction and resume only: Ray Data
+    shard groups (use around construction and resume only: Ray Data
     reads the same call)."""
     from mlscraper_ray.frontier import crawler
 
@@ -268,8 +268,8 @@ def _as_cluster(cpus):
 
 @pytest.fixture(scope="module")
 def grouped_runs(ray_session, small_corpus, learned_plan, tmp_path_factory):
-    """The crawl_run config with its 4 logical shards hosted by 1 actor
-    (as on a 1-CPU cluster) and by 2 actors of 2 shards each."""
+    """The crawl_run config with its 4 logical shards in 1 group (as
+    on a 1-CPU cluster) and in 2 groups of 2 shards each."""
     from mlscraper_ray.frontier.crawler import RayCrawler
 
     corpus, _ = small_corpus
@@ -288,11 +288,11 @@ class TestShardGrouping:
         assert grouped_runs[2][1] == [[0, 2], [1, 3]]
         with open(f"{crawl_run[1]}/metrics.json") as f:
             unpatched = json.load(f)
-        assert unpatched["shard_actors"] == 4  # ray_session has 4 CPUs
+        assert unpatched["shard_groups"] == 4  # ray_session has 4 CPUs
         for cpus, (out, members, stats) in grouped_runs.items():
             with open(f"{out}/metrics.json") as f:
                 metrics = json.load(f)
-            assert metrics["shard_actors"] == stats["shard_actors"] == cpus
+            assert metrics["shard_groups"] == stats["shard_groups"] == cpus
             assert metrics["sec_seed_submit"] > 0
             assert set(unpatched) == set(metrics)
 
@@ -340,8 +340,8 @@ class TestShardGrouping:
         assert _bundles([("a", 0)]) == []
 
     def test_resume_under_another_grouping(self, grouped_runs, crawl_run, small_corpus, tmp_path):
-        """A checkpoint written by 1 actor resumes under 2 actors (and
-        one written by 2 actors under 4) to the same crawl order."""
+        """A checkpoint written by 1 group resumes under 2 groups (and
+        one written by 2 groups under 4) to the same crawl order."""
         from mlscraper_ray.frontier.crawler import RayCrawler, crawl_order
 
         corpus, _ = small_corpus
@@ -355,7 +355,7 @@ class TestShardGrouping:
             with _as_cluster(resume_on):
                 crawler, next_round = RayCrawler.resume(corpus, out)
             assert next_round == 2
-            assert len(crawler.actors) == resume_on
+            assert len(crawler.members) == resume_on
             crawler.run(start_round=next_round)
             assert crawl_order(out).to_pylist() == want
 
@@ -769,3 +769,49 @@ def test_plain_crawl_reused_after_other_config_run(ray_session, tmp_path, monkey
     monkeypatch.setattr(RayCrawler, "run", counting_run)
     assert cp._plain_crawl_artifacts(sf_dir) == plain != other
     assert runs == []
+
+
+def test_back_to_back_crawls_share_no_worker_state(
+    ray_session, small_corpus, learned_plan, tmp_path_factory
+):
+    """Shards live in no process of their own, and fetch and group
+    tasks reuse the same pooled workers, whose per-process caches
+    (``crawl_stages._STAGE_CACHE``) outlive a crawl. Two crawls with
+    different configs back to back in one Ray session, with a resume
+    of the first in between, must each equal the oracle: order, seen
+    and counters."""
+    from mlscraper_ray.frontier.crawler import RayCrawler, crawl_order
+    from mlscraper_ray.pipelines.crawl_pipeline import tiers_from_counts
+    from mlscraper_ray.pipelines.truth_oracles import _host_page_counts_local
+
+    corpus, spec = small_corpus
+    bloom = _config(learned_plan)
+    cuckoo = CrawlConfig(
+        n_shards=4, n_buckets=spec.n_buckets, tokens_per_round=2, max_rounds=10, max_depth=6,
+        plan=learned_plan, recrawl_after_rounds=3,
+        host_tiers=tiers_from_counts(_host_page_counts_local(corpus)), tier_budgets=[3, 2, 1],
+    )
+
+    def check(out, cfg, stats):
+        fetches, seen, _, counters = oracle_crawl(corpus, cfg)
+        order = crawl_order(out)
+        assert list(zip(*[order[c].to_pylist() for c in ("round", "depth", "host", "url")])) == fetches
+        assert stats["seen"] == len(seen)
+        for key in set(counters) | {"admitted", "enqueued", "dropped_seen"}:
+            if key != "fetch_miss":
+                assert stats["counters"].get(key, 0) == counters.get(key, 0), key
+
+    first = str(tmp_path_factory.mktemp("first"))
+    check(first, bloom, RayCrawler(corpus, first, bloom).run())
+    resumed = str(tmp_path_factory.mktemp("resumed"))
+    shutil.copytree(first, resumed, dirs_exist_ok=True)
+    for d in glob.glob(f"{resumed}/rounds/round=*") + glob.glob(f"{resumed}/checkpoint/round=*"):
+        if int(d.rsplit("=", 1)[1]) > 1:
+            shutil.rmtree(d)
+    crawler, next_round = RayCrawler.resume(corpus, resumed)
+    assert next_round == 2
+    check(resumed, bloom, crawler.run(start_round=next_round))
+    second = str(tmp_path_factory.mktemp("second"))
+    stats = RayCrawler(corpus, second, cuckoo).run()
+    check(second, cuckoo, stats)
+    assert stats["counters"]["recrawl_evicted"] > 0

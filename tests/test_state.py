@@ -241,69 +241,124 @@ class TestFrontierShard:
         assert shard.get_counters()["salted_rows"] == 8
 
 
-class TestFrontierShardGroup:
-    """The group actor only forwards by shard id: hosting shards
-    {0..3} in one group must behave exactly like four standalone
-    shards given the same calls."""
+class TestGroupStep:
+    """A group step (``shard.admit_group`` / ``checkpoint_group``) is a
+    pure function of its inputs: hosting shards {0..3} in 1, 2 or 4
+    groups must behave exactly like four standalone shards given the
+    same rows, and a rerun on the same inputs (a retried task) must
+    give identical bytes."""
 
-    def test_group_matches_standalone_shards(self, tmp_path):
+    # (n_parts, admit candidates, checkpoint candidates); shard 3
+    # (host h0003) gets no row before round 0's checkpoint
+    ROUNDS = (
+        (1, [f"http://h{h:04d}.example/p/{i}" for h in range(3) for i in range(3)],
+         [f"http://h{h:04d}.example/private/{i}" for h in range(6) for i in range(2)]
+         + [f"http://h{h:04d}.example/p/{i}" for h in range(6) for i in range(5)]),
+        (3, [], [f"http://h{h:04d}.example/p/{i}" for h in range(3) for i in range(6)]),
+        (3, [], []),
+    )
+
+    @staticmethod
+    def _rows(urls):
+        return urls, [1 + i % 3 for i in range(len(urls))], [1000 * i for i in range(len(urls))]
+
+    def _standalone(self, cfg, corpus):
+        """Per round: each shard's parts, then its counters and state
+        bytes after the checkpoint's submit; then (seen, counters)."""
         import zlib
 
-        from mlscraper_ray.frontier.shard import FrontierShard, FrontierShardGroup, group_members
-        from mlscraper_ray.sources.corpusgen import CorpusSpec, generate_corpus, url_host
+        from mlscraper_ray.frontier.shard import FrontierShard
+        from mlscraper_ray.sources.corpusgen import url_host
+
+        alone = [FrontierShard(i, cfg, corpus) for i in range(4)]
+
+        def submit(urls):
+            by_shard: dict = {}
+            for row in zip(*self._rows(urls)):
+                lists = by_shard.setdefault(zlib.crc32(url_host(row[0]).encode()) % 4, ([], [], []))
+                for lst, v in zip(lists, row):
+                    lst.append(v)
+            for sid, lists in by_shard.items():
+                alone[sid].submit(*lists)
+
+        rounds = []
+        for n_parts, admit_urls, ckpt_urls in self.ROUNDS:
+            submit(admit_urls)
+            parts = []
+            for shard in alone:
+                out = shard.admit_parts(n_parts)
+                parts.append([out] if n_parts == 1 else list(out))
+            submit(ckpt_urls)
+            rounds.append((parts, [s.get_counters() for s in alone], [s.state_bytes() for s in alone]))
+        return rounds, [(s.seen_count(), s.get_counters()) for s in alone]
+
+    def _grouped(self, cfg, corpus, n_groups, out_dir):
+        """The same rounds through the group steps, every step run twice."""
+        from mlscraper_ray.frontier.shard import (
+            FrontierShard, admit_group, checkpoint_group, group_members, group_stats, route,
+        )
+
+        def table(urls):
+            urls, depths, ts = self._rows(urls)
+            return route(pa.array(urls, pa.string()), pa.array(depths), pa.array(ts), 4)
+
+        members = group_members(4, n_groups)
+        state: list = [None] * n_groups
+        rounds = []
+        for k, (n_parts, admit_urls, ckpt_urls) in enumerate(self.ROUNDS):
+            args = [(FrontierShard, ids, cfg.to_dict(), corpus, state[g]) for g, ids in enumerate(members)]
+            # every group gets every row: a step keeps its members' own
+            outs = [admit_group(*a, n_parts, table(admit_urls)) for a in args]
+            for a, out in zip(args, outs):
+                again = admit_group(*a, n_parts, table(admit_urls))
+                assert [t.to_pydict() for t in again[:-2]] == [t.to_pydict() for t in out[:-2]]
+                assert again[-2:] == out[-2:]
+            parts: dict = {}
+            for ids, out in zip(members, outs):
+                assert out[-2] == [t.num_rows for t in out[:-2]]
+                for j, sid in enumerate(ids):
+                    parts[sid] = list(out[j * n_parts:(j + 1) * n_parts])
+            ckpt = out_dir / f"round={k}"
+            ckpt.mkdir()
+            counters: dict = {}
+            for (cls, ids, c, d, _), out in zip(args, outs):
+                counters.update(checkpoint_group(cls, ids, c, d, out[-1], str(ckpt), table(ckpt_urls)))
+            files = {p.name: p.read_bytes() for p in ckpt.iterdir()}
+            for (cls, ids, c, d, _), out in zip(args, outs):
+                assert checkpoint_group(cls, ids, c, d, out[-1], str(ckpt), table(ckpt_urls)) == {
+                    sid: counters[sid] for sid in ids
+                }
+            assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == files
+            state = [str(ckpt)] * n_groups
+            rounds.append((
+                [parts[i] for i in range(4)],
+                [counters[i] for i in range(4)],
+                [files[f"shard-{i}.bin"] for i in range(4)],
+            ))
+        stats: dict = {}
+        for g, ids in enumerate(members):
+            stats.update(group_stats(FrontierShard, ids, cfg.to_dict(), corpus, state[g]))
+        return rounds, [stats[i] for i in range(4)]
+
+    def test_groups_match_standalone_shards(self, tmp_path):
+        from mlscraper_ray.sources.corpusgen import CorpusSpec, generate_corpus
 
         corpus = str(tmp_path / "corpus")
         generate_corpus(corpus, CorpusSpec(n_hosts=6, pages_per_host=3, skew_factors=()))
         cfg = CrawlConfig(n_shards=4, tokens_per_round=2, max_depth=3)
-        group = FrontierShardGroup([0, 1, 2, 3], cfg.to_dict(), corpus, FrontierShard)
-        alone = [FrontierShard(i, cfg, corpus) for i in range(4)]
-
-        def by_shard(urls, depth):
-            out: dict = {}
-            for i, u in enumerate(urls):
-                lists = out.setdefault(zlib.crc32(url_host(u).encode()) % 4, ([], [], []))
-                lists[0].append(u)
-                lists[1].append(depth + i % 3)
-                lists[2].append(1000 * i)
-            return out
-
-        waves = [
-            [f"http://h{h:04d}.example/p/{i}" for h in range(6) for i in range(3)],
-            [f"http://h{h:04d}.example/private/{i}" for h in range(6) for i in range(2)]
-            + [f"http://h{h:04d}.example/p/{i}" for h in range(6) for i in range(5)],
-        ]
-        for urls in waves:
-            calls = by_shard(urls, 1)
-            assert group.submit(calls) == {"submitted": len(urls)}
-            for sid, (us, ds, ts) in calls.items():
-                alone[sid].submit(us, ds, ts)
-            for n_parts in (1, 3):
-                got = group.admit_parts(n_parts)
-                assert len(got) == 4 * n_parts + 1
-                want = []
-                for shard in alone:
-                    parts = shard.admit_parts(n_parts)
-                    want.extend([parts] if n_parts == 1 else parts)
-                assert [t.to_pydict() for t in got[:-1]] == [t.to_pydict() for t in want]
-                assert got[-1] == [t.num_rows for t in want]
-        for sid, shard in group.shards.items():
-            assert shard.state_bytes() == alone[sid].state_bytes()
-        stats = group.final_stats()
-        assert stats == {i: (s.seen_count(), s.get_counters()) for i, s in enumerate(alone)}
-        assert sum(seen for seen, _ in stats.values()) > 0
-
-        ckpt = tmp_path / "ckpt"
-        ckpt.mkdir()
-        counters = group.checkpoint_to(str(ckpt))
-        assert counters == {i: s.get_counters() for i, s in enumerate(alone)}
-        for i, s in enumerate(alone):
-            assert (ckpt / f"shard-{i}.bin").read_bytes() == s.state_bytes()
-        # restore into a different grouping of the same logical shards
-        for ids in group_members(4, 2):
-            regroup = FrontierShardGroup(ids, cfg.to_dict(), corpus, FrontierShard)
-            regroup.restore_from(str(ckpt))
-            for sid in ids:
-                assert regroup.shards[sid].state_bytes() == alone[sid].state_bytes()
+        want_rounds, want_stats = self._standalone(cfg, corpus)
+        assert sum(seen for seen, _ in want_stats) > 0
+        for n_groups in (1, 2, 4):
+            out_dir = tmp_path / f"groups{n_groups}"
+            out_dir.mkdir()
+            rounds, stats = self._grouped(cfg, corpus, n_groups, out_dir)
+            for (parts, counters, states), (w_parts, w_counters, w_states) in zip(rounds, want_rounds):
+                assert [[t.to_pydict() for t in p] for p in parts] == [
+                    [t.to_pydict() for t in p] for p in w_parts
+                ]
+                assert counters == w_counters
+                assert states == w_states
+            assert stats == want_stats
 
     def test_group_members_deal_round_robin(self):
         from mlscraper_ray.frontier.shard import group_members
@@ -315,9 +370,11 @@ class TestFrontierShardGroup:
 
 
 class TestRetryIdempotence:
-    """fetch_parse_extract_task claims double link-submission is safe
-    under Ray task retries (crawl_stages.py docstring): the round
-    buffer takes a commutative min and the seen set dedups."""
+    """A retried crawl task reruns on the same inputs and gives the same
+    bytes: fetch tasks submit nothing, they write their results file
+    and return the discovered links per shard group (the group steps'
+    reruns are in TestGroupStep), and a group step may get its
+    candidate tables in any order, duplicates included."""
 
     def test_duplicate_submit_is_idempotent(self, tmp_path):
         from mlscraper_ray.frontier.config import CrawlConfig
@@ -330,26 +387,59 @@ class TestRetryIdempotence:
         depths = [2, 1, 3, 1, 2, 1]
         ts = [5, 9, 1, 7, 3, 2]
         a.submit(urls, depths, ts)
-        # b sees the same rows TWICE, in a different order (retry)
+        # b sees the same rows TWICE, in a different order
         rev = list(reversed(list(zip(urls, depths, ts))))
         b.submit([u for u, _, _ in rev], [d for _, d, _ in rev], [t for _, _, t in rev])
         b.submit(urls, depths, ts)
         ta, tb = a.admit(), b.admit()
         assert ta.to_pydict() == tb.to_pydict()
 
-    def test_retry_after_admit_is_dropped_by_seen_set(self, tmp_path):
-        from mlscraper_ray.frontier.config import CrawlConfig
-        from mlscraper_ray.frontier.shard import FrontierShard
+    def test_fetch_bundle_rerun_is_identical(self, tmp_path):
+        import zlib
 
-        cfg = CrawlConfig(n_shards=1, tokens_per_round=10)
-        s = FrontierShard(0, cfg, str(tmp_path))
-        s.submit(["http://h.example/p"], [1], [4])
-        assert s.admit().num_rows == 1
-        # a late retry re-submits the fetched url -> seen-set drop
-        s.submit(["http://h.example/p"], [1], [4])
-        assert s.admit().num_rows == 0
-        assert s.get_counters()["dropped_seen"] == 1
+        import pyarrow.parquet as pq
 
+        from mlscraper_ray.frontier.crawler import _fetch_bundle
+        from mlscraper_ray.sources.corpusgen import CorpusSpec, expected_plan, generate_corpus, url_host
+        from mlscraper_ray.stages.crawl_stages import fetch_parse_extract_task
+
+        corpus = str(tmp_path / "corpus")
+        spec = CorpusSpec(n_hosts=6, pages_per_host=4, skew_factors=())
+        generate_corpus(corpus, spec)
+        urls = sorted(pq.read_table(f"{corpus}/pages", columns=["url"])["url"].to_pylist())[:20]
+        urls.append("http://absent.example/p")  # not in the corpus: no links
+        rows = pa.table({
+            "url": urls,
+            "host": [url_host(u) for u in urls],
+            "depth": pa.array([i % 3 for i in range(len(urls))], pa.int32()),
+        })
+        kwargs = {"corpus_dir": corpus, "n_buckets": spec.n_buckets, "plan": expected_plan(), "round_k": 2}
+        runs = []
+        for name in ("a", "b"):
+            path = str(tmp_path / f"{name}.parquet")
+            out = _fetch_bundle._function(
+                fetch_parse_extract_task, path, kwargs, 4, 3, rows.slice(0, 9), rows.slice(9)
+            )
+            runs.append((open(path, "rb").read(), out[0], [t.to_pydict() for t in out[1:]]))
+        assert runs[0] == runs[1]
+        _, n_rows, by_group = runs[0]
+        assert n_rows == len(urls)
+        results = pq.read_table(str(tmp_path / "a.parquet"))
+        want = sorted(
+            (link, depth + 1, ts)
+            for depth, ts, links in zip(
+                results["depth"].to_pylist(),
+                results["warc_ts"].cast(pa.int64()).to_pylist(),
+                results["links"].to_pylist(),
+            )
+            for link in links
+        )
+        got = []
+        for g, table in enumerate(by_group):
+            for sid, url, depth, ts in zip(*table.values()):
+                assert sid == zlib.crc32(url_host(url).encode()) % 4 and sid % 3 == g
+                got.append((url, depth, ts))
+        assert got and sorted(got) == want
 
 class TestFilterProperties:
     """Hypothesis invariants for the seen-set filters."""

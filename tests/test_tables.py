@@ -6,7 +6,8 @@ no caller picks a shuffle's bucket count (``functions/bucketed.py``
 owns it); no caller picks the broadcast-or-shuffle cut-over
 (``broadcast.pull`` owns it); no caller pre-aggregates the batches
 it feeds ``bucketed_aggregate``, which combines every block itself;
-and the crawl round admits and fetches without a Ray Data job."""
+the crawl round admits and fetches without a Ray Data job; and no
+crawl-side class is turned into a Ray actor."""
 import ast
 import glob
 import os
@@ -464,3 +465,78 @@ def test_round_guard_sees_calls_and_annotations(tmp_path):
         "    return ray.data.read_parquet(out_dir)\n"
     )
     assert _ray_data_sites(str(p)) == [(5, "_admit"), (6, "_fetch_extract")]
+
+
+# the crawl's frontier and fetch stage: their state lives in checkpoint
+# bytes and per-worker caches, not in actor processes, whose start-up
+# cost a crawl ~1 s
+ACTOR_FREE = ("frontier/**/*.py", "stages/crawl_stages.py")
+
+
+def _is_ray_remote(node: ast.AST) -> bool:
+    """``ray.remote`` or a bare ``remote``, called with options or not."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id == "remote"
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == "remote"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "ray"
+    )
+
+
+def _actor_sites(path: str) -> list[tuple[int, str]]:
+    """(line, class) for each class made a Ray actor in one module: a
+    ``ray.remote`` decorator on a class, or ``ray.remote`` applied to a
+    class name (a class defined in the module, or any CapWords name)."""
+    tree = ast.parse(open(path).read())
+    classes = {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
+    sites = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(map(_is_ray_remote, node.decorator_list)):
+            sites.append((node.lineno, node.name))
+        elif isinstance(node, ast.Call) and _is_ray_remote(node.func) and node.args:
+            arg = node.args[0]
+            name = getattr(arg, "id", None) or getattr(arg, "attr", "")
+            if name in classes or name[:1].isupper():
+                sites.append((node.lineno, name))
+    return sorted(sites)
+
+
+def test_crawl_starts_no_actor():
+    found = [
+        f"{os.path.relpath(path, PACKAGE_DIR)}:{line} {name}"
+        for pattern in ACTOR_FREE
+        for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, pattern), recursive=True))
+        for line, name in _actor_sites(path)
+    ]
+    assert not found, "the crawl runs its shards and stages as plain Ray tasks:\n" + "\n".join(found)
+
+
+def test_actor_guard_sees_decorators_and_calls(tmp_path):
+    p = tmp_path / "shard.py"
+    p.write_text(
+        "import ray\n"
+        "from ray import remote\n"
+        "@ray.remote\n"
+        "class A:\n"
+        "    pass\n"
+        "@ray.remote(num_cpus=0)\n"
+        "class B:\n"
+        "    pass\n"
+        "@remote\n"
+        "class C:\n"
+        "    pass\n"
+        "class d:\n"
+        "    pass\n"
+        "group = ray.remote(d)\n"
+        "other = ray.remote(num_cpus=0)(shard.Group)\n"
+        "@ray.remote\n"
+        "def task(x):\n"
+        "    return x\n"
+        "fn = ray.remote(plain_function)\n"
+        "ref = task.remote(d)\n"
+    )
+    assert _actor_sites(str(p)) == [(4, "A"), (7, "B"), (10, "C"), (14, "d"), (15, "Group")]
