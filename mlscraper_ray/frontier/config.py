@@ -19,6 +19,9 @@ Scale guidance (the 10^10-URL design point, tested at ~10^4):
 - ``tokens_per_round``: per-host politeness budget per BSP round
   (token-bucket refill). Bounds per-round skew: no host can produce
   more than this many fetches per round regardless of frontier skew.
+  How a round is split into fetch tasks is not configured: the crawler
+  cuts the admitted rows into equal ranges (``crawler._cut``), so a hot
+  host spreads over consecutive tasks.
 """
 from __future__ import annotations
 
@@ -34,18 +37,6 @@ class CrawlConfig:
     max_rounds: int = 64
     bloom_capacity: int = 1 << 17  # per shard; test-scale default
     bloom_fpr: float = 1e-9
-    # hot-host salting: a host whose admitted rows this round exceed
-    # max(min(salt_min_rows, budget_for(host) - 1),
-    # ceil(admitted/n_parts)) is spread round-robin across ALL fetch
-    # parts instead of its bucket-aligned part, so one mega-host cannot
-    # serialize the fetch pool. The floor is clamped below the host's
-    # OWN tier budget because per-host admitted rows never exceed
-    # budget_for(host) — a fixed floor above that cap would make
-    # salting unreachable (per-host, so every tier keeps the
-    # saturates-budget-and-exceeds-fair-share trigger).
-    # Politeness is already enforced at admission (owner shard), so
-    # salting never changes WHAT is fetched — only where.
-    salt_min_rows: int = 256
     # recrawl/TTL policy: 0 = crawl-once (bloom seen set). N > 0 =
     # delete-capable cuckoo seen set; a url fetched in round k is
     # EVICTED at round k+N and becomes re-crawlable when its links are
@@ -53,10 +44,6 @@ class CrawlConfig:
     # admitted-url list (at the 10^10 design point that list is the
     # round's results parquet, streamed back at eviction time).
     recrawl_after_rounds: int = 0
-    # adaptive fetch-part sizing: split a round into enough parts that
-    # blocks carry >= this many urls (small rounds must not be
-    # shredded into tiny tasks), capped by pool parallelism
-    fetch_rows_per_block: int = 192
     # checkpoint retention: 0 = keep every round's checkpoint (resume
     # from ANY round — the test/debug contract). K > 0 prunes to the
     # newest K COMPLETE checkpoints after each commit — the production
@@ -65,7 +52,6 @@ class CrawlConfig:
     # retention is a storage leak; resume only ever needs the latest
     # complete manifest.
     keep_checkpoints: int = 0
-    seed: int = 42
     plan: dict = field(default_factory=dict)  # learned scraper plan (JSON)
     # TIERED CRAWL: per-host fetch budget by host tier (the north-star
     # "host-budget" leg of the priority key). ``tier_budgets[t]`` is
@@ -86,9 +72,6 @@ class CrawlConfig:
             return self.tokens_per_round
         t = self.host_tiers.get(host, self.default_tier)
         return self.tier_budgets[min(max(t, 0), len(self.tier_budgets) - 1)]
-
-    def max_budget(self) -> int:
-        return max(self.tier_budgets) if self.tier_budgets else self.tokens_per_round
 
     def to_dict(self) -> dict:
         return asdict(self)

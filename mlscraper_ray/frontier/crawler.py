@@ -19,25 +19,27 @@ Structure per round k:
    per url (min is commutative, so this replaces a per-round
    all-to-all ``groupby(url).min(depth)`` with shard-local state;
    seen-set dedup + robots gating happen at the admit flush).
-2. **admit**: each shard emits its politeness-admitted rows
-   pre-split into corpus-bucket-aligned parts (``admit_parts``; one
-   ``num_returns`` task per group, ``shard.admit_group``, which also
-   returns the parts' row counts and the new state bytes). The parts
-   stay in the object store: the driver sees only their refs and row
-   counts, in (shard id, part) order, and no Dataset is built — full
-   fetch-pool parallelism with no shuffle, and each part touches
-   only a slice of the corpus bucket files.
-3. **fetch+parse+extract**: consecutive non-empty parts are packed
-   into bundles of at least ``_BATCH_ROWS`` rows, and each bundle is
-   one Ray task (:func:`_fetch_bundle`) that runs
-   ``fetch_parse_extract_task`` over ``_BATCH_ROWS``-row slices,
-   writes ``out/rounds/round=K/results/part-{i:05d}.parquet`` and
-   returns the discovered links per group. A round costs a few ms of
-   task submission instead of a Ray Data job launch. html bytes live
-   only inside this stage; per-host skew is bounded by the politeness
-   budget, the bucket-part interleaving, and hot-host salting
-   (``FrontierShard.admit_parts``). The results files depend only on
-   the admitted rows, not on the shard grouping or on task
+2. **admit**: one task per group (``shard.admit_group``) returns each
+   member's politeness-admitted rows whole, one table per shard, then
+   their row counts and the members' new state bytes. The tables stay
+   in the object store: the driver sees only their refs and row
+   counts, and no Dataset is built.
+3. **fetch+parse+extract**: the driver lays the round's N admitted
+   rows end to end in shard-id order and cuts them into
+   ``k = max(1, N // _BATCH_ROWS)`` contiguous ranges (:func:`_cut`),
+   so every range holds ``_BATCH_ROWS`` to ``2 * _BATCH_ROWS - 1``
+   rows, or the whole round when it is smaller. Each range is one Ray
+   task (:func:`_fetch_bundle`), handed the tables it overlaps and one
+   ``(start, stop)`` slice per table; it runs
+   ``fetch_parse_extract_task`` once over the range, writes
+   ``out/rounds/round=K/results/part-{i:05d}.parquet`` and returns the
+   discovered links per group. A round costs a few ms of task
+   submission instead of a Ray Data job launch. html bytes live only
+   inside this stage. The equal cut is the skew handling: per-host
+   skew is bounded by the politeness budget on the owner shard, and a
+   hot host's or hot shard's rows fall into consecutive ranges of
+   equal size rather than into one task. The results files depend
+   only on the admitted rows, not on the shard grouping or on task
    scheduling.
 4. **checkpoint**: one task per group (``shard.checkpoint_group``)
    submits the round's links and snapshots every member (bloom +
@@ -60,6 +62,7 @@ sort by (round, depth, host, url).
 """
 from __future__ import annotations
 
+import bisect
 import glob
 import json
 import os
@@ -78,8 +81,8 @@ from mlscraper_ray.frontier.shard import (
 from mlscraper_ray.functions.tables import finish
 from mlscraper_ray.stages.crawl_stages import fetch_parse_extract_task
 
-# rows per fetch-function call, and the least rows per fetch task
-# (a round's last task may hold fewer)
+# the least rows per fetch task: a round is cut into tasks of
+# _BATCH_ROWS to 2 * _BATCH_ROWS - 1 rows (one task when it is smaller)
 _BATCH_ROWS = 256
 
 
@@ -96,21 +99,24 @@ def _batch_min_depth(batch: pa.Table, n_shards: int) -> pa.Table:
     return route(urls, depths, pa.repeat(pa.scalar(0, pa.int64()), len(urls)), n_shards)
 
 
-def _bundles(parts: list[tuple]) -> list[list]:
-    """Pack consecutive non-empty (part, rows) pairs into bundles of at
-    least ``_BATCH_ROWS`` rows, in order; the last bundle may hold
-    fewer."""
-    bundles: list[list] = []
-    rows = _BATCH_ROWS  # the first non-empty part opens a bundle
-    for part, n in parts:
-        if n == 0:
-            continue
-        if rows >= _BATCH_ROWS:
-            bundles.append([])
-            rows = 0
-        bundles[-1].append(part)
-        rows += n
-    return bundles
+def _cut(rows: list[int]) -> list[list[tuple[int, int, int]]]:
+    """Cut the ``N = sum(rows)`` rows of tables laid end to end, in
+    order, into ``k = max(1, N // _BATCH_ROWS)`` contiguous ranges at
+    ``i * N // k``: every range holds ``_BATCH_ROWS`` to
+    ``2 * _BATCH_ROWS - 1`` rows, or all N when ``N < _BATCH_ROWS``.
+    Returns each range as its ``(table, start, stop)`` slices of the
+    non-empty tables it overlaps."""
+    n = sum(rows)
+    k = max(1, n // _BATCH_ROWS)
+    bounds = [i * n // k for i in range(k + 1)]
+    ranges: list[list] = [[] for _ in range(k)]
+    off = 0
+    for t, r in enumerate(rows):
+        if r:
+            for i in range(bisect.bisect_right(bounds, off) - 1, bisect.bisect_left(bounds, off + r)):
+                ranges[i].append((t, max(bounds[i], off) - off, min(bounds[i + 1], off + r) - off))
+        off += r
+    return ranges
 
 
 def _round_dir(out_dir: str, k: int) -> str:
@@ -130,8 +136,6 @@ class RayCrawler:
         # each phase runs one task per group, at most one group per
         # CPU: more tasks buy no parallelism
         self.members = group_members(config.n_shards, max(1, min(config.n_shards, cpus)))
-        self._fetch_parallelism = max(2, cpus - 1)
-        self._prev_admitted: int | None = None
         # each group's state for its next phase (see shard.load_group):
         # None on a fresh crawl, the latest checkpoint dir, or the ref
         # to its members' state bytes after an admit
@@ -155,56 +159,23 @@ class RayCrawler:
             pending.extend(refs)
 
     def _admit(self) -> list[tuple[ray.ObjectRef, int]]:
-        # each shard splits its admitted rows into bucket-aligned parts
-        # (part = corpus_bucket % n_parts) so the fetch stage gets
-        # ~n_shards x n_parts parts, each touching only
-        # n_buckets/n_parts corpus bucket files. This restores full
-        # pool parallelism WITHOUT a Dataset shuffle and without the
-        # blind-repartition failure mode where every worker cold-reads
-        # every bucket (both variants measured slower at sf0.3).
-        #
-        # ADAPTIVE part count: small rounds must not be shredded into
-        # tiny tasks (at sf0.1 a 1,200-url round over 32 parts is ~37
-        # urls/task and per-task overhead dominates — measured: 7 cpus
-        # == 28 cpus). Size parts so they carry >= ~192 urls, using
-        # the previous round's admitted count as the (deterministic)
-        # estimate; cap at the pool-parallelism split for big rounds.
-        pool_cap = max(
-            1,
-            min(self.cfg.n_buckets, round(self._fetch_parallelism / self.cfg.n_shards)),
-        )
-        if self._prev_admitted is None:
-            n_parts = pool_cap
-        else:
-            per_block = max(1, self.cfg.fetch_rows_per_block)
-            by_size = max(1, round(self._prev_admitted / (self.cfg.n_shards * per_block)))
-            n_parts = min(pool_cap, by_size)
+        """Each shard's admitted rows, as (table ref, row count) in
+        shard-id order, so the fetch stage's cut does not depend on the
+        grouping."""
         calls = [
-            _admit_task.options(num_returns=len(ids) * n_parts + 2).remote(
-                *self._group_args(g), n_parts, *self._pending[g]
-            )
+            _admit_task.options(num_returns=len(ids) + 2).remote(*self._group_args(g), *self._pending[g])
             for g, ids in enumerate(self.members)
         ]
         self._state = [out[-1] for out in calls]
         self._pending = [[] for _ in self.members]
-        # (shard id, part) order, as with one task per shard: the
-        # fetch stage's bundles must not depend on the grouping
-        parts_of: dict[int, list] = {}
+        by_shard: dict[int, tuple] = {}
         for ids, out, rows in zip(self.members, calls, ray.get([out[-2] for out in calls])):
-            pairs = list(zip(out[:-2], rows))
-            for j, sid in enumerate(ids):
-                parts_of[sid] = pairs[j * n_parts:(j + 1) * n_parts]
-        admitted = [p for sid in sorted(parts_of) for p in parts_of[sid]]
-        self._prev_admitted = sum(rows for _, rows in admitted)
-        return admitted
+            by_shard.update(zip(ids, zip(out[:-2], rows)))
+        return [by_shard[sid] for sid in sorted(by_shard)]
 
     def _fetch_extract(self, admitted: list[tuple[ray.ObjectRef, int]], k: int) -> str:
         results_dir = os.path.join(_round_dir(self.out_dir, k), "results")
         os.makedirs(results_dir, exist_ok=True)
-        # parts arrive bucket-aligned from admit_parts (see _admit);
-        # per-host skew within a round is bounded by the politeness
-        # token budget, and hosts hot enough to dominate a part are
-        # salted round-robin across parts (shard.admit_parts)
         kwargs = {
             "corpus_dir": self.corpus_dir,
             "n_buckets": self.cfg.n_buckets,
@@ -212,8 +183,11 @@ class RayCrawler:
             "round_k": k,
         }
         n_groups = len(self.members)
-        # the fetch function is looked up here at call time, so the
-        # benchmark's tracer can swap in its instrumented stand-in
+        # one task per range of the round's equal cut (_cut), handed the
+        # admitted tables it overlaps and its slice of each; the fetch
+        # function is looked up here at call time, so the benchmark's
+        # tracer can swap in its instrumented stand-in
+        refs = [ref for ref, _ in admitted]
         calls = [
             _fetch_bundle.options(num_returns=1 + n_groups).remote(
                 fetch_parse_extract_task,
@@ -221,13 +195,14 @@ class RayCrawler:
                 kwargs,
                 self.cfg.n_shards,
                 n_groups,
-                *refs,
+                [(start, stop) for _, start, stop in slices],
+                *(refs[t] for t, _, _ in slices),
             )
-            for i, refs in enumerate(_bundles(admitted))
+            for i, slices in enumerate(_cut([rows for _, rows in admitted]))
         ]
         ray.get([out[0] for out in calls])
         # round k+1's candidates stay in the object store, one table
-        # per (bundle, group), until the groups' checkpoint tasks
+        # per (task, group), until the groups' checkpoint tasks
         for g, pending in enumerate(self._pending):
             pending.extend(out[1 + g] for out in calls)
         return results_dir
@@ -409,19 +384,19 @@ _stats_task = ray.remote(group_stats)
 
 @ray.remote
 def _fetch_bundle(fetch_fn, path: str, kwargs: dict, n_shards: int, n_groups: int,
-                  *parts: pa.Table) -> tuple:
-    """One fetch task: run ``fetch_fn`` over the concatenated parts in
-    ``_BATCH_ROWS``-row slices and write the results to ``path``
-    through a tmp file, so a rerun task rewrites identical bytes.
-    Returns the row count, then one :func:`shard.route` table of the
-    discovered links per shard group: each link at the discovering
-    page's depth + 1 and capture time (the warc_ts component of the
-    frontier priority key)."""
+                  slices: list[tuple[int, int]], *parts: pa.Table) -> tuple:
+    """One fetch task: run ``fetch_fn`` once over the ``(start, stop)``
+    slices of the parts, laid end to end, and write the results to
+    ``path`` through a tmp file, so a rerun task rewrites identical
+    bytes. Returns the row count, then one :func:`shard.route` table
+    of the discovered links per shard group: each link at the
+    discovering page's depth + 1 and capture time (the warc_ts
+    component of the frontier priority key)."""
     import pyarrow.compute as pc
 
-    table = pa.concat_tables(parts)
-    out = pa.concat_tables(
-        [fetch_fn(table.slice(i, _BATCH_ROWS), **kwargs) for i in range(0, table.num_rows, _BATCH_ROWS)]
+    out = fetch_fn(
+        pa.concat_tables([p.slice(start, stop - start) for p, (start, stop) in zip(parts, slices)]),
+        **kwargs,
     )
     tmp = path + ".tmp"
     pq.write_table(out, tmp)

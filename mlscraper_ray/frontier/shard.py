@@ -15,6 +15,10 @@ and holds, per the north-star design:
   total-order tiebreaker). The key is intrinsic to the row, never
   arrival-order, so parallel submission cannot change the crawl order.
 
+A shard admits its rows whole (:meth:`FrontierShard.admit`): politeness
+lives here, on the owner shard, while how a round's admitted rows are
+split into fetch tasks is the crawler's equal cut (``crawler._cut``).
+
 The class is deliberately plain Python, and no process keeps a shard
 between BSP phases: the distributed crawler runs each phase of a group
 of shards as one plain Ray task (:func:`admit_group`,
@@ -49,16 +53,6 @@ from mlscraper_ray.state.cuckoo import CuckooFilter
 def url_path(url: str) -> str:
     parts = url.split("/", 3)
     return "/" + (parts[3] if len(parts) > 3 else "")
-
-
-def salt_threshold(cfg, host: str, fair_share: int) -> int:
-    """Hot-host salting trigger for one host: exceed
-    max(min(salt_min_rows, budget_for(host) - 1), fair_share) and the
-    host's rows are dealt across all fetch parts. The floor clamps
-    below the host's OWN tier budget (admitted rows can never exceed
-    it), so salting stays reachable for every tier — a single floor
-    at the maximum budget would silently disable it for lower tiers."""
-    return max(min(cfg.salt_min_rows, cfg.budget_for(host) - 1), fair_share)
 
 
 class FrontierShard:
@@ -189,61 +183,9 @@ class FrontierShard:
             }
         )
 
-    def admit_parts(self, n_parts: int):
-        """Admit, split into bucket-aligned parts: part r holds the
-        hosts whose corpus bucket satisfies bucket % n_parts == r. The
-        crawler's fetch stage then gets one block per (shard, part),
-        each touching only n_buckets/n_parts corpus bucket files —
-        full-pool parallelism without a Dataset shuffle.
-
-        HOT-HOST SALTING: a host whose admitted rows exceed
-        max(min(cfg.salt_min_rows, cfg.budget_for(host) - 1),
-        ceil(total/n_parts)) would dominate its bucket-aligned part
-        and serialize the fetch pool; its rows are instead dealt
-        round-robin across ALL parts (deterministic: the admit order
-        is deterministic, so the deal is too). The floor is clamped
-        BELOW the host's OWN per-round budget — admitted rows per
-        host can never exceed budget_for(host), so a fixed floor
-        above that cap (the old bug) made salting unreachable; the
-        clamp is PER HOST so under a tiered config every tier keeps
-        the trigger: a host that saturates its own budget AND exceeds
-        its fair part share gets dealt. Politeness was already enforced by the
-        per-host token pop above, so salting changes only WHERE rows
-        are fetched, never what or how many. Cost: salted parts touch
-        the hot host's corpus bucket file too — bounded, because
-        lookups are per-host range predicates whose row-read cost is
-        ~ hits (sources/corpus.py)."""
-        import pyarrow.compute as pc
-
-        from mlscraper_ray.sources.corpusgen import host_bucket
-
-        t = self.admit()
-        if n_parts == 1:
-            return t
-        hosts = t["host"].to_pylist()
-        counts = Counter(hosts)
-        # the salting floor clamps below each host's OWN tier budget
-        # (admitted rows per host never exceed budget_for(host)) — a
-        # single floor at max_budget()-1 would make salting
-        # unreachable for every lower-budget tier, re-introducing the
-        # fixed-floor bug the clamp exists to prevent
-        fair = -(-len(hosts) // n_parts)
-        part_ids: list[int] = []
-        dealt: Counter = Counter()
-        for h in hosts:
-            if counts[h] > salt_threshold(self.cfg, h, fair):
-                # deal starts at the host's own bucket, not part 0:
-                # several hosts salted in one round would otherwise
-                # all drop their remainder rows on the low parts
-                part_ids.append((dealt[h] + host_bucket(h, self.cfg.n_buckets)) % n_parts)
-                dealt[h] += 1
-            else:
-                part_ids.append(host_bucket(h, self.cfg.n_buckets) % n_parts)
-        if dealt:
-            self.counters["salted_rows"] += sum(dealt.values())
-            self.counters["salted_hosts"] += len(dealt)
-        parts = pa.array(part_ids, pa.int32())
-        return tuple(t.filter(pc.equal(parts, r)) for r in range(n_parts))
+    def admit_parts(self) -> pa.Table:
+        # kept by name: perfbench/tracing.py:275 wraps it as frontier.shard_flush
+        return self.admit()
 
     def pending(self) -> int:
         return sum(len(h) for h in self.heaps.values())
@@ -369,17 +311,14 @@ def load_group(shard_cls: type, ids: list[int], config: dict, corpus_dir: str,
 
 
 def admit_group(shard_cls: type, ids: list[int], config: dict, corpus_dir: str, state,
-                n_parts: int, *candidates: pa.Table) -> tuple:
+                *candidates: pa.Table) -> tuple:
     """One round's admit for a group of logical shards, a pure function
-    of its inputs (:func:`load_group`): every member's
-    ``admit_parts(n_parts)`` in ``ids`` order, flattened, then the list
-    of those parts' row counts, then the members' new state bytes
-    (call it with ``num_returns = len(ids) * n_parts + 2``)."""
+    of its inputs (:func:`load_group`): every member's admitted rows
+    in ``ids`` order, one table per member, then the list of their row
+    counts, then the members' new state bytes (call it with
+    ``num_returns = len(ids) + 2``)."""
     shards = load_group(shard_cls, ids, config, corpus_dir, state, candidates)
-    out: list = []
-    for shard in shards.values():
-        parts = shard.admit_parts(n_parts)
-        out.extend([parts] if n_parts == 1 else parts)
+    out = [shard.admit_parts() for shard in shards.values()]
     return (*out, [t.num_rows for t in out], [s.state_bytes() for s in shards.values()])
 
 

@@ -42,17 +42,15 @@ def _typed_empty(columns: tuple) -> pa.Table:
 
 
 class CorpusReader:
-    def __init__(
-        self,
-        corpus_dir: str,
-        n_buckets: int,
-        cache_buckets: int = 32,
-        cache_bucket_max_bytes: int = 4 << 20,
-    ):
+    # the LRU holds at most this many whole buckets ...
+    cache_buckets = 32
+    # ... each at most this many bytes on disk; larger buckets are read
+    # with a predicate per lookup
+    cache_bucket_max_bytes = 4 << 20
+
+    def __init__(self, corpus_dir: str, n_buckets: int):
         self.pages_dir = os.path.join(corpus_dir, "pages")
         self.n_buckets = n_buckets
-        self.cache_buckets = cache_buckets
-        self.cache_bucket_max_bytes = cache_bucket_max_bytes
         self._files: dict[int, list[str]] = {}
         self._bytes: dict[int, int] = {}
         from collections import OrderedDict

@@ -6,10 +6,10 @@ plan's value and the page's links; a page outside the scanner's subset
 falls back to ``parse_html`` + ``Scraper.get`` + :func:`extract_links`
 and is marked ``scan_fallback``. The BSP round loop calls it through
 the stateless function :func:`fetch_parse_extract_task`, once per
-256-row slice inside each of its plain Ray fetch tasks
-(``frontier.crawler._fetch_bundle``); its state — corpus bucket cache,
-compiled scraper plan — is built once per Ray worker process and
-cached there (``get_fetch_stage``). Batches are Arrow in / Arrow out.
+plain Ray fetch task (``frontier.crawler._fetch_bundle``); its state
+— corpus bucket cache, compiled scraper plan — is built once per Ray
+worker process and cached there (``get_fetch_stage``). Batches are
+Arrow in / Arrow out.
 
 Throughput notes for the 100 TB design point:
 - html bytes enter existence only inside this stage (the frontier
@@ -18,11 +18,9 @@ Throughput notes for the 100 TB design point:
 - per-document parsing is inherently row-wise Python, but everything
   around it is columnar; batch size is tuned for ~1-4 MB of html per
   batch so worker heap stays bounded;
-- the admitted frontier arrives as bucket-aligned parts from
-  ``FrontierShard.admit_parts`` (each block touches only a slice of
-  the corpus bucket files); hosts hot enough to dominate a part are
-  SALTED — dealt round-robin across all parts — so one mega-host
-  cannot serialize the pool (see frontier/shard.py admit_parts).
+- a round's admitted rows arrive cut into equal ranges of 256 to 511
+  rows (``frontier.crawler._cut``), so a hot host's rows spread over
+  consecutive fetch tasks instead of serializing one.
 """
 from __future__ import annotations
 
@@ -37,50 +35,33 @@ from mlscraper_ray.sources.corpus import CorpusReader
 from mlscraper_ray.sources.corpusgen import url_host
 
 
-def extract_links(doc, base_url: str) -> list[str]:
-    """Absolutized, deduped (stable order) a[href] targets, fragments
-    stripped; non-http(s) schemes dropped.
-
-    Kept as its own loop (not delegated to
-    :func:`extract_links_anchors`) because this is the crawl hot path
-    and the anchors twin computes ``Node.text`` per link; the two
-    loops' url semantics are pinned byte-equal by
-    tests/test_pagerank.py — change them TOGETHER. The fetch stage's
-    scan (``scrape.scan``) collects the same links in its own pass,
-    pinned equal by tests/test_scan.py."""
+def _links(doc, base_url: str):
+    """The page's ``(url, a element)`` link pairs: a[href] targets
+    absolutized against ``base_url``, fragments stripped, non-http(s)
+    schemes dropped, deduped in stable order (first occurrence wins)."""
     seen = set()
-    out = []
     for a in doc.select("a"):
         href = a.attrs.get("href")
         if not href or not isinstance(href, str):
             continue
         absu = urljoin(base_url, href.split("#", 1)[0])
-        if not absu.startswith(("http://", "https://")):
-            continue
-        if absu not in seen:
+        if absu.startswith(("http://", "https://")) and absu not in seen:
             seen.add(absu)
-            out.append(absu)
-    return out
+            yield absu, a
+
+
+def extract_links(doc, base_url: str) -> list[str]:
+    """The page's link urls (:func:`_links`); it never computes
+    ``Node.text``. The fetch stage's scan (``scrape.scan``) collects
+    the same links in its own pass, pinned equal by tests/test_scan.py."""
+    return [url for url, _ in _links(doc, base_url)]
 
 
 def extract_links_anchors(doc, base_url: str) -> list[tuple[str, str]]:
-    """(url, anchor_text) twin of :func:`extract_links` — SAME
-    absolutize/scheme/dedup semantics (first occurrence wins, so the
-    anchor is the first link's text), pinned equal by a test. Feeds
-    the link_stats anchor aggregation (functions/pagerank.py)."""
-    seen = set()
-    out = []
-    for a in doc.select("a"):
-        href = a.attrs.get("href")
-        if not href or not isinstance(href, str):
-            continue
-        absu = urljoin(base_url, href.split("#", 1)[0])
-        if not absu.startswith(("http://", "https://")):
-            continue
-        if absu not in seen:
-            seen.add(absu)
-            out.append((absu, a.text))
-    return out
+    """(url, anchor_text) of each link of :func:`extract_links` (the
+    anchor is the first link's text). Feeds the link_stats anchor
+    aggregation (functions/pagerank.py)."""
+    return [(url, a.text) for url, a in _links(doc, base_url)]
 
 
 class FetchParseExtract:

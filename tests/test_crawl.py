@@ -7,6 +7,7 @@ import contextlib
 import glob
 import json
 import shutil
+from collections import Counter
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -254,6 +255,17 @@ def _lineages(out_dir):
     return out
 
 
+def _assert_cut_files(lineage):
+    """A round's results files are named by range of the cut and each
+    holds 256-511 rows, or one file holds a round of under 256 rows."""
+    files = lineage["results_files"]
+    assert [f["file"] for f in files] == [f"part-{i:05d}.parquet" for i in range(len(files))]
+    if lineage["n_rows"] < 256:
+        assert len(files) == 1
+    else:
+        assert all(256 <= f["rows"] <= 511 for f in files)
+
+
 @contextlib.contextmanager
 def _as_cluster(cpus):
     """Make RayCrawler see a cluster of ``cpus`` CPUs while it sizes its
@@ -318,26 +330,40 @@ class TestShardGrouping:
             assert _shard_files(g_out) == want
 
     def test_results_files_identical_and_bundled(self, grouped_runs, crawl_run):
-        """Results files are named by bundle, not by task or shard, so
-        each round's manifest lineage (file names, rows, sha256) is the
-        same under every grouping; every file of a round but its last
-        holds at least one full fetch batch (256 rows)."""
+        """Results files are named by range of the round's cut, not by
+        task or shard, so each round's manifest lineage (file names,
+        rows, sha256) is the same under every grouping."""
         want = _lineages(crawl_run[1])
         assert want and all(lin["results_files"] for lin in want.values())
         for g_out, _, _ in grouped_runs.values():
             assert _lineages(g_out) == want
         for lin in want.values():
-            files = lin["results_files"]
-            assert [f["file"] for f in files] == [f"part-{i:05d}.parquet" for i in range(len(files))]
-            assert all(f["rows"] >= 256 for f in files[:-1])
+            _assert_cut_files(lin)
 
-    def test_bundles_hold_a_full_batch_but_the_last(self):
-        from mlscraper_ray.frontier.crawler import _bundles
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 511, 512, 5000])
+    def test_cut_covers_every_row_once_in_equal_ranges(self, n):
+        """The round's rows, laid end to end in shard order, are cut
+        into contiguous ranges of 256-511 rows (one range under 256),
+        each a list of (table, start, stop) slices of non-empty tables."""
+        from mlscraper_ray.frontier.crawler import _cut
 
-        parts = [("a", 100), ("b", 0), ("c", 200), ("d", 300), ("e", 0), ("f", 10), ("g", 5)]
-        assert _bundles(parts) == [["a", "c"], ["d"], ["f", "g"]]
-        assert _bundles([("a", 256), ("b", 1)]) == [["a"], ["b"]]
-        assert _bundles([("a", 0)]) == []
+        layouts = [
+            [n],  # one shard holds every row
+            [0, n, 0],  # zero-row shards around it
+            [n // 3, 0, n - n // 3 - n // 7, 0, n // 7],
+        ]
+        for rows in layouts:
+            ranges = _cut(rows)
+            if n < 256:
+                assert len(ranges) == 1
+            sizes = [sum(stop - start for _, start, stop in r) for r in ranges]
+            assert sum(sizes) == n
+            assert n < 256 or all(256 <= size <= 511 for size in sizes)
+            covered = [
+                (t, i) for r in ranges for t, start, stop in r for i in range(start, stop)
+            ]
+            assert covered == [(t, i) for t, r in enumerate(rows) for i in range(r)]
+            assert all(start < stop for r in ranges for _, start, stop in r)
 
     def test_resume_under_another_grouping(self, grouped_runs, crawl_run, small_corpus, tmp_path):
         """A checkpoint written by 1 group resumes under 2 groups (and
@@ -360,80 +386,27 @@ class TestShardGrouping:
             assert crawl_order(out).to_pylist() == want
 
 
-class TestHotHostSalting:
-    def test_hot_host_rows_dealt_across_parts(self, small_corpus):
-        """A host whose admitted rows would dominate one fetch part is
-        salted round-robin across ALL parts; cold hosts stay on their
-        bucket-aligned part; the union of parts equals plain admit()."""
-        from mlscraper_ray.frontier.shard import FrontierShard
-        from mlscraper_ray.sources.corpusgen import host_bucket
-
-        corpus, spec = small_corpus
-        cfg = CrawlConfig(
-            n_shards=1, tokens_per_round=100, salt_min_rows=8, max_depth=9
-        )
-        mk = lambda: FrontierShard(0, cfg, corpus)
-
-        def submit_all(shard):
-            hot = [f"http://mega.example/p{i:03d}" for i in range(40)]
-            cold = [f"http://tiny{j}.example/p{i}" for j in range(3) for i in range(2)]
-            shard.submit(hot + cold, [1] * (len(hot) + len(cold)))
-
-        n_parts = 4
-        shard = mk()
-        submit_all(shard)
-        parts = shard.admit_parts(n_parts)
-        assert len(parts) == n_parts
-        by_part_hosts = [set(p["host"].to_pylist()) for p in parts]
-        # the hot host landed in EVERY part ...
-        assert all("mega.example" in hosts for hosts in by_part_hosts)
-        hot_counts = [
-            p.filter(pa.compute.equal(p["host"], "mega.example")).num_rows for p in parts
-        ]
-        assert max(hot_counts) - min(hot_counts) <= 1  # even deal
-        # ... cold hosts stayed bucket-aligned
-        for p_idx, hosts in enumerate(by_part_hosts):
-            for h in hosts - {"mega.example"}:
-                assert host_bucket(h, cfg.n_buckets) % n_parts == p_idx
-        assert shard.get_counters()["salted_rows"] == 40
-        # the parts are a partition of plain admit()
-        shard2 = mk()
-        submit_all(shard2)
-        plain = shard2.admit()
-        merged = sorted(
-            row
-            for p in parts
-            for row in zip(p["url"].to_pylist(), p["depth"].to_pylist())
-        )
-        assert merged == sorted(zip(plain["url"].to_pylist(), plain["depth"].to_pylist()))
-
+class TestHotHost:
     def test_mega_host_crawl_matches_oracle(
         self, ray_session, tmp_path_factory
     ):
-        """End-to-end pathological corpus (one host with ~10x everyone
-        else's pages): the salted fetch path must still reproduce the
-        single-process oracle's order, seen set, and counters."""
+        """End-to-end pathological corpus (one host with 64x everyone
+        else's pages): a round of over 512 rows, most of them the mega
+        host's, is cut into several equal results files, and the crawl
+        still reproduces the single-process oracle's order, seen set,
+        and counters."""
         from mlscraper_ray.frontier.crawler import RayCrawler, crawl_order
 
         d = str(tmp_path_factory.mktemp("megacorpus"))
         spec = CorpusSpec(
-            n_hosts=4, pages_per_host=3, skew_factors=(32,), n_seeds=3
+            n_hosts=4, pages_per_host=30, skew_factors=(64,), n_seeds=3
         )
         generate_corpus(d, spec)
-        cfg = CrawlConfig(
-            n_shards=2,
-            tokens_per_round=48,
-            max_rounds=8,
-            max_depth=6,
-            salt_min_rows=4,
-            # tiny blocks so the adaptive splitter makes multiple parts
-            # at this corpus scale and salting has something to spread
-            fetch_rows_per_block=4,
-        )
+        cfg = CrawlConfig(n_shards=2, tokens_per_round=1024, max_rounds=16, max_depth=12)
         out = str(tmp_path_factory.mktemp("megaout"))
         stats = RayCrawler(d, out, cfg).run()
         order = crawl_order(out)
-        fetches, seen, _, _ = oracle_crawl(d, cfg)
+        fetches, seen, _, counters = oracle_crawl(d, cfg)
         ray_order = list(
             zip(
                 order["round"].to_pylist(),
@@ -444,7 +417,20 @@ class TestHotHostSalting:
         )
         assert ray_order == fetches
         assert stats["seen"] == len(seen)
-        assert stats["counters"].get("salted_rows", 0) > 0  # salting did engage
+        for key in ("admitted", "enqueued", "dropped_seen", "dropped_robots", "dropped_depth"):
+            assert stats["counters"].get(key, 0) == counters.get(key, 0), key
+        lineages = _lineages(out)
+        for lin in lineages.values():
+            _assert_cut_files(lin)
+        res = _results_table(out, ["round", "host"])
+        mega_rows = Counter(
+            k for k, h in zip(res["round"].to_pylist(), res["host"].to_pylist()) if h == spec.host(0)
+        )
+        skewed = [
+            k for k, lin in lineages.items() if lin["n_rows"] >= 512 and mega_rows[k] * 2 > lin["n_rows"]
+        ]
+        assert skewed  # the corpus does produce a big, mega-host round
+        assert all(len(lineages[k]["results_files"]) >= 2 for k in skewed)
 
 
 class TestTieredCrawl:
@@ -453,13 +439,11 @@ class TestTieredCrawl:
 
         cfg = CrawlConfig(tokens_per_round=8)
         assert cfg.budget_for("any.host") == 8  # no tiers -> uniform
-        assert cfg.max_budget() == 8
         cfg.host_tiers = {"big.host": 0, "tiny.host": 2}
         cfg.tier_budgets = [16, 8, 1]
         assert cfg.budget_for("big.host") == 16
         assert cfg.budget_for("torso.host") == 8  # default_tier = 1
         assert cfg.budget_for("tiny.host") == 1
-        assert cfg.max_budget() == 16
         # out-of-range tiers clamp instead of crashing
         cfg.host_tiers["weird.host"] = 9
         assert cfg.budget_for("weird.host") == 1
@@ -510,31 +494,6 @@ class TestTieredCrawl:
         assert crawler.cfg.tier_budgets == cfg.tier_budgets
         crawler.run(start_round=next_round)
         assert crawl_order(part_out).to_pylist() == full_order
-
-    def test_salt_threshold_per_host_under_tiers(self):
-        """The salting floor clamps below each host's OWN tier budget
-        — a torso/tail host that saturates its smaller budget must
-        still trigger (regression: a single max_budget()-1 floor made
-        salting unreachable for every non-head tier)."""
-        from mlscraper_ray.frontier.config import CrawlConfig
-        from mlscraper_ray.frontier.shard import salt_threshold
-
-        cfg = CrawlConfig(
-            tokens_per_round=128,
-            salt_min_rows=256,
-            host_tiers={"head.host": 0, "tail.host": 2},
-            tier_budgets=[256, 128, 16],
-        )
-        fair = 1
-        # torso host saturating its 128 budget exceeds its 127 floor
-        assert salt_threshold(cfg, "torso.host", fair) == 127
-        assert salt_threshold(cfg, "head.host", fair) == 255
-        assert salt_threshold(cfg, "tail.host", fair) == 15
-        # uniform config unchanged
-        uni = CrawlConfig(tokens_per_round=128, salt_min_rows=256)
-        assert salt_threshold(uni, "any.host", fair) == 127
-        # fair share still dominates when larger
-        assert salt_threshold(cfg, "tail.host", 40) == 40
 
     def test_tiered_crawl_matches_oracle_and_budgets(
         self, ray_session, small_corpus, learned_plan, tmp_path_factory

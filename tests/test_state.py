@@ -218,28 +218,6 @@ class TestFrontierShard:
         with pytest.raises(ValueError, match="delete-incapable"):
             clone.restore_from(path)
 
-    def test_salting_reachable_under_shipped_config(self, tmp_path):
-        """The salting floor is clamped below the per-host token cap:
-        a host that saturates tokens_per_round and exceeds its fair
-        part share is dealt round-robin even with the DEFAULT
-        salt_min_rows (which exceeds the cap and previously made
-        salting unreachable in every shipped config)."""
-        from mlscraper_ray.frontier.config import CrawlConfig
-        from mlscraper_ray.frontier.shard import FrontierShard
-
-        cfg = CrawlConfig(n_shards=1, tokens_per_round=8, max_depth=9)
-        assert cfg.salt_min_rows > cfg.tokens_per_round  # the old dead zone
-        shard = FrontierShard(0, cfg, str(tmp_path))
-        hot = [f"http://mega.example/p{i}" for i in range(8)]
-        cold = [f"http://h{i:04d}.example/p0" for i in range(1, 9)]
-        shard.submit(hot + cold, [1] * len(hot + cold))
-        parts = shard.admit_parts(8)
-        mega_rows = [
-            p.filter(pa.compute.equal(p["host"], "mega.example")).num_rows for p in parts
-        ]
-        assert max(mega_rows) == 1  # dealt 1 per part, not 8 in one
-        assert shard.get_counters()["salted_rows"] == 8
-
 
 class TestGroupStep:
     """A group step (``shard.admit_group`` / ``checkpoint_group``) is a
@@ -248,14 +226,14 @@ class TestGroupStep:
     same rows, and a rerun on the same inputs (a retried task) must
     give identical bytes."""
 
-    # (n_parts, admit candidates, checkpoint candidates); shard 3
-    # (host h0003) gets no row before round 0's checkpoint
+    # (admit candidates, checkpoint candidates); shard 3 (host h0003)
+    # gets no row before round 0's checkpoint
     ROUNDS = (
-        (1, [f"http://h{h:04d}.example/p/{i}" for h in range(3) for i in range(3)],
+        ([f"http://h{h:04d}.example/p/{i}" for h in range(3) for i in range(3)],
          [f"http://h{h:04d}.example/private/{i}" for h in range(6) for i in range(2)]
          + [f"http://h{h:04d}.example/p/{i}" for h in range(6) for i in range(5)]),
-        (3, [], [f"http://h{h:04d}.example/p/{i}" for h in range(3) for i in range(6)]),
-        (3, [], []),
+        ([], [f"http://h{h:04d}.example/p/{i}" for h in range(3) for i in range(6)]),
+        ([], []),
     )
 
     @staticmethod
@@ -263,8 +241,8 @@ class TestGroupStep:
         return urls, [1 + i % 3 for i in range(len(urls))], [1000 * i for i in range(len(urls))]
 
     def _standalone(self, cfg, corpus):
-        """Per round: each shard's parts, then its counters and state
-        bytes after the checkpoint's submit; then (seen, counters)."""
+        """Per round: each shard's admitted rows, then its counters and
+        state bytes after the checkpoint's submit; then (seen, counters)."""
         import zlib
 
         from mlscraper_ray.frontier.shard import FrontierShard
@@ -282,14 +260,11 @@ class TestGroupStep:
                 alone[sid].submit(*lists)
 
         rounds = []
-        for n_parts, admit_urls, ckpt_urls in self.ROUNDS:
+        for admit_urls, ckpt_urls in self.ROUNDS:
             submit(admit_urls)
-            parts = []
-            for shard in alone:
-                out = shard.admit_parts(n_parts)
-                parts.append([out] if n_parts == 1 else list(out))
+            admitted = [shard.admit() for shard in alone]
             submit(ckpt_urls)
-            rounds.append((parts, [s.get_counters() for s in alone], [s.state_bytes() for s in alone]))
+            rounds.append((admitted, [s.get_counters() for s in alone], [s.state_bytes() for s in alone]))
         return rounds, [(s.seen_count(), s.get_counters()) for s in alone]
 
     def _grouped(self, cfg, corpus, n_groups, out_dir):
@@ -305,19 +280,20 @@ class TestGroupStep:
         members = group_members(4, n_groups)
         state: list = [None] * n_groups
         rounds = []
-        for k, (n_parts, admit_urls, ckpt_urls) in enumerate(self.ROUNDS):
+        for k, (admit_urls, ckpt_urls) in enumerate(self.ROUNDS):
             args = [(FrontierShard, ids, cfg.to_dict(), corpus, state[g]) for g, ids in enumerate(members)]
             # every group gets every row: a step keeps its members' own
-            outs = [admit_group(*a, n_parts, table(admit_urls)) for a in args]
+            outs = [admit_group(*a, table(admit_urls)) for a in args]
             for a, out in zip(args, outs):
-                again = admit_group(*a, n_parts, table(admit_urls))
+                again = admit_group(*a, table(admit_urls))
                 assert [t.to_pydict() for t in again[:-2]] == [t.to_pydict() for t in out[:-2]]
                 assert again[-2:] == out[-2:]
-            parts: dict = {}
+            admitted: dict = {}
             for ids, out in zip(members, outs):
+                # one table per member, then row counts and state bytes
+                assert len(out) == len(ids) + 2
                 assert out[-2] == [t.num_rows for t in out[:-2]]
-                for j, sid in enumerate(ids):
-                    parts[sid] = list(out[j * n_parts:(j + 1) * n_parts])
+                admitted.update(zip(ids, out[:-2]))
             ckpt = out_dir / f"round={k}"
             ckpt.mkdir()
             counters: dict = {}
@@ -331,7 +307,7 @@ class TestGroupStep:
             assert {p.name: p.read_bytes() for p in ckpt.iterdir()} == files
             state = [str(ckpt)] * n_groups
             rounds.append((
-                [parts[i] for i in range(4)],
+                [admitted[i] for i in range(4)],
                 [counters[i] for i in range(4)],
                 [files[f"shard-{i}.bin"] for i in range(4)],
             ))
@@ -352,10 +328,8 @@ class TestGroupStep:
             out_dir = tmp_path / f"groups{n_groups}"
             out_dir.mkdir()
             rounds, stats = self._grouped(cfg, corpus, n_groups, out_dir)
-            for (parts, counters, states), (w_parts, w_counters, w_states) in zip(rounds, want_rounds):
-                assert [[t.to_pydict() for t in p] for p in parts] == [
-                    [t.to_pydict() for t in p] for p in w_parts
-                ]
+            for (admitted, counters, states), (w_admitted, w_counters, w_states) in zip(rounds, want_rounds):
+                assert [t.to_pydict() for t in admitted] == [t.to_pydict() for t in w_admitted]
                 assert counters == w_counters
                 assert states == w_states
             assert stats == want_stats
@@ -417,14 +391,18 @@ class TestRetryIdempotence:
         runs = []
         for name in ("a", "b"):
             path = str(tmp_path / f"{name}.parquet")
+            # both parts are cut mid-table: the task takes rows 0..8 of
+            # the first and rows 2..13 of the second, every row once
             out = _fetch_bundle._function(
-                fetch_parse_extract_task, path, kwargs, 4, 3, rows.slice(0, 9), rows.slice(9)
+                fetch_parse_extract_task, path, kwargs, 4, 3, [(0, 9), (2, 14)],
+                rows.slice(0, 12), rows.slice(7),
             )
             runs.append((open(path, "rb").read(), out[0], [t.to_pydict() for t in out[1:]]))
         assert runs[0] == runs[1]
         _, n_rows, by_group = runs[0]
         assert n_rows == len(urls)
         results = pq.read_table(str(tmp_path / "a.parquet"))
+        assert results["url"].to_pylist() == urls
         want = sorted(
             (link, depth + 1, ts)
             for depth, ts, links in zip(
@@ -440,6 +418,7 @@ class TestRetryIdempotence:
                 assert sid == zlib.crc32(url_host(url).encode()) % 4 and sid % 3 == g
                 got.append((url, depth, ts))
         assert got and sorted(got) == want
+
 
 class TestFilterProperties:
     """Hypothesis invariants for the seen-set filters."""
