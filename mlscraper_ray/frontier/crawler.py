@@ -11,10 +11,12 @@ Structure per round k:
    (``shard.load_group``). Every shard keeps its own state, so the
    crawl does not depend on the grouping, and a retried task returns
    or writes identical bytes.
-1. **submit**: seeds (round 0 only) go through a per-batch min-depth
-   pre-dedup and ``shard.route``; round 0's admit submits them. Rounds
-   >= 1 have no submit pass: the previous round's fetch tasks
-   returned the links per group, and its checkpoint submitted them.
+1. **submit**: seeds (round 0 only) are read by one plain Ray task
+   (``_seed_candidates``: the seeds file's min depth per url, through
+   ``shard.route``), not a Ray Data job; round 0's admit submits
+   them. Rounds >= 1 have no submit pass: the previous round's fetch
+   tasks returned the links per group, and its checkpoint submitted
+   them.
    Either way the shard round buffer resolves the global min depth
    per url (min is commutative, so this replaces a per-round
    all-to-all ``groupby(url).min(depth)`` with shard-local state;
@@ -87,11 +89,11 @@ _BATCH_ROWS = 256
 
 
 def _batch_min_depth(batch: pa.Table, n_shards: int) -> pa.Table:
-    """Per-batch candidate pre-dedup (min depth per url), routed to the
-    shards (``shard.route``; seeds have warc_ts 0). The GLOBAL
-    min-per-url is resolved inside the owning shard's round buffer —
-    min is commutative, so no cross-batch shuffle is needed; this
-    partial pass just shrinks the submitted volume."""
+    """Candidate pre-dedup (min depth per url), routed to the shards
+    (``shard.route``; seeds have warc_ts 0). The GLOBAL min-per-url is
+    resolved inside the owning shard's round buffer — min is
+    commutative, so no shuffle is needed; this pass just shrinks the
+    submitted volume."""
     grouped = batch.group_by("url").aggregate([("depth", "min")])
     # select by NAME: aggregate output column order differed across
     # pyarrow versions (keys-first vs aggregates-first)
@@ -150,13 +152,13 @@ class RayCrawler:
         return FrontierShard, self.members[g], self.cfg.to_dict(), self.corpus_dir, self._state[g]
 
     # -- round primitives ----------------------------------------------
-    def _submit_dataset(self, candidates: ray.data.Dataset) -> None:
-        """Hand every group the candidate (``shard.route``) blocks; its
-        next phase submits its own members' rows. Block refs, not
-        ``to_arrow_refs()``, which runs a second job for the schema."""
-        refs = [ref for bundle in candidates.iter_internal_ref_bundles() for ref in bundle.block_refs]
+    def _submit_dataset(self, candidates: list[ray.ObjectRef]) -> None:
+        """Hand every group the candidate (``shard.route``) table refs,
+        once they are computed; its next phase submits its own members'
+        rows."""
+        ray.wait(candidates, num_returns=len(candidates))
         for pending in self._pending:
-            pending.extend(refs)
+            pending.extend(candidates)
 
     def _admit(self) -> list[tuple[ray.ObjectRef, int]]:
         """Each shard's admitted rows, as (table ref, row count) in
@@ -294,7 +296,7 @@ class RayCrawler:
     # -- main loop ------------------------------------------------------
     def run(self, seeds_path: str | None = None, start_round: int = 0) -> dict:
         os.makedirs(self.out_dir, exist_ok=True)
-        # sec_seed_submit is the seed read-and-route job (round 0's
+        # sec_seed_submit is the seed read-and-route task (round 0's
         # admit submits the seeds); it stays 0 when a resumed run skips
         # round 0
         stats: dict = {"rounds": [], "shard_groups": len(self.members), "sec_seed_submit": 0.0}
@@ -306,13 +308,10 @@ class RayCrawler:
                 # from the previous round's fetch tasks, submitted at its
                 # checkpoint (round buffers are part of the checkpoint,
                 # so resume needs no re-read either)
-                seeds = ray.data.read_parquet(
-                    seeds_path or os.path.join(self.corpus_dir, "seeds.parquet"),
-                    columns=["url", "depth"],
-                ).map_batches(
-                    _batch_min_depth, fn_kwargs={"n_shards": self.cfg.n_shards}, batch_format="pyarrow"
+                seeds = _seed_candidates.remote(
+                    seeds_path or os.path.join(self.corpus_dir, "seeds.parquet"), self.cfg.n_shards
                 )
-                self._submit_dataset(seeds)
+                self._submit_dataset([seeds])
                 stats["sec_seed_submit"] = round(time.monotonic() - t0, 3)
             t0 = time.monotonic()
             admitted = self._admit()
@@ -375,6 +374,12 @@ class RayCrawler:
 
                 shutil.rmtree(rd)
         return crawler, k + 1
+
+
+@ray.remote
+def _seed_candidates(path: str, n_shards: int) -> pa.Table:
+    """The seeds file's candidates, routed (:func:`_batch_min_depth`)."""
+    return _batch_min_depth(pq.read_table(path, columns=["url", "depth"]), n_shards)
 
 
 _admit_task = ray.remote(admit_group)

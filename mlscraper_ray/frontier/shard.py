@@ -6,8 +6,8 @@ and holds, per the north-star design:
 - the URL-seen set: a deterministic :class:`BloomFilter` (cuckoo
   variant available for delete-capable policies),
 - per-host politeness state: a token-bucket refilled each BSP round
-  (``tokens_per_round``), plus a robots.txt rules cache lazily loaded
-  from the corpus,
+  (``tokens_per_round``), plus a robots.txt rules cache loaded from
+  the corpus, one lookup per admit flush for the new hosts,
 - a per-host heap-based priority queue keyed ``(depth, warc_ts, url)``
   (the north-star key: host budget enforced structurally by the
   per-host token pop, then depth — BFS-flavored politeness — then the
@@ -75,15 +75,6 @@ class FrontierShard:
         self.reader = CorpusReader(corpus_dir, cfg.n_buckets)
         self.counters: Counter = Counter()
 
-    # -- robots ---------------------------------------------------------
-    def _robots_for(self, host: str) -> RobotsRules:
-        rules = self.robots.get(host)
-        if rules is None:
-            body = self.reader.get_text(f"http://{host}/robots.txt")
-            rules = RobotsRules.parse(body) if body else RobotsRules.ALLOW_ALL
-            self.robots[host] = rules
-        return rules
-
     # -- submission (candidate URLs -> round buffer) --------------------
     def submit(self, urls: list[str], depths: list[int], ts_list: list[int] | None = None) -> dict:
         """Buffer candidates at their MINIMUM (depth, warc_ts_us) for
@@ -129,18 +120,43 @@ class FrontierShard:
 
     def _flush_round(self) -> None:
         """Dedup + robots-gate + enqueue the buffered round candidates,
-        in sorted url order (determinism; mirrors the oracle)."""
-        c = Counter()
+        in sorted url order (determinism; mirrors the oracle). The
+        depth and seen checks run first, so that the robots bodies of
+        all surviving hosts without rules are read in one lookup."""
+        # per url in sorted order: the counter it drops under, or its
+        # (depth, ts, url, host) when it passed the depth and seen
+        # checks. Drops are counted in url order with the rest: the
+        # counters' key order is part of the checkpoint bytes.
+        outcomes: list = []
+        new_hosts: dict[str, None] = {}
         for url in sorted(self.round_buffer):
             depth, ts = self.round_buffer[url]
             if depth > self.cfg.max_depth:
-                c["dropped_depth"] += 1
+                outcomes.append("dropped_depth")
+            elif not self._seen_add(url):
+                outcomes.append("dropped_seen")
+            else:
+                host = url_host(url)
+                if host not in self.robots:
+                    new_hosts[host] = None
+                outcomes.append((depth, ts, url, host))
+        if new_hosts:
+            # rules are cached in first-survivor order, which the
+            # checkpoint bytes keep
+            found = self.reader.lookup(
+                [f"http://{h}/robots.txt" for h in new_hosts], columns=("url", "text")
+            )
+            bodies = dict(zip(found["url"].to_pylist(), found["text"].to_pylist()))
+            for host in new_hosts:
+                body = bodies.get(f"http://{host}/robots.txt")
+                self.robots[host] = RobotsRules.parse(body) if body else RobotsRules.ALLOW_ALL
+        c = Counter()
+        for out in outcomes:
+            if type(out) is str:
+                c[out] += 1
                 continue
-            if not self._seen_add(url):
-                c["dropped_seen"] += 1
-                continue
-            host = url_host(url)
-            if not self._robots_for(host).allowed(url_path(url)):
+            depth, ts, url, host = out
+            if not self.robots[host].allowed(url_path(url)):
                 c["dropped_robots"] += 1
                 continue
             # the north-star priority key: host budget is enforced

@@ -5,10 +5,22 @@ page: the plan's value, its ``a[href]`` links, and nothing else. The
 tree path pays for all of ``htmlcore.dom``: an ``html.parser`` tree,
 ``_finalize``, then one walk for ``Scraper.get`` and another for
 ``extract_links``. :func:`compile_scan` turns a plan into a
-:class:`PageScan` whose :meth:`PageScan.run` makes ONE ``re.finditer``
+:class:`PageScan` whose :meth:`PageScan.run` makes ONE ``_TOKEN_RE.split``
 pass over the page's tag and text tokens, keeps the stack of open
 elements, and evaluates the plan and collects the links on that stack.
 It builds no ``Element``/``Document`` and never calls ``_finalize``.
+
+A page repeats its tags: every entry of a listing carries the same
+``<div class="entry">``, ``<span class="votes">`` and so on. ``run``
+keeps a token table for the one page, keyed by a start tag's three
+split groups (name, raw attributes, ``/``): the first occurrence of a
+token decodes its tag, its attributes, the plan's rules its prefilter
+keys select, whether it closes at once, and for an ``a`` its link;
+every later occurrence is one dict lookup. Each occurrence still
+builds its own stack node (its own parent and sibling index) and is
+matched, captured and link-deduped on its own. The nodes of one token
+share its attribute dict, which nothing mutates. The table dies with
+the call: links depend on the base url.
 
 Parsing reproduces ``dom._TreeBuilder`` on the accepted subset:
 
@@ -338,6 +350,44 @@ class PageScan:
         except SelectorMissException:
             return None
 
+    def _decode(self, name: str, raw: str) -> tuple[str, dict, Optional[list]]:
+        """One start-tag token's lowercased tag, its attributes (names
+        lowercased, the first of a repeated one wins, values unescaped,
+        the ``_MULTI_VALUED`` ones split) and the plan's rules whose
+        prefilter key it carries. Raises :class:`ScanFallback` on a
+        raw-text element."""
+        tag = name.lower()
+        if tag in _RAW_TEXT:
+            raise ScanFallback("raw-text element")
+        attrs: dict = {}
+        if raw:
+            for key, dq, sq, uq in _ATTR_RE.findall(raw):
+                key = key.lower()
+                if key in attrs:
+                    continue  # the first occurrence wins
+                # a valueless attribute reads "", as in the tree
+                v = dq or sq or uq
+                if "&" in v:
+                    v = unescape(v)
+                multi = _MULTI_VALUED.get(key)
+                if multi is not None and (multi == "*" or tag in multi):
+                    v = v.split()
+                attrs[key] = v
+        by_id, by_class = self._by_id, self._by_class
+        entries = self._by_tag.get(tag)
+        if attrs and (by_id or by_class):
+            more = by_id.get(attrs.get("id"), []) if by_id else []
+            classes = attrs.get("class")
+            if classes and by_class:
+                for c in dict.fromkeys(classes) if len(classes) > 1 else classes:
+                    if c in by_class:
+                        more = more + by_class[c]
+            if more:
+                entries = more + entries if entries else more
+        if self._any:
+            entries = self._any + entries if entries else self._any
+        return tag, attrs, entries
+
     def run(self, html, base_url: Optional[str] = None) -> tuple[Optional[str], Optional[list]]:
         """``(value_json, links)`` of one page, equal to the tree path's
         ``tree_value(parse_html(html))`` and ``extract_links(doc,
@@ -352,7 +402,6 @@ class PageScan:
         walk = _Walk(len(self._scopes))
         active, texts, capturing = walk.active, walk.texts, walk.capturing
         active[0].append(doc)
-        by_id, by_class, by_tag, any_rules = self._by_id, self._by_class, self._by_tag, self._any
         want_links = base_url is not None
         links: list = []
         seen_links: set = set()
@@ -361,51 +410,43 @@ class PageScan:
         root = None
         root_closed = False
 
+        # each distinct start-tag token of the page, keyed by its three
+        # _TOKEN_RE groups, decoded once (:meth:`_decode`) plus its link
+        decoded: dict = {}
+
         tokens = iter(_TOKEN_RE.split(html))
         next(tokens)  # text before the first tag lies outside every element
         # per token: start-tag name, its attributes, "/" of <x/>,
         # end-tag name, then the text up to the next token
         for name, raw, selfclose, end, text in zip(tokens, tokens, tokens, tokens, tokens):
             if name is not None:
-                tag = name.lower()
-                attrs: dict = {}
-                if raw:
-                    for key, dq, sq, uq in _ATTR_RE.findall(raw):
-                        key = key.lower()
-                        if key in attrs:
-                            continue  # the first occurrence wins
-                        # a valueless attribute reads "", as in the tree
-                        v = dq or sq or uq
-                        if "&" in v:
-                            v = unescape(v)
-                        multi = _MULTI_VALUED.get(key)
-                        if multi is not None and (multi == "*" or tag in multi):
-                            v = v.split()
-                        attrs[key] = v
                 if stack:
                     parent = stack[-1]
-                    parent.n_children += 1
-                    node = _Node(tag, attrs, parent, parent.n_children)
-                elif root is None and tag == "html" and not selfclose:
-                    node = root = _Node(tag, attrs, None, 1)
+                elif root is None and not selfclose and name.lower() == "html":
+                    parent = None
                 else:
                     raise ScanFallback("element outside the html root")
-                if tag in _RAW_TEXT:
-                    raise ScanFallback("raw-text element")
+                key = (name, raw, selfclose)
+                tok = decoded.get(key)
+                if tok is None:
+                    tag, attrs, entries = self._decode(name, raw)
+                    link = None
+                    if want_links and tag == "a":
+                        href = attrs.get("href")
+                        if href and isinstance(href, str):
+                            if not base_checked:
+                                urlparse(base_url)
+                                base_checked = True
+                            link = http_link(base_url, href.split("#", 1)[0])
+                    tok = decoded[key] = (tag, attrs, entries, selfclose or tag in VOID_ELEMENTS, link)
+                tag, attrs, entries, closes, link = tok
+                # nodes of one token share its attrs dict: nothing mutates it
+                if parent is None:
+                    node = root = _Node(tag, attrs, None, 1)
+                else:
+                    parent.n_children += 1
+                    node = _Node(tag, attrs, parent, parent.n_children)
 
-                # the plan's rules whose prefilter key this element carries
-                entries = by_tag.get(tag)
-                if attrs and (by_id or by_class):
-                    more = by_id.get(attrs.get("id"), []) if by_id else []
-                    classes = attrs.get("class")
-                    if classes and by_class:
-                        for c in dict.fromkeys(classes) if len(classes) > 1 else classes:
-                            if c in by_class:
-                                more = more + by_class[c]
-                    if more:
-                        entries = more + entries if entries else more
-                if any_rules:
-                    entries = any_rules + entries if entries else any_rules
                 items = None
                 if entries:
                     for matches, probes in entries:
@@ -441,34 +482,33 @@ class PageScan:
                 if items is not None:
                     walk.open_items(node, items)
 
-                if want_links and tag == "a":
-                    href = attrs.get("href")
-                    if href and isinstance(href, str):
-                        if not base_checked:
-                            urlparse(base_url)
-                            base_checked = True
-                        absu = http_link(base_url, href.split("#", 1)[0])
-                        if absu is not None and absu not in seen_links:
-                            seen_links.add(absu)
-                            links.append(absu)
+                if link is not None and link not in seen_links:
+                    seen_links.add(link)
+                    links.append(link)
 
-                if selfclose or tag in VOID_ELEMENTS:
+                if closes:
                     if node.captures is not None or node.items is not None:
                         walk.close(node)
                 else:
                     stack.append(node)
             elif end is not None:
-                # pop to the nearest open element of that name; a stray
-                # end tag pops nothing
                 end = end.lower()
-                for i in range(len(stack) - 1, -1, -1):
-                    if stack[i].tag == end:
-                        for node in reversed(stack[i:]):
-                            if node.captures is not None or node.items is not None:
-                                walk.close(node)
-                        del stack[i:]
-                        root_closed = not stack
-                        break
+                if stack and stack[-1].tag == end:
+                    node = stack.pop()
+                    if node.captures is not None or node.items is not None:
+                        walk.close(node)
+                    root_closed = not stack
+                else:
+                    # pop to the nearest open element of that name; a
+                    # stray end tag pops nothing
+                    for i in range(len(stack) - 1, -1, -1):
+                        if stack[i].tag == end:
+                            for node in reversed(stack[i:]):
+                                if node.captures is not None or node.items is not None:
+                                    walk.close(node)
+                            del stack[i:]
+                            root_closed = not stack
+                            break
             else:
                 raise ScanFallback("markup outside the tag grammar")
             if text:

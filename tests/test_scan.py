@@ -91,6 +91,12 @@ PLANS = {
         "item": {"kind": "list", "selector": _css("li"), "item": _value(_css("b"), TEXT)},
     },
     "missing_attr": _value(_css(".votes"), _attr("data-x")),
+    # every hit of a rule: each element built from one repeated start
+    # tag must match on its own position and parent
+    "every_nth2": {"kind": "list", "selector": _css("span:nth-child(2)"), "item": _value(PASS, TEXT)},
+    "every_li1": {"kind": "list", "selector": _css("li:nth-child(1)"), "item": _value(PASS, TEXT)},
+    "every_child_a": {"kind": "list", "selector": _css("div > a"), "item": _value(PASS, _attr("href"))},
+    "every_x_span": {"kind": "list", "selector": _css(".x > span"), "item": _value(PASS, TEXT)},
 }
 
 
@@ -263,6 +269,23 @@ HAND_WRITTEN = [
     # no body, unclosed root, trailing whitespace after the root
     "<html><p>only</p>",
     "\n<html><p>x</p></html>\n\t ",
+    # the scan decodes each distinct start tag once per page: one
+    # <span class="y">, <li> and <a href> at different positions,
+    # under different parents
+    '<html><body><div class="x"><span class="y">1</span><span class="y">2</span></div>'
+    '<ul><li><span class="y">3</span></li><li><b>b</b><span class="y">4</span></li></ul>'
+    '<div><span class="y">5</span><span class="y">6</span><div class="x"><span class="y">7</span>'
+    '</div></div><ol><li>8</li><li>9</li></ol><li><span class="y">10</span></li></body></html>',
+    '<html><body><div><a href="/a">1</a><p><a href="/a">2</a></p><div><a href="/a">3</a></div>'
+    '</div><a href="/a">4</a></body></html>',
+    # <x/> and <x> of one tag and attributes: never pushed vs pushed
+    '<html><body><div class="x"><span class="votes"/><span class="votes">in</span>'
+    '<span class="votes"/>after</div></body></html>',
+    '<html><body><div class="x"><span class="votes">in<span class="votes"/>x</span>'
+    '<span class="votes"/></div></body></html>',
+    # case variants of one link; one fragment link twice
+    '<html><body><A HREF="/u">1</A><a href="/u">2</a><a HREF="/v">3</a></body></html>',
+    '<html><body><a href="/u#x">1</a><p><a href="/u#x">2</a></p><a href="/u">3</a></body></html>',
 ]
 
 
@@ -287,6 +310,25 @@ def test_hand_written_values():
     assert compile_scan(PLANS["nth_after_void"]).run(HAND_WRITTEN[2])[0] == '"second"'
     assert compile_scan(PLANS["corpus"]).run(HAND_WRITTEN[7])[0] is None  # no .votes, no a
     assert compile_scan(PLANS["corpus"]).run(HAND_WRITTEN[7])[1] is None  # no base, no links
+    # repeated start tags
+    every = {name: compile_scan(PLANS[name]) for name in PLANS if name.startswith("every_")}
+    assert json.loads(every["every_nth2"].run(HAND_WRITTEN[10])[0]) == ["2", "4", "6"]
+    assert json.loads(every["every_x_span"].run(HAND_WRITTEN[10])[0]) == ["1", "2", "7"]
+    assert json.loads(every["every_li1"].run(HAND_WRITTEN[10])[0]) == ["3", "8"]
+    assert json.loads(every["every_child_a"].run(HAND_WRITTEN[11])[0]) == ["/a", "/a"]
+    assert json.loads(every["every_x_span"].run(HAND_WRITTEN[12])[0]) == ["", "in", ""]
+    assert compile_scan(None).run(HAND_WRITTEN[14], BASE)[1] == ["http://h.example/u", "http://h.example/v"]
+    assert compile_scan(None).run(HAND_WRITTEN[15], BASE)[1] == ["http://h.example/u"]
+
+
+def test_token_table_lives_for_one_run():
+    """One PageScan on one page under two base urls: links depend on
+    the base, so no decoded token outlives its run."""
+    html = HAND_WRITTEN[0]
+    for plan in (PLANS["corpus"], None):
+        scan = compile_scan(plan)
+        for base in (BASE, "https://o.example/q/", BASE):
+            assert scan.run(html, base) == _tree(plan, html, base)
 
 
 # -- outside the subset: the page falls back ----------------------------

@@ -418,9 +418,9 @@ def test_pre_aggregation_guard_sees_defs_lambdas_and_helpers(tmp_path):
     ]
 
 
-# the crawl round's per-round phases, which run as plain Ray tasks: a
-# Ray Data job here would cost a launch per BSP round
-ROUND_METHODS = ("RayCrawler", ("_admit", "_fetch_extract"))
+# the crawl's phases, which run as plain Ray tasks: a Ray Data job here
+# would cost a launch per BSP round (or, for the seeds, per crawl)
+ROUND_METHODS = ("RayCrawler", ("run", "_submit_dataset", "_admit", "_fetch_extract"))
 
 
 def _ray_data_sites(path: str) -> list[tuple[int, str]]:
@@ -448,7 +448,7 @@ def _ray_data_sites(path: str) -> list[tuple[int, str]]:
 def test_crawl_round_launches_no_ray_data_job():
     path = os.path.join(PACKAGE_DIR, "frontier", "crawler.py")
     found = [f"frontier/crawler.py:{line} {fn}" for line, fn in _ray_data_sites(path)]
-    assert not found, "a crawl round admits and fetches with plain Ray tasks:\n" + "\n".join(found)
+    assert not found, "a crawl reads its seeds, admits and fetches with plain Ray tasks:\n" + "\n".join(found)
 
 
 def test_round_guard_sees_calls_and_annotations(tmp_path):
@@ -464,7 +464,7 @@ def test_round_guard_sees_calls_and_annotations(tmp_path):
         "def crawl_order_dataset(out_dir):\n"
         "    return ray.data.read_parquet(out_dir)\n"
     )
-    assert _ray_data_sites(str(p)) == [(5, "_admit"), (6, "_fetch_extract")]
+    assert _ray_data_sites(str(p)) == [(2, "_submit_dataset"), (5, "_admit"), (6, "_fetch_extract")]
 
 
 # the crawl's frontier and fetch stage: their state lives in checkpoint
