@@ -417,6 +417,13 @@ def _fetch_bundle(fetch_fn, path: str, kwargs: dict, n_shards: int, n_groups: in
     return out.num_rows, *(links.filter(pa.array(group == g)) for g in range(n_groups))
 
 
+# crawl order columns: the results' sort key, then the global rank
+_ORDER_SCHEMA = pa.schema(
+    [("round", pa.int32()), ("depth", pa.int32()), ("host", pa.string()),
+     ("url", pa.string()), ("rank", pa.int64())]
+)
+
+
 @ray.remote
 def _rank_block(block: pa.Table, offset: int) -> pa.Table:
     import numpy as np
@@ -441,6 +448,8 @@ def crawl_order_dataset(out_dir: str) -> ray.data.Dataset:
        never block contents) + a per-block arange added by remote tasks.
     """
     results = sorted(glob.glob(os.path.join(out_dir, "rounds", "round=*", "results", "*.parquet")))
+    if not results:  # a crawl that admitted nothing wrote no results
+        return ray.data.from_arrow(_ORDER_SCHEMA.empty_table())
     ds = ray.data.read_parquet(results, columns=["round", "depth", "host", "url", "fetch_ok"])
 
     def keep_fetched(batch: pa.Table) -> pa.Table:
@@ -466,4 +475,4 @@ def crawl_order(out_dir: str) -> pa.Table:
     """Driver-contract convenience: the distributed crawl order pulled
     into one Arrow table (test-scale result; at the 10^10-url design
     point consume :func:`crawl_order_dataset` with ``write_parquet``)."""
-    return finish(crawl_order_dataset(out_dir).to_pandas())
+    return finish(crawl_order_dataset(out_dir).to_pandas(), empty=_ORDER_SCHEMA)

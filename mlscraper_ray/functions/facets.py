@@ -1,24 +1,26 @@
 """ONE parse, many facets: the shared per-page facet table behind
-every page-level registry query that isn't the link graph.
+every page-level registry query, the link graph included.
 
 ``page_template_clusters``, ``extract_main_content``, ``page_profile``
 and ``wet_curate`` each need facts that come from parsing a page's
 html — the DOM-structure fingerprint, the densest top-level block's
 summary + text digests, the main-text token count and language vote,
-and the out-link count. Before this module each of them re-read and
-re-parsed the whole corpus independently, so a registry pass paid ~4
-identical parse sweeps (template clustering alone was 5.8 s at
-sf0.1). Now the parse runs ONCE into a slim per-page facet table,
-committed as parquet under the corpus scratch dir with the same
-marker-last + source-digest cache protocol as the link-graph cache
-(functions/pagerank.py ``_graph_cache_dir``), and every consumer is a
-column-pruned streaming map over it.
+and the out-link count — and the link graph
+(functions/pagerank.py ``corpus_link_graph``) needs each page's links
+and their anchor texts. Before this module each of them re-read and
+re-parsed the whole corpus independently, so a registry pass paid
+several identical parse sweeps (template clustering alone was 5.8 s
+at sf0.1). Now the parse runs ONCE into a slim per-page facet table,
+committed as parquet under the corpus scratch dir (marker-last,
+keyed by a source digest), and every consumer is a column-pruned
+streaming map over it. It is the only tree parse of the corpus in
+``functions/``.
 
 Scale shape: the build is one per-record map over the corpus (html
-never leaves the stage; output rows are a few hundred bytes each),
-the cache is partitioned parquet readable with column pruning, and
-consumers stay exactly as streaming as before — they just skip the
-parse. Each query's value pin (the generator-truth constant-table
+never leaves the stage; an output row holds the page's facts and its
+link and anchor lists), the cache is partitioned parquet readable
+with column pruning, and consumers stay exactly as streaming as
+before — they just skip the parse. Each query's value pin (the generator-truth constant-table
 oracles) is unchanged and now exercises this shared path.
 """
 from __future__ import annotations
@@ -31,7 +33,8 @@ import ray.data
 
 # facet schema — block facts use sentinel values (index -1, empty
 # strings, zero counts) when the page has no body element children,
-# mirroring the consumers' "skip this page" rule without nullables
+# mirroring the consumers' "skip this page" rule without nullables;
+# ``links``/``anchors`` are extract_links_anchors' pairs, in order
 FACET_COLUMNS = (
     "url",
     "tpl_hash",
@@ -45,6 +48,8 @@ FACET_COLUMNS = (
     "n_tokens",
     "lang",
     "n_links",
+    "links",
+    "anchors",
 )
 
 
@@ -82,7 +87,7 @@ def _build_facets(corpus_dir: str) -> ray.data.Dataset:
     )
     from mlscraper_ray.functions.textstats import lang_vote
     from mlscraper_ray.htmlcore.dom import parse_html
-    from mlscraper_ray.stages.crawl_stages import extract_links
+    from mlscraper_ray.stages.crawl_stages import extract_links_anchors
 
     pages = ray.data.read_parquet(
         os.path.join(corpus_dir, "pages"), columns=["url", "html"]
@@ -98,7 +103,10 @@ def _build_facets(corpus_dir: str) -> ray.data.Dataset:
             rows["tpl_hash"].append(
                 structure_fingerprint_tokens(structure_tokens(doc))
             )
-            rows["n_links"].append(len(extract_links(doc, url)))
+            pairs = extract_links_anchors(doc, url)
+            rows["links"].append([link for link, _ in pairs])
+            rows["anchors"].append([anchor for _, anchor in pairs])
+            rows["n_links"].append(len(pairs))
             got = page_blocks(doc)
             if got is None:
                 rows["has_blocks"].append(False)
@@ -138,6 +146,8 @@ def _build_facets(corpus_dir: str) -> ray.data.Dataset:
                 "n_tokens": pa.array(rows["n_tokens"], pa.int64()),
                 "lang": pa.array(rows["lang"], pa.string()),
                 "n_links": pa.array(rows["n_links"], pa.int64()),
+                "links": pa.array(rows["links"], pa.list_(pa.string())),
+                "anchors": pa.array(rows["anchors"], pa.list_(pa.string())),
             }
         )
 

@@ -21,7 +21,8 @@ edges only):
     rank'(v)  = ((100-d)*scale + d*(inflow(v) + dangling)) // 100
 
 Distributed plan (components.py's iterative idiom):
-- edges extracted once (parse + extract_links per batch), existence-
+- edges read once from the page-facet table's per-page link lists
+  (functions/facets.py, the corpus's one parse), existence-
   filtered against the node set (co-partitioned on url), out-degree
   attached by one more bucket join — all ONE-TIME costs, materialized
   slim (src, dst, out) rows;
@@ -42,12 +43,12 @@ the pull cap at 0).
 """
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
@@ -265,96 +266,44 @@ def pagerank_ds(
     return ranks.map_batches(lambda df: df[["node", "rank"]], batch_format="pandas")
 
 
-def _graph_cache_dir(corpus_dir: str) -> str:
-    """Cache key digests the corpus SPEC plus every source module the
-    graph's content depends on (parse, link extraction, this builder)
-    — a regenerated corpus or a builder change invalidates it."""
-    import hashlib
-
-    from mlscraper_ray.htmlcore import dom as dom_mod
-    from mlscraper_ray.stages import crawl_stages as stages_mod
-
-    h = hashlib.md5()
-    spec_path = os.path.join(corpus_dir, "_SPEC.json")
-    if os.path.exists(spec_path):
-        with open(spec_path, "rb") as f:
-            h.update(f.read())
-    for mod in (dom_mod, stages_mod):
-        with open(mod.__file__, "rb") as f:
-            h.update(f.read())
-    return os.path.join(corpus_dir, f"_linkgraph_{h.hexdigest()[:10]}")
-
-
 def corpus_link_graph(
     sf_dir: str,
     with_anchors: bool = False,
-    use_cache: bool = True,
 ) -> tuple[ray.data.Dataset, ray.data.Dataset]:
     """(nodes, edges) of the crawled-corpus page graph — the single
     graph builder behind :func:`page_rank`, :func:`corpus_link_stats`
     and :func:`host_rank`: nodes = page urls (robots.txt rows
     excluded), edges = extracted a[href] targets that exist in the
     corpus, with an ``anchor`` text column when ``with_anchors`` (the
-    rank path skips anchor-text computation entirely). Existence
-    filter chosen by ``broadcast.pull`` on the node list (the
-    decontaminate idiom): pulled urls are ``ray.put`` broadcast as a
-    set — the filter is then a pure streaming map_batches, zero
-    shuffle rounds; when the node list is too large to pull the edges
-    meet the node list co-partitioned on dst
+    rank path prunes the anchors column). Both come from the
+    page-facet table (functions/facets.py), whose one parse stores
+    each page's links and anchors; the raw edges are those lists
+    exploded. Existence filter chosen by ``broadcast.pull`` on the
+    node list (the decontaminate idiom): pulled urls are ``ray.put``
+    broadcast as a set — the filter is then a pure streaming
+    map_batches, zero shuffle rounds; when the node list is too large
+    to pull the edges meet the node list co-partitioned on dst
     (nothing driver-sized), with the union coalesced first (see
-    :func:`~mlscraper_ray.functions.bucketed.coalesce_blocks`).
+    :func:`~mlscraper_ray.functions.bucketed.coalesce_blocks`)."""
+    from mlscraper_ray.functions.facets import page_facets_ds
 
-    ``use_cache``: the built graph is written once as parquet under
-    the corpus scratch dir (marker-committed, keyed by corpus spec +
-    builder source digest) — five registry pipelines consume this
-    graph, and each re-parsing the whole corpus was the dominant
-    redundant cost of a registry pass. Downstream consumers are
-    order-independent aggregates, so serving the cached row set is
-    exact."""
-    from mlscraper_ray.htmlcore.dom import parse_html
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf, sf_of_dir
-    from mlscraper_ray.stages.crawl_stages import extract_links, extract_links_anchors
-
-    corpus_dir, _spec = corpus_for_sf(sf_of_dir(sf_dir))
-
-    cache = _graph_cache_dir(corpus_dir)
-    tag = "edges_anchors" if with_anchors else "edges"
-    npath, epath = os.path.join(cache, "nodes"), os.path.join(cache, tag)
-    marker = os.path.join(cache, f"_SUCCESS_{tag}")
-    if use_cache and os.path.exists(marker):
-        return ray.data.read_parquet(npath), ray.data.read_parquet(epath)
-
-    pages = ray.data.read_parquet(os.path.join(corpus_dir, "pages"), columns=["url", "html"])
-
-    def page_nodes(t: pa.Table) -> pa.Table:
-        urls = [u for u in t["url"].to_pylist() if not u.endswith("/robots.txt")]
-        return pa.table({"node": pa.array(urls, pa.string())})
-
-    nodes = pages.map_batches(page_nodes, batch_format="pyarrow").materialize()
+    facets = page_facets_ds(
+        sf_dir, columns=["url", "links", "anchors"] if with_anchors else ["url", "links"]
+    )
+    nodes = facets.map_batches(
+        lambda t: pa.table({"node": t["url"]}), batch_format="pyarrow"
+    ).materialize()
 
     def raw_edges(t: pa.Table) -> pa.Table:
-        srcs, dsts, anchors = [], [], []
-        for url, html in zip(t["url"].to_pylist(), t["html"].to_pylist()):
-            if url.endswith("/robots.txt"):
-                continue
-            doc = parse_html(html if isinstance(html, bytes) else html.encode())
-            if with_anchors:
-                for link, anchor in extract_links_anchors(doc, url):
-                    srcs.append(url)
-                    dsts.append(link)
-                    anchors.append(anchor)
-            else:
-                # plain extract_links: skips the Node.text computation
-                # per anchor that the rank path never uses
-                for link in extract_links(doc, url):
-                    srcs.append(url)
-                    dsts.append(link)
-        cols = {"src": pa.array(srcs, pa.string()), "dst": pa.array(dsts, pa.string())}
+        cols = {
+            "src": pc.take(t["url"], pc.list_parent_indices(t["links"])),
+            "dst": pc.list_flatten(t["links"]),
+        }
         if with_anchors:
-            cols["anchor"] = pa.array(anchors, pa.string())
+            cols["anchor"] = pc.list_flatten(t["anchors"])
         return pa.table(cols)
 
-    raw = pages.map_batches(raw_edges, batch_format="pyarrow")
+    raw = facets.map_batches(raw_edges, batch_format="pyarrow")
 
     if pulled := broadcast.pull(nodes):
         known_ref = ray.put(set(pulled[0]["node"]))
@@ -364,10 +313,7 @@ def corpus_link_graph(
             mask = pa.array([d in known for d in t["dst"].to_pylist()])
             return t.filter(mask)
 
-        edges_out = raw.map_batches(filt, batch_format="pyarrow")
-        if not use_cache:
-            return nodes, edges_out
-        return _write_graph_cache(nodes, edges_out, cache, npath, epath, marker)
+        return nodes, raw.map_batches(filt, batch_format="pyarrow")
 
     # scale path: edges meet the node list co-partitioned on dst
     def keep_existing(sides: dict[str, pd.DataFrame]) -> pd.DataFrame:
@@ -386,51 +332,7 @@ def corpus_link_graph(
         ["dst"],
         keep_existing,
     )
-    if not use_cache:
-        return nodes, edges
-    return _write_graph_cache(nodes, edges, cache, npath, epath, marker)
-
-
-def _write_graph_cache(
-    nodes: ray.data.Dataset,
-    edges: ray.data.Dataset,
-    cache: str,
-    npath: str,
-    epath: str,
-    marker: str,
-) -> tuple[ray.data.Dataset, ray.data.Dataset]:
-    """Commit the built graph as parquet (tmp dir + rename + marker
-    LAST, the repo's sink protocol) and return read-back Datasets so
-    every later consumer in the process — and every later registry
-    query — skips the corpus parse. A lost rename race just means the
-    other writer's identical output is served."""
-    import shutil
-
-    from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
-
-    _pin_fsspec_http_stub()
-    os.makedirs(cache, exist_ok=True)
-
-    def commit(ds: ray.data.Dataset, dest: str) -> bool:
-        if os.path.exists(dest):
-            return True
-        tmp = dest + ".tmp"
-        shutil.rmtree(tmp, ignore_errors=True)
-        ds.write_parquet(tmp)
-        if not os.listdir(tmp):  # empty dataset: nothing cacheable
-            shutil.rmtree(tmp, ignore_errors=True)
-            return False
-        try:
-            os.replace(tmp, dest)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)  # concurrent winner
-        return True
-
-    if not (commit(nodes, npath) and commit(edges, epath)):
-        return nodes, edges
-    with open(marker, "w") as f:
-        f.write("")
-    return ray.data.read_parquet(npath), ray.data.read_parquet(epath)
+    return nodes, edges
 
 
 def page_rank(

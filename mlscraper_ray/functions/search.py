@@ -375,7 +375,7 @@ def bm25_query_index(
 def _index_cache_dir(sf_dir: str, prefix: str = "bm25_index") -> str:
     """Cache key digests THIS module's source (tokenizer, scoring,
     shard layout) plus a fingerprint of the indexed data (documents
-    parquet size+mtime) — mirrors pagerank's ``_graph_cache_dir`` so a
+    parquet size+mtime) — mirrors facets' ``_facet_cache_dir`` so a
     code or data change can't silently serve a stale index."""
     import hashlib
 

@@ -142,6 +142,29 @@ class TestCrawlVsOracle:
         for url in res["url"].to_pylist():
             assert not url.startswith("http://h0000.example/private/")
 
+    def test_empty_seeds_give_empty_typed_order(self, crawl_run, tmp_path_factory):
+        """A crawl from an empty seeds file fetches nothing and writes
+        no results files; its crawl order is the oracle's empty fetch
+        list, typed like any other crawl order."""
+        from mlscraper_ray.frontier.crawler import RayCrawler, crawl_order
+
+        corpus, out, cfg, _ = crawl_run
+        d = tmp_path_factory.mktemp("empty_seeds")
+        seeds = str(d / "seeds.parquet")
+        pq.write_table(
+            pa.table({"url": pa.array([], pa.string()), "depth": pa.array([], pa.int32())}), seeds
+        )
+        empty_out = str(d / "crawl")
+        RayCrawler(corpus, empty_out, cfg).run(seeds)
+        assert not glob.glob(f"{empty_out}/rounds/round=*/results/*.parquet")
+        fetches, _, _, _ = oracle_crawl(corpus, cfg, seeds)
+        order = crawl_order(empty_out)
+        assert order.num_rows == len(fetches) == 0
+        full = crawl_order(out)
+        assert full.num_rows > 0
+        assert order.schema.names == full.schema.names
+        assert order.schema.types == full.schema.types
+
 
 class TestResume:
     def test_resume_produces_identical_output(

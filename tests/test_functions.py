@@ -1767,8 +1767,8 @@ class TestRegistryWindow:
 class TestPageFacets:
     def test_cached_equals_fresh(self, ray_session):
         """The committed facet parquet must serve exactly what the
-        fused parse pass computes (same guarantee the link-graph cache
-        gives its five consumers)."""
+        fused parse pass computes; each page's link and anchor lists
+        are one pair list, so their lengths are ``n_links``."""
         from mlscraper_ray.functions.facets import page_facets_ds
 
         fresh = (
@@ -1783,6 +1783,9 @@ class TestPageFacets:
         )
         pd.testing.assert_frame_equal(fresh, cached)
         assert len(fresh) > 0
+        for row in cached.itertuples(index=False):
+            assert row.n_links == len(row.links) == len(row.anchors), row.url
+        assert cached["n_links"].sum() > 0
 
 
 class TestDsirSelect:

@@ -216,10 +216,10 @@ class TestLinkStats:
 
     def test_bucketed_existence_path_matches_broadcast(self, ray_session, set_pull_cap):
         """The existence filter's two paths build the same anchored
-        edge set. Built fresh: a cached graph would skip the filter."""
+        edge set."""
 
         def anchored_edges() -> pd.DataFrame:
-            _, edges = corpus_link_graph(SF_DIR, with_anchors=True, use_cache=False)
+            _, edges = corpus_link_graph(SF_DIR, with_anchors=True)
             return edges.to_pandas().sort_values(["src", "dst", "anchor"], ignore_index=True)
 
         a = anchored_edges()
@@ -232,11 +232,10 @@ class TestLinkStats:
 
 def test_page_rank_bucketed_existence_matches_broadcast(ray_session, set_pull_cap):
     """page_rank over a graph whose existence filter (and rank loop)
-    took the shuffle path equals the default run. Built fresh: a
-    cached graph would skip the filter."""
+    took the shuffle path equals the default run."""
     a = page_rank(SF_DIR)
     pulls = set_pull_cap(0)
-    nodes, edges = corpus_link_graph(SF_DIR, use_cache=False)
+    nodes, edges = corpus_link_graph(SF_DIR)
     b = pagerank_ds(nodes, edges).to_pandas()
     assert dict(zip(a["url"].to_pylist(), a["rank"].to_pylist())) == dict(
         zip(b["node"], b["rank"])
@@ -314,22 +313,36 @@ def test_distributed_matches_reference_on_random_graphs(
     assert pulls == ["shuffle"]
 
 
-class TestGraphCache:
-    def test_cached_graph_equals_fresh_build(self, ray_session):
-        """The parquet-cached link graph must serve the same node and
-        edge SETS as a fresh parse (order-free compare — every
-        consumer is an order-independent aggregate)."""
-        from mlscraper_ray.functions.pagerank import corpus_link_graph
+class TestGraphEdges:
+    def test_graph_equals_independent_parse(self, ray_session):
+        """The graph read from the facet table holds the node, edge and
+        anchor sets of a parse done here: every non-robots page,
+        extract_links_anchors, targets kept when they are pages."""
+        import pyarrow.parquet as pq
 
-        n1, e1 = corpus_link_graph(SF_DIR, use_cache=False)
-        n2, e2 = corpus_link_graph(SF_DIR)  # cached (built by earlier tests or now)
-        nodes1 = sorted(n1.to_pandas()["node"])
-        nodes2 = sorted(n2.to_pandas()["node"])
-        assert nodes1 == nodes2
-        ed1 = e1.to_pandas().sort_values(["src", "dst"], ignore_index=True)
-        ed2 = e2.to_pandas().sort_values(["src", "dst"], ignore_index=True)
-        pd.testing.assert_frame_equal(ed1, ed2[ed1.columns.tolist()])
-        assert len(ed1) > 0
+        from mlscraper_ray.htmlcore.dom import parse_html
+        from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf, sf_of_dir
+        from mlscraper_ray.stages.crawl_stages import extract_links_anchors
+
+        corpus_dir, _ = corpus_for_sf(sf_of_dir(SF_DIR))
+        pages = pq.read_table(f"{corpus_dir}/pages", columns=["url", "html"]).to_pandas()
+        pages = pages[~pages["url"].str.endswith("/robots.txt")]
+        rows = [
+            (url, link, anchor)
+            for url, html in zip(pages["url"], pages["html"])
+            for link, anchor in extract_links_anchors(parse_html(html), url)
+        ]
+        want = pd.DataFrame(rows, columns=["src", "dst", "anchor"])
+        want = want[want["dst"].isin(set(pages["url"]))]
+
+        nodes, edges = corpus_link_graph(SF_DIR, with_anchors=True)
+        assert sorted(nodes.to_pandas()["node"]) == sorted(pages["url"])
+        got = edges.to_pandas()
+        key = ["src", "dst", "anchor"]
+        assert sorted(got[key].itertuples(index=False, name=None)) == sorted(
+            want[key].itertuples(index=False, name=None)
+        )
+        assert len(want) > 0
 
 
 class TestHostReciprocity:

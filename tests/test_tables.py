@@ -6,8 +6,9 @@ no caller picks a shuffle's bucket count (``functions/bucketed.py``
 owns it); no caller picks the broadcast-or-shuffle cut-over
 (``broadcast.pull`` owns it); no caller pre-aggregates the batches
 it feeds ``bucketed_aggregate``, which combines every block itself;
-the crawl round admits and fetches without a Ray Data job; and no
-crawl-side class is turned into a Ray actor."""
+the crawl round admits and fetches without a Ray Data job; no
+crawl-side class is turned into a Ray actor; and no operator module
+but the facet table parses corpus pages."""
 import ast
 import glob
 import os
@@ -540,3 +541,48 @@ def test_actor_guard_sees_decorators_and_calls(tmp_path):
         "ref = task.remote(d)\n"
     )
     assert _actor_sites(str(p)) == [(4, "A"), (7, "B"), (10, "C"), (14, "d"), (15, "Group")]
+
+
+# the one module in functions/ that parses corpus pages into trees;
+# every other operator reads the facts it needs from its facet table
+CORPUS_PARSER = "facets.py"
+
+
+def _parse_sites(path: str) -> list[tuple[int, str]]:
+    """(line, how) for each reference to ``parse_html`` in one module:
+    an import of the name, a bare name, or an attribute."""
+    sites = []
+    for node in ast.walk(ast.parse(open(path).read())):
+        if isinstance(node, ast.ImportFrom):
+            sites += [(node.lineno, "import") for a in node.names if a.name == "parse_html"]
+        elif isinstance(node, ast.Name) and node.id == "parse_html":
+            sites.append((node.lineno, "name"))
+        elif isinstance(node, ast.Attribute) and node.attr == "parse_html":
+            sites.append((node.lineno, "attribute"))
+    return sorted(sites)
+
+
+def test_only_the_facet_table_parses_the_corpus():
+    found = [
+        f"{os.path.relpath(path, PACKAGE_DIR)}:{line} {how}"
+        for path in sorted(glob.glob(os.path.join(FUNCTIONS_DIR, "*.py")))
+        if os.path.basename(path) != CORPUS_PARSER
+        for line, how in _parse_sites(path)
+    ]
+    assert not found, (
+        f"functions/ parses corpus pages only in {CORPUS_PARSER}; read its facet table:\n"
+        + "\n".join(found)
+    )
+
+
+def test_parse_guard_sees_imports_names_and_attributes(tmp_path):
+    p = tmp_path / "op.py"
+    p.write_text(
+        "from mlscraper_ray.htmlcore.dom import parse_html as parse\n"
+        "from mlscraper_ray.htmlcore import dom\n"
+        "def op(html):\n"
+        "    return dom.parse_html(html)\n"
+        "fn = parse_html\n"
+        "parse_html_count = 0\n"
+    )
+    assert _parse_sites(str(p)) == [(1, "import"), (4, "attribute"), (5, "name")]
