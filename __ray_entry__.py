@@ -25,6 +25,7 @@ pytest golden literals instead.
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 from typing import Any
 
 
@@ -65,6 +66,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
     )
     from mlscraper_ray.pipelines import crawl_pipeline
 
+    # each crawl variant (crawl_pipeline.CRAWL_VARIANTS) is one entry
+    crawl_order = crawl_pipeline.crawl_order_query
     # ORDER MATTERS: the driver's correctness check compares the FIRST
     # 50 keys only. Tier 1 = operators that have never received a
     # driver-side CORRECTNESS row (r4 verdict task #1); tier 2 = new
@@ -122,9 +125,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "url_canonical_dedup": urls.url_canonical_dedup,
         # tier-budgeted crawl: per-host fetch budgets by authority
         # tier (the north-star host-budget priority leg)
-        "crawl_order_tiered": crawl_pipeline.crawl_order_tiered_query,
+        "crawl_order_tiered": partial(crawl_order, variant="tiered"),
         # tiers composed with the recrawl/TTL policy (freshness crawl)
-        "crawl_order_tiered_recrawl": crawl_pipeline.crawl_order_tiered_recrawl_query,
+        "crawl_order_tiered_recrawl": partial(crawl_order, variant="tiered_recrawl"),
         # lineage/metrics leg: per-round metrics off the crawl's own
         # output partitions + final shard-counter totals from the
         # checkpoint manifest, both pinned by the oracle crawler
@@ -159,7 +162,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # RANK-driven tiered crawl: host tiers from the link graph's
         # own integer PageRank mass (the full prioritization loop);
         # oracle recomputes the tier map by an independent path
-        "crawl_order_ranked": crawl_pipeline.crawl_order_ranked_query,
+        "crawl_order_ranked": partial(crawl_order, variant="ranked"),
         # multiprobe hyperplane LSH (Lv et al. 2007): Hamming-radius
         # bucket match over integer-exact signatures, exact cosine on
         # the ~10% candidate set — the LSH-bucketed ANN scale path
@@ -264,8 +267,8 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # degree assortativity: exact moment fold over the pair graph
         "host_assortativity": pagerank.host_assortativity,
         # ---- tier 3: last driver-checked in r3 -------------------
-        "crawl_order": crawl_pipeline.crawl_order_query,
-        "crawl_order_recrawl": crawl_pipeline.crawl_order_recrawl_query,
+        "crawl_order": crawl_order,
+        "crawl_order_recrawl": partial(crawl_order, variant="recrawl"),
         # depth census over the crawl output (frontier-shape signal;
         # past the driver window, pinned by the in-repo truth oracle)
         "crawl_depth_histogram": crawl_pipeline.crawl_depth_histogram_query,
@@ -850,42 +853,12 @@ def _truth_oracle_entries() -> dict[str, str]:
     """Built per-entry with failure isolation: if a builder cannot run
     (e.g. unwritable corpus scratch dir), that pipeline degrades to
     the rows-only check instead of taking every oracle down with it."""
-    from mlscraper_ray.pipelines import truth_oracles
+    from mlscraper_ray.pipelines.truth_oracles import TRUTH
 
-    builders = {
-        "extract_all": lambda: truth_oracles.extract_truth_sql(0.01),
-        "extract_from_warc": lambda: truth_oracles.extract_truth_sql(0.01),
-        "learn_plan": lambda: truth_oracles.learn_plan_truth_sql(0.01),
-        "learn_plan_parallel": lambda: truth_oracles.learn_plan_truth_sql(0.01),
-        "warc_roundtrip": lambda: truth_oracles.warc_truth_sql(0.01),
-        "crawl_order": lambda: truth_oracles.crawl_order_truth_sql(0.01),
-        "crawl_order_recrawl": lambda: truth_oracles.crawl_order_truth_sql(0.01, recrawl=True),
-        "crawl_order_tiered": lambda: truth_oracles.crawl_order_tiered_truth_sql(0.01),
-        "crawl_order_ranked": lambda: truth_oracles.crawl_order_ranked_truth_sql(0.01),
-        "crawl_order_tiered_recrawl": lambda: truth_oracles.crawl_order_tiered_truth_sql(0.01, recrawl=True),
-        "crawl_metrics": lambda: truth_oracles.crawl_metrics_truth_sql(0.01),
-        "robots_stats": lambda: truth_oracles.robots_stats_truth_sql(0.01),
-        "crawl_counter_totals": lambda: truth_oracles.crawl_counter_totals_truth_sql(0.01),
-        "crawl_depth_histogram": lambda: truth_oracles.crawl_depth_histogram_truth_sql(0.01),
-        "page_rank": lambda: truth_oracles.pagerank_truth_sql(0.01),
-        "link_hits": lambda: truth_oracles.hits_truth_sql(0.01),
-        "link_distance_from_seeds": lambda: truth_oracles.link_distance_truth_sql(0.01),
-        "extract_main_content": lambda: truth_oracles.main_content_truth_sql(0.01),
-        "page_template_clusters": lambda: truth_oracles.template_truth_sql(0.01),
-        "page_profile": lambda: truth_oracles.page_profile_truth_sql(0.01),
-        "wet_curate": lambda: truth_oracles.wet_curate_truth_sql(0.01),
-        "link_stats": lambda: truth_oracles.link_stats_truth_sql(0.01),
-        "host_rank": lambda: truth_oracles.host_rank_truth_sql(0.01),
-        "host_reciprocity": lambda: truth_oracles.host_reciprocity_truth_sql(0.01),
-        "host_triangles": lambda: truth_oracles.host_triangles_truth_sql(0.01),
-        "host_kcore": lambda: truth_oracles.host_kcore_truth_sql(0.01),
-        "host_communities": lambda: truth_oracles.host_communities_truth_sql(0.01),
-        "host_assortativity": lambda: truth_oracles.host_assortativity_truth_sql(0.01),
-    }
     out: dict[str, str] = {}
-    for name, build in builders.items():
+    for name, build in TRUTH.items():
         try:
-            out[name] = build()
+            out[name] = build(0.01)
         except Exception as exc:  # degrade LOUDLY, not silently
             import warnings
 

@@ -54,6 +54,7 @@ def run_bench() -> dict:
     from perfbench.inputs import CORE_OPS
     from mlscraper_ray.pipelines.crawl_pipeline import (
         corpus_for_sf,
+        crawl_order_query,
         extract_all_query,
         run_crawl,
         sf_of_dir,
@@ -123,19 +124,15 @@ def run_bench() -> dict:
     # tier-budgeted crawl at the production round shape (torso budget
     # 128 like the plain bench crawl; head 256 / tail 16): one timed
     # pass, includes the host-tier derivation
-    from mlscraper_ray.pipelines.crawl_pipeline import crawl_order_tiered_query
-
     t0 = time.time()
-    tiered = crawl_order_tiered_query(sf_dir, tokens_per_round=128, max_rounds=60)
+    tiered = crawl_order_query(sf_dir, variant="tiered", tokens_per_round=128, max_rounds=60)
     queries["crawl_tiered"] = round(time.time() - t0, 3)
     extras["crawl_tiered_urls"] = tiered.num_rows
 
     # rank-driven tier variant (includes the distributed PageRank +
     # host roll-up that derives the tier map)
-    from mlscraper_ray.pipelines.crawl_pipeline import crawl_order_ranked_query
-
     t0 = time.time()
-    ranked = crawl_order_ranked_query(sf_dir, tokens_per_round=128, max_rounds=60)
+    ranked = crawl_order_query(sf_dir, variant="ranked", tokens_per_round=128, max_rounds=60)
     queries["crawl_ranked"] = round(time.time() - t0, 3)
     extras["crawl_ranked_urls"] = ranked.num_rows
     extras["host_probe_ms_after"] = _probe_ms()

@@ -1715,10 +1715,9 @@ def query_similar_indexed(
     import pyarrow.dataset as pads
 
     from mlscraper_ray.functions.broadcast import cached_object
-    from mlscraper_ray.functions.search import _index_cache_dir
+    from mlscraper_ray.functions.search import _cached_index
 
-    index_dir = _index_cache_dir(sf_dir, prefix="lsh_index")
-    lsh_index_to_parquet(sf_dir, index_dir)
+    index_dir = _cached_index(sf_dir, "lsh_index", lsh_index_to_parquet)
     import json
 
     with open(os.path.join(index_dir, "_meta.json")) as fh:

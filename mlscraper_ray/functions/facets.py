@@ -31,6 +31,8 @@ import os
 import pyarrow as pa
 import ray.data
 
+from mlscraper_ray.functions.sinks import prune_stale
+
 # facet schema — block facts use sentinel values (index -1, empty
 # strings, zero counts) when the page has no body element children,
 # mirroring the consumers' "skip this page" rule without nullables;
@@ -154,15 +156,36 @@ def _build_facets(corpus_dir: str) -> ray.data.Dataset:
     return pages.map_batches(facet_batch, batch_format="pyarrow")
 
 
+def _pin_fsspec_http_stub() -> None:
+    """Make Ray Data's per-call ``fsspec.implementations.http`` probe
+    deterministic under CONCURRENT Dataset executions. Absent aiohttp
+    that module can never import; Python retries the failing import on
+    every path resolution, and with several threads resolving at once
+    the failure races and can surface as a bare ImportError where
+    Ray's guard catches only ModuleNotFoundError. Caching a minimal
+    stub once removes the repeated import entirely; local-filesystem
+    paths never reach the stubbed class."""
+    import sys
+    import types
+
+    try:
+        import fsspec.implementations.http  # noqa: F401
+    except Exception:
+        mod = types.ModuleType("fsspec.implementations.http")
+        mod.HTTPFileSystem = type("HTTPFileSystem", (), {})
+        sys.modules["fsspec.implementations.http"] = mod
+
+
 def page_facets_ds(
     sf_dir: str, use_cache: bool = True, columns: list[str] | None = None
 ) -> ray.data.Dataset:
     """The per-page facet Dataset for this corpus tier. Cached build:
     first caller pays the parse once (tmp dir + rename + marker LAST,
-    the repo's sink protocol); everyone after — in this process or a
-    later registry query — reads the committed parquet with
-    ``columns`` pruning. ``use_cache=False`` runs the fused parse
-    fresh (the equality tests compare the two paths)."""
+    the repo's sink protocol) and deletes the trees of older digests;
+    everyone after — in this process or a later registry query —
+    reads the committed parquet with ``columns`` pruning.
+    ``use_cache=False`` runs the fused parse fresh (the equality tests
+    compare the two paths)."""
     from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf, sf_of_dir
 
     corpus_dir, _spec = corpus_for_sf(sf_of_dir(sf_dir))
@@ -175,8 +198,6 @@ def page_facets_ds(
     marker = os.path.join(cache, "_SUCCESS_facets")
     if not os.path.exists(marker):
         import shutil
-
-        from mlscraper_ray.pipelines.crawl_pipeline import _pin_fsspec_http_stub
 
         _pin_fsspec_http_stub()
         os.makedirs(cache, exist_ok=True)
@@ -192,4 +213,5 @@ def page_facets_ds(
             shutil.rmtree(tmp, ignore_errors=True)  # concurrent winner
         with open(marker, "w") as f:
             f.write("")
+        prune_stale(cache)
     return ray.data.read_parquet(dest, columns=list(columns) if columns else None)

@@ -33,7 +33,13 @@ import ray
 import ray.data
 
 from mlscraper_ray.functions.bucketed import co_partition
-from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, shard_files, write_resumable
+from mlscraper_ray.functions.sinks import (
+    all_shards_done,
+    crc32_shard,
+    prune_stale,
+    shard_files,
+    write_resumable,
+)
 from mlscraper_ray.functions.tables import finish, read_table
 
 # present in every sf tier of the synthetic corpus vocabulary
@@ -372,7 +378,7 @@ def bm25_query_index(
     return finish(out)
 
 
-def _index_cache_dir(sf_dir: str, prefix: str = "bm25_index") -> str:
+def _index_cache_dir(sf_dir: str, prefix: str) -> str:
     """Cache key digests THIS module's source (tokenizer, scoring,
     shard layout) plus a fingerprint of the indexed data (documents
     parquet size+mtime) — mirrors facets' ``_facet_cache_dir`` so a
@@ -392,14 +398,24 @@ def _index_cache_dir(sf_dir: str, prefix: str = "bm25_index") -> str:
     )
 
 
+def _cached_index(sf_dir: str, prefix: str, build) -> str:
+    """The ``prefix`` index of this corpus tier in its digest-keyed
+    cache dir (:func:`_index_cache_dir`), built or resumed by the sink
+    ``build(sf_dir, index_dir)``; once it is committed, the indexes of
+    older digests are deleted."""
+    index_dir = _index_cache_dir(sf_dir, prefix)
+    build(sf_dir, index_dir)
+    prune_stale(index_dir)
+    return index_dir
+
+
 def bm25_indexed_topk(
     sf_dir: str, terms: tuple[str, ...] = DEFAULT_TERMS, k: int = 10
 ) -> pa.Table:
     """Registry entry: build (or reuse — the sink is resumable and
     cached) the persisted index for this corpus tier, then serve the
     default query from it."""
-    index_dir = _index_cache_dir(sf_dir)
-    bm25_index_to_parquet(sf_dir, index_dir)
+    index_dir = _cached_index(sf_dir, "bm25_index", bm25_index_to_parquet)
     return bm25_query_index(index_dir, terms, k)
 
 
@@ -634,8 +650,7 @@ def phrase_indexed_topk(
     """Registry entry: build (or reuse — resumable and cached) the
     positional index for this corpus tier, then serve the default
     phrase from it."""
-    index_dir = _index_cache_dir(sf_dir, prefix="phrase_index")
-    phrase_index_to_parquet(sf_dir, index_dir)
+    index_dir = _cached_index(sf_dir, "phrase_index", phrase_index_to_parquet)
     return phrase_query_index(index_dir, phrase, k)
 
 
@@ -757,8 +772,7 @@ def near_indexed_topk(
     :func:`near_topk` (tested equal)."""
     import json
 
-    index_dir = _index_cache_dir(sf_dir, prefix="phrase_index")
-    phrase_index_to_parquet(sf_dir, index_dir)
+    index_dir = _cached_index(sf_dir, "phrase_index", phrase_index_to_parquet)
     with open(os.path.join(index_dir, "_meta.json")) as f:
         meta = json.load(f)
     ta, tb = terms

@@ -22,10 +22,16 @@ exactly those — a failed 100 TB job resumes at shard granularity
 instead of restarting, and output is never one giant file. The
 row-to-shard rule must not change between runs: a shard committed by
 one run is never rewritten by the next.
+
+The digest-keyed caches (the page-facet table, the search indexes, the
+truth-oracle SQL) call :func:`prune_stale` once they commit an entry,
+so an entry left behind by an older digest is deleted, not kept.
 """
 from __future__ import annotations
 
+import contextlib
 import os
+import re
 import shutil
 import zlib
 from collections.abc import Callable, Sequence
@@ -108,3 +114,24 @@ def shard_files(out_dir: str, shard_ids: Sequence[int]) -> list[str]:
         d = _shard_dir(out_dir, s)
         out += sorted(os.path.join(d, f) for f in os.listdir(d) if f.endswith(".parquet"))
     return out
+
+
+def prune_stale(path: str) -> None:
+    """Delete the siblings of the just-committed cache entry ``path``,
+    a file or tree named ``<prefix><10-hex digest><suffix>``: every
+    entry with the same prefix and suffix and another digest of
+    exactly that length (so ``_oracle_tiered_order_<d>.sql`` never
+    matches ``_oracle_tiered_recrawl_order_<d>.sql``)."""
+    parent, name = os.path.split(path)
+    m = re.fullmatch(r"(.*)[0-9a-f]{10}(\.\w+)?", name)
+    if m is None:
+        raise ValueError(f"no 10-hex digest ends {name!r}")
+    stale = re.compile(re.escape(m.group(1)) + r"[0-9a-f]{10}" + re.escape(m.group(2) or ""))
+    for other in os.listdir(parent):
+        if other != name and stale.fullmatch(other):
+            victim = os.path.join(parent, other)
+            if os.path.isdir(victim):
+                shutil.rmtree(victim, ignore_errors=True)
+            else:
+                with contextlib.suppress(FileNotFoundError):  # a concurrent pruner
+                    os.remove(victim)

@@ -12,6 +12,7 @@ import json
 import os
 import re
 import shutil
+from collections.abc import Callable
 
 import pyarrow as pa
 
@@ -70,38 +71,101 @@ def crawl_config_for(spec: CorpusSpec, plan: dict, tokens_per_round: int = 8, ma
 
 
 def _crawl_dir(sf: float, cfg: CrawlConfig) -> str:
-    """Output directory of a plain crawl, keyed by scale AND a digest
-    of the full config: runs under different configs (the bench's
-    128-token crawl, the registry's 8-token one) never overwrite each
-    other's artifacts."""
+    """Output directory of a crawl, keyed by scale AND a digest of the
+    full config: runs under different configs (the bench's 128-token
+    crawl, the registry's 8-token one, each crawl variant) never
+    overwrite each other's artifacts."""
     import hashlib
 
     digest = hashlib.sha1(json.dumps(cfg.to_dict(), sort_keys=True).encode()).hexdigest()[:12]
     return os.path.join(DATA_ROOT, f"crawl_sf{sf}_{digest}")
 
 
-def run_crawl(sf_dir: str, fresh: bool = True, tokens_per_round: int = 8, max_rounds: int = 40):
-    """Full crawl pipeline at the scale implied by sf_dir. Returns
+# The registry's crawl variants: name -> (max rounds, recrawl TTL in
+# rounds, tier source). The tier source names the per-host authority
+# that :func:`tiers_from_counts` ranks: "pages" (corpus page counts)
+# or "rank" (integer PageRank mass); None crawls every host at one
+# budget. The distributed queries and the truth oracles build their
+# configs from this one table (:func:`variant_config`).
+CRAWL_VARIANTS: dict[str, tuple[int, int, str | None]] = {
+    "plain": (40, 0, None),
+    "recrawl": (10, 3, None),
+    "tiered": (40, 0, "pages"),
+    "tiered_recrawl": (10, 3, "pages"),
+    "ranked": (40, 0, "rank"),
+}
+
+
+def variant_config(
+    spec: CorpusSpec,
+    plan: dict,
+    variant: str,
+    tier_counts: dict[str, Callable[[], dict[str, int]]],
+    tokens_per_round: int = 8,
+    max_rounds: int | None = None,
+) -> CrawlConfig:
+    """The crawl config of one ``CRAWL_VARIANTS`` entry. ``tier_counts``
+    maps each tier source to the function that computes its per-host
+    counts; each side of the engine-vs-oracle contract passes its own,
+    so the counts reach the shared tier rule by independent paths.
+    ``max_rounds`` overrides the variant's round cap."""
+    rounds, ttl, source = CRAWL_VARIANTS[variant]
+    cfg = crawl_config_for(
+        spec, plan, tokens_per_round, rounds if max_rounds is None else max_rounds
+    )
+    cfg.recrawl_after_rounds = ttl
+    if source is not None:
+        cfg.host_tiers = tiers_from_counts(tier_counts[source]())
+        cfg.tier_budgets = tier_budgets_for(tokens_per_round)
+    return cfg
+
+
+def run_crawl(
+    sf_dir: str, variant: str = "plain", tokens_per_round: int = 8, max_rounds: int | None = None
+):
+    """Crawl the corpus at the scale implied by sf_dir under one
+    crawl variant, from scratch, into that config's ``_crawl_dir``.
+    The tier sources are the distributed ones
+    (:func:`host_page_counts_distributed`,
+    :func:`host_rank_totals_distributed`). Returns
     (out_dir, stats, config)."""
     from mlscraper_ray.frontier.crawler import RayCrawler
 
     sf = sf_of_dir(sf_dir)
     corpus_dir, spec = corpus_for_sf(sf)
-    plan = learn_plan(corpus_dir, spec)
-    cfg = crawl_config_for(spec, plan, tokens_per_round, max_rounds)
+    tier_counts = {
+        "pages": lambda: host_page_counts_distributed(corpus_dir),
+        "rank": lambda: host_rank_totals_distributed(sf_dir),
+    }
+    cfg = variant_config(
+        spec, learn_plan(corpus_dir, spec), variant, tier_counts, tokens_per_round, max_rounds
+    )
     out_dir = _crawl_dir(sf, cfg)
-    if fresh and os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
+    shutil.rmtree(out_dir, ignore_errors=True)
     stats = RayCrawler(corpus_dir, out_dir, cfg).run()
     return out_dir, stats, cfg
 
 
-def crawl_order_query(sf_dir: str) -> pa.Table:
+def crawl_order_query(
+    sf_dir: str, variant: str = "plain", tokens_per_round: int = 8, max_rounds: int | None = None
+) -> pa.Table:
     """Flagship: deterministic crawl order table (rank, round, depth,
-    host, url)."""
+    host, url) of one crawl variant, value-pinned by the single-process
+    oracle crawler under the same variant (``truth_oracles.TRUTH``):
+
+    - ``plain``: every host at ``tokens_per_round`` per round;
+    - ``recrawl``: cuckoo seen set, urls expire after 3 rounds and are
+      re-fetched on rediscovery;
+    - ``tiered``: per-host budgets by authority tier (head 2x the
+      torso, tail 1/8), authority = the host's corpus page count;
+    - ``tiered_recrawl``: tier budgets composed with the TTL policy
+      (they meet only at the per-host token pop, ``budget_for``);
+    - ``ranked``: tiers from the link graph's integer PageRank mass,
+      so one constant table pins parse, graph, the distributed
+      PageRank, the host roll-up, the tier rule and the order."""
     from mlscraper_ray.frontier.crawler import crawl_order
 
-    out_dir, _, _ = run_crawl(sf_dir)
+    out_dir, _, _ = run_crawl(sf_dir, variant, tokens_per_round, max_rounds)
     return crawl_order(out_dir)
 
 
@@ -154,32 +218,6 @@ def tier_budgets_for(tokens_per_round: int) -> list[int]:
     return [2 * t, t, max(1, t // 8)]
 
 
-def crawl_order_tiered_query(
-    sf_dir: str, tokens_per_round: int = 8, max_rounds: int = 40
-) -> pa.Table:
-    """TIERED crawl: per-host fetch budgets by authority tier — the
-    north-star "host-budget" leg of the priority key. High-tier hosts
-    drain 2x the torso budget per round, the tail 1/8, so the crawl
-    spends its politeness-bounded budget on high-authority hosts
-    first. Same deterministic-order contract as crawl_order,
-    value-pinned by the single-process oracle crawler run under the
-    SAME tier config
-    (pipelines/truth_oracles.crawl_order_tiered_truth_sql)."""
-    from mlscraper_ray.frontier.crawler import RayCrawler, crawl_order
-
-    sf = sf_of_dir(sf_dir)
-    corpus_dir, spec = corpus_for_sf(sf)
-    plan = learn_plan(corpus_dir, spec)
-    cfg = crawl_config_for(spec, plan, tokens_per_round=tokens_per_round, max_rounds=max_rounds)
-    cfg.host_tiers = tiers_from_counts(host_page_counts_distributed(corpus_dir))
-    cfg.tier_budgets = tier_budgets_for(tokens_per_round)
-    out_dir = os.path.join(DATA_ROOT, f"tiered_sf{sf}")
-    if os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
-    RayCrawler(corpus_dir, out_dir, cfg).run()
-    return crawl_order(out_dir)
-
-
 def host_rank_totals_distributed(sf_dir: str) -> dict[str, int]:
     """Per-host integer PageRank mass from the DISTRIBUTED pipeline
     (parse -> link graph -> fixed-point PageRank -> host roll-up) —
@@ -189,35 +227,6 @@ def host_rank_totals_distributed(sf_dir: str) -> dict[str, int]:
 
     t = host_rank(sf_dir).to_pandas()
     return dict(zip(t["host"], t["rank_total"].astype(int)))
-
-
-def crawl_order_ranked_query(
-    sf_dir: str, tokens_per_round: int = 8, max_rounds: int = 40
-) -> pa.Table:
-    """RANK-driven tiered crawl — the full north-star prioritization
-    loop closed: host authority comes from the link graph's own
-    integer PageRank mass (:func:`host_rank_totals_distributed`)
-    instead of the page-count proxy, feeding the same tier rule and
-    budget policy as ``crawl_order_tiered``. Because ranks are
-    fixed-point integers, the truth side
-    (truth_oracles.crawl_order_ranked_truth_sql) recomputes the SAME
-    tier map from generator link records + the single-process
-    reference loop — so one constant table value-pins parse, graph
-    assembly, the distributed PageRank iteration, the host roll-up,
-    the tier rule AND the resulting crawl order end to end."""
-    from mlscraper_ray.frontier.crawler import RayCrawler, crawl_order
-
-    sf = sf_of_dir(sf_dir)
-    corpus_dir, spec = corpus_for_sf(sf)
-    plan = learn_plan(corpus_dir, spec)
-    cfg = crawl_config_for(spec, plan, tokens_per_round=tokens_per_round, max_rounds=max_rounds)
-    cfg.host_tiers = tiers_from_counts(host_rank_totals_distributed(sf_dir))
-    cfg.tier_budgets = tier_budgets_for(tokens_per_round)
-    out_dir = os.path.join(DATA_ROOT, f"ranked_sf{sf}")
-    if os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
-    RayCrawler(corpus_dir, out_dir, cfg).run()
-    return crawl_order(out_dir)
 
 
 # the counters both the frontier shards and the single-process oracle
@@ -301,30 +310,6 @@ def robots_stats_query(sf_dir: str) -> pa.Table:
     )
 
 
-def crawl_order_tiered_recrawl_query(sf_dir: str) -> pa.Table:
-    """Tier budgets COMPOSED with the recrawl/TTL policy (cuckoo seen
-    set, eviction after 3 rounds): high-authority hosts get both more
-    tokens per round AND proportionally more re-fetch slots when their
-    urls expire — the realistic freshness-crawl shape. Value-pinned by
-    the oracle crawler under the same composed config (the eviction
-    ring and the tier admission interact only at the per-host token
-    pop, which both engines share via budget_for)."""
-    from mlscraper_ray.frontier.crawler import RayCrawler, crawl_order
-
-    sf = sf_of_dir(sf_dir)
-    corpus_dir, spec = corpus_for_sf(sf)
-    plan = learn_plan(corpus_dir, spec)
-    cfg = crawl_config_for(spec, plan, tokens_per_round=8, max_rounds=10)
-    cfg.recrawl_after_rounds = 3
-    cfg.host_tiers = tiers_from_counts(host_page_counts_distributed(corpus_dir))
-    cfg.tier_budgets = tier_budgets_for(8)
-    out_dir = os.path.join(DATA_ROOT, f"tiered_recrawl_sf{sf}")
-    if os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
-    RayCrawler(corpus_dir, out_dir, cfg).run()
-    return crawl_order(out_dir)
-
-
 def _plain_crawl_artifacts(sf_dir: str) -> str:
     """``out_dir`` of a COMPLETED plain crawl under the standard
     config, REUSING crawl_order_query's output — the metrics queries
@@ -336,7 +321,7 @@ def _plain_crawl_artifacts(sf_dir: str) -> str:
 
     sf = sf_of_dir(sf_dir)
     corpus_dir, spec = corpus_for_sf(sf)
-    out_dir = _crawl_dir(sf, crawl_config_for(spec, learn_plan(corpus_dir, spec)))
+    out_dir = _crawl_dir(sf, variant_config(spec, learn_plan(corpus_dir, spec), "plain", {}))
     if (
         os.path.exists(os.path.join(out_dir, "metrics.json"))
         and RayCrawler.latest_complete_round(out_dir) is not None
@@ -351,7 +336,7 @@ def crawl_metrics_query(sf_dir: str) -> pa.Table:
     (round, n_fetched, n_hosts, max_depth) — the lineage/metrics leg
     of the north rule as a queryable table, value-pinned by the oracle
     crawler's per-round fetch log
-    (truth_oracles.crawl_metrics_truth_sql)."""
+    (truth_oracles.TRUTH["crawl_metrics"])."""
     import pandas as pd
 
     from mlscraper_ray.frontier.crawler import crawl_order_dataset
@@ -402,25 +387,6 @@ def crawl_counter_totals_query(sf_dir: str) -> pa.Table:
     )
 
 
-def crawl_order_recrawl_query(sf_dir: str) -> pa.Table:
-    """Crawl order under the recrawl/TTL policy (cuckoo seen set with
-    eviction after 3 rounds): same deterministic-order contract, pages
-    re-fetched on rediscovery. Pinned by tests/test_crawl.py
-    TestRecrawlTTL against the single-process oracle."""
-    from mlscraper_ray.frontier.crawler import RayCrawler, crawl_order
-
-    sf = sf_of_dir(sf_dir)
-    corpus_dir, spec = corpus_for_sf(sf)
-    plan = learn_plan(corpus_dir, spec)
-    cfg = crawl_config_for(spec, plan, tokens_per_round=8, max_rounds=10)
-    cfg.recrawl_after_rounds = 3
-    out_dir = os.path.join(DATA_ROOT, f"recrawl_sf{sf}")
-    if os.path.exists(out_dir):
-        shutil.rmtree(out_dir)
-    RayCrawler(corpus_dir, out_dir, cfg).run()
-    return crawl_order(out_dir)
-
-
 def extract_all_dataset(sf_dir: str):
     """PRODUCTION PATH of the M1 slice: pruned read (url + html only)
     -> map_batches(learned-scraper apply) returned AS A DATASET — the
@@ -444,77 +410,18 @@ def extract_all_dataset(sf_dir: str):
     )
 
 
-def _pin_fsspec_http_stub() -> None:
-    """Make Ray Data's per-call ``fsspec.implementations.http`` probe
-    deterministic under CONCURRENT Dataset executions. Absent aiohttp
-    that module can never import; Python retries the failing import on
-    every path resolution, and with several threads resolving at once
-    the failure races and can surface as a bare ImportError where
-    Ray's guard catches only ModuleNotFoundError. Caching a minimal
-    stub once removes the repeated import entirely; local-filesystem
-    paths never reach the stubbed class."""
-    import sys
-    import types
+def extract_all_to_parquet(sf_dir: str, out_dir: str) -> dict:
+    """Streaming sink twin of :func:`extract_all_dataset`, RESUMABLE:
+    written through ``sinks.write_resumable`` into 16 url-hash shard
+    directories, each committed by its marker, so a killed run
+    re-invoked with the same ``out_dir`` rewrites only the unfinished
+    shards. Returns ``{"written": n, "skipped": n}``."""
+    from mlscraper_ray.functions.sinks import crc32_shard, write_resumable
 
-    try:
-        import fsspec.implementations.http  # noqa: F401
-    except Exception:
-        mod = types.ModuleType("fsspec.implementations.http")
-        mod.HTTPFileSystem = type("HTTPFileSystem", (), {})
-        sys.modules["fsspec.implementations.http"] = mod
-
-
-def extract_all_to_parquet(sf_dir: str, out_dir: str, window: int = 4) -> dict:
-    """Streaming sink twin, RESUMABLE: output is partitioned by the
-    corpus host-hash bucket — one directory per input shard, mirroring
-    the read layout — and each bucket directory is committed by a
-    ``_SUCCESS`` marker written AFTER its parquet (marker-last, the
-    same commit protocol as the crawl checkpoints). A failed or killed
-    run re-invoked with the same ``out_dir`` skips finished buckets
-    and rewrites only incomplete ones — never one giant file, never a
-    restart from zero (the 100-TB resumable-output contract).
-
-    Unfinished buckets run as ``window`` CONCURRENT Dataset
-    executions (one thread each — Ray Data executions are independent
-    per Dataset), so the cluster is not left idle during each
-    bucket's straggler tail while keeping per-bucket resume
-    granularity. Returns ``{"written": n, "skipped": n}``."""
-    import glob as _glob
-    from concurrent.futures import ThreadPoolExecutor
-
-    import ray.data
-
-    from mlscraper_ray.stages.apply import apply_scraper_task
-
-    sf = sf_of_dir(sf_dir)
-    corpus_dir, spec = corpus_for_sf(sf)
-    plan_json = json.dumps(learn_plan(corpus_dir, spec), sort_keys=True)
-    todo, skipped = [], 0
-    for bdir in sorted(_glob.glob(os.path.join(corpus_dir, "pages", "hb=*"))):
-        dest = os.path.join(out_dir, os.path.basename(bdir))
-        if os.path.exists(os.path.join(dest, "_SUCCESS")):
-            skipped += 1
-        else:
-            todo.append((bdir, dest))
-
-    _pin_fsspec_http_stub()
-
-    def run_bucket(job: tuple[str, str]) -> None:
-        bdir, dest = job
-        shutil.rmtree(dest, ignore_errors=True)  # partial output of a crashed run
-        ray.data.read_parquet(bdir, columns=["url", "html"]).map_batches(
-            apply_scraper_task,
-            fn_kwargs={"plan_json": plan_json},
-            batch_format="pyarrow",
-            batch_size=128,
-        ).write_parquet(dest)
-        with open(os.path.join(dest, "_SUCCESS"), "w") as f:
-            f.write("")
-
-    if todo:
-        with ThreadPoolExecutor(max_workers=max(1, window)) as pool:
-            list(pool.map(run_bucket, todo))
-    return {"written": len(todo), "skipped": skipped}
+    n_shards = 16
+    return write_resumable(
+        extract_all_dataset(sf_dir), crc32_shard("url", n_shards), out_dir, n_shards
+    )
 
 
 def extract_all_query(sf_dir: str):
@@ -586,7 +493,7 @@ def crawl_depth_histogram_query(sf_dir: str) -> pa.Table:
     distinct pass — so nothing URL-sized aggregates on one task (depth
     cardinality is tiny, so a naive groupby(depth) would melt one
     worker at scale). Value-pinned by the oracle crawler's fetch log
-    (truth_oracles.crawl_depth_histogram_truth_sql)."""
+    (truth_oracles.TRUTH["crawl_depth_histogram"])."""
     from mlscraper_ray.frontier.crawler import crawl_order_dataset
     from mlscraper_ray.functions.bucketed import bucketed_aggregate
     from mlscraper_ray.functions.tables import finish

@@ -14,16 +14,34 @@ is the generator's ``golden.parquet`` (written from the page TEMPLATE,
 not from any DOM/learner output), WARC truth is the generator's page
 bytes, and crawl truth is the plain-dict oracle crawler.
 
-The built SQL is cached next to the corpus (same (sf, seed)-keyed
-cache dir), since the oracle crawler pass costs a few seconds.
+``TRUTH`` maps each registry name to its builder ``(sf) -> SQL``.
+Three helpers carry what the builders share:
+
+- :func:`_cached` stores the rendered SQL next to the corpus, keyed by
+  a digest of the builder's parameters and of the source of every
+  module its truth depends on, and deletes the entries of older
+  digests when it commits a new one;
+- :func:`_generator_graph` is the corpus link graph from the
+  generator's own link records (and :func:`_host_pairs` its distinct
+  cross-host pairs), independent of the parse under test;
+- :func:`_crawl_truth` runs the oracle crawler under one
+  ``crawl_pipeline.CRAWL_VARIANTS`` config — the same table the
+  distributed crawl queries read, with the tier counts computed here
+  by independent paths — and renders its fetch log or counters
+  through a row function.
 """
 from __future__ import annotations
 
 import hashlib
 import json
 import os
+from collections import Counter, defaultdict
+from functools import partial
 
 import pyarrow.parquet as pq
+
+from mlscraper_ray.pipelines import crawl_pipeline as cp
+from mlscraper_ray.sources import corpusgen
 
 
 def _lit(v) -> str:
@@ -42,31 +60,70 @@ def values_sql(rows: list[tuple], cols: list[str]) -> str:
     return f"SELECT * FROM (VALUES\n{body}\n) AS t({names})"
 
 
-def _source_digest(*modules) -> str:
-    """Digest of the truth-producing code itself, so a bugfix in the
-    generator / oracle crawler invalidates cached oracle SQL."""
-    h = hashlib.md5()
+def _ordered(rows: list[tuple], cols: list[str]) -> str:
+    """:func:`values_sql` ordered by its first column."""
+    return values_sql(rows, cols) + f' ORDER BY "{cols[0]}"'
+
+
+def _cached(sf: float, name: str, build, *modules, params: str = "") -> str:
+    """``build(corpus_dir, spec)``'s SQL, cached in the corpus dir of
+    scale ``sf`` under ``name`` and a digest of ``params`` (every input
+    beyond the corpus itself, e.g. the crawl config) and the source of
+    ``modules`` (the truth-producing code) — a stale file from an older
+    config or code version can never be served, and committing a new
+    digest deletes the files of the old ones."""
+    from mlscraper_ray.functions.sinks import prune_stale
+
+    corpus_dir, spec = cp.corpus_for_sf(sf)
+    h = hashlib.md5(params.encode())
     for mod in modules:
         with open(mod.__file__, "rb") as f:
             h.update(f.read())
-    return h.hexdigest()[:10]
-
-
-def _cached(corpus_dir: str, name: str, key: str, build) -> str:
-    """Cache the rendered SQL keyed by (corpus_dir, name, key) where
-    ``key`` digests every input the truth depends on beyond the
-    corpus itself (crawl config, producer source code) — a stale file
-    from an older config or code version can never be served."""
-    path = os.path.join(corpus_dir, f"_oracle_{name}_{key}.sql")
+    path = os.path.join(corpus_dir, f"_oracle_{name}_{h.hexdigest()[:10]}.sql")
     if os.path.exists(path):
         with open(path) as f:
             return f.read()
-    sql = build()
+    sql = build(corpus_dir, spec)
     tmp = path + ".tmp"
     with open(tmp, "w") as f:
         f.write(sql)
     os.replace(tmp, path)
+    prune_stale(path)
     return sql
+
+
+def _generator_graph(spec) -> tuple[list[str], list[tuple[str, str]]]:
+    """(nodes, edges) of the corpus link graph from the GENERATOR's own
+    link records (corpusgen.page_links), independent of the pipeline's
+    HTML parse and link extraction: every content page url in (host,
+    page) order, and every (src, dst) link whose target is a corpus
+    page, in page then link order."""
+    nodes = [spec.page_url(h, i) for h in range(spec.n_hosts) for i in range(spec.n_pages(h))]
+    urlset = set(nodes)
+    edges = [
+        (spec.page_url(h, i), t)
+        for h in range(spec.n_hosts)
+        for i in range(spec.n_pages(h))
+        for t in corpusgen.page_links(spec, h, i)
+        if t in urlset
+    ]
+    return nodes, edges
+
+
+def _host_pairs(spec) -> set[tuple[str, str]]:
+    """Distinct directed cross-host (src_host, dst_host) pairs over the
+    generator graph's edges — the host graph the host operators fold."""
+    pairs = {(corpusgen.url_host(s), corpusgen.url_host(d)) for s, d in _generator_graph(spec)[1]}
+    return {(a, b) for a, b in pairs if a != b}
+
+
+def _host_adjacency(spec) -> dict[str, set[str]]:
+    """Undirected neighbor sets of the cross-host graph."""
+    adj: dict = defaultdict(set)
+    for a, b in _host_pairs(spec):
+        adj[a].add(b)
+        adj[b].add(a)
+    return adj
 
 
 def extract_truth_sql(sf: float) -> str:
@@ -75,19 +132,14 @@ def extract_truth_sql(sf: float) -> str:
     ``golden.parquet`` at synthesis time; robots.txt bodies contain no
     entry markup, so the learned list scraper's value is ``[]`` — also
     a generator-level fact (the robots template has no elements)."""
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-
-    def build() -> str:
+    def build(corpus_dir, spec) -> str:
         golden = pq.read_table(os.path.join(corpus_dir, "golden.parquet"))
         rows = list(zip(golden["url"].to_pylist(), golden["expected_json"].to_pylist()))
         rows += [(spec.robots_url(h), "[]") for h in range(spec.n_hosts)]
-        rows.sort()
-        return values_sql(rows, ["url", "value_json"]) + ' ORDER BY "url"'
+        return _ordered(sorted(rows), ["url", "value_json"])
 
-    return _cached(corpus_dir, "extract", _source_digest(corpusgen), build)
+    return _cached(sf, "extract", build, corpusgen)
 
 
 def learn_plan_truth_sql(sf: float = 0.01) -> str:
@@ -99,9 +151,7 @@ def learn_plan_truth_sql(sf: float = 0.01) -> str:
     pin instead of the rows-only check. Scale-independent: every sf
     renders the same template. ``sf`` is accepted for builder-signature
     symmetry only."""
-    from mlscraper_ray.sources.corpusgen import expected_plan
-
-    plan_json = json.dumps(expected_plan(), sort_keys=True)
+    plan_json = json.dumps(corpusgen.expected_plan(), sort_keys=True)
     return f"SELECT {_lit(plan_json)} AS plan_json"
 
 
@@ -109,12 +159,8 @@ def warc_truth_sql(sf: float) -> str:
     """(url, html_sha256, html_bytes) for every corpus page, digested
     from the generator's page bytes — any corruption in the WARC
     write/read round-trip flips the hash."""
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, _ = corpus_for_sf(sf)
-
-    def build() -> str:
+    def build(corpus_dir, spec) -> str:
         import glob
 
         rows = []
@@ -122,102 +168,106 @@ def warc_truth_sql(sf: float) -> str:
             t = pq.read_table(f, columns=["url", "html"])
             for url, html in zip(t["url"].to_pylist(), t["html"].to_pylist()):
                 rows.append((url, hashlib.sha256(html).hexdigest(), len(html)))
-        rows.sort()
-        return (
-            values_sql(rows, ["url", "html_sha256", "html_bytes"]) + ' ORDER BY "url"'
-        )
+        return _ordered(sorted(rows), ["url", "html_sha256", "html_bytes"])
 
-    return _cached(corpus_dir, "warc", _source_digest(corpusgen), build)
+    return _cached(sf, "warc", build, corpusgen)
 
 
-def crawl_order_truth_sql(sf: float, recrawl: bool = False) -> str:
-    """(rank, round, depth, host, url) from the single-process oracle
-    crawler run with the SAME config as the distributed
-    ``crawl_order_query`` / ``crawl_order_recrawl_query`` (plan left
-    empty — extraction doesn't influence crawl order)."""
+def _host_page_counts_local(corpus_dir: str) -> dict:
+    """Single-process per-host page counts straight off the corpus
+    parquet — the INDEPENDENT twin of the pipeline's distributed
+    bucketed aggregate (only the tier RULE is shared; the counts reach
+    it by disjoint code paths)."""
+    import pyarrow.dataset as pads
+
+    c: Counter = Counter()
+    for batch in pads.dataset(
+        os.path.join(corpus_dir, "pages"), format="parquet"
+    ).to_batches(columns=["url"]):
+        c.update(corpusgen.url_host(u) for u in batch.column("url").to_pylist())
+    return dict(c)
+
+
+def _reference_host_rank_totals(spec) -> dict[str, int]:
+    """Per-host integer rank mass from GENERATOR link records + the
+    single-process reference PageRank loop — the independent twin of
+    crawl_pipeline.host_rank_totals_distributed (fixed-point integers
+    make the two paths bit-equal)."""
+    from mlscraper_ray.functions import pagerank as pagerank_mod
+
+    nodes, edges = _generator_graph(spec)
+    rank = pagerank_mod.pagerank_reference(nodes, edges, 4, 85)
+    totals: dict[str, int] = defaultdict(int)
+    for u in nodes:
+        totals[corpusgen.url_host(u)] += rank[u]
+    return dict(totals)
+
+
+def _crawl_truth(sf: float, variant: str, name: str, cols: list[str], rows_of) -> str:
+    """The single-process oracle crawler run under the ``variant``
+    config of ``crawl_pipeline.CRAWL_VARIANTS`` (plan left empty —
+    extraction doesn't influence crawl order), rendered as the table
+    ``rows_of(fetches, counters)`` ordered by its first column. The
+    tier counts come from a local corpus scan (page counts) or the
+    generator graph + reference PageRank loop (rank mass), independent
+    of the distributed parse/graph/rank path under test."""
     from mlscraper_ray.frontier import oracle as oracle_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf, crawl_config_for
+    from mlscraper_ray.functions import pagerank as pagerank_mod
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    if recrawl:
-        cfg = crawl_config_for(spec, {}, tokens_per_round=8, max_rounds=10)
-        cfg.recrawl_after_rounds = 3
-    else:
-        cfg = crawl_config_for(spec, {}, tokens_per_round=8, max_rounds=40)
-    key = hashlib.md5(
-        (json.dumps(cfg.to_dict(), sort_keys=True) + _source_digest(oracle_mod)).encode()
-    ).hexdigest()[:10]
+    corpus_dir, spec = cp.corpus_for_sf(sf)
+    tier_counts = {
+        "pages": lambda: _host_page_counts_local(corpus_dir),
+        "rank": lambda: _reference_host_rank_totals(spec),
+    }
+    cfg = cp.variant_config(spec, {}, variant, tier_counts)
 
-    def build() -> str:
-        fetches, _, _, _ = oracle_mod.oracle_crawl(corpus_dir, cfg)
-        rows = [
-            (rank, rnd, depth, host, url)
-            for rank, (rnd, depth, host, url) in enumerate(fetches)
-        ]
-        return (
-            values_sql(rows, ["rank", "round", "depth", "host", "url"])
-            + ' ORDER BY "rank"'
-        )
+    def build(corpus_dir, spec) -> str:
+        fetches, _, _, counters = oracle_mod.oracle_crawl(corpus_dir, cfg)
+        return _ordered(rows_of(fetches, counters), cols)
 
-    return _cached(corpus_dir, "recrawl_order" if recrawl else "crawl_order", key, build)
-
-
-def crawl_metrics_truth_sql(sf: float) -> str:
-    """(round, n_fetched, n_hosts, max_depth) per round from the
-    oracle crawler's fetch log, same config as crawl_order_query."""
-    from collections import defaultdict
-
-    from mlscraper_ray.frontier import oracle as oracle_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf, crawl_config_for
-
-    corpus_dir, spec = corpus_for_sf(sf)
-    cfg = crawl_config_for(spec, {}, tokens_per_round=8, max_rounds=40)
-    key = hashlib.md5(
-        ("metrics" + json.dumps(cfg.to_dict(), sort_keys=True) + _source_digest(oracle_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        fetches, _, _, _ = oracle_mod.oracle_crawl(corpus_dir, cfg)
-        per: dict = defaultdict(lambda: {"n": 0, "hosts": set(), "d": 0})
-        for rnd, depth, host, _url in fetches:
-            p = per[rnd]
-            p["n"] += 1
-            p["hosts"].add(host)
-            p["d"] = max(p["d"], depth)
-        rows = [
-            (rnd, per[rnd]["n"], len(per[rnd]["hosts"]), per[rnd]["d"])
-            for rnd in sorted(per)
-        ]
-        return (
-            values_sql(rows, ["round", "n_fetched", "n_hosts", "max_depth"])
-            + ' ORDER BY "round"'
-        )
-
-    return _cached(corpus_dir, "crawl_metrics", key, build)
-
-
-def crawl_counter_totals_truth_sql(sf: float) -> str:
-    """Final (counter, value) totals from the oracle crawler — the
-    one-for-one pin of every distributed dedup/robots/depth decision."""
-    from mlscraper_ray.frontier import oracle as oracle_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import (
-        CRAWL_COUNTER_NAMES,
-        corpus_for_sf,
-        crawl_config_for,
+    return _cached(
+        sf, name, build, oracle_mod, cp, corpusgen, pagerank_mod,
+        params=json.dumps(cfg.to_dict(), sort_keys=True),
     )
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    cfg = crawl_config_for(spec, {}, tokens_per_round=8, max_rounds=40)
-    key = hashlib.md5(
-        ("counters" + json.dumps(cfg.to_dict(), sort_keys=True) + _source_digest(oracle_mod)).encode()
-    ).hexdigest()[:10]
 
-    def build() -> str:
-        _, _, _, counters = oracle_mod.oracle_crawl(corpus_dir, cfg)
-        rows = [(n, int(counters.get(n, 0))) for n in sorted(CRAWL_COUNTER_NAMES)]
-        return values_sql(rows, ["counter", "value"]) + ' ORDER BY "counter"'
+def _order_rows(fetches, counters) -> list[tuple]:
+    """(rank, round, depth, host, url): the fetch log in order."""
+    return [(rank, rnd, depth, host, url) for rank, (rnd, depth, host, url) in enumerate(fetches)]
 
-    return _cached(corpus_dir, "crawl_counters", key, build)
+
+def _metrics_rows(fetches, counters) -> list[tuple]:
+    """(round, n_fetched, n_hosts, max_depth) per round."""
+    per: dict = defaultdict(lambda: {"n": 0, "hosts": set(), "d": 0})
+    for rnd, depth, host, _url in fetches:
+        p = per[rnd]
+        p["n"] += 1
+        p["hosts"].add(host)
+        p["d"] = max(p["d"], depth)
+    return [(rnd, per[rnd]["n"], len(per[rnd]["hosts"]), per[rnd]["d"]) for rnd in sorted(per)]
+
+
+def _counter_rows(fetches, counters) -> list[tuple]:
+    """Final (counter, value) totals — the one-for-one pin of every
+    distributed dedup/robots/depth decision."""
+    return [(n, int(counters.get(n, 0))) for n in sorted(cp.CRAWL_COUNTER_NAMES)]
+
+
+def _depth_rows(fetches, counters) -> list[tuple]:
+    """(depth, n_urls, n_hosts): the depth census one aggregate above
+    the per-round metrics."""
+    per: dict = defaultdict(lambda: {"n": 0, "hosts": set()})
+    for _rnd, depth, host, _url in fetches:
+        per[depth]["n"] += 1
+        per[depth]["hosts"].add(host)
+    return [(d, per[d]["n"], len(per[d]["hosts"])) for d in sorted(per)]
+
+
+def _crawl_order_truth(variant: str, name: str):
+    return partial(
+        _crawl_truth, variant=variant, name=name,
+        cols=["rank", "round", "depth", "host", "url"], rows_of=_order_rows,
+    )
 
 
 def robots_stats_truth_sql(sf: float) -> str:
@@ -227,15 +277,8 @@ def robots_stats_truth_sql(sf: float) -> str:
     anywhere on this side, so the engine's RobotsRules.parse +
     allowed() semantics are what the hash pins."""
     from mlscraper_ray.frontier import robots as robots_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        ("robots" + _source_digest(corpusgen, robots_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
+    def build(corpus_dir, spec) -> str:
         rows = []
         for h in range(spec.n_hosts):
             n = spec.n_pages(h)
@@ -244,13 +287,9 @@ def robots_stats_truth_sql(sf: float) -> str:
             )
             dis = spec.host_disallows_private(h)
             rows.append((spec.host(h), 1 if dis else 0, n, private if dis else 0))
-        rows.sort()
-        return (
-            values_sql(rows, ["host", "n_rules", "n_pages", "n_blocked"])
-            + ' ORDER BY "host"'
-        )
+        return _ordered(sorted(rows), ["host", "n_rules", "n_pages", "n_blocked"])
 
-    return _cached(corpus_dir, "robots_stats", key, build)
+    return _cached(sf, "robots_stats", build, corpusgen, robots_mod)
 
 
 def host_reciprocity_truth_sql(sf: float) -> str:
@@ -259,32 +298,10 @@ def host_reciprocity_truth_sql(sf: float) -> str:
     EXISTING-page edges, reciprocity by set lookup — independent of
     the distributed pair-fold path. Hosts with zero distinct
     cross-host out-neighbors are absent (mirroring the engine)."""
-    from collections import defaultdict
-
     from mlscraper_ray.functions import pagerank as pagerank_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        ("recip" + _source_digest(corpusgen, pagerank_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        urlset = {
-            spec.page_url(h, i)
-            for h in range(spec.n_hosts)
-            for i in range(spec.n_pages(h))
-        }
-        pair_set = set()
-        for h in range(spec.n_hosts):
-            sh = spec.host(h)
-            for i in range(spec.n_pages(h)):
-                for t in corpusgen.page_links(spec, h, i):
-                    if t in urlset:
-                        dh = corpusgen.url_host(t)
-                        if dh != sh:
-                            pair_set.add((sh, dh))
+    def build(corpus_dir, spec) -> str:
+        pair_set = _host_pairs(spec)
         outs: dict = defaultdict(set)
         for sh, dh in pair_set:
             outs[sh].add(dh)
@@ -293,12 +310,9 @@ def host_reciprocity_truth_sql(sf: float) -> str:
             out_n = len(outs[host])
             recip = sum(1 for dh in outs[host] if (dh, host) in pair_set)
             rows.append((host, out_n, recip, (100 * recip) // out_n))
-        return (
-            values_sql(rows, ["host", "out_hosts", "recip_hosts", "recip_pct"])
-            + ' ORDER BY "host"'
-        )
+        return _ordered(rows, ["host", "out_hosts", "recip_hosts", "recip_pct"])
 
-    return _cached(corpus_dir, "host_recip", key, build)
+    return _cached(sf, "host_recip", build, corpusgen, pagerank_mod)
 
 
 def template_truth_sql(sf: float) -> str:
@@ -309,19 +323,9 @@ def template_truth_sql(sf: float) -> str:
     expected token sequence (and its md5) derives from
     page_entries/page_links WITHOUT touching the engine's DOM parser —
     the constant table pins preorder traversal + class extraction."""
-    from collections import defaultdict
-
     from mlscraper_ray.functions import templates as templates_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        (json.dumps(spec.__dict__, sort_keys=True, default=list)
-         + _source_digest(corpusgen, templates_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
+    def build(corpus_dir, spec) -> str:
         clusters: dict = defaultdict(lambda: {"n": 0, "min_url": None})
         for h in range(spec.n_hosts):
             for i in range(spec.n_pages(h)):
@@ -341,336 +345,108 @@ def template_truth_sql(sf: float) -> str:
             (tpl, clusters[tpl]["n"], clusters[tpl]["min_url"])
             for tpl in sorted(clusters)
         ]
-        return (
-            values_sql(rows, ["tpl_hash", "n_pages", "sample_url"])
-            + ' ORDER BY "tpl_hash"'
-        )
+        return _ordered(rows, ["tpl_hash", "n_pages", "sample_url"])
 
-    return _cached(corpus_dir, "templates", key, build)
-
-
-def _host_page_counts_local(corpus_dir: str) -> dict:
-    """Single-process per-host page counts straight off the corpus
-    parquet — the INDEPENDENT twin of the pipeline's distributed
-    bucketed aggregate (only the tier RULE is shared; the counts reach
-    it by disjoint code paths)."""
-    from collections import Counter
-
-    import pyarrow.dataset as pads
-
-    from mlscraper_ray.sources.corpusgen import url_host
-
-    c: Counter = Counter()
-    for batch in pads.dataset(
-        os.path.join(corpus_dir, "pages"), format="parquet"
-    ).to_batches(columns=["url"]):
-        c.update(url_host(u) for u in batch.column("url").to_pylist())
-    return dict(c)
-
-
-def crawl_order_tiered_truth_sql(sf: float, recrawl: bool = False) -> str:
-    """(rank, round, depth, host, url) from the single-process oracle
-    crawler under the SAME tier-budget config as
-    ``crawl_order_tiered_query`` (``recrawl=True`` composes the TTL
-    policy like ``crawl_order_tiered_recrawl_query``) — host tiers
-    recomputed here from a local corpus scan, budgets from the shared
-    tier_budgets_for policy."""
-    from mlscraper_ray.frontier import oracle as oracle_mod
-    from mlscraper_ray.pipelines import crawl_pipeline as cp
-
-    corpus_dir, spec = cp.corpus_for_sf(sf)
-    if recrawl:
-        cfg = cp.crawl_config_for(spec, {}, tokens_per_round=8, max_rounds=10)
-        cfg.recrawl_after_rounds = 3
-    else:
-        cfg = cp.crawl_config_for(spec, {}, tokens_per_round=8, max_rounds=40)
-    cfg.host_tiers = cp.tiers_from_counts(_host_page_counts_local(corpus_dir))
-    cfg.tier_budgets = cp.tier_budgets_for(8)
-    key = hashlib.md5(
-        (
-            json.dumps(cfg.to_dict(), sort_keys=True)
-            + _source_digest(oracle_mod, cp)
-        ).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        fetches, _, _, _ = oracle_mod.oracle_crawl(corpus_dir, cfg)
-        rows = [
-            (rank, rnd, depth, host, url)
-            for rank, (rnd, depth, host, url) in enumerate(fetches)
-        ]
-        return (
-            values_sql(rows, ["rank", "round", "depth", "host", "url"])
-            + ' ORDER BY "rank"'
-        )
-
-    return _cached(
-        corpus_dir, "tiered_recrawl_order" if recrawl else "tiered_order", key, build
-    )
-
-
-def _reference_host_rank_totals(spec) -> dict[str, int]:
-    """Per-host integer rank mass from GENERATOR link records + the
-    single-process reference PageRank loop — the independent twin of
-    crawl_pipeline.host_rank_totals_distributed (fixed-point integers
-    make the two paths bit-equal)."""
-    from collections import defaultdict
-
-    from mlscraper_ray.functions import pagerank as pagerank_mod
-    from mlscraper_ray.sources import corpusgen
-
-    nodes, urlset = [], set()
-    for h in range(spec.n_hosts):
-        for i in range(spec.n_pages(h)):
-            u = spec.page_url(h, i)
-            nodes.append(u)
-            urlset.add(u)
-    edges = [
-        (spec.page_url(h, i), t)
-        for h in range(spec.n_hosts)
-        for i in range(spec.n_pages(h))
-        for t in corpusgen.page_links(spec, h, i)
-        if t in urlset
-    ]
-    rank = pagerank_mod.pagerank_reference(nodes, edges, 4, 85)
-    totals: dict[str, int] = defaultdict(int)
-    for u in nodes:
-        totals[corpusgen.url_host(u)] += rank[u]
-    return dict(totals)
-
-
-def crawl_order_ranked_truth_sql(sf: float) -> str:
-    """(rank, round, depth, host, url) from the single-process oracle
-    crawler under the RANK-driven tier map — host authority recomputed
-    by :func:`_reference_host_rank_totals` (generator links + the
-    reference integer PageRank loop, independent of the distributed
-    parse/graph/rank path under test), tiers and budgets from the
-    shared crawl_pipeline policies."""
-    from mlscraper_ray.frontier import oracle as oracle_mod
-    from mlscraper_ray.functions import pagerank as pagerank_mod
-    from mlscraper_ray.pipelines import crawl_pipeline as cp
-    from mlscraper_ray.sources import corpusgen
-
-    corpus_dir, spec = cp.corpus_for_sf(sf)
-    cfg = cp.crawl_config_for(spec, {}, tokens_per_round=8, max_rounds=40)
-    cfg.host_tiers = cp.tiers_from_counts(_reference_host_rank_totals(spec))
-    cfg.tier_budgets = cp.tier_budgets_for(8)
-    key = hashlib.md5(
-        (
-            json.dumps(cfg.to_dict(), sort_keys=True)
-            + _source_digest(oracle_mod, cp, corpusgen, pagerank_mod)
-        ).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        fetches, _, _, _ = oracle_mod.oracle_crawl(corpus_dir, cfg)
-        rows = [
-            (rank, rnd, depth, host, url)
-            for rank, (rnd, depth, host, url) in enumerate(fetches)
-        ]
-        return (
-            values_sql(rows, ["rank", "round", "depth", "host", "url"])
-            + ' ORDER BY "rank"'
-        )
-
-    return _cached(corpus_dir, "ranked_order", key, build)
+    return _cached(sf, "templates", build, corpusgen, templates_mod)
 
 
 def pagerank_truth_sql(sf: float, n_iters: int = 4, damping_pct: int = 85) -> str:
     """(url, rank) from the single-process integer PageRank loop run
-    over the corpus GENERATOR's own link records (corpusgen.page_links
-    — independent of the pipeline's HTML parse / link-extraction
-    path), so the oracle value-pins extraction, graph assembly and the
-    distributed iteration in one table. Integer fixed-point arithmetic
-    (functions/pagerank.py) makes the loop's output exact, so the
-    constant table hash-matches bit-for-bit."""
+    over the corpus GENERATOR's own link records
+    (:func:`_generator_graph` — independent of the pipeline's HTML
+    parse / link-extraction path), so the oracle value-pins
+    extraction, graph assembly and the distributed iteration in one
+    table. Integer fixed-point arithmetic (functions/pagerank.py)
+    makes the loop's output exact, so the constant table hash-matches
+    bit-for-bit."""
     from mlscraper_ray.functions import pagerank as pagerank_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        (f"{n_iters}:{damping_pct}:" + _source_digest(corpusgen, pagerank_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        nodes, urlset = [], set()
-        for h in range(spec.n_hosts):
-            for i in range(spec.n_pages(h)):
-                u = spec.page_url(h, i)
-                nodes.append(u)
-                urlset.add(u)
-        edges = [
-            (spec.page_url(h, i), t)
-            for h in range(spec.n_hosts)
-            for i in range(spec.n_pages(h))
-            for t in corpusgen.page_links(spec, h, i)
-            if t in urlset
-        ]
+    def build(corpus_dir, spec) -> str:
+        nodes, edges = _generator_graph(spec)
         rank = pagerank_mod.pagerank_reference(nodes, edges, n_iters, damping_pct)
-        rows = sorted((u, rank[u]) for u in nodes)
-        return values_sql(rows, ["url", "rank"]) + ' ORDER BY "url"'
+        return _ordered(sorted((u, rank[u]) for u in nodes), ["url", "rank"])
 
-    return _cached(corpus_dir, "pagerank", key, build)
+    return _cached(
+        sf, "pagerank", build, corpusgen, pagerank_mod, params=f"{n_iters}:{damping_pct}"
+    )
 
 
 def hits_truth_sql(sf: float, n_iters: int = 4) -> str:
     """(url, hub, auth) from the single-process integer HITS loop run
-    over the corpus GENERATOR's own link records (corpusgen.page_links
-    — independent of the pipeline's HTML parse / link-extraction
-    path). Integer fixed-point max-normalization makes the loop exact,
-    so the constant table hash-matches bit-for-bit."""
+    over the corpus GENERATOR's own link records
+    (:func:`_generator_graph` — independent of the pipeline's HTML
+    parse / link-extraction path). Integer fixed-point
+    max-normalization makes the loop exact, so the constant table
+    hash-matches bit-for-bit."""
     from mlscraper_ray.functions import hits as hits_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        (f"{n_iters}:" + _source_digest(corpusgen, hits_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        nodes, urlset = [], set()
-        for h in range(spec.n_hosts):
-            for i in range(spec.n_pages(h)):
-                u = spec.page_url(h, i)
-                nodes.append(u)
-                urlset.add(u)
-        edges = [
-            (spec.page_url(h, i), t)
-            for h in range(spec.n_hosts)
-            for i in range(spec.n_pages(h))
-            for t in corpusgen.page_links(spec, h, i)
-            if t in urlset
-        ]
+    def build(corpus_dir, spec) -> str:
+        nodes, edges = _generator_graph(spec)
         ha = hits_mod.hits_reference(nodes, edges, n_iters)
-        rows = sorted((u, ha[u][0], ha[u][1]) for u in nodes)
-        return values_sql(rows, ["url", "hub", "auth"]) + ' ORDER BY "url"'
+        return _ordered(sorted((u, ha[u][0], ha[u][1]) for u in nodes), ["url", "hub", "auth"])
 
-    return _cached(corpus_dir, "hits", key, build)
+    return _cached(sf, "hits", build, corpusgen, hits_mod, params=f"{n_iters}")
 
 
 def link_distance_truth_sql(sf: float) -> str:
     """(url, dist) BFS distances from the seed manifest, recomputed by
     the single-process reference walk over the corpus GENERATOR's own
-    link records (corpusgen.page_links — independent of the pipeline's
-    HTML parse / link-extraction path), so the constant table pins
-    extraction, graph assembly and the distributed frontier iteration
-    in one value check. Seeds mirror corpusgen's seeds.parquet rule
-    (first content page of the first n_seeds hosts)."""
+    link records (:func:`_generator_graph` — independent of the
+    pipeline's HTML parse / link-extraction path), so the constant
+    table pins extraction, graph assembly and the distributed frontier
+    iteration in one value check. Seeds mirror corpusgen's
+    seeds.parquet rule (first content page of the first n_seeds
+    hosts)."""
     from mlscraper_ray.functions import graphdist as graphdist_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        _source_digest(corpusgen, graphdist_mod).encode()
-    ).hexdigest()[:10]
+    def build(corpus_dir, spec) -> str:
+        seeds = [spec.page_url(h, 1) for h in range(min(spec.n_seeds, spec.n_hosts))]
+        dist = graphdist_mod.bfs_reference(seeds, _generator_graph(spec)[1])
+        return _ordered(sorted(dist.items()), ["url", "dist"])
 
-    def build() -> str:
-        urlset = {
-            spec.page_url(h, i)
-            for h in range(spec.n_hosts)
-            for i in range(spec.n_pages(h))
-        }
-        edges = [
-            (spec.page_url(h, i), t)
-            for h in range(spec.n_hosts)
-            for i in range(spec.n_pages(h))
-            for t in corpusgen.page_links(spec, h, i)
-            if t in urlset
-        ]
-        seeds = [
-            spec.page_url(h, 1) for h in range(min(spec.n_seeds, spec.n_hosts))
-        ]
-        dist = graphdist_mod.bfs_reference(seeds, edges)
-        rows = sorted(dist.items())
-        return values_sql(rows, ["url", "dist"]) + ' ORDER BY "url"'
-
-    return _cached(corpus_dir, "linkdist", key, build)
+    return _cached(sf, "linkdist", build, corpusgen, graphdist_mod)
 
 
 def link_stats_truth_sql(sf: float) -> str:
     """(url, in_links, src_hosts, out_links, top_anchor) per corpus
-    page, recomputed from corpusgen.page_links plus the generator's
+    page, recomputed from the generator graph plus the generator's
     anchor rule (last path segment — render_page writes
     ``<a href=u>{u.rsplit('/',1)[-1]}</a>``), independent of the DOM
     parse / anchor-extraction path under test."""
-    from collections import Counter, defaultdict
 
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
-
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = _source_digest(corpusgen)
-
-    def build() -> str:
-        urls, urlset = [], set()
-        for h in range(spec.n_hosts):
-            for i in range(spec.n_pages(h)):
-                u = spec.page_url(h, i)
-                urls.append(u)
-                urlset.add(u)
+    def build(corpus_dir, spec) -> str:
+        urls, edges = _generator_graph(spec)
         inl: dict[str, int] = defaultdict(int)
         outl: dict[str, int] = defaultdict(int)
         hosts: dict[str, set] = defaultdict(set)
         anchors: dict[str, Counter] = defaultdict(Counter)
-        for h in range(spec.n_hosts):
-            for i in range(spec.n_pages(h)):
-                src = spec.page_url(h, i)
-                for t in corpusgen.page_links(spec, h, i):
-                    if t not in urlset:
-                        continue
-                    outl[src] += 1
-                    inl[t] += 1
-                    hosts[t].add(corpusgen.url_host(src))
-                    anchors[t][t.rsplit("/", 1)[-1]] += 1
+        for src, t in edges:
+            outl[src] += 1
+            inl[t] += 1
+            hosts[t].add(corpusgen.url_host(src))
+            anchors[t][t.rsplit("/", 1)[-1]] += 1
         rows = []
         for u in sorted(urls):
             top = ""
             if anchors[u]:
                 top = min(anchors[u], key=lambda a: (-anchors[u][a], a))
             rows.append((u, inl[u], len(hosts[u]), outl[u], top))
-        return (
-            values_sql(rows, ["url", "in_links", "src_hosts", "out_links", "top_anchor"])
-            + ' ORDER BY "url"'
-        )
+        return _ordered(rows, ["url", "in_links", "src_hosts", "out_links", "top_anchor"])
 
-    return _cached(corpus_dir, "linkstats", key, build)
+    return _cached(sf, "linkstats", build, corpusgen)
 
 
 def host_rank_truth_sql(sf: float, n_iters: int = 4, damping_pct: int = 85) -> str:
     """(host, n_pages, rank_total, in_hosts, out_hosts) recomputed
-    from corpusgen.page_links + the single-process integer PageRank
+    from the generator graph + the single-process integer PageRank
     loop — independent of the parse/extract/aggregation path under
     test. rank_total is an exact integer sum of fixed-point page
     ranks; in/out_hosts count distinct OTHER hosts with an in-corpus
     edge."""
-    from collections import defaultdict
-
     from mlscraper_ray.functions import pagerank as pagerank_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        (f"host:{n_iters}:{damping_pct}:" + _source_digest(corpusgen, pagerank_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        nodes, urlset = [], set()
-        for h in range(spec.n_hosts):
-            for i in range(spec.n_pages(h)):
-                u = spec.page_url(h, i)
-                nodes.append(u)
-                urlset.add(u)
-        edges = [
-            (spec.page_url(h, i), t)
-            for h in range(spec.n_hosts)
-            for i in range(spec.n_pages(h))
-            for t in corpusgen.page_links(spec, h, i)
-            if t in urlset
-        ]
+    def build(corpus_dir, spec) -> str:
+        nodes, edges = _generator_graph(spec)
         rank = pagerank_mod.pagerank_reference(nodes, edges, n_iters, damping_pct)
         n_pages: dict[str, int] = defaultdict(int)
         rank_total: dict[str, int] = defaultdict(int)
@@ -680,21 +456,18 @@ def host_rank_truth_sql(sf: float, n_iters: int = 4, damping_pct: int = 85) -> s
             hh = corpusgen.url_host(u)
             n_pages[hh] += 1
             rank_total[hh] += rank[u]
-        for s, d in edges:
-            sh, dh = corpusgen.url_host(s), corpusgen.url_host(d)
-            if sh != dh:
-                inh[dh].add(sh)
-                outh[sh].add(dh)
+        for sh, dh in _host_pairs(spec):
+            inh[dh].add(sh)
+            outh[sh].add(dh)
         rows = [
             (hh, n_pages[hh], rank_total[hh], len(inh[hh]), len(outh[hh]))
             for hh in sorted(n_pages)
         ]
-        return (
-            values_sql(rows, ["host", "n_pages", "rank_total", "in_hosts", "out_hosts"])
-            + ' ORDER BY "host"'
-        )
+        return _ordered(rows, ["host", "n_pages", "rank_total", "in_hosts", "out_hosts"])
 
-    return _cached(corpus_dir, "hostrank", key, build)
+    return _cached(
+        sf, "hostrank", build, corpusgen, pagerank_mod, params=f"{n_iters}:{damping_pct}"
+    )
 
 
 def _template_page_blocks(spec, h: int, i: int):
@@ -705,8 +478,6 @@ def _template_page_blocks(spec, h: int, i: int):
     first, then 12 body words per entry) — synthesis-time knowledge,
     independent of the DOM parser. Shared by the main-content and WET
     truth builders."""
-    from mlscraper_ray.sources import corpusgen
-
     rng = corpusgen._page_rng(spec, h, i)
     entries = corpusgen.page_entries(spec, h, i)
     links = corpusgen.page_links(spec, h, i)
@@ -734,20 +505,12 @@ def main_content_truth_sql(sf: float) -> str:
     text_sha256) for every corpus content page, recomputed from the
     GENERATOR's page template — the block structure, per-block text
     and descendant-element counts are synthesis-time facts
-    (sources/corpusgen.render_page: body = [div.header(h1),
-    div.content(6 elements per entry), ul.links(2 per link),
-    div.footer(p)]; RNG draw order = filler first, then 12 body words
-    per entry) — fully independent of the DOM parser under test. The
-    density argmax itself is the shared
+    (:func:`_template_page_blocks`) — fully independent of the DOM
+    parser under test. The density argmax itself is the shared
     functions/content.pick_densest_block rule."""
     from mlscraper_ray.functions import content as content_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = _source_digest(corpusgen, content_mod)
-
-    def build() -> str:
+    def build(corpus_dir, spec) -> str:
         rows = []
         for h in range(spec.n_hosts):
             for i in range(spec.n_pages(h)):
@@ -763,16 +526,12 @@ def main_content_truth_sql(sf: float) -> str:
                         hashlib.sha256(texts[k].encode()).hexdigest(),
                     )
                 )
-        rows.sort()
-        return (
-            values_sql(
-                rows,
-                ["url", "block_index", "block_tag", "block_class", "text_chars", "text_sha256"],
-            )
-            + ' ORDER BY "url"'
+        return _ordered(
+            sorted(rows),
+            ["url", "block_index", "block_tag", "block_class", "text_chars", "text_sha256"],
         )
 
-    return _cached(corpus_dir, "maincontent", key, build)
+    return _cached(sf, "maincontent", build, corpusgen, content_mod)
 
 
 def page_profile_truth_sql(sf: float) -> str:
@@ -783,25 +542,15 @@ def page_profile_truth_sql(sf: float) -> str:
     targets), independent of the parse/extract path under test."""
     from mlscraper_ray.functions import content as content_mod
     from mlscraper_ray.functions import textstats as textstats_mod
-    from mlscraper_ray.functions.textstats import lang_vote
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    # digest includes textstats: the hashed lang column comes from
-    # lang_vote, so an edit there must invalidate the cached SQL
-    key = hashlib.md5(
-        ("profile:" + _source_digest(corpusgen, content_mod, textstats_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
+    def build(corpus_dir, spec) -> str:
         rows = []
         for h in range(spec.n_hosts):
             for i in range(spec.n_pages(h)):
                 blocks, texts = _template_page_blocks(spec, h, i)
                 k = content_mod.pick_densest_block(blocks)
                 text = texts[k]
-                lang, _ = lang_vote(text)
+                lang, _ = textstats_mod.lang_vote(text)
                 n_links = len(set(corpusgen.page_links(spec, h, i)))
                 rows.append(
                     (
@@ -814,16 +563,13 @@ def page_profile_truth_sql(sf: float) -> str:
                         n_links,
                     )
                 )
-        rows.sort()
-        return (
-            values_sql(
-                rows,
-                ["url", "block_index", "text_chars", "text_sha256", "n_tokens", "lang", "n_links"],
-            )
-            + ' ORDER BY "url"'
+        return _ordered(
+            sorted(rows),
+            ["url", "block_index", "text_chars", "text_sha256", "n_tokens", "lang", "n_links"],
         )
 
-    return _cached(corpus_dir, "pageprofile", key, build)
+    # textstats is digested: the hashed lang column comes from lang_vote
+    return _cached(sf, "pageprofile", build, corpusgen, content_mod, textstats_mod)
 
 
 def wet_curate_truth_sql(sf: float, min_tokens: int = 20) -> str:
@@ -834,25 +580,16 @@ def wet_curate_truth_sql(sf: float, min_tokens: int = 20) -> str:
     the smallest url — pinning the distributed extraction + gating +
     dedup plumbing end to end."""
     from mlscraper_ray.functions import content as content_mod
-    from mlscraper_ray.functions import wet as wet_mod
-    from mlscraper_ray.functions.textstats import lang_vote
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
-
-    corpus_dir, spec = corpus_for_sf(sf)
     from mlscraper_ray.functions import textstats as textstats_mod
+    from mlscraper_ray.functions import wet as wet_mod
 
-    key = hashlib.md5(
-        (f"wet:{min_tokens}:" + _source_digest(corpusgen, content_mod, wet_mod, textstats_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
+    def build(corpus_dir, spec) -> str:
         groups: dict[str, list] = {}
         for h in range(spec.n_hosts):
             for i in range(spec.n_pages(h)):
                 blocks, texts = _template_page_blocks(spec, h, i)
                 text = texts[content_mod.pick_densest_block(blocks)]
-                lang, _ = lang_vote(text)
+                lang, _ = textstats_mod.lang_vote(text)
                 n_tokens = len(text.split())
                 if n_tokens < min_tokens:
                     continue
@@ -870,13 +607,12 @@ def wet_curate_truth_sql(sf: float, min_tokens: int = 20) -> str:
             url = min(m[0] for m in members)
             lang = min(m[1] for m in members)
             rows.append((url, lang, members[0][2], len(members), members[0][3]))
-        rows.sort()
-        return (
-            values_sql(rows, ["url", "lang", "n_tokens", "n_dups", "text_sha256"])
-            + ' ORDER BY "url"'
-        )
+        return _ordered(sorted(rows), ["url", "lang", "n_tokens", "n_dups", "text_sha256"])
 
-    return _cached(corpus_dir, "wet", key, build)
+    return _cached(
+        sf, "wet", build, corpusgen, content_mod, wet_mod, textstats_mod,
+        params=f"{min_tokens}",
+    )
 
 
 def host_triangles_truth_sql(sf: float) -> str:
@@ -885,36 +621,10 @@ def host_triangles_truth_sql(sf: float) -> str:
     EXISTING-page links, per-host triangle count by neighbor-pair set
     lookup, coefficient in exact fixed-point — independent of the
     distributed orientation/wedge path under test."""
-    from collections import defaultdict
-
     from mlscraper_ray.functions import pagerank as pagerank_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        ("tri" + _source_digest(corpusgen, pagerank_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        urlset = {
-            spec.page_url(h, i)
-            for h in range(spec.n_hosts)
-            for i in range(spec.n_pages(h))
-        }
-        und = set()
-        for h in range(spec.n_hosts):
-            sh = spec.host(h)
-            for i in range(spec.n_pages(h)):
-                for t in corpusgen.page_links(spec, h, i):
-                    if t in urlset:
-                        dh = corpusgen.url_host(t)
-                        if dh != sh:
-                            und.add((min(sh, dh), max(sh, dh)))
-        adj: dict = defaultdict(set)
-        for a, b in und:
-            adj[a].add(b)
-            adj[b].add(a)
+    def build(corpus_dir, spec) -> str:
+        adj = _host_adjacency(spec)
         rows = []
         for host in sorted(adj):
             nbrs = sorted(adj[host])
@@ -923,16 +633,13 @@ def host_triangles_truth_sql(sf: float) -> str:
                 1
                 for i in range(d)
                 for j in range(i + 1, d)
-                if (nbrs[i], nbrs[j]) in und
+                if nbrs[j] in adj[nbrs[i]]
             )
             milli = (2000 * t) // (d * (d - 1)) if d >= 2 else 0
             rows.append((host, d, t, milli))
-        return (
-            values_sql(rows, ["host", "degree", "triangles", "clustering_milli"])
-            + ' ORDER BY "host"'
-        )
+        return _ordered(rows, ["host", "degree", "triangles", "clustering_milli"])
 
-    return _cached(corpus_dir, "host_tri", key, build)
+    return _cached(sf, "host_tri", build, corpusgen, pagerank_mod)
 
 
 def host_kcore_truth_sql(sf: float) -> str:
@@ -941,37 +648,10 @@ def host_kcore_truth_sql(sf: float) -> str:
     host of degree < k before raising k) — an independent formulation
     of coreness from the engine's min-degree heap peel, so the two
     agreeing pins the decomposition itself."""
-    from collections import defaultdict
-
     from mlscraper_ray.functions import pagerank as pagerank_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        ("kcore" + _source_digest(corpusgen, pagerank_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        urlset = {
-            spec.page_url(h, i)
-            for h in range(spec.n_hosts)
-            for i in range(spec.n_pages(h))
-        }
-        und = set()
-        for h in range(spec.n_hosts):
-            sh = spec.host(h)
-            for i in range(spec.n_pages(h)):
-                for t in corpusgen.page_links(spec, h, i):
-                    if t in urlset:
-                        dh = corpusgen.url_host(t)
-                        if dh != sh:
-                            und.add((min(sh, dh), max(sh, dh)))
-        adj: dict = defaultdict(set)
-        for a, b in und:
-            adj[a].add(b)
-            adj[b].add(a)
-        live = {h: set(n) for h, n in adj.items()}
+    def build(corpus_dir, spec) -> str:
+        live = _host_adjacency(spec)
         core: dict = {}
         k = 1
         while live:
@@ -985,10 +665,9 @@ def host_kcore_truth_sql(sf: float) -> str:
                     if nb != h and nb in live:
                         live[nb].discard(h)
                 del live[h]
-        rows = [(h, core[h]) for h in sorted(core)]
-        return values_sql(rows, ["host", "coreness"]) + ' ORDER BY "host"'
+        return _ordered([(h, core[h]) for h in sorted(core)], ["host", "coreness"])
 
-    return _cached(corpus_dir, "host_kcore", key, build)
+    return _cached(sf, "host_kcore", build, corpusgen, pagerank_mod)
 
 
 def host_communities_truth_sql(sf: float, n_rounds: int = 8) -> str:
@@ -999,33 +678,10 @@ def host_communities_truth_sql(sf: float, n_rounds: int = 8) -> str:
     independent of the engine's parse/graph-assembly and of its
     distributed join/argmax plumbing (which is what the pin targets;
     the propagation rule itself is shared by definition)."""
-    from collections import Counter, defaultdict
-
     from mlscraper_ray.functions import pagerank as pagerank_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        (f"lpa{n_rounds}" + _source_digest(corpusgen, pagerank_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        urlset = {
-            spec.page_url(h, i)
-            for h in range(spec.n_hosts)
-            for i in range(spec.n_pages(h))
-        }
-        adj: dict = defaultdict(set)
-        for h in range(spec.n_hosts):
-            sh = spec.host(h)
-            for i in range(spec.n_pages(h)):
-                for t in corpusgen.page_links(spec, h, i):
-                    if t in urlset:
-                        dh = corpusgen.url_host(t)
-                        if dh != sh:
-                            adj[sh].add(dh)
-                            adj[dh].add(sh)
+    def build(corpus_dir, spec) -> str:
+        adj = _host_adjacency(spec)
         label = {h: h for h in adj}
         for _ in range(n_rounds):
             new = {}
@@ -1036,42 +692,9 @@ def host_communities_truth_sql(sf: float, n_rounds: int = 8) -> str:
                     cnt[label[nb]] += 1
                 new[h] = min(cnt.items(), key=lambda kv: (-kv[1], kv[0]))[0]
             label = new
-        rows = [(h, label[h]) for h in sorted(label)]
-        return values_sql(rows, ["host", "community"]) + ' ORDER BY "host"'
+        return _ordered([(h, label[h]) for h in sorted(label)], ["host", "community"])
 
-    return _cached(corpus_dir, "host_lpa", key, build)
-
-
-def crawl_depth_histogram_truth_sql(sf: float) -> str:
-    """(depth, n_urls, n_hosts) from the oracle crawler's fetch log,
-    same config as crawl_order_query — pins the distributed depth
-    census one aggregate above the per-round metrics."""
-    from collections import defaultdict
-
-    from mlscraper_ray.frontier import oracle as oracle_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf, crawl_config_for
-
-    corpus_dir, spec = corpus_for_sf(sf)
-    cfg = crawl_config_for(spec, {}, tokens_per_round=8, max_rounds=40)
-    key = hashlib.md5(
-        ("depthhist" + json.dumps(cfg.to_dict(), sort_keys=True) + _source_digest(oracle_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        fetches, _, _, _ = oracle_mod.oracle_crawl(corpus_dir, cfg)
-        per: dict = defaultdict(lambda: {"n": 0, "hosts": set()})
-        for _rnd, depth, host, _url in fetches:
-            p = per[depth]
-            p["n"] += 1
-            p["hosts"].add(host)
-        rows = [
-            (d, per[d]["n"], len(per[d]["hosts"])) for d in sorted(per)
-        ]
-        return (
-            values_sql(rows, ["depth", "n_urls", "n_hosts"]) + ' ORDER BY "depth"'
-        )
-
-    return _cached(corpus_dir, "crawl_depthhist", key, build)
+    return _cached(sf, "host_lpa", build, corpusgen, pagerank_mod, params=f"{n_rounds}")
 
 
 def host_assortativity_truth_sql(sf: float) -> str:
@@ -1082,32 +705,11 @@ def host_assortativity_truth_sql(sf: float) -> str:
     table pins both the moment sums and the isqrt-floored milli
     score independently of the distributed join/fold path."""
     import math
-    from collections import defaultdict
 
     from mlscraper_ray.functions import pagerank as pagerank_mod
-    from mlscraper_ray.pipelines.crawl_pipeline import corpus_for_sf
-    from mlscraper_ray.sources import corpusgen
 
-    corpus_dir, spec = corpus_for_sf(sf)
-    key = hashlib.md5(
-        ("assort" + _source_digest(corpusgen, pagerank_mod)).encode()
-    ).hexdigest()[:10]
-
-    def build() -> str:
-        urlset = {
-            spec.page_url(h, i)
-            for h in range(spec.n_hosts)
-            for i in range(spec.n_pages(h))
-        }
-        pair_set = set()
-        for h in range(spec.n_hosts):
-            sh = spec.host(h)
-            for i in range(spec.n_pages(h)):
-                for t in corpusgen.page_links(spec, h, i):
-                    if t in urlset:
-                        dh = corpusgen.url_host(t)
-                        if dh != sh:
-                            pair_set.add((sh, dh))
+    def build(corpus_dir, spec) -> str:
+        pair_set = _host_pairs(spec)
         od: dict = defaultdict(int)
         idg: dict = defaultdict(int)
         for sh, dh in pair_set:
@@ -1128,4 +730,46 @@ def host_assortativity_truth_sql(sf: float) -> str:
             ["n_edges", "sum_x", "sum_y", "sum_xx", "sum_yy", "sum_xy", "assort_milli"],
         )
 
-    return _cached(corpus_dir, "host_assort", key, build)
+    return _cached(sf, "host_assort", build, corpusgen, pagerank_mod)
+
+
+# registry name -> truth builder ``(sf) -> SQL``
+TRUTH = {
+    "extract_all": extract_truth_sql,
+    "extract_from_warc": extract_truth_sql,
+    "learn_plan": learn_plan_truth_sql,
+    "learn_plan_parallel": learn_plan_truth_sql,
+    "warc_roundtrip": warc_truth_sql,
+    "crawl_order": _crawl_order_truth("plain", "crawl_order"),
+    "crawl_order_recrawl": _crawl_order_truth("recrawl", "recrawl_order"),
+    "crawl_order_tiered": _crawl_order_truth("tiered", "tiered_order"),
+    "crawl_order_ranked": _crawl_order_truth("ranked", "ranked_order"),
+    "crawl_order_tiered_recrawl": _crawl_order_truth("tiered_recrawl", "tiered_recrawl_order"),
+    "crawl_metrics": partial(
+        _crawl_truth, variant="plain", name="crawl_metrics",
+        cols=["round", "n_fetched", "n_hosts", "max_depth"], rows_of=_metrics_rows,
+    ),
+    "crawl_counter_totals": partial(
+        _crawl_truth, variant="plain", name="crawl_counters",
+        cols=["counter", "value"], rows_of=_counter_rows,
+    ),
+    "crawl_depth_histogram": partial(
+        _crawl_truth, variant="plain", name="crawl_depthhist",
+        cols=["depth", "n_urls", "n_hosts"], rows_of=_depth_rows,
+    ),
+    "robots_stats": robots_stats_truth_sql,
+    "page_rank": pagerank_truth_sql,
+    "link_hits": hits_truth_sql,
+    "link_distance_from_seeds": link_distance_truth_sql,
+    "link_stats": link_stats_truth_sql,
+    "host_rank": host_rank_truth_sql,
+    "host_reciprocity": host_reciprocity_truth_sql,
+    "host_triangles": host_triangles_truth_sql,
+    "host_kcore": host_kcore_truth_sql,
+    "host_communities": host_communities_truth_sql,
+    "host_assortativity": host_assortativity_truth_sql,
+    "extract_main_content": main_content_truth_sql,
+    "page_template_clusters": template_truth_sql,
+    "page_profile": page_profile_truth_sql,
+    "wet_curate": wet_curate_truth_sql,
+}

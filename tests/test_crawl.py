@@ -564,13 +564,12 @@ class TestTieredCrawl:
         (tier by host name) while PageRank mass does not — so the two
         tier maps, and the resulting orders, differ (both separately
         oracle-pinned)."""
-        from mlscraper_ray.pipelines.crawl_pipeline import (
-            crawl_order_ranked_query,
-            crawl_order_tiered_query,
-        )
+        from test_functions import SF_DIR
 
-        ranked = crawl_order_ranked_query("/root/testdata/sf0.001").to_pandas()
-        tiered = crawl_order_tiered_query("/root/testdata/sf0.001").to_pandas()
+        from mlscraper_ray.pipelines.crawl_pipeline import crawl_order_query
+
+        ranked = crawl_order_query(SF_DIR, variant="ranked").to_pandas()
+        tiered = crawl_order_query(SF_DIR, variant="tiered").to_pandas()
         assert not ranked.equals(tiered)
         assert len(ranked) > 0 and len(tiered) > 0
 
@@ -658,14 +657,16 @@ class TestRecrawlTTL:
 def test_recrawl_query_matches_oracle(ray_session):
     """The driver-visible crawl_order_recrawl query reproduces the
     single-process oracle under the same recrawl config."""
+    from test_functions import SF_DIR
+
     from mlscraper_ray.pipelines.crawl_pipeline import (
         corpus_for_sf,
         crawl_config_for,
-        crawl_order_recrawl_query,
+        crawl_order_query,
         learn_plan,
     )
 
-    order = crawl_order_recrawl_query("/root/testdata/sf0.001")
+    order = crawl_order_query(SF_DIR, variant="recrawl")
     corpus_dir, spec = corpus_for_sf(0.001)
     cfg = crawl_config_for(spec, learn_plan(corpus_dir, spec), tokens_per_round=8, max_rounds=10)
     cfg.recrawl_after_rounds = 3

@@ -13,6 +13,8 @@ import pytest
 sys.path.insert(0, os.path.dirname(__file__))
 sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
+from mlscraper_ray.pipelines.truth_oracles import TRUTH  # noqa: E402  (imports no ray)
+
 SF_DIR = "/root/testdata/sf0.001"
 
 
@@ -215,49 +217,15 @@ def test_query_matches_duckdb_oracle(entry_mod, name):
     assert c["hash_match"], c
 
 
-@pytest.mark.parametrize(
-    "name", ["extract_all", "extract_from_warc", "warc_roundtrip", "crawl_order", "crawl_order_recrawl", "crawl_order_tiered", "crawl_order_tiered_recrawl", "crawl_order_ranked", "crawl_metrics", "crawl_counter_totals", "crawl_depth_histogram", "robots_stats", "page_rank", "link_hits", "link_distance_from_seeds", "link_stats", "host_rank", "host_reciprocity", "host_triangles", "host_kcore", "host_communities", "host_assortativity", "extract_main_content", "page_template_clusters", "page_profile", "wet_curate", "learn_plan", "learn_plan_parallel"]
-)
+@pytest.mark.parametrize("name", sorted(TRUTH))
 def test_truth_oracle_matches_at_test_scale(entry_mod, name):
     """The driver-contract constant-table oracles are built for
     sf0.01; this pins the same builders against the pipelines at the
     local test scale (generator/oracle-crawler truth, sf-agnostic)."""
     from oracle_compare import compare
 
-    from mlscraper_ray.pipelines import truth_oracles
-
-    sqls = {
-        "extract_all": lambda: truth_oracles.extract_truth_sql(0.001),
-        "extract_from_warc": lambda: truth_oracles.extract_truth_sql(0.001),
-        "warc_roundtrip": lambda: truth_oracles.warc_truth_sql(0.001),
-        "crawl_order": lambda: truth_oracles.crawl_order_truth_sql(0.001),
-        "crawl_order_recrawl": lambda: truth_oracles.crawl_order_truth_sql(0.001, recrawl=True),
-        "crawl_order_tiered": lambda: truth_oracles.crawl_order_tiered_truth_sql(0.001),
-        "crawl_order_ranked": lambda: truth_oracles.crawl_order_ranked_truth_sql(0.001),
-        "crawl_order_tiered_recrawl": lambda: truth_oracles.crawl_order_tiered_truth_sql(0.001, recrawl=True),
-        "crawl_metrics": lambda: truth_oracles.crawl_metrics_truth_sql(0.001),
-        "crawl_counter_totals": lambda: truth_oracles.crawl_counter_totals_truth_sql(0.001),
-        "crawl_depth_histogram": lambda: truth_oracles.crawl_depth_histogram_truth_sql(0.001),
-        "robots_stats": lambda: truth_oracles.robots_stats_truth_sql(0.001),
-        "page_rank": lambda: truth_oracles.pagerank_truth_sql(0.001),
-        "link_distance_from_seeds": lambda: truth_oracles.link_distance_truth_sql(0.001),
-        "link_hits": lambda: truth_oracles.hits_truth_sql(0.001),
-        "link_stats": lambda: truth_oracles.link_stats_truth_sql(0.001),
-        "host_rank": lambda: truth_oracles.host_rank_truth_sql(0.001),
-        "host_reciprocity": lambda: truth_oracles.host_reciprocity_truth_sql(0.001),
-        "host_triangles": lambda: truth_oracles.host_triangles_truth_sql(0.001),
-        "host_kcore": lambda: truth_oracles.host_kcore_truth_sql(0.001),
-        "host_communities": lambda: truth_oracles.host_communities_truth_sql(0.001),
-        "host_assortativity": lambda: truth_oracles.host_assortativity_truth_sql(0.001),
-        "extract_main_content": lambda: truth_oracles.main_content_truth_sql(0.001),
-        "page_profile": lambda: truth_oracles.page_profile_truth_sql(0.001),
-        "page_template_clusters": lambda: truth_oracles.template_truth_sql(0.001),
-        "wet_curate": lambda: truth_oracles.wet_curate_truth_sql(0.001),
-        "learn_plan": lambda: truth_oracles.learn_plan_truth_sql(0.001),
-        "learn_plan_parallel": lambda: truth_oracles.learn_plan_truth_sql(0.001),
-    }
     result = entry_mod.queries()[name](SF_DIR)
-    c = compare(result, sqls[name](), SF_DIR)
+    c = compare(result, TRUTH[name](0.001), SF_DIR)
     assert c["hash_match"], c
 
 
@@ -1786,6 +1754,44 @@ class TestPageFacets:
         for row in cached.itertuples(index=False):
             assert row.n_links == len(row.links) == len(row.anchors), row.url
         assert cached["n_links"].sum() > 0
+
+
+def test_cache_commits_prune_stale_digests(ray_session, tmp_path, monkeypatch):
+    """Each digest-keyed cache (truth SQL, facet table, search index)
+    built twice under two digests leaves one entry: committing the new
+    one deletes the old. An entry whose name only starts with the same
+    prefix (``_oracle_probe_recrawl_<digest>``) is not a sibling."""
+    from mlscraper_ray.functions import facets, search
+    from mlscraper_ray.pipelines import crawl_pipeline, truth_oracles
+
+    def left(prefix: str) -> list[str]:
+        return sorted(f for f in os.listdir(tmp_path) if f.startswith(prefix))
+
+    # truth SQL: the digest covers ``params``
+    (tmp_path / "_oracle_probe_recrawl_0123456789.sql").write_text("other")
+    with monkeypatch.context() as m:
+        m.setattr(crawl_pipeline, "corpus_for_sf", lambda sf: (str(tmp_path), None))
+        for params in ("a", "b"):
+            truth_oracles._cached(0.001, "probe", lambda d, s, p=params: p, params=params)
+    kept = [f for f in left("_oracle_probe_") if "recrawl" not in f]
+    assert len(kept) == 1 and (tmp_path / kept[0]).read_text() == "b"
+    assert "_oracle_probe_recrawl_0123456789.sql" in left("_oracle_probe_")
+
+    digests = iter(["aaaaaaaaaa", "bbbbbbbbbb"])
+    monkeypatch.setattr(
+        facets, "_facet_cache_dir", lambda corpus_dir: str(tmp_path / f"_pagefacets_{next(digests)}")
+    )
+    for _ in range(2):
+        assert facets.page_facets_ds(SF_DIR, columns=["url"]).count() > 0
+    assert left("_pagefacets_") == ["_pagefacets_bbbbbbbbbb"]
+
+    digests = iter(["cccccccccc", "dddddddddd"])
+    monkeypatch.setattr(
+        search, "_index_cache_dir", lambda sf_dir, prefix: str(tmp_path / f"{prefix}_sf0.001_{next(digests)}")
+    )
+    for _ in range(2):
+        search._cached_index(SF_DIR, "bm25_index", lambda sf_dir, index_dir: os.makedirs(index_dir))
+    assert left("bm25_index_") == ["bm25_index_sf0.001_dddddddddd"]
 
 
 class TestDsirSelect:

@@ -7,8 +7,11 @@ owns it); no caller picks the broadcast-or-shuffle cut-over
 (``broadcast.pull`` owns it); no caller pre-aggregates the batches
 it feeds ``bucketed_aggregate``, which combines every block itself;
 the crawl round admits and fetches without a Ray Data job; no
-crawl-side class is turned into a Ray actor; and no operator module
-but the facet table parses corpus pages."""
+crawl-side class is turned into a Ray actor; no operator module but
+the facet table parses corpus pages; and each crawl-variant idiom has
+one site: the oracle crawler call in the truth oracles, the engine
+crawler construction in the crawl pipeline, and the edge loop over
+the generator's link records."""
 import ast
 import glob
 import os
@@ -586,3 +589,68 @@ def test_parse_guard_sees_imports_names_and_attributes(tmp_path):
         "parse_html_count = 0\n"
     )
     assert _parse_sites(str(p)) == [(1, "import"), (4, "attribute"), (5, "name")]
+
+
+# one site per crawl-variant idiom: each crawl variant is a row of
+# crawl_pipeline.CRAWL_VARIANTS, not a copy of the run or oracle code
+PIPELINES_DIR = os.path.join(PACKAGE_DIR, "pipelines")
+
+
+def _call_sites(path: str, name: str) -> list[tuple[int, str, bool]]:
+    """(line, enclosing function, is a loop's iterable) for each call
+    of ``name``, bare or as an attribute, in one module."""
+    tree = ast.parse(open(path).read())
+    loop_iters = {
+        id(node.iter)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+    }
+    sites = []
+
+    def visit(node: ast.AST, fn: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None),
+            getattr(node.func, "attr", None),
+        ):
+            sites.append((node.lineno, fn, id(node) in loop_iters))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(tree, "<module>")
+    return sorted(sites)
+
+
+def test_one_site_per_crawl_variant_idiom():
+    oracle = _call_sites(os.path.join(PIPELINES_DIR, "truth_oracles.py"), "oracle_crawl")
+    crawler = _call_sites(os.path.join(PIPELINES_DIR, "crawl_pipeline.py"), "RayCrawler")
+    edge_loops = [
+        f"{os.path.relpath(path, PACKAGE_DIR)}:{line} {fn}"
+        for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "**", "*.py"), recursive=True))
+        for line, fn, in_loop in _call_sites(path, "page_links")
+        if in_loop and fn != "_generator_graph"
+    ]
+    assert len(oracle) == 1, f"truth_oracles.py calls oracle_crawl only in _crawl_truth: {oracle}"
+    assert len(crawler) == 1, f"crawl_pipeline.py builds RayCrawler only in run_crawl: {crawler}"
+    assert not edge_loops, (
+        "only truth_oracles._generator_graph loops over corpusgen.page_links:\n"
+        + "\n".join(edge_loops)
+    )
+
+
+def test_call_guard_sees_names_attributes_and_loops(tmp_path):
+    p = tmp_path / "oracles.py"
+    p.write_text(
+        "from mlscraper_ray.frontier.oracle import oracle_crawl\n"
+        "def a(cfg):\n"
+        "    return oracle_crawl(cfg)\n"
+        "def b(cfg):\n"
+        "    return [x for x in oracle_mod.oracle_crawl(cfg)]\n"
+        "for t in corpusgen.page_links(spec, 0, 0):\n"
+        "    pass\n"
+        "n = len(page_links(spec, 0, 0))\n"
+        "fn = oracle_crawl\n"
+    )
+    assert _call_sites(str(p), "oracle_crawl") == [(3, "a", False), (5, "b", True)]
+    assert _call_sites(str(p), "page_links") == [(6, "<module>", True), (8, "<module>", False)]
