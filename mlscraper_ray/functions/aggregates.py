@@ -271,16 +271,14 @@ def event_value_percentiles(sf_dir: str) -> pa.Table:
     Values are milli-ints, so the quantile reduces to a COUNT
     HISTOGRAM: (event_type, value_milli) counts from the bucketed
     aggregate (distinct-value cardinality scales with the data), then
-    per-type quantile
-    selection from CUMULATIVE counts over the (small) histogram rows.
-    The selection uses DuckDB's quantile_disc index rule (element at
-    ceil(q*n)-1 of the sorted multiset == first value whose cumulative
-    count reaches ceil(q*n)), so the oracle matches exactly. Exactness
-    survives scale: the final per-type group holds one row per
-    DISTINCT value, not per event."""
+    per-type quantile selection from CUMULATIVE counts over the (small)
+    histogram rows with DuckDB's quantile_disc index rule
+    (``bucketed.quantiles_disc``), so the oracle matches exactly.
+    Exactness survives scale: the final per-type group holds one row
+    per DISTINCT value, not per event."""
     import pandas as pd
 
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
+    from mlscraper_ray.functions.bucketed import bucketed_aggregate, quantiles_disc
 
     ds = read_table(sf_dir, "events", ["event_type", "value"])
 
@@ -301,23 +299,16 @@ def event_value_percentiles(sf_dir: str) -> pa.Table:
     )
 
     def pctl_from_hist(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("value_milli", ignore_index=True)
-        counts = g["n"].to_numpy(dtype="int64")
-        cum = np.cumsum(counts)
-        total = int(cum[-1])
-        vals = g["value_milli"].to_numpy(dtype="int64")
-
-        def disc(q: float) -> int:
-            target = max(1, int(np.ceil(q * total)))
-            return int(vals[np.searchsorted(cum, target)])
-
+        p50, p90, p99 = quantiles_disc(
+            g["value_milli"].to_numpy("int64"), g["n"].to_numpy("int64"), (0.50, 0.90, 0.99)
+        )
         return pd.DataFrame(
             {
                 "event_type": [g["event_type"].iloc[0]],
-                "p50_milli": [disc(0.50)],
-                "p90_milli": [disc(0.90)],
-                "p99_milli": [disc(0.99)],
-                "n_events": [total],
+                "p50_milli": [p50],
+                "p90_milli": [p90],
+                "p99_milli": [p99],
+                "n_events": [int(g["n"].sum())],
             }
         )
 

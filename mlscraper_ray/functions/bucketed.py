@@ -234,6 +234,22 @@ def bucketed_aggregate(
     )
 
 
+def quantiles_disc(values, counts, qs) -> list:
+    """DuckDB's ``quantile_disc(x, q)`` for each q in ``qs``, over the
+    multiset where ``values[i]`` occurs ``counts[i]`` times (a count
+    histogram, any order, every count positive). The element at
+    ``ceil(q*n)-1`` of the sorted multiset is the first value whose
+    cumulative count reaches ``ceil(q*n)`` (at least 1), so q=1 gives
+    the max. An empty histogram gives ``None`` for each q, as the SQL
+    gives NULL over no rows."""
+    values, counts = np.asarray(values), np.asarray(counts)
+    if not len(values):
+        return [None] * len(qs)
+    order = np.argsort(values, kind="stable")
+    vals, cum = values[order], np.cumsum(counts[order])
+    return [vals[np.searchsorted(cum, max(1, int(np.ceil(q * cum[-1]))))].item() for q in qs]
+
+
 def coalesce_blocks(ds: ray.data.Dataset, approx_rows: int) -> ray.data.Dataset:
     """Bound block count before feeding a sort/groupby round. Ray's
     sort shuffle pays per-INPUT-BLOCK plan/sample overhead, so a wide

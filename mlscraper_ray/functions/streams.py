@@ -6,9 +6,15 @@ the log is co-partitioned on its key (``bucketed.co_partition``,
 usually on ``user_id``) and windows are computed per bucket over the
 ts-sorted rows of each key. All outputs are exact-integer so they
 hash-compare against DuckDB window-function oracles.
+
+Sessions have one rule, :func:`_sessions`: a session starts at a
+user's first event or after a gap of more than ``gap_minutes``. Every
+session operator is a function over its ``__sid`` column.
 """
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pandas as pd
@@ -17,36 +23,48 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
-from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
+from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, quantiles_disc
 from mlscraper_ray.functions.tables import finish, read_table
 
 
-def sessionize(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
-    """Sessions per user: a new session starts when the gap from the
-    previous event exceeds ``gap_minutes``. Partitioned by user_id
-    (the shuffle key), windowed within the sorted group."""
-    ds = read_table(sf_dir, "events", ["user_id", "ts"])
+def _sessions(sf_dir: str, columns: list[str], gap_minutes: int, fn) -> ray.data.Dataset:
+    """``fn`` over every user bucket of the ``events`` columns
+    ``columns``, each bucket sorted by (user_id, ts, event_id if read)
+    and given a bucket-wide session id ``__sid``: a session starts at a
+    user's first event or where the gap from the previous event exceeds
+    ``gap_minutes``. Tied timestamps share a session, so ``event_id``
+    only orders the rows inside one."""
     gap = pd.Timedelta(minutes=gap_minutes)
+    order = [c for c in ("user_id", "ts", "event_id") if c in columns]
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # vectorized windowing over ALL users in the bucket at once
-        g = g.sort_values(["user_id", "ts"])
+        g = g.sort_values(order)
         prev = g.groupby("user_id")["ts"].shift()
-        new_session = prev.isna() | ((g["ts"] - prev) > gap)
-        agg = (
-            g.assign(__ns=new_session)
-            .groupby("user_id")
-            .agg(n_sessions=("__ns", "sum"), n_events=("__ns", "size"))
-            .reset_index()
+        g["__sid"] = (prev.isna() | (g["ts"] - prev > gap)).cumsum()
+        return fn(g)
+
+    return co_partition(read_table(sf_dir, "events", columns), ["user_id"], per_bucket)
+
+
+def sessionize(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
+    """Sessions and events per user under the :func:`_sessions` rule;
+    a user's session ids are consecutive in its bucket."""
+
+    def per_user(g: pd.DataFrame) -> pd.DataFrame:
+        s = g.groupby("user_id")["__sid"].agg(["first", "last", "size"])
+        return pd.DataFrame(
+            {
+                "user_id": s.index,
+                "n_sessions": (s["last"] - s["first"] + 1).to_numpy("int64"),
+                "n_events": s["size"].to_numpy("int64"),
+            }
         )
-        agg["n_sessions"] = agg["n_sessions"].astype("int64")
-        agg["n_events"] = agg["n_events"].astype("int64")
-        return agg
 
     return finish(
-        co_partition(ds, ["user_id"], per_bucket).to_pandas(),
+        _sessions(sf_dir, ["user_id", "ts"], gap_minutes, per_user).to_pandas(),
         "user_id",
         columns=["user_id", "n_sessions", "n_events"],
+        empty=pa.schema({"user_id": pa.int64(), "n_sessions": pa.int64(), "n_events": pa.int64()}),
     )
 
 
@@ -412,38 +430,23 @@ FROM e GROUP BY user_id ORDER BY user_id
 
 def session_paths(sf_dir: str, gap_minutes: int = 30, depth: int = 3) -> pa.Table:
     """Top-of-session event-type SEQUENCES — the entry-path mining
-    behind funnel design: sessionize per user (same gap rule as
-    :func:`sessionize`, (ts, event_id) ordering for deterministic
-    same-timestamp ties), take each session's first ``depth`` event
-    types as a '>'-joined path, count sessions per path. The path
-    space is bounded by |event_types|^depth, so the result is a small
-    table regardless of corpus size. Returns (path, n_sessions)
-    ordered by path.
+    behind funnel design: sessions under the :func:`_sessions` rule,
+    in (ts, event_id) order for deterministic same-timestamp ties;
+    each session's first ``depth`` event types form a '>'-joined path,
+    counted per path. The path space is bounded by
+    |event_types|^depth, so the result is a small table regardless of
+    corpus size. Returns (path, n_sessions) ordered by path.
 
-    Distributed plan: user-hash buckets (one shuffle), vectorized
-    windowing + local path counts inside each bucket group, then the
-    tiny coarse-bucket path-count sum."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
-
-    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    gap = pd.Timedelta(minutes=gap_minutes)
+    Distributed plan: user-hash buckets (one shuffle), local path
+    counts inside each bucket group, then the tiny coarse-bucket
+    path-count sum."""
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"])
-        prev = g.groupby("user_id")["ts"].shift()
-        ns = (prev.isna() | ((g["ts"] - prev) > gap)).astype("int64")
-        g = g.assign(__sid=ns.cumsum())  # bucket-global session id
-        g["__rk"] = g.groupby("__sid").cumcount()
-        head = g[g["__rk"] < depth]
-        paths = head.groupby("__sid")["event_type"].agg(">".join)
-        counts = paths.value_counts()
-        return pd.DataFrame(
-            {"path": counts.index.astype(str), "n": counts.to_numpy("int64")}
-        )
+        head = g[g.groupby("__sid").cumcount() < depth]
+        counts = head.groupby("__sid")["event_type"].agg(">".join).value_counts()
+        return pd.DataFrame({"path": counts.index.astype(str), "n": counts.to_numpy("int64")})
 
-    local = (
-        co_partition(ds, ["user_id"], per_bucket)
-    )
+    local = _sessions(sf_dir, ["user_id", "ts", "event_id", "event_type"], gap_minutes, per_bucket)
     out = bucketed_aggregate(local, ["path"], {"n_sessions": ("n", "sum")}).to_pandas()
     return finish(
         out,
@@ -591,50 +594,41 @@ ORDER BY event_type, window_start
 EVENTS_RATE_ANOMALY_SQL = events_rate_anomaly_sql()
 
 
-def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
-    """Co-occurring event-type pairs per session — the association
-    signal next to the path mining: sessions are the standard
-    gap-split (``sessionize`` semantics; tied timestamps share a
-    session regardless of tie order, so the assignment is
-    deterministic without an id tie-break), each session contributes
-    its DISTINCT unordered type pairs once, and the output counts
-    sessions per pair. Output is bounded by the type-pair cardinality,
-    never by event count.
-
-    One user-bucket shuffle does the sessionization + local pair
-    counts; a tiny coarse-bucket aggregate folds the per-bucket
-    partials."""
-    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
-    gap = pd.Timedelta(minutes=gap_minutes)
+def _session_type_counts(sf_dir: str, gap_minutes: int) -> pd.DataFrame:
+    """Session counts by the event types a session holds, under the
+    :func:`_sessions` rule: one (t1, t2, n) row per kind, ``("", "",
+    sessions)``, ``(type, "", sessions holding it)`` and ``(a, b,
+    sessions holding both)`` for a < b. Each session counts its
+    DISTINCT types once, whatever their order, so ties need no id
+    tie-break. The rows are bounded by the type-pair cardinality; each
+    user bucket emits its partial counts and the driver folds them."""
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        from collections import Counter
-        from itertools import combinations
-
-        g = g.sort_values(["user_id", "ts"])
-        prev = g.groupby("user_id")["ts"].shift()
-        ns = (prev.isna() | ((g["ts"] - prev) > gap)).astype(int)
-        g = g.assign(__sid=ns.groupby(g["user_id"]).cumsum())
         cnt: Counter[tuple[str, str]] = Counter()
-        for _, types in g.groupby(["user_id", "__sid"], sort=False)["event_type"]:
-            for a, b in combinations(sorted(set(types)), 2):
-                cnt[(a, b)] += 1
-        return pd.DataFrame(
-            {
-                "t1": [k[0] for k in cnt],
-                "t2": [k[1] for k in cnt],
-                "n_sessions": pd.Series(list(cnt.values()), dtype="int64"),
-            }
-        )
+        for _, types in g.groupby("__sid", sort=False)["event_type"]:
+            st = sorted(set(types))
+            cnt[("", "")] += 1
+            cnt.update((t, "") for t in st)
+            cnt.update(combinations(st, 2))
+        return pd.DataFrame([(a, b, n) for (a, b), n in cnt.items()], columns=["t1", "t2", "n"])
 
+    parts = _sessions(sf_dir, ["user_id", "ts", "event_type"], gap_minutes, per_bucket)
+    # no events: no bucket, so a frame without columns
+    parts = parts.to_pandas().reindex(columns=["t1", "t2", "n"])
+    return parts.groupby(["t1", "t2"], as_index=False)["n"].sum().astype({"n": "int64"})
+
+
+def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
+    """Co-occurring event-type pairs per session — the association
+    signal next to the path mining: each session contributes its
+    DISTINCT unordered type pairs once (:func:`_session_type_counts`),
+    and the output counts sessions per pair. Output is bounded by the
+    type-pair cardinality, never by event count."""
+    counts = _session_type_counts(sf_dir, gap_minutes)
     return finish(
-        bucketed_aggregate(
-            co_partition(ds, ["user_id"], per_bucket),
-            ["t1", "t2"],
-            {"n_sessions": ("n_sessions", "sum")},
-        ).to_pandas(),
+        counts[counts["t2"] != ""].rename(columns={"n": "n_sessions"}),
         ["t1", "t2"],
-        dtypes={"n_sessions": "int64"},
+        empty=pa.schema({"t1": pa.string(), "t2": pa.string(), "n_sessions": pa.int64()}),
     )
 
 
@@ -777,46 +771,24 @@ def events_markov_transitions(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     sessions split by the standard gap rule. Output is bounded by the
     type-pair cardinality.
 
-    One user-bucket shuffle does sessionization + local transition
-    counts; a tiny coarse-bucket aggregate folds the partials."""
-    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_id", "event_type"])
-    gap = pd.Timedelta(minutes=gap_minutes)
+    One user-bucket shuffle (:func:`_sessions`) pairs each event with
+    the next one of its session and counts the pairs; a tiny
+    coarse-bucket aggregate folds the partials."""
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"])
-        prev_ts = g.groupby("user_id")["ts"].shift()
-        ns = (prev_ts.isna() | ((g["ts"] - prev_ts) > gap)).astype(int)
-        # two-column groupby, NOT a concatenated string key: pandas
-        # Series string concat silently DROPS null chars, so any
-        # separator-based key collides across (user, sid) boundaries
-        g = g.assign(__sid=ns.groupby(g["user_id"]).cumsum())
-        nxt = g.groupby(["user_id", "__sid"], sort=False)["event_type"].shift(-1)
+    def transitions(g: pd.DataFrame) -> pd.DataFrame:
+        nxt = g.groupby("__sid", sort=False)["event_type"].shift(-1)
         pairs = pd.DataFrame({"t_from": g["event_type"], "t_to": nxt}).dropna()
-        if pairs.empty:
-            return pd.DataFrame(
-                {
-                    "t_from": pd.Series(dtype=str),
-                    "t_to": pd.Series(dtype=str),
-                    "n_transitions": pd.Series(dtype="int64"),
-                }
-            )
-        out = (
-            pairs.groupby(["t_from", "t_to"], sort=False)
-            .size()
-            .rename("n_transitions")
-            .reset_index()
-        )
-        out["n_transitions"] = out["n_transitions"].astype("int64")
-        return out
+        return pairs.groupby(["t_from", "t_to"], as_index=False, sort=False).size()
 
     return finish(
         bucketed_aggregate(
-            co_partition(ds, ["user_id"], per_bucket),
+            _sessions(sf_dir, ["user_id", "ts", "event_id", "event_type"], gap_minutes, transitions),
             ["t_from", "t_to"],
-            {"n_transitions": ("n_transitions", "sum")},
+            {"n_transitions": ("size", "sum")},
         ).to_pandas(),
         ["t_from", "t_to"],
         dtypes={"n_transitions": "int64"},
+        empty=pa.schema({"t_from": pa.string(), "t_to": pa.string(), "n_transitions": pa.int64()}),
     )
 
 
@@ -1142,61 +1114,29 @@ def events_type_lift(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     milli (``n_ab * n_sessions * 1000 // (n_a * n_b)``) — the
     normalization that separates 'co-occurs because both are common'
     from real association, computed on top of the
-    :func:`session_type_pairs` sessionization (same gap-split CTE on
-    the SQL side, so the two stay consistent).
+    :func:`session_type_pairs` counts (same gap-split CTE on the SQL
+    side, so the two stay consistent).
 
-    One user-bucket shuffle computes per-bucket pair counts, per-type
-    session counts AND the bucket's session total (sessions never
-    straddle buckets — the shuffle key is the user); the driver folds
-    tagged partials bounded by the TYPE cardinality, not events."""
-    ds = read_table(sf_dir, "events", ["user_id", "ts", "event_type"])
-    gap = pd.Timedelta(minutes=gap_minutes)
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        from collections import Counter
-        from itertools import combinations
-
-        g = g.sort_values(["user_id", "ts"])
-        prev = g.groupby("user_id")["ts"].shift()
-        ns = (prev.isna() | ((g["ts"] - prev) > gap)).astype(int)
-        g = g.assign(__sid=ns.groupby(g["user_id"]).cumsum())
-        pair_cnt: Counter = Counter()
-        single_cnt: Counter = Counter()
-        n_sessions = 0
-        for _, types in g.groupby(["user_id", "__sid"], sort=False)["event_type"]:
-            st = sorted(set(types))
-            n_sessions += 1
-            for t in st:
-                single_cnt[t] += 1
-            for a, b in combinations(st, 2):
-                pair_cnt[(a, b)] += 1
-        rows = [("", "", n_sessions)]
-        rows += [(t, "", n) for t, n in single_cnt.items()]
-        rows += [(a, b, n) for (a, b), n in pair_cnt.items()]
-        return pd.DataFrame(rows, columns=["t1", "t2", "n"]).astype({"n": "int64"})
-
-    parts = (
-        co_partition(ds, ["user_id"], per_bucket)
-        .to_pandas()
-    )
-    agg = parts.groupby(["t1", "t2"], as_index=False)["n"].sum()
-    n_total = int(agg.loc[(agg["t1"] == "") & (agg["t2"] == ""), "n"].sum())
-    singles = {
-        t: int(n)
-        for t, n in zip(agg.loc[(agg["t1"] != "") & (agg["t2"] == ""), "t1"],
-                        agg.loc[(agg["t1"] != "") & (agg["t2"] == ""), "n"])
-    }
-    pairs = agg[(agg["t1"] != "") & (agg["t2"] != "")].copy()
-    pairs["n_ab"] = pairs["n"].astype("int64")
+    The pair counts, per-type session counts and the session total all
+    come from :func:`_session_type_counts`; the driver folds rows
+    bounded by the TYPE cardinality, not events."""
+    counts = _session_type_counts(sf_dir, gap_minutes)
+    one = counts["t2"] == ""
+    # per-type session counts; the ("", "") row's "" key is the total
+    n_of = dict(zip(counts.loc[one, "t1"], counts.loc[one, "n"].tolist()))
+    pairs = counts[~one].rename(columns={"t1": "type_a", "t2": "type_b", "n": "n_ab"})
     pairs["lift_milli"] = [
-        n * n_total * 1000 // (singles[a] * singles[b])
-        for a, b, n in zip(pairs["t1"], pairs["t2"], pairs["n_ab"])
+        n * n_of[""] * 1000 // (n_of[a] * n_of[b])
+        for a, b, n in zip(pairs["type_a"], pairs["type_b"], pairs["n_ab"].tolist())
     ]
     return finish(
-        pairs.rename(columns={"t1": "type_a", "t2": "type_b"}),
+        pairs,
         ["type_a", "type_b"],
         columns=["type_a", "type_b", "n_ab", "lift_milli"],
-        dtypes={"n_ab": "int64", "lift_milli": "int64"},
+        dtypes={"lift_milli": "int64"},
+        empty=pa.schema(
+            {"type_a": pa.string(), "type_b": pa.string(), "n_ab": pa.int64(), "lift_milli": pa.int64()}
+        ),
     )
 
 
@@ -1540,17 +1480,17 @@ ORDER BY day
 
 
 def events_peak_concurrency(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
-    """Peak concurrent sessions (capacity-planning sweep): sessionize
-    per user (gap rule), treat each session as the inclusive interval
+    """Peak concurrent sessions (capacity-planning sweep): sessions
+    under the :func:`_sessions` rule, each the inclusive interval
     [first_ts, last_ts], and find the maximum number of simultaneously
     open sessions plus the earliest instant it is reached. One row:
     (n_sessions, peak, peak_ts).
 
     Distributed shape — the classic +1/-1 boundary sweep without a
-    global sort: sessions build inside user-hash buckets (one shuffle,
-    vectorized gap/cumsum per bucket); boundary deltas (+1 at start,
-    -1 at end+1us so inclusive ends never undercount their own
-    instant) collapse per distinct timestamp through the coarse-bucket
+    global sort: sessions build inside user-hash buckets (one
+    shuffle); boundary deltas (+1 at start, -1 at end+1us so
+    inclusive ends never undercount their own instant) collapse per
+    distinct timestamp through the coarse-bucket
     aggregate (second shuffle); then each HOUR of the timeline
     prefix-sums locally inside its group and ships only (hour,
     local_max, first_max_ts, total) — the driver folds the
@@ -1558,18 +1498,14 @@ def events_peak_concurrency(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     hour's local max by the running total of all prior hours. Exact:
     a whole-hour offset shifts every in-hour prefix uniformly, so
     the global peak is max(offset + local_max) and its first instant
-    is the earliest qualifying hour's recorded first-max ts."""
-    ds = read_table(sf_dir, "events", ["user_id", "ts"])
-    gap = pd.Timedelta(minutes=gap_minutes)
+    is the earliest qualifying hour's recorded first-max ts. No events
+    give (0, null, null), as the SQL does."""
 
-    def sessions(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"])
-        prev = g.groupby("user_id")["ts"].shift()
-        sid = (prev.isna() | ((g["ts"] - prev) > gap)).cumsum()
-        s = g.groupby(sid)["ts"].agg(["min", "max"])
+    def boundaries(g: pd.DataFrame) -> pd.DataFrame:
+        s = g.groupby("__sid")["ts"].agg(["min", "max"])
         # starts rides as its own column: a start and an end sharing a
         # microsecond cancel in d but must still count one session
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
                 "ts": pd.concat(
                     [s["min"], s["max"] + pd.Timedelta(microseconds=1)],
@@ -1583,12 +1519,9 @@ def events_peak_concurrency(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
                 ),
             }
         )
-        return out
-
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
 
     deltas = bucketed_aggregate(
-        co_partition(ds, ["user_id"], sessions),
+        _sessions(sf_dir, ["user_id", "ts"], gap_minutes, boundaries),
         ["ts"],
         {"d": ("d", "sum"), "starts": ("starts", "sum")},
     )
@@ -1618,6 +1551,8 @@ def events_peak_concurrency(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
         .groupby("hour")
         .map_groups(per_hour, batch_format="pandas")
         .to_pandas()
+        # no events: no hours, and a frame without columns
+        .reindex(columns=["hour", "local_max", "first_ts", "total", "n_starts"])
         .sort_values("hour", ignore_index=True)
     )
     n_sessions = int(hours["n_starts"].sum())
@@ -1688,7 +1623,6 @@ def events_heavy_hitters(sf_dir: str, k: int = 200) -> pa.Table:
 
     Output is worker/batch-boundary invariant: batching only widens
     the candidate superset, and the exact filter prunes it back."""
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
     from mlscraper_ray.functions.broadcast import cached_object
 
     ds = read_table(sf_dir, "events", ["user_id"])
@@ -1749,55 +1683,32 @@ def session_duration_percentiles(sf_dir: str, gap_minutes: int = 30) -> pa.Table
     idiom (event_value_percentiles) then applies unchanged at any
     corpus size.
 
-    Distributed shape: sessions build inside user-hash buckets (one
-    shuffle, vectorized gap/cumsum); each bucket emits (dur_sec, n)
+    Distributed shape: sessions build inside user-hash buckets
+    (:func:`_sessions`, one shuffle); each bucket emits (dur_sec, n)
     partial counts; the coarse-bucket aggregate folds the histogram;
-    quantile selection reads cumulative counts off the (small) sorted
-    histogram with DuckDB's quantile_disc index rule."""
-    ds = read_table(sf_dir, "events", ["user_id", "ts"])
-    gap = pd.Timedelta(minutes=gap_minutes)
+    ``bucketed.quantiles_disc`` reads the percentiles and the max off
+    it. No events give (0, null, null, null, null), as the SQL does."""
 
     def durations(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts"])
-        prev = g.groupby("user_id")["ts"].shift()
-        sid = (prev.isna() | ((g["ts"] - prev) > gap)).cumsum()
-        s = g.groupby(sid)["ts"].agg(["min", "max"])
-        dur = ((s["max"] - s["min"]).dt.total_seconds()).astype("int64")
-        vc = dur.value_counts()
-        return pd.DataFrame(
-            {
-                "dur_sec": vc.index.astype("int64"),
-                "n": vc.to_numpy().astype("int64"),
-            }
-        )
+        s = g.groupby("__sid")["ts"].agg(["min", "max"])
+        vc = (s["max"] - s["min"]).dt.total_seconds().astype("int64").value_counts()
+        return pd.DataFrame({"dur_sec": vc.index.astype("int64"), "n": vc.to_numpy("int64")})
 
-    from mlscraper_ray.functions.bucketed import bucketed_aggregate
-
-    hist = (
-        bucketed_aggregate(
-            co_partition(ds, ["user_id"], durations),
-            ["dur_sec"],
-            {"n": ("n", "sum")},
-        )
-        .to_pandas()
-        .sort_values("dur_sec", ignore_index=True)
-    )
-    counts = hist["n"].to_numpy(dtype="int64")
-    cum = np.cumsum(counts)
-    total = int(cum[-1])
-    vals = hist["dur_sec"].to_numpy(dtype="int64")
-
-    def disc(q: float) -> int:
-        target = max(1, int(np.ceil(q * total)))
-        return int(vals[np.searchsorted(cum, target)])
-
+    hist = bucketed_aggregate(
+        _sessions(sf_dir, ["user_id", "ts"], gap_minutes, durations),
+        ["dur_sec"],
+        {"n": ("n", "sum")},
+    ).to_pandas()
+    # no events: no bucket, so a frame without columns
+    hist = hist.reindex(columns=["dur_sec", "n"])
+    p50, p90, p99, mx = quantiles_disc(hist["dur_sec"], hist["n"], (0.50, 0.90, 0.99, 1.0))
     return pa.table(
         {
-            "n_sessions": pa.array([total], pa.int64()),
-            "p50_sec": pa.array([disc(0.50)], pa.int64()),
-            "p90_sec": pa.array([disc(0.90)], pa.int64()),
-            "p99_sec": pa.array([disc(0.99)], pa.int64()),
-            "max_sec": pa.array([int(vals[-1])], pa.int64()),
+            "n_sessions": pa.array([int(hist["n"].sum())], pa.int64()),
+            "p50_sec": pa.array([p50], pa.int64()),
+            "p90_sec": pa.array([p90], pa.int64()),
+            "p99_sec": pa.array([p99], pa.int64()),
+            "max_sec": pa.array([mx], pa.int64()),
         }
     )
 

@@ -14,7 +14,12 @@ import ray.data
 
 from mlscraper_ray.functions import broadcast
 from mlscraper_ray.functions.broadcast import cached_object
-from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition, coalesce_blocks
+from mlscraper_ray.functions.bucketed import (
+    bucketed_aggregate,
+    co_partition,
+    coalesce_blocks,
+    quantiles_disc,
+)
 from mlscraper_ray.functions.tables import finish, read_table
 
 _WORD_RE = re.compile(r"\S+")
@@ -3673,32 +3678,24 @@ def source_length_percentiles(sf_dir: str) -> pa.Table:
     the histogram shows shape). The exact count-histogram idiom:
     (source, n_chars) counts from the bucketed aggregate (distinct
     lengths per source are length-domain-bounded, never doc-sized),
-    then per-source quantile
-    selection reads cumulative counts with DuckDB's quantile_disc
-    index rule."""
+    then ``bucketed.quantiles_disc`` reads each source's percentiles
+    and max off its histogram."""
 
     ds = read_table(sf_dir, "documents", ["source", "n_chars"])
     hist = bucketed_aggregate(ds, ["source", "n_chars"], {"n": ("n_chars", "count")})
 
     def pctl(g: pd.DataFrame) -> pd.DataFrame:
-        import numpy as np
-
-        g = g.sort_values("n_chars", ignore_index=True)
-        cum = np.cumsum(g["n"].to_numpy(dtype="int64"))
-        total = int(cum[-1])
-        vals = g["n_chars"].to_numpy(dtype="int64")
-
-        def disc(q: float) -> int:
-            return int(vals[np.searchsorted(cum, max(1, int(np.ceil(q * total))))])
-
+        p50, p90, p99, mx = quantiles_disc(
+            g["n_chars"].to_numpy("int64"), g["n"].to_numpy("int64"), (0.50, 0.90, 0.99, 1.0)
+        )
         return pd.DataFrame(
             {
                 "source": [g["source"].iloc[0]],
-                "n_docs": pd.Series([total], dtype="int64"),
-                "p50_chars": pd.Series([disc(0.50)], dtype="int64"),
-                "p90_chars": pd.Series([disc(0.90)], dtype="int64"),
-                "p99_chars": pd.Series([disc(0.99)], dtype="int64"),
-                "max_chars": pd.Series([int(vals[-1])], dtype="int64"),
+                "n_docs": pd.Series([g["n"].sum()], dtype="int64"),
+                "p50_chars": pd.Series([p50], dtype="int64"),
+                "p90_chars": pd.Series([p90], dtype="int64"),
+                "p99_chars": pd.Series([p99], dtype="int64"),
+                "max_chars": pd.Series([mx], dtype="int64"),
             }
         )
 

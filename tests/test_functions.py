@@ -3548,6 +3548,70 @@ class TestSessionPaths:
         assert got == {"a>b>c": 1, "e": 1, "b>a": 1}
 
 
+SESSION_OPERATORS = [
+    "sessionize",
+    "events_session_paths",
+    "events_session_type_pairs",
+    "events_markov_transitions",
+    "events_type_lift",
+    "events_peak_concurrency",
+    "session_duration_percentiles",
+]
+
+
+def _gap_edge_events() -> pa.Table:
+    """Events at the edges of the 30-minute session gap: user 1's
+    second event is exactly 30 min after its first (same session), its
+    third 30 min + 1 us after that (new session); user 2 holds
+    equal-ts ties whose event_ids run against their file order and a
+    repeated ts with the same type; user 3 has one event; user 4 has a
+    session that spans an hour mark and overlaps user 1's."""
+    t0 = pd.Timestamp("2026-01-01 09:00:00")
+    m, us = pd.Timedelta(minutes=1), pd.Timedelta(microseconds=1)
+    rows = [
+        (10, t0, 1, "view"),
+        (11, t0 + 30 * m, 1, "click"),
+        (12, t0 + 60 * m + us, 1, "purchase"),
+        (13, t0 + 61 * m, 1, "view"),
+        (27, t0 + 5 * m, 2, "view"),
+        (23, t0 + 5 * m, 2, "click"),
+        (25, t0 + 5 * m, 2, "purchase"),
+        (26, t0 + 7 * m, 2, "click"),
+        (21, t0 + 7 * m, 2, "click"),
+        (28, t0 + 90 * m, 2, "view"),
+        (30, t0 + 20 * m, 3, "signup"),
+        (40, t0 + 50 * m, 4, "view"),
+        (41, t0 + 75 * m, 4, "signup"),
+        (42, t0 + 100 * m + 500 * us, 4, "view"),
+    ]
+    return pa.table(
+        {
+            "event_id": pa.array([r[0] for r in rows], pa.int64()),
+            "ts": pa.array([r[1] for r in rows], pa.timestamp("us")),
+            "user_id": pa.array([r[2] for r in rows], pa.int64()),
+            "event_type": pa.array([r[3] for r in rows], pa.string()),
+        }
+    )
+
+
+@pytest.mark.parametrize("events", ["gap_edges", "empty"])
+@pytest.mark.parametrize("name", SESSION_OPERATORS)
+def test_session_operators_match_sql_at_the_gap_edges(entry_mod, tmp_path, name, events):
+    """Each session operator equals its SQL on the gap-edge events and
+    on an events table without rows (typed empty tables; one row of
+    zero and nulls for the two single-row summaries)."""
+    from oracle_compare import compare
+
+    for f in os.listdir(SF_DIR):
+        if f != "events.parquet":
+            os.symlink(os.path.join(SF_DIR, f), tmp_path / f)
+    t = _gap_edge_events()
+    pq.write_table(t if events == "gap_edges" else t.slice(0, 0), tmp_path / "events.parquet")
+    result = entry_mod.queries()[name](str(tmp_path))
+    c = compare(result, entry_mod.oracle_sql()[name], str(tmp_path))
+    assert c["hash_match"], c
+
+
 class TestHostKcore:
     def _edges(self, pairs):
         import ray.data

@@ -11,7 +11,9 @@ crawl-side class is turned into a Ray actor; no operator module but
 the facet table parses corpus pages; and each crawl-variant idiom has
 one site: the oracle crawler call in the truth oracles, the engine
 crawler construction in the crawl pipeline, and the edge loop over
-the generator's link records."""
+the generator's link records; and in ``functions/`` sessions split in
+one place (``streams._sessions``) and a count histogram's discrete
+percentiles are read in one place (``bucketed.quantiles_disc``)."""
 import ast
 import glob
 import os
@@ -654,3 +656,118 @@ def test_call_guard_sees_names_attributes_and_loops(tmp_path):
     )
     assert _call_sites(str(p), "oracle_crawl") == [(3, "a", False), (5, "b", True)]
     assert _call_sites(str(p), "page_links") == [(6, "<module>", True), (8, "<module>", False)]
+
+
+# the one session gap rule and the one quantile_disc rule in functions/:
+# (module, function) -> the idioms only it spells out
+GAP, USER_SHIFT, CUM_SEARCH = (
+    "Timedelta(minutes=...)",
+    'groupby("user_id")...shift()',
+    "searchsorted over a cumsum",
+)
+RULE_OWNERS = {
+    ("bucketed.py", "quantiles_disc"): [CUM_SEARCH],
+    ("streams.py", "_sessions"): [GAP, USER_SHIFT],
+}
+
+
+def _called(node: ast.AST) -> str | None:
+    """The name a call calls, bare or as an attribute."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    return None
+
+
+def _rule_sites(path: str) -> list[tuple[str, str]]:
+    """(top-level function, idiom) for each spelled-out session gap or
+    discrete-percentile rule in one module, in source order: a
+    ``Timedelta(minutes=...)``, a ``.shift(`` on a ``groupby`` by
+    ``"user_id"``, and a left-side ``searchsorted`` over a ``cumsum``
+    (the call itself or a name bound to it)."""
+    tree = ast.parse(open(path).read())
+    cums = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (
+                    zip(target.elts, node.value.elts)
+                    if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                    else [(target, node.value)]
+                )
+                cums |= {
+                    t.id
+                    for t, v in pairs
+                    if isinstance(t, ast.Name) and any(_called(c) == "cumsum" for c in ast.walk(v))
+                }
+
+    def by_user(node: ast.AST) -> bool:
+        while isinstance(node, (ast.Attribute, ast.Subscript)):
+            node = node.value
+        if _called(node) != "groupby" or not node.args:
+            return False
+        key = node.args[0]
+        keys = key.elts if isinstance(key, (ast.List, ast.Tuple)) else [key]
+        return any(isinstance(k, ast.Constant) and k.value == "user_id" for k in keys)
+
+    def idiom(node: ast.Call) -> str | None:
+        name = _called(node)
+        if name == "Timedelta" and any(k.arg == "minutes" for k in node.keywords):
+            return GAP
+        if name == "shift" and isinstance(node.func, ast.Attribute) and by_user(node.func.value):
+            return USER_SHIFT
+        if name == "searchsorted" and node.args:
+            over = node.args[0]
+            right = any(
+                k.arg == "side" and isinstance(k.value, ast.Constant) and k.value.value == "right"
+                for k in node.keywords
+            )
+            if not right and (_called(over) == "cumsum" or getattr(over, "id", None) in cums):
+                return CUM_SEARCH
+        return None
+
+    sites = []
+    for top in tree.body:
+        fn = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and (what := idiom(node)):
+                sites.append((node.lineno, node.col_offset, fn, what))
+    return [(fn, what) for _, _, fn, what in sorted(sites)]
+
+
+def test_one_session_rule_and_one_quantile_rule():
+    found: dict[tuple[str, str], list[str]] = {}
+    for path in sorted(glob.glob(os.path.join(FUNCTIONS_DIR, "*.py"))):
+        for fn, what in _rule_sites(path):
+            found.setdefault((os.path.basename(path), fn), []).append(what)
+    assert found == RULE_OWNERS, (
+        "sessions split only in streams._sessions, and quantile_disc reads a count "
+        f"histogram only in bucketed.quantiles_disc: {found}"
+    )
+
+
+def test_rule_guard_sees_gaps_shifts_and_cumulative_searches(tmp_path):
+    p = tmp_path / "op.py"
+    p.write_text(
+        "import numpy as np\n"
+        "import pandas as pd\n"
+        "def op(g, gap_minutes):\n"
+        "    gap = pd.Timedelta(minutes=gap_minutes)\n"
+        "    prev = g.groupby('user_id')['ts'].shift()\n"
+        "    nxt = g.groupby(['user_id', 'sid']).event_type.shift(-1)\n"
+        "    same = g.groupby('sid')['ts'].shift(), pd.Timedelta(hours=1)\n"
+        "    return gap, prev, nxt, same\n"
+        "def pct(vals, counts, q):\n"
+        "    order, cum = np.argsort(vals), np.cumsum(counts)\n"
+        "    ends = counts.cumsum()\n"
+        "    a = vals[np.searchsorted(cum, q)], np.searchsorted(ends, q, side='right')\n"
+        "    return a, np.searchsorted(np.cumsum(counts), q, side='left')\n"
+        "gap = pd.Timedelta(minutes=30)\n"
+    )
+    assert _rule_sites(str(p)) == [
+        ("op", GAP),
+        ("op", USER_SHIFT),
+        ("op", USER_SHIFT),
+        ("pct", CUM_SEARCH),
+        ("pct", CUM_SEARCH),
+        ("<module>", GAP),
+    ]
