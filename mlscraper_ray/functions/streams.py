@@ -446,7 +446,9 @@ def session_paths(sf_dir: str, gap_minutes: int = 30, depth: int = 3) -> pa.Tabl
         counts = head.groupby("__sid")["event_type"].agg(">".join).value_counts()
         return pd.DataFrame({"path": counts.index.astype(str), "n": counts.to_numpy("int64")})
 
-    local = _sessions(sf_dir, ["user_id", "ts", "event_id", "event_type"], gap_minutes, per_bucket)
+    local = _typed_sessions(
+        "session_paths", sf_dir, ["user_id", "ts", "event_id", "event_type"], gap_minutes, per_bucket
+    )
     out = bucketed_aggregate(local, ["path"], {"n_sessions": ("n", "sum")}).to_pandas()
     return finish(
         out,
@@ -594,28 +596,47 @@ ORDER BY event_type, window_start
 EVENTS_RATE_ANOMALY_SQL = events_rate_anomaly_sql()
 
 
-def _session_type_counts(sf_dir: str, gap_minutes: int) -> pd.DataFrame:
-    """Session counts by the event types a session holds, under the
-    :func:`_sessions` rule: one (t1, t2, n) row per kind, ``("", "",
-    sessions)``, ``(type, "", sessions holding it)`` and ``(a, b,
-    sessions holding both)`` for a < b. Each session counts its
-    DISTINCT types once, whatever their order, so ties need no id
-    tie-break. The rows are bounded by the type-pair cardinality; each
-    user bucket emits its partial counts and the driver folds them."""
+def _typed_sessions(op: str, sf_dir: str, columns: list[str], gap_minutes: int, fn) -> ray.data.Dataset:
+    """:func:`_sessions` for the operators over ``event_type``, which
+    assume every event has one: a null type fails the bucket with an
+    error that names the operator ``op``, not a ``TypeError`` from
+    sorting or joining types."""
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        cnt: Counter[tuple[str, str]] = Counter()
+        if g["event_type"].isna().any():
+            raise ValueError(
+                f"{op}: events.event_type holds a null; the session type"
+                " operators need a non-null event_type on every event"
+            )
+        return fn(g)
+
+    return _sessions(sf_dir, columns, gap_minutes, per_bucket)
+
+
+def _session_type_counts(op: str, sf_dir: str, gap_minutes: int) -> pd.DataFrame:
+    """Session counts by the event types a session holds, under the
+    :func:`_sessions` rule: one (n_types, t1, t2, n) row per kind,
+    ``(0, "", "", sessions)``, ``(1, type, "", sessions holding it)``
+    and ``(2, a, b, sessions holding both)`` for a < b; ``n_types``
+    tells the kinds apart, so any string, ``""`` too, is a type. Each
+    session counts its DISTINCT types once, whatever their order, so
+    ties need no id tie-break. The rows are bounded by the type-pair
+    cardinality; each user bucket emits its partial counts and the
+    driver folds them."""
+
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        cnt: Counter[tuple[int, str, str]] = Counter()
         for _, types in g.groupby("__sid", sort=False)["event_type"]:
             st = sorted(set(types))
-            cnt[("", "")] += 1
-            cnt.update((t, "") for t in st)
-            cnt.update(combinations(st, 2))
-        return pd.DataFrame([(a, b, n) for (a, b), n in cnt.items()], columns=["t1", "t2", "n"])
+            cnt[(0, "", "")] += 1
+            cnt.update((1, t, "") for t in st)
+            cnt.update((2, a, b) for a, b in combinations(st, 2))
+        return pd.DataFrame([(*k, n) for k, n in cnt.items()], columns=["n_types", "t1", "t2", "n"])
 
-    parts = _sessions(sf_dir, ["user_id", "ts", "event_type"], gap_minutes, per_bucket)
+    parts = _typed_sessions(op, sf_dir, ["user_id", "ts", "event_type"], gap_minutes, per_bucket)
     # no events: no bucket, so a frame without columns
-    parts = parts.to_pandas().reindex(columns=["t1", "t2", "n"])
-    return parts.groupby(["t1", "t2"], as_index=False)["n"].sum().astype({"n": "int64"})
+    parts = parts.to_pandas().reindex(columns=["n_types", "t1", "t2", "n"])
+    return parts.groupby(["n_types", "t1", "t2"], as_index=False)["n"].sum().astype({"n": "int64"})
 
 
 def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
@@ -624,10 +645,11 @@ def session_type_pairs(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     DISTINCT unordered type pairs once (:func:`_session_type_counts`),
     and the output counts sessions per pair. Output is bounded by the
     type-pair cardinality, never by event count."""
-    counts = _session_type_counts(sf_dir, gap_minutes)
+    counts = _session_type_counts("session_type_pairs", sf_dir, gap_minutes)
     return finish(
-        counts[counts["t2"] != ""].rename(columns={"n": "n_sessions"}),
+        counts[counts["n_types"] == 2].rename(columns={"n": "n_sessions"}),
         ["t1", "t2"],
+        columns=["t1", "t2", "n_sessions"],
         empty=pa.schema({"t1": pa.string(), "t2": pa.string(), "n_sessions": pa.int64()}),
     )
 
@@ -782,7 +804,13 @@ def events_markov_transitions(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
 
     return finish(
         bucketed_aggregate(
-            _sessions(sf_dir, ["user_id", "ts", "event_id", "event_type"], gap_minutes, transitions),
+            _typed_sessions(
+                "events_markov_transitions",
+                sf_dir,
+                ["user_id", "ts", "event_id", "event_type"],
+                gap_minutes,
+                transitions,
+            ),
             ["t_from", "t_to"],
             {"n_transitions": ("size", "sum")},
         ).to_pandas(),
@@ -1120,13 +1148,13 @@ def events_type_lift(sf_dir: str, gap_minutes: int = 30) -> pa.Table:
     The pair counts, per-type session counts and the session total all
     come from :func:`_session_type_counts`; the driver folds rows
     bounded by the TYPE cardinality, not events."""
-    counts = _session_type_counts(sf_dir, gap_minutes)
-    one = counts["t2"] == ""
-    # per-type session counts; the ("", "") row's "" key is the total
-    n_of = dict(zip(counts.loc[one, "t1"], counts.loc[one, "n"].tolist()))
-    pairs = counts[~one].rename(columns={"t1": "type_a", "t2": "type_b", "n": "n_ab"})
+    counts = _session_type_counts("events_type_lift", sf_dir, gap_minutes)
+    n_sessions = int(counts.loc[counts["n_types"] == 0, "n"].sum())
+    one = counts[counts["n_types"] == 1]
+    n_of = dict(zip(one["t1"], one["n"].tolist()))
+    pairs = counts[counts["n_types"] == 2].rename(columns={"t1": "type_a", "t2": "type_b", "n": "n_ab"})
     pairs["lift_milli"] = [
-        n * n_of[""] * 1000 // (n_of[a] * n_of[b])
+        n * n_sessions * 1000 // (n_of[a] * n_of[b])
         for a, b, n in zip(pairs["type_a"], pairs["type_b"], pairs["n_ab"].tolist())
     ]
     return finish(

@@ -27,6 +27,7 @@ from mlscraper_ray.learn.samples import Sample, TrainingSet
 from mlscraper_ray.learn.selectors import SelectorContext
 from mlscraper_ray.learn.training import (
     NoScraperFoundException,
+    count_combinations,
     prioritized_combinations,
     train_scraper_for_matches,
 )
@@ -72,8 +73,9 @@ def train_scraper_parallel(
     norm = [
         (bytes(h), v if isinstance(v, str) else v.decode()) for h, v in samples
     ]
-    # one driver-side pass to size the search space (cheap vs the search)
-    n_combos = len(prioritized_combinations(_build_training_set(norm)))
+    # one driver-side pass to size the search space; only the window
+    # tasks sort it
+    n_combos = count_combinations(_build_training_set(norm))
     if n_combos == 0:
         raise NoScraperFoundException("no match combinations")
 

@@ -8,6 +8,7 @@ JSON plan (``scrape.model``) broadcast to the apply stage.
 from __future__ import annotations
 
 import logging
+import math
 from itertools import combinations, product
 
 from mlscraper_ray.learn.matches import (
@@ -52,21 +53,49 @@ def get_match_combination_priority(matches, similarity) -> float:
     )
 
 
-def prioritized_combinations(training_set: TrainingSet) -> list:
-    """The deterministic search order: per sample, matches span-sorted
-    ascending and truncated to the top 100; cartesian product across
-    samples; sorted by priority descending (stable sort, so ties keep
-    product order). Shared by the sequential and the speculative-
-    parallel searchers so both try combination i at the same index."""
-    sample_matches = [
+def _search_space(training_set: TrainingSet) -> list:
+    """Per sample, its matches span-sorted ascending and truncated to
+    the top 100: the factors of the combination product."""
+    return [
         sorted(s.get_matches(), key=lambda m: m.span)[:100]
         for s in training_set.item.samples
     ]
+
+
+def count_combinations(training_set: TrainingSet) -> int:
+    """``len(prioritized_combinations(training_set))``, without building
+    or sorting the combinations."""
+    return math.prod(len(ms) for ms in _search_space(training_set))
+
+
+def prioritized_combinations(training_set: TrainingSet) -> list:
+    """The deterministic search order: the cartesian product across
+    samples of :func:`_search_space`, sorted by priority descending
+    (stable sort, so ties keep product order). Shared by the sequential
+    and the speculative-parallel searchers so both try combination i at
+    the same index.
+
+    The priorities are :func:`get_match_combination_priority`'s, paid
+    only where they order: with fewer than two combinations, or one
+    sample (every priority 1), the product order is the answer, and
+    otherwise each pair of matches of two samples is compared once.
+    The mean runs over the same pair values in ``combinations(c, 2)``
+    order, so every priority is the same float."""
+    sample_matches = _search_space(training_set)
     match_combinations = list(product(*sample_matches))
+    if len(match_combinations) < 2 or len(sample_matches) < 2:
+        return match_combinations
     similarity = NodeSimilarity()
+    # every pair of matches of two samples is in some combination
+    pair_similarity = {
+        (m1, m2): m1.get_similarity_to(m2, similarity)
+        for ms1, ms2 in combinations(sample_matches, 2)
+        for m1 in ms1
+        for m2 in ms2
+    }
     return sorted(
         match_combinations,
-        key=lambda c: get_match_combination_priority(c, similarity),
+        key=lambda c: mean([pair_similarity[pair] for pair in combinations(c, 2)]),
         reverse=True,
     )
 

@@ -48,19 +48,24 @@ class BloomFilter:
 
     def add(self, item: str) -> bool:
         """Insert; returns True if the item was (probably) new."""
+        # the words as Python ints: numpy scalar arithmetic costs more
+        # than the hash
+        words = memoryview(self.bits)
         new = False
         for pos in self._positions(item):
-            word, bit = pos >> 6, np.uint64(1 << (pos & 63))
-            if not (self.bits[word] & bit):
+            word, bit = pos >> 6, 1 << (pos & 63)
+            w = words[word]
+            if not w & bit:
                 new = True
-                self.bits[word] |= bit
+                words[word] = w | bit
         if new:
             self.n_added += 1
         return new
 
     def __contains__(self, item: str) -> bool:
+        words = memoryview(self.bits)
         for pos in self._positions(item):
-            if not (self.bits[pos >> 6] & np.uint64(1 << (pos & 63))):
+            if not words[pos >> 6] & (1 << (pos & 63)):
                 return False
         return True
 

@@ -3612,6 +3612,58 @@ def test_session_operators_match_sql_at_the_gap_edges(entry_mod, tmp_path, name,
     assert c["hash_match"], c
 
 
+TYPE_OPERATORS = {
+    "events_session_paths": "session_paths",
+    "events_session_type_pairs": "session_type_pairs",
+    "events_markov_transitions": "events_markov_transitions",
+    "events_type_lift": "events_type_lift",
+}
+
+
+def _typed_events(tmp_path, types: list) -> str:
+    """An sf dir whose ``events`` are four events of the given types
+    (two sessions of user 1, one of user 2) beside the other sf0.001
+    tables."""
+    for f in os.listdir(SF_DIR):
+        if f != "events.parquet":
+            os.symlink(os.path.join(SF_DIR, f), tmp_path / f)
+    t0, m = pd.Timestamp("2026-01-01 09:00:00"), pd.Timedelta(minutes=1)
+    pq.write_table(
+        pa.table(
+            {
+                "event_id": pa.array([1, 2, 3, 4], pa.int64()),
+                "ts": pa.array([t0, t0 + m, t0 + 2 * m, t0], pa.timestamp("us")),
+                "user_id": pa.array([1, 1, 1, 2], pa.int64()),
+                "event_type": pa.array(types, pa.string()),
+            }
+        ),
+        tmp_path / "events.parquet",
+    )
+    return str(tmp_path)
+
+
+@pytest.mark.parametrize("name", TYPE_OPERATORS)
+def test_type_operators_match_sql_on_an_empty_type(entry_mod, tmp_path, name):
+    """``""`` is an event type like any other: it is no marker of the
+    session total or the per-type counts."""
+    from oracle_compare import compare
+
+    sf = _typed_events(tmp_path, ["view", "", "click", ""])
+    result = entry_mod.queries()[name](sf)
+    assert result.num_rows > 0
+    c = compare(result, entry_mod.oracle_sql()[name], sf)
+    assert c["hash_match"], c
+
+
+@pytest.mark.parametrize("name", TYPE_OPERATORS)
+def test_type_operators_name_a_null_type(entry_mod, tmp_path, name):
+    """A null event type fails the operator with an error that names it
+    and the non-null invariant."""
+    sf = _typed_events(tmp_path, ["view", None, "click", "view"])
+    with pytest.raises(Exception, match=rf"{TYPE_OPERATORS[name]}: events.event_type holds a null"):
+        entry_mod.queries()[name](sf)
+
+
 class TestHostKcore:
     def _edges(self, pairs):
         import ray.data

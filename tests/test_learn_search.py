@@ -12,6 +12,7 @@ import random
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -27,6 +28,7 @@ from mlscraper_ray.learn.matches import (
 )
 from mlscraper_ray.learn.samples import Sample, TrainingSet
 from mlscraper_ray.learn.training import (
+    count_combinations,
     get_match_combination_priority,
     prioritized_combinations,
     train_scraper,
@@ -159,30 +161,107 @@ def test_priorities_order_and_plan_are_exact(shape):
     assert train_scraper(ts, complexity=2).to_plan() == expected_plan()
 
 
+@pytest.fixture
+def similarity_calls(monkeypatch):
+    """Every ``get_similarity_to`` call, as (self, other) pairs."""
+    calls = []
+    for cls in (ValueMatch, DictMatch, ListMatch):
+        original = cls.get_similarity_to
+
+        def spy(self, match, similarity, original=original):
+            calls.append((self, match))
+            return original(self, match, similarity)
+
+        monkeypatch.setattr(cls, "get_similarity_to", spy)
+    return calls
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=lambda s: "x".join(map(str, s)))
+def test_a_lone_combination_is_not_scored(shape, similarity_calls):
+    ts = _training_set(_request(*shape))
+    assert len(prioritized_combinations(ts)) == count_combinations(ts) == 1
+    assert train_scraper(ts, complexity=2).to_plan() == expected_plan()
+    assert similarity_calls == []
+
+
+def test_a_lone_combination_without_common_keys_fails_in_training():
+    """The one combination of these dict samples is never scored, so
+    the training step's ``KeyError`` for the key the first sample lacks
+    surfaces, not the ``StatisticsError`` of its priority (the mean over
+    no common key). The reference raises that ``KeyError`` whenever
+    such samples share some keys but not all."""
+    pages = [
+        ("<html><body><p>a</p><i>z</i></body></html>", {"x": "a"}),
+        ("<html><body><p>b</p><i>z</i></body></html>", {"y": "b"}),
+    ]
+    ts = _training_set(pages)
+    assert count_combinations(ts) == 1
+    with pytest.raises(KeyError):
+        train_scraper(ts, complexity=2)
+
+
 AMBIGUOUS_PAGE = (
     '<html><body><div class="a b"><p class="t">{v}</p><b>{w}</b></div>'
     '<section class="a"><span class="t c">{v}</span><i class="t">{w}</i></section>'
     '<p title="{v}">z</p><ul class="b"><li class="c">{w}</li></ul></body></html>'
 )
+AMBIGUOUS_VALUES = {
+    "value": lambda v, w: v,
+    "dict": lambda v, w: {"v": v, "w": w},
+    "list": lambda v, w: [v, w],
+}
 
 
-@pytest.mark.parametrize(
-    "value",
-    [lambda v, w: v, lambda v, w: {"v": v, "w": w}, lambda v, w: [v, w]],
-    ids=["value", "dict", "list"],
-)
-def test_priorities_are_exact_on_ambiguous_samples(value):
+def _ambiguous_training_set(kind: str, n_pages: int = 3) -> TrainingSet:
+    return _training_set(
+        [
+            (AMBIGUOUS_PAGE.format(v=f"v{i}", w=f"w{i}"), AMBIGUOUS_VALUES[kind](f"v{i}", f"w{i}"))
+            for i in range(1, n_pages + 1)
+        ]
+    )
+
+
+def _assert_each_pair_scored_once(combos: list, calls: list) -> None:
+    """The top-level similarity calls are exactly the distinct pairs of
+    matches of two different samples, each once, in sample order."""
+    per_sample = [list(dict.fromkeys(ms)) for ms in zip(*combos)]
+    top = {m for ms in per_sample for m in ms}
+    scored = Counter((a, b) for a, b in calls if a in top)
+    assert set(scored.values()) == {1}
+    assert set(scored) == {
+        (a, b) for s1, s2 in combinations(per_sample, 2) for a in s1 for b in s2
+    }
+
+
+@pytest.mark.parametrize("kind", AMBIGUOUS_VALUES)
+def test_priorities_are_exact_on_ambiguous_samples(kind, similarity_calls):
     """Values that occur several times give many combinations with
-    distinct priorities and ties."""
-    pages = [
-        (AMBIGUOUS_PAGE.format(v=v, w=w), value(v, w))
-        for v, w in [("v1", "w1"), ("v2", "w2"), ("v3", "w3")]
-    ]
-    ts = _training_set(pages)
+    distinct priorities and ties; each pair of matches is scored once."""
+    ts = _ambiguous_training_set(kind)
     combos = prioritized_combinations(ts)
+    assert len(combos) == count_combinations(ts)
+    _assert_each_pair_scored_once(combos, similarity_calls)
     similarity = NodeSimilarity()
     priorities = {repr(get_match_combination_priority(c, similarity)) for c in combos}
     assert len(combos) > 8 and len(priorities) > 2
+    _assert_exact_priorities(ts)
+
+
+def test_one_sample_keeps_its_match_order_unscored(similarity_calls):
+    """Every priority of a one-sample request is 1, so the order is the
+    span order of its matches and no pair is scored."""
+    ts = _ambiguous_training_set("value", n_pages=1)
+    combos = prioritized_combinations(ts)
+    assert len(combos) == count_combinations(ts) > 1
+    assert similarity_calls == []
+    _assert_exact_priorities(ts)
+
+
+def test_priorities_are_exact_on_a_large_ambiguous_request(similarity_calls):
+    ts = _ambiguous_training_set("dict", n_pages=4)
+    combos = prioritized_combinations(ts)
+    assert len(combos) == count_combinations(ts) >= 10**4
+    _assert_each_pair_scored_once(combos, similarity_calls)
     _assert_exact_priorities(ts)
 
 

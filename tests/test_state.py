@@ -19,6 +19,39 @@ class TestBloom:
             assert bf.add(u) is False
         assert bf.n_added == 1000
 
+    def test_bits_equal_the_numpy_scalar_formula(self):
+        """``add`` and membership equal the earlier numpy-scalar word
+        updates, kept here, on every call and in the bytes: a filter
+        filled past its capacity, so false positives and repeats occur."""
+        import random
+
+        import numpy as np
+
+        def reference_add(bf, item):
+            new = False
+            for pos in bf._positions(item):
+                word, bit = pos >> 6, np.uint64(1 << (pos & 63))
+                if not (bf.bits[word] & bit):
+                    new = True
+                    bf.bits[word] |= bit
+            if new:
+                bf.n_added += 1
+            return new
+
+        def reference_contains(bf, item):
+            return all(bf.bits[p >> 6] & np.uint64(1 << (p & 63)) for p in bf._positions(item))
+
+        rng = random.Random(5)
+        urls = [f"http://h{rng.randrange(40)}.example/p/{rng.randrange(4000)}" for _ in range(5000)]
+        got, want = BloomFilter(1500, 1e-3), BloomFilter(1500, 1e-3)
+        results = [(got.add(u), reference_add(want, u)) for u in urls]
+        assert all(a == b for a, b in results)
+        assert {b for _, b in results} == {True, False}
+        assert got.n_added < len(set(urls))  # some new urls were false positives
+        assert got.to_bytes() == want.to_bytes()
+        probes = urls[:500] + [f"http://other.example/{i}" for i in range(2000)]
+        assert [u in got for u in probes] == [reference_contains(want, u) for u in probes]
+
     def test_no_false_positives_at_scale(self):
         bf = BloomFilter(100000, 1e-9)
         for i in range(10000):
