@@ -15,11 +15,19 @@ uniqueness checks (``selectors.py:59``). Here the caches live in a
 shared state, which is what makes training safe to ship into a Ray
 task. They are keyed by the nodes themselves, which the run keeps
 alive, so a freed node's id can never hit a stale entry.
+
+Common selectors: the reference builds every target node's full
+path-selector set and intersects them. Here only the first node's set
+is built; its selectors, shortest first, are probed in the other nodes
+(:meth:`SelectorContext.has_path_selector`), which computes an
+nth-child rank only where a probed rule names one. The sequence and
+the exceptions on selectors the CSS grammar rejects are the same.
 """
 from __future__ import annotations
 
 import re
 import typing
+from bisect import bisect_left, bisect_right
 from itertools import chain, combinations
 
 from mlscraper_ray.htmlcore.css import compile_selector, is_name_token
@@ -53,25 +61,65 @@ def make_selector_for_classes(class_combination: typing.Collection[str]) -> str:
 class SelectorContext:
     """Per-training-run caches for selector generation + uniqueness:
 
+    - regular selectors: node -> frozenset, checked once
+      (:meth:`_regular_selectors`);
+    - nth-child ranks: ``(node, base selector)`` -> int;
     - node selectors: node -> tuple sorted by ``(len, str)``;
-    - path selectors: ``(node, max_length)`` -> frozenset (callers
-      only union and intersect them; the one ordered consumer,
-      :func:`generate_selectors_for_nodes`, sorts its result);
+    - path selectors: ``(node, max_length)`` -> frozenset, built for the
+      first node of a request (and, through the recursion, for its
+      ancestors), whose set is the candidate list of
+      :func:`generate_selectors_for_nodes`;
+    - path membership: ``(node, rule, max_length)`` -> bool, how the
+      other nodes are probed for those candidates without building
+      their sets (:meth:`has_path_selector`);
     - uniqueness: ``(rule, root, nodes)`` -> bool.
     """
 
     def __init__(self):
+        self._regular: dict[Element, frozenset] = {}
+        self._ranks: dict[tuple, int] = {}
         self._node_selectors: dict[Element, tuple] = {}
         self._path_selectors: dict[tuple, frozenset] = {}
+        self._has_path: dict[tuple, bool] = {}
         self._unique_cache: dict[tuple, bool] = {}
 
     # -- node-level selectors ------------------------------------------
+    def _regular_selectors(self, node) -> frozenset:
+        """The node's regular selectors; none for html, body and the
+        document. The first call compiles and matches every non-``#``
+        one against the node, in ``(len, str)`` order, when the node has
+        a parent to rank it in: a selector the CSS grammar rejects
+        raises its ``SelectorSyntaxError``, and one that does not select
+        its own node raises ``RuntimeError``, which is what the
+        reference's rank lookup (``next`` over no hits, inside a
+        generator) raises there. A failed check caches nothing."""
+        cached = self._regular.get(node)
+        if cached is None:
+            if node.tag_name in ("html", "body") or isinstance(node, Document):
+                cached = frozenset()
+            else:
+                selectors = sorted(
+                    set(_generate_regular_node_selectors(node)), key=_len_lex
+                )
+                if _rank_parent(node) is not None:
+                    for s in selectors:
+                        if not s.startswith("#") and not compile_selector(s).matches(node):
+                            raise RuntimeError(f"{s!r} does not select its own node")
+                cached = frozenset(selectors)
+            self._regular[node] = cached
+        return cached
+
+    def _rank(self, node: Element, base: str) -> int:
+        key = (node, base)
+        rank = self._ranks.get(key)
+        if rank is None:
+            rank = self._ranks[key] = _select_rank(_rank_parent(node), node, base)
+        return rank
+
     def get_node_selectors(self, node: Element) -> tuple:
         cached = self._node_selectors.get(node)
         if cached is None:
-            cached = tuple(
-                sorted(set(self._generate_node_selectors(node)), key=lambda s: (len(s), s))
-            )
+            cached = tuple(sorted(set(self._generate_node_selectors(node)), key=_len_lex))
             self._node_selectors[node] = cached
         return cached
 
@@ -82,18 +130,33 @@ class SelectorContext:
         node's 1-based index among the *parent's select() results* for
         that selector — NOT css nth-child semantics; the quirk is part
         of the learned-rule contract (``tests/test_selectors.py:35-43``)."""
-        if node.tag_name in ("html", "body") or isinstance(node, Document):
-            return
-        selectors = sorted(
-            set(_generate_regular_node_selectors(node)), key=lambda s: (len(s), s)
-        )
-        yield from selectors
-        parent = node.parent if node.parent is not None else node.doc
-        if parent is not None:
-            for css_selector in selectors:
+        regular = self._regular_selectors(node)
+        yield from regular
+        if _rank_parent(node) is not None:
+            for css_selector in regular:
                 if not css_selector.startswith("#"):
-                    nth = _select_rank(parent, node, css_selector)
-                    yield f"{css_selector}:nth-child({nth})"
+                    yield f"{css_selector}:nth-child({self._rank(node, css_selector)})"
+
+    def _is_node_selector(self, node, s: str) -> bool:
+        """``s in get_node_selectors(node)``. Only an ``:nth-child(k)``
+        ending computes a rank, and only for the regular selectors that
+        prefix it (an attribute value may itself hold ``:nth-child(``)."""
+        regular = self._regular_selectors(node)
+        if s in regular:
+            return True
+        if _rank_parent(node) is None:
+            return False
+        i = s.find(":nth-child(")
+        while i != -1:
+            base = s[:i]
+            if (
+                base in regular
+                and not base.startswith("#")
+                and s == f"{base}:nth-child({self._rank(node, base)})"
+            ):
+                return True
+            i = s.find(":nth-child(", i + 1)
+        return False
 
     # -- path selectors ------------------------------------------------
     def get_path_selectors(self, node: Element, max_length: int) -> frozenset:
@@ -125,6 +188,68 @@ class SelectorContext:
                         if ancestor is node.parent:
                             yield f"{anc_sel} > {node_selector}"
 
+    def check_path_selectors(self, node, max_length: int) -> None:
+        """Raise what ``get_path_selectors(node, max_length)`` would,
+        without building the set: the build checks the regular
+        selectors of the node and, from ``max_length`` 2 on, of every
+        non-document ancestor, nearest first."""
+        if max_length < 1:
+            return
+        regular = self._regular_selectors(node)
+        if max_length > 1 and any(not s.startswith("#") for s in regular):
+            for ancestor in node.ancestors:
+                if not isinstance(ancestor, Document):
+                    self._regular_selectors(ancestor)
+
+    def has_path_selector(self, node, rule: str, max_length: int) -> bool:
+        """``rule in get_path_selectors(node, max_length)``, without
+        building the set: every way :meth:`_generate_path_selectors`
+        could have produced ``rule`` is tried. It is one of the node's
+        selectors; or, cut at any ``" "``, a non-``#`` node selector
+        after a path selector of some non-document ancestor; or, cut at
+        any ``" > "``, the same after one of the parent's. Attribute
+        values may hold spaces and ``>``, so every cut is tried. Call
+        :meth:`check_path_selectors` first: membership skips the
+        errors of the selectors it never looks at."""
+        if max_length < 1:
+            return False
+        built = self._path_selectors.get((node, max_length))
+        if built is not None:
+            return rule in built
+        key = (node, rule, max_length)
+        found = self._has_path.get(key)
+        if found is None:
+            found = self._has_path[key] = self._probe_path(node, rule, max_length)
+        return found
+
+    def _probe_path(self, node, rule: str, max_length: int) -> bool:
+        if self._is_node_selector(node, rule):
+            return True
+        if max_length < 2:
+            return False
+
+        def is_step(step: str) -> bool:
+            return not step.startswith("#") and self._is_node_selector(node, step)
+
+        ancestors = [a for a in node.ancestors if not isinstance(a, Document)]
+        i = rule.find(" ")
+        while i != -1:
+            if is_step(rule[i + 1 :]) and any(
+                self.has_path_selector(a, rule[:i], max_length - 1) for a in ancestors
+            ):
+                return True
+            i = rule.find(" ", i + 1)
+        parent = node.parent
+        if parent is not None:
+            i = rule.find(" > ")
+            while i != -1:
+                if is_step(rule[i + 3 :]) and self.has_path_selector(
+                    parent, rule[:i], max_length - 1
+                ):
+                    return True
+                i = rule.find(" > ", i + 1)
+        return False
+
     # -- uniqueness ----------------------------------------------------
     def uniquely_selects(self, css_rule: str, root, nodes: tuple) -> bool:
         """Ordered exact-list equality of ``root.select(rule, limit=k+1)``
@@ -140,21 +265,27 @@ class SelectorContext:
         return cached
 
 
+def _len_lex(s: str) -> tuple:
+    return (len(s), s)
+
+
+def _rank_parent(node):
+    """What a node's nth-child rank counts in: its parent, or its
+    document for a top-level element; None for a document."""
+    return node.parent if node.parent is not None else node.doc
+
+
 def _select_rank(parent, node: Element, css_selector: str) -> int:
-    """1-based position of ``node`` in ``parent.select(css_selector)``.
+    """1-based position of ``node`` in ``parent.select(css_selector)``,
+    for a selector that matches the node
+    (:meth:`SelectorContext._regular_selectors` checks that).
 
     ``select`` returns the matching elements of the parent's preorder
     span, so the position is one more than the matches between the
     parent and the node in the document's preorder list; this scans
-    only that stretch instead of running the whole ``select``. A node
-    its own selector does not match (a class such as ``a.b`` parses as
-    two classes) has no position; the reference's ``next`` over the
-    hits fails there, and so does this."""
-    sel = compile_selector(css_selector)
-    if not sel.matches(node):
-        raise StopIteration  # reference quirk: no rank (ROADMAP)
+    only that stretch instead of running the whole ``select``."""
+    matches = compile_selector(css_selector).matches
     start = parent._pre_start + 1 if isinstance(parent, Element) else 0
-    matches = sel.matches
     return 1 + sum(1 for e in node.doc._preorder[start : node._pre_start] if matches(e))
 
 
@@ -183,16 +314,58 @@ def _generate_regular_node_selectors(node: Element):
 def generate_selectors_for_nodes(
     ctx: SelectorContext, nodes: list, roots, complexity: int
 ):
-    """Selectors matching every node: set-intersection of per-node path
-    selector sets, shortest first (reference ``selectors.py:101-125``)."""
+    """Selectors matching every node, shortest first (reference
+    ``selectors.py:101-125``). The reference intersects every node's
+    path-selector set; here the first node's set, in ``(len, str)``
+    order, is the candidate list, and each candidate is probed in the
+    other nodes (:meth:`SelectorContext.has_path_selector`). The common
+    set is a subset of the first node's, so the sequence is the same.
+    The other nodes' selectors are checked before the first candidate,
+    so a page that breaks their build raises what the build raises."""
     assert nodes, "no nodes given"
     assert roots, "no roots given"
     assert len(nodes) == len(roots)
-    common = frozenset.intersection(
-        *(ctx.get_path_selectors(n, complexity) for n in nodes)
-    )
-    for rule in sorted(common, key=lambda s: (len(s), s)):
-        yield CssRuleSelector(rule)
+    first, others = nodes[0], nodes[1:]
+    candidates = sorted(ctx.get_path_selectors(first, complexity), key=_len_lex)
+    for n in others:
+        ctx.check_path_selectors(n, complexity)
+    for rule in candidates:
+        if all(ctx.has_path_selector(n, rule, complexity) for n in others):
+            yield CssRuleSelector(rule)
+
+
+def _nodes_per_root(nodes: list, roots) -> list:
+    """``[(r, tuple(n for n in nodes if n.has_ancestor(r)))]`` for each
+    distinct root in first-seen order. An Element root takes its nodes
+    from its subtree's open preorder span ``(_pre_start, _pre_end)`` in
+    a per-document index of the Element nodes, back in ``nodes`` order
+    (uniqueness compares ordered lists); a document root, and a node
+    outside the index, keep the ``has_ancestor`` test."""
+    index: dict = {}  # doc -> sorted [(_pre_start, position in nodes)]
+    rest = []
+    for i, n in enumerate(nodes):
+        if isinstance(n, Element) and n.doc is not None:
+            index.setdefault(n.doc, []).append((n._pre_start, i))
+        else:
+            rest.append(i)
+    for entries in index.values():
+        entries.sort()
+    out = []
+    seen = set()
+    for r in roots:
+        if id(r) in seen:
+            continue
+        seen.add(id(r))
+        if isinstance(r, Element) and r.doc is not None:
+            entries = index.get(r.doc, [])
+            lo = bisect_right(entries, (r._pre_start, len(nodes)))
+            hi = bisect_left(entries, (r._pre_end, -1))
+            picked = [i for _, i in entries[lo:hi]]
+            picked += [i for i in rest if nodes[i].has_ancestor(r)]
+            out.append((r, tuple(nodes[i] for i in sorted(picked))))
+        else:
+            out.append((r, tuple(n for n in nodes if n.has_ancestor(r))))
+    return out
 
 
 def generate_unique_selectors_for_nodes(
@@ -202,15 +375,9 @@ def generate_unique_selectors_for_nodes(
     target nodes in order (reference ``selectors.py:78-98``)."""
     if roots is None:
         roots = [n.doc for n in nodes]
-    root_ids = {}
-    nodes_per_root = []
-    for r in roots:
-        if id(r) not in root_ids:
-            root_ids[id(r)] = len(nodes_per_root)
-            nodes_per_root.append((r, [n for n in nodes if n.has_ancestor(r)]))
+    nodes_per_root = _nodes_per_root(nodes, roots)
     for selector in generate_selectors_for_nodes(ctx, nodes, roots, complexity):
         if all(
-            ctx.uniquely_selects(selector.css_rule, r, tuple(ns))
-            for r, ns in nodes_per_root
+            ctx.uniquely_selects(selector.css_rule, r, ns) for r, ns in nodes_per_root
         ):
             yield selector

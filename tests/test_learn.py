@@ -4,9 +4,13 @@ Golden expectations are the reference suite's hard-coded literals
 (/root/reference/tests/test_selectors.py, test_samples.py,
 test_scrapers.py, test_training.py) asserted against our engine.
 """
+import random
+from itertools import islice, permutations
+
 import pytest
 
 from mlscraper_ray.htmlcore.dom import parse_html
+from mlscraper_ray.learn import selectors
 from mlscraper_ray.learn.matches import DictMatch, ListMatch
 from mlscraper_ray.learn.samples import (
     ItemStructureException,
@@ -16,6 +20,8 @@ from mlscraper_ray.learn.samples import (
 )
 from mlscraper_ray.learn.selectors import (
     SelectorContext,
+    _nodes_per_root,
+    generate_selectors_for_nodes,
     generate_unique_selectors_for_nodes,
 )
 from mlscraper_ray.learn.training import NoScraperFoundException, train_scraper
@@ -29,6 +35,7 @@ from mlscraper_ray.scrape.model import (
     ValueScraper,
     scraper_from_plan,
 )
+from mlscraper_ray.sources.corpusgen import CorpusSpec, expected_plan, render_page
 
 
 def unique_rules(nodes, roots=None, complexity=100):
@@ -270,3 +277,192 @@ class TestTraining:
         assert isinstance(scraper.extractor, AttributeValueExtractor)
         assert scraper.extractor.attr == "href"
         assert scraper.get(p) == "/users/1/karl"
+
+
+# -- probed intersection: the other nodes are tested, not built ---------
+
+_CRAFTED_PAGE = (
+    '<html><body><div id="main" class="box wide">'
+    '<ul class="list a"><li class="item odd" data-k="a b">one</li>'
+    '<li class="item even" data-k="x > y">two</li>'
+    '<li class="item odd" data-k="q:nth-child(1)">three</li>'
+    '<li data-k="a b"><span title="x > y">four</span></li></ul>'
+    '<ul><li>five</li><li class="item">six</li></ul>'
+    '<p title="q:nth-child(1)" class="item odd">seven <span>eight</span></p>'
+    '</div><div class="box"><p data-k="a b" class="item">nine</p></div>'
+    "</body></html>"
+)
+
+
+def _outcome(fn, *args):
+    """``("ok", result)`` or ``(exception type name, None)``."""
+    try:
+        return "ok", fn(*args)
+    except Exception as e:
+        return type(e).__name__, None
+
+
+def _len_lex(s):
+    return (len(s), s)
+
+
+def _intersected_rules(nodes, complexity):
+    """The formula the probing replaced: every node's full path set,
+    intersected, in ``(len, str)`` order."""
+    ctx = SelectorContext()
+    common = frozenset.intersection(
+        *(ctx.get_path_selectors(n, complexity) for n in nodes)
+    )
+    return sorted(common, key=_len_lex)
+
+
+def _intersected_unique_rules(nodes, roots, complexity, k):
+    ctx = SelectorContext()
+    distinct = list({id(r): r for r in roots}.values())
+    groups = [(r, tuple(n for n in nodes if n.has_ancestor(r))) for r in distinct]
+    rules = (
+        rule
+        for rule in _intersected_rules(nodes, complexity)
+        if all(ctx.uniquely_selects(rule, r, ns) for r, ns in groups)
+    )
+    return list(islice(rules, k))
+
+
+def _probed_rules(nodes, complexity):
+    gen = generate_selectors_for_nodes(
+        SelectorContext(), nodes, [n.doc for n in nodes], complexity
+    )
+    return [s.css_rule for s in gen]
+
+
+def _probe_docs():
+    spec = CorpusSpec(seed=7, entries_per_page=3, filler_words=5)
+    docs = [parse_html(render_page(spec, h, i)[0]) for h, i in ((0, 1), (1, 2), (3, 4))]
+    return docs + [parse_html(_CRAFTED_PAGE), parse_html(_CRAFTED_PAGE)]
+
+
+def _random_node_sets(seed, count):
+    """Seeded node sets: 1-5 nodes from one or two documents, all of
+    one tag or of mixed tags, each with a root that is its document or
+    one of its ancestors."""
+    rng = random.Random(seed)
+    docs = _probe_docs()
+    cases = []
+    while len(cases) < count:
+        picked = rng.sample(docs, rng.choice((1, 2)))
+        pool = [e for d in picked for e in d._preorder]
+        if rng.random() < 0.5:
+            tag = rng.choice(pool).tag
+            pool = [e for e in pool if e.tag == tag]
+        nodes = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
+        roots = [
+            rng.choice([n.doc] + n.ancestors[:-1]) if rng.random() < 0.3 else n.doc
+            for n in nodes
+        ]
+        cases.append((nodes, roots))
+    return cases
+
+
+class TestProbedIntersection:
+    """``generate_selectors_for_nodes`` builds the first node's path set
+    and probes the others; the sequence must equal the intersection of
+    every node's set."""
+
+    @pytest.mark.parametrize("complexity", [1, 2, 3, 100])
+    def test_sequence_equals_intersection(self, complexity):
+        for nodes, roots in _random_node_sets(f"probe:{complexity}", 60):
+            assert _probed_rules(nodes, complexity) == _intersected_rules(
+                nodes, complexity
+            ), [n.tag for n in nodes]
+            probed = generate_unique_selectors_for_nodes(
+                SelectorContext(), nodes, roots, complexity
+            )
+            assert [s.css_rule for s in islice(probed, 5)] == _intersected_unique_rules(
+                nodes, roots, complexity, 5
+            ), [n.tag for n in nodes]
+
+    def test_crafted_values_survive_every_cut(self):
+        # attribute values with spaces, " > " and ":nth-child(" must
+        # not be mistaken for path steps
+        doc = parse_html(_CRAFTED_PAGE)
+        lis = doc.select("ul.list li")
+        rules = _probed_rules(lis[:3], 3)
+        assert rules == _intersected_rules(lis[:3], 3)
+        assert "#main li.item" in rules
+        twin = parse_html(_CRAFTED_PAGE)
+        for attr_rule in ('li[data-k="x > y"]', 'p[title="q:nth-child(1)"]'):
+            nodes = doc.select(attr_rule) + twin.select(attr_rule)
+            rules = _probed_rules(nodes, 2)
+            assert rules == _intersected_rules(nodes, 2)
+            assert attr_rule in rules and f"{attr_rule}:nth-child(" in " ".join(rules)
+
+    @pytest.mark.parametrize("complexity", [1, 2])
+    def test_broken_selectors_raise_as_the_intersection_does(self, complexity):
+        pages = [
+            "<html><body><div><p t='v\"x'>a<b>c</b></p><i>z</i></div></body></html>",
+            "<html><body><div><p:q>a<b>c</b></p:q><i>z</i></div></body></html>",
+            "<html><body><div><p.x>a<b>c</b></p.x><i>z</i></div></body></html>",
+        ]
+        expected = ["SelectorSyntaxError", "SelectorSyntaxError", "RuntimeError"]
+        pool = []
+        for html, error in zip(pages, expected):
+            broken, child, fine = parse_html(html)._preorder[3:6]
+            assert _outcome(_probed_rules, [broken], complexity) == (error, None)
+            child_error = error if complexity > 1 else "ok"
+            assert _outcome(_probed_rules, [child], complexity)[0] == child_error
+            pool += [broken, child, fine]
+        for nodes in [[n] for n in pool] + [list(p) for p in permutations(pool, 2)]:
+            assert _outcome(_probed_rules, nodes, complexity) == _outcome(
+                _intersected_rules, nodes, complexity
+            ), [n.tag for n in nodes]
+
+    def test_nodes_per_root_equals_has_ancestor(self):
+        # nested Element roots (the nodes' ancestor chains), roots in
+        # other documents, Document roots, and now and then a Document
+        # among the nodes, which keeps the has_ancestor test
+        docs = _probe_docs()
+        elements = [e for d in docs for e in d._preorder]
+        rng = random.Random("roots")
+        for _ in range(300):
+            nodes = [
+                rng.choice(docs) if rng.random() < 0.1 else rng.choice(elements)
+                for _ in range(rng.randint(1, 8))
+            ]
+            pool = docs + rng.sample(elements, 3) + [a for n in nodes for a in n.ancestors]
+            roots = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+            expected = [
+                (r, tuple(n for n in nodes if n.has_ancestor(r)))
+                for r in {id(r): r for r in roots}.values()
+            ]
+            assert _nodes_per_root(nodes, roots) == expected
+
+    def test_one_learn_cycle_builds_only_the_first_nodes_sets(self, monkeypatch):
+        from perfbench.inputs import learn_requests
+
+        built, allowed, ranks = [], set(), []
+        build = selectors.SelectorContext._generate_path_selectors
+        rank = selectors._select_rank
+        generate = selectors.generate_selectors_for_nodes
+
+        def spy_build(ctx, node, max_length):
+            built.append(node)
+            return build(ctx, node, max_length)
+
+        def spy_rank(*args):
+            ranks.append(args)
+            return rank(*args)
+
+        def spy_generate(ctx, nodes, roots, complexity):
+            allowed.update([nodes[0], *nodes[0].ancestors])
+            return generate(ctx, nodes, roots, complexity)
+
+        monkeypatch.setattr(selectors.SelectorContext, "_generate_path_selectors", spy_build)
+        monkeypatch.setattr(selectors, "_select_rank", spy_rank)
+        monkeypatch.setattr(selectors, "generate_selectors_for_nodes", spy_generate)
+        for request in learn_requests(1, False):
+            ts = TrainingSet()
+            for html, value in request["pages"]:
+                ts.add_sample(Sample(parse_html(html), value))
+            assert train_scraper(ts, complexity=2).to_plan() == expected_plan()
+        assert built and all(n in allowed for n in built)
+        assert len(ranks) < 200
