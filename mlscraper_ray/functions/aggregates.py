@@ -25,7 +25,7 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
-from mlscraper_ray.functions.tables import finish, read_table
+from mlscraper_ray.functions.tables import finish, md5_number_lower, read_table
 
 
 def _cents(col: pa.ChunkedArray | pa.Array) -> pa.Array:
@@ -334,20 +334,12 @@ def event_value_quantile_sketch(sf_dir: str, k: int = 256) -> pa.Table:
     of the partials. Deterministic in the DATA only (seedless md5
     rank, the repo's sampling idiom), so the DuckDB mirror reproduces
     the sample — and therefore the estimates — bit-for-bit."""
-    import hashlib
-
     import pandas as pd
 
     ds = read_table(sf_dir, "events", ["event_id", "event_type", "value"])
 
     def md5_low(ids: np.ndarray) -> np.ndarray:
-        return np.array(
-            [
-                int.from_bytes(hashlib.md5(str(i).encode()).digest()[8:], "little")
-                for i in ids
-            ],
-            dtype=np.uint64,
-        )
+        return np.array([md5_number_lower(str(i)) for i in ids], dtype=np.uint64)
 
     def partial(batch: pa.Table) -> pd.DataFrame:
         df = pd.DataFrame(

@@ -26,14 +26,13 @@ words-CTE whitespace split shared by the surprisal/token-stats family.
 """
 from __future__ import annotations
 
-import hashlib
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import ray.data
 
-from mlscraper_ray.functions.tables import finish, read_table
+from mlscraper_ray.functions.tables import finish, md5_number_lower, read_table
 
 N_BUCKETS = 4096
 
@@ -50,9 +49,7 @@ def _word_bucket(word: str, n_buckets: int) -> int:
     if h is None:
         if len(_HASH_CACHE) >= _HASH_CACHE_MAX:
             _HASH_CACHE.clear()
-        h = _HASH_CACHE[word] = int.from_bytes(
-            hashlib.md5(word.encode()).digest()[8:], "little"
-        )
+        h = _HASH_CACHE[word] = md5_number_lower(word)
     return h % n_buckets
 
 
@@ -61,7 +58,7 @@ def hashed_weights(n_buckets: int = N_BUCKETS) -> np.ndarray:
     md5_number_lower(str(b)) % 2001 - 1000."""
     return np.array(
         [
-            int.from_bytes(hashlib.md5(str(b).encode()).digest()[8:], "little") % 2001
+            md5_number_lower(str(b)) % 2001
             - 1000
             for b in range(n_buckets)
         ],

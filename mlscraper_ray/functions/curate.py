@@ -31,7 +31,7 @@ from mlscraper_ray.functions.broadcast import cached_object
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.sinks import all_shards_done, crc32_shard, write_resumable
 from mlscraper_ray.functions.textstats import _LANGID, _QUALITY, _sql_stopword_list
-from mlscraper_ray.functions.tables import finish, read_table
+from mlscraper_ray.functions.tables import finish, md5_number_lower, read_table
 
 
 def _feat_filter_fn(min_quality_x10: int):
@@ -65,10 +65,7 @@ def _sample_fn(sample_pct: int):
     the survivor columns plus any ``__`` routing column."""
 
     def sample(df: pd.DataFrame) -> pd.DataFrame:
-        mask = [
-            int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little") % 100 < sample_pct
-            for d in df["doc_id"]
-        ]
+        mask = [md5_number_lower(str(d)) % 100 < sample_pct for d in df["doc_id"]]
         out = df[pd.Series(mask, index=df.index)]
         keep = [*_SURVIVOR_COLS, *(c for c in out.columns if c.startswith("__"))]
         return out[keep].astype(dict.fromkeys(_SURVIVOR_COLS, "int64"))
@@ -369,7 +366,7 @@ def _dsir_feats(text: str, cache: dict, n_buckets: int):
     for g in grams:
         f = cache.get(g)
         if f is None:
-            f = int.from_bytes(hashlib.md5(g.encode()).digest()[8:], "little") % n_buckets
+            f = md5_number_lower(g) % n_buckets
             cache[g] = f
         out.append(f)
     return out

@@ -34,7 +34,7 @@ from mlscraper_ray.functions.broadcast import cached_object
 
 from mlscraper_ray.functions.bucketed import bucketed_aggregate, co_partition
 from mlscraper_ray.functions.sinks import crc32_shard, shard_files, write_resumable
-from mlscraper_ray.functions.tables import finish, read_table
+from mlscraper_ray.functions.tables import finish, md5_number_lower, read_table
 
 # -- exact dedup ---------------------------------------------------------
 
@@ -964,7 +964,7 @@ def _word_hashes(words: list[str]) -> np.ndarray:
         if h is None:
             if len(cache) >= _WORD_HASH_CACHE_MAX:
                 cache.clear()
-            h = cache[w] = int.from_bytes(hashlib.md5(w.encode()).digest()[8:], "little")
+            h = cache[w] = md5_number_lower(w)
         out[i] = h
     return out
 
@@ -1335,21 +1335,8 @@ def corpus_snapshot_diff(
     def sides(batch: pa.Table) -> pd.DataFrame:
         ids = np.asarray(batch["doc_id"].to_pylist(), dtype=np.int64)
         texts = batch["text"].to_pylist()
-        h = np.array(
-            [
-                int.from_bytes(hashlib.md5(t.encode()).digest()[8:], "little") & mask
-                for t in texts
-            ],
-            dtype=np.int64,
-        )
-        hv2 = np.array(
-            [
-                int.from_bytes(hashlib.md5((t + "~v2").encode()).digest()[8:], "little")
-                & mask
-                for t in texts
-            ],
-            dtype=np.int64,
-        )
+        h = np.array([md5_number_lower(t) & mask for t in texts], dtype=np.int64)
+        hv2 = np.array([md5_number_lower(t + "~v2") & mask for t in texts], dtype=np.int64)
         cur = pd.DataFrame({"doc_id": ids, "hc": h, "hp": np.int64(-1)})
         in_prior = ids % snapshot_mod != 0
         prior = pd.DataFrame(
@@ -1849,10 +1836,7 @@ def _winnow_selected_fps(text: str, k: int, w: int, mod: int) -> "np.ndarray":
     else:
         grams = [" ".join(words[i : i + k]) for i in range(len(words) - k + 1)]
     h = np.fromiter(
-        (
-            int.from_bytes(hashlib.md5(g.encode()).digest()[8:16], "little") % mod
-            for g in grams
-        ),
+        (md5_number_lower(g) % mod for g in grams),
         dtype=np.int64,
         count=len(grams),
     )

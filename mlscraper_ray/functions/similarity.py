@@ -13,6 +13,15 @@
   iterations: one streaming pass per iteration emitting per-batch
   (cluster, sum, count) partials, deterministic driver fold, broadcast
   of the updated centroids. The scale path for IVF centroid training.
+- :func:`kmeans_int_fit` / :func:`pq_fit` — the integer k-means: one
+  Lloyd's fit (``_lloyd_int_fit``) over shifted fixed-point ints, whole
+  vector (m = 1) or per product-quantization subspace (plain or
+  coarse-cell residual), whose integer (sub, cluster, count, vec_sum)
+  partials fold in any order. The same fit trains ``topics``' bag-of-
+  words clusters. Every integer assignment is ``_nearest`` (argmin,
+  ties to the lowest centroid id); the SQL oracles build its twin
+  ``_nearest_sql`` into the chained-CTE Lloyd layers (``_lloyd_sql``),
+  the per-subspace chains (``_pq_sql``) and the probe (``_probe_sql``).
 
 Scores are reported as fixed-point ``score_x10k`` ints (float64 math)
 so results hash-compare against the DuckDB oracle.
@@ -38,19 +47,32 @@ def _batch_matrix(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
     flat = np.asarray(emb.combine_chunks().flatten(), dtype=np.float64) if isinstance(
         emb, pa.ChunkedArray
     ) else np.asarray(emb.flatten(), dtype=np.float64)
-    dim = len(flat) // len(ids)
+    dim = len(flat) // max(len(ids), 1)
     return ids, flat.reshape(len(ids), dim)
 
 
-def _load_query_vec(sf_dir: str, query_vec_id: int) -> np.ndarray:
-    """One-row read with the predicate pushed into the parquet scan
-    (row-group pruned) — never a full-table driver read."""
+def _rows_by_id(
+    sf_dir: str, table: str, id_col: str, columns: list[str], ids: list, features
+) -> np.ndarray:
+    """``features(batch) -> (ids, matrix)`` of the rows whose
+    ``id_col`` is in ``ids``, in the order of ``ids`` (an id without a
+    row is skipped). The is_in predicate is pushed into the parquet
+    scan (row-group pruned) — never a full-table driver read."""
     import pyarrow.compute as pc
     import pyarrow.dataset as pads
 
-    dset = pads.dataset(os.path.join(sf_dir, "embeddings.parquet"))
-    t = dset.to_table(columns=["embedding"], filter=pc.field("vec_id") == query_vec_id)
-    return np.asarray(t["embedding"][0].as_py(), dtype=np.float64)
+    dset = pads.dataset(os.path.join(sf_dir, f"{table}.parquet"))
+    got, x = features(dset.to_table(columns=columns, filter=pc.field(id_col).isin(ids)))
+    row = {i: r for r, i in enumerate(np.asarray(got).tolist())}
+    return x[[row[i] for i in ids if i in row]]
+
+
+def _vectors_by_id(sf_dir: str, ids: list[int]) -> np.ndarray:
+    return _rows_by_id(sf_dir, "embeddings", "vec_id", ["vec_id", "embedding"], ids, _batch_matrix)
+
+
+def _load_query_vec(sf_dir: str, query_vec_id: int) -> np.ndarray:
+    return _vectors_by_id(sf_dir, [query_vec_id])[0]
 
 
 def _scan_topk(
@@ -168,7 +190,7 @@ def cosine_multi_topk(sf_dir: str, n_queries: int = 4, k: int = 5) -> pa.Table:
     :func:`_quantize` documents), so the compare is rule-identical
     end to end."""
     qids = list(range(n_queries))
-    qmat = _read_vectors_by_id(sf_dir, qids)
+    qmat = _vectors_by_id(sf_dir, qids)
     qmat /= np.maximum(np.linalg.norm(qmat, axis=1, keepdims=True), 1e-12)
 
     def score(st: tuple, ids: np.ndarray, mat: np.ndarray) -> dict:
@@ -346,23 +368,10 @@ def _md5_sample_ids(sf_dir: str, table: str, id_col: str, n_sample: int) -> list
 
     ds = read_table(sf_dir, table, [id_col])
     parts = ds.map_batches(partial_topn, batch_format="pyarrow").to_pandas()
+    if parts.empty:  # a table without rows: Ray ran no map, so no column
+        return []
     parts = parts.sort_values(["h", id_col], ignore_index=True).head(n_sample)
     return parts[id_col].tolist()
-
-
-def _read_vectors_by_id(sf_dir: str, ids: list[int]) -> np.ndarray:
-    """Read ONLY the given vec_id rows (is_in predicate pushed to the
-    parquet scan — row-group pruned, never a full-table read); returns
-    vectors ordered by the order of ``ids``."""
-    import pyarrow.compute as pc
-    import pyarrow.dataset as pads
-
-    dset = pads.dataset(os.path.join(sf_dir, "embeddings.parquet"))
-    t = dset.to_table(
-        columns=["vec_id", "embedding"], filter=pc.field("vec_id").isin(ids)
-    )
-    by_id = dict(zip(t["vec_id"].to_pylist(), (np.asarray(v, dtype=np.float64) for v in t["embedding"].to_pylist())))
-    return np.stack([by_id[i] for i in ids])
 
 
 def ivf_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10, n_clusters: int = 16, n_probe: int = 4) -> pa.Table:
@@ -376,7 +385,7 @@ def ivf_topk(sf_dir: str, query_vec_id: int = 0, k: int = 10, n_clusters: int = 
     boundary is 1.8e-4 — 10+ orders above ulp noise, so the oracle
     compare is boundary-safe."""
     centroid_ids = _md5_sample_ids(sf_dir, "embeddings", "vec_id", n_clusters)
-    centroids = _read_vectors_by_id(sf_dir, centroid_ids)
+    centroids = _vectors_by_id(sf_dir, centroid_ids)
     centroids /= np.maximum(np.linalg.norm(centroids, axis=1, keepdims=True), 1e-12)
 
     q = _load_query_vec(sf_dir, query_vec_id)
@@ -557,7 +566,7 @@ def kmeans_fit(sf_dir: str, n_clusters: int = 16, n_iters: int = 5) -> np.ndarra
     # with per-batch partial top-n, then an is_in-predicate read of
     # ONLY the sampled rows — never a full-table driver read
     init_ids = sorted(_md5_sample_ids(sf_dir, "embeddings", "vec_id", n_clusters))
-    centroids = _read_vectors_by_id(sf_dir, init_ids)
+    centroids = _vectors_by_id(sf_dir, init_ids)
 
     # iterative algorithm: pin the (slim) input in the object store
     # ONCE — without materialize() every Lloyd iteration re-executes
@@ -603,303 +612,6 @@ def kmeans_fit(sf_dir: str, n_clusters: int = 16, n_iters: int = 5) -> np.ndarra
     return centroids
 
 
-_KQ_SCALE = 10_000
-_KQ_OFFSET = 100_000  # shift positive: DuckDB // truncates, python //
-#                       floors — identical only for non-negative ints;
-#                       distances are shift-invariant so results agree
-
-
-def _quantize(mat: np.ndarray) -> np.ndarray:
-    # floor(x*S + 0.5), NOT np.round: np.round is half-to-even while
-    # DuckDB ROUND is half-away-from-zero — for values landing exactly
-    # on .5 (e.g. 1/32 * 10000 = 312.5) they differ by 1. floor(+0.5)
-    # is one explicit rule reproduced verbatim in the SQL oracle.
-    return np.floor(mat * _KQ_SCALE + 0.5).astype(np.int64) + _KQ_OFFSET
-
-
-
-def _int_dist2(x: "np.ndarray", cents: "np.ndarray") -> "np.ndarray":
-    """Exact integer squared distances |x|^2 - 2<x,c> + |c|^2 via one
-    int64 matmul — identical values to ((x[:,None]-cents)**2).sum(2)
-    (integer arithmetic, no rounding anywhere) but O(batch*k) memory
-    instead of O(batch*k*dim): the broadcast form is a scale wall at
-    SemDeDup-sized cluster counts (k ~ 1e5 -> tens of GB per batch).
-    Operands stay far under 2^63: quantized entries are ~2*10^5, so a
-    64-dim inner product is ~2.6*10^12."""
-    xx = (x * x).sum(axis=1)[:, None]
-    cc = (cents * cents).sum(axis=1)[None, :]
-    return xx - 2 * (x @ cents.T) + cc
-
-
-def kmeans_int_fit(
-    sf_dir: str,
-    n_clusters: int = 8,
-    n_iters: int = 3,
-    dims: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """Integer-quantized distributed Lloyd's k-means.
-
-    Embeddings are quantized to shifted fixed-point ints; every
-    per-iteration reduction is an INTEGER sum — associative and
-    commutative — so the distributed fold is exactly order-independent
-    (no float summation-order gymnastics) and the whole iterative
-    algorithm is reproducible term-for-term in SQL
-    (EMBED_KMEANS_INT_SQL): init = md5-ordered sample, assignment =
-    integer argmin (ties -> lowest cluster id), update = elementwise
-    floor-div mean, empty clusters keep their previous centroid.
-
-    ``dims=(lo, hi)`` trains on the half-open dimension slice
-    ``[lo, hi)`` only (the product-quantization subspace case);
-    quantization is elementwise, so slice-then-quantize equals
-    quantize-then-slice and the SQL mirror can slice the shared
-    quantized ``q`` CTE.
-    """
-    init_ids = sorted(_md5_sample_ids(sf_dir, "embeddings", "vec_id", n_clusters))
-    init_vecs = _read_vectors_by_id(sf_dir, init_ids)
-    if dims is not None:
-        init_vecs = init_vecs[:, dims[0] : dims[1]]
-    centroids = _quantize(init_vecs)
-    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
-
-    for _ in range(n_iters):
-        cents_ref = ray.put(centroids)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            cents = ray.get(cents_ref)
-            ids, mat = _batch_matrix(batch)
-            if dims is not None:
-                mat = mat[:, dims[0] : dims[1]]
-            x = _quantize(mat)
-            d2 = _int_dist2(x, cents)
-            assign = np.argmin(d2, axis=1)
-            rows = {"cluster": [], "count": [], "vec_sum": []}
-            for c in np.unique(assign):
-                members = x[assign == c]
-                rows["cluster"].append(int(c))
-                rows["count"].append(int(len(members)))
-                rows["vec_sum"].append(members.sum(axis=0).tolist())
-            return pa.table(
-                {
-                    "cluster": pa.array(rows["cluster"], pa.int32()),
-                    "count": pa.array(rows["count"], pa.int64()),
-                    "vec_sum": pa.array(rows["vec_sum"], pa.list_(pa.int64())),
-                }
-            )
-
-        parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-        new_centroids = centroids.copy()
-        for c, sub in parts.groupby("cluster", sort=True):
-            total = int(sub["count"].sum())
-            if total > 0:
-                s = np.sum(np.stack([np.asarray(v, dtype=np.int64) for v in sub["vec_sum"]]), axis=0)
-                new_centroids[c] = s // total  # all-positive: floor == trunc
-        centroids = new_centroids
-    return centroids
-
-
-def embedding_kmeans_int(sf_dir: str, n_clusters: int = 8, n_iters: int = 3) -> pa.Table:
-    """Final integer-k-means assignment: (vec_id, cluster, dist2) with
-    dist2 the exact integer squared distance. Fully SQL-oracled —
-    an iterative distributed algorithm with a hash-checkable result."""
-    centroids = kmeans_int_fit(sf_dir, n_clusters=n_clusters, n_iters=n_iters)
-    cents_ref = ray.put(centroids)
-
-    def assign_batch(batch: pa.Table) -> pa.Table:
-        cents = ray.get(cents_ref)
-        ids, mat = _batch_matrix(batch)
-        x = _quantize(mat)
-        d2 = _int_dist2(x, cents)
-        assign = np.argmin(d2, axis=1)
-        return pa.table(
-            {
-                "vec_id": pa.array(ids, pa.int64()),
-                "cluster": pa.array(assign.astype(np.int32)),
-                "dist2": pa.array(d2[np.arange(len(ids)), assign].astype(np.int64)),
-            }
-        )
-
-    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return finish(ds.map_batches(assign_batch, batch_format="pyarrow").to_pandas(), "vec_id")
-
-
-def _int_dist2_sql(a: str, b: str) -> str:
-    """Integer squared distance between two shifted-fixed-point int
-    list expressions: ``|a|^2 - 2<a,b> + |b|^2`` via list_inner_product
-    (DuckDB lambdas cannot capture correlated columns); the inner
-    products stay < 2^53, so the double-typed result is EXACT and the
-    BIGINT cast loses nothing."""
-    return (
-        f"CAST(list_inner_product({a}, {a}) - 2 * list_inner_product({a}, {b})"
-        f" + list_inner_product({b}, {b}) AS BIGINT)"
-    )
-
-
-def _kmeans_header_sql(n_clusters: int) -> str:
-    """``WITH q`` (quantized vectors) + md5-ordered ``init_ids`` —
-    the opening every integer-k-means oracle shares."""
-    return f"""WITH q AS (
-    SELECT vec_id,
-           list_transform(CAST(embedding AS DOUBLE[]),
-                          x -> CAST(FLOOR(x * {_KQ_SCALE} + 0.5) AS BIGINT) + {_KQ_OFFSET}) AS v
-    FROM embeddings
-),
-init_ids AS (
-    SELECT vec_id FROM (
-        SELECT vec_id,
-               ROW_NUMBER() OVER (ORDER BY md5(CAST(vec_id AS VARCHAR)), vec_id) AS rk
-        FROM embeddings
-    ) WHERE rk <= {n_clusters}
-)"""
-
-
-def _init_cents_sql(qname: str = "q", sfx: str = "") -> str:
-    return f"""c0f{sfx} AS (
-    SELECT CAST(ROW_NUMBER() OVER (ORDER BY vec_id) - 1 AS INTEGER) AS c, v
-    FROM {qname} WHERE vec_id IN (SELECT vec_id FROM init_ids)
-)"""
-
-
-def _lloyd_layer_sql(it: int, dim: int, qname: str = "q", sfx: str = "") -> str:
-    """One Lloyd iteration as chained CTEs: assignment argmin
-    (ROW_NUMBER over (dist2, cluster id)), integer floor-div centroid
-    update, empty clusters keep their previous centroid. Shared by the
-    full-vector oracles (sfx='') and the per-subspace PQ oracle."""
-    dist = _int_dist2_sql(f"{qname}.v", "{c}.v")
-    d_expr = dist.format(c=f"c{it}f{sfx}")
-    return f""",
-a{it}{sfx} AS (
-    SELECT vec_id, v, c AS cl FROM (
-        SELECT {qname}.vec_id, {qname}.v, c{it}f{sfx}.c,
-               ROW_NUMBER() OVER (PARTITION BY {qname}.vec_id
-                                  ORDER BY {d_expr}, c{it}f{sfx}.c) AS rn
-        FROM {qname} CROSS JOIN c{it}f{sfx}
-    ) WHERE rn = 1
-),
-c{it + 1}{sfx} AS (
-    SELECT cl AS c, list(CAST(s AS BIGINT) ORDER BY dim) AS v
-    FROM (
-        SELECT cl, t.i AS dim, SUM(a{it}{sfx}.v[t.i]) // COUNT(*) AS s
-        FROM a{it}{sfx}, UNNEST(generate_series(1, {dim})) AS t(i)
-        GROUP BY cl, t.i
-    ) GROUP BY cl
-),
-c{it + 1}f{sfx} AS (
-    SELECT c{it}f{sfx}.c, COALESCE(c{it + 1}{sfx}.v, c{it}f{sfx}.v) AS v
-    FROM c{it}f{sfx} LEFT JOIN c{it + 1}{sfx} ON c{it}f{sfx}.c = c{it + 1}{sfx}.c
-)"""
-
-
-def _kmeans_int_prefix_parts(n_clusters: int, n_iters: int, dim: int) -> list[str]:
-    """Shared chained-CTE prefix reproducing :func:`kmeans_int_fit`
-    term for term — quantized vectors ``q``, md5-ordered init, one
-    assignment + centroid-update layer per Lloyd iteration, final
-    centroids in ``c{n_iters}f``. Used by the k-means assignment
-    oracle, the trained-IVF search oracle and SemDeDup."""
-    parts = [_kmeans_header_sql(n_clusters) + ",\n" + _init_cents_sql()]
-    for it in range(n_iters):
-        parts.append(_lloyd_layer_sql(it, dim))
-    return parts
-
-
-def embed_kmeans_int_sql(n_clusters: int = 8, n_iters: int = 3, dim: int = 64) -> str:
-    """Chained-CTE DuckDB oracle for the ENTIRE iterative algorithm:
-    one assignment + centroid-update layer per Lloyd iteration.
-    Assignment argmin = ROW_NUMBER over (dist2, cluster id)."""
-    parts = _kmeans_int_prefix_parts(n_clusters, n_iters, dim)
-    d_final = _int_dist2_sql("q.v", f"c{n_iters}f.v")
-    parts.append(
-        f"""
-SELECT vec_id, c AS cluster, d2 AS dist2 FROM (
-    SELECT q.vec_id, c{n_iters}f.c, {d_final} AS d2,
-           ROW_NUMBER() OVER (PARTITION BY q.vec_id
-                              ORDER BY {d_final}, c{n_iters}f.c) AS rn
-    FROM q CROSS JOIN c{n_iters}f
-) WHERE rn = 1
-ORDER BY vec_id"""
-    )
-    return "".join(parts)
-
-
-def ivf_trained_topk(
-    sf_dir: str,
-    query_vec_id: int = 0,
-    k: int = 10,
-    n_clusters: int = 8,
-    n_iters: int = 3,
-    n_probe: int = 2,
-) -> pa.Table:
-    """The composed ANN scale path: k-means-TRAINED IVF — centroids
-    from :func:`kmeans_int_fit` (distributed integer Lloyd's), then an
-    IVF search probing the query's ``n_probe`` nearest trained
-    clusters. All arithmetic is shifted-fixed-point integer, so the
-    ENTIRE train-then-search pipeline is reproduced term for term in
-    SQL (:func:`ivf_trained_topk_sql`) — the end-to-end oracle the
-    sampled-centroid :func:`ivf_topk` can't give for training.
-
-    Search is one streaming pass: per-batch quantize -> centroid
-    argmin (ties -> lowest cluster id) -> probe filter -> integer
-    distance to the query -> per-batch partial top-k (only k rows
-    leave each task)."""
-    centroids = kmeans_int_fit(sf_dir, n_clusters=n_clusters, n_iters=n_iters)
-    q = _quantize(_load_query_vec(sf_dir, query_vec_id)[None, :])[0]
-    d2c = ((centroids - q[None, :]) ** 2).sum(axis=1)
-    probe = np.lexsort((np.arange(len(d2c)), d2c))[:n_probe]
-
-    def score(st: tuple, ids: np.ndarray, mat: np.ndarray) -> dict:
-        qv, cents, probe_ids = st
-        x = _quantize(mat)
-        mask = np.isin(np.argmin(_int_dist2(x, cents), axis=1), probe_ids)
-        return {"vec_id": ids[mask], "dist2": ((x[mask] - qv[None, :]) ** 2).sum(axis=1)}
-
-    return _scan_topk(sf_dir, query_vec_id, (q, centroids, probe), score, "dist2", k)
-
-
-def ivf_trained_topk_sql(
-    query_vec_id: int = 0,
-    k: int = 10,
-    n_clusters: int = 8,
-    n_iters: int = 3,
-    n_probe: int = 2,
-    dim: int = 64,
-) -> str:
-    """DuckDB oracle for the ENTIRE trained-IVF path: the k-means
-    chained-CTE prefix (init + every Lloyd iteration), then probe
-    selection, final assignment and the probed integer-distance
-    search — one SQL statement hash-checking an iterative distributed
-    training + ANN search end to end."""
-    parts = _kmeans_int_prefix_parts(n_clusters, n_iters, dim)
-    cf = f"c{n_iters}f"
-    d_qc = _int_dist2_sql("qsel.v", f"{cf}.v")
-    d_ac = _int_dist2_sql("q.v", f"{cf}.v")
-    d_qq = _int_dist2_sql("q.v", "qsel.v")
-    parts.append(
-        f""",
-qsel AS (SELECT v FROM q WHERE vec_id = {query_vec_id}),
-probe AS (
-    SELECT c FROM (
-        SELECT {cf}.c,
-               ROW_NUMBER() OVER (ORDER BY {d_qc}, {cf}.c) AS rn
-        FROM {cf} CROSS JOIN qsel
-    ) WHERE rn <= {n_probe}
-),
-afin AS (
-    SELECT vec_id, c AS cl FROM (
-        SELECT q.vec_id, {cf}.c,
-               ROW_NUMBER() OVER (PARTITION BY q.vec_id
-                                  ORDER BY {d_ac}, {cf}.c) AS rn
-        FROM q CROSS JOIN {cf}
-    ) WHERE rn = 1
-)
-SELECT q.vec_id, {d_qq} AS dist2
-FROM q CROSS JOIN qsel
-JOIN afin ON q.vec_id = afin.vec_id
-WHERE afin.cl IN (SELECT c FROM probe) AND q.vec_id != {query_vec_id}
-ORDER BY dist2, q.vec_id
-LIMIT {k}"""
-    )
-    return "".join(parts)
-
-
 def embedding_kmeans(sf_dir: str, n_clusters: int = 16, n_iters: int = 5) -> pa.Table:
     """Final k-means assignment per vector: (vec_id, cluster) plus the
     fixed-point distance to its centroid. Deterministic (md5-ordered
@@ -925,6 +637,372 @@ def embedding_kmeans(sf_dir: str, n_clusters: int = 16, n_iters: int = 5) -> pa.
     return finish(ds.map_batches(assign_batch, batch_format="pyarrow").to_pandas(), "vec_id")
 
 
+# -- integer k-means: one Lloyd's fit, one nearest-centroid rule ---------
+
+_KQ_SCALE = 10_000
+_KQ_OFFSET = 100_000  # shift positive: DuckDB // truncates, python //
+#                       floors — identical only for non-negative ints;
+#                       distances are shift-invariant so results agree
+
+
+def _quantize(mat: np.ndarray) -> np.ndarray:
+    # floor(x*S + 0.5), NOT np.round: np.round is half-to-even while
+    # DuckDB ROUND is half-away-from-zero — for values landing exactly
+    # on .5 (e.g. 1/32 * 10000 = 312.5) they differ by 1. floor(+0.5)
+    # is one explicit rule reproduced verbatim in the SQL oracle.
+    return np.floor(mat * _KQ_SCALE + 0.5).astype(np.int64) + _KQ_OFFSET
+
+
+def _quantized(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+    """The embedding features of the integer k-means: vec_id and the
+    quantized vectors."""
+    ids, mat = _batch_matrix(batch)
+    return ids, _quantize(mat)
+
+
+def _int_dist2(x: "np.ndarray", cents: "np.ndarray") -> "np.ndarray":
+    """Exact integer squared distances |x|^2 - 2<x,c> + |c|^2 via one
+    int64 matmul — identical values to ((x[:,None]-cents)**2).sum(2)
+    (integer arithmetic, no rounding anywhere) but O(batch*k) memory
+    instead of O(batch*k*dim): the broadcast form is a scale wall at
+    SemDeDup-sized cluster counts (k ~ 1e5 -> tens of GB per batch).
+    Operands stay far under 2^63: quantized entries are ~2*10^5, so a
+    64-dim inner product is ~2.6*10^12."""
+    xx = (x * x).sum(axis=1)[:, None]
+    cc = (cents * cents).sum(axis=1)[None, :]
+    return xx - 2 * (x @ cents.T) + cc
+
+
+def _nearest(x: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The one integer nearest-centroid rule: each row's centroid index
+    at the smallest exact squared distance, ties to the lowest index
+    (``argmin`` keeps the first minimum, as :func:`_nearest_sql` orders
+    by (dist2, c)), and that distance."""
+    d2 = _int_dist2(x, cents)
+    a = np.argmin(d2, axis=1)
+    return a, d2[np.arange(len(x)), a]
+
+
+def _encode(x: np.ndarray, cents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Codes over an (m, k, sub) centroid stack: each row's nearest
+    centroid in every subspace ``s`` (columns ``[s*sub, (s+1)*sub)``)
+    as an (n, m) array, and the dist2 summed over the subspaces. With
+    m = 1 this is the whole-vector assignment."""
+    sub = cents.shape[2]
+    codes = np.empty((len(x), len(cents)), dtype=np.int64)
+    dist2 = np.zeros(len(x), dtype=np.int64)
+    for s, cb in enumerate(cents):
+        codes[:, s], d2 = _nearest(x[:, s * sub : (s + 1) * sub], cb)
+        dist2 += d2
+    return codes, dist2
+
+
+def _subspace_width(dim: int, m: int) -> int:
+    # a silent remainder would drop trailing dimensions from both
+    # training and the error sum
+    if dim % m:
+        raise ValueError(f"dim={dim} not divisible by m={m} subspaces")
+    return dim // m
+
+
+# the rows each integer k-means reads: (table, id column, columns)
+_EMBEDDINGS = ("embeddings", "vec_id", ["vec_id", "embedding"])
+
+
+def _lloyd_int_fit(
+    sf_dir: str, rows: tuple, features, n_clusters: int, n_iters: int, m: int = 1
+) -> np.ndarray:
+    """The one integer Lloyd's k-means: ``m`` independent problems,
+    one per equal column slice (subspace) of the int64 matrix that
+    ``features(batch) -> (ids, matrix)`` makes of ``rows``.
+
+    Init = the ``n_clusters`` ids with the smallest md5(str(id)), put
+    through the same ``features``, in id order. Each iteration is ONE
+    streaming pass: a batch assigns its rows by :func:`_encode` and
+    emits one (sub, cluster, count, vec_sum) partial per cluster it
+    holds, and the driver folds them into the floor-div mean; a
+    cluster with no member keeps its centroid. Every reduction is an
+    integer sum (associative and commutative), so the fold is exactly
+    order-independent and :func:`_lloyd_sql` reproduces every
+    iteration term for term. Returns the (m, k, width // m) centroid
+    stack; a table without rows has no centroid."""
+    table, id_col, columns = rows
+    ids = sorted(_md5_sample_ids(sf_dir, table, id_col, n_clusters))
+    if not ids:
+        return np.zeros((m, 0, 0), dtype=np.int64)
+    init = _rows_by_id(sf_dir, table, id_col, columns, ids, features)
+    sub = init.shape[1] // m
+    cents = np.stack([init[:, s * sub : (s + 1) * sub] for s in range(m)])
+    # pin the slim input in the object store once: without
+    # materialize() every iteration re-executes the parquet read
+    ds = read_table(sf_dir, table, columns).materialize()
+
+    for _ in range(n_iters):
+        cents_ref = ray.put(cents)
+
+        def partial(batch: pa.Table) -> pa.Table:
+            cb = ray.get(cents_ref)
+            x = features(batch)[1]
+            codes, _ = _encode(x, cb)
+            out = {"sub": [], "cluster": [], "count": [], "vec_sum": []}
+            for s in range(m):
+                for c in np.unique(codes[:, s]):
+                    members = x[codes[:, s] == c, s * sub : (s + 1) * sub]
+                    out["sub"].append(s)
+                    out["cluster"].append(int(c))
+                    out["count"].append(len(members))
+                    out["vec_sum"].append(members.sum(axis=0))
+            return pa.table(
+                {
+                    "sub": pa.array(out["sub"], pa.int32()),
+                    "cluster": pa.array(out["cluster"], pa.int32()),
+                    "count": pa.array(out["count"], pa.int64()),
+                    "vec_sum": pa.array(out["vec_sum"], pa.list_(pa.int64())),
+                }
+            )
+
+        parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+        cents = cents.copy()
+        for (s, c), grp in parts.groupby(["sub", "cluster"], sort=True):
+            total = np.sum(np.stack([np.asarray(v, dtype=np.int64) for v in grp["vec_sum"]]), axis=0)
+            cents[s, c] = total // int(grp["count"].sum())  # all-positive: floor == trunc
+    return cents
+
+
+def _int_assign(
+    sf_dir: str, rows: tuple, features, cents: np.ndarray, code_cols: list[str]
+) -> pa.Table:
+    """The final assignment pass: one row per row of ``rows`` with its
+    id, its :func:`_encode` codes as int32 ``code_cols`` and its
+    ``dist2``, in id order (a typed empty table when there is none)."""
+    table, id_col, columns = rows
+    schema = pa.schema(
+        [(id_col, pa.int64())] + [(c, pa.int32()) for c in code_cols] + [("dist2", pa.int64())]
+    )
+    cents_ref = ray.put(cents)
+
+    def assign(batch: pa.Table) -> pa.Table:
+        ids, x = features(batch)
+        codes, dist2 = _encode(x, ray.get(cents_ref))
+        cols = dict(zip(code_cols, codes.T))
+        return pa.table({id_col: ids, **cols, "dist2": dist2}, schema=schema)
+
+    ds = read_table(sf_dir, table, columns)
+    return finish(ds.map_batches(assign, batch_format="pyarrow").to_pandas(), id_col, empty=schema)
+
+
+def _probe(sf_dir: str, query_vec_id: int, cents: np.ndarray, n_probe: int):
+    """The quantized query as a (1, dim) matrix and its ``n_probe``
+    nearest centroids by (dist2, centroid id)."""
+    q = _rows_by_id(sf_dir, *_EMBEDDINGS, [query_vec_id], _quantized)
+    if not len(q):  # no such vector: the SQL's empty qsel probes no cell
+        return np.zeros((1, cents.shape[1]), dtype=np.int64), np.zeros(0, dtype=np.int64)
+    return q, np.argsort(_int_dist2(q, cents)[0], kind="stable")[:n_probe]
+
+
+def kmeans_int_fit(sf_dir: str, n_clusters: int = 8, n_iters: int = 3) -> np.ndarray:
+    """Integer-quantized distributed Lloyd's k-means over the
+    embeddings: the whole-vector case of :func:`_lloyd_int_fit` over
+    shifted fixed-point ints, reproduced by :func:`embed_kmeans_int_sql`.
+    Returns the (k, dim) centroids."""
+    return _lloyd_int_fit(sf_dir, _EMBEDDINGS, _quantized, n_clusters, n_iters)[0]
+
+
+def embedding_kmeans_int(sf_dir: str, n_clusters: int = 8, n_iters: int = 3) -> pa.Table:
+    """Final integer-k-means assignment: (vec_id, cluster, dist2) with
+    dist2 the exact integer squared distance. Fully SQL-oracled —
+    an iterative distributed algorithm with a hash-checkable result."""
+    centroids = kmeans_int_fit(sf_dir, n_clusters=n_clusters, n_iters=n_iters)
+    return _int_assign(sf_dir, _EMBEDDINGS, _quantized, centroids[None], ["cluster"])
+
+
+def _int_dist2_sql(a: str, b: str) -> str:
+    """Integer squared distance between two shifted-fixed-point int
+    list expressions: ``|a|^2 - 2<a,b> + |b|^2`` via list_inner_product
+    (DuckDB lambdas cannot capture correlated columns); the inner
+    products stay < 2^53, so the double-typed result is EXACT and the
+    BIGINT cast loses nothing."""
+    return (
+        f"CAST(list_inner_product({a}, {a}) - 2 * list_inner_product({a}, {b})"
+        f" + list_inner_product({b}, {b}) AS BIGINT)"
+    )
+
+
+def _with(ctes: list[str], select: str) -> str:
+    return "WITH " + ",\n".join(ctes) + "\n" + select
+
+
+def _init_ids_sql(table: str, id_col: str) -> str:
+    """``init_ids``: every id as ``vec_id`` with its md5 rank ``rk``,
+    the order :func:`_md5_sample_ids` samples in."""
+    return f"""init_ids AS (
+    SELECT {id_col} AS vec_id,
+           ROW_NUMBER() OVER (ORDER BY md5(CAST({id_col} AS VARCHAR)), {id_col}) AS rk
+    FROM {table}
+)"""
+
+
+def _kmeans_header_sql() -> list[str]:
+    """``q`` (quantized vectors) and ``init_ids`` — the opening every
+    embeddings integer-k-means oracle shares."""
+    return [
+        f"""q AS (
+    SELECT vec_id,
+           list_transform(CAST(embedding AS DOUBLE[]),
+                          x -> CAST(FLOOR(x * {_KQ_SCALE} + 0.5) AS BIGINT) + {_KQ_OFFSET}) AS v
+    FROM embeddings
+)""",
+        _init_ids_sql("embeddings", "vec_id"),
+    ]
+
+
+def _nearest_sql(name: str, pts: str, cents: str) -> str:
+    """The one SQL nearest-centroid rule, :func:`_nearest`'s twin:
+    ``name`` holds each row of ``pts`` (vec_id, v) with its nearest
+    centroid of ``cents`` (c, v) by (dist2, c), as (vec_id, v, c, d2)."""
+    d = _int_dist2_sql(f"{pts}.v", f"{cents}.v")
+    return f"""{name} AS (
+    SELECT * EXCLUDE (rn) FROM (
+        SELECT {pts}.vec_id, {pts}.v, {cents}.c, {d} AS d2,
+               ROW_NUMBER() OVER (PARTITION BY {pts}.vec_id
+                                  ORDER BY {d}, {cents}.c) AS rn
+        FROM {pts} CROSS JOIN {cents}
+    ) WHERE rn = 1
+)"""
+
+
+def _lloyd_sql(q: str, n_clusters: int, n_iters: int, dim: int, sfx: str = "") -> list[str]:
+    """:func:`_lloyd_int_fit` over the ``q`` vectors as chained CTEs:
+    the md5-ordered init ``c0f``, then per iteration the assignment
+    ``a{it}``, the floor-div update ``c{it+1}`` and ``c{it+1}f``, where
+    a centroid with no member keeps its value. The final centroids are
+    ``c{n_iters}f{sfx}``. Each centroid table (k rows) is MATERIALIZED:
+    DuckDB inlines a CTE at every use, and each layer reads the one
+    before it twice, so an inlined chain recomputes its early layers
+    exponentially often."""
+    ctes = [
+        f"""c0f{sfx} AS MATERIALIZED (
+    SELECT CAST(ROW_NUMBER() OVER (ORDER BY vec_id) - 1 AS INTEGER) AS c, v
+    FROM {q} WHERE vec_id IN (SELECT vec_id FROM init_ids WHERE rk <= {n_clusters})
+)"""
+    ]
+    for it in range(n_iters):
+        a, cf, c, nf = f"a{it}{sfx}", f"c{it}f{sfx}", f"c{it + 1}{sfx}", f"c{it + 1}f{sfx}"
+        ctes += [
+            _nearest_sql(a, q, cf),
+            f"""{c} AS (
+    SELECT c, list(CAST(s AS BIGINT) ORDER BY dim) AS v
+    FROM (
+        SELECT c, t.i AS dim, SUM({a}.v[t.i]) // COUNT(*) AS s
+        FROM {a}, UNNEST(generate_series(1, {dim})) AS t(i)
+        GROUP BY c, t.i
+    ) GROUP BY c
+)""",
+            f"""{nf} AS MATERIALIZED (
+    SELECT {cf}.c, COALESCE({c}.v, {cf}.v) AS v
+    FROM {cf} LEFT JOIN {c} ON {cf}.c = {c}.c
+)""",
+        ]
+    return ctes
+
+
+def _pq_sql(src: str, pfx: str, m: int, sub: int, n_clusters: int, n_iters: int) -> list[str]:
+    """Per subspace ``s``: the slice ``{pfx}{s}`` of the ``src``
+    vectors (1-based inclusive; elementwise quantization commutes with
+    slicing), its Lloyd chain (suffix ``s{s}``) and its final
+    assignment ``asg{s}``."""
+    ctes = []
+    for s in range(m):
+        qs = f"{pfx}{s}"
+        ctes.append(f"{qs} AS (SELECT vec_id, v[{s * sub + 1}:{(s + 1) * sub}] AS v FROM {src})")
+        ctes += _lloyd_sql(qs, n_clusters, n_iters, sub, f"s{s}")
+        ctes.append(_nearest_sql(f"asg{s}", qs, f"c{n_iters}fs{s}"))
+    return ctes
+
+
+def _probe_sql(cf: str, query_vec_id: int, n_probe: int) -> list[str]:
+    """``qsel`` (the query's quantized vector) and ``probe``: its
+    ``n_probe`` nearest centroids of ``cf`` by (dist2, c)."""
+    d = _int_dist2_sql("qsel.v", f"{cf}.v")
+    return [
+        f"qsel AS (SELECT v FROM q WHERE vec_id = {query_vec_id})",
+        f"""probe AS (
+    SELECT c FROM (
+        SELECT {cf}.c,
+               ROW_NUMBER() OVER (ORDER BY {d}, {cf}.c) AS rn
+        FROM {cf} CROSS JOIN qsel
+    ) WHERE rn <= {n_probe}
+)""",
+    ]
+
+
+def embed_kmeans_int_sql(n_clusters: int = 8, n_iters: int = 3, dim: int = 64) -> str:
+    """Chained-CTE DuckDB oracle for the ENTIRE iterative algorithm:
+    one assignment + centroid-update layer per Lloyd iteration, then
+    the final assignment."""
+    ctes = _kmeans_header_sql() + _lloyd_sql("q", n_clusters, n_iters, dim)
+    ctes.append(_nearest_sql("asg", "q", f"c{n_iters}f"))
+    return _with(ctes, "SELECT vec_id, c AS cluster, d2 AS dist2 FROM asg\nORDER BY vec_id")
+
+
+def ivf_trained_topk(
+    sf_dir: str,
+    query_vec_id: int = 0,
+    k: int = 10,
+    n_clusters: int = 8,
+    n_iters: int = 3,
+    n_probe: int = 2,
+) -> pa.Table:
+    """The composed ANN scale path: k-means-TRAINED IVF — centroids
+    from :func:`kmeans_int_fit` (distributed integer Lloyd's), then an
+    IVF search probing the query's ``n_probe`` nearest trained
+    clusters. All arithmetic is shifted-fixed-point integer, so the
+    ENTIRE train-then-search pipeline is reproduced term for term in
+    SQL (:func:`ivf_trained_topk_sql`) — the end-to-end oracle the
+    sampled-centroid :func:`ivf_topk` can't give for training.
+
+    Search is one streaming pass: per-batch quantize -> nearest
+    centroid -> probe filter -> integer distance to the query ->
+    per-batch partial top-k (only k rows leave each task)."""
+    centroids = kmeans_int_fit(sf_dir, n_clusters=n_clusters, n_iters=n_iters)
+    q, probe = _probe(sf_dir, query_vec_id, centroids, n_probe)
+
+    def score(st: tuple, ids: np.ndarray, mat: np.ndarray) -> dict:
+        qv, cents, probe_ids = st
+        x = _quantize(mat)
+        mask = np.isin(_nearest(x, cents)[0], probe_ids)
+        return {"vec_id": ids[mask], "dist2": ((x[mask] - qv) ** 2).sum(axis=1)}
+
+    return _scan_topk(sf_dir, query_vec_id, (q, centroids, probe), score, "dist2", k)
+
+
+def ivf_trained_topk_sql(
+    query_vec_id: int = 0,
+    k: int = 10,
+    n_clusters: int = 8,
+    n_iters: int = 3,
+    n_probe: int = 2,
+    dim: int = 64,
+) -> str:
+    """DuckDB oracle for the ENTIRE trained-IVF path: the k-means
+    chained-CTE prefix (init + every Lloyd iteration), then probe
+    selection, final assignment and the probed integer-distance
+    search — one SQL statement hash-checking an iterative distributed
+    training + ANN search end to end."""
+    cf = f"c{n_iters}f"
+    ctes = _kmeans_header_sql() + _lloyd_sql("q", n_clusters, n_iters, dim)
+    ctes += _probe_sql(cf, query_vec_id, n_probe) + [_nearest_sql("afin", "q", cf)]
+    return _with(
+        ctes,
+        f"""SELECT q.vec_id, {_int_dist2_sql("q.v", "qsel.v")} AS dist2
+FROM q CROSS JOIN qsel
+JOIN afin ON q.vec_id = afin.vec_id
+WHERE afin.c IN (SELECT c FROM probe) AND q.vec_id != {query_vec_id}
+ORDER BY dist2, q.vec_id
+LIMIT {k}""",
+    )
+
+
 # -- SemDeDup: semantic dedup via cluster-then-compare ---------------------
 
 
@@ -946,8 +1024,8 @@ def embed_semdedup(
 
     - centroids from :func:`kmeans_int_fit` (distributed integer
       Lloyd's — order-independent, bit-reproducible);
-    - per-batch integer argmin assignment (ties -> lowest cluster id),
-      identical to :func:`embedding_kmeans_int`;
+    - per-batch :func:`_nearest` assignment (ties -> lowest cluster
+      id), identical to :func:`embedding_kmeans_int`;
     - per-cluster dedup in ``groupby("cluster").map_groups``: a vector
       is a DUPLICATE iff some LOWER vec_id in its cluster has cosine
       >= ``threshold`` (the deterministic keep-lowest-id greedy used
@@ -979,11 +1057,8 @@ def embed_semdedup(
     cents_ref = ray.put(centroids)
 
     def assign_batch(batch: pa.Table) -> pa.Table:
-        cents = ray.get(cents_ref)
         ids, mat = _batch_matrix(batch)
-        x = _quantize(mat)
-        d2 = _int_dist2(x, cents)
-        assign = np.argmin(d2, axis=1)  # first min == (dist2, cid) order
+        assign, _ = _nearest(_quantize(mat), ray.get(cents_ref))
         norms = np.maximum(np.linalg.norm(mat, axis=1), 1e-12)
         unit = mat / norms[:, None]
         return pa.table(
@@ -1031,6 +1106,7 @@ def embed_semdedup(
         ds.map_batches(assign_batch, batch_format="pyarrow")
         .groupby("cluster").map_groups(dedup_cluster, batch_format="pandas").to_pandas(),
         "vec_id",
+        empty=pa.schema([(c, pa.int64()) for c in ("vec_id", "cluster", "is_dup", "dup_of")]),
     )
 
 
@@ -1038,22 +1114,13 @@ def embed_semdedup_sql(
     threshold: float = 0.35, n_clusters: int = 8, n_iters: int = 3, dim: int = 64
 ) -> str:
     """End-to-end DuckDB oracle for :func:`embed_semdedup`: the full
-    k-means training chain (shared :func:`_kmeans_int_prefix_parts`
-    CTEs), the final assignment, and the within-cluster lowest-id
-    shadow rule as a cosine self-join."""
-    parts = _kmeans_int_prefix_parts(n_clusters, n_iters, dim)
-    d_final = _int_dist2_sql("q.v", f"c{n_iters}f.v")
-    parts.append(
-        f""",
-asg AS (
-    SELECT vec_id, c FROM (
-        SELECT q.vec_id, c{n_iters}f.c,
-               ROW_NUMBER() OVER (PARTITION BY q.vec_id
-                                  ORDER BY {d_final}, c{n_iters}f.c) AS rn
-        FROM q CROSS JOIN c{n_iters}f
-    ) WHERE rn = 1
-),
-dup AS (
+    k-means training chain (shared :func:`_lloyd_sql` CTEs), the final
+    assignment, and the within-cluster lowest-id shadow rule as a
+    cosine self-join."""
+    ctes = _kmeans_header_sql() + _lloyd_sql("q", n_clusters, n_iters, dim)
+    ctes.append(_nearest_sql("asg", "q", f"c{n_iters}f"))
+    ctes.append(
+        f"""dup AS (
     SELECT hi.vec_id AS vid, MIN(lo.vec_id) AS dup_of
     FROM asg hi JOIN asg lo ON hi.c = lo.c AND lo.vec_id < hi.vec_id
     JOIN embeddings be ON be.vec_id = hi.vec_id
@@ -1061,14 +1128,16 @@ dup AS (
     WHERE list_cosine_similarity(CAST(ae.embedding AS DOUBLE[]),
                                  CAST(be.embedding AS DOUBLE[])) >= {threshold}
     GROUP BY hi.vec_id
-)
-SELECT asg.vec_id, CAST(asg.c AS BIGINT) AS cluster,
+)"""
+    )
+    return _with(
+        ctes,
+        """SELECT asg.vec_id, CAST(asg.c AS BIGINT) AS cluster,
        CASE WHEN dup.dup_of IS NULL THEN 0 ELSE 1 END AS is_dup,
        COALESCE(dup.dup_of, CAST(-1 AS BIGINT)) AS dup_of
 FROM asg LEFT JOIN dup ON asg.vec_id = dup.vid
-ORDER BY asg.vec_id"""
+ORDER BY asg.vec_id""",
     )
-    return "".join(parts)
 
 
 # -- product quantization ------------------------------------------------
@@ -1083,10 +1152,10 @@ def pq_fit(
     residual_of: "np.ndarray | None" = None,
 ) -> np.ndarray:
     """Train all m per-subspace codebooks with ONE streaming pass per
-    Lloyd iteration: per-batch (subspace, cluster, count, vec_sum)
-    integer partials for every subspace at once. Subspace problems are
-    independent, so this equals m separate ``kmeans_int_fit(dims=...)``
-    runs bit for bit while scanning the dataset m times less.
+    Lloyd iteration: :func:`_lloyd_int_fit` over the first ``dim``
+    quantized columns cut into m subspaces. Subspace problems are
+    independent, so this equals m separate one-subspace fits over
+    each slice bit for bit while scanning the dataset m times less.
 
     ``residual_of``: a coarse centroid matrix (quantized ints) — the
     codebooks then train over each vector's COARSE-CELL RESIDUAL
@@ -1094,54 +1163,15 @@ def pq_fit(
     centroid updates stay python/DuckDB-identical), the true IVFADC
     encoding of Jégou et al. 2011 §IV.B. None keeps the plain
     whole-vector PQ."""
-    if dim % m:
-        raise ValueError(f"dim={dim} not divisible by m={m} subspaces")
-    sub = dim // m
-    init_ids = sorted(_md5_sample_ids(sf_dir, "embeddings", "vec_id", n_clusters))
-    init = _quantize(_read_vectors_by_id(sf_dir, init_ids))
-    if residual_of is not None:
-        a0 = np.argmin(_int_dist2(init, residual_of), axis=1)
-        init = init - residual_of[a0] + _KQ_OFFSET
-    cents = np.stack([init[:, s * sub : (s + 1) * sub] for s in range(m)])  # (m,k,sub)
-    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
+    _subspace_width(dim, m)
 
-    for _ in range(n_iters):
-        cents_ref = ray.put((cents, residual_of))
+    def features(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        ids, x = _quantized(batch)
+        if residual_of is not None:
+            x = x - residual_of[_nearest(x, residual_of)[0]] + _KQ_OFFSET
+        return ids, x[:, :dim]
 
-        def partial(batch: pa.Table) -> pa.Table:
-            cb, coarse = ray.get(cents_ref)
-            ids, mat = _batch_matrix(batch)
-            x = _quantize(mat)
-            if coarse is not None:
-                x = x - coarse[np.argmin(_int_dist2(x, coarse), axis=1)] + _KQ_OFFSET
-            rows = {"sub": [], "cluster": [], "count": [], "vec_sum": []}
-            for s in range(m):
-                xs = x[:, s * sub : (s + 1) * sub]
-                assign = np.argmin(_int_dist2(xs, cb[s]), axis=1)
-                for c in np.unique(assign):
-                    members = xs[assign == c]
-                    rows["sub"].append(s)
-                    rows["cluster"].append(int(c))
-                    rows["count"].append(int(len(members)))
-                    rows["vec_sum"].append(members.sum(axis=0).tolist())
-            return pa.table(
-                {
-                    "sub": pa.array(rows["sub"], pa.int32()),
-                    "cluster": pa.array(rows["cluster"], pa.int32()),
-                    "count": pa.array(rows["count"], pa.int64()),
-                    "vec_sum": pa.array(rows["vec_sum"], pa.list_(pa.int64())),
-                }
-            )
-
-        parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-        new_cents = cents.copy()
-        for (s, c), grp in parts.groupby(["sub", "cluster"], sort=True):
-            total = int(grp["count"].sum())
-            if total > 0:
-                vs = np.sum(np.stack([np.asarray(v, dtype=np.int64) for v in grp["vec_sum"]]), axis=0)
-                new_cents[s, c] = vs // total  # all-positive: floor == trunc
-        cents = new_cents
-    return cents
+    return _lloyd_int_fit(sf_dir, _EMBEDDINGS, features, n_clusters, n_iters, m)
 
 
 def embed_pq_codes(
@@ -1156,90 +1186,38 @@ def embed_pq_codes(
     exact integer squared reconstruction error summed over subspaces.
 
     Training runs all m subspace codebooks through ONE dataset pass
-    per Lloyd iteration (per-batch partials carry a subspace column;
-    each subspace's argmin/update is independent, so the fused pass is
-    bit-identical to m separate :func:`kmeans_int_fit(dims=...)` runs
-    — tested — at 1/m the scan cost). Encoding is one more streaming
-    pass against the broadcast codebook stack. All arithmetic is the
-    shifted-fixed-point integer discipline, so training AND encoding
-    hash-match the chained-CTE oracle (embed_pq_codes_sql) end to end.
-    ``dim`` must divide evenly into ``m`` subspaces — a silent
-    remainder would drop trailing dimensions from both training and
-    the error sum.
+    per Lloyd iteration (:func:`pq_fit`; each subspace's assignment
+    and update is independent, so the fused pass is bit-identical to
+    m separate one-subspace fits — tested — at 1/m the scan cost).
+    Encoding is one more streaming pass against the broadcast codebook
+    stack. All arithmetic is the shifted-fixed-point integer
+    discipline, so training AND encoding hash-match the chained-CTE
+    oracle (embed_pq_codes_sql) end to end. ``dim`` must divide evenly
+    into ``m`` subspaces.
     """
-    if dim % m:
-        raise ValueError(f"dim={dim} not divisible by m={m} subspaces")
-    sub = dim // m
     codebooks = pq_fit(sf_dir, m=m, n_clusters=n_clusters, n_iters=n_iters, dim=dim)
-    cb_ref = ray.put(codebooks)
-
-    def encode(batch: pa.Table) -> pa.Table:
-        cbs = ray.get(cb_ref)
-        ids, mat = _batch_matrix(batch)
-        x = _quantize(mat)
-        cols = {"vec_id": pa.array(ids, pa.int64())}
-        total = np.zeros(len(ids), dtype=np.int64)
-        for s in range(m):
-            xs = x[:, s * sub : (s + 1) * sub]
-            d2 = _int_dist2(xs, cbs[s])
-            code = np.argmin(d2, axis=1)
-            total += d2[np.arange(len(ids)), code]
-            cols[f"c{s}"] = pa.array(code.astype(np.int32))
-        cols["dist2"] = pa.array(total)
-        return pa.table(cols)
-
-    ds = read_table(sf_dir, "embeddings", ["vec_id", "embedding"])
-    return finish(ds.map_batches(encode, batch_format="pyarrow").to_pandas(), "vec_id")
+    return _int_assign(sf_dir, _EMBEDDINGS, _quantized, codebooks, [f"c{s}" for s in range(m)])
 
 
 def embed_pq_codes_sql(
     m: int = 4, n_clusters: int = 8, n_iters: int = 2, dim: int = 64
 ) -> str:
     """Chained-CTE oracle for the WHOLE PQ pipeline: the shared
-    quantized ``q`` + ``init_ids`` header, then per subspace a sliced
-    ``qs{s}`` view (1-based inclusive list slice of the quantized
-    vector — elementwise quantization commutes with slicing), the full
-    per-subspace Lloyd chain, and a final per-subspace assignment
-    joined into one row per vector."""
-    if dim % m:
-        raise ValueError(f"dim={dim} not divisible by m={m} subspaces")
-    sub = dim // m
-    parts = [_kmeans_header_sql(n_clusters)]
-    for s in range(m):
-        lo, hi = s * sub + 1, (s + 1) * sub
-        parts.append(
-            f""",
-qs{s} AS (SELECT vec_id, v[{lo}:{hi}] AS v FROM q),
-{_init_cents_sql(f"qs{s}", f"s{s}")}"""
-        )
-        for it in range(n_iters):
-            parts.append(_lloyd_layer_sql(it, sub, f"qs{s}", f"s{s}"))
-    for s in range(m):
-        cf = f"c{n_iters}fs{s}"
-        d = _int_dist2_sql(f"qs{s}.v", f"{cf}.v")
-        parts.append(
-            f""",
-asg{s} AS (
-    SELECT vec_id, c, d2 FROM (
-        SELECT qs{s}.vec_id, {cf}.c, {d} AS d2,
-               ROW_NUMBER() OVER (PARTITION BY qs{s}.vec_id
-                                  ORDER BY {d}, {cf}.c) AS rn
-        FROM qs{s} CROSS JOIN {cf}
-    ) WHERE rn = 1
-)"""
-        )
+    quantized ``q`` + ``init_ids`` header, then per subspace the
+    sliced ``qs{s}`` view, its Lloyd chain and its final assignment
+    (:func:`_pq_sql`), joined into one row per vector."""
+    ctes = _kmeans_header_sql() + _pq_sql("q", "qs", m, _subspace_width(dim, m), n_clusters, n_iters)
     code_cols = ",\n       ".join(f"CAST(asg{s}.c AS INTEGER) AS c{s}" for s in range(m))
     d_sum = " + ".join(f"asg{s}.d2" for s in range(m))
     joins = "".join(f" JOIN asg{s} USING (vec_id)" for s in range(1, m))
-    parts.append(
-        f"""
-SELECT vec_id,
+    return _with(
+        ctes,
+        f"""SELECT vec_id,
        {code_cols},
        CAST({d_sum} AS BIGINT) AS dist2
 FROM asg0{joins}
-ORDER BY vec_id"""
+ORDER BY vec_id""",
     )
-    return "".join(parts)
 
 
 def _ivf_pq_search(
@@ -1265,44 +1243,114 @@ def _ivf_pq_search(
     and each vector's code is taken of its own shifted residual. The
     scan keeps the top ``rerank`` by (adc_dist2, vec_id) and re-ranks
     them by the exact dist2."""
-    if dim % m:
-        raise ValueError(f"dim={dim} not divisible by m={m} subspaces")
-    sub = dim // m
+    sub = _subspace_width(dim, m)
     coarse = kmeans_int_fit(sf_dir, n_clusters=n_coarse, n_iters=coarse_iters)
     codebooks = pq_fit(
         sf_dir, m=m, n_clusters=n_pq, n_iters=pq_iters, dim=dim,
         residual_of=coarse if residual else None,
     )
-    q = _quantize(_load_query_vec(sf_dir, query_vec_id)[None, :])[0]
-    d2c = ((coarse - q[None, :]) ** 2).sum(axis=1)
-    probe = np.lexsort((np.arange(len(d2c)), d2c))[:n_probe]
+    q, probe = _probe(sf_dir, query_vec_id, coarse, n_probe)
     luts = {}
     for c in probe.tolist():
         qc = q - coarse[c] + _KQ_OFFSET if residual else q
         luts[c] = np.stack(
-            [_int_dist2(qc[None, s * sub : (s + 1) * sub], codebooks[s])[0] for s in range(m)]
+            [_int_dist2(qc[:, s * sub : (s + 1) * sub], codebooks[s])[0] for s in range(m)]
         )
 
     def score(st: tuple, ids: np.ndarray, mat: np.ndarray) -> dict:
         qv, cents, luts_, cbs = st
         x = _quantize(mat)
-        assign = np.argmin(_int_dist2(x, cents), axis=1)
-        mask = np.isin(assign, list(luts_))
-        xk, cellk = x[mask], assign[mask]
-        codes_of = xk - cents[cellk] + _KQ_OFFSET if residual else xk
+        cell, _ = _nearest(x, cents)
+        mask = np.isin(cell, list(luts_))
+        xk, cellk = x[mask], cell[mask]
+        codes, _ = _encode(xk - cents[cellk] + _KQ_OFFSET if residual else xk, cbs)
         adc = np.zeros(len(xk), dtype=np.int64)
-        for s in range(m):
-            code = np.argmin(_int_dist2(codes_of[:, s * sub : (s + 1) * sub], cbs[s]), axis=1)
-            for c, lut in luts_.items():
-                sel = cellk == c
-                adc[sel] += lut[s][code[sel]]
-        dist2 = ((xk - qv[None, :]) ** 2).sum(axis=1)
+        for c, lut in luts_.items():
+            sel = cellk == c
+            adc[sel] = lut[np.arange(m), codes[sel]].sum(axis=1)
+        dist2 = ((xk - qv) ** 2).sum(axis=1)
         return {"vec_id": ids[mask], "adc_dist2": adc, "dist2": dist2}
 
     state = (q, coarse, luts, codebooks)
     return _scan_topk(
         sf_dir, query_vec_id, state, score, "adc_dist2", rerank, rerank=("dist2", k)
     )
+
+
+def _ivf_pq_sql(
+    query_vec_id: int,
+    k: int,
+    n_probe: int,
+    rerank: int,
+    n_coarse: int,
+    coarse_iters: int,
+    m: int,
+    n_pq: int,
+    pq_iters: int,
+    dim: int,
+    residual: bool,
+) -> str:
+    """The one oracle body of :func:`_ivf_pq_search`: the coarse
+    Lloyd chain, probe selection and final coarse assignment ``afin``;
+    with ``residual``, each vector's shifted residual ``res`` to its
+    cell and the query's ``qres`` to each probed cell (a
+    correlated-UNNEST elementwise difference: DuckDB lambdas can't
+    capture correlated columns); the m PQ chains over the vectors (or
+    residuals) with their code assignments; the ADC lookup tables
+    (one per probed cell with ``residual``); the global top-``rerank``
+    ADC cut and the exact integer re-rank."""
+    sub = _subspace_width(dim, m)
+    cf = f"c{coarse_iters}f"
+    ctes = _kmeans_header_sql() + _lloyd_sql("q", n_coarse, coarse_iters, dim)
+    ctes += _probe_sql(cf, query_vec_id, n_probe) + [_nearest_sql("afin", "q", cf)]
+    if residual:
+        ctes += [
+            f"""res AS (
+    SELECT q.vec_id, list(q.v[t.i] - {cf}.v[t.i] + {_KQ_OFFSET} ORDER BY t.i) AS v
+    FROM q JOIN afin ON q.vec_id = afin.vec_id
+         JOIN {cf} ON afin.c = {cf}.c,
+         UNNEST(generate_series(1, {dim})) AS t(i)
+    GROUP BY q.vec_id
+)""",
+            f"""qres AS (
+    SELECT probe.c AS pc,
+           list(qsel.v[t.i] - {cf}.v[t.i] + {_KQ_OFFSET} ORDER BY t.i) AS v
+    FROM qsel CROSS JOIN probe JOIN {cf} ON probe.c = {cf}.c,
+         UNNEST(generate_series(1, {dim})) AS t(i)
+    GROUP BY probe.c
+)""",
+        ]
+        ctes += _pq_sql("res", "rs", m, sub, n_pq, pq_iters)
+        query, cell_col, cell_on = "qres", "qres.pc, ", " AND lut{s}.pc = afin.c"
+    else:
+        ctes += _pq_sql("q", "qs", m, sub, n_pq, pq_iters)
+        query, cell_col, cell_on = "qsel", "", ""
+    for s in range(m):
+        pcf = f"c{pq_iters}fs{s}"
+        d_lut = _int_dist2_sql(f"{query}.v[{s * sub + 1}:{(s + 1) * sub}]", f"{pcf}.v")
+        ctes.append(
+            f"""lut{s} AS (
+    SELECT {cell_col}{pcf}.c, {d_lut} AS d2
+    FROM {pcf} CROSS JOIN {query}
+)"""
+        )
+    adc_sum = " + ".join(f"lut{s}.d2" for s in range(m))
+    code_joins = "".join(
+        f"\n    JOIN asg{s} ON q.vec_id = asg{s}.vec_id"
+        f" JOIN lut{s} ON asg{s}.c = lut{s}.c" + cell_on.format(s=s)
+        for s in range(m)
+    )
+    ctes += [
+        f"""cand AS (
+    SELECT q.vec_id, CAST({adc_sum} AS BIGINT) AS adc_dist2,
+           {_int_dist2_sql("q.v", "qsel.v")} AS dist2
+    FROM q CROSS JOIN qsel
+    JOIN afin ON q.vec_id = afin.vec_id{code_joins}
+    WHERE afin.c IN (SELECT c FROM probe) AND q.vec_id != {query_vec_id}
+)""",
+        f"topc AS (SELECT * FROM cand ORDER BY adc_dist2, vec_id LIMIT {rerank})",
+    ]
+    return _with(ctes, f"SELECT vec_id, adc_dist2, dist2 FROM topc\nORDER BY dist2, vec_id\nLIMIT {k}")
 
 
 def ivf_pq_topk(
@@ -1356,95 +1404,13 @@ def ivf_pq_topk_sql(
     pq_iters: int = 2,
     dim: int = 64,
 ) -> str:
-    """One-statement DuckDB oracle for the ENTIRE IVF+PQ serving path:
-    the coarse k-means chained-CTE prefix, the m per-subspace PQ Lloyd
-    chains (shared quantized header), probe selection, final coarse
-    assignment, per-subspace code assignment, the ADC lookup-table
-    distance, the global top-``rerank`` ADC cut and the exact integer
-    re-rank — training + routing + compressed scan + re-rank all
-    hash-checked end to end."""
-    if dim % m:
-        raise ValueError(f"dim={dim} not divisible by m={m} subspaces")
-    sub = dim // m
-    # shared header + coarse Lloyd chain (unsuffixed c{i}f names)
-    parts = _kmeans_int_prefix_parts(n_coarse, coarse_iters, dim)
-    # PQ per-subspace chains (suffixed s{s}), sharing header's q/init_ids
-    for s in range(m):
-        lo, hi = s * sub + 1, (s + 1) * sub
-        parts.append(
-            f""",
-qs{s} AS (SELECT vec_id, v[{lo}:{hi}] AS v FROM q),
-{_init_cents_sql(f"qs{s}", f"s{s}")}"""
-        )
-        for it in range(pq_iters):
-            parts.append(_lloyd_layer_sql(it, sub, f"qs{s}", f"s{s}"))
-    cf = f"c{coarse_iters}f"
-    d_qc = _int_dist2_sql("qsel.v", f"{cf}.v")
-    d_ac = _int_dist2_sql("q.v", f"{cf}.v")
-    parts.append(
-        f""",
-qsel AS (SELECT v FROM q WHERE vec_id = {query_vec_id}),
-probe AS (
-    SELECT c FROM (
-        SELECT {cf}.c,
-               ROW_NUMBER() OVER (ORDER BY {d_qc}, {cf}.c) AS rn
-        FROM {cf} CROSS JOIN qsel
-    ) WHERE rn <= {n_probe}
-),
-afin AS (
-    SELECT vec_id, c AS cl FROM (
-        SELECT q.vec_id, {cf}.c,
-               ROW_NUMBER() OVER (PARTITION BY q.vec_id
-                                  ORDER BY {d_ac}, {cf}.c) AS rn
-        FROM q CROSS JOIN {cf}
-    ) WHERE rn = 1
-)"""
+    """One-statement DuckDB oracle for the ENTIRE IVF+PQ serving path
+    (:func:`_ivf_pq_sql` without residuals): training + routing +
+    compressed scan + re-rank all hash-checked end to end."""
+    return _ivf_pq_sql(
+        query_vec_id, k, n_probe, rerank, n_coarse, coarse_iters, m, n_pq, pq_iters, dim,
+        residual=False,
     )
-    # per-subspace code assignment + query-side ADC lookup tables
-    for s in range(m):
-        lo, hi = s * sub + 1, (s + 1) * sub
-        pcf = f"c{pq_iters}fs{s}"
-        d_code = _int_dist2_sql(f"qs{s}.v", f"{pcf}.v")
-        d_lut = _int_dist2_sql("qsel.v[{lo}:{hi}]".format(lo=lo, hi=hi), f"{pcf}.v")
-        parts.append(
-            f""",
-asg{s} AS (
-    SELECT vec_id, c FROM (
-        SELECT qs{s}.vec_id, {pcf}.c,
-               ROW_NUMBER() OVER (PARTITION BY qs{s}.vec_id
-                                  ORDER BY {d_code}, {pcf}.c) AS rn
-        FROM qs{s} CROSS JOIN {pcf}
-    ) WHERE rn = 1
-),
-lut{s} AS (
-    SELECT {pcf}.c, {d_lut} AS d2
-    FROM {pcf} CROSS JOIN qsel
-)"""
-        )
-    adc_sum = " + ".join(f"lut{s}.d2" for s in range(m))
-    code_joins = "".join(
-        f"\n    JOIN asg{s} ON q.vec_id = asg{s}.vec_id"
-        f" JOIN lut{s} ON asg{s}.c = lut{s}.c"
-        for s in range(m)
-    )
-    d_exact = _int_dist2_sql("q.v", "qsel.v")
-    parts.append(
-        f""",
-cand AS (
-    SELECT q.vec_id, CAST({adc_sum} AS BIGINT) AS adc_dist2,
-           {d_exact} AS dist2
-    FROM q CROSS JOIN qsel
-    JOIN afin ON q.vec_id = afin.vec_id{code_joins}
-    WHERE afin.cl IN (SELECT c FROM probe) AND q.vec_id != {query_vec_id}
-),
-topc AS (
-    SELECT * FROM cand ORDER BY adc_dist2, vec_id LIMIT {rerank}
-)
-SELECT vec_id, adc_dist2, dist2 FROM topc
-ORDER BY dist2, vec_id
-LIMIT {k}"""
-    )
-    return "".join(parts)
 
 
 def ivf_pq_residual_topk(
@@ -1490,111 +1456,12 @@ def ivf_pq_residual_topk_sql(
     pq_iters: int = 2,
     dim: int = 64,
 ) -> str:
-    """One-statement oracle for the residual IVFADC path: coarse
-    chained-CTE training, per-vector residual reconstruction (the
-    correlated-UNNEST elementwise difference — DuckDB lambdas can't
-    capture correlated columns), m residual-sliced PQ Lloyd chains,
-    probe selection, per-probed-cell query residuals + ADC lookup
-    tables, code assignment from each vector's own residual, the
-    global ADC cut and the exact re-rank."""
-    if dim % m:
-        raise ValueError(f"dim={dim} not divisible by m={m} subspaces")
-    sub = dim // m
-    parts = _kmeans_int_prefix_parts(n_coarse, coarse_iters, dim)
-    cf = f"c{coarse_iters}f"
-    d_ac = _int_dist2_sql("q.v", f"{cf}.v")
-    # final coarse assignment + shifted residual per vector
-    parts.append(
-        f""",
-afin AS (
-    SELECT vec_id, c AS cl FROM (
-        SELECT q.vec_id, {cf}.c,
-               ROW_NUMBER() OVER (PARTITION BY q.vec_id
-                                  ORDER BY {d_ac}, {cf}.c) AS rn
-        FROM q CROSS JOIN {cf}
-    ) WHERE rn = 1
-),
-res AS (
-    SELECT q.vec_id, list(q.v[t.i] - {cf}.v[t.i] + {_KQ_OFFSET} ORDER BY t.i) AS v
-    FROM q JOIN afin ON q.vec_id = afin.vec_id
-         JOIN {cf} ON afin.cl = {cf}.c,
-         UNNEST(generate_series(1, {dim})) AS t(i)
-    GROUP BY q.vec_id
-)"""
+    """One-statement oracle for the residual IVFADC path
+    (:func:`_ivf_pq_sql` with residuals)."""
+    return _ivf_pq_sql(
+        query_vec_id, k, n_probe, rerank, n_coarse, coarse_iters, m, n_pq, pq_iters, dim,
+        residual=True,
     )
-    # residual PQ chains per subspace
-    for s in range(m):
-        lo, hi = s * sub + 1, (s + 1) * sub
-        parts.append(
-            f""",
-rs{s} AS (SELECT vec_id, v[{lo}:{hi}] AS v FROM res),
-{_init_cents_sql(f"rs{s}", f"s{s}")}"""
-        )
-        for it in range(pq_iters):
-            parts.append(_lloyd_layer_sql(it, sub, f"rs{s}", f"s{s}"))
-    d_qc = _int_dist2_sql("qsel.v", f"{cf}.v")
-    parts.append(
-        f""",
-qsel AS (SELECT v FROM q WHERE vec_id = {query_vec_id}),
-probe AS (
-    SELECT c FROM (
-        SELECT {cf}.c,
-               ROW_NUMBER() OVER (ORDER BY {d_qc}, {cf}.c) AS rn
-        FROM {cf} CROSS JOIN qsel
-    ) WHERE rn <= {n_probe}
-),
-qres AS (
-    SELECT probe.c AS pc,
-           list(qsel.v[t.i] - {cf}.v[t.i] + {_KQ_OFFSET} ORDER BY t.i) AS v
-    FROM qsel CROSS JOIN probe JOIN {cf} ON probe.c = {cf}.c,
-         UNNEST(generate_series(1, {dim})) AS t(i)
-    GROUP BY probe.c
-)"""
-    )
-    for s in range(m):
-        lo, hi = s * sub + 1, (s + 1) * sub
-        pcf = f"c{pq_iters}fs{s}"
-        d_code = _int_dist2_sql(f"rs{s}.v", f"{pcf}.v")
-        d_lut = _int_dist2_sql(f"qres.v[{lo}:{hi}]", f"{pcf}.v")
-        parts.append(
-            f""",
-asg{s} AS (
-    SELECT vec_id, c FROM (
-        SELECT rs{s}.vec_id, {pcf}.c,
-               ROW_NUMBER() OVER (PARTITION BY rs{s}.vec_id
-                                  ORDER BY {d_code}, {pcf}.c) AS rn
-        FROM rs{s} CROSS JOIN {pcf}
-    ) WHERE rn = 1
-),
-lut{s} AS (
-    SELECT qres.pc, {pcf}.c, {d_lut} AS d2
-    FROM {pcf} CROSS JOIN qres
-)"""
-        )
-    adc_sum = " + ".join(f"lut{s}.d2" for s in range(m))
-    code_joins = "".join(
-        f"\n    JOIN asg{s} ON q.vec_id = asg{s}.vec_id"
-        f" JOIN lut{s} ON asg{s}.c = lut{s}.c AND lut{s}.pc = afin.cl"
-        for s in range(m)
-    )
-    d_exact = _int_dist2_sql("q.v", "qsel.v")
-    parts.append(
-        f""",
-cand AS (
-    SELECT q.vec_id, CAST({adc_sum} AS BIGINT) AS adc_dist2,
-           {d_exact} AS dist2
-    FROM q CROSS JOIN qsel
-    JOIN afin ON q.vec_id = afin.vec_id{code_joins}
-    WHERE afin.cl IN (SELECT c FROM probe) AND q.vec_id != {query_vec_id}
-),
-topc AS (
-    SELECT * FROM cand ORDER BY adc_dist2, vec_id LIMIT {rerank}
-)
-SELECT vec_id, adc_dist2, dist2 FROM topc
-ORDER BY dist2, vec_id
-LIMIT {k}"""
-    )
-    return "".join(parts)
 
 
 # -- random projection ----------------------------------------------------

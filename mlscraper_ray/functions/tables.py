@@ -23,9 +23,15 @@ an empty Dataset returns a frame without columns, so touching a column
 would raise ``KeyError``. When the operator passes its result schema as
 ``empty``, any zero-row frame finishes as a typed empty table with that
 schema, and the frame's columns are never touched.
+
+``md5_number_lower(s)`` is the one Python spelling of DuckDB's
+``md5_number_lower``: the md5 digest's low 64 bits, read little-endian
+as an unsigned int. Every seeded hash an operator pairs with its SQL
+goes through it.
 """
 from __future__ import annotations
 
+import hashlib
 import os
 
 import pandas as pd
@@ -68,3 +74,7 @@ def finish(
     if dtypes is not None:
         df = df.astype(dtypes)
     return pa.Table.from_pandas(df, preserve_index=False)
+
+
+def md5_number_lower(s: str) -> int:
+    return int.from_bytes(hashlib.md5(s.encode()).digest()[8:], "little")

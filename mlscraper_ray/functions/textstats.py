@@ -20,7 +20,7 @@ from mlscraper_ray.functions.bucketed import (
     coalesce_blocks,
     quantiles_disc,
 )
-from mlscraper_ray.functions.tables import finish, read_table
+from mlscraper_ray.functions.tables import finish, md5_number_lower, read_table
 
 _WORD_RE = re.compile(r"\S+")
 
@@ -249,8 +249,6 @@ def fingerprints(sf_dir: str) -> pa.Table:
     (content-defined identity that survives whitespace noise). Token
     hash = low 8 md5 bytes little-endian — the same value DuckDB's
     ``md5_number_lower`` yields, so the fold is SQL-reproducible."""
-    import hashlib
-
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
     B, M = 1000003, (1 << 61) - 1
 
@@ -260,7 +258,7 @@ def fingerprints(sf_dir: str) -> pa.Table:
         for text in batch["text"].to_pylist():
             acc = 0
             for token in text.split():
-                h = int.from_bytes(hashlib.md5(token.encode()).digest()[8:], "little")
+                h = md5_number_lower(token)
                 acc = (acc * B + h) % M
             fps.append(acc)
         return pa.table({"doc_id": pa.array(ids, pa.int64()), "fingerprint": pa.array(fps, pa.int64())})
@@ -355,15 +353,10 @@ def sample_documents(sf_dir: str, pct: int = 10) -> pa.Table:
     cluster-stable): keep docs where md5(doc_id) mod 100 < pct. The
     canonical downsampling op — the same rows survive on any worker
     count, unlike random_shuffle-based sampling."""
-    import hashlib
-
     ds = read_table(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
     def keep(batch: pa.Table) -> pa.Table:
-        mask = [
-            int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little") % 100 < pct
-            for d in batch["doc_id"].to_pylist()
-        ]
+        mask = [md5_number_lower(str(d)) % 100 < pct for d in batch["doc_id"].to_pylist()]
         return batch.filter(pa.array(mask, pa.bool_()))
 
     return finish(ds.map_batches(keep, batch_format="pyarrow").to_pandas(), "doc_id")
@@ -383,8 +376,6 @@ def sample_stratified(sf_dir: str, rates: dict[str, int] | None = None, default_
     default). Same seedless md5(doc_id) predicate as
     :func:`sample_documents` so the kept set is rerun- and
     worker-count-stable; the tiny rate map is broadcast once."""
-    import hashlib
-
     if rates is None:
         rates = {"en": 50}
     rates_ref = ray.put(dict(rates))
@@ -394,8 +385,7 @@ def sample_stratified(sf_dir: str, rates: dict[str, int] | None = None, default_
     def keep(batch: pa.Table) -> pa.Table:
         r = ray.get(rates_ref)
         mask = [
-            int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little") % 100
-            < r.get(lang, default_rate)
+            md5_number_lower(str(d)) % 100 < r.get(lang, default_rate)
             for d, lang in zip(batch["doc_id"].to_pylist(), batch["lang"].to_pylist())
         ]
         return batch.filter(pa.array(mask, pa.bool_()))
@@ -440,7 +430,6 @@ def source_temperature_mix(sf_dir: str, target_milli: int = 500) -> pa.Table:
     source_token_totals shape); the driver computes the tiny rate
     map and broadcasts it; the keep pass is a pure streaming
     map_batches. Zero data-sized shuffles."""
-    import hashlib
     import math
 
     totals = source_token_totals(sf_dir).to_pandas()
@@ -458,11 +447,7 @@ def source_temperature_mix(sf_dir: str, target_milli: int = 500) -> pa.Table:
         mask, rm = [], []
         for d, s in zip(ids, srcs):
             rate = r[s]
-            mask.append(
-                int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little")
-                % 1000
-                < rate
-            )
+            mask.append(md5_number_lower(str(d)) % 1000 < rate)
             rm.append(rate)
         t = batch.append_column("rate_milli", pa.array(rm, pa.int64()))
         return t.filter(pa.array(mask, pa.bool_()))
@@ -653,8 +638,6 @@ def source_distinct_tokens_hll(sf_dir: str) -> pa.Table:
     raw HLL at m=256 is ~6.5% (accuracy pinned by a 20k-token crafted
     test); zero_registers lets consumers apply small-range correction
     externally."""
-    import hashlib
-
 
     ds = read_table(sf_dir, "documents", ["source", "text"])
 
@@ -665,7 +648,7 @@ def source_distinct_tokens_hll(sf_dir: str) -> pa.Table:
             for tok in set(_WORD_RE.findall(text)):
                 h = cache.get(tok)
                 if h is None:
-                    h = int.from_bytes(hashlib.md5(tok.encode()).digest()[8:], "little")
+                    h = md5_number_lower(tok)
                     cache[tok] = h
                 k = (src, h & (_HLL_M - 1))
                 rho = 57 - (h >> _HLL_SHIFT).bit_length()
@@ -1186,18 +1169,10 @@ def corpus_split(
 
     Returns (source, split, n_docs, n_tokens) sorted by (source,
     split)."""
-    import hashlib
-
     ds = read_table(sf_dir, "documents", ["doc_id", "source", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        r = pd.Series(
-            [
-                int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little") % 100
-                for d in batch["doc_id"]
-            ],
-            index=batch.index,
-        )
+        r = pd.Series([md5_number_lower(str(d)) % 100 for d in batch["doc_id"]], index=batch.index)
         split = pd.Series("train", index=batch.index)
         split[r < val_pct + test_pct] = "val"
         split[r < test_pct] = "test"
@@ -1253,19 +1228,10 @@ def corpus_split_by_source(
     handles). Same plan shape as corpus_split: pure streaming
     assignment, per-batch integer partials, one tiny combine. Returns
     (source, split, n_docs, n_tokens) — one row per source."""
-    import hashlib
-
     ds = read_table(sf_dir, "documents", ["source", "text"])
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        r = pd.Series(
-            [
-                int.from_bytes(hashlib.md5(str(s).encode()).digest()[8:], "little")
-                % 100
-                for s in batch["source"]
-            ],
-            index=batch.index,
-        )
+        r = pd.Series([md5_number_lower(str(s)) % 100 for s in batch["source"]], index=batch.index)
         split = pd.Series("train", index=batch.index)
         split[r < val_pct + test_pct] = "val"
         split[r < test_pct] = "test"
@@ -1425,8 +1391,6 @@ def source_token_cms(sf_dir: str, n_probe: int = 5) -> pa.Table:
     reports (source, word, est, true_cnt); the exact column exists
     for VERIFICATION and demo — a production consumer keeps only the
     sketch."""
-    import hashlib as _hl
-
 
     ds = read_table(sf_dir, "documents", ["source", "text"])
 
@@ -1437,13 +1401,7 @@ def source_token_cms(sf_dir: str, n_probe: int = 5) -> pa.Table:
             for tok in text.split():
                 cols = hcache.get(tok)
                 if cols is None:
-                    cols = tuple(
-                        int.from_bytes(
-                            _hl.md5(f"{j}:{tok}".encode()).digest()[8:], "little"
-                        )
-                        % _CMS_W
-                        for j in range(_CMS_D)
-                    )
+                    cols = tuple(md5_number_lower(f"{j}:{tok}") % _CMS_W for j in range(_CMS_D))
                     hcache[tok] = cols
                 for j, col in enumerate(cols):
                     k = (src, j, col)
@@ -1509,10 +1467,7 @@ def source_token_cms(sf_dir: str, n_probe: int = 5) -> pa.Table:
     out_s, out_w, out_e, out_t = [], [], [], []
     for src in sources:
         for w in sorted(probe):
-            cols = [
-                int.from_bytes(_hl.md5(f"{j}:{w}".encode()).digest()[8:], "little") % _CMS_W
-                for j in range(_CMS_D)
-            ]
+            cols = [md5_number_lower(f"{j}:{w}") % _CMS_W for j in range(_CMS_D)]
             est = min(sk_map.get((src, j, c), 0) for j, c in enumerate(cols))
             out_s.append(src)
             out_w.append(w)
@@ -3266,14 +3221,12 @@ def sample_weighted_k(sf_dir: str, k: int = 100) -> pa.Table:
     (each batch contributes its local k smallest); the priority uses
     PYTHON ints in the fold because the raw low-64 md5 exceeds
     int64 (the UBIGINT the SQL side compares)."""
-    import hashlib
-
     ds = read_table(sf_dir, "documents", ["doc_id", "source", "n_chars"])
 
     def block_topk(df: pd.DataFrame) -> pd.DataFrame:
         pri = [
             (
-                int.from_bytes(hashlib.md5(str(d).encode()).digest()[8:], "little") // max(int(w), 1),
+                md5_number_lower(str(d)) // max(int(w), 1),
                 int(d),
             )
             for d, w in zip(df["doc_id"], df["n_chars"])

@@ -392,15 +392,27 @@ class TestNearDupCrafted:
 
     def test_pq_fused_fit_equals_separate_fits(self, ray_session):
         """One-pass-per-iteration multi-subspace training must equal m
-        independent sliced kmeans_int_fit runs bit for bit."""
+        independent one-subspace fits over each 16-dim slice, bit for
+        bit."""
         import numpy as np
 
-        from mlscraper_ray.functions.similarity import kmeans_int_fit, pq_fit
+        from mlscraper_ray.functions.similarity import (
+            _EMBEDDINGS,
+            _lloyd_int_fit,
+            _quantized,
+            pq_fit,
+        )
+
+        def sliced(s):
+            def features(batch):
+                ids, x = _quantized(batch)
+                return ids, x[:, s * 16 : (s + 1) * 16]
+
+            return features
 
         fused = pq_fit(SF_DIR, m=4, n_clusters=8, n_iters=2)
-        sep = np.stack(
-            [kmeans_int_fit(SF_DIR, 8, 2, dims=(s * 16, (s + 1) * 16)) for s in range(4)]
-        )
+        sep = np.concatenate([_lloyd_int_fit(SF_DIR, _EMBEDDINGS, sliced(s), 8, 2) for s in range(4)])
+        assert fused.shape == (4, 8, 16)
         assert np.array_equal(fused, sep)
 
     def test_pq_codes_quantize_nonvacuously(self, ray_session):
@@ -3611,6 +3623,66 @@ def test_session_operators_match_sql_at_the_gap_edges(entry_mod, tmp_path, name,
     c = compare(result, entry_mod.oracle_sql()[name], str(tmp_path))
     assert c["hash_match"], c
 
+
+
+INT_KMEANS_ENTRIES = [
+    "embed_kmeans_int",
+    "ann_ivf_trained_topk",
+    "embed_semdedup",
+    "embed_pq_codes",
+    "ann_ivf_pq_topk",
+    "ann_ivf_pq_residual_topk",
+    "doc_topic_clusters",
+    "corpus_cluster_sample",
+]
+
+
+@pytest.mark.parametrize("rows", [0, 3])
+@pytest.mark.parametrize("name", INT_KMEANS_ENTRIES)
+def test_int_kmeans_entries_match_sql_on_tiny_tables(entry_mod, tmp_path, name, rows):
+    """Each integer k-means entry equals its SQL when the embeddings
+    and documents tables hold no row (typed empty tables) and when they
+    hold 3 rows, fewer than the 8 clusters asked for."""
+    from oracle_compare import compare
+
+    tiny = ("embeddings.parquet", "documents.parquet")
+    for f in os.listdir(SF_DIR):
+        if f not in tiny:
+            os.symlink(os.path.join(SF_DIR, f), tmp_path / f)
+    for f in tiny:
+        pq.write_table(pq.read_table(os.path.join(SF_DIR, f)).slice(0, rows), tmp_path / f)
+    result = entry_mod.queries()[name](str(tmp_path))
+    c = compare(result, entry_mod.oracle_sql()[name], str(tmp_path))
+    assert c["hash_match"], c
+
+
+@pytest.mark.parametrize("name", ["ivf_pq_topk", "ivf_pq_residual_topk"])
+def test_ivf_pq_codebooks_and_coarse_cells_count_apart(ray_session, name):
+    """The PQ codebooks start from the ``n_pq`` md5-first vectors and
+    the coarse quantizer from the ``n_coarse`` ones, on both sides,
+    when the two counts differ."""
+    from oracle_compare import compare
+
+    from mlscraper_ray.functions import similarity
+
+    fn, sql = getattr(similarity, name), getattr(similarity, f"{name}_sql")
+    c = compare(fn(SF_DIR, n_coarse=6, n_pq=4), sql(n_coarse=6, n_pq=4), SF_DIR)
+    assert c["hash_match"], c
+
+
+@pytest.mark.parametrize("name", ["ivf_trained_topk", "ivf_pq_topk", "ivf_pq_residual_topk"])
+def test_ivf_entries_match_sql_on_a_missing_query(ray_session, name):
+    """A query id with no vector probes no cell: a typed empty table,
+    as the SQL's empty ``qsel``."""
+    from oracle_compare import compare
+
+    from mlscraper_ray.functions import similarity
+
+    fn, sql = getattr(similarity, name), getattr(similarity, f"{name}_sql")
+    result = fn(SF_DIR, query_vec_id=10**9)
+    assert result.num_rows == 0 and result.schema.names
+    c = compare(result, sql(query_vec_id=10**9), SF_DIR)
+    assert c["hash_match"], c
 
 TYPE_OPERATORS = {
     "events_session_paths": "session_paths",

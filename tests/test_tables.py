@@ -13,7 +13,10 @@ one site: the oracle crawler call in the truth oracles, the engine
 crawler construction in the crawl pipeline, and the edge loop over
 the generator's link records; and in ``functions/`` sessions split in
 one place (``streams._sessions``) and a count histogram's discrete
-percentiles are read in one place (``bucketed.quantiles_disc``)."""
+percentiles are read in one place (``bucketed.quantiles_disc``); the
+integer k-means has one Lloyd's fold, one nearest-centroid rule on
+each side (Python and SQL), and the md5 low-64 hash one spelling
+(``tables.md5_number_lower``)."""
 import ast
 import glob
 import os
@@ -770,4 +773,110 @@ def test_rule_guard_sees_gaps_shifts_and_cumulative_searches(tmp_path):
         ("pct", CUM_SEARCH),
         ("pct", CUM_SEARCH),
         ("<module>", GAP),
+    ]
+
+
+# the one integer Lloyd's and the one md5 rule in functions/:
+# (module, function) -> the idioms only it spells out
+INT_FOLD, INT_ARGMIN, SQL_NEAREST, MD5_LOW = (
+    'floor-div fold of "vec_sum"',
+    "argmin over _int_dist2",
+    "rn = 1 over _int_dist2_sql",
+    "int.from_bytes(...digest()[8:])",
+)
+KMEANS_OWNERS = {
+    ("similarity.py", "_lloyd_int_fit"): [INT_FOLD],
+    ("similarity.py", "_nearest"): [INT_ARGMIN],
+    ("similarity.py", "_nearest_sql"): [SQL_NEAREST],
+    ("tables.py", "md5_number_lower"): [MD5_LOW],
+}
+
+
+def _kmeans_sites(path: str) -> list[tuple[str, str]]:
+    """(top-level function, idiom) for each spelled-out integer k-means
+    or md5 rule in one module, in source order: a function that names
+    a ``"vec_sum"`` column and floor-divides (one site, at the first
+    name); an ``argmin`` over an ``_int_dist2(...)`` call or a name the
+    function binds to one; a string holding ``rn = 1`` in a function
+    that calls ``_int_dist2_sql``; and ``int.from_bytes`` over a slice
+    of a ``.digest()`` call."""
+    tree = ast.parse(open(path).read())
+    sites = []
+    for top in tree.body:
+        fn = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else "<module>"
+        nodes = list(ast.walk(top))
+        calls = {_called(n) for n in nodes}
+        dists = {
+            t.id
+            for n in nodes
+            if isinstance(n, ast.Assign) and _called(n.value) == "_int_dist2"
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        vec_sums = [n for n in nodes if isinstance(n, ast.Constant) and n.value == "vec_sum"]
+        if vec_sums and any(isinstance(n, ast.FloorDiv) for n in nodes):
+            sites.append((vec_sums[0].lineno, vec_sums[0].col_offset, fn, INT_FOLD))
+        for n in nodes:
+            what = None
+            if _called(n) == "argmin" and n.args:
+                over = n.args[0]
+                if _called(over) == "_int_dist2" or getattr(over, "id", None) in dists:
+                    what = INT_ARGMIN
+            elif (
+                isinstance(n, ast.Constant)
+                and isinstance(n.value, str)
+                and "rn = 1" in n.value
+                and "_int_dist2_sql" in calls
+            ):
+                what = SQL_NEAREST
+            elif _called(n) == "from_bytes" and n.args and isinstance(n.args[0], ast.Subscript):
+                if _called(n.args[0].value) == "digest":
+                    what = MD5_LOW
+            if what:
+                sites.append((n.lineno, n.col_offset, fn, what))
+    return [(fn, what) for _, _, fn, what in sorted(sites)]
+
+
+def test_one_integer_lloyd_and_one_md5_rule():
+    found: dict[tuple[str, str], list[str]] = {}
+    for path in sorted(glob.glob(os.path.join(FUNCTIONS_DIR, "*.py"))):
+        for fn, what in _kmeans_sites(path):
+            found.setdefault((os.path.basename(path), fn), []).append(what)
+    assert found == KMEANS_OWNERS, (
+        "integer k-means folds only in similarity._lloyd_int_fit, assigns only in "
+        "similarity._nearest / _nearest_sql, and md5 low-64 is spelled only in "
+        f"tables.md5_number_lower: {found}"
+    )
+
+
+def test_kmeans_guard_sees_folds_argmins_sql_and_md5(tmp_path):
+    p = tmp_path / "op.py"
+    p.write_text(
+        "import hashlib\n"
+        "import numpy as np\n"
+        "def fit(parts, cents):\n"
+        "    for c, g in parts.groupby('cluster'):\n"
+        "        cents[c] = np.sum(g['vec_sum']) // g['count'].sum()\n"
+        "def assign(x, cents):\n"
+        "    d2 = _int_dist2(x, cents)\n"
+        "    return np.argmin(d2, axis=1), np.argmin(_int_dist2(x, cents), axis=1)\n"
+        "def oracle():\n"
+        "    d = _int_dist2_sql('q.v', 'c.v')\n"
+        "    return f'SELECT * FROM (SELECT ROW_NUMBER() OVER (ORDER BY {d}) AS rn) WHERE rn = 1'\n"
+        "def low(s):\n"
+        "    return int.from_bytes(\n"
+        "        hashlib.md5(s.encode()).digest()[8:], 'little'\n"
+        "    )\n"
+        "def float_fit(parts, x, c):\n"
+        "    d2 = ((x - c) ** 2).sum(2)\n"
+        "    return np.argmin(d2), parts['vec_sum'].sum() / parts['count'].sum()\n"
+        "def top1():\n"
+        "    return 'SELECT * FROM t WHERE rn = 1', hashlib.md5(b'x').hexdigest()[8:]\n"
+    )
+    assert _kmeans_sites(str(p)) == [
+        ("fit", INT_FOLD),
+        ("assign", INT_ARGMIN),
+        ("assign", INT_ARGMIN),
+        ("oracle", SQL_NEAREST),
+        ("low", MD5_LOW),
     ]
