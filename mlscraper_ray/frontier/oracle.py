@@ -7,7 +7,9 @@ dicts + heaps + an EXACT seen set, same policy parameters
 rounds). The distributed crawler must reproduce its fetched-URL order
 and seen-set exactly; any bloom false positive in the distributed run
 would surface here as a diff (at test scale, FPR 1e-9 makes that
-practically impossible — by design).
+practically impossible — by design). Pages are parsed by
+``html.parser`` (``parse_with_html_parser``), never through the tag
+grammar the engine's scan and ``parse_html`` share.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from mlscraper_ray.frontier.robots import RobotsRules
 from mlscraper_ray.scrape.model import SelectorMissException, scraper_from_plan
 from mlscraper_ray.sources.corpus import CorpusReader
 from mlscraper_ray.sources.corpusgen import url_host
-from mlscraper_ray.htmlcore.dom import parse_html
+from mlscraper_ray.htmlcore.dom import parse_with_html_parser
 from mlscraper_ray.stages.crawl_stages import extract_links
 from mlscraper_ray.frontier.shard import url_path
 
@@ -116,7 +118,7 @@ def oracle_crawl(corpus_dir: str, config: CrawlConfig, seeds_path: str | None = 
                 continue
             fetches.append((round_k, depth, host, url))
             page_ts = rows["warc_ts"][0].cast("int64").as_py()
-            doc = parse_html(rows["html"][0].as_py())
+            doc = parse_with_html_parser(rows["html"][0].as_py())
             if scraper is not None:
                 try:
                     extracted[url] = json.dumps(scraper.get(doc), sort_keys=True)

@@ -51,12 +51,12 @@ DEFAULT_TERMS = ("scan", "column", "window", "sort")
 # unicode whitespace (and python \s adds \v), silently diverging from
 # the DuckDB mirror on e.g. a NBSP (the same re/RE2 parity discipline
 # as the PII patterns)
-_TOKEN_RE = r"[^\t\n\f\r ]+"
+_WORD_RE = r"[^\t\n\f\r ]+"
 
 
 def _tf_fn(terms: tuple[str, ...]):
     def fn(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = batch["text"].fillna("").str.lower().str.findall(_TOKEN_RE)
+        toks = batch["text"].fillna("").str.lower().str.findall(_WORD_RE)
         out = {
             "doc_id": batch["doc_id"].astype("int64"),
             "n_tokens": toks.str.len().astype("int64"),
@@ -204,7 +204,7 @@ def bm25_index_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> dict
     def postings(batch: pd.DataFrame) -> pd.DataFrame:
         rows_t, rows_d, rows_tf, rows_n = [], [], [], []
         for doc_id, text in zip(batch["doc_id"], batch["text"]):
-            toks = re.findall(_TOKEN_RE, (text or "").lower())
+            toks = re.findall(_WORD_RE, (text or "").lower())
             n = len(toks)
             cnt: dict[str, int] = {}
             for t in toks:
@@ -240,7 +240,7 @@ def bm25_index_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> dict
     # n_docs/total match the full-scan scorer exactly
     st = slim.map_batches(stats_partial, batch_format="pandas").to_pandas().sum()
     # "empty" must mean ZERO TOKENS under the index's own tokenizer
-    # (_TOKEN_RE is the ASCII class; .str.strip() is unicode) — a doc
+    # (_WORD_RE is the ASCII class; .str.strip() is unicode) — a doc
     # of only \v or NBSP strips to "" yet still emits a posting, which
     # would double-count it in n_docs and skew idf/norm vs bm25_topk
     n_empty = int(
@@ -248,7 +248,7 @@ def bm25_index_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> dict
             lambda b: pd.DataFrame(
                 {
                     "e": pd.Series(
-                        [int((~b["text"].fillna("").str.contains(_TOKEN_RE, regex=True)).sum())],
+                        [int((~b["text"].fillna("").str.contains(_WORD_RE, regex=True)).sum())],
                         dtype="int64",
                     )
                 }
@@ -461,7 +461,7 @@ def phrase_topk(
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def score_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = batch["text"].fillna("").str.lower().str.findall(_TOKEN_RE)
+        toks = batch["text"].fillna("").str.lower().str.findall(_WORD_RE)
         lens = toks.str.len().to_numpy(dtype=np.int64)
         # flatten the batch's tokens once; doc boundaries from lens.
         # A phrase never straddles a boundary: candidate start offsets
@@ -556,7 +556,7 @@ def phrase_index_to_parquet(sf_dir: str, out_dir: str, n_shards: int = 16) -> di
     def postings(batch: pd.DataFrame) -> pa.Table:
         rows_t, rows_d, rows_p, rows_n = [], [], [], []
         for doc_id, text in zip(batch["doc_id"], batch["text"]):
-            toks = re.findall(_TOKEN_RE, (text or "").lower())
+            toks = re.findall(_WORD_RE, (text or "").lower())
             n = len(toks)
             pos: dict[str, list[int]] = {}
             for i, t in enumerate(toks):
@@ -694,7 +694,7 @@ def near_topk(
     ds = read_table(sf_dir, "documents", ["doc_id", "text"])
 
     def score_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        toks = batch["text"].fillna("").str.lower().str.findall(_TOKEN_RE)
+        toks = batch["text"].fillna("").str.lower().str.findall(_WORD_RE)
         lens = toks.str.len().to_numpy(dtype=np.int64)
         flat = np.asarray([w for ws in toks for w in ws], dtype=object)
         ends = np.cumsum(lens)

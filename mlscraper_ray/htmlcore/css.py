@@ -118,7 +118,7 @@ class CompiledSelector:
 # ``.``, ``[`` and ``:``.
 _NAME = r"[^\s>#.\[:]+"
 
-_TOKEN_RE = re.compile(
+_SELECTOR_TOKEN_RE = re.compile(
     rf"""
     (?P<ws>\s*>\s*|\s+)                    # combinator
     | (?P<tag>[a-zA-Z][a-zA-Z0-9_-]*)      # tag name
@@ -167,7 +167,7 @@ def compile_selector(rule: str) -> CompiledSelector:
         pending_comb = None
 
     while pos < len(s):
-        m = _TOKEN_RE.match(s, pos)
+        m = _SELECTOR_TOKEN_RE.match(s, pos)
         if m is None:
             raise SelectorSyntaxError(f"cannot parse selector {rule!r} at {pos}")
         pos = m.end()

@@ -2,10 +2,22 @@
 
 This replaces the reference's BeautifulSoup/lxml layer
 (/root/reference/mlscraper/html.py:182-211 ``Page``, :60-179 ``Node``)
-with a dependency-free tree built on :mod:`html.parser`. The tree is
-built once per document (inside ``map_batches`` UDFs or driver-side
-training) and never mutated, so every derived property (text, depth,
-ancestors, the learner's find index) may be cached.
+with a dependency-free tree. The tree is built once per document
+(inside ``map_batches`` UDFs or in the process that trains) and never
+mutated, so every derived property (text, depth, ancestors, the
+learner's find index) may be cached.
+
+Two builders make the same tree. :func:`parse_html` first tries the
+strict tag grammar below (``_TOKEN_RE``): one ``re.split`` pass over
+the page's tag and text tokens, each distinct start-tag token decoded
+once (:func:`decode_start_tag`), the document order, child indices and
+preorder spans assigned as the elements open and close. A page outside
+that grammar raises :class:`OutsideGrammar` there and is built by
+:func:`parse_with_html_parser` (:mod:`html.parser`), the fallback.
+``scrape/scan.py`` runs the same grammar and decoder without building
+a tree; the oracle crawl and the scan's own fallbacks call
+:func:`parse_with_html_parser` directly, so they never depend on the
+grammar.
 
 Semantics intentionally mirrored from bs4-on-lxml because the golden
 tests pin them:
@@ -24,6 +36,8 @@ tests pin them:
 """
 from __future__ import annotations
 
+import re
+from html import unescape
 from html.parser import HTMLParser
 from typing import Iterator, Optional, Union
 
@@ -47,6 +61,13 @@ _MULTI_VALUED = {
     "accept-charset": ("form",),
     "archive": ("object", "applet"),
 }
+
+
+
+def _is_multi_valued(tag: str, name: str) -> bool:
+    rule = _MULTI_VALUED.get(name)
+    return rule is not None and (rule == "*" or tag in rule)
+
 
 # classes containing these break soupsieve; the reference filters them
 # out of selector generation (html.py:17-18, :142 ``Node.classes``).
@@ -367,6 +388,71 @@ def get_relative_depth(node, root) -> int:
     return hierarchy.index(node) - hierarchy.index(root)
 
 
+# -- the strict tag grammar ---------------------------------------------
+# The pages it accepts are the ones :func:`_grammar_tree` builds and
+# ``scrape/scan.py`` scans: no ``<!`` or ``<?`` (comments, doctypes,
+# CDATA, processing instructions), no ``script``/``style``, no ``<``
+# that does not open a tag of the grammar, a top-level ``<html>`` as
+# the first element, and no element or non-whitespace text after the
+# root closes (the html.parser build wraps such content in
+# ``html > body`` or gives the document extra roots). On those pages
+# the grammar reproduces :class:`_TreeBuilder`:
+#
+# - the naive open-element stack: void elements and ``<x/>`` are never
+#   pushed, an end tag pops up to the nearest open tag of its name, and
+#   a stray end tag is ignored;
+# - tag and attribute names are lowercased; for a repeated attribute
+#   the first one wins; the ``_MULTI_VALUED`` attributes are split;
+# - charrefs in text and attribute values are unescaped with
+#   :func:`html.unescape`, text once per run between two tags, exactly
+#   as ``html.parser`` does with ``convert_charrefs``.
+#
+# Whitespace inside a tag is ASCII only: html.parser's ``\s`` also
+# splits on other Unicode spaces, so such a tag falls back instead of
+# parsing differently. An unquoted value stops at any whitespace, as
+# html.parser's does.
+_TAG_WS = r"[ \t\n\r\f]"
+_NAME = r"[a-zA-Z_:][-a-zA-Z0-9_:.]*"
+_EQ = rf"{_TAG_WS}*={_TAG_WS}*"
+# one attribute: 1 name, 2/3/4 its double-, single- or unquoted value
+_ATTR_RE = re.compile(rf"({_NAME})(?:{_EQ}(?:\"([^\"]*)\"|'([^']*)'|([^\s\"'=<>`]+)))?")
+_ATTRS = rf"(?:{_TAG_WS}+{_NAME}(?:{_EQ}(?:\"[^\"]*\"|'[^']*'|[^\s\"'=<>`]+))?)*"
+# groups: 1 start-tag name, 2 its attributes, 3 "/" of <x/>,
+# 4 end-tag name; none set: a "<" outside the grammar
+_TOKEN_RE = re.compile(
+    rf"<(?:([a-zA-Z][a-zA-Z0-9-]*)({_ATTRS}){_TAG_WS}*(/?)>|/([a-zA-Z][a-zA-Z0-9-]*){_TAG_WS}*>)?"
+)
+_RAW_TEXT = frozenset({"script", "style"})
+
+
+class OutsideGrammar(Exception):
+    """The page is outside the strict tag grammar."""
+
+
+def decode_start_tag(name: str, raw: str) -> tuple[str, dict]:
+    """One start-tag token's lowercased tag and its attributes (names
+    lowercased, the first of a repeated one wins, values unescaped, the
+    ``_MULTI_VALUED`` ones split), from its first two ``_TOKEN_RE``
+    groups. Raises :class:`OutsideGrammar` on a raw-text element."""
+    tag = name.lower()
+    if tag in _RAW_TEXT:
+        raise OutsideGrammar("raw-text element")
+    attrs: dict = {}
+    if raw:
+        for key, dq, sq, uq in _ATTR_RE.findall(raw):
+            key = key.lower()
+            if key in attrs:
+                continue  # the first occurrence wins
+            # a valueless attribute reads "", as in the html.parser build
+            v = dq or sq or uq
+            if "&" in v:
+                v = unescape(v)
+            if _is_multi_valued(tag, key):
+                v = v.split()
+            attrs[key] = v
+    return tag, attrs
+
+
 class _TreeBuilder(HTMLParser):
     def __init__(self):
         super().__init__(convert_charrefs=True)
@@ -379,8 +465,7 @@ class _TreeBuilder(HTMLParser):
         for name, value in attrs:
             if value is None:
                 value = ""
-            rule = _MULTI_VALUED.get(name)
-            if rule is not None and (rule == "*" or tag in rule):
+            if _is_multi_valued(tag, name):
                 value = value.split()
             if name not in out:  # first occurrence wins, like bs4
                 out[name] = value
@@ -430,11 +515,24 @@ class _TreeBuilder(HTMLParser):
 
 
 def parse_html(html: Union[str, bytes]) -> Document:
-    """Parse an HTML string/bytes into a :class:`Document`.
+    """Parse an HTML string/bytes into a :class:`Document`: through the
+    strict tag grammar (:func:`_grammar_tree`), or, for a page outside
+    it, through :func:`parse_with_html_parser`. Both give the same tree.
 
     Accepts both ``str`` and ``bytes`` like the reference ``Page``
     (``html.py:189``; tests pass both, ``tests/test_scrapers.py:56,69``).
     """
+    if isinstance(html, (bytes, bytearray)):
+        html = bytes(html).decode("utf-8", errors="replace")
+    try:
+        return _grammar_tree(html)
+    except OutsideGrammar:
+        return parse_with_html_parser(html)
+
+
+def parse_with_html_parser(html: Union[str, bytes]) -> Document:
+    """:func:`parse_html` through :mod:`html.parser` alone, for any page.
+    The oracles and the pages the scanner refused take this build."""
     if isinstance(html, (bytes, bytearray)):
         html = bytes(html).decode("utf-8", errors="replace")
     builder = _TreeBuilder()
@@ -460,6 +558,100 @@ def parse_html(html: Union[str, bytes]) -> Document:
 
     doc = Document([r for r in roots if isinstance(r, Element)])
     _finalize(doc)
+    return doc
+
+
+def _grammar_tree(html: str) -> Document:
+    """The tree of a page inside the strict tag grammar, equal to the
+    :class:`_TreeBuilder` tree node for node: the same naive stack of
+    open elements, merged text runs, and ``order`` numbers (elements in
+    preorder; a text node the builder's count of start tags and text
+    nodes before it). Elements open in preorder, so ``_finalize``'s
+    numbers and spans are assigned as they open and close. The elements
+    of one start-tag token share its attribute dict, which nothing
+    mutates. Raises :class:`OutsideGrammar` outside the grammar."""
+    doc = Document([])
+    preorder: list[Element] = []
+    doc._preorder = preorder
+    # each distinct start-tag token, keyed by its three _TOKEN_RE
+    # groups: (tag, attrs, whether it closes at once)
+    decoded: dict = {}
+    stack: list[Element] = []
+    n_children: list[int] = []  # element children of each open element so far
+    order = 0  # the _TreeBuilder count: start tags and text nodes
+    root = None
+    root_closed = False
+
+    tokens = iter(_TOKEN_RE.split(html))
+    next(tokens)  # text before the first tag lies outside every element
+    # per token: start-tag name, its attributes, "/" of <x/>,
+    # end-tag name, then the text up to the next token
+    for name, raw, selfclose, end, text in zip(tokens, tokens, tokens, tokens, tokens):
+        if name is not None:
+            if stack:
+                parent = stack[-1]
+            elif root is None and not selfclose and name.lower() == "html":
+                parent = None
+            else:
+                raise OutsideGrammar("element outside the html root")
+            key = (name, raw, selfclose)
+            tok = decoded.get(key)
+            if tok is None:
+                tag, attrs = decode_start_tag(name, raw)
+                tok = decoded[key] = (tag, attrs, bool(selfclose) or tag in VOID_ELEMENTS)
+            tag, attrs, closes = tok
+            order += 1
+            start = len(preorder)
+            elem = Element(tag, attrs, parent, start + 1)
+            elem.doc = doc
+            elem._pre_start = start
+            preorder.append(elem)
+            if parent is None:
+                root = elem
+                elem.child_index = 1
+                doc.children.append(elem)
+            else:
+                n_children[-1] += 1
+                elem.child_index = n_children[-1]
+                parent.children.append(elem)
+            if closes:
+                elem._pre_end = start + 1
+            else:
+                stack.append(elem)
+                n_children.append(0)
+        elif end is not None:
+            # pop to the nearest open element of that name; a stray end
+            # tag pops nothing
+            end = end.lower()
+            for i in range(len(stack) - 1, -1, -1):
+                if stack[i].tag == end:
+                    n = len(preorder)
+                    for elem in stack[i:]:
+                        elem._pre_end = n
+                    del stack[i:]
+                    del n_children[i:]
+                    root_closed = not stack
+                    break
+        else:
+            raise OutsideGrammar("markup outside the tag grammar")
+        if text:
+            if stack:
+                parent = stack[-1]
+                children = parent.children
+                if "&" in text:
+                    text = unescape(text)
+                if children and type(children[-1]) is TextNode:
+                    children[-1].data += text
+                else:
+                    order += 1
+                    children.append(TextNode(text, parent, order))
+            elif root_closed and not text.isspace():
+                raise OutsideGrammar("text after the root")
+
+    if root is None:
+        raise OutsideGrammar("no html root")
+    for elem in stack:
+        elem._pre_end = len(preorder)
     return doc
 
 

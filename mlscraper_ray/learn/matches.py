@@ -74,7 +74,11 @@ def find_all(page: Document, item: str):
       ``&<>"'`` can never text-match (parsed text is unescaped);
     - a text hit yields the text node's parent element plus every
       ancestor whose stripped text equals the parent's stripped text,
-      excluding the document (``html.py:93-97``);
+      excluding the document (``html.py:93-97``). An ancestor's text
+      holds its descendant's, so once one ancestor holds a
+      non-whitespace character outside the parent's stripped text,
+      every higher one does too: the walk stops at the first ancestor
+      whose stripped text differs;
     - the attribute arm compares raw attribute values, so multi-valued
       attributes (lists) never equal a string (``html.py:99-104``).
     """
@@ -92,8 +96,9 @@ def find_all(page: Document, item: str):
         out.append(HTMLExactTextMatch(node))
         node_text = node.text.strip()
         for p in node.ancestors:
-            if not isinstance(p, Document) and p.text.strip() == node_text:
-                out.append(HTMLExactTextMatch(p))
+            if isinstance(p, Document) or p.text.strip() != node_text:
+                break
+            out.append(HTMLExactTextMatch(p))
     for elem, attr in index.by_attr_value.get(item, ()):
         out.append(HTMLAttributeMatch(elem, attr))
     return out

@@ -61,8 +61,10 @@ def make_selector_for_classes(class_combination: typing.Collection[str]) -> str:
 class SelectorContext:
     """Per-training-run caches for selector generation + uniqueness:
 
-    - regular selectors: node -> frozenset, checked once
-      (:meth:`_regular_selectors`);
+    - regular selectors: node -> frozenset, built once per
+      ``(tag, attributes, has a rank parent)`` signature and checked
+      once per node, or once per signature where the check reads
+      nothing else (:meth:`_regular_selectors`);
     - nth-child ranks: ``(node, base selector)`` -> int;
     - node selectors: node -> tuple sorted by ``(len, str)``;
     - path selectors: ``(node, max_length)`` -> frozenset, built for the
@@ -77,6 +79,7 @@ class SelectorContext:
 
     def __init__(self):
         self._regular: dict[Element, frozenset] = {}
+        self._by_signature: dict[tuple, list] = {}
         self._ranks: dict[tuple, int] = {}
         self._node_selectors: dict[Element, tuple] = {}
         self._path_selectors: dict[tuple, frozenset] = {}
@@ -92,20 +95,42 @@ class SelectorContext:
         raises its ``SelectorSyntaxError``, and one that does not select
         its own node raises ``RuntimeError``, which is what the
         reference's rank lookup (``next`` over no hits, inside a
-        generator) raises there. A failed check caches nothing."""
+        generator) raises there. A failed check caches nothing.
+
+        The selectors are made from the tag and the attributes alone, so
+        they are built once per ``(tag, attributes, has a rank parent)``
+        signature. The check's verdict is shared by the signature only
+        when every checked selector compiles to one compound without
+        ``:nth-child``: ``SimpleSelector.matches`` then reads nothing
+        but the tag and the attributes. Otherwise (a combinator or an
+        ``:nth-child`` read out of an attribute name) each node of the
+        signature is checked on its own."""
         cached = self._regular.get(node)
         if cached is None:
             if node.tag_name in ("html", "body") or isinstance(node, Document):
                 cached = frozenset()
             else:
-                selectors = sorted(
-                    set(_generate_regular_node_selectors(node)), key=_len_lex
-                )
-                if _rank_parent(node) is not None:
+                checked = _rank_parent(node) is not None
+                key = (node.tag, _attrs_signature(node.attrs), checked)
+                entry = self._by_signature.get(key)
+                if entry is None:
+                    selectors = sorted(
+                        set(_generate_regular_node_selectors(node)), key=_len_lex
+                    )
+                    # [sorted selectors, their set, whether a node of the
+                    # signature needs no check of its own]
+                    entry = [selectors, frozenset(selectors), not checked]
+                    self._by_signature[key] = entry
+                selectors, cached, passed = entry
+                if not passed:
+                    shared = True
                     for s in selectors:
-                        if not s.startswith("#") and not compile_selector(s).matches(node):
-                            raise RuntimeError(f"{s!r} does not select its own node")
-                cached = frozenset(selectors)
+                        if not s.startswith("#"):
+                            sel = compile_selector(s)
+                            if not sel.matches(node):
+                                raise RuntimeError(f"{s!r} does not select its own node")
+                            shared = shared and len(sel.parts) == 1 and sel.parts[0].nth_child is None
+                    entry[2] = shared
             self._regular[node] = cached
         return cached
 
@@ -267,6 +292,12 @@ class SelectorContext:
 
 def _len_lex(s: str) -> tuple:
     return (len(s), s)
+
+
+def _attrs_signature(attrs: dict) -> tuple:
+    """A hashable copy of an attribute dict, in its order; a
+    multi-valued attribute's list becomes a tuple."""
+    return tuple((k, tuple(v) if type(v) is list else v) for k, v in attrs.items())
 
 
 def _rank_parent(node):

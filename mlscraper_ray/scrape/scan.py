@@ -2,13 +2,20 @@
 
 The crawl's fetch stage and the extract stage need three things from a
 page: the plan's value, its ``a[href]`` links, and nothing else. The
-tree path pays for all of ``htmlcore.dom``: an ``html.parser`` tree,
-``_finalize``, then one walk for ``Scraper.get`` and another for
-``extract_links``. :func:`compile_scan` turns a plan into a
-:class:`PageScan` whose :meth:`PageScan.run` makes ONE ``_TOKEN_RE.split``
-pass over the page's tag and text tokens, keeps the stack of open
-elements, and evaluates the plan and collects the links on that stack.
-It builds no ``Element``/``Document`` and never calls ``_finalize``.
+tree path pays for a whole ``htmlcore.dom`` tree, then one walk for
+``Scraper.get`` and another for ``extract_links``. :func:`compile_scan`
+turns a plan into a :class:`PageScan` whose :meth:`PageScan.run` makes
+ONE ``_TOKEN_RE.split`` pass over the page's tag and text tokens, keeps
+the stack of open elements, and evaluates the plan and collects the
+links on that stack. It builds no ``Element``/``Document``.
+
+The tag grammar is ``htmlcore.dom``'s, the one ``parse_html`` builds
+its trees from: ``_TOKEN_RE``, :func:`~mlscraper_ray.htmlcore.dom.decode_start_tag`
+and the subset rules documented beside them. On the pages it accepts,
+both reproduce the ``html.parser`` build (``dom._TreeBuilder``): the
+naive open-element stack, lowercased names, the first of a repeated
+attribute, split multi-valued attributes, and charrefs unescaped in
+text and attribute values.
 
 A page repeats its tags: every entry of a listing carries the same
 ``<div class="entry">``, ``<span class="votes">`` and so on. ``run``
@@ -22,17 +29,6 @@ matched, captured and link-deduped on its own. The nodes of one token
 share its attribute dict, which nothing mutates. The table dies with
 the call: links depend on the base url.
 
-Parsing reproduces ``dom._TreeBuilder`` on the accepted subset:
-
-- the naive open-element stack: void elements and ``<x/>`` are never
-  pushed, an end tag pops up to the nearest open tag of its name, and
-  a stray end tag is ignored;
-- tag and attribute names are lowercased; for a repeated attribute the
-  first one wins; the ``dom._MULTI_VALUED`` attributes are split;
-- charrefs in text and attribute values are unescaped with
-  :func:`html.unescape`, text once per run between two tags, exactly
-  as ``html.parser`` does with ``convert_charrefs``.
-
 Plan evaluation keeps the ``htmlcore/css.py`` rules. An element is
 matched once, when it opens: its ancestors are then exactly the open
 stack, so ``CompiledSelector.matches`` runs on lightweight stack nodes.
@@ -45,21 +41,19 @@ first hit in preorder, a list every hit (items may nest), ``text`` is
 missing attribute as ``None``, and any miss makes the page's value
 ``None``.
 
-Outside the subset :meth:`PageScan.run` raises :class:`ScanFallback`
-and the caller runs the tree path for that page: ``parse_html`` +
-:meth:`PageScan.tree_value` + ``extract_links``. The subset excludes
-``<!`` and ``<?`` (comments, doctypes, CDATA, processing
-instructions), ``script``/``style``, any ``<`` that does not open a
-tag of the strict grammar below, and any page whose first element is
-not a top-level ``<html>`` or that has an element or non-whitespace
-text after the root closes (the tree wraps such content in
-``html > body`` or gives the document extra roots). A plan of any
-other shape than value/list/dict over css/pass selectors and
-text/attr extractors (a kind added through ``register_selector`` or
-``register_extractor``, a ``pass`` selector on a list) falls back on
-every page. The learner, ``functions/facets.py``,
-``functions/pagerank.py`` and ``frontier/oracle.py`` stay on the tree,
-so the oracle crawl checks this path independently.
+Outside the grammar :meth:`PageScan.run` raises :class:`ScanFallback`
+and the caller runs the tree path for that page:
+``parse_with_html_parser`` + :meth:`PageScan.tree_value` +
+``extract_links``; the grammar has refused the page already, so the
+fallback goes straight to ``html.parser``. A plan of any other shape
+than value/list/dict over css/pass selectors and text/attr extractors
+(a kind added through ``register_selector`` or ``register_extractor``,
+a ``pass`` selector on a list) falls back on every page. The learner
+and ``functions/facets.py`` (whose table ``functions/pagerank.py``
+reads) build their trees with ``parse_html``, through the same
+grammar. ``frontier/oracle.py``
+builds its trees with ``parse_with_html_parser``, so the oracle crawl
+checks the grammar and this path independently.
 """
 from __future__ import annotations
 
@@ -71,7 +65,12 @@ from typing import Optional
 from urllib.parse import urljoin, urlparse, urlunparse
 
 from mlscraper_ray.htmlcore.css import SelectorSyntaxError, compile_selector
-from mlscraper_ray.htmlcore.dom import _MULTI_VALUED, VOID_ELEMENTS
+from mlscraper_ray.htmlcore.dom import (
+    _TOKEN_RE,
+    VOID_ELEMENTS,
+    OutsideGrammar,
+    decode_start_tag,
+)
 from mlscraper_ray.scrape.model import (
     AttributeValueExtractor,
     CssRuleSelector,
@@ -85,26 +84,11 @@ from mlscraper_ray.scrape.model import (
 )
 
 
-class ScanFallback(Exception):
-    """The page (or the plan) is outside the scanner's subset."""
+# The page is outside the tag grammar (``htmlcore.dom``), or the plan
+# outside the scanner's subset.
+ScanFallback = OutsideGrammar
 
 
-# The strict tag grammar. Whitespace inside a tag is ASCII only:
-# html.parser's ``\s`` also splits on other Unicode spaces, so such a
-# tag falls back instead of parsing differently. An unquoted value
-# stops at any whitespace, as html.parser's does.
-_TAG_WS = r"[ \t\n\r\f]"
-_NAME = r"[a-zA-Z_:][-a-zA-Z0-9_:.]*"
-_EQ = rf"{_TAG_WS}*={_TAG_WS}*"
-# one attribute: 1 name, 2/3/4 its double-, single- or unquoted value
-_ATTR_RE = re.compile(rf"({_NAME})(?:{_EQ}(?:\"([^\"]*)\"|'([^']*)'|([^\s\"'=<>`]+)))?")
-_ATTRS = rf"(?:{_TAG_WS}+{_NAME}(?:{_EQ}(?:\"[^\"]*\"|'[^']*'|[^\s\"'=<>`]+))?)*"
-# groups: 1 start-tag name, 2 its attributes, 3 "/" of <x/>,
-# 4 end-tag name; none set: a "<" outside the grammar
-_TOKEN_RE = re.compile(
-    rf"<(?:([a-zA-Z][a-zA-Z0-9-]*)({_ATTRS}){_TAG_WS}*(/?)>|/([a-zA-Z][a-zA-Z0-9-]*){_TAG_WS}*>)?"
-)
-_RAW_TEXT = frozenset({"script", "style"})
 _HTTP = ("http://", "https://")
 
 
@@ -351,28 +335,11 @@ class PageScan:
             return None
 
     def _decode(self, name: str, raw: str) -> tuple[str, dict, Optional[list]]:
-        """One start-tag token's lowercased tag, its attributes (names
-        lowercased, the first of a repeated one wins, values unescaped,
-        the ``_MULTI_VALUED`` ones split) and the plan's rules whose
-        prefilter key it carries. Raises :class:`ScanFallback` on a
-        raw-text element."""
-        tag = name.lower()
-        if tag in _RAW_TEXT:
-            raise ScanFallback("raw-text element")
-        attrs: dict = {}
-        if raw:
-            for key, dq, sq, uq in _ATTR_RE.findall(raw):
-                key = key.lower()
-                if key in attrs:
-                    continue  # the first occurrence wins
-                # a valueless attribute reads "", as in the tree
-                v = dq or sq or uq
-                if "&" in v:
-                    v = unescape(v)
-                multi = _MULTI_VALUED.get(key)
-                if multi is not None and (multi == "*" or tag in multi):
-                    v = v.split()
-                attrs[key] = v
+        """One start-tag token's tag and attributes
+        (:func:`~mlscraper_ray.htmlcore.dom.decode_start_tag`, which
+        raises :class:`ScanFallback` on a raw-text element) and the
+        plan's rules whose prefilter key it carries."""
+        tag, attrs = decode_start_tag(name, raw)
         by_id, by_class = self._by_id, self._by_class
         entries = self._by_tag.get(tag)
         if attrs and (by_id or by_class):

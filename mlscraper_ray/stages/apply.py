@@ -12,7 +12,9 @@ instead of abort, the per-row contract is otherwise identical and the
 golden tests pin it).
 
 Each page is evaluated by one ``scrape.scan`` pass; a page outside the
-scanner's subset takes the tree (``parse_html`` + ``Scraper.get``).
+scanner's subset takes the tree (``parse_with_html_parser`` +
+``Scraper.get``), built by ``html.parser`` since the scan has refused
+its tag grammar already.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import json
 
 import pyarrow as pa
 
-from mlscraper_ray.htmlcore.dom import parse_html
+from mlscraper_ray.htmlcore.dom import parse_with_html_parser
 from mlscraper_ray.scrape.scan import ScanFallback, compile_scan
 
 
@@ -54,7 +56,7 @@ class ApplyScraper:
             try:
                 value, _ = self.scan.run(html)
             except ScanFallback:
-                value = self.scan.tree_value(parse_html(html))
+                value = self.scan.tree_value(parse_with_html_parser(html))
             values.append(value)
         return pa.table(
             {

@@ -4,9 +4,11 @@
 per row in ``__call__``): one ``scrape.scan`` pass per page yields the
 plan's value and the page's links; a page outside the scanner's subset
 falls back to ``parse_html`` + ``Scraper.get`` + :func:`extract_links`
-and is marked ``scan_fallback``. The BSP round loop calls it through
-the stateless function :func:`fetch_parse_extract_task`, once per
-plain Ray fetch task (``frontier.crawler._fetch_bundle``); its state
+and is marked ``scan_fallback``; the scan has refused its tag grammar
+already, so this module's ``parse_html`` is the ``html.parser`` build.
+The BSP round loop calls it through the stateless function
+:func:`fetch_parse_extract_task`, once per plain Ray fetch task
+(``frontier.crawler._fetch_bundle``); its state
 — corpus bucket cache, compiled scraper plan — is built once per Ray
 worker process and cached there (``get_fetch_stage``). Batches are
 Arrow in / Arrow out.
@@ -29,7 +31,8 @@ from urllib.parse import urljoin
 
 import pyarrow as pa
 
-from mlscraper_ray.htmlcore.dom import parse_html
+# the scan has refused the page's tag grammar: straight to html.parser
+from mlscraper_ray.htmlcore.dom import parse_with_html_parser as parse_html
 from mlscraper_ray.scrape.scan import ScanFallback, compile_scan
 from mlscraper_ray.sources.corpus import CorpusReader
 from mlscraper_ray.sources.corpusgen import url_host

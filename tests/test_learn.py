@@ -9,7 +9,7 @@ from itertools import islice, permutations
 
 import pytest
 
-from mlscraper_ray.htmlcore.dom import parse_html
+from mlscraper_ray.htmlcore.dom import Element, parse_html
 from mlscraper_ray.learn import selectors
 from mlscraper_ray.learn.matches import DictMatch, ListMatch
 from mlscraper_ray.learn.samples import (
@@ -466,3 +466,75 @@ class TestProbedIntersection:
             assert train_scraper(ts, complexity=2).to_plan() == expected_plan()
         assert built and all(n in allowed for n in built)
         assert len(ranks) < 200
+
+
+# html.parser reads the third attribute's name as "a]:nth-child(2)[b",
+# so the node's selectors include div[a]:nth-child(2)[b], which reads
+# back as one compound with :nth-child(2): it selects the second
+# sibling only
+_NTH_NAME_PAGE = (
+    "<html><body><div a b a]:nth-child(2)[b></div>"
+    "<div a b a]:nth-child(2)[b></div></body></html>"
+)
+
+
+class TestRegularSelectorSignatures:
+    """``SelectorContext._regular_selectors`` builds the selectors once
+    per ``(tag, attributes, has a rank parent)`` signature and shares
+    the self-check only where the check reads nothing but the tag and
+    the attributes."""
+
+    @staticmethod
+    def _twins():
+        first, second = parse_html(_NTH_NAME_PAGE).select("div")
+        assert first.attrs == second.attrs
+        assert (first.child_index, second.child_index) == (1, 2)
+        return first, second
+
+    def test_nth_child_in_an_attribute_name_is_checked_per_node(self):
+        first, second = self._twins()
+        for order in ((first, second), (second, first)):
+            ctx = SelectorContext()
+            for node in order:
+                if node is first:
+                    with pytest.raises(RuntimeError):
+                        ctx._regular_selectors(node)
+                else:
+                    assert "div[a]:nth-child(2)[b]" in ctx._regular_selectors(node)
+            with pytest.raises(RuntimeError):  # a failed check caches nothing
+                ctx._regular_selectors(first)
+
+    def test_detached_element_is_not_checked(self):
+        first, _ = self._twins()
+        detached = Element("div", dict(first.attrs), None, 0)
+        ctx = SelectorContext()
+        with pytest.raises(RuntimeError):
+            ctx._regular_selectors(first)
+        assert ctx._regular_selectors(detached) == {
+            "div", "div[a]", "div[b]", "div[a]:nth-child(2)[b]"
+        }
+        with pytest.raises(RuntimeError):
+            ctx._regular_selectors(first)
+
+    def test_plain_signature_is_checked_once(self, monkeypatch):
+        doc = parse_html(
+            "<html><body><ul>" + '<li class="e odd" data-k="v">x</li>' * 6
+            + "</ul></body></html>"
+        )
+        compiled = []
+        compile_selector = selectors.compile_selector
+        monkeypatch.setattr(
+            selectors, "compile_selector", lambda s: compiled.append(s) or compile_selector(s)
+        )
+        ctx = SelectorContext()
+        sets = {ctx._regular_selectors(li) for li in doc.select("li")}
+        assert len(sets) == 1 and len(compiled) == len(next(iter(sets)))
+
+    def test_shared_sets_equal_per_node_sets(self):
+        docs = _probe_docs() + [parse_html(_NTH_NAME_PAGE)]
+        shared = SelectorContext()
+        for node in [e for d in docs for e in d._preorder] + docs:
+            assert _outcome(shared._regular_selectors, node) == _outcome(
+                SelectorContext()._regular_selectors, node
+            ), node.tag
+

@@ -222,6 +222,27 @@ def test_indexed_find_all_equals_scan(inner):
         assert _outcome(_hits, doc, needle) == _outcome(_scan_find_all, doc, needle), needle
 
 
+@settings(max_examples=80, deadline=None)
+@given(find_tree(), st.sampled_from(["", " ", "\n "]), st.sampled_from(["", " ", "y"]))
+def test_find_all_ancestor_run_equals_full_walk(inner, pad, outer):
+    """``find_all`` stops at the first ancestor whose stripped text
+    differs; the scan's walk looks at every ancestor. Wrapped in
+    whitespace, hits have long runs of equal-text ancestors."""
+    doc = _find_doc(f"{pad}<section>{pad}{inner}{pad}</section>{outer}")
+    for needle in NEEDLES:
+        assert _outcome(_hits, doc, needle) == _outcome(_scan_find_all, doc, needle), needle
+
+
+def test_equal_text_ancestors_stop_at_the_first_difference():
+    doc = _find_doc("\n<div> <section><p> x </p>\n</section> y</div> ")
+    html, body, div, section, p = doc._preorder
+    # div holds " y" beside section: the walk stops there
+    assert _hits(doc, "x") == [("text", p, None), ("text", section, None)]
+    # a hit on div: body and html hold nothing else, and the document
+    # is never a hit
+    assert _hits(doc, "y") == [("text", n, None) for n in (div, body, html)]
+
+
 def test_indexed_find_all_quirks():
     doc = _find_doc(
         '<p title="x" class="x">2x4</p><a rel="x">  aab </a><span>x</span>'

@@ -1,10 +1,13 @@
 """The one-pass page scanner (``scrape/scan.py``) against the tree path.
 
 ``PageScan.run`` must give exactly the tree's ``value_json`` string and
-links list (``parse_html`` + ``Scraper.get`` + ``extract_links``) on
-every page inside its subset, and raise ``ScanFallback`` on every page
-outside it. Differential checks run on generated ``corpusgen`` pages,
-on random adversarial HTML (hypothesis) and on hand-written cases.
+links list (``Scraper.get`` + ``extract_links`` on the ``html.parser``
+tree) on every page inside its subset, and raise ``ScanFallback`` on
+every page outside it. The tree ``parse_html`` builds from the same tag
+grammar must equal the ``html.parser`` tree node for node on those
+pages, and fall back to it on the others. Differential checks run on
+generated ``corpusgen`` pages, on random adversarial HTML (hypothesis)
+and on hand-written cases.
 """
 import glob
 import json
@@ -16,7 +19,8 @@ import pyarrow.parquet as pq
 import pytest
 from hypothesis import assume, given, settings
 
-from mlscraper_ray.htmlcore.dom import parse_html
+from mlscraper_ray.htmlcore import dom
+from mlscraper_ray.htmlcore.dom import OutsideGrammar, parse_html, parse_with_html_parser
 from mlscraper_ray.scrape import model
 from mlscraper_ray.scrape.scan import ScanFallback, compile_scan, http_link
 from mlscraper_ray.sources.corpusgen import CorpusSpec, expected_plan, generate_corpus, render_page
@@ -101,13 +105,40 @@ PLANS = {
 
 
 def _tree(plan, html, base=BASE):
-    doc = parse_html(html)
+    doc = parse_with_html_parser(html)
     return compile_scan(plan).tree_value(doc), extract_links(doc, base)
 
 
 def _assert_same(plan, html, base=BASE):
     got = compile_scan(plan).run(html, base)
     assert got == _tree(plan, html, base), html
+
+
+def _shape(doc):
+    """Everything the tree holds, in preorder: per element its tag,
+    attribute items in order, ``child_index``, ``order``, preorder span
+    and children (a text node as its data and ``order``, an element as
+    its ``order``); parent and document links are asserted on the way."""
+    assert doc._preorder == list(doc._iter_elements_walk())
+    out = [[root.order for root in doc.children]]
+    for elem in doc._preorder:
+        assert elem.doc is doc
+        kids = []
+        for child in elem.children:
+            assert child.parent is elem
+            kids.append(("text", child.data, child.order) if isinstance(child, dom.TextNode) else child.order)
+        span = (elem._pre_start, elem._pre_end)
+        out.append((elem.tag, list(elem.attrs.items()), elem.child_index, elem.order, span, kids))
+    return out
+
+
+def _assert_same_tree(html):
+    """The grammar accepts ``html`` and builds the ``html.parser`` tree,
+    from ``str`` and from ``bytes`` alike."""
+    expected = _shape(parse_with_html_parser(html))
+    assert _shape(dom._grammar_tree(html)) == expected, html
+    assert _shape(parse_html(html.encode())) == expected, html
+    assert _shape(parse_with_html_parser(html.encode())) == expected, html
 
 
 # -- generated corpus pages ---------------------------------------------
@@ -127,6 +158,7 @@ def test_corpus_pages_match_tree(seed, h, i, entries, filler):
     url = spec.page_url(h, i)
     for plan in PLANS.values():
         _assert_same(plan, html.encode(), url)
+    _assert_same_tree(html)
 
 
 # -- adversarial HTML inside the subset ---------------------------------
@@ -239,6 +271,7 @@ def page(draw):
 def test_adversarial_pages_match_tree(html):
     for plan in PLANS.values():
         _assert_same(plan, html)
+    _assert_same_tree(html)
 
 
 HAND_WRITTEN = [
@@ -293,6 +326,11 @@ HAND_WRITTEN = [
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 def test_hand_written_pages_match_tree(html, plan_name):
     _assert_same(PLANS[plan_name], html)
+
+
+@pytest.mark.parametrize("html", HAND_WRITTEN)
+def test_hand_written_pages_grammar_tree(html):
+    _assert_same_tree(html)
 
 
 def test_hand_written_values():
@@ -363,6 +401,12 @@ def test_outside_subset_falls_back(html):
         scan.run(html, BASE)
     with pytest.raises(ScanFallback):
         scan.run(html.encode())
+    # the tree falls back to html.parser on the same pages
+    with pytest.raises(OutsideGrammar):
+        dom._grammar_tree(html)
+    expected = _shape(parse_with_html_parser(html))
+    assert _shape(parse_html(html)) == expected
+    assert _shape(parse_html(html.encode())) == expected
 
 
 def test_unsupported_plans_fall_back(monkeypatch):

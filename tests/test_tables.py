@@ -880,3 +880,80 @@ def test_kmeans_guard_sees_folds_argmins_sql_and_md5(tmp_path):
         ("oracle", SQL_NEAREST),
         ("low", MD5_LOW),
     ]
+
+
+# one tag grammar: htmlcore/dom.py holds the tag tokenizer, the
+# attribute regex and the attribute decoding; the tree builder and the
+# scanner (scrape/scan.py) both run them
+GRAMMAR_MODULE = os.path.join("htmlcore", "dom.py")
+SCANNER_MODULE = os.path.join("scrape", "scan.py")
+GRAMMAR_REGEXES = ("_TOKEN_RE", "_ATTR_RE")
+DECODING_NAMES = ("_ATTR_RE", "_MULTI_VALUED")
+
+
+def _grammar_sites(path: str) -> list[tuple[int, str]]:
+    """(line, what) in one module for each assignment of a grammar regex
+    name and each attribute-decoding idiom: ``_ATTR_RE`` or
+    ``_MULTI_VALUED`` read or imported, or a loop over a
+    ``findall``/``finditer`` call."""
+    sites = []
+    for node in ast.walk(ast.parse(open(path).read())):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        sites += [
+            (node.lineno, f"assigns {t.id}")
+            for t in targets
+            if isinstance(t, ast.Name) and t.id in GRAMMAR_REGEXES
+        ]
+        if isinstance(node, (ast.For, ast.comprehension)):
+            it = node.iter
+            if isinstance(it, ast.Call) and getattr(it.func, "attr", None) in ("findall", "finditer"):
+                sites.append((it.lineno, "decoding loop"))
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in DECODING_NAMES:
+            sites.append((node.lineno, f"reads {node.id}"))
+        elif isinstance(node, ast.ImportFrom):
+            sites += [(node.lineno, f"imports {a.name}") for a in node.names if a.name in DECODING_NAMES]
+    return sorted(sites)
+
+
+def test_one_tag_grammar():
+    assigned = []
+    for path in sorted(glob.glob(os.path.join(PACKAGE_DIR, "**", "*.py"), recursive=True)):
+        rel = os.path.relpath(path, PACKAGE_DIR)
+        if rel != GRAMMAR_MODULE:
+            assigned += [f"{rel}:{line} {what}" for line, what in _grammar_sites(path) if what.startswith("assigns")]
+    assert not assigned, f"the tag grammar's regexes live in {GRAMMAR_MODULE}:\n" + "\n".join(assigned)
+    own = [f"{line} {what}" for line, what in _grammar_sites(os.path.join(PACKAGE_DIR, SCANNER_MODULE))]
+    assert not own, f"{SCANNER_MODULE} decodes start tags through dom.decode_start_tag:\n" + "\n".join(own)
+    in_dom = {what for _, what in _grammar_sites(os.path.join(PACKAGE_DIR, GRAMMAR_MODULE))}
+    assert {"assigns _TOKEN_RE", "assigns _ATTR_RE", "decoding loop"} <= in_dom
+
+
+def test_grammar_guard_sees_assignments_reads_and_loops(tmp_path):
+    p = tmp_path / "scan.py"
+    p.write_text(
+        "import re\n"
+        "from mlscraper_ray.htmlcore.dom import _MULTI_VALUED, VOID_ELEMENTS\n"
+        "_TOKEN_RE = re.compile('<')\n"
+        "_ATTR_RE: re.Pattern = re.compile('a')\n"
+        "def decode(raw):\n"
+        "    for m in re.finditer('x', raw):\n"
+        "        pass\n"
+        "    multi = _MULTI_VALUED.get('class')\n"
+        "    return [k for k, v in _ATTR_RE.findall(raw)], VOID_ELEMENTS, multi\n"
+        "_WORD_RE = re.compile('w')\n"
+        "TOKENS = re.findall('y', 'z')\n"
+    )
+    assert _grammar_sites(str(p)) == [
+        (2, "imports _MULTI_VALUED"),
+        (3, "assigns _TOKEN_RE"),
+        (4, "assigns _ATTR_RE"),
+        (6, "decoding loop"),
+        (8, "reads _MULTI_VALUED"),
+        (9, "decoding loop"),
+        (9, "reads _ATTR_RE"),
+    ]
